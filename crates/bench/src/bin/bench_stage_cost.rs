@@ -8,8 +8,10 @@
 //!   one-shot path, re-grouping the batch every stage;
 //! * **delta** — `SystemExecutor::stage_cost_delta(&StageDelta)`: the
 //!   incremental path, carrying batch state across stages and pricing
-//!   pure-advance decode stages in O(1) (mixed stages always fall back
-//!   to the full path, so the `mixed` class has no delta variant).
+//!   pure-advance decode stages in O(1) and mixed stages from the
+//!   carried groups with memoized stage constants (for `mixed`, every
+//!   stage admits the class's prefill and retires the previous one as
+//!   it joins, so each stage has the full path's shape).
 //!
 //! Classes:
 //!
@@ -93,25 +95,29 @@ fn measure_full(class: &ShapeClass, stages: u64) -> f64 {
 }
 
 /// Price `stages` advancing stages through the incremental delta path
-/// (admit the cohort once, then pure advances) and return stages/s.
+/// (admit the cohort once, then advance it, with the class's prefill
+/// riding along on every stage) and return stages/s.
 fn measure_delta(class: &ShapeClass, stages: u64) -> f64 {
-    assert!(
-        class.prefill.is_none(),
-        "delta path is for decode-only classes"
-    );
     let mut ex = SystemExecutor::new(class.system.clone(), class.model.clone(), 7);
     // Admit the cohort so it decodes from `start_ctx` onward, mirroring
     // the contexts the full-path measurement walks.
     let mut admit = StageDelta::start();
     admit.admit = vec![class.start_ctx - 1; class.batch];
     ex.stage_cost_delta(&admit);
-    let advance = StageDelta::default();
+    let mut step = StageDelta::default();
+    if let Some(prefill) = class.prefill {
+        // From the second prefill on, the previous one retires as it
+        // joins the decode set, keeping the batch at the class's shape.
+        step.admit.push(prefill);
+        ex.stage_cost_delta(&step);
+        step.retire.push(prefill + 1);
+    }
     for _ in 0..(stages / 10).max(1) {
-        ex.stage_cost_delta(&advance);
+        ex.stage_cost_delta(&step);
     }
     let start = Instant::now();
     for _ in 0..stages {
-        ex.stage_cost_delta(&advance);
+        ex.stage_cost_delta(&step);
     }
     stages as f64 / start.elapsed().as_secs_f64()
 }
@@ -126,8 +132,8 @@ fn main() {
     let scale = duplex_bench::scale_from_args();
     let quick = scale == duplex::experiments::Scale::quick();
     let stages: u64 = if quick { 300 } else { 3000 };
-    // The delta path is ~2 orders of magnitude faster; measure more
-    // stages so the timed window stays meaningful.
+    // The delta path is one (mixed) to two (decode) orders of magnitude
+    // faster; measure more stages so the timed window stays meaningful.
     let delta_stages: u64 = if quick { 30_000 } else { 1_000_000 };
 
     let mut rows = Vec::new();
@@ -153,10 +159,8 @@ fn main() {
     for class in classes() {
         let sps = measure_full(&class, stages);
         push(class.name.to_string(), &class, sps, stages);
-        if class.prefill.is_none() {
-            let sps = measure_delta(&class, delta_stages);
-            push(format!("{}_delta", class.name), &class, sps, delta_stages);
-        }
+        let sps = measure_delta(&class, delta_stages);
+        push(format!("{}_delta", class.name), &class, sps, delta_stages);
     }
     print_table(
         "Stage-cost throughput (full vs incremental delta path)",

@@ -244,7 +244,7 @@ impl ContextGroups {
     }
 
     /// Groups as `(ctx, multiplicity)` in ascending context order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + Clone + '_ {
         self.rel
             .iter()
             .map(|&(rel, count)| ((rel + self.offset) as u64, count))
@@ -321,6 +321,41 @@ pub struct AttnOp {
 }
 
 impl AttnOp {
+    /// The grouped op of `reqs` decoding requests attending `ctx`
+    /// tokens each.
+    pub fn decode_group(config: &ModelConfig, ctx: u64, reqs: u64) -> Self {
+        Self {
+            decode: true,
+            ctx,
+            past: 0,
+            q_rows: u64::from(config.deg_grp),
+            groups: u64::from(config.kv_heads()),
+            d_head: config.d_head(),
+            causal: false,
+            count: u64::from(config.n_layers),
+            reqs,
+            samples: true,
+        }
+    }
+
+    /// The grouped op of `reqs` requests prefilling `len` new tokens
+    /// over `past` resident ones; `hold` marks intermediate chunks,
+    /// which sample no token.
+    pub fn prefill_group(config: &ModelConfig, len: u64, past: u64, hold: bool, reqs: u64) -> Self {
+        Self {
+            decode: false,
+            ctx: len,
+            past,
+            q_rows: len * u64::from(config.deg_grp),
+            groups: u64::from(config.kv_heads()),
+            d_head: config.d_head(),
+            causal: true,
+            count: u64::from(config.n_layers),
+            reqs,
+            samples: !hold,
+        }
+    }
+
     /// Total KV length attended (`past + ctx`).
     pub fn attended(&self) -> u64 {
         self.past + self.ctx
@@ -478,7 +513,8 @@ pub struct StageWork {
     /// Sort scratch for decode contexts (reused across calls; contents
     /// after a call are an implementation detail).
     pub ctx_scratch: Vec<u64>,
-    /// Sort scratch for prefill `(len, past, hold)` keys.
+    /// Sort scratch for prefill `(len, past, hold)` keys (see
+    /// [`push_prefill_groups`]).
     pub pre_scratch: Vec<(u64, u64, bool)>,
 }
 
@@ -553,6 +589,28 @@ pub fn fill_fc_ops(config: &ModelConfig, tokens: u64, lm_rows: u64, fc_ops: &mut
     });
 }
 
+/// Append one grouped prefill [`AttnOp`] per distinct `(len, past,
+/// hold)` key of `keys` (sorted in place), in ascending key order.
+/// Groups key on the full triple: only identical kernel shapes with
+/// identical LM-row accounting may share a group.
+pub fn push_prefill_groups(
+    config: &ModelConfig,
+    keys: &mut [(u64, u64, bool)],
+    attn: &mut Vec<AttnOp>,
+) {
+    keys.sort_unstable();
+    let first = attn.len();
+    for &(len, past, hold) in keys.iter() {
+        if let Some(last) = attn[first..].last_mut() {
+            if last.ctx == len && last.past == past && last.samples != hold {
+                last.reqs += 1;
+                continue;
+            }
+        }
+        attn.push(AttnOp::prefill_group(config, len, past, hold, 1));
+    }
+}
+
 /// Expand a stage into its kernel shapes, drawing expert routing from
 /// `router` via `rng` (one draw per MoE layer when sampling; the
 /// default expected-value mode computes one histogram and shares it).
@@ -603,7 +661,6 @@ pub fn enumerate_stage_into<R: Rng + ?Sized>(
     );
     let tokens = shape.tokens();
     let lm_rows = shape.sampled_rows();
-    let layers = u64::from(config.n_layers);
 
     work.tokens = tokens;
     work.lm_rows = lm_rows;
@@ -636,23 +693,8 @@ pub fn enumerate_stage_into<R: Rng + ?Sized>(
                 continue;
             }
         }
-        attn.push(AttnOp {
-            decode: true,
-            ctx,
-            past: 0,
-            q_rows: u64::from(config.deg_grp),
-            groups: u64::from(config.kv_heads()),
-            d_head: config.d_head(),
-            causal: false,
-            count: layers,
-            reqs: 1,
-            samples: true,
-        });
+        attn.push(AttnOp::decode_group(config, ctx, 1));
     }
-    let decode_groups = attn.len();
-    // Prefill groups key on the full `(len, past, hold)` triple: only
-    // identical kernel shapes with identical LM-row accounting may
-    // share a group.
     pre_scratch.clear();
     pre_scratch.extend((0..shape.prefill_len.len()).map(|i| {
         (
@@ -661,28 +703,7 @@ pub fn enumerate_stage_into<R: Rng + ?Sized>(
             !shape.prefill_samples(i),
         )
     }));
-    pre_scratch.sort_unstable();
-    for &(len, past, hold) in pre_scratch.iter() {
-        if let Some(last) = attn[decode_groups..].last_mut() {
-            if last.ctx == len && last.past == past && last.samples != hold {
-                last.reqs += 1;
-                continue;
-            }
-        }
-        attn.push(AttnOp {
-            decode: false,
-            ctx: len,
-            past,
-            q_rows: len * u64::from(config.deg_grp),
-            groups: u64::from(config.kv_heads()),
-            d_head: config.d_head(),
-            causal: true,
-            count: layers,
-            reqs: 1,
-            samples: !hold,
-        });
-    }
-    debug_assert!(attn[..decode_groups].iter().all(|a| a.decode));
+    push_prefill_groups(config, pre_scratch, attn);
 
     // MoE histograms, reusing each layer's existing allocation.
     let blocks = if config.is_moe() {

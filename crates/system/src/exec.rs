@@ -21,13 +21,15 @@
 //! * MoE layers whose expert histograms are identical — always the
 //!   case under the default expected-value routing — are priced once
 //!   and scaled by the MoE block count;
-//! * per-stage scratch (per-node token/row/op buffers) lives in the
-//!   executor and is reused across stages instead of reallocated;
+//! * per-stage scratch (enumeration and prefill-group buffers) lives in
+//!   the executor and is reused across stages instead of reallocated;
 //! * kernel pricing underneath goes straight to the roofline math
 //!   (`duplex_compute::Engine::kernel_cost_uncached` and friends): a
 //!   price is a handful of multiplies, cheaper than probing the
-//!   engines' memo table, so the executor memoizes only *aggregates*
-//!   (the decode-stage constants keyed on `(m_fc, tokens)`).
+//!   engines' memo table, so the executor memoizes only *aggregates*,
+//!   which under expected-value routing depend on token counts alone:
+//!   a decode stage's FC/MoE/communication constants, and any stage's
+//!   MoE cost.
 //!
 //! **Invariants.** Grouping is a pure batching of identical work: for
 //! any stage shape and system, the fast path's [`StageCost`] equals the
@@ -46,13 +48,19 @@
 //! retirements), and pure-advance decoding stages — the overwhelming
 //! majority of a continuous-batching trace — are priced in O(1) from
 //! `(batch size, Σctx)` aggregates through a cached
-//! [`DecodeTemplate`]. Mixed stages and membership changes fall back
-//! to the grouped full path (rebuilding the template from the carried
-//! groups), and sampled expert routing disables the incremental path
-//! entirely, since its histograms are per-stage draws. See
-//! [`crate::incremental`] for the state machine and the exactness
-//! argument, and `tests/prop_cross_crate.rs` for the trace-equivalence
-//! property tests.
+//! [`DecodeTemplate`]; membership changes rebuild the template from the
+//! carried groups. Mixed stages are priced from the carried groups
+//! too: the delta's prefills are grouped alongside them, and the
+//! grouped pricing runs with the memoized MoE cost, so no shape is
+//! materialized, sorted or regrouped. That path feeds the same groups
+//! in the same order to the same code as the grouped full path, so it
+//! reproduces the full path's cost to the bit (debug builds check this
+//! against the scheduler's shape on every mixed stage). Sampled expert
+//! routing disables the incremental path entirely, since its
+//! histograms are per-stage draws. See [`crate::incremental`] for the
+//! state machine and the exactness argument, and
+//! `tests/prop_cross_crate.rs` for the trace-equivalence property
+//! tests.
 //!
 //! One [`SystemExecutor`] models one serving system end to end:
 //!
@@ -75,14 +83,13 @@
 //! Timing uses the representative (most-loaded) node and takes maxima
 //! across parallel devices; energy sums over all devices.
 
-use std::cell::RefCell;
-
 use duplex_compute::engine::{default_profile, AmortizedGemmPricer};
 use duplex_compute::hash::FastMap;
 use duplex_compute::kernel::{GemmShape, Kernel};
 use duplex_compute::{Engine, EngineSpec, KernelCost};
 use duplex_model::ops::{
-    enumerate_stage_into, fill_fc_ops, AttnOp, ExpertWork, FcOp, StageShape, StageWork,
+    enumerate_stage_into, fill_fc_ops, push_prefill_groups, AttnOp, ExpertWork, FcOp, StageShape,
+    StageWork,
 };
 use duplex_model::routing::RoutingMode;
 use duplex_model::{ExpertRouter, ModelConfig};
@@ -92,7 +99,7 @@ use rand::SeedableRng;
 
 use crate::comm::{CommModel, LinkSpec};
 use crate::coproc::split_experts;
-use crate::incremental::{BatchState, DecodeTemplate};
+use crate::incremental::{round_robin_share, BatchState, DecodeTemplate};
 use crate::parallel::CapacityPlan;
 
 /// Bytes of device memory per device (80 GB, H100-class).
@@ -334,18 +341,17 @@ impl SystemConfig {
     }
 }
 
-/// Stage-local pricer for decode-attention groups (see
-/// [`SystemExecutor::decode_attn_pricer`]). All decode groups of a
-/// stage share every parameter except the context length.
+/// Linear pricer for decode-attention groups (see
+/// [`SystemExecutor::decode_attn_pricer`]). Every decode group of every
+/// stage shares all parameters except the context length.
 #[derive(Debug, Clone, Copy)]
 struct DecodeAttnPricer {
     gemm: AmortizedGemmPricer,
     softmax_inv_flops: f64,
     softmax_j_per_flop: f64,
-    /// KV bytes per unit of context (`2 * d_head * groups * bpe`).
-    kv_unit: u64,
-    groups: u64,
-    groups_dev: u64,
+    /// KV bytes per unit of context on one device (`2 * d_head * bpe`
+    /// per head group it holds).
+    kv_unit_dev: u64,
     score_flops_base: f64,
     value_flops_per_ctx: f64,
     softmax_flops_base: f64,
@@ -357,7 +363,7 @@ impl DecodeAttnPricer {
     /// Per-device cost of all layers of one decode group at `ctx`.
     #[inline]
     fn cost(&self, ctx: u64) -> KernelCost {
-        let kv_dev = ctx * self.kv_unit * self.groups_dev / self.groups;
+        let kv_dev = ctx * self.kv_unit_dev;
         let ctx_f = ctx as f64;
         let score_flops = self.score_flops_base * ctx_f * self.d_head_f;
         let value_flops = self.value_flops_per_ctx * ctx_f;
@@ -377,60 +383,53 @@ impl DecodeAttnPricer {
     }
 }
 
-/// Per-stage scratch buffers, hoisted into the executor so the hot
-/// path allocates nothing per stage (capacities persist across stages).
-#[derive(Debug, Default)]
-struct StageScratch {
-    /// Tokens landing on each data-parallel node.
-    node_tokens: Vec<u64>,
-    /// LM-head rows on each node.
-    node_lm_rows: Vec<u64>,
-    /// Grouped attention ops per node: `(group, requests on this node)`.
-    node_attn: Vec<Vec<(AttnOp, u64)>>,
+/// Grouped attention of one stage, priced node by node (see
+/// [`SystemExecutor::price_attention`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct AttnPriced {
+    /// Tokens on the representative (most-loaded) node, at least 1.
+    m_fc: u64,
+    /// LM-head rows on the representative node, at least 1.
+    lm_rows: u64,
+    /// Slowest node's prefill / decode attention seconds.
+    prefill_s: f64,
+    decode_s: f64,
+    /// Attention energy (only the `attn_*` buckets are set).
+    energy: EnergyBuckets,
 }
 
-impl StageScratch {
-    fn reset(&mut self, nodes: usize) {
-        self.node_tokens.clear();
-        self.node_tokens.resize(nodes, 0);
-        self.node_lm_rows.clear();
-        self.node_lm_rows.resize(nodes, 0);
-        for v in &mut self.node_attn {
-            v.clear();
-        }
-        if self.node_attn.len() < nodes {
-            self.node_attn.resize_with(nodes, Vec::new);
-        }
-    }
-}
-
-/// Memo key for one device's expert-list pricing: the exact inputs
-/// [`SystemExecutor::run_device_experts`] is a pure function of (the
-/// engines and policy are fixed per executor).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct DeviceExpertsKey {
-    tokens: Vec<u64>,
+/// What a stage's FC, MoE and communication cost is a pure function of
+/// under expected-value routing: the representative node's token and
+/// LM-head row counts, the stage's total and decoding token counts
+/// (the expert histogram follows from the total), and whether it
+/// prefills (base Duplex moves mixed-stage MoE to the xPU).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ConstsKey {
+    m_fc: u64,
+    lm_rows: u64,
+    tokens: u64,
+    decode_tokens: u64,
     mixed: bool,
-    frac_bits: u64,
 }
 
-/// Safety valve for the device-experts memo (distinct histograms are
-/// few in steady state but unbounded over adversarial workloads).
-const EXPERT_MEMO_MAX_ENTRIES: usize = 1 << 18;
-
-/// Per-stage constants of a decoding-only batch that depend only on
-/// `(representative-node tokens, total tokens)`: FC, MoE and
-/// communication times plus their energies. Cached in
-/// [`SystemExecutor::decode_consts_memo`] because steady-state decode
-/// repeats the same batch size for thousands of stages.
+/// FC, MoE and communication times plus their energies (the attention
+/// fields stay zero); see [`SystemExecutor::stage_consts`].
 #[derive(Debug, Clone, Copy)]
-struct DecodeConsts {
+struct StageConsts {
     time: TimeBreakdown,
     energy: EnergyBuckets,
 }
 
-/// Safety valve for the decode-consts memo.
-const DECODE_CONSTS_MAX_ENTRIES: usize = 1 << 16;
+/// MoE time and DRAM / compute energy of a stage (all MoE layers).
+#[derive(Debug, Clone, Copy, Default)]
+struct MoeCost {
+    seconds: f64,
+    dram_j: f64,
+    comp_j: f64,
+}
+
+/// Safety valve for the stage-consts and MoE memos.
+const STAGE_CONSTS_MAX_ENTRIES: usize = 1 << 16;
 
 /// Executes stages for one system; implements
 /// [`duplex_sched::StageExecutor`].
@@ -447,25 +446,26 @@ pub struct SystemExecutor {
     plan: CapacityPlan,
     total: StageCost,
     stages: usize,
-    scratch: StageScratch,
     /// Reusable stage enumeration (vectors keep their capacity).
     work: StageWork,
-    /// Memoized per-device expert pricing: steady-state decode repeats
-    /// the same histogram for thousands of stages.
-    expert_memo: RefCell<FastMap<DeviceExpertsKey, (f64, EnergyBuckets)>>,
-    /// Reusable probe key for `expert_memo` (hits stay allocation-free).
-    expert_probe: RefCell<DeviceExpertsKey>,
     /// Decode-batch state carried across stages by the delta path.
     batch: BatchState,
     /// Cached linear pricing of the current decode membership.
     template: Option<DecodeTemplate>,
-    /// Memoized decode-stage constants keyed by `(m_fc, total tokens)`.
-    decode_consts_memo: FastMap<(u64, u64), DecodeConsts>,
+    /// Memoized FC/MoE/communication constants of expected-routing
+    /// decode stages.
+    consts_memo: FastMap<ConstsKey, StageConsts>,
+    /// Memoized MoE cost of expected-routing stages by `(tokens, mixed)`.
+    moe_memo: FastMap<(u64, bool), MoeCost>,
     /// Reused shape buffer for materializing delta-path fallbacks.
     shape_scratch: StageShape,
-    /// Reused FC-op list for decode-consts computation.
+    /// Reused prefill groups of a stage priced from the carried batch
+    /// state, and the sort buffer for their keys.
+    prefill_scratch: Vec<AttnOp>,
+    prefill_keys: Vec<(u64, u64, bool)>,
+    /// Reused FC-op list for stage-consts computation.
     fc_scratch: Vec<FcOp>,
-    /// Reused expert histogram for decode-consts computation.
+    /// Reused expert histogram for stage-consts computation.
     hist_scratch: Vec<u64>,
 }
 
@@ -537,18 +537,14 @@ impl SystemExecutor {
             plan,
             total: StageCost::default(),
             stages: 0,
-            scratch: StageScratch::default(),
             work: StageWork::default(),
-            expert_memo: RefCell::new(FastMap::default()),
-            expert_probe: RefCell::new(DeviceExpertsKey {
-                tokens: Vec::new(),
-                mixed: false,
-                frac_bits: 0,
-            }),
             batch: BatchState::default(),
             template: None,
-            decode_consts_memo: FastMap::default(),
+            consts_memo: FastMap::default(),
+            moe_memo: FastMap::default(),
             shape_scratch: StageShape::default(),
+            prefill_scratch: Vec::new(),
+            prefill_keys: Vec::new(),
             fc_scratch: Vec::new(),
             hist_scratch: Vec::new(),
         }
@@ -599,9 +595,10 @@ impl SystemExecutor {
     pub fn set_expert_skew(&mut self, skew: f64) {
         assert!(self.model.is_moe(), "expert skew needs an MoE model");
         self.router = ExpertRouter::zipf(self.model.n_experts, self.model.top_k, skew);
-        // Cached decode constants embed the old router's histogram.
+        // Cached stage constants embed the old router's histogram.
         self.template = None;
-        self.decode_consts_memo.clear();
+        self.consts_memo.clear();
+        self.moe_memo.clear();
     }
 
     fn pim(&self) -> &Engine {
@@ -664,13 +661,15 @@ impl SystemExecutor {
         cost
     }
 
-    /// Build the linear pricer for this stage's decode-attention groups
-    /// on `engine`: decode groups differ only in context length, and
-    /// within the family time/energy are linear in ctx, so each group
-    /// prices with a few multiplies. Matches [`Self::attn_cost`] to
+    /// Build the linear pricer for decode-attention groups on the decode
+    /// engine: decode groups differ only in context length, and within
+    /// the family time/energy are linear in ctx, so each group prices
+    /// with a few multiplies. Matches [`Self::attn_cost`] to
     /// floating-point associativity.
-    fn decode_attn_pricer(&self, engine: &Engine, op: &AttnOp, tp: u32) -> DecodeAttnPricer {
-        debug_assert!(op.decode && !op.causal && op.past == 0);
+    fn decode_attn_pricer(&self) -> DecodeAttnPricer {
+        let (_, tp, _) = self.parallel_dims();
+        let engine = self.decode_engine();
+        let op = AttnOp::decode_group(&self.model, 1, 1);
         let groups_dev = op.groups.div_ceil(u64::from(tp));
         let m = op.q_rows * groups_dev;
         let m_f = m as f64;
@@ -678,9 +677,9 @@ impl SystemExecutor {
             gemm: engine.amortized_gemm_pricer(m),
             softmax_inv_flops: engine.softmax_inv_flops(),
             softmax_j_per_flop: engine.compute_j_per_flop(),
-            kv_unit: 2 * op.d_head * op.groups * self.model.bytes_per_elem,
-            groups: op.groups,
-            groups_dev,
+            // `attn_cost`'s `kv_dram_bytes * groups_dev / groups`, with
+            // the exact division by `groups` done once.
+            kv_unit_dev: 2 * op.d_head * self.model.bytes_per_elem * groups_dev,
             // Match GemmShape::flops()'s evaluation order exactly:
             // score flops = ((2m) * ctx) * d_head, value = ((2m) * d_head) * ctx.
             score_flops_base: 2.0 * m_f,
@@ -744,8 +743,10 @@ impl SystemExecutor {
     /// Pure-advance decoding stages — no admissions, no retirements —
     /// are priced in O(1) from the cached [`DecodeTemplate`]; membership
     /// changes rebuild the template from the carried groups; mixed
-    /// stages and sampled expert routing fall back to the grouped full
-    /// path on a materialized shape.
+    /// stages are priced from the carried groups plus the delta's
+    /// prefills, bit-identically to the grouped full path; sampled
+    /// expert routing falls back to the full path on a materialized
+    /// shape.
     ///
     /// # Panics
     ///
@@ -758,21 +759,18 @@ impl SystemExecutor {
     }
 
     /// The delta-path body. `known_shape`, when provided (the scheduler
-    /// already materialized this stage's shape), saves the fallback
-    /// from re-materializing one from the carried groups.
+    /// already materialized this stage's shape), saves the sampled-
+    /// routing fallback from re-materializing one from the carried
+    /// groups, and debug builds check carried mixed stages against it.
     fn stage_cost_delta_inner(
         &mut self,
         delta: &StageDelta,
         known_shape: Option<&StageShape>,
     ) -> StageCost {
         let membership_changed = self.batch.apply(delta);
-        let incremental_ok = self.router.mode() == RoutingMode::Expected
-            && delta.admit.is_empty()
-            && delta.chunk.is_empty()
-            && self.batch.reqs() > 0;
-        if !incremental_ok {
-            // The template was not advanced through this stage; the
-            // next decode stage rebuilds it from the carried groups.
+        if self.router.mode() != RoutingMode::Expected {
+            // Sampled histograms are per-stage draws from the executor's
+            // RNG: price the materialized shape, drawing in shape order.
             self.template = None;
             if let Some(shape) = known_shape {
                 return self.stage_cost_impl(shape, true);
@@ -781,6 +779,22 @@ impl SystemExecutor {
             self.batch.fill_shape(&mut shape, delta);
             let cost = self.stage_cost_impl(&shape, true);
             self.shape_scratch = shape;
+            return cost;
+        }
+        if !delta.admit.is_empty() || !delta.chunk.is_empty() || self.batch.reqs() == 0 {
+            // The template was not advanced through this stage; the
+            // next decode stage rebuilds it from the carried groups.
+            self.template = None;
+            let cost = self.stage_cost_carried(delta);
+            if cfg!(debug_assertions) {
+                if let Some(shape) = known_shape {
+                    debug_assert_eq!(
+                        cost,
+                        self.stage_cost_impl(shape, true),
+                        "carried batch state disagrees with the scheduler's shape"
+                    );
+                }
+            }
             return cost;
         }
         match &mut self.template {
@@ -795,42 +809,30 @@ impl SystemExecutor {
     /// attention coefficients.
     fn rebuild_decode_template(&mut self) {
         let nodes = self.config.nodes as usize;
-        let (tp_fc, tp_attn, moe_devices) = self.parallel_dims();
+        let (_, tp_attn, _) = self.parallel_dims();
         let mut tpl = self.template.take().unwrap_or_default();
         self.batch
             .node_placement(nodes, &mut tpl.node_count, &mut tpl.node_sumctx);
         tpl.total_count = self.batch.reqs();
         tpl.total_sumctx = self.batch.ctx_sum();
         // Representative (most-loaded) node; for decode stages the node
-        // token count is the node's request count. Mirrors
-        // `max_by_key`'s last-max tie rule (the value is what matters).
-        let mut rep = 0usize;
-        for (n, &c) in tpl.node_count.iter().enumerate() {
-            if c >= tpl.node_count[rep] {
-                rep = n;
-            }
-        }
-        let m_fc = tpl.node_count[rep].max(1);
-        let consts = self.decode_stage_consts(m_fc, tpl.total_count, tp_fc, moe_devices);
+        // token count is the node's request count.
+        let m_fc = tpl.node_count.iter().copied().max().unwrap_or(0).max(1);
+        // Decode: one LM-head row per request, every token decoding.
+        let consts = self.stage_consts(ConstsKey {
+            m_fc,
+            lm_rows: m_fc,
+            tokens: tpl.total_count,
+            decode_tokens: tpl.total_count,
+            mixed: false,
+        });
         tpl.base_time = consts.time;
         tpl.base_energy = consts.energy;
         // Linear decode-attention coefficients: every decode group of a
         // stage shares all parameters but the context, and per-group
         // cost is exactly proportional to it (see crate::incremental).
-        let proto = AttnOp {
-            decode: true,
-            ctx: 1,
-            past: 0,
-            q_rows: u64::from(self.model.deg_grp),
-            groups: u64::from(self.model.kv_heads()),
-            d_head: self.model.d_head(),
-            causal: false,
-            count: u64::from(self.model.n_layers),
-            reqs: 1,
-            samples: true,
-        };
+        let unit = self.decode_attn_pricer().cost(1);
         let engine = self.decode_engine();
-        let unit = self.decode_attn_pricer(engine, &proto, tp_attn).cost(1);
         tpl.sec_per_ctx = unit.seconds;
         tpl.attn_dram_j_per_ctx = unit.dram_energy.total_j() * f64::from(tp_attn);
         tpl.attn_comp_j_per_ctx = unit.compute_j * f64::from(tp_attn);
@@ -853,65 +855,215 @@ impl SystemExecutor {
         self.template = Some(tpl);
     }
 
-    /// FC + MoE + communication cost of a decoding-only stage with
-    /// `m_fc` tokens on the representative node and `tokens` total —
-    /// the exact math of the corresponding `stage_cost_impl` sections,
-    /// memoized on `(m_fc, tokens)`.
-    fn decode_stage_consts(
-        &mut self,
-        m_fc: u64,
-        tokens: u64,
-        tp_fc: u32,
-        moe_devices: u32,
-    ) -> DecodeConsts {
-        if let Some(&hit) = self.decode_consts_memo.get(&(m_fc, tokens)) {
+    /// FC + MoE + communication cost of a stage under expected-value
+    /// routing. A decode-only stage's constants are memoized whole on its
+    /// [`ConstsKey`]: steady-state decode repeats a batch size for
+    /// thousands of stages. A mixed stage's key rarely repeats exactly,
+    /// so only its MoE part, the costly one, is memoized (on the token
+    /// count, see [`Self::shared_moe`]) and FC and communication are
+    /// priced afresh.
+    fn stage_consts(&mut self, key: ConstsKey) -> StageConsts {
+        if !key.mixed {
+            if let Some(&hit) = self.consts_memo.get(&key) {
+                return hit;
+            }
+        }
+        let moe = self.shared_moe(key.tokens, key.mixed);
+        let mut fc_ops = std::mem::take(&mut self.fc_scratch);
+        fill_fc_ops(&self.model, key.tokens, key.lm_rows, &mut fc_ops);
+        let consts = self.price_consts(&key, &fc_ops, moe);
+        self.fc_scratch = fc_ops;
+        if !key.mixed {
+            if self.consts_memo.len() >= STAGE_CONSTS_MAX_ENTRIES {
+                self.consts_memo.clear();
+            }
+            self.consts_memo.insert(key, consts);
+        }
+        consts
+    }
+
+    /// MoE cost of an expected-routing stage of `tokens` tokens: every
+    /// MoE layer sees the same histogram, so one layer is priced and
+    /// counted once per MoE block. Memoized on `(tokens, mixed)`.
+    fn shared_moe(&mut self, tokens: u64, mixed: bool) -> MoeCost {
+        if let Some(&hit) = self.moe_memo.get(&(tokens, mixed)) {
             return hit;
         }
-        let lm_rows = m_fc; // decode: one LM-head row per request
+        let blocks = self.model.moe_block_count();
+        let mut hist = std::mem::take(&mut self.hist_scratch);
+        if blocks > 0 {
+            self.router.route_expected_into(tokens, &mut hist);
+        }
+        let shared = (blocks > 0).then_some((hist.as_slice(), f64::from(blocks)));
+        let moe = self.price_moe(mixed, shared);
+        self.hist_scratch = hist;
+        if self.moe_memo.len() >= STAGE_CONSTS_MAX_ENTRIES {
+            self.moe_memo.clear();
+        }
+        self.moe_memo.insert((tokens, mixed), moe);
+        moe
+    }
+
+    /// MoE time and energy of a stage: each `(histogram, times)` of `moe`
+    /// priced once and counted `times` (a histogram shared by several
+    /// MoE layers, or one layer of a stage whose layers differ).
+    fn price_moe<'a>(
+        &self,
+        mixed: bool,
+        moe: impl IntoIterator<Item = (&'a [u64], f64)>,
+    ) -> MoeCost {
+        let (tp_fc, _, moe_devices) = self.parallel_dims();
+        let mut cost = MoeCost::default();
+        for (hist, times) in moe {
+            let (t, e) = self.price_moe_layer(hist, mixed, tp_fc, moe_devices);
+            cost.seconds += t * times;
+            cost.dram_j += e.moe_dram * times;
+            cost.comp_j += e.moe_comp * times;
+        }
+        cost
+    }
+
+    /// FC + MoE + communication cost of the stage `key` describes, with
+    /// FC ops `fc_ops` and the MoE cost already priced.
+    fn price_consts(&self, key: &ConstsKey, fc_ops: &[FcOp], moe: MoeCost) -> StageConsts {
+        let (tp_fc, _, _) = self.parallel_dims();
         let mut time = TimeBreakdown::default();
         let mut energy = EnergyBuckets::default();
-
-        let mut fc_ops = std::mem::take(&mut self.fc_scratch);
-        fill_fc_ops(&self.model, tokens, lm_rows, &mut fc_ops);
-        self.price_fc_ops(&fc_ops, m_fc, lm_rows, tp_fc, &mut time, &mut energy);
-        self.fc_scratch = fc_ops;
-
-        if self.model.is_moe() {
-            // Expected-value routing: one histogram shared by every MoE
-            // layer — price one and scale by the block count.
-            let mut hist = std::mem::take(&mut self.hist_scratch);
-            self.router.route_expected_into(tokens, &mut hist);
-            let blocks = self.model.moe_block_count() as f64;
-            let (t, e) = self.price_moe_layer(&hist, false, tp_fc, moe_devices);
-            time.moe += t * blocks;
-            energy.moe_dram += e.moe_dram * blocks;
-            energy.moe_comp += e.moe_comp * blocks;
-            self.hist_scratch = hist;
-        }
-
-        // Decode-only: every request is one decode token.
+        self.price_fc_ops(fc_ops, key.m_fc, key.lm_rows, tp_fc, &mut time, &mut energy);
+        time.moe += moe.seconds;
+        energy.moe_dram += moe.dram_j;
+        energy.moe_comp += moe.comp_j;
         self.price_stage_comm(
-            m_fc,
-            tokens,
-            tokens,
-            self.model.is_moe(),
+            key.m_fc,
+            key.tokens,
+            key.decode_tokens,
+            self.model.moe_block_count() > 0,
             tp_fc,
             &mut time,
             &mut energy,
         );
+        StageConsts { time, energy }
+    }
 
-        let consts = DecodeConsts { time, energy };
-        if self.decode_consts_memo.len() >= DECODE_CONSTS_MAX_ENTRIES {
-            self.decode_consts_memo.clear();
+    /// Price one stage's grouped attention node by node: the decode
+    /// groups as `(ctx, reqs)` in ascending context order, then the
+    /// prefill groups (see [`enumerate_stage_into`] for both orders).
+    /// Each group's requests spread across the data-parallel nodes
+    /// exactly as if they had been assigned one by one: a rotating
+    /// per-class cursor tracks where the next request would land. Also
+    /// finds the representative (most-loaded, last on ties) node's FC
+    /// tokens and LM-head rows.
+    fn price_attention<D>(&self, decode: D, prefill: &[AttnOp]) -> AttnPriced
+    where
+        D: Iterator<Item = (u64, u64)> + Clone,
+    {
+        let nodes = u64::from(self.config.nodes);
+        let (_, tp_attn, _) = self.parallel_dims();
+        let tp = f64::from(tp_attn);
+        let (prefill_engine, decode_engine) = (&self.xpu, self.decode_engine());
+        // All decode groups share everything but ctx: build the linear
+        // pricer once per stage instead of re-deriving shapes per group.
+        let decode_pricer = self.decode_attn_pricer();
+        let kv_tok = self.model.kv_bytes_per_token();
+        // One batched kernel set (score, softmax, value) per layer and
+        // class: charge the launch overhead once per layer.
+        let layers = f64::from(self.model.n_layers);
+        let mut out = AttnPriced::default();
+        let (mut rep_tokens, mut rep_lm_rows) = (0u64, 0u64);
+        for n in 0..nodes {
+            let (mut pre, mut dec) = (0.0f64, 0.0f64);
+            let mut cursor = 0u64;
+            let mut decode_tokens = 0u64;
+            for (ctx, reqs) in decode.clone() {
+                let cnt = round_robin_share(n, nodes, cursor, reqs);
+                cursor += reqs;
+                if cnt == 0 {
+                    continue;
+                }
+                let mult_f = cnt as f64;
+                let c = decode_pricer.cost(ctx);
+                dec += c.seconds * mult_f;
+                out.energy.add_attn(&c.scaled(tp * mult_f));
+                decode_tokens += cnt;
+            }
+            cursor = 0;
+            // Every decode samples a token; held prefill chunks do not.
+            let (mut prefill_tokens, mut lm_rows) = (0u64, decode_tokens);
+            for op in prefill {
+                let cnt = round_robin_share(n, nodes, cursor, op.reqs);
+                cursor += op.reqs;
+                if cnt == 0 {
+                    continue;
+                }
+                let mult_f = cnt as f64;
+                let c = self.attn_cost(prefill_engine, op, tp_attn);
+                pre += c.seconds * mult_f;
+                out.energy.add_attn(&c.scaled(tp * mult_f));
+                prefill_tokens += op.ctx * cnt;
+                if op.samples {
+                    lm_rows += cnt;
+                }
+            }
+            // KV append: decode KV written by the decode engine, prefill
+            // KV by the prefill engine (later migrated; Sec. V-C).
+            if decode_tokens > 0 {
+                let bytes = decode_tokens * kv_tok / u64::from(tp_attn);
+                let c = decode_engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
+                dec += c.seconds;
+                out.energy.add_attn(&c.scaled(tp));
+            }
+            if prefill_tokens > 0 {
+                let bytes = prefill_tokens * kv_tok / u64::from(tp_attn);
+                let c = prefill_engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
+                pre += c.seconds;
+                out.energy.add_attn(&c.scaled(tp));
+            }
+            if decode_tokens > 0 {
+                dec += 3.0 * decode_engine.spec().launch_overhead_s * layers;
+            }
+            if prefill_tokens > 0 {
+                pre += 3.0 * prefill_engine.spec().launch_overhead_s * layers;
+            }
+            out.decode_s = dec.max(out.decode_s);
+            out.prefill_s = pre.max(out.prefill_s);
+            let tokens = decode_tokens + prefill_tokens;
+            if tokens >= rep_tokens {
+                (rep_tokens, rep_lm_rows) = (tokens, lm_rows);
+            }
         }
-        self.decode_consts_memo.insert((m_fc, tokens), consts);
-        consts
+        out.m_fc = rep_tokens.max(1);
+        out.lm_rows = rep_lm_rows.max(1);
+        out
+    }
+
+    /// A stage's cost from its priced attention and constants, with the
+    /// co-processing overlap applied.
+    fn assemble(&self, attn: &AttnPriced, consts: &StageConsts) -> StageCost {
+        let time = TimeBreakdown {
+            attn_prefill: attn.prefill_s,
+            attn_decode: attn.decode_s,
+            ..consts.time
+        };
+        let energy = EnergyBuckets {
+            attn_dram: attn.energy.attn_dram,
+            attn_comp: attn.energy.attn_comp,
+            ..consts.energy
+        };
+        let attn_eff = if self.config.coproc {
+            time.attn_prefill.max(time.attn_decode)
+        } else {
+            time.attn_prefill + time.attn_decode
+        };
+        StageCost {
+            seconds: time.fc + attn_eff + time.moe + time.comm,
+            time,
+            energy,
+        }
     }
 
     fn stage_cost_impl(&mut self, shape: &StageShape, grouped: bool) -> StageCost {
         let mut work = std::mem::take(&mut self.work);
         enumerate_stage_into(&self.model, shape, &self.router, &mut self.rng, &mut work);
-        let mut scratch = std::mem::take(&mut self.scratch);
         if !grouped {
             // Ungroup: one op per request, multiplicity 1.
             work.attn = work
@@ -920,192 +1072,77 @@ impl SystemExecutor {
                 .flat_map(|op| std::iter::repeat_n(AttnOp { reqs: 1, ..*op }, op.reqs as usize))
                 .collect();
         }
-        let nodes = self.config.nodes as usize;
-        let (tp_fc, tp_attn, moe_devices) = self.parallel_dims();
-
-        // ------ data-parallel node assignment (round-robin) ------
-        // Each group's requests spread across nodes exactly as if they
-        // had been assigned one by one: a rotating per-class cursor
-        // tracks where the next request would land.
-        scratch.reset(nodes);
-        let mut decode_cursor = 0u64;
-        let mut prefill_cursor = 0u64;
-        for op in &work.attn {
-            let cursor = if op.decode {
-                &mut decode_cursor
-            } else {
-                &mut prefill_cursor
-            };
-            let base = op.reqs / nodes as u64;
-            let rem = op.reqs % nodes as u64;
-            let start = *cursor % nodes as u64;
-            for (n, (tokens, lm_rows)) in scratch
-                .node_tokens
-                .iter_mut()
-                .zip(&mut scratch.node_lm_rows)
-                .enumerate()
-            {
-                let offset = (n as u64 + nodes as u64 - start) % nodes as u64;
-                let cnt = base + u64::from(offset < rem);
-                if cnt > 0 {
-                    scratch.node_attn[n].push((*op, cnt));
-                    *tokens += if op.decode { cnt } else { op.ctx * cnt };
-                    // Held prefill chunks sample no token: no LM row.
-                    if op.samples {
-                        *lm_rows += cnt;
-                    }
-                }
-            }
-            *cursor += op.reqs;
-        }
-        let rep = (0..nodes)
-            .max_by_key(|&i| scratch.node_tokens[i])
-            .unwrap_or(0);
-        let m_fc = scratch.node_tokens[rep].max(1);
-        let lm_rows_rep = scratch.node_lm_rows[rep].max(1);
-
-        let mut time = TimeBreakdown::default();
-        let mut energy = EnergyBuckets::default();
-
-        // ------ FC layers (always on the xPU) ------
-        self.price_fc_ops(
-            &work.fc_ops,
-            m_fc,
-            lm_rows_rep,
-            tp_fc,
-            &mut time,
-            &mut energy,
-        );
-
-        // ------ attention ------
-        let (prefill_engine, decode_engine): (&Engine, &Engine) = (&self.xpu, self.decode_engine());
-        // All decode groups share everything but ctx: hoist the linear
-        // pricer once per stage instead of re-deriving shapes per group.
-        let decode_pricer = work
+        let (decode, prefill) = work
             .attn
-            .iter()
-            .find(|op| op.decode)
-            .map(|op| self.decode_attn_pricer(decode_engine, op, tp_attn));
-        let mut pre_max = 0.0f64;
-        let mut dec_max = 0.0f64;
-        for ops in scratch.node_attn.iter().take(nodes) {
-            let mut pre = 0.0;
-            let mut dec = 0.0;
-            let mut decode_tokens = 0u64;
-            let mut prefill_tokens = 0u64;
-            for (op, mult) in ops {
-                let mult_f = *mult as f64;
-                if op.decode {
-                    let c = decode_pricer
-                        .as_ref()
-                        .expect("decode op implies decode pricer")
-                        .cost(op.ctx);
-                    dec += c.seconds * mult_f;
-                    energy.add_attn(&c.scaled(f64::from(tp_attn) * mult_f));
-                    decode_tokens += mult;
-                } else {
-                    let c = self.attn_cost(prefill_engine, op, tp_attn);
-                    pre += c.seconds * mult_f;
-                    energy.add_attn(&c.scaled(f64::from(tp_attn) * mult_f));
-                    prefill_tokens += op.ctx * mult;
-                }
-            }
-            // KV append: decode KV written by the decode engine, prefill
-            // KV by the prefill engine (later migrated; Sec. V-C).
-            let kv_tok = self.model.kv_bytes_per_token();
-            if decode_tokens > 0 {
-                let bytes = decode_tokens * kv_tok / u64::from(tp_attn);
-                let c = decode_engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
-                dec += c.seconds;
-                energy.add_attn(&c.scaled(f64::from(tp_attn)));
-            }
-            if prefill_tokens > 0 {
-                let bytes = prefill_tokens * kv_tok / u64::from(tp_attn);
-                let c = prefill_engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
-                pre += c.seconds;
-                energy.add_attn(&c.scaled(f64::from(tp_attn)));
-            }
-            // One batched kernel set (score, softmax, value) per layer
-            // and class: charge the launch overhead once per layer.
-            let layer_count = self.model.n_layers as f64;
-            if decode_tokens > 0 {
-                dec += 3.0 * decode_engine.spec().launch_overhead_s * layer_count;
-            }
-            if prefill_tokens > 0 {
-                pre += 3.0 * prefill_engine.spec().launch_overhead_s * layer_count;
-            }
-            dec_max = dec.max(dec_max);
-            pre_max = pre.max(pre_max);
-        }
-        time.attn_prefill = pre_max;
-        time.attn_decode = dec_max;
-
-        // ------ MoE ------
-        if !work.moe.is_empty() {
-            let mixed = work.mixed;
-            // Under expected-value routing every MoE layer of a stage
-            // sees the same histogram (`moe_uniform`, with only `moe[0]`
-            // materialized): price one layer, scale by the block count.
-            // Sampled routing falls back to per-layer, with the equality
-            // scan still collapsing histograms that happen to coincide.
-            let identical = grouped
-                && (work.moe_uniform
-                    || work
-                        .moe
-                        .windows(2)
-                        .all(|w| w[0].expert_tokens == w[1].expert_tokens));
-            if identical {
-                let multiplier = work.moe.len() as f64;
-                let (t, e) =
-                    self.price_moe_layer(&work.moe[0].expert_tokens, mixed, tp_fc, moe_devices);
-                time.moe += t * multiplier;
-                energy.moe_dram += e.moe_dram * multiplier;
-                energy.moe_comp += e.moe_comp * multiplier;
-            } else {
-                // The reference path sums per-layer prices; a collapsed
-                // uniform stage prices `moe[0]` once per layer, which
-                // sums the same addends the materialized form would.
-                for i in 0..work.moe.len() {
-                    let idx = if work.moe_uniform { 0 } else { i };
-                    let (t, e) = self.price_moe_layer(
-                        &work.moe[idx].expert_tokens,
-                        mixed,
-                        tp_fc,
-                        moe_devices,
-                    );
-                    time.moe += t;
-                    energy.moe_dram += e.moe_dram;
-                    energy.moe_comp += e.moe_comp;
-                }
-            }
-        }
-
-        // ------ communication ------
-        self.price_stage_comm(
-            m_fc,
-            work.tokens,
-            shape.decode_ctx.len() as u64,
-            !work.moe.is_empty(),
-            tp_fc,
-            &mut time,
-            &mut energy,
-        );
-
-        // ------ effective stage latency ------
-        let attn_eff = if self.config.coproc {
-            time.attn_prefill.max(time.attn_decode)
-        } else {
-            time.attn_prefill + time.attn_decode
+            .split_at(work.attn.partition_point(|op| op.decode));
+        let attn = self.price_attention(decode.iter().map(|op| (op.ctx, op.reqs)), prefill);
+        let key = ConstsKey {
+            m_fc: attn.m_fc,
+            lm_rows: attn.lm_rows,
+            tokens: work.tokens,
+            decode_tokens: shape.decode_ctx.len() as u64,
+            mixed: work.mixed,
         };
-        let seconds = time.fc + attn_eff + time.moe + time.comm;
-
-        self.scratch = scratch;
+        let layers = &work.moe;
+        let consts = if grouped && (work.moe_uniform || layers.is_empty()) {
+            // Expected-value routing: every layer shares `moe[0]`.
+            self.stage_consts(key)
+        } else if grouped
+            && layers
+                .windows(2)
+                .all(|w| w[0].expert_tokens == w[1].expert_tokens)
+        {
+            // Sampled histograms that happen to coincide.
+            let first = layers
+                .first()
+                .map(|l| (&l.expert_tokens[..], layers.len() as f64));
+            self.price_consts(&key, &work.fc_ops, self.price_moe(key.mixed, first))
+        } else {
+            // The reference path sums per-layer prices; a collapsed
+            // uniform stage prices `moe[0]` once per layer, which sums
+            // the same addends the materialized form would.
+            let layer = |i: usize| &layers[if work.moe_uniform { 0 } else { i }].expert_tokens[..];
+            let moe = self.price_moe(key.mixed, (0..layers.len()).map(|i| (layer(i), 1.0)));
+            self.price_consts(&key, &work.fc_ops, moe)
+        };
         self.work = work;
-        StageCost {
-            seconds,
-            time,
-            energy,
-        }
+        self.assemble(&attn, &consts)
+    }
+
+    /// Price a stage the decode template cannot (it prefills, or no
+    /// request decodes) straight from the carried decode groups and the
+    /// delta's prefills, under expected-value routing. No shape is
+    /// materialized, sorted or regrouped, and the MoE cost comes from
+    /// the memo. The groups are the ones
+    /// [`enumerate_stage_into`] builds from the materialized shape, in
+    /// the same order, and feed the same pricing code, so the cost
+    /// equals the grouped full path's to the bit.
+    fn stage_cost_carried(&mut self, delta: &StageDelta) -> StageCost {
+        let keys = &mut self.prefill_keys;
+        keys.clear();
+        keys.extend(
+            delta
+                .admit
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (len, delta.admit_past(i), false)),
+        );
+        keys.extend(delta.chunk.iter().map(|&(len, past)| (len, past, true)));
+        let mut prefill = std::mem::take(&mut self.prefill_scratch);
+        prefill.clear();
+        push_prefill_groups(&self.model, keys, &mut prefill);
+        let prefill_tokens: u64 = keys.iter().map(|&(len, _, _)| len).sum();
+        let priced = self.price_attention(self.batch.groups().iter(), &prefill);
+        self.prefill_scratch = prefill;
+        let decode_tokens = self.batch.reqs();
+        let consts = self.stage_consts(ConstsKey {
+            m_fc: priced.m_fc,
+            lm_rows: priced.lm_rows,
+            tokens: decode_tokens + prefill_tokens,
+            decode_tokens,
+            mixed: !self.prefill_keys.is_empty(),
+        });
+        self.assemble(&priced, &consts)
     }
 
     /// Aggregate kernel-pricing cache statistics `(hits, misses)`
@@ -1124,9 +1161,7 @@ impl SystemExecutor {
     }
 
     /// Price the batched FC layers (always on the xPU): `m_fc` tokens
-    /// on the representative node, `lm_rows` LM-head rows. Shared by
-    /// the per-stage path and the decode-consts path so the sharding
-    /// math cannot drift between them.
+    /// on the representative node, `lm_rows` LM-head rows.
     fn price_fc_ops(
         &self,
         ops: &[FcOp],
@@ -1175,7 +1210,6 @@ impl SystemExecutor {
     /// Price a stage's communication: tensor-parallel all-reduces, MoE
     /// dispatch (and the ET partial-sum stream, which lands in the MoE
     /// buckets), and the heterogeneous system's GPU <-> PIM handoffs.
-    /// Shared by the per-stage path and the decode-consts path.
     #[allow(clippy::too_many_arguments)]
     fn price_stage_comm(
         &self,
@@ -1287,39 +1321,9 @@ impl SystemExecutor {
         (worst, energy)
     }
 
-    /// Run one device's expert list under the policy, memoized: the
-    /// result is a pure function of `(tokens, mixed, frac)` for a given
-    /// executor, and steady-state decode repeats the same histogram for
-    /// thousands of stages (and across the symmetric devices of a
-    /// layer).
+    /// Run one device's expert list under the policy: GPU-only, PIM by
+    /// stage type (base Duplex), or co-processing split.
     fn run_device_experts(&self, tokens: &[u64], mixed: bool, frac: f64) -> (f64, EnergyBuckets) {
-        let mut probe = self.expert_probe.borrow_mut();
-        probe.tokens.clear();
-        probe.tokens.extend_from_slice(tokens);
-        probe.mixed = mixed;
-        probe.frac_bits = frac.to_bits();
-        if let Some(&hit) = self.expert_memo.borrow().get(&*probe) {
-            return hit;
-        }
-        let key = probe.clone();
-        drop(probe);
-        let result = self.run_device_experts_uncached(tokens, mixed, frac);
-        let mut memo = self.expert_memo.borrow_mut();
-        if memo.len() >= EXPERT_MEMO_MAX_ENTRIES {
-            memo.clear();
-        }
-        memo.insert(key, result);
-        result
-    }
-
-    /// The uncached policy pricing: GPU-only, PIM by stage type (base
-    /// Duplex), or co-processing split.
-    fn run_device_experts_uncached(
-        &self,
-        tokens: &[u64],
-        mixed: bool,
-        frac: f64,
-    ) -> (f64, EnergyBuckets) {
         let mut energy = EnergyBuckets::default();
         // Experts in one layer dispatch as one grouped kernel per unit:
         // one launch-overhead set per unit that does any work.
@@ -1340,21 +1344,29 @@ impl SystemExecutor {
             return (t, energy);
         }
         if self.config.coproc {
+            // `(tokens, PIM cost, xPU cost)` per distinct token count:
+            // an expected-value histogram holds at most two.
+            let mut priced: Vec<(u64, KernelCost, KernelCost)> = Vec::new();
+            for &tk in tokens {
+                if !priced.iter().any(|p| p.0 == tk) {
+                    let pim = self.expert_cost(self.pim(), tk, frac);
+                    priced.push((tk, pim, self.expert_cost(&self.xpu, tk, frac)));
+                }
+            }
+            let cost_of = |tk: u64| {
+                let p = priced.iter().find(|p| p.0 == tk).expect("priced above");
+                (p.1, p.2)
+            };
             let costs: Vec<(f64, f64)> = tokens
                 .iter()
-                .map(|&tk| {
-                    (
-                        self.expert_cost(self.pim(), tk, frac).seconds,
-                        self.expert_cost(&self.xpu, tk, frac).seconds,
-                    )
-                })
+                .map(|&tk| (cost_of(tk).0.seconds, cost_of(tk).1.seconds))
                 .collect();
             let split = split_experts(&costs);
             for &i in &split.pim_experts {
-                energy.add_moe(&self.expert_cost(self.pim(), tokens[i], frac));
+                energy.add_moe(&cost_of(tokens[i]).0);
             }
             for &i in &split.xpu_experts {
-                energy.add_moe(&self.expert_cost(&self.xpu, tokens[i], frac));
+                energy.add_moe(&cost_of(tokens[i]).1);
             }
             let pim_side = if split.pim_seconds > 0.0 {
                 split.pim_seconds + launches * self.pim().spec().launch_overhead_s
@@ -1912,6 +1924,116 @@ mod tests {
                 let b = oracle.stage_cost_reference(&shape);
                 assert_costs_close(&a, &b, &format!("{} stage {}", system.name, 4 + s));
             }
+        }
+    }
+
+    fn assert_same_bits(a: &StageCost, b: &StageCost, what: &str) {
+        let fields = |c: &StageCost| {
+            [
+                c.seconds,
+                c.time.fc,
+                c.time.attn_prefill,
+                c.time.attn_decode,
+                c.time.moe,
+                c.time.comm,
+                c.energy.fc_dram,
+                c.energy.fc_comp,
+                c.energy.attn_dram,
+                c.energy.attn_comp,
+                c.energy.moe_dram,
+                c.energy.moe_comp,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(fields(a), fields(b), "{what}: {a:?} vs {b:?}");
+    }
+
+    #[test]
+    fn carried_mixed_stages_match_the_full_path_bit_for_bit() {
+        // Admissions with and without resident past (one of 200k
+        // tokens), held chunks, retirements alongside joins and an
+        // emptied batch: every stage the template does not price must
+        // cost exactly what the grouped full path charges for the
+        // materialized shape.
+        let cases = [
+            (SystemConfig::gpu(4, 1), ModelConfig::mixtral_8x7b()),
+            (SystemConfig::duplex(4, 1), ModelConfig::mixtral_8x7b()),
+            (SystemConfig::duplex_pe(4, 1), ModelConfig::mixtral_8x7b()),
+            (
+                SystemConfig::duplex_pe_et(4, 1),
+                ModelConfig::mixtral_8x7b(),
+            ),
+            (SystemConfig::bank_pim(4, 1), ModelConfig::mixtral_8x7b()),
+            (SystemConfig::hetero(), ModelConfig::mixtral_8x7b()),
+            (
+                SystemConfig::duplex_pe_et(4, 2),
+                ModelConfig::mixtral_8x7b(),
+            ),
+            (SystemConfig::duplex_pe_et(8, 2), ModelConfig::grok1()),
+            (SystemConfig::duplex(4, 1), ModelConfig::llama3_70b()),
+        ];
+        for (system, model) in cases {
+            let mut carried = SystemExecutor::new(system.clone(), model.clone(), 1);
+            let mut full = SystemExecutor::new(system.clone(), model, 1);
+            let mut seed = 0x2545_F491_4F6C_DD1Du64;
+            let mut draw = |n: u64| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed % n
+            };
+            let (mut mirror, mut pending): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+            let mut delta = duplex_sched::StageDelta::start();
+            let mut mixed_stages = 0;
+            for stage in 0..80 {
+                for c in &mut mirror {
+                    *c += 1;
+                }
+                mirror.extend(pending.drain(..).map(|p| p + 1));
+                if stage == 40 {
+                    // Retire everyone: the next stages start from empty.
+                    delta.retire.append(&mut mirror);
+                }
+                for _ in 0..draw(3).min(mirror.len() as u64) {
+                    let i = draw(mirror.len() as u64) as usize;
+                    delta.retire.push(mirror.swap_remove(i));
+                }
+                if stage % 3 != 1 {
+                    let reuse = stage == 5 || draw(2) == 0;
+                    for _ in 0..1 + draw(5) {
+                        let len = 1 + draw(300);
+                        delta.admit.push(len);
+                        if reuse {
+                            delta.admit_ctx.push(len + draw(2) * draw(900));
+                        }
+                    }
+                    if stage == 5 {
+                        delta.admit.push(64);
+                        delta.admit_ctx.push(200_000);
+                    }
+                }
+                if stage % 4 == 2 {
+                    delta.chunk.push((1 + draw(256), draw(700)));
+                }
+                pending.extend_from_slice(delta.join_contexts());
+                let mut shape = StageShape::decode_only(&mirror);
+                for (i, &len) in delta.admit.iter().enumerate() {
+                    shape.push_prefill(len, delta.admit_past(i), false);
+                }
+                for &(len, past) in &delta.chunk {
+                    shape.push_prefill(len, past, true);
+                }
+                let a = carried.stage_cost_delta(&delta);
+                let b = full.stage_cost(&shape);
+                if shape.is_mixed() || mirror.is_empty() {
+                    mixed_stages += 1;
+                    assert_same_bits(&a, &b, &format!("{} stage {stage}", system.name));
+                } else {
+                    assert_costs_close(&a, &b, &format!("{} stage {stage}", system.name));
+                }
+                delta.clear();
+            }
+            assert!(mixed_stages > 50, "{}: {mixed_stages} mixed", system.name);
         }
     }
 

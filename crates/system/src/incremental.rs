@@ -32,12 +32,24 @@
 //! changes each stage costs one `advance` (O(nodes) adds) and one
 //! `price` (O(nodes) multiplies). Any admission, retirement or resync
 //! invalidates the template, and the executor rebuilds it from the
-//! carried groups — or falls back to the grouped full path for mixed
-//! stages, which stays the oracle (`stage_cost_reference`).
+//! carried groups (in O(1) on a single node, where the placement is
+//! the aggregates themselves).
+//!
+//! # Mixed stages
+//!
+//! A stage that prefills is priced from the carried groups as well:
+//! the same grouped pricing as the full path, with the decode groups
+//! read straight from [`BatchState::groups`] and the MoE cost, the
+//! costly constant, memoized on the stage's token count (a mixed
+//! stage's full key rarely repeats, but its token count does). The
+//! full path sorts and regroups a
+//! materialized shape into exactly these groups, so the two agree to
+//! the bit; the grouped path's own oracle stays `stage_cost_reference`.
 //!
 //! The equivalence with the reference path is pinned to 1e-9 relative
 //! by `tests/prop_cross_crate.rs` over randomized
-//! admit/retire/advance traces.
+//! admit/retire/advance traces, and the carried mixed path's equality
+//! with the grouped full path is pinned bit for bit there too.
 
 use duplex_model::ops::{ContextGroups, StageShape};
 use duplex_sched::StageDelta;
@@ -186,24 +198,38 @@ impl BatchState {
     /// exactly the per-node totals the grouped full path computes.
     pub fn node_placement(&self, nodes: usize, counts: &mut Vec<u64>, sums: &mut Vec<u64>) {
         counts.clear();
-        counts.resize(nodes, 0);
         sums.clear();
+        if nodes == 1 {
+            // Everything lands on the one node: the aggregates are exact.
+            counts.push(self.reqs());
+            sums.push(self.ctx_sum());
+            return;
+        }
+        counts.resize(nodes, 0);
         sums.resize(nodes, 0);
         let nodes_u = nodes as u64;
         let mut cursor = 0u64;
         for (ctx, reqs) in self.groups.iter() {
-            let base = reqs / nodes_u;
-            let rem = reqs % nodes_u;
-            let start = cursor % nodes_u;
             for (n, (count, sum)) in counts.iter_mut().zip(sums.iter_mut()).enumerate() {
-                let offset = (n as u64 + nodes_u - start) % nodes_u;
-                let cnt = base + u64::from(offset < rem);
+                let cnt = round_robin_share(n as u64, nodes_u, cursor, reqs);
                 *count += cnt;
                 *sum += ctx * cnt;
             }
             cursor += reqs;
         }
     }
+}
+
+/// How many of `reqs` requests, placed one by one round-robin over
+/// `nodes` data-parallel nodes starting where request number `cursor`
+/// would land, end up on node `n`.
+#[inline]
+pub(crate) fn round_robin_share(n: u64, nodes: u64, cursor: u64, reqs: u64) -> u64 {
+    if nodes == 1 {
+        return reqs;
+    }
+    let offset = (n + nodes - cursor % nodes) % nodes;
+    reqs / nodes + u64::from(offset < reqs % nodes)
 }
 
 /// Cached linear pricing of a decode-only batch: rebuild on membership

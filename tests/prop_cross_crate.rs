@@ -10,11 +10,11 @@ use duplex::sched::{
     DisaggPlan, FaultEvent, FaultKind, FaultPlan, KvLinkSpec, LatencyDigest, MultiplexSpec,
     PendingRequest, Placement, PolicyKind, PoolRole, PreemptMode, PreemptSpec, PreemptionPolicy,
     PriorityTiers, ReplicaConfig, ReplicaSnapshot, Request, RetryPolicy, RouterKind, Scenario,
-    ScenarioSimulation, SchedulingPolicy, Simulation, SimulationConfig, SloStats, StageExecutor,
-    StageOutcome, TierStats, Workload,
+    ScenarioSimulation, SchedulingPolicy, Simulation, SimulationConfig, SloStats, StageDelta,
+    StageExecutor, StageOutcome, TierStats, Workload,
 };
 use duplex::system::coproc::split_experts;
-use duplex::system::{SystemConfig, SystemExecutor};
+use duplex::system::{StageCost, SystemConfig, SystemExecutor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,6 +46,54 @@ impl StageExecutor for ReferenceExec {
         StageOutcome {
             seconds: cost.seconds,
         }
+    }
+}
+
+/// Every field of a stage cost, as bits.
+fn cost_bits(c: &StageCost) -> [u64; 12] {
+    [
+        c.seconds,
+        c.time.fc,
+        c.time.attn_prefill,
+        c.time.attn_decode,
+        c.time.moe,
+        c.time.comm,
+        c.energy.fc_dram,
+        c.energy.fc_comp,
+        c.energy.attn_dram,
+        c.energy.attn_comp,
+        c.energy.moe_dram,
+        c.energy.moe_comp,
+    ]
+    .map(f64::to_bits)
+}
+
+/// Prices every stage on the delta path and, next to it, prices the
+/// scheduler's materialized shape on the grouped full path of a second
+/// executor, recording every mixed stage whose two costs differ in any
+/// bit.
+struct CarriedVsGrouped {
+    carried: SystemExecutor,
+    grouped: SystemExecutor,
+    mixed: usize,
+    mismatches: Vec<String>,
+}
+
+impl StageExecutor for CarriedVsGrouped {
+    fn execute(&mut self, shape: &StageShape) -> StageOutcome {
+        unreachable!("the scenario scheduler announces every stage as a delta: {shape:?}")
+    }
+
+    fn execute_delta(&mut self, delta: &StageDelta, shape: &StageShape) -> StageOutcome {
+        let a = self.carried.stage_cost_delta(delta);
+        let b = self.grouped.stage_cost(shape);
+        if shape.is_mixed() {
+            self.mixed += 1;
+            if cost_bits(&a) != cost_bits(&b) {
+                self.mismatches.push(format!("{delta:?}: {a:?} vs {b:?}"));
+            }
+        }
+        StageOutcome { seconds: a.seconds }
     }
 }
 
@@ -285,6 +333,60 @@ proptest! {
         if multi_turn {
             prop_assert!(a.completed.len() >= requests);
         }
+    }
+
+    /// Mixed stages priced from the carried batch state cost exactly
+    /// what the grouped full path charges for the scheduler's
+    /// materialized shape, in every field to the bit, over scenario
+    /// traces with reuse admissions, held chunks and every admission
+    /// policy, on a one- and a two-node system.
+    #[test]
+    fn carried_mixed_stages_equal_grouped_full_path(
+        mean_in in 32u64..256,
+        mean_out in 4u64..24,
+        requests in 4usize..14,
+        batch in 1usize..10,
+        seed in 0u64..1000,
+        burst_qps in 20.0f64..2000.0,
+        multi_turn_bit in 0u8..2,
+        chunk in proptest::option::of(8u64..64),
+        policy_idx in 0usize..4,
+        two_nodes in 0u8..2,
+    ) {
+        let model = ModelConfig::mixtral_8x7b();
+        let system = SystemConfig::duplex_pe_et(4, 1 + u32::from(two_nodes));
+        let mut exec = CarriedVsGrouped {
+            carried: SystemExecutor::new(system.clone(), model.clone(), 1),
+            grouped: SystemExecutor::new(system, model.clone(), 1),
+            mixed: 0,
+            mismatches: Vec::new(),
+        };
+        let cfg = SimulationConfig {
+            max_batch: batch,
+            kv_capacity_bytes: exec.carried.kv_capacity_bytes(),
+            kv_bytes_per_token: model.kv_bytes_per_token(),
+            ..SimulationConfig::default()
+        };
+        let arrivals = Arrivals::Bursty {
+            base_qps: 0.0,
+            burst_qps,
+            mean_off_s: 0.5,
+            mean_on_s: 0.2,
+        };
+        let mut scenario = Scenario::new(
+            "prop",
+            Workload::gaussian(mean_in, mean_out).with_seed(seed),
+            arrivals,
+            requests,
+        )
+        .with_prefill_chunk(chunk.unwrap_or(0));
+        if multi_turn_bit == 1 {
+            scenario = scenario.with_conversation(ConversationSpec::chat(0.7, 3, 0.05, 16));
+        }
+        let kind = PolicyKind::ALL[policy_idx];
+        ScenarioSimulation::new(cfg, scenario).run(kind.build().as_mut(), &mut exec);
+        prop_assert!(exec.mixed > 0);
+        prop_assert!(exec.mismatches.is_empty(), "{:#?}", exec.mismatches);
     }
 
     /// A one-replica cluster is the plain scenario scheduler, bit for
