@@ -6,14 +6,8 @@
 //! batching with parked-KV reuse, and the incremental stage fast path
 //! on every replica.
 //!
-//! Every (fleet, router) pair runs twice: once on the serial oracle
-//! (one replica window at a time, in index order) and once on the
-//! parallel clock-merge path (replica windows stepped concurrently on
-//! the vendored rayon pool; pin the worker count with
-//! `DUPLEX_THREADS`). The two reports are asserted byte-identical —
-//! the clock-merge invariant — so the runs differ only in wall clock,
-//! reported as `serial_wall_s` / `wall_s` and the harness-throughput
-//! pair `serial_fleet_stages_per_s` / `fleet_stages_per_s` (simulated
+//! Every (fleet, router) pair runs once, timed: `wall_s` is its wall
+//! clock and `fleet_stages_per_s` the harness throughput (simulated
 //! fleet stages per second of wall clock).
 //!
 //! Also exercises pause/resume: the Grok fleet is paused mid-run, the
@@ -55,8 +49,8 @@
 
 use std::time::Instant;
 
-use duplex::experiments::{build_cluster, run_cluster_with, ClusterRow, ClusterSpec};
-use duplex::sched::{ClusterConfig, ClusterSnapshot, RouterKind};
+use duplex::experiments::{build_cluster, run_cluster, ClusterRow, ClusterSpec};
+use duplex::sched::{ClusterSnapshot, RouterKind};
 use duplex_bench::print_table;
 
 /// Pause the fleet at 40% of its simulated span, push the snapshot
@@ -86,7 +80,7 @@ fn snapshot_roundtrip(spec: &ClusterSpec, full_time_s: f64) -> (String, f64) {
             &mut fresh_executors,
         )
         .unwrap_or_else(|e| panic!("{}: snapshot rejected at resume: {e}", spec.name));
-    let full = run_cluster_with(spec, kind.build().as_mut(), ClusterConfig::default());
+    let full = run_cluster(spec, kind.build().as_mut());
     assert_eq!(
         resumed, full,
         "{}: resumed report must equal the uninterrupted run",
@@ -98,7 +92,6 @@ fn snapshot_roundtrip(spec: &ClusterSpec, full_time_s: f64) -> (String, f64) {
 fn main() {
     let scale = duplex_bench::scale_from_args();
     let quick = scale == duplex::experiments::Scale::quick();
-    let threads = ClusterConfig::default().effective_threads();
 
     let mut rows = Vec::new();
     let mut json_entries = Vec::new();
@@ -136,32 +129,16 @@ fn main() {
                 }
             };
             let (sim, mut policies, mut executors) = build_cluster(spec);
-            let sim = sim.with_config(ClusterConfig::serial());
-            let mut router = build_router();
-            let start = Instant::now();
-            let serial = sim.run(router.as_mut(), &mut policies, &mut executors);
-            let serial_wall_s = start.elapsed().as_secs_f64();
-
-            let (sim, mut policies, mut executors) = build_cluster(spec);
-            let sim = sim.with_config(ClusterConfig::default());
             let mut router = build_router();
             let start = Instant::now();
             let report = sim.run(router.as_mut(), &mut policies, &mut executors);
             let wall_s = start.elapsed().as_secs_f64();
-            assert_eq!(
-                serial,
-                report,
-                "clock-merge invariant: parallel != serial for {} under {}",
-                spec.name,
-                kind.name()
-            );
             if spec.name == "grok_chat_tiered" {
                 grok_time_s = Some(report.total_time_s);
             }
 
             let row = ClusterRow::of(spec, kind.name(), &report);
             let fleet_stages_per_s = row.stages as f64 / wall_s;
-            let serial_fleet_stages_per_s = row.stages as f64 / serial_wall_s;
             let tbt_p99_ms = row.tbt_p99 * 1e3;
             rows.push(vec![
                 row.cluster.clone(),
@@ -169,7 +146,6 @@ fn main() {
                 row.replicas.to_string(),
                 row.completed.to_string(),
                 row.stages.to_string(),
-                format!("{serial_wall_s:.3}"),
                 format!("{wall_s:.3}"),
                 format!("{fleet_stages_per_s:.0}"),
                 format!("{:.0}", row.throughput),
@@ -236,14 +212,11 @@ fn main() {
                 String::new()
             };
             json_entries.push(format!(
-                "    \"{}_{}\": {{\"fleet_stages_per_s\": {:.1}, \"wall_s\": {:.4}, \"serial_fleet_stages_per_s\": {:.1}, \"serial_wall_s\": {:.4}, \"threads\": {}, \"stages\": {}, \"completed\": {}, \"replicas\": {}, \"replica_seconds\": {:.4}, \"sim_tokens_per_sec\": {:.1}, \"tbt_p99_ms\": {:.4}, {}{}{}{}\"kv_reuse_fraction\": {:.4}, \"load_imbalance\": {:.4}, \"policy\": \"{}\", \"model\": \"{}\", \"batch\": {}}}",
+                "    \"{}_{}\": {{\"fleet_stages_per_s\": {:.1}, \"wall_s\": {:.4}, \"stages\": {}, \"completed\": {}, \"replicas\": {}, \"replica_seconds\": {:.4}, \"sim_tokens_per_sec\": {:.1}, \"tbt_p99_ms\": {:.4}, {}{}{}{}\"kv_reuse_fraction\": {:.4}, \"load_imbalance\": {:.4}, \"policy\": \"{}\", \"model\": \"{}\", \"batch\": {}}}",
                 row.cluster,
                 kind.name().replace('-', "_"),
                 fleet_stages_per_s,
                 wall_s,
-                serial_fleet_stages_per_s,
-                serial_wall_s,
-                threads,
                 row.stages,
                 row.completed,
                 row.replicas,
@@ -263,17 +236,14 @@ fn main() {
         }
     }
     print_table(
-        &format!(
-            "Cluster suite (router x fleet; serial oracle vs parallel windows, {threads} threads)"
-        ),
+        "Cluster suite (router x fleet)",
         &[
             "Cluster",
             "Router",
             "Repl",
             "Done",
             "Stages",
-            "Serial s",
-            "Par s",
+            "Wall s",
             "fleet st/s",
             "sim tok/s",
             "TBT p99 ms",
@@ -304,9 +274,8 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"duplex-bench/cluster/v1\",\n  \"mode\": \"{}\",\n  \"threads\": {},\n  \"snapshot_roundtrip\": {{\"cluster\": \"grok_chat_tiered\", \"taken_at_s\": {:.6}, \"bytes\": {}, \"resumed_bit_identical\": true}},\n  \"scenarios\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"duplex-bench/cluster/v1\",\n  \"mode\": \"{}\",\n  \"snapshot_roundtrip\": {{\"cluster\": \"grok_chat_tiered\", \"taken_at_s\": {:.6}, \"bytes\": {}, \"resumed_bit_identical\": true}},\n  \"scenarios\": {{\n{}\n  }}\n}}\n",
         if quick { "quick" } else { "paper" },
-        threads,
         taken_at_s,
         snapshot_json.len(),
         json_entries.join(",\n")

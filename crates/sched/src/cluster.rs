@@ -34,24 +34,31 @@
 //! `ScenarioStream`/`ReplicaSim` machinery, and the cross-crate
 //! proptests pin the equivalence.
 //!
-//! # The clock-merge invariant
+//! # The clock-merge protocol
 //!
 //! Between synchronization points, replicas share **nothing**: a
 //! `ReplicaSim` step touches only replica-local
 //! state, and every action that would touch shared state (the arrival
 //! stream's RNG, follow-up queue, or the replica's parked-KV pool
 //! whose occupancy those actions change) is buffered as an ordered
-//! `RetireEvent`. A window runs each replica forward until its next
-//! stage would start at or after the **window bound** — the next
-//! global arrival time — or until a step buffers events; the driver
-//! then applies every replica's buffered events against the shared
-//! stream *in replica-index order*. Because windows are
-//! side-effect-free and the merge order is fixed, executing the
-//! windows concurrently (the [`ClusterConfig::parallel`] path, on the
-//! vendored rayon pool) is **byte-identical** to executing them one
-//! replica at a time in index order (the serial oracle): same RNG
-//! sequence, same routing decisions, same reports, to the bit. The
-//! integration tests assert this for every [`crate::RouterKind`].
+//! `RetireEvent`. A window runs each replica in turn, in index order,
+//! until its next stage would start at or after the **window bound**
+//! — the next global arrival time, or the next fault or scale event —
+//! or until a step buffers events; the driver then applies every
+//! replica's buffered events against the shared stream *in
+//! replica-index order*.
+//!
+//! These merge points are the only instants at which the whole fleet
+//! stands at one consistent virtual time, so every fleet-level
+//! mechanism acts there and nowhere else: routing places arrivals
+//! against per-replica snapshots taken at the merge point, scripted
+//! faults and load triggers ([`FaultPlan`]) land there, the autoscaler
+//! ([`AutoscalePolicy`]) evaluates and provisions there, disaggregated
+//! prefill→decode handoffs are delivered there, and a
+//! [`ClusterSnapshot`] captures one, so a resumed run replays the same
+//! RNG draws, routing decisions and reports to the bit. With the merge
+//! order fixed, a run is a pure function of its configuration and
+//! seed.
 //!
 //! # Disaggregated prefill/decode pools
 //!
@@ -66,10 +73,9 @@
 //! replica chosen at *admission* time, where the request joins the
 //! decode batch through the ordinary reuse-admission path (a one-token
 //! prefill above the shipped context). Handoffs are buffered
-//! replica-locally exactly like retire events, so the clock-merge
-//! invariant — and serial/parallel byte-identity — is untouched.
-//! Colocated mode (no plan) is the degenerate case and is byte-
-//! identical to the pre-pool behavior.
+//! replica-locally exactly like retire events and applied at the merge
+//! point in replica-index order. Colocated mode (no plan) is the
+//! degenerate case and is byte-identical to the pre-pool behavior.
 //!
 //! # Example
 //!
@@ -118,72 +124,17 @@ use crate::scenario::{ReplicaSim, Scenario, ScenarioStream, SloTier};
 use crate::scheduler::{SimulationConfig, StageExecutor};
 use crate::snapshot::{AutoscaleState, ClusterSnapshot, DisaggState, FaultState};
 
-/// Execution knobs for the cluster driver. Results never depend on
-/// these: the parallel path is byte-identical to the serial oracle
-/// (see the module docs on the clock-merge invariant), so `parallel`
-/// and `threads` only trade wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterConfig {
-    /// Step replica windows concurrently on the vendored rayon pool.
-    /// `false` is the serial oracle the determinism tests compare
-    /// against.
-    pub parallel: bool,
-    /// Worker threads for the parallel path; `0` means auto: the
-    /// `DUPLEX_THREADS` environment variable when set, otherwise the
-    /// machine's available parallelism.
-    pub threads: usize,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        Self {
-            parallel: true,
-            threads: 0,
-        }
-    }
-}
+/// Fleets always step serially, so this type carries no settings.
+/// Kept only for the benchmark package (`perfbench`); goes in a later
+/// benchmark change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClusterConfig;
 
 impl ClusterConfig {
-    /// The serial oracle: one replica at a time, in index order.
-    pub fn serial() -> Self {
-        Self {
-            parallel: false,
-            threads: 0,
-        }
-    }
-
-    /// Resolved window concurrency: 1 when serial, else `threads`,
-    /// `DUPLEX_THREADS`, or the machine width, in that order.
-    ///
-    /// # Panics
-    ///
-    /// When `DUPLEX_THREADS` is set to anything but a positive
-    /// integer: a set-but-invalid override is a typo worth naming, not
-    /// something to silently round to the machine width.
+    /// Always 1: replica windows step one at a time. Kept only for the
+    /// benchmark package; goes in a later benchmark change.
     pub fn effective_threads(&self) -> usize {
-        if !self.parallel {
-            return 1;
-        }
-        if self.threads > 0 {
-            return self.threads;
-        }
-        match std::env::var("DUPLEX_THREADS") {
-            Ok(raw) => parse_duplex_threads(&raw),
-            Err(_) => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-        }
-    }
-}
-
-/// Parse a `DUPLEX_THREADS` value. A set-but-invalid override (empty,
-/// non-numeric, zero) is a hard error naming the variable — silently
-/// falling back to the machine width would hide the typo and change
-/// wall-clock behavior without a trace.
-fn parse_duplex_threads(raw: &str) -> usize {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => panic!("DUPLEX_THREADS must be a positive integer, got {raw:?}"),
+        1
     }
 }
 
@@ -704,10 +655,10 @@ fn migrate_parked(
 
 /// One dispatch → window → merge round. Returns `false` when no
 /// replica has a next stage (the fleet drained, truncated, or is fully
-/// down holding arrivals). See the module docs for why the parallel
-/// window is byte-identical to the serial one.
+/// down holding arrivals). See the module docs for why windows end at
+/// merge points.
 #[allow(clippy::too_many_arguments)]
-fn drive_round<E: StageExecutor + Send>(
+fn drive_round<E: StageExecutor>(
     stream: &mut ScenarioStream<'_>,
     router: &mut dyn Router,
     configs: &[ReplicaConfig],
@@ -715,7 +666,6 @@ fn drive_round<E: StageExecutor + Send>(
     snapshots: &mut Vec<ReplicaSnapshot>,
     policies: &mut [Box<dyn SchedulingPolicy>],
     executors: &mut [E],
-    threads: usize,
     limit: Option<f64>,
     link: KvLinkSpec,
     stats: &mut RecoveryStats,
@@ -752,25 +702,12 @@ fn drive_round<E: StageExecutor + Send>(
     } else {
         limit
     };
-    if threads > 1 && replicas.len() > 1 {
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = replicas
-            .iter_mut()
-            .zip(policies.iter_mut())
-            .zip(executors.iter_mut())
-            .map(|((r, p), e)| {
-                Box::new(move || r.run_window(bound, p.as_mut(), e))
-                    as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        rayon::join_all(jobs);
-    } else {
-        for ((r, p), e) in replicas
-            .iter_mut()
-            .zip(policies.iter_mut())
-            .zip(executors.iter_mut())
-        {
-            r.run_window(bound, p.as_mut(), e);
-        }
+    for ((r, p), e) in replicas
+        .iter_mut()
+        .zip(policies.iter_mut())
+        .zip(executors.iter_mut())
+    {
+        r.run_window(bound, p.as_mut(), e);
     }
     // ---- merge: apply buffered events in replica-index order ----
     for r in replicas.iter_mut() {
@@ -898,7 +835,7 @@ enum Action {
 /// per-request retry counts, and in-progress drains. All of it is
 /// merge-point state: events apply only when every replica's frontier
 /// has reached the event time, which is what keeps faulted runs
-/// byte-identical between serial and parallel stepping.
+/// seed-deterministic and resumable from a mid-outage snapshot.
 struct FaultRuntime<'p> {
     plan: &'p FaultPlan,
     events: Vec<TimedEvent>,
@@ -1855,31 +1792,28 @@ impl ClusterRun {
 pub struct ClusterSimulation {
     configs: Vec<ReplicaConfig>,
     scenario: Scenario,
-    cluster: ClusterConfig,
     faults: Option<FaultPlan>,
     autoscale: Option<AutoscalePolicy>,
     disagg: Option<DisaggPlan>,
 }
 
 impl ClusterSimulation {
-    /// Bind a scenario to a fleet of replica configs (default
-    /// [`ClusterConfig`]: parallel, auto thread count). Under trace
+    /// Bind a scenario to a fleet of replica configs. Under trace
     /// replay the request count is clamped to the trace length.
     pub fn new(configs: Vec<ReplicaConfig>, scenario: Scenario) -> Self {
         assert!(!configs.is_empty(), "a cluster needs at least one replica");
         Self {
             configs,
             scenario: scenario.normalized(),
-            cluster: ClusterConfig::default(),
             faults: None,
             autoscale: None,
             disagg: None,
         }
     }
 
-    /// Override the execution knobs (serial oracle, thread count).
-    pub fn with_config(mut self, cluster: ClusterConfig) -> Self {
-        self.cluster = cluster;
+    /// Returns the simulation unchanged. Kept only for the benchmark
+    /// package; goes in a later benchmark change.
+    pub fn with_config(self, _cluster: ClusterConfig) -> Self {
         self
     }
 
@@ -1957,7 +1891,7 @@ impl ClusterSimulation {
     /// Run the fleet to completion (or every replica's stage cap).
     /// `policies` and `executors` are indexed like the replica configs
     /// and must match their length.
-    pub fn run<E: StageExecutor + Send>(
+    pub fn run<E: StageExecutor>(
         &self,
         router: &mut dyn Router,
         policies: &mut [Box<dyn SchedulingPolicy>],
@@ -1981,7 +1915,7 @@ impl ClusterSimulation {
     /// routing, same final report to the bit (asserted by the
     /// integration tests) — because snapshots capture the complete
     /// dynamic state at a merge point of the clock-merge protocol.
-    pub fn run_until<E: StageExecutor + Send>(
+    pub fn run_until<E: StageExecutor>(
         &self,
         router: &mut dyn Router,
         policies: &mut [Box<dyn SchedulingPolicy>],
@@ -1999,7 +1933,7 @@ impl ClusterSimulation {
     /// Snapshots whose shape does not match this cluster (replica
     /// count, tier set, fault plan) are rejected with a descriptive
     /// error.
-    pub fn resume<E: StageExecutor + Send>(
+    pub fn resume<E: StageExecutor>(
         &self,
         snapshot: &ClusterSnapshot,
         router: &mut dyn Router,
@@ -2016,7 +1950,7 @@ impl ClusterSimulation {
     /// [`run_until`](Self::run_until)); a run may pause and resume any
     /// number of times. Mismatched snapshots are rejected like in
     /// [`resume`](Self::resume).
-    pub fn resume_until<E: StageExecutor + Send>(
+    pub fn resume_until<E: StageExecutor>(
         &self,
         snapshot: &ClusterSnapshot,
         router: &mut dyn Router,
@@ -2201,7 +2135,7 @@ impl ClusterSimulation {
         Ok(())
     }
 
-    fn run_inner<E: StageExecutor + Send>(
+    fn run_inner<E: StageExecutor>(
         &self,
         router: &mut dyn Router,
         policies: &mut [Box<dyn SchedulingPolicy>],
@@ -2293,7 +2227,6 @@ impl ClusterSimulation {
             .as_ref()
             .map_or_else(KvLinkSpec::default, |p| p.link);
         let mut snapshots: Vec<ReplicaSnapshot> = Vec::with_capacity(replicas.len());
-        let threads = self.cluster.effective_threads();
 
         let no_skip: Vec<bool> = Vec::new();
 
@@ -2379,7 +2312,6 @@ impl ClusterSimulation {
                 &mut snapshots,
                 policies,
                 executors,
-                threads,
                 limit,
                 link,
                 &mut stats,
@@ -2737,24 +2669,6 @@ mod tests {
     }
 
     #[test]
-    fn duplex_threads_parses_positive_integers() {
-        assert_eq!(parse_duplex_threads("1"), 1);
-        assert_eq!(parse_duplex_threads("16"), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "DUPLEX_THREADS must be a positive integer")]
-    fn duplex_threads_rejects_zero() {
-        parse_duplex_threads("0");
-    }
-
-    #[test]
-    #[should_panic(expected = "DUPLEX_THREADS must be a positive integer")]
-    fn duplex_threads_rejects_junk() {
-        parse_duplex_threads("many");
-    }
-
-    #[test]
     fn a_run_without_faults_reports_zeroed_recovery() {
         let scenario = Scenario::new(
             "calm",
@@ -3011,46 +2925,6 @@ mod tests {
             "the tail goes quiet long enough to drain the joiner: {:?}",
             report.scaling
         );
-    }
-
-    #[test]
-    fn an_autoscaled_run_is_identical_serial_and_parallel() {
-        let scenario = || {
-            Scenario::new(
-                "elastic-par",
-                Workload::gaussian(96, 10).with_seed(19),
-                Arrivals::Poisson { qps: 700.0 },
-                50,
-            )
-            .with_conversation(ConversationSpec::chat(0.6, 3, 0.01, 24))
-            .with_tiers(Scenario::default_tiers(0.01))
-        };
-        let policy = || {
-            AutoscalePolicy::new(1)
-                .with_pressure(1.0, 0.2)
-                .with_cadence(0.02, 1, 3)
-                .with_provisioning(0.02, 0.02, 2.0)
-        };
-        let run = |cluster: ClusterConfig| {
-            ClusterSimulation::new(vec![ReplicaConfig::new(config(4)); 3], scenario())
-                .with_autoscale(policy())
-                .with_config(cluster)
-                .run(
-                    &mut SessionAffinity::default(),
-                    &mut policies(3, PolicyKind::Fcfs),
-                    &mut [Fixed(0.01); 3],
-                )
-        };
-        let serial = run(ClusterConfig {
-            parallel: false,
-            threads: 1,
-        });
-        let parallel = run(ClusterConfig {
-            parallel: true,
-            threads: 3,
-        });
-        assert_eq!(serial, parallel);
-        assert!(serial.scaling.scale_ups >= 1, "{:?}", serial.scaling);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! A [`FaultPlan`] is a deterministic script of replica faults — crash,
 //! drain-and-restart, transient slowdown — pinned to virtual times. The
 //! [`crate::ClusterSimulation`] applies every fault at a clock-merge
-//! point of the cluster's dispatch/window protocol, in a fixed order,
-//! so a faulted run stays seed-deterministic and the parallel stepping
-//! path remains byte-identical to the serial oracle (the same invariant
-//! the fault-free cluster pins in its integration tests).
+//! point of the cluster's dispatch/window protocol, in a fixed order:
+//! that is the one instant the whole fleet stands at a consistent
+//! virtual time, so a faulted run stays seed-deterministic and a
+//! snapshot taken mid-outage resumes bit for bit.
 //!
 //! What each fault does:
 //!
@@ -33,7 +33,7 @@
 //! virtual time runs to completion at its original speed, and the fault
 //! lands at the next merge point. This is exactly the granularity at
 //! which the simulator prices work, and it is what keeps fault
-//! application deterministic under parallel window stepping.
+//! application deterministic: no fault ever lands inside a window.
 //!
 //! Cross-replica KV migration is a first-class priced operation: a
 //! parked conversation's pages ship over a [`KvLinkSpec`] (derive one
@@ -239,9 +239,9 @@ impl Default for KvLinkSpec {
 /// committed slots per batch slot) at its clock-merge points and
 /// injects `kind` on any replica whose pressure crosses `pressure` —
 /// the "slow or drain a hot replica" knob real fleets wire to their
-/// load balancer's health checks. Evaluation is merge-point
-/// deterministic, so triggered runs keep the serial == parallel
-/// byte-identity of scripted ones.
+/// load balancer's health checks. Evaluation happens only at merge
+/// points, so triggered runs are as deterministic and resumable as
+/// scripted ones.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadTrigger {
     /// Queue-pressure threshold (committed slots per batch slot) at or

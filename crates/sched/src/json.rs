@@ -3,6 +3,8 @@
 //! serde), so this hand-rolled recursive-descent parser covers the
 //! JSON subset those files use: objects, arrays, strings without
 //! escapes beyond `\" \\ \/ \n \t \r`, f64 numbers, booleans and null.
+//! Nesting is bounded at 128 levels, so hostile input is an error
+//! rather than a stack overflow.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,16 +72,20 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Cluster snapshots,
+/// the deepest documents this workspace writes, nest 8 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document.
 ///
 /// # Errors
 ///
-/// Returns a message with a byte offset on malformed input or trailing
-/// garbage.
+/// Returns a message with a byte offset on malformed input, trailing
+/// garbage, or nesting deeper than 128 levels.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -103,11 +109,15 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parse one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -169,19 +179,24 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through untouched).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run up to the next quote or escape in
+                // one step (multi-byte sequences pass through
+                // untouched: both delimiters are ASCII, so the run
+                // ends on a character boundary).
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .map_or(bytes.len(), |n| *pos + n);
+                let text = std::str::from_utf8(&bytes[*pos..run])
                     .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let ch = rest.chars().next().expect("non-empty checked above");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(text);
+                *pos = run;
             }
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -193,7 +208,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -207,7 +222,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -216,7 +231,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -260,6 +275,37 @@ mod tests {
         assert_eq!(items[0].as_str(), Some("a\"b"));
         assert_eq!(items[1].as_str(), Some("tab\there"));
         assert_eq!(items[2].as_str(), Some("slash/ok"));
+    }
+
+    #[test]
+    fn strings_mixing_multibyte_escapes_and_long_runs_parse_exactly() {
+        let plain = "x".repeat(10_000);
+        let expected = format!("héllo \"wörld\"\n→ 日本語\t{plain}\\/🦀{plain}");
+        let doc = format!(r#"["héllo \"wörld\"\n→ 日本語\t{plain}\\\/🦀{plain}", "", "🦀"]"#);
+        let v = parse(&doc).expect("valid");
+        let items = v.as_array().expect("array");
+        assert_eq!(items[0].as_str(), Some(expected.as_str()));
+        assert_eq!(items[1].as_str(), Some(""));
+        assert_eq!(items[2].as_str(), Some("🦀"));
+        assert!(parse(r#""runs off the end"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting"), "{err}");
+        assert!(parse(&format!("{{\"a\": {}}}", nest(MAX_DEPTH - 1))).is_ok());
+        assert!(parse(&format!("{{\"a\": {}}}", nest(MAX_DEPTH))).is_err());
+        // Hostile input through both loaders: an error, not a stack
+        // overflow.
+        let hostile = "[".repeat(1_000_000);
+        assert!(crate::ClusterSnapshot::from_json(&hostile).is_err());
+        assert!(crate::trace::parse_trace(&hostile).is_err());
+        let hostile = "{\"a\":".repeat(1_000_000);
+        assert!(crate::ClusterSnapshot::from_json(&hostile).is_err());
+        assert!(crate::trace::parse_trace(&hostile).is_err());
     }
 
     #[test]

@@ -1550,7 +1550,7 @@ impl ReplicaSim {
     /// each step reproduces the historical inline behavior exactly
     /// (same RNG sequence, same parked-KV operation order); the
     /// cluster drains at its merge points instead, which is what lets
-    /// replicas step concurrently between router events.
+    /// each replica step a whole window between router events.
     pub(crate) fn step<E: StageExecutor + ?Sized>(
         &mut self,
         policy: &mut dyn SchedulingPolicy,

@@ -274,9 +274,9 @@ pub(crate) struct DisaggState {
 /// flight. At that boundary the entire run state is exactly the
 /// fields captured here, so `run_until` + `resume` replays the same
 /// event sequence, RNG draws, and floating-point accumulations as an
-/// uninterrupted `run`, and the final report is byte-identical. The
-/// same invariant is what makes parallel replica stepping equal to
-/// serial stepping: windows between merge points are side-effect-free.
+/// uninterrupted `run`, and the final report is byte-identical. This
+/// is why faults, scale events and disaggregated handoffs all act at
+/// merge points: a snapshot never has to capture one half-applied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSnapshot {
     /// The virtual time the run paused at (the requested `stop_s`
@@ -301,11 +301,13 @@ pub struct ClusterSnapshot {
 
 /// The schema id written by [`ClusterSnapshot::to_json`].
 const SCHEMA: &str = "duplex/cluster-snapshot/v5";
-/// Retired schema ids, recognized only to produce clear errors.
-const SCHEMA_V1: &str = "duplex/cluster-snapshot/v1";
-const SCHEMA_V2: &str = "duplex/cluster-snapshot/v2";
-const SCHEMA_V3: &str = "duplex/cluster-snapshot/v3";
-const SCHEMA_V4: &str = "duplex/cluster-snapshot/v4";
+/// Retired schema ids, recognized only to produce a clear error.
+const RETIRED_SCHEMAS: [&str; 4] = [
+    "duplex/cluster-snapshot/v1",
+    "duplex/cluster-snapshot/v2",
+    "duplex/cluster-snapshot/v3",
+    "duplex/cluster-snapshot/v4",
+];
 
 impl ClusterSnapshot {
     /// The virtual time the run paused at.
@@ -361,33 +363,17 @@ impl ClusterSnapshot {
     /// # Errors
     ///
     /// Returns a message naming the offending field when the text is
-    /// not valid JSON, the schema id is wrong (including the retired
-    /// v1 schema, which lacks fault state), or a field is missing or
+    /// not valid JSON, the schema id is wrong (a retired schema's error
+    /// says to re-take the snapshot), or a field is missing or
     /// mistyped.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = json::parse(text)?;
         let schema = get_str(&v, "schema")?;
         if schema != SCHEMA {
-            return Err(if schema == SCHEMA_V1 {
+            return Err(if RETIRED_SCHEMAS.contains(&schema) {
                 format!(
-                    "snapshot schema {schema:?} predates fault-aware snapshots \
-                     and cannot be resumed; re-take it as {SCHEMA:?}"
-                )
-            } else if schema == SCHEMA_V2 {
-                format!(
-                    "snapshot schema {schema:?} predates autoscale-aware snapshots \
-                     and cannot be resumed; re-take it as {SCHEMA:?}"
-                )
-            } else if schema == SCHEMA_V3 {
-                format!(
-                    "snapshot schema {schema:?} predates disaggregated-placement \
-                     snapshots and cannot be resumed; re-take it as {SCHEMA:?}"
-                )
-            } else if schema == SCHEMA_V4 {
-                format!(
-                    "snapshot schema {schema:?} predates preemption-aware \
-                     snapshots (paused requests and multiplex slots) and cannot \
-                     be resumed; re-take it as {SCHEMA:?}"
+                    "snapshot schema {schema:?} is retired and cannot be resumed; \
+                     re-take it as {SCHEMA:?}"
                 )
             } else {
                 format!("unsupported snapshot schema {schema:?} (expected {SCHEMA:?})")
@@ -1630,30 +1616,31 @@ mod tests {
 
     #[test]
     fn from_json_explains_the_retired_v1_schema() {
-        let v1 = format!(r#"{{"schema": "{SCHEMA_V1}"}}"#);
-        let err = ClusterSnapshot::from_json(&v1).expect_err("v1 rejected");
-        assert!(err.contains(SCHEMA_V1), "{err}");
-        assert!(err.contains(SCHEMA), "{err}");
-        assert!(err.contains("re-take"), "tells the user what to do: {err}");
+        assert_retake_error(RETIRED_SCHEMAS[0]);
     }
 
     #[test]
     fn from_json_explains_the_retired_v2_schema() {
-        let v2 = format!(r#"{{"schema": "{SCHEMA_V2}"}}"#);
-        let err = ClusterSnapshot::from_json(&v2).expect_err("v2 rejected");
-        assert!(err.contains(SCHEMA_V2), "{err}");
-        assert!(err.contains(SCHEMA), "{err}");
-        assert!(err.contains("autoscale"), "names what v2 lacks: {err}");
-        assert!(err.contains("re-take"), "tells the user what to do: {err}");
+        assert_retake_error(RETIRED_SCHEMAS[1]);
     }
 
     #[test]
     fn from_json_explains_the_retired_v3_schema() {
-        let v3 = format!(r#"{{"schema": "{SCHEMA_V3}"}}"#);
-        let err = ClusterSnapshot::from_json(&v3).expect_err("v3 rejected");
-        assert!(err.contains(SCHEMA_V3), "{err}");
-        assert!(err.contains(SCHEMA), "{err}");
-        assert!(err.contains("disaggregated"), "names what v3 lacks: {err}");
+        assert_retake_error(RETIRED_SCHEMAS[2]);
+    }
+
+    #[test]
+    fn from_json_explains_the_retired_v4_schema() {
+        assert_retake_error(RETIRED_SCHEMAS[3]);
+    }
+
+    /// Every retired schema gets the one "re-take" error, naming the
+    /// schema it found and the current one.
+    fn assert_retake_error(retired: &str) {
+        let doc = format!(r#"{{"schema": "{retired}"}}"#);
+        let err = ClusterSnapshot::from_json(&doc).expect_err("retired schema rejected");
+        assert!(err.contains(retired), "names the schema it found: {err}");
+        assert!(err.contains(SCHEMA), "names the current schema: {err}");
         assert!(err.contains("re-take"), "tells the user what to do: {err}");
     }
 

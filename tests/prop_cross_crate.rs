@@ -6,12 +6,12 @@ use duplex::compute::Engine;
 use duplex::model::ops::StageShape;
 use duplex::model::{ExpertRouter, ModelConfig};
 use duplex::sched::{
-    Arrivals, AutoscalePolicy, ClusterConfig, ClusterSimulation, ClusterSnapshot, ConversationSpec,
-    DisaggPlan, FaultEvent, FaultKind, FaultPlan, KvLinkSpec, LatencyDigest, MultiplexSpec,
-    PendingRequest, Placement, PolicyKind, PoolRole, PreemptMode, PreemptSpec, PreemptionPolicy,
-    PriorityTiers, ReplicaConfig, ReplicaSnapshot, Request, RetryPolicy, RouterKind, Scenario,
-    ScenarioSimulation, SchedulingPolicy, Simulation, SimulationConfig, SloStats, StageDelta,
-    StageExecutor, StageOutcome, TierStats, Workload,
+    Arrivals, AutoscalePolicy, ClusterSimulation, ClusterSnapshot, ConversationSpec, DisaggPlan,
+    FaultEvent, FaultKind, FaultPlan, KvLinkSpec, LatencyDigest, MultiplexSpec, PendingRequest,
+    Placement, PolicyKind, PoolRole, PreemptMode, PreemptSpec, PreemptionPolicy, PriorityTiers,
+    ReplicaConfig, ReplicaSnapshot, Request, RetryPolicy, RouterKind, Scenario, ScenarioSimulation,
+    SchedulingPolicy, Simulation, SimulationConfig, SloStats, StageDelta, StageExecutor,
+    StageOutcome, TierStats, Workload,
 };
 use duplex::system::coproc::split_experts;
 use duplex::system::{StageCost, SystemConfig, SystemExecutor};
@@ -765,8 +765,8 @@ proptest! {
     /// Crash → retry → recover is deterministic machinery, not noise:
     /// on a 3-replica fleet with conversations and SLO tiers, a
     /// randomized mid-run crash (random time, outage length, retry
-    /// budget) must (a) replay byte-identically between the serial
-    /// oracle and parallel windows, and (b) survive a snapshot taken
+    /// budget) must (a) inject the crash and retry or keep every
+    /// request as its budget says, and (b) survive a snapshot taken
     /// mid-outage — JSON round-trip included — resuming to the exact
     /// uninterrupted report. Both claims hold for every shipped router.
     #[test]
@@ -811,27 +811,16 @@ proptest! {
             let mk_pol = || -> Vec<Box<dyn SchedulingPolicy>> {
                 (0..3).map(|_| PolicyKind::PriorityTiers.build()).collect()
             };
-            let serial = mk_sim().with_config(ClusterConfig::serial()).run(
+            let full = mk_sim().run(
                 kind.build().as_mut(),
                 &mut mk_pol(),
                 &mut [FixedStage(0.002); 3],
             );
-            let parallel = mk_sim()
-                .with_config(ClusterConfig {
-                    parallel: true,
-                    threads: 3,
-                })
-                .run(
-                    kind.build().as_mut(),
-                    &mut mk_pol(),
-                    &mut [FixedStage(0.002); 3],
-                );
-            prop_assert_eq!(&serial, &parallel);
-            prop_assert_eq!(serial.recovery.faults_injected, 1);
+            prop_assert_eq!(full.recovery.faults_injected, 1);
             if max_retries == 0 {
-                prop_assert_eq!(serial.recovery.retries_issued, 0);
+                prop_assert_eq!(full.recovery.retries_issued, 0);
             } else {
-                prop_assert_eq!(serial.recovery.requests_dropped, 0);
+                prop_assert_eq!(full.recovery.requests_dropped, 0);
             }
 
             // Pause mid-outage (the crashed replica is still down),
@@ -855,7 +844,7 @@ proptest! {
                         &mut [FixedStage(0.002); 3],
                     )
                     .expect("the snapshot matches the fleet");
-                prop_assert_eq!(&resumed, &serial);
+                prop_assert_eq!(&resumed, &full);
             }
         }
     }
@@ -863,12 +852,11 @@ proptest! {
     /// Elastic autoscaling is deterministic machinery too: on a
     /// 5-replica pool over randomized diurnal load (amplitude, period,
     /// offered rate) with randomized autoscaler thresholds and
-    /// provisioning, the run must (a) replay byte-identically between
-    /// the serial oracle and parallel windows, (b) survive a snapshot
-    /// taken mid-run — pool membership, hysteresis streaks and
-    /// in-flight scale events all live — resuming through JSON to the
-    /// exact uninterrupted report, and (c) never bill the fleet below
-    /// the configured replica floor.
+    /// provisioning, the run must (a) complete every request, (b)
+    /// survive a snapshot taken mid-run — pool membership, hysteresis
+    /// streaks and in-flight scale events all live — resuming through
+    /// JSON to the exact uninterrupted report, and (c) never bill the
+    /// fleet below the configured replica floor.
     #[test]
     fn autoscaling_is_deterministic_resumable_and_floored(
         mean_in in 32u64..128,
@@ -917,42 +905,31 @@ proptest! {
         let mk_pol = || -> Vec<Box<dyn SchedulingPolicy>> {
             (0..5).map(|_| PolicyKind::PriorityTiers.build()).collect()
         };
-        let serial = mk_sim().with_config(ClusterConfig::serial()).run(
+        let full = mk_sim().run(
             kind.build().as_mut(),
             &mut mk_pol(),
             &mut [FixedStage(0.002); 5],
         );
-        let parallel = mk_sim()
-            .with_config(ClusterConfig {
-                parallel: true,
-                threads: 3,
-            })
-            .run(
-                kind.build().as_mut(),
-                &mut mk_pol(),
-                &mut [FixedStage(0.002); 5],
-            );
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(serial.completed(), requests);
+        prop_assert_eq!(full.completed(), requests);
 
         // The floor holds: every drain the autoscaler issued left at
         // least `min_replicas` admitting, so the fleet can never have
         // billed less than the floor's share of the run — and the pool
         // can never have been over-drained into negative membership.
-        prop_assert!(serial.scaling.scale_downs <= serial.scaling.scale_ups);
-        let floor_bill = min_replicas as f64 * serial.total_time_s;
+        prop_assert!(full.scaling.scale_downs <= full.scaling.scale_ups);
+        let floor_bill = min_replicas as f64 * full.total_time_s;
         prop_assert!(
-            serial.replica_seconds >= floor_bill - 1e-9,
+            full.replica_seconds >= floor_bill - 1e-9,
             "billed {} replica-seconds, the floor alone is {}",
-            serial.replica_seconds,
+            full.replica_seconds,
             floor_bill
         );
-        if serial.scaling.scale_ups > 0 {
-            prop_assert!(serial.scaling.scale_up_lag_s > 0.0);
+        if full.scaling.scale_ups > 0 {
+            prop_assert!(full.scaling.scale_up_lag_s > 0.0);
         }
 
         // Pause mid-run, push the snapshot through JSON, resume fresh.
-        let stop_s = stop_frac * serial.total_time_s;
+        let stop_s = stop_frac * full.total_time_s;
         let paused = mk_sim().run_until(
             kind.build().as_mut(),
             &mut mk_pol(),
@@ -971,7 +948,7 @@ proptest! {
                     &mut [FixedStage(0.002); 5],
                 )
                 .expect("the snapshot matches the fleet");
-            prop_assert_eq!(&resumed, &serial);
+            prop_assert_eq!(&resumed, &full);
         }
     }
 }
@@ -1116,11 +1093,11 @@ proptest! {
 
     /// A disaggregated fleet is deterministic machinery end to end: on
     /// a 2+2 pool split over a priced interconnect, the run must (a)
-    /// replay byte-identically between the serial oracle and parallel
-    /// windows, and (b) survive a snapshot taken at a random fraction
-    /// of the run — admission-time decode assignments mid-transfer —
-    /// resuming through JSON to the exact uninterrupted report. Both
-    /// claims hold for every shipped router.
+    /// hand every request off from the prefill pool, and (b) survive a
+    /// snapshot taken at a random fraction of the run — admission-time
+    /// decode assignments mid-transfer — resuming through JSON to the
+    /// exact uninterrupted report. Both claims hold for every shipped
+    /// router.
     #[test]
     fn disaggregated_serving_is_deterministic_and_resumable(
         mean_in in 32u64..128,
@@ -1154,28 +1131,17 @@ proptest! {
             let mk_pol = || -> Vec<Box<dyn SchedulingPolicy>> {
                 (0..4).map(|_| PolicyKind::PriorityTiers.build()).collect()
             };
-            let serial = mk_sim().with_config(ClusterConfig::serial()).run(
+            let full = mk_sim().run(
                 kind.build().as_mut(),
                 &mut mk_pol(),
                 &mut [FixedStage(0.002); 4],
             );
-            let parallel = mk_sim()
-                .with_config(ClusterConfig {
-                    parallel: true,
-                    threads: 3,
-                })
-                .run(
-                    kind.build().as_mut(),
-                    &mut mk_pol(),
-                    &mut [FixedStage(0.002); 4],
-                );
-            prop_assert_eq!(&serial, &parallel);
-            prop_assert_eq!(serial.completed(), requests);
-            prop_assert_eq!(serial.disagg.handoffs as usize, requests);
-            prop_assert!(serial.disagg.kv_bytes_shipped > 0);
+            prop_assert_eq!(full.completed(), requests);
+            prop_assert_eq!(full.disagg.handoffs as usize, requests);
+            prop_assert!(full.disagg.kv_bytes_shipped > 0);
 
             // Pause mid-run, push the snapshot through JSON, resume fresh.
-            let stop_s = stop_frac * serial.total_time_s;
+            let stop_s = stop_frac * full.total_time_s;
             let paused = mk_sim().run_until(
                 kind.build().as_mut(),
                 &mut mk_pol(),
@@ -1194,7 +1160,7 @@ proptest! {
                         &mut [FixedStage(0.002); 4],
                     )
                     .expect("the snapshot matches the fleet");
-                prop_assert_eq!(&resumed, &serial);
+                prop_assert_eq!(&resumed, &full);
             }
         }
     }
@@ -1288,11 +1254,10 @@ proptest! {
 
     /// A preempting fleet is deterministic machinery end to end: on a
     /// 3-replica cluster with conversations, tiers and randomized
-    /// preemption specs, (a) serial and parallel stepping replay
-    /// byte-identically, and (b) a snapshot taken mid-run — paused
-    /// requests and multiplex slots in flight — survives the JSON wire
-    /// format and resumes to the exact uninterrupted report. Both
-    /// claims hold for every shipped router.
+    /// preemption specs, a snapshot taken mid-run — paused requests
+    /// and multiplex slots in flight — survives the JSON wire format
+    /// and resumes to the exact uninterrupted report, under every
+    /// shipped router.
     #[test]
     fn preemptive_cluster_is_deterministic_and_resumable(
         mean_in in 32u64..128,
@@ -1344,27 +1309,16 @@ proptest! {
         let configs = vec![ReplicaConfig::new(cfg); 3];
         for kind in RouterKind::ALL {
             let mk_sim = || ClusterSimulation::new(configs.clone(), mk());
-            let serial = mk_sim().with_config(ClusterConfig::serial()).run(
+            let full = mk_sim().run(
                 kind.build().as_mut(),
                 &mut mk_pol(),
                 &mut [FixedStage(0.002); 3],
             );
-            let parallel = mk_sim()
-                .with_config(ClusterConfig {
-                    parallel: true,
-                    threads: 3,
-                })
-                .run(
-                    kind.build().as_mut(),
-                    &mut mk_pol(),
-                    &mut [FixedStage(0.002); 3],
-                );
-            prop_assert_eq!(&serial, &parallel);
 
             // Pause mid-run, push the snapshot through JSON, resume
             // fresh. Paused requests and multiplex slots in flight at
             // the stop ride the snapshot.
-            let stop_s = stop_frac * serial.total_time_s;
+            let stop_s = stop_frac * full.total_time_s;
             let paused = mk_sim().run_until(
                 kind.build().as_mut(),
                 &mut mk_pol(),
@@ -1383,7 +1337,7 @@ proptest! {
                         &mut [FixedStage(0.002); 3],
                     )
                     .expect("the snapshot matches the fleet");
-                prop_assert_eq!(&resumed, &serial);
+                prop_assert_eq!(&resumed, &full);
             }
         }
     }
