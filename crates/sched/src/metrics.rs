@@ -17,8 +17,18 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
+    percentile_of_sorted(&sorted_copy(samples), p)
+}
+
+/// An ascending copy of a latency population.
+fn sorted_copy(samples: &[f64]) -> Vec<f64> {
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    sorted
+}
+
+/// [`percentile`] of an already ascending, non-empty population.
+fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -51,10 +61,11 @@ impl LatencySummary {
         if samples.is_empty() {
             return Self::default();
         }
+        let sorted = sorted_copy(samples);
         Self {
-            p50: percentile(samples, 50.0),
-            p90: percentile(samples, 90.0),
-            p99: percentile(samples, 99.0),
+            p50: percentile_of_sorted(&sorted, 50.0),
+            p90: percentile_of_sorted(&sorted, 90.0),
+            p99: percentile_of_sorted(&sorted, 99.0),
             mean: samples.iter().sum::<f64>() / samples.len() as f64,
             count: samples.len(),
         }
@@ -574,6 +585,24 @@ mod tests {
         assert!(s.p50 < s.p90 && s.p90 < s.p99);
         assert_eq!(s.count, 1000);
         assert!((s.mean - 500.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn summary_percentiles_match_percentile_bit_for_bit() {
+        // Unordered, with ties and ranks that interpolate.
+        let samples: Vec<f64> = (0..257u64)
+            .map(|i| ((i * 7919) % 101) as f64 * 1.37e-3 + (i % 3) as f64 * 1e-9)
+            .collect();
+        for n in [1, 2, 3, 10, 101, 257] {
+            let s = LatencySummary::of(&samples[..n]);
+            for (got, p) in [(s.p50, 50.0), (s.p90, 90.0), (s.p99, 99.0)] {
+                assert_eq!(
+                    got.to_bits(),
+                    percentile(&samples[..n], p).to_bits(),
+                    "n={n} p{p}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1907,13 +1907,15 @@ impl ReplicaSim {
 
         // ---- execute the stage ----
         self.shape.decode_ctx.clear();
-        self.shape
-            .decode_ctx
-            .extend(self.active.iter().map(ActiveRequest::decode_ctx));
-        // Each mux slot decodes exactly one shared row.
-        self.shape
-            .decode_ctx
-            .extend(self.mux.iter().map(MuxSlot::decode_ctx));
+        if executor.needs_shape() {
+            self.shape
+                .decode_ctx
+                .extend(self.active.iter().map(ActiveRequest::decode_ctx));
+            // Each mux slot decodes exactly one shared row.
+            self.shape
+                .decode_ctx
+                .extend(self.mux.iter().map(MuxSlot::decode_ctx));
+        }
         debug_assert_eq!(
             self.shape.prefill_len.len(),
             self.admitted.len()
@@ -1945,11 +1947,12 @@ impl ReplicaSim {
                 }
             }
         }
+        let decoding = self.active.len() + self.mux.len();
         let record = StageRecord {
             seconds: stage_seconds,
             mixed: self.shape.is_mixed(),
-            batch: self.shape.batch_size(),
-            tokens: self.shape.tokens(),
+            batch: decoding + self.shape.prefill_len.len(),
+            tokens: decoding as u64 + self.shape.prefill_len.iter().sum::<u64>(),
         };
         self.stage_stats.record(&record);
         if self.config.record_stages {

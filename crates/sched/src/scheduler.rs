@@ -14,9 +14,15 @@
 //!   peeked request), so an open-loop run over millions of requests
 //!   holds O(batch) scheduler state, not O(total requests);
 //! * each stage is announced to the executor as a [`StageDelta`]
-//!   (advance + admissions + retirements) alongside the materialized
-//!   [`StageShape`], so incremental executors price pure-decode stages
-//!   in O(1) while plain executors fall back to the shape;
+//!   (advance + admissions + retirements) alongside a [`StageShape`].
+//!   The shape's prefills are always filled; its decode contexts are
+//!   materialized only for executors whose
+//!   [`StageExecutor::needs_shape`] says they read them, so an
+//!   incremental executor prices a pure-decode stage in O(1) and the
+//!   loop around it does O(admissions + retirements) work;
+//! * a request stores the stage that prefilled it rather than a token
+//!   counter, so advancing the batch touches no request, and the
+//!   retirement sweep runs only on stages where some request is due;
 //! * per-request accounting is O(1) (first/last token timestamps);
 //!   token gaps stream into a fixed-size digest once per stage.
 
@@ -52,6 +58,12 @@ pub struct BatchCheckpoint {
 
 /// Prices one stage of work. Implemented by the system crate's
 /// execution engines; test doubles return fixed latencies.
+///
+/// The batching loops announce every stage through
+/// [`execute_delta`](Self::execute_delta). The shape they pass always
+/// carries the stage's prefills; it carries the decode contexts only
+/// when [`needs_shape`](Self::needs_shape) returns true, which it does
+/// by default.
 pub trait StageExecutor {
     /// Execute one stage and report its latency. Implementations may
     /// accumulate their own side channels (energy, breakdowns).
@@ -59,7 +71,8 @@ pub trait StageExecutor {
 
     /// Execute one stage described incrementally: `delta` is the change
     /// relative to the previously executed stage (see [`StageDelta`]
-    /// for the invariants), `shape` the materialized equivalent.
+    /// for the invariants), `shape` the materialized equivalent (whose
+    /// `decode_ctx` may be empty, see [`needs_shape`](Self::needs_shape)).
     ///
     /// Executors that carry batch state across stages override this and
     /// price pure-advance stages in O(1) from the delta; the default
@@ -67,6 +80,21 @@ pub trait StageExecutor {
     fn execute_delta(&mut self, delta: &StageDelta, shape: &StageShape) -> StageOutcome {
         let _ = delta;
         self.execute(shape)
+    }
+
+    /// Whether the next [`execute_delta`](Self::execute_delta) reads
+    /// the decode contexts of the shape it is handed. The default is
+    /// true, which suits every executor that prices shapes.
+    ///
+    /// When this returns false, the scheduler may hand over a shape
+    /// whose `decode_ctx` is empty (its prefill fields are always
+    /// filled), so the executor must price the stage from the delta
+    /// alone. It may only do so while the delta stream is unbroken:
+    /// every stage since the run's fresh delta, or since an
+    /// [`import_batch`](Self::import_batch), came through
+    /// `execute_delta`.
+    fn needs_shape(&self) -> bool {
+        true
     }
 
     /// Export the executor's carried batch state for a cluster
@@ -120,10 +148,14 @@ impl Default for SimulationConfig {
 /// make debug runs quadratic in batch x stages.
 const KV_AUDIT_PERIOD: u64 = 256;
 
+/// A request in the batch. Every request advances one token per
+/// stage, so its progress follows from the stage that prefilled it.
 #[derive(Debug)]
 struct Active {
     request: Request,
-    generated: u64,
+    /// Index of the stage that prefilled the request (and sampled its
+    /// first token).
+    prefill_stage: u64,
     first_token_s: f64,
 }
 
@@ -132,8 +164,21 @@ impl Active {
         self.request.max_kv_tokens() * bytes_per_token
     }
 
-    fn decode_ctx(&self) -> u64 {
-        self.request.input_len + self.generated
+    /// Tokens generated once stage `s` has run.
+    fn generated_after(&self, s: u64) -> u64 {
+        s - self.prefill_stage + 1
+    }
+
+    /// Context attended while decoding in stage `s` (after the prefill
+    /// stage): the prompt plus every token generated before it.
+    fn decode_ctx(&self, s: u64) -> u64 {
+        self.request.input_len + s - self.prefill_stage
+    }
+
+    /// The stage after which the request has all its tokens. A prefill
+    /// always samples one token, so `output_len == 0` finishes there too.
+    fn finish_stage(&self) -> u64 {
+        self.prefill_stage + self.request.output_len.max(1) - 1
     }
 }
 
@@ -197,10 +242,14 @@ impl Simulation {
         // the previous stage boundary and admissions of this stage.
         let mut delta = StageDelta::start();
         let mut shape = StageShape::default();
+        // Smallest finish stage in the active set: stages before it
+        // retire nothing, so they skip the sweep.
+        let mut next_due = u64::MAX;
 
         while completed.len() < self.total_requests
             && (stage_stats.stages as usize) < self.config.max_stages
         {
+            let s = stage_stats.stages;
             // Admission: FIFO, gated by batch slots and KV reservation.
             while active.len() + prefills.len() < self.config.max_batch {
                 if peeked.is_none() {
@@ -223,7 +272,7 @@ impl Simulation {
                 delta.admit.push(request.input_len);
                 prefills.push(Active {
                     request,
-                    generated: 0,
+                    prefill_stage: s,
                     first_token_s: 0.0,
                 });
             }
@@ -241,9 +290,11 @@ impl Simulation {
             }
 
             shape.decode_ctx.clear();
-            shape
-                .decode_ctx
-                .extend(active.iter().map(Active::decode_ctx));
+            if executor.needs_shape() {
+                shape
+                    .decode_ctx
+                    .extend(active.iter().map(|a| a.decode_ctx(s)));
+            }
             shape.prefill_len.clear();
             shape
                 .prefill_len
@@ -253,9 +304,9 @@ impl Simulation {
             clock += outcome.seconds;
             let record = StageRecord {
                 seconds: outcome.seconds,
-                mixed: shape.is_mixed(),
-                batch: shape.batch_size(),
-                tokens: shape.tokens(),
+                mixed: !prefills.is_empty(),
+                batch: active.len() + prefills.len(),
+                tokens: active.len() as u64 + shape.prefill_len.iter().sum::<u64>(),
             };
             stage_stats.record(&record);
             if self.config.record_stages {
@@ -266,28 +317,32 @@ impl Simulation {
             // emitted their previous token at the last stage boundary):
             // one digest update covers the stage.
             tbt_digest.record_n(outcome.seconds, active.len() as u64);
-            for a in &mut active {
-                a.generated += 1;
-            }
             for mut p in prefills.drain(..) {
-                p.generated = 1;
                 p.first_token_s = clock;
+                next_due = next_due.min(p.finish_stage());
                 active.push(p);
             }
-            let mut i = 0;
-            while i < active.len() {
-                if active[i].generated >= active[i].request.output_len {
-                    let done = active.swap_remove(i);
-                    reserved -= done.kv_reserved(self.config.kv_bytes_per_token);
-                    delta.retire.push(done.decode_ctx());
-                    completed.push(RequestRecord {
-                        first_token_s: done.first_token_s,
-                        last_token_s: clock,
-                        tokens: done.generated,
-                        request: done.request,
-                    });
-                } else {
-                    i += 1;
+            if next_due <= s {
+                // Retire every request that has all its tokens, and
+                // find the next one due among the rest.
+                next_due = u64::MAX;
+                let mut i = 0;
+                while i < active.len() {
+                    let finish = active[i].finish_stage();
+                    if finish <= s {
+                        let done = active.swap_remove(i);
+                        reserved -= done.kv_reserved(self.config.kv_bytes_per_token);
+                        delta.retire.push(done.decode_ctx(s + 1));
+                        completed.push(RequestRecord {
+                            first_token_s: done.first_token_s,
+                            last_token_s: clock,
+                            tokens: done.generated_after(s),
+                            request: done.request,
+                        });
+                    } else {
+                        next_due = next_due.min(finish);
+                        i += 1;
+                    }
                 }
             }
             if cfg!(debug_assertions) && stage_stats.stages % KV_AUDIT_PERIOD == 0 {
@@ -298,6 +353,15 @@ impl Simulation {
                         .map(|a| a.kv_reserved(self.config.kv_bytes_per_token))
                         .sum::<u64>(),
                     "incremental KV reservation drifted from the active set"
+                );
+                debug_assert_eq!(
+                    next_due,
+                    active
+                        .iter()
+                        .map(Active::finish_stage)
+                        .min()
+                        .unwrap_or(u64::MAX),
+                    "next_due drifted from the active set"
                 );
             }
         }
@@ -471,6 +535,109 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, want);
             assert_eq!(delta.admit, shape.prefill_len);
+        }
+    }
+
+    /// A closed-loop run over explicit `(input, output)` lengths, in
+    /// admission order.
+    fn trace_sim(max_batch: usize, lens: &[(u64, u64)]) -> Simulation {
+        let requests = lens
+            .iter()
+            .map(|&(input_len, output_len)| crate::trace::TraceRequest {
+                arrival_s: 0.0,
+                input_len,
+                output_len,
+            })
+            .collect();
+        Simulation {
+            config: config(max_batch),
+            source: RequestSource::new(Workload::fixed(1, 1), Arrivals::trace(requests)),
+            total_requests: lens.len(),
+        }
+    }
+
+    /// The full-sweep rule: after every stage each request advances one
+    /// token, the stage's prefills join the batch with one token, and a
+    /// `swap_remove` scan over the whole batch retires every request
+    /// with all its tokens. Returns the completed ids in order and,
+    /// per stage, the post-advance contexts it retired.
+    fn full_sweep(max_batch: usize, lens: &[(u64, u64)]) -> (Vec<u64>, Vec<Vec<u64>>) {
+        // (id, input, output, generated)
+        let mut active: Vec<(u64, u64, u64, u64)> = Vec::new();
+        let (mut next, mut completed, mut retired) = (0, Vec::new(), Vec::new());
+        while completed.len() < lens.len() {
+            let admit = (max_batch - active.len()).min(lens.len() - next);
+            for a in &mut active {
+                a.3 += 1;
+            }
+            for (id, &(input, output)) in lens.iter().enumerate().skip(next).take(admit) {
+                active.push((id as u64, input, output, 1));
+            }
+            next += admit;
+            let mut stage = Vec::new();
+            let mut i = 0;
+            while i < active.len() {
+                if active[i].3 >= active[i].2 {
+                    let (id, input, _, generated) = active.swap_remove(i);
+                    stage.push(input + generated);
+                    completed.push(id);
+                } else {
+                    i += 1;
+                }
+            }
+            retired.push(stage);
+        }
+        (completed, retired)
+    }
+
+    fn assert_full_sweep_order(max_batch: usize, lens: &[(u64, u64)]) {
+        let mut rec = Recording::new();
+        let report = trace_sim(max_batch, lens).run(&mut rec);
+        let (ids, retired) = full_sweep(max_batch, lens);
+        let got: Vec<u64> = report.completed.iter().map(|r| r.request.id).collect();
+        assert_eq!(got, ids, "completion order");
+        assert_eq!(rec.deltas.len(), retired.len(), "stage count");
+        // Stage k's retirements ride the delta of stage k + 1; the last
+        // stage's are never announced.
+        for k in 1..retired.len() {
+            assert_eq!(rec.deltas[k].retire, retired[k - 1], "delta {k}");
+        }
+        for r in &report.completed {
+            assert_eq!(r.tokens, r.request.output_len.max(1));
+        }
+    }
+
+    #[test]
+    fn retirement_order_follows_the_full_sweep() {
+        // Single-token requests 1 and 6 retire on their prefill
+        // stages; 0, 4 and 2 finish together on stage 2, and 3 with 7
+        // on stage 4, so the swap_remove scan reorders the batch.
+        let lens: Vec<(u64, u64)> = [3, 1, 3, 5, 3, 5, 1, 2]
+            .into_iter()
+            .zip(10..)
+            .map(|(output, input)| (input, output))
+            .collect();
+        let mut rec = Recording::new();
+        let report = trace_sim(5, &lens).run(&mut rec);
+        let ids: Vec<u64> = report.completed.iter().map(|r| r.request.id).collect();
+        assert_eq!(ids, vec![1, 0, 4, 2, 6, 3, 7, 5]);
+        let retires: Vec<&[u64]> = rec.deltas.iter().map(|d| &d.retire[..]).collect();
+        assert_eq!(
+            retires,
+            vec![&[][..], &[12], &[], &[13, 17, 15], &[17], &[18, 19]],
+        );
+        assert_full_sweep_order(5, &lens);
+    }
+
+    #[test]
+    fn retirement_order_follows_the_full_sweep_on_mixed_lengths() {
+        // Pseudo-random lengths with many length-1 and tied finishes.
+        let lens: Vec<(u64, u64)> = (0..97u64)
+            .map(|i| (8 + (i * 37) % 53, 1 + (i * 7919) % 5 * ((i % 3) + 1) / 2))
+            .collect();
+        assert!(lens.iter().filter(|l| l.1 == 1).count() > 10);
+        for max_batch in [1, 3, 8, 32] {
+            assert_full_sweep_order(max_batch, &lens);
         }
     }
 

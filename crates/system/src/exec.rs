@@ -57,7 +57,12 @@
 //! reproduces the full path's cost to the bit (debug builds check this
 //! against the scheduler's shape on every mixed stage). Sampled expert
 //! routing disables the incremental path entirely, since its
-//! histograms are per-stage draws. See [`crate::incremental`] for the
+//! histograms are per-stage draws: it prices a shape materialized
+//! from the carried groups, which groups exactly like the scheduler's.
+//! Because no stage needs the scheduler's decode contexts, release
+//! builds answer [`StageExecutor::needs_shape`] with false while the
+//! delta stream is unbroken, and the batching loops skip building
+//! them. See [`crate::incremental`] for the
 //! state machine and the exactness argument, and
 //! `tests/prop_cross_crate.rs` for the trace-equivalence property
 //! tests.
@@ -745,8 +750,8 @@ impl SystemExecutor {
     /// changes rebuild the template from the carried groups; mixed
     /// stages are priced from the carried groups plus the delta's
     /// prefills, bit-identically to the grouped full path; sampled
-    /// expert routing falls back to the full path on a materialized
-    /// shape.
+    /// expert routing falls back to the full path on a shape
+    /// materialized from the carried groups.
     ///
     /// # Panics
     ///
@@ -758,23 +763,21 @@ impl SystemExecutor {
         self.stage_cost_delta_inner(delta, None)
     }
 
-    /// The delta-path body. `known_shape`, when provided (the scheduler
-    /// already materialized this stage's shape), saves the sampled-
-    /// routing fallback from re-materializing one from the carried
-    /// groups, and debug builds check carried mixed stages against it.
+    /// The delta-path body. Debug builds check carried mixed stages
+    /// against `debug_shape`, the scheduler's materialized shape for
+    /// this stage, when one is provided.
     fn stage_cost_delta_inner(
         &mut self,
         delta: &StageDelta,
-        known_shape: Option<&StageShape>,
+        debug_shape: Option<&StageShape>,
     ) -> StageCost {
         let membership_changed = self.batch.apply(delta);
         if self.router.mode() != RoutingMode::Expected {
             // Sampled histograms are per-stage draws from the executor's
-            // RNG: price the materialized shape, drawing in shape order.
+            // RNG, and each draw depends only on the stage's token
+            // count; grouping sorts contexts and prefill keys, so the
+            // carried groups price exactly like the scheduler's shape.
             self.template = None;
-            if let Some(shape) = known_shape {
-                return self.stage_cost_impl(shape, true);
-            }
             let mut shape = std::mem::take(&mut self.shape_scratch);
             self.batch.fill_shape(&mut shape, delta);
             let cost = self.stage_cost_impl(&shape, true);
@@ -787,7 +790,7 @@ impl SystemExecutor {
             self.template = None;
             let cost = self.stage_cost_carried(delta);
             if cfg!(debug_assertions) {
-                if let Some(shape) = known_shape {
+                if let Some(shape) = debug_shape {
                     debug_assert_eq!(
                         cost,
                         self.stage_cost_impl(shape, true),
@@ -1444,6 +1447,13 @@ impl StageExecutor for SystemExecutor {
         StageOutcome {
             seconds: cost.seconds,
         }
+    }
+
+    /// The carried batch state prices every stage on an unbroken delta
+    /// stream. The decode contexts are read only to resync after a
+    /// direct `execute`, and by the debug cross-checks.
+    fn needs_shape(&self) -> bool {
+        cfg!(debug_assertions) || !self.batch.is_synced()
     }
 
     fn export_batch(&self) -> Option<BatchCheckpoint> {
