@@ -21,8 +21,11 @@
 //!   incremental executor prices a pure-decode stage in O(1) and the
 //!   loop around it does O(admissions + retirements) work;
 //! * a request stores the stage that prefilled it rather than a token
-//!   counter, so advancing the batch touches no request, and the
-//!   retirement sweep runs only on stages where some request is due;
+//!   counter, so advancing the batch touches no request;
+//! * retirement is O(retired) with O(batch) memory: a calendar queue
+//!   files every active position under its request's finish stage, and
+//!   a stage retires exactly its due positions, in the order a
+//!   `swap_remove` sweep over the whole batch would;
 //! * per-request accounting is O(1) (first/last token timestamps);
 //!   token gaps stream into a fixed-size digest once per stage.
 
@@ -182,6 +185,178 @@ impl Active {
     }
 }
 
+/// Buckets a fresh [`FinishCalendar`] starts with (a power of two).
+const CALENDAR_MIN_BUCKETS: usize = 16;
+
+/// No neighbour: the end of a bucket's list, or its head's `prev`.
+const NIL: usize = usize::MAX;
+
+/// The `prev` of a position [`FinishCalendar::take_due`] unfiled.
+const UNFILED: usize = usize::MAX - 1;
+
+/// The active set's positions filed by finish stage: a calendar queue
+/// whose bucket `f mod len` lists every position whose request finishes
+/// at a stage `f`. The lists are linked through per-position arrays
+/// that mirror the batch (see [`Self::swap_remove`]), so the calendar
+/// makes no allocation per request or per bucket. It doubles whenever
+/// it files more requests than it has buckets, so its size follows the
+/// batch, not the output horizon: finish stages a bucket count apart
+/// share a bucket, and a stage skips the entries that are not yet due.
+#[derive(Debug)]
+struct FinishCalendar {
+    /// First position of each bucket's list.
+    head: Vec<usize>,
+    /// Earliest finish stage in each bucket, `u64::MAX` when it is
+    /// empty: a stage is due iff its bucket's earliest finish is itself.
+    earliest: Vec<u64>,
+    /// Per position: the finish stage and the list neighbours.
+    finish: Vec<u64>,
+    next: Vec<usize>,
+    prev: Vec<usize>,
+}
+
+impl FinishCalendar {
+    fn new() -> Self {
+        Self {
+            head: vec![NIL; CALENDAR_MIN_BUCKETS],
+            earliest: vec![u64::MAX; CALENDAR_MIN_BUCKETS],
+            finish: Vec::new(),
+            next: Vec::new(),
+            prev: Vec::new(),
+        }
+    }
+
+    fn index(&self, finish: u64) -> usize {
+        finish as usize & (self.head.len() - 1)
+    }
+
+    /// File the request appended to the batch, which finishes at stage
+    /// `finish`.
+    fn push(&mut self, finish: u64) {
+        self.finish.push(finish);
+        self.next.push(NIL);
+        self.prev.push(NIL);
+        let len = self.finish.len();
+        if len > self.head.len() {
+            self.head = vec![NIL; 2 * self.head.len()];
+            self.earliest = vec![u64::MAX; self.head.len()];
+            (0..len).for_each(|pos| self.link(pos));
+        } else {
+            self.link(len - 1);
+        }
+    }
+
+    /// Put `pos` at the head of its bucket's list.
+    fn link(&mut self, pos: usize) {
+        let b = self.index(self.finish[pos]);
+        let first = self.head[b];
+        (self.next[pos], self.prev[pos]) = (first, NIL);
+        if first != NIL {
+            self.prev[first] = pos;
+        }
+        self.head[b] = pos;
+        self.earliest[b] = self.earliest[b].min(self.finish[pos]);
+    }
+
+    /// Point the neighbours of `pos` at `to` (`NIL` to unlink it).
+    fn relink(&mut self, pos: usize, to: usize) {
+        let (next, prev) = (self.next[pos], self.prev[pos]);
+        let b = self.index(self.finish[pos]);
+        let replacement = if to == NIL { next } else { to };
+        match prev {
+            NIL => self.head[b] = replacement,
+            _ => self.next[prev] = replacement,
+        }
+        if next != NIL {
+            self.prev[next] = if to == NIL { prev } else { to };
+        }
+    }
+
+    /// Whether some request finishes at stage `s`.
+    fn any_due(&self, s: u64) -> bool {
+        self.earliest[self.index(s)] == s
+    }
+
+    /// Unfile every request that finishes at stage `s` and leave their
+    /// positions in `due`, ascending.
+    fn take_due(&mut self, s: u64, due: &mut Vec<usize>) {
+        due.clear();
+        let b = self.index(s);
+        let (mut pos, mut earliest) = (self.head[b], u64::MAX);
+        while pos != NIL {
+            let next = self.next[pos];
+            if self.finish[pos] == s {
+                self.relink(pos, NIL);
+                self.prev[pos] = UNFILED;
+                due.push(pos);
+            } else {
+                earliest = earliest.min(self.finish[pos]);
+            }
+            pos = next;
+        }
+        self.earliest[b] = earliest;
+        due.sort_unstable();
+    }
+
+    /// Mirror `swap_remove(slot)` on the batch, whose request at `slot`
+    /// was unfiled: the tail's filing, if any, moves to `slot`.
+    fn swap_remove(&mut self, slot: usize) {
+        let tail = self.finish.len() - 1;
+        if slot != tail && self.prev[tail] != UNFILED {
+            self.relink(tail, slot);
+        }
+        self.finish.swap_remove(slot);
+        self.next.swap_remove(slot);
+        self.prev.swap_remove(slot);
+    }
+
+    /// Whether the calendar files exactly the requests whose finish
+    /// stages `finishes` lists by position (debug audits).
+    fn files_exactly(&self, finishes: &[u64]) -> bool {
+        let mut filed = 0;
+        for (b, &first) in self.head.iter().enumerate() {
+            let (mut pos, mut prev, mut earliest) = (first, NIL, u64::MAX);
+            while pos != NIL {
+                if self.prev[pos] != prev || self.index(self.finish[pos]) != b {
+                    return false;
+                }
+                earliest = earliest.min(self.finish[pos]);
+                (prev, pos) = (pos, self.next[pos]);
+                filed += 1;
+            }
+            if earliest != self.earliest[b] {
+                return false;
+            }
+        }
+        filed == finishes.len() && self.finish == finishes
+    }
+}
+
+/// Retire the requests at the sorted positions `due` from `active`, in
+/// the order a `swap_remove` sweep from position 0 over the whole batch
+/// retires them, handing each to `retire`. The sweep moves the batch's
+/// tail into every slot it empties and re-examines the slot: a due tail
+/// (the largest due position left) retires next from that slot, and a
+/// tail that is not due stays, re-filed in `calendar` under its slot.
+fn retire_due(
+    active: &mut Vec<Active>,
+    due: &[usize],
+    calendar: &mut FinishCalendar,
+    mut retire: impl FnMut(Active),
+) {
+    let (mut lo, mut hi) = (0, due.len());
+    while lo < hi {
+        let slot = due[lo];
+        retire(active.swap_remove(slot));
+        calendar.swap_remove(slot);
+        if slot != active.len() && due[hi - 1] == active.len() {
+            hi -= 1;
+        } else {
+            lo += 1;
+        }
+    }
+}
+
 /// A configured simulation, ready to run against a [`StageExecutor`].
 #[derive(Debug)]
 pub struct Simulation {
@@ -242,9 +417,10 @@ impl Simulation {
         // the previous stage boundary and admissions of this stage.
         let mut delta = StageDelta::start();
         let mut shape = StageShape::default();
-        // Smallest finish stage in the active set: stages before it
-        // retire nothing, so they skip the sweep.
-        let mut next_due = u64::MAX;
+        // Active positions by finish stage, and the positions due at
+        // the current stage (a reused buffer).
+        let mut calendar = FinishCalendar::new();
+        let mut due: Vec<usize> = Vec::new();
 
         while completed.len() < self.total_requests
             && (stage_stats.stages as usize) < self.config.max_stages
@@ -319,31 +495,23 @@ impl Simulation {
             tbt_digest.record_n(outcome.seconds, active.len() as u64);
             for mut p in prefills.drain(..) {
                 p.first_token_s = clock;
-                next_due = next_due.min(p.finish_stage());
+                calendar.push(p.finish_stage());
                 active.push(p);
             }
-            if next_due <= s {
-                // Retire every request that has all its tokens, and
-                // find the next one due among the rest.
-                next_due = u64::MAX;
-                let mut i = 0;
-                while i < active.len() {
-                    let finish = active[i].finish_stage();
-                    if finish <= s {
-                        let done = active.swap_remove(i);
-                        reserved -= done.kv_reserved(self.config.kv_bytes_per_token);
-                        delta.retire.push(done.decode_ctx(s + 1));
-                        completed.push(RequestRecord {
-                            first_token_s: done.first_token_s,
-                            last_token_s: clock,
-                            tokens: done.generated_after(s),
-                            request: done.request,
-                        });
-                    } else {
-                        next_due = next_due.min(finish);
-                        i += 1;
-                    }
-                }
+            // Retire every request that has all its tokens. Every stage
+            // is swept, so each is due exactly at its finish stage.
+            if calendar.any_due(s) {
+                calendar.take_due(s, &mut due);
+                retire_due(&mut active, &due, &mut calendar, |done| {
+                    reserved -= done.kv_reserved(self.config.kv_bytes_per_token);
+                    delta.retire.push(done.decode_ctx(s + 1));
+                    completed.push(RequestRecord {
+                        first_token_s: done.first_token_s,
+                        last_token_s: clock,
+                        tokens: done.generated_after(s),
+                        request: done.request,
+                    });
+                });
             }
             if cfg!(debug_assertions) && stage_stats.stages % KV_AUDIT_PERIOD == 0 {
                 debug_assert_eq!(
@@ -354,14 +522,10 @@ impl Simulation {
                         .sum::<u64>(),
                     "incremental KV reservation drifted from the active set"
                 );
-                debug_assert_eq!(
-                    next_due,
-                    active
-                        .iter()
-                        .map(Active::finish_stage)
-                        .min()
-                        .unwrap_or(u64::MAX),
-                    "next_due drifted from the active set"
+                let finishes: Vec<u64> = active.iter().map(Active::finish_stage).collect();
+                debug_assert!(
+                    calendar.files_exactly(&finishes),
+                    "the finish calendar drifted from the active set"
                 );
             }
         }
@@ -559,13 +723,18 @@ mod tests {
     /// The full-sweep rule: after every stage each request advances one
     /// token, the stage's prefills join the batch with one token, and a
     /// `swap_remove` scan over the whole batch retires every request
-    /// with all its tokens. Returns the completed ids in order and,
-    /// per stage, the post-advance contexts it retired.
-    fn full_sweep(max_batch: usize, lens: &[(u64, u64)]) -> (Vec<u64>, Vec<Vec<u64>>) {
+    /// with all its tokens. Runs at most `max_stages` stages. Returns
+    /// the completed ids in order and, per stage, the post-advance
+    /// contexts it retired.
+    fn full_sweep(
+        max_batch: usize,
+        max_stages: usize,
+        lens: &[(u64, u64)],
+    ) -> (Vec<u64>, Vec<Vec<u64>>) {
         // (id, input, output, generated)
         let mut active: Vec<(u64, u64, u64, u64)> = Vec::new();
         let (mut next, mut completed, mut retired) = (0, Vec::new(), Vec::new());
-        while completed.len() < lens.len() {
+        while completed.len() < lens.len() && retired.len() < max_stages {
             let admit = (max_batch - active.len()).min(lens.len() - next);
             for a in &mut active {
                 a.3 += 1;
@@ -591,9 +760,16 @@ mod tests {
     }
 
     fn assert_full_sweep_order(max_batch: usize, lens: &[(u64, u64)]) {
+        assert_sweep_order_up_to(max_batch, usize::MAX, lens);
+    }
+
+    /// [`assert_full_sweep_order`] over a run capped at `max_stages`.
+    fn assert_sweep_order_up_to(max_batch: usize, max_stages: usize, lens: &[(u64, u64)]) {
         let mut rec = Recording::new();
-        let report = trace_sim(max_batch, lens).run(&mut rec);
-        let (ids, retired) = full_sweep(max_batch, lens);
+        let mut sim = trace_sim(max_batch, lens);
+        sim.config.max_stages = max_stages;
+        let report = sim.run(&mut rec);
+        let (ids, retired) = full_sweep(max_batch, max_stages, lens);
         let got: Vec<u64> = report.completed.iter().map(|r| r.request.id).collect();
         assert_eq!(got, ids, "completion order");
         assert_eq!(rec.deltas.len(), retired.len(), "stage count");
@@ -638,6 +814,72 @@ mod tests {
         assert!(lens.iter().filter(|l| l.1 == 1).count() > 10);
         for max_batch in [1, 3, 8, 32] {
             assert_full_sweep_order(max_batch, &lens);
+        }
+    }
+
+    #[test]
+    fn retirement_order_follows_the_full_sweep_past_the_calendar_size() {
+        // Outputs longer than a fresh calendar's bucket count wrap
+        // around it, and batches larger than it make it grow while
+        // requests are filed.
+        let lens: Vec<(u64, u64)> = (0..150u64)
+            .map(|i| (16 + i % 7, 1 + (i * 7919) % 97))
+            .collect();
+        let longest = lens.iter().map(|l| l.1).max().unwrap_or(0);
+        assert!(longest > 4 * CALENDAR_MIN_BUCKETS as u64);
+        for max_batch in [1, 5, CALENDAR_MIN_BUCKETS, 40, 150] {
+            assert_full_sweep_order(max_batch, &lens);
+        }
+    }
+
+    #[test]
+    fn requests_without_decode_tokens_retire_at_their_prefill() {
+        // Every source clamps `output_len` 0 to 1: both sample their
+        // only token in the prefill stage and retire there, next to
+        // requests that keep decoding.
+        let lens = [(9, 0), (10, 3), (11, 1), (12, 0), (13, 2), (14, 1), (15, 1)];
+        let mut rec = Recording::new();
+        let report = trace_sim(4, &lens).run(&mut rec);
+        let ids: Vec<u64> = report.completed.iter().map(|r| r.request.id).collect();
+        assert_eq!(ids, vec![0, 3, 2, 5, 6, 1, 4]);
+        for max_batch in [1, 2, 4, 7] {
+            assert_full_sweep_order(max_batch, &lens);
+        }
+    }
+
+    #[test]
+    fn due_tails_retire_from_the_slot_they_move_into() {
+        // Stage 1 retires position 0, then the due tail (position 3)
+        // that the sweep moves into it; the survivors trade places, so
+        // on stage 4 request 2 retires before request 1.
+        let lens = [(10, 2), (11, 5), (12, 5), (13, 2)];
+        let mut rec = Recording::new();
+        let report = trace_sim(4, &lens).run(&mut rec);
+        let ids: Vec<u64> = report.completed.iter().map(|r| r.request.id).collect();
+        assert_eq!(ids, vec![0, 3, 2, 1]);
+        assert_eq!(rec.deltas[2].retire, vec![12, 15]);
+        // Chains of due tails, with a non-due request between them.
+        let lens = [
+            (10, 2),
+            (11, 5),
+            (12, 2),
+            (13, 2),
+            (14, 2),
+            (15, 4),
+            (16, 2),
+        ];
+        for max_batch in [3, 5, 7] {
+            assert_full_sweep_order(max_batch, &lens);
+        }
+    }
+
+    #[test]
+    fn truncated_runs_follow_the_full_sweep() {
+        let lens: Vec<(u64, u64)> = (0..60u64)
+            .map(|i| (8 + i % 11, 1 + (i * 31) % 23))
+            .collect();
+        for (max_batch, max_stages) in [(1, 7), (4, 1), (4, 13), (16, 30), (32, 2)] {
+            assert_sweep_order_up_to(max_batch, max_stages, &lens);
         }
     }
 

@@ -144,7 +144,16 @@ pub struct RequestSource {
 
 impl RequestSource {
     /// Create a source; request ids start at 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an arrival rate is not positive (NaN included), a
+    /// bursty phase duration is not positive, or a diurnal period or
+    /// amplitude is out of range.
     pub fn new(workload: Workload, arrivals: Arrivals) -> Self {
+        if let Arrivals::Poisson { qps } = &arrivals {
+            assert!(*qps > 0.0, "qps must be positive");
+        }
         if let Arrivals::Bursty {
             base_qps,
             burst_qps,
@@ -276,7 +285,6 @@ impl RequestSource {
         let arrival_s = match self.arrivals {
             Arrivals::ClosedLoop => 0.0,
             Arrivals::Poisson { qps } => {
-                assert!(qps > 0.0, "qps must be positive");
                 self.clock += exp_sample(&mut self.rng, qps);
                 self.clock
             }
@@ -574,5 +582,17 @@ mod tests {
         let mut s = RequestSource::new(Workload::fixed(1, 1), Arrivals::trace(trace));
         s.next_request();
         s.next_request();
+    }
+
+    #[test]
+    #[should_panic(expected = "qps must be positive")]
+    fn zero_poisson_rate_fails_at_construction() {
+        RequestSource::new(Workload::fixed(8, 2), Arrivals::Poisson { qps: 0.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "qps must be positive")]
+    fn nan_poisson_rate_fails_at_construction() {
+        RequestSource::new(Workload::fixed(8, 2), Arrivals::Poisson { qps: f64::NAN });
     }
 }

@@ -26,10 +26,12 @@
 //! * kernel pricing underneath goes straight to the roofline math
 //!   (`duplex_compute::Engine::kernel_cost_uncached` and friends): a
 //!   price is a handful of multiplies, cheaper than probing the
-//!   engines' memo table, so the executor memoizes only *aggregates*,
+//!   engines' memo table. The executor memoizes *aggregates* instead,
 //!   which under expected-value routing depend on token counts alone:
 //!   a decode stage's FC/MoE/communication constants, and any stage's
-//!   MoE cost.
+//!   MoE cost. The full path ([`SystemExecutor::stage_cost`]) and the
+//!   reference path price every attention group afresh; only the
+//!   carried mixed path below caches per-group attention prices.
 //!
 //! **Invariants.** Grouping is a pure batching of identical work: for
 //! any stage shape and system, the fast path's [`StageCost`] equals the
@@ -52,13 +54,22 @@
 //! carried groups. Mixed stages are priced from the carried groups
 //! too: the delta's prefills are grouped alongside them, and the
 //! grouped pricing runs with the memoized MoE cost, so no shape is
-//! materialized, sorted or regrouped. That path feeds the same groups
-//! in the same order to the same code as the grouped full path, so it
-//! reproduces the full path's cost to the bit (debug builds check this
-//! against the scheduler's shape on every mixed stage). Sampled expert
-//! routing disables the incremental path entirely, since its
-//! histograms are per-stage draws: it prices a shape materialized
-//! from the carried groups, which groups exactly like the scheduler's.
+//! materialized, sorted or regrouped. Consecutive mixed stages share
+//! almost all of their groups, and a group's per-device attention
+//! price is a pure function of its context (decode) or its
+//! `(len, past)` (prefill), so within a run of carried stages the path
+//! takes them from two bounded direct-mapped caches (512 decode and
+//! 256 prefill slots, allocated on first use; a hit compares the whole
+//! key and returns the bits a fresh pricing would). A carried stage
+//! right after a template-priced one prices afresh: all its contexts
+//! have moved on since the last carried stage. The path feeds the same
+//! groups in the same order to the same code as the grouped full path,
+//! so it reproduces the full path's cost to the bit (debug builds check
+//! this against the uncached full path on the scheduler's shape on
+//! every mixed stage). Sampled expert routing disables the incremental
+//! path entirely, since its histograms are per-stage draws: it prices
+//! a shape materialized from the carried groups, which groups exactly
+//! like the scheduler's.
 //! Because no stage needs the scheduler's decode contexts, release
 //! builds answer [`StageExecutor::needs_shape`] with false while the
 //! delta stream is unbroken, and the batching loops skip building
@@ -436,6 +447,102 @@ struct MoeCost {
 /// Safety valve for the stage-consts and MoE memos.
 const STAGE_CONSTS_MAX_ENTRIES: usize = 1 << 16;
 
+/// Slots of the carried path's decode-group price cache (a power of
+/// two). Slots follow the context, so a stage's decode groups, whose
+/// contexts span less than this, never evict each other.
+const DECODE_PRICE_SLOTS: usize = 512;
+
+/// Slots of the carried path's prefill-group price cache (a power of
+/// two).
+const PREFILL_PRICE_SLOTS: usize = 256;
+
+/// A key of a [`PriceCache`]: where it lives, and for every slot a key
+/// that lives elsewhere, which marks the slot empty.
+trait SlotKey: Copy + Eq {
+    /// The key's hash; the cache reduces it modulo its slot count.
+    fn slot_hash(self) -> u64;
+
+    /// A key that no lookup landing in `slot` can match, because its
+    /// own slot differs (in any cache of two or more slots).
+    fn vacant(slot: usize) -> Self;
+}
+
+/// Decode groups are keyed by context, which is also their slot hash.
+impl SlotKey for u64 {
+    fn slot_hash(self) -> u64 {
+        self
+    }
+
+    fn vacant(slot: usize) -> Self {
+        slot as u64 + 1
+    }
+}
+
+/// Prefill groups are keyed by `(len, past)`; a fresh prompt's slot
+/// hash is its length, so a stage's distinct lengths rarely collide.
+impl SlotKey for (u64, u64) {
+    fn slot_hash(self) -> u64 {
+        self.0
+            .wrapping_add(self.1.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    fn vacant(slot: usize) -> Self {
+        (slot as u64 + 1, 0)
+    }
+}
+
+/// A fixed-size, direct-mapped memo of per-device attention prices:
+/// each key owns one slot, and a miss overwrites whatever held it. A
+/// hit compares the whole key, so it returns exactly the bits the
+/// pricer produced for that key.
+#[derive(Debug)]
+struct PriceCache<K> {
+    slots: Box<[(K, KernelCost)]>,
+}
+
+impl<K: SlotKey> PriceCache<K> {
+    fn new(slots: usize) -> Self {
+        debug_assert!(slots.is_power_of_two() && slots >= 2);
+        Self {
+            slots: (0..slots)
+                .map(|slot| (K::vacant(slot), KernelCost::zero()))
+                .collect(),
+        }
+    }
+
+    /// The price of `key`: cached, or computed by `price` and cached.
+    #[inline]
+    fn get_or_price(&mut self, key: K, price: impl FnOnce() -> KernelCost) -> KernelCost {
+        let mask = self.slots.len() - 1;
+        let slot = &mut self.slots[key.slot_hash() as usize & mask];
+        if slot.0 != key {
+            *slot = (key, price());
+        }
+        slot.1
+    }
+}
+
+/// Per-group attention prices of stages priced from the carried batch
+/// state (see [`SystemExecutor::stage_cost_carried`]). A group's price
+/// is a pure function of its context, or of a prefill's `(len, past)`,
+/// and consecutive mixed stages share almost all of their groups.
+#[derive(Debug)]
+struct AttnCaches {
+    /// Decode groups by context.
+    decode: PriceCache<u64>,
+    /// Prefill groups by `(len, past)`.
+    prefill: PriceCache<(u64, u64)>,
+}
+
+impl AttnCaches {
+    fn new() -> Self {
+        Self {
+            decode: PriceCache::new(DECODE_PRICE_SLOTS),
+            prefill: PriceCache::new(PREFILL_PRICE_SLOTS),
+        }
+    }
+}
+
 /// Executes stages for one system; implements
 /// [`duplex_sched::StageExecutor`].
 #[derive(Debug)]
@@ -472,6 +579,9 @@ pub struct SystemExecutor {
     fc_scratch: Vec<FcOp>,
     /// Reused expert histogram for stage-consts computation.
     hist_scratch: Vec<u64>,
+    /// Attention price caches of the carried mixed path, allocated by
+    /// the first carried stage that uses them.
+    attn_caches: Option<Box<AttnCaches>>,
 }
 
 impl SystemExecutor {
@@ -552,6 +662,7 @@ impl SystemExecutor {
             prefill_keys: Vec::new(),
             fc_scratch: Vec::new(),
             hist_scratch: Vec::new(),
+            attn_caches: None,
         }
     }
 
@@ -787,8 +898,11 @@ impl SystemExecutor {
         if !delta.admit.is_empty() || !delta.chunk.is_empty() || self.batch.reqs() == 0 {
             // The template was not advanced through this stage; the
             // next decode stage rebuilds it from the carried groups.
-            self.template = None;
-            let cost = self.stage_cost_carried(delta);
+            // Only a run of carried stages reuses group prices: after a
+            // template-priced stage every context has moved on, so
+            // cache lookups would only miss.
+            let in_run = self.template.take().is_none();
+            let cost = self.stage_cost_carried(delta, in_run);
             if cfg!(debug_assertions) {
                 if let Some(shape) = debug_shape {
                     debug_assert_eq!(
@@ -955,8 +1069,14 @@ impl SystemExecutor {
     /// exactly as if they had been assigned one by one: a rotating
     /// per-class cursor tracks where the next request would land. Also
     /// finds the representative (most-loaded, last on ties) node's FC
-    /// tokens and LM-head rows.
-    fn price_attention<D>(&self, decode: D, prefill: &[AttnOp]) -> AttnPriced
+    /// tokens and LM-head rows. With `caches`, each group's per-device
+    /// price comes from them (bit-identical to pricing it afresh).
+    fn price_attention<D>(
+        &self,
+        decode: D,
+        prefill: &[AttnOp],
+        mut caches: Option<&mut AttnCaches>,
+    ) -> AttnPriced
     where
         D: Iterator<Item = (u64, u64)> + Clone,
     {
@@ -984,7 +1104,10 @@ impl SystemExecutor {
                     continue;
                 }
                 let mult_f = cnt as f64;
-                let c = decode_pricer.cost(ctx);
+                let c = match caches.as_deref_mut() {
+                    Some(caches) => caches.decode.get_or_price(ctx, || decode_pricer.cost(ctx)),
+                    None => decode_pricer.cost(ctx),
+                };
                 dec += c.seconds * mult_f;
                 out.energy.add_attn(&c.scaled(tp * mult_f));
                 decode_tokens += cnt;
@@ -999,7 +1122,12 @@ impl SystemExecutor {
                     continue;
                 }
                 let mult_f = cnt as f64;
-                let c = self.attn_cost(prefill_engine, op, tp_attn);
+                let c = match caches.as_deref_mut() {
+                    Some(caches) => caches.prefill.get_or_price((op.ctx, op.past), || {
+                        self.attn_cost(prefill_engine, op, tp_attn)
+                    }),
+                    None => self.attn_cost(prefill_engine, op, tp_attn),
+                };
                 pre += c.seconds * mult_f;
                 out.energy.add_attn(&c.scaled(tp * mult_f));
                 prefill_tokens += op.ctx * cnt;
@@ -1078,7 +1206,7 @@ impl SystemExecutor {
         let (decode, prefill) = work
             .attn
             .split_at(work.attn.partition_point(|op| op.decode));
-        let attn = self.price_attention(decode.iter().map(|op| (op.ctx, op.reqs)), prefill);
+        let attn = self.price_attention(decode.iter().map(|op| (op.ctx, op.reqs)), prefill, None);
         let key = ConstsKey {
             m_fc: attn.m_fc,
             lm_rows: attn.lm_rows,
@@ -1115,12 +1243,13 @@ impl SystemExecutor {
     /// Price a stage the decode template cannot (it prefills, or no
     /// request decodes) straight from the carried decode groups and the
     /// delta's prefills, under expected-value routing. No shape is
-    /// materialized, sorted or regrouped, and the MoE cost comes from
-    /// the memo. The groups are the ones
+    /// materialized, sorted or regrouped, the MoE cost comes from the
+    /// memo, and with `cached` each group's attention price comes from
+    /// the bounded [`AttnCaches`]. The groups are the ones
     /// [`enumerate_stage_into`] builds from the materialized shape, in
     /// the same order, and feed the same pricing code, so the cost
     /// equals the grouped full path's to the bit.
-    fn stage_cost_carried(&mut self, delta: &StageDelta) -> StageCost {
+    fn stage_cost_carried(&mut self, delta: &StageDelta, cached: bool) -> StageCost {
         let keys = &mut self.prefill_keys;
         keys.clear();
         keys.extend(
@@ -1135,7 +1264,16 @@ impl SystemExecutor {
         prefill.clear();
         push_prefill_groups(&self.model, keys, &mut prefill);
         let prefill_tokens: u64 = keys.iter().map(|&(len, _, _)| len).sum();
-        let priced = self.price_attention(self.batch.groups().iter(), &prefill);
+        let mut caches = cached.then(|| {
+            self.attn_caches
+                .take()
+                .unwrap_or_else(|| Box::new(AttnCaches::new()))
+        });
+        let priced =
+            self.price_attention(self.batch.groups().iter(), &prefill, caches.as_deref_mut());
+        if caches.is_some() {
+            self.attn_caches = caches;
+        }
         self.prefill_scratch = prefill;
         let decode_tokens = self.batch.reqs();
         let consts = self.stage_consts(ConstsKey {
@@ -1153,6 +1291,8 @@ impl SystemExecutor {
     /// price kernels uncached (the roofline math is cheaper than a memo
     /// probe), so for simulator runs this reports `(0, 0)`; it stays
     /// for callers that price kernels through the engines directly.
+    /// The carried mixed path's per-group attention caches are the
+    /// executor's own and are not counted here.
     pub fn price_cache_stats(&self) -> (u64, u64) {
         let (mut h, mut m) = self.xpu.cache_stats();
         if let Some(pim) = &self.pim {
@@ -1963,8 +2103,13 @@ mod tests {
         // Admissions with and without resident past (one of 200k
         // tokens), held chunks, retirements alongside joins and an
         // emptied batch: every stage the template does not price must
-        // cost exactly what the grouped full path charges for the
-        // materialized shape.
+        // cost exactly what a fresh grouped full path charges for the
+        // materialized shape. Every admitting stage also forces the
+        // carried path's price caches to collide: prompts one decode
+        // cache size apart decode in one slot for the rest of their
+        // lives, and admissions and a held chunk share a prefill slot.
+        let prefill_slot =
+            |len: u64, past: u64| (len, past).slot_hash() as usize % PREFILL_PRICE_SLOTS;
         let cases = [
             (SystemConfig::gpu(4, 1), ModelConfig::mixtral_8x7b()),
             (SystemConfig::duplex(4, 1), ModelConfig::mixtral_8x7b()),
@@ -1984,7 +2129,6 @@ mod tests {
         ];
         for (system, model) in cases {
             let mut carried = SystemExecutor::new(system.clone(), model.clone(), 1);
-            let mut full = SystemExecutor::new(system.clone(), model, 1);
             let mut seed = 0x2545_F491_4F6C_DD1Du64;
             let mut draw = |n: u64| {
                 seed ^= seed << 13;
@@ -1994,7 +2138,7 @@ mod tests {
             };
             let (mut mirror, mut pending): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
             let mut delta = duplex_sched::StageDelta::start();
-            let mut mixed_stages = 0;
+            let (mut mixed_stages, mut decode_collisions) = (0, 0);
             for stage in 0..80 {
                 for c in &mut mirror {
                     *c += 1;
@@ -2021,6 +2165,22 @@ mod tests {
                         delta.admit.push(64);
                         delta.admit_ctx.push(200_000);
                     }
+                    let len = 1 + draw(300);
+                    for l in [
+                        len,
+                        len + DECODE_PRICE_SLOTS as u64,
+                        len + PREFILL_PRICE_SLOTS as u64,
+                    ] {
+                        delta.admit.push(l);
+                        if reuse {
+                            delta.admit_ctx.push(l);
+                        }
+                    }
+                    let chunk_len = 1 + draw(300);
+                    let past = (draw(900)..)
+                        .find(|&p| prefill_slot(chunk_len, p) == prefill_slot(len, 0))
+                        .expect("every slot is reachable");
+                    delta.chunk.push((chunk_len, past));
                 }
                 if stage % 4 == 2 {
                     delta.chunk.push((1 + draw(256), draw(700)));
@@ -2033,8 +2193,14 @@ mod tests {
                 for &(len, past) in &delta.chunk {
                     shape.push_prefill(len, past, true);
                 }
+                if mirror
+                    .iter()
+                    .any(|c| mirror.contains(&(c + DECODE_PRICE_SLOTS as u64)))
+                {
+                    decode_collisions += 1;
+                }
                 let a = carried.stage_cost_delta(&delta);
-                let b = full.stage_cost(&shape);
+                let b = SystemExecutor::new(system.clone(), model.clone(), 1).stage_cost(&shape);
                 if shape.is_mixed() || mirror.is_empty() {
                     mixed_stages += 1;
                     assert_same_bits(&a, &b, &format!("{} stage {stage}", system.name));
@@ -2044,6 +2210,11 @@ mod tests {
                 delta.clear();
             }
             assert!(mixed_stages > 50, "{}: {mixed_stages} mixed", system.name);
+            assert!(
+                decode_collisions > 40,
+                "{}: {decode_collisions} stages decode in a shared slot",
+                system.name
+            );
         }
     }
 
