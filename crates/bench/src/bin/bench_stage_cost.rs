@@ -9,20 +9,23 @@
 //! * **delta** — `SystemExecutor::stage_cost_delta(&StageDelta)`: the
 //!   incremental path, carrying batch state across stages and pricing
 //!   pure-advance decode stages in O(1) and mixed stages from the
-//!   carried groups with memoized stage constants and cached per-group
-//!   attention prices.
+//!   carried groups with memoized stage constants (for `mixed`, every
+//!   stage admits the class's prefill and retires the previous one as
+//!   it joins, so each stage has the full path's shape).
 //!
 //! Classes:
 //!
 //! * `decode_only` — Mixtral-8x7B, batch 64, contexts advancing from
 //!   2048 (Duplex+PE+ET, the busiest Fig. 11 system);
-//! * `mixed` — the full path prices the same stage with one 2048-token
-//!   prefill riding along; the delta path prices the stage stream of a
-//!   saturated open-loop run instead (batch 256, Gaussian 128-token
-//!   prompts and 32-token outputs, Poisson at 50k qps): ~67 decode
-//!   groups, ~8 admissions and ~8 retirements per stage, the shape of
-//!   `perfbench`'s `prefill_open`;
+//! * `mixed` — the same stage with one 2048-token prefill riding along;
 //! * `moe_heavy` — GLaM (64 experts, 8-device node), batch 128.
+//!
+//! One more entry, `open_loop_delta`, prices through the delta path
+//! the recorded stage stream of a saturated open-loop run on the
+//! `mixed` system (batch 256, Gaussian 128-token prompts and 32-token
+//! outputs, Poisson at 50k qps): ~67 decode groups, ~8 admissions and
+//! ~8 retirements per stage, the shape of `perfbench`'s
+//! `prefill_open`.
 //!
 //! Contexts advance every stage, as in a real decode loop, so the
 //! numbers include cold kernel pricings, not just cache hits. Results
@@ -46,24 +49,7 @@ struct ShapeClass {
     batch: usize,
     start_ctx: u64,
     prefill: Option<u64>,
-    /// The delta path prices a recorded open-loop stage stream instead
-    /// of the class's advancing cohort.
-    open_loop: Option<OpenLoop>,
 }
-
-/// A saturated open-loop run whose stage stream the delta path prices:
-/// arrivals far above what `batch` serves, so admission is
-/// batch-limited and nearly every stage admits and retires requests.
-struct OpenLoop {
-    batch: usize,
-    mean_input: u64,
-    mean_output: u64,
-    qps: f64,
-}
-
-/// Stages of the recorded open-loop stream; the measurement replays it
-/// in a loop, each replay starting from its fresh first delta.
-const OPEN_LOOP_STAGES: usize = 4096;
 
 fn classes() -> Vec<ShapeClass> {
     vec![
@@ -74,7 +60,6 @@ fn classes() -> Vec<ShapeClass> {
             batch: 64,
             start_ctx: 2048,
             prefill: None,
-            open_loop: None,
         },
         ShapeClass {
             name: "mixed",
@@ -83,12 +68,6 @@ fn classes() -> Vec<ShapeClass> {
             batch: 63,
             start_ctx: 2048,
             prefill: Some(2048),
-            open_loop: Some(OpenLoop {
-                batch: 256,
-                mean_input: 128,
-                mean_output: 32,
-                qps: 50_000.0,
-            }),
         },
         ShapeClass {
             name: "moe_heavy",
@@ -97,7 +76,6 @@ fn classes() -> Vec<ShapeClass> {
             batch: 128,
             start_ctx: 1024,
             prefill: None,
-            open_loop: None,
         },
     ]
 }
@@ -125,70 +103,10 @@ fn measure_full(class: &ShapeClass, stages: u64) -> f64 {
     stages as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Executor that prices stages on a [`SystemExecutor`] and keeps a copy
-/// of every delta it is handed.
-struct Recorder {
-    inner: SystemExecutor,
-    deltas: Vec<StageDelta>,
-}
-
-impl StageExecutor for Recorder {
-    fn execute(&mut self, shape: &StageShape) -> StageOutcome {
-        self.inner.execute(shape)
-    }
-
-    fn execute_delta(&mut self, delta: &StageDelta, shape: &StageShape) -> StageOutcome {
-        self.deltas.push(delta.clone());
-        self.inner.execute_delta(delta, shape)
-    }
-
-    fn needs_shape(&self) -> bool {
-        self.inner.needs_shape()
-    }
-}
-
-/// The first [`OPEN_LOOP_STAGES`] deltas of `run` on `class`'s system.
-fn record_open_loop(class: &ShapeClass, run: &OpenLoop) -> Vec<StageDelta> {
-    let inner = SystemExecutor::new(class.system.clone(), class.model.clone(), 7);
-    let config = SimulationConfig {
-        max_batch: run.batch,
-        kv_capacity_bytes: inner.kv_capacity_bytes(),
-        kv_bytes_per_token: class.model.kv_bytes_per_token(),
-        max_stages: OPEN_LOOP_STAGES,
-        record_stages: false,
-    };
-    let workload = Workload::gaussian(run.mean_input, run.mean_output);
-    let mut recorder = Recorder {
-        inner,
-        deltas: Vec::new(),
-    };
-    Simulation::poisson(config, workload, run.qps, usize::MAX).run(&mut recorder);
-    recorder.deltas
-}
-
-/// Price `stages` stages of `run`'s recorded stream through the
-/// incremental delta path and return stages/s.
-fn measure_open_loop(class: &ShapeClass, run: &OpenLoop, stages: u64) -> f64 {
-    let deltas = record_open_loop(class, run);
-    let mut ex = SystemExecutor::new(class.system.clone(), class.model.clone(), 7);
-    let mut stream = deltas.iter().cycle();
-    for delta in stream.by_ref().take(deltas.len()) {
-        ex.stage_cost_delta(delta);
-    }
-    let start = Instant::now();
-    for delta in stream.take(stages as usize) {
-        ex.stage_cost_delta(delta);
-    }
-    stages as f64 / start.elapsed().as_secs_f64()
-}
-
 /// Price `stages` advancing stages through the incremental delta path
 /// (admit the cohort once, then advance it, with the class's prefill
 /// riding along on every stage) and return stages/s.
 fn measure_delta(class: &ShapeClass, stages: u64) -> f64 {
-    if let Some(run) = &class.open_loop {
-        return measure_open_loop(class, run, stages);
-    }
     let mut ex = SystemExecutor::new(class.system.clone(), class.model.clone(), 7);
     // Admit the cohort so it decodes from `start_ctx` onward, mirroring
     // the contexts the full-path measurement walks.
@@ -213,6 +131,90 @@ fn measure_delta(class: &ShapeClass, stages: u64) -> f64 {
     stages as f64 / start.elapsed().as_secs_f64()
 }
 
+/// A saturated open-loop run whose stage stream the delta path prices:
+/// arrivals far above what `batch` serves, so admission is
+/// batch-limited and nearly every stage admits and retires requests.
+struct OpenLoop {
+    model: ModelConfig,
+    system: SystemConfig,
+    batch: usize,
+    mean_input: u64,
+    mean_output: u64,
+    qps: f64,
+}
+
+fn open_loop() -> OpenLoop {
+    OpenLoop {
+        model: ModelConfig::mixtral_8x7b(),
+        system: SystemConfig::duplex_pe_et(4, 1),
+        batch: 256,
+        mean_input: 128,
+        mean_output: 32,
+        qps: 50_000.0,
+    }
+}
+
+/// Stages of the recorded open-loop stream; the measurement replays it
+/// in a loop, each replay starting from its fresh first delta.
+const OPEN_LOOP_STAGES: usize = 4096;
+
+/// Executor that prices stages on a [`SystemExecutor`] and keeps a copy
+/// of every delta it is handed.
+struct Recorder {
+    inner: SystemExecutor,
+    deltas: Vec<StageDelta>,
+}
+
+impl StageExecutor for Recorder {
+    fn execute(&mut self, shape: &StageShape) -> StageOutcome {
+        self.inner.execute(shape)
+    }
+
+    fn execute_delta(&mut self, delta: &StageDelta, shape: &StageShape) -> StageOutcome {
+        self.deltas.push(delta.clone());
+        self.inner.execute_delta(delta, shape)
+    }
+
+    fn needs_shape(&self) -> bool {
+        self.inner.needs_shape()
+    }
+}
+
+/// The first [`OPEN_LOOP_STAGES`] deltas of `run`.
+fn record_open_loop(run: &OpenLoop) -> Vec<StageDelta> {
+    let inner = SystemExecutor::new(run.system.clone(), run.model.clone(), 7);
+    let config = SimulationConfig {
+        max_batch: run.batch,
+        kv_capacity_bytes: inner.kv_capacity_bytes(),
+        kv_bytes_per_token: run.model.kv_bytes_per_token(),
+        max_stages: OPEN_LOOP_STAGES,
+        record_stages: false,
+    };
+    let workload = Workload::gaussian(run.mean_input, run.mean_output);
+    let mut recorder = Recorder {
+        inner,
+        deltas: Vec::new(),
+    };
+    Simulation::poisson(config, workload, run.qps, usize::MAX).run(&mut recorder);
+    recorder.deltas
+}
+
+/// Price `stages` stages of `run`'s recorded stream through the
+/// incremental delta path and return stages/s.
+fn measure_open_loop(run: &OpenLoop, stages: u64) -> f64 {
+    let deltas = record_open_loop(run);
+    let mut ex = SystemExecutor::new(run.system.clone(), run.model.clone(), 7);
+    let mut stream = deltas.iter().cycle();
+    for delta in stream.by_ref().take(deltas.len()) {
+        ex.stage_cost_delta(delta);
+    }
+    let start = Instant::now();
+    for delta in stream.take(stages as usize) {
+        ex.stage_cost_delta(delta);
+    }
+    stages as f64 / start.elapsed().as_secs_f64()
+}
+
 fn json_escape_free(name: &str) -> &str {
     // Class names are static identifiers; assert rather than escape.
     assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
@@ -229,11 +231,16 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut json_entries = Vec::new();
-    let mut push = |name: String, class: &ShapeClass, batch: usize, sps: f64, n: u64| {
+    let mut push = |name: String,
+                    model: &ModelConfig,
+                    system: &SystemConfig,
+                    batch: usize,
+                    sps: f64,
+                    n: u64| {
         rows.push(vec![
             name.clone(),
-            class.model.name.clone(),
-            class.system.name.clone(),
+            model.name.clone(),
+            system.name.clone(),
             batch.to_string(),
             format!("{sps:.0}"),
         ]);
@@ -241,28 +248,25 @@ fn main() {
             "    \"{}\": {{\"stages_per_sec\": {:.1}, \"model\": \"{}\", \"system\": \"{}\", \"batch\": {}, \"stages\": {}}}",
             json_escape_free(&name),
             sps,
-            class.model.name,
-            class.system.name,
+            model.name,
+            system.name,
             batch,
             n
         ));
     };
     for class in classes() {
+        let (model, system) = (&class.model, &class.system);
         let sps = measure_full(&class, stages);
-        push(class.name.to_string(), &class, class.batch, sps, stages);
+        let name = class.name.to_string();
+        push(name, model, system, class.batch, sps, stages);
         let sps = measure_delta(&class, delta_stages);
-        let batch = class
-            .open_loop
-            .as_ref()
-            .map_or(class.batch, |run| run.batch);
-        push(
-            format!("{}_delta", class.name),
-            &class,
-            batch,
-            sps,
-            delta_stages,
-        );
+        let name = format!("{}_delta", class.name);
+        push(name, model, system, class.batch, sps, delta_stages);
     }
+    let run = open_loop();
+    let sps = measure_open_loop(&run, delta_stages);
+    let name = "open_loop_delta".to_string();
+    push(name, &run.model, &run.system, run.batch, sps, delta_stages);
     print_table(
         "Stage-cost throughput (full vs incremental delta path)",
         &["Class", "Model", "System", "Batch", "stages/s"],

@@ -22,10 +22,9 @@
 //!   loop around it does O(admissions + retirements) work;
 //! * a request stores the stage that prefilled it rather than a token
 //!   counter, so advancing the batch touches no request;
-//! * retirement is O(retired) with O(batch) memory: a calendar queue
-//!   files every active position under its request's finish stage, and
-//!   a stage retires exactly its due positions, in the order a
-//!   `swap_remove` sweep over the whole batch would;
+//! * the retirement sweep runs only on stages where some request is
+//!   due, and scans a dense vector of finish stages kept beside the
+//!   batch rather than the requests themselves;
 //! * per-request accounting is O(1) (first/last token timestamps);
 //!   token gaps stream into a fixed-size digest once per stage.
 
@@ -185,178 +184,6 @@ impl Active {
     }
 }
 
-/// Buckets a fresh [`FinishCalendar`] starts with (a power of two).
-const CALENDAR_MIN_BUCKETS: usize = 16;
-
-/// No neighbour: the end of a bucket's list, or its head's `prev`.
-const NIL: usize = usize::MAX;
-
-/// The `prev` of a position [`FinishCalendar::take_due`] unfiled.
-const UNFILED: usize = usize::MAX - 1;
-
-/// The active set's positions filed by finish stage: a calendar queue
-/// whose bucket `f mod len` lists every position whose request finishes
-/// at a stage `f`. The lists are linked through per-position arrays
-/// that mirror the batch (see [`Self::swap_remove`]), so the calendar
-/// makes no allocation per request or per bucket. It doubles whenever
-/// it files more requests than it has buckets, so its size follows the
-/// batch, not the output horizon: finish stages a bucket count apart
-/// share a bucket, and a stage skips the entries that are not yet due.
-#[derive(Debug)]
-struct FinishCalendar {
-    /// First position of each bucket's list.
-    head: Vec<usize>,
-    /// Earliest finish stage in each bucket, `u64::MAX` when it is
-    /// empty: a stage is due iff its bucket's earliest finish is itself.
-    earliest: Vec<u64>,
-    /// Per position: the finish stage and the list neighbours.
-    finish: Vec<u64>,
-    next: Vec<usize>,
-    prev: Vec<usize>,
-}
-
-impl FinishCalendar {
-    fn new() -> Self {
-        Self {
-            head: vec![NIL; CALENDAR_MIN_BUCKETS],
-            earliest: vec![u64::MAX; CALENDAR_MIN_BUCKETS],
-            finish: Vec::new(),
-            next: Vec::new(),
-            prev: Vec::new(),
-        }
-    }
-
-    fn index(&self, finish: u64) -> usize {
-        finish as usize & (self.head.len() - 1)
-    }
-
-    /// File the request appended to the batch, which finishes at stage
-    /// `finish`.
-    fn push(&mut self, finish: u64) {
-        self.finish.push(finish);
-        self.next.push(NIL);
-        self.prev.push(NIL);
-        let len = self.finish.len();
-        if len > self.head.len() {
-            self.head = vec![NIL; 2 * self.head.len()];
-            self.earliest = vec![u64::MAX; self.head.len()];
-            (0..len).for_each(|pos| self.link(pos));
-        } else {
-            self.link(len - 1);
-        }
-    }
-
-    /// Put `pos` at the head of its bucket's list.
-    fn link(&mut self, pos: usize) {
-        let b = self.index(self.finish[pos]);
-        let first = self.head[b];
-        (self.next[pos], self.prev[pos]) = (first, NIL);
-        if first != NIL {
-            self.prev[first] = pos;
-        }
-        self.head[b] = pos;
-        self.earliest[b] = self.earliest[b].min(self.finish[pos]);
-    }
-
-    /// Point the neighbours of `pos` at `to` (`NIL` to unlink it).
-    fn relink(&mut self, pos: usize, to: usize) {
-        let (next, prev) = (self.next[pos], self.prev[pos]);
-        let b = self.index(self.finish[pos]);
-        let replacement = if to == NIL { next } else { to };
-        match prev {
-            NIL => self.head[b] = replacement,
-            _ => self.next[prev] = replacement,
-        }
-        if next != NIL {
-            self.prev[next] = if to == NIL { prev } else { to };
-        }
-    }
-
-    /// Whether some request finishes at stage `s`.
-    fn any_due(&self, s: u64) -> bool {
-        self.earliest[self.index(s)] == s
-    }
-
-    /// Unfile every request that finishes at stage `s` and leave their
-    /// positions in `due`, ascending.
-    fn take_due(&mut self, s: u64, due: &mut Vec<usize>) {
-        due.clear();
-        let b = self.index(s);
-        let (mut pos, mut earliest) = (self.head[b], u64::MAX);
-        while pos != NIL {
-            let next = self.next[pos];
-            if self.finish[pos] == s {
-                self.relink(pos, NIL);
-                self.prev[pos] = UNFILED;
-                due.push(pos);
-            } else {
-                earliest = earliest.min(self.finish[pos]);
-            }
-            pos = next;
-        }
-        self.earliest[b] = earliest;
-        due.sort_unstable();
-    }
-
-    /// Mirror `swap_remove(slot)` on the batch, whose request at `slot`
-    /// was unfiled: the tail's filing, if any, moves to `slot`.
-    fn swap_remove(&mut self, slot: usize) {
-        let tail = self.finish.len() - 1;
-        if slot != tail && self.prev[tail] != UNFILED {
-            self.relink(tail, slot);
-        }
-        self.finish.swap_remove(slot);
-        self.next.swap_remove(slot);
-        self.prev.swap_remove(slot);
-    }
-
-    /// Whether the calendar files exactly the requests whose finish
-    /// stages `finishes` lists by position (debug audits).
-    fn files_exactly(&self, finishes: &[u64]) -> bool {
-        let mut filed = 0;
-        for (b, &first) in self.head.iter().enumerate() {
-            let (mut pos, mut prev, mut earliest) = (first, NIL, u64::MAX);
-            while pos != NIL {
-                if self.prev[pos] != prev || self.index(self.finish[pos]) != b {
-                    return false;
-                }
-                earliest = earliest.min(self.finish[pos]);
-                (prev, pos) = (pos, self.next[pos]);
-                filed += 1;
-            }
-            if earliest != self.earliest[b] {
-                return false;
-            }
-        }
-        filed == finishes.len() && self.finish == finishes
-    }
-}
-
-/// Retire the requests at the sorted positions `due` from `active`, in
-/// the order a `swap_remove` sweep from position 0 over the whole batch
-/// retires them, handing each to `retire`. The sweep moves the batch's
-/// tail into every slot it empties and re-examines the slot: a due tail
-/// (the largest due position left) retires next from that slot, and a
-/// tail that is not due stays, re-filed in `calendar` under its slot.
-fn retire_due(
-    active: &mut Vec<Active>,
-    due: &[usize],
-    calendar: &mut FinishCalendar,
-    mut retire: impl FnMut(Active),
-) {
-    let (mut lo, mut hi) = (0, due.len());
-    while lo < hi {
-        let slot = due[lo];
-        retire(active.swap_remove(slot));
-        calendar.swap_remove(slot);
-        if slot != active.len() && due[hi - 1] == active.len() {
-            hi -= 1;
-        } else {
-            lo += 1;
-        }
-    }
-}
-
 /// A configured simulation, ready to run against a [`StageExecutor`].
 #[derive(Debug)]
 pub struct Simulation {
@@ -417,10 +244,12 @@ impl Simulation {
         // the previous stage boundary and admissions of this stage.
         let mut delta = StageDelta::start();
         let mut shape = StageShape::default();
-        // Active positions by finish stage, and the positions due at
-        // the current stage (a reused buffer).
-        let mut calendar = FinishCalendar::new();
-        let mut due: Vec<usize> = Vec::new();
+        // The finish stage of each active request, by position: the
+        // sweep scans this dense copy instead of the requests.
+        let mut finish: Vec<u64> = Vec::new();
+        // Smallest finish stage in the active set: stages before it
+        // retire nothing, so they skip the sweep.
+        let mut next_due = u64::MAX;
 
         while completed.len() < self.total_requests
             && (stage_stats.stages as usize) < self.config.max_stages
@@ -495,23 +324,32 @@ impl Simulation {
             tbt_digest.record_n(outcome.seconds, active.len() as u64);
             for mut p in prefills.drain(..) {
                 p.first_token_s = clock;
-                calendar.push(p.finish_stage());
+                next_due = next_due.min(p.finish_stage());
+                finish.push(p.finish_stage());
                 active.push(p);
             }
-            // Retire every request that has all its tokens. Every stage
-            // is swept, so each is due exactly at its finish stage.
-            if calendar.any_due(s) {
-                calendar.take_due(s, &mut due);
-                retire_due(&mut active, &due, &mut calendar, |done| {
-                    reserved -= done.kv_reserved(self.config.kv_bytes_per_token);
-                    delta.retire.push(done.decode_ctx(s + 1));
-                    completed.push(RequestRecord {
-                        first_token_s: done.first_token_s,
-                        last_token_s: clock,
-                        tokens: done.generated_after(s),
-                        request: done.request,
-                    });
-                });
+            if next_due <= s {
+                // Retire every request that has all its tokens, and
+                // find the next one due among the rest.
+                next_due = u64::MAX;
+                let mut i = 0;
+                while i < active.len() {
+                    if finish[i] <= s {
+                        finish.swap_remove(i);
+                        let done = active.swap_remove(i);
+                        reserved -= done.kv_reserved(self.config.kv_bytes_per_token);
+                        delta.retire.push(done.decode_ctx(s + 1));
+                        completed.push(RequestRecord {
+                            first_token_s: done.first_token_s,
+                            last_token_s: clock,
+                            tokens: done.generated_after(s),
+                            request: done.request,
+                        });
+                    } else {
+                        next_due = next_due.min(finish[i]);
+                        i += 1;
+                    }
+                }
             }
             if cfg!(debug_assertions) && stage_stats.stages % KV_AUDIT_PERIOD == 0 {
                 debug_assert_eq!(
@@ -522,10 +360,17 @@ impl Simulation {
                         .sum::<u64>(),
                     "incremental KV reservation drifted from the active set"
                 );
-                let finishes: Vec<u64> = active.iter().map(Active::finish_stage).collect();
                 debug_assert!(
-                    calendar.files_exactly(&finishes),
-                    "the finish calendar drifted from the active set"
+                    finish
+                        .iter()
+                        .copied()
+                        .eq(active.iter().map(Active::finish_stage)),
+                    "finish stages drifted from the active set"
+                );
+                debug_assert_eq!(
+                    next_due,
+                    finish.iter().copied().min().unwrap_or(u64::MAX),
+                    "next_due drifted from the active set"
                 );
             }
         }
@@ -818,16 +663,14 @@ mod tests {
     }
 
     #[test]
-    fn retirement_order_follows_the_full_sweep_past_the_calendar_size() {
-        // Outputs longer than a fresh calendar's bucket count wrap
-        // around it, and batches larger than it make it grow while
-        // requests are filed.
+    fn retirement_order_follows_the_full_sweep_on_long_outputs() {
+        // Outputs up to 97 tokens at batches up to the whole trace, so
+        // the sweep's gate skips long idle stretches and the batch
+        // grows and drains while requests are due.
         let lens: Vec<(u64, u64)> = (0..150u64)
             .map(|i| (16 + i % 7, 1 + (i * 7919) % 97))
             .collect();
-        let longest = lens.iter().map(|l| l.1).max().unwrap_or(0);
-        assert!(longest > 4 * CALENDAR_MIN_BUCKETS as u64);
-        for max_batch in [1, 5, CALENDAR_MIN_BUCKETS, 40, 150] {
+        for max_batch in [1, 5, 16, 40, 150] {
             assert_full_sweep_order(max_batch, &lens);
         }
     }
@@ -850,8 +693,9 @@ mod tests {
     #[test]
     fn due_tails_retire_from_the_slot_they_move_into() {
         // Stage 1 retires position 0, then the due tail (position 3)
-        // that the sweep moves into it; the survivors trade places, so
-        // on stage 4 request 2 retires before request 1.
+        // that the sweep moves into it and examines again; the
+        // survivors trade places, so on stage 4 request 2 retires
+        // before request 1.
         let lens = [(10, 2), (11, 5), (12, 5), (13, 2)];
         let mut rec = Recording::new();
         let report = trace_sim(4, &lens).run(&mut rec);

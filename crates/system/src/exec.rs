@@ -57,12 +57,14 @@
 //! materialized, sorted or regrouped. Consecutive mixed stages share
 //! almost all of their groups, and a group's per-device attention
 //! price is a pure function of its context (decode) or its
-//! `(len, past)` (prefill), so within a run of carried stages the path
-//! takes them from two bounded direct-mapped caches (512 decode and
-//! 256 prefill slots, allocated on first use; a hit compares the whole
-//! key and returns the bits a fresh pricing would). A carried stage
-//! right after a template-priced one prices afresh: all its contexts
-//! have moved on since the last carried stage. The path feeds the same
+//! `(len, past)` (prefill), so the path takes them from two bounded
+//! direct-mapped caches (512 decode and 256 prefill slots, allocated
+//! by the executor's first carried stage; a hit compares the whole key
+//! and returns the bits a fresh pricing would). The caches pay off
+//! when mixed stages follow each other and a stage's decode contexts
+//! span fewer than 512 tokens, as in open-loop serving at saturation;
+//! a mixed stage after a run of template-priced ones mostly misses,
+//! since its contexts have moved on. The path feeds the same
 //! groups in the same order to the same code as the grouped full path,
 //! so it reproduces the full path's cost to the bit (debug builds check
 //! this against the uncached full path on the scheduler's shape on
@@ -448,8 +450,11 @@ struct MoeCost {
 const STAGE_CONSTS_MAX_ENTRIES: usize = 1 << 16;
 
 /// Slots of the carried path's decode-group price cache (a power of
-/// two). Slots follow the context, so a stage's decode groups, whose
-/// contexts span less than this, never evict each other.
+/// two). Slots follow the context, so the decode groups of a stage
+/// whose contexts span fewer tokens than this never evict each other.
+/// The cache's gain assumes that span: wider stages (longer prompts or
+/// outputs) evict entries the next stage needs and pay a probe on top
+/// of the pricing.
 const DECODE_PRICE_SLOTS: usize = 512;
 
 /// Slots of the carried path's prefill-group price cache (a power of
@@ -580,8 +585,9 @@ pub struct SystemExecutor {
     /// Reused expert histogram for stage-consts computation.
     hist_scratch: Vec<u64>,
     /// Attention price caches of the carried mixed path, allocated by
-    /// the first carried stage that uses them.
-    attn_caches: Option<Box<AttnCaches>>,
+    /// its first stage rather than by [`Self::new`], so building an
+    /// executor stays cheap.
+    attn_caches: Option<AttnCaches>,
 }
 
 impl SystemExecutor {
@@ -898,11 +904,8 @@ impl SystemExecutor {
         if !delta.admit.is_empty() || !delta.chunk.is_empty() || self.batch.reqs() == 0 {
             // The template was not advanced through this stage; the
             // next decode stage rebuilds it from the carried groups.
-            // Only a run of carried stages reuses group prices: after a
-            // template-priced stage every context has moved on, so
-            // cache lookups would only miss.
-            let in_run = self.template.take().is_none();
-            let cost = self.stage_cost_carried(delta, in_run);
+            self.template = None;
+            let cost = self.stage_cost_carried(delta);
             if cfg!(debug_assertions) {
                 if let Some(shape) = debug_shape {
                     debug_assert_eq!(
@@ -1244,12 +1247,12 @@ impl SystemExecutor {
     /// request decodes) straight from the carried decode groups and the
     /// delta's prefills, under expected-value routing. No shape is
     /// materialized, sorted or regrouped, the MoE cost comes from the
-    /// memo, and with `cached` each group's attention price comes from
-    /// the bounded [`AttnCaches`]. The groups are the ones
+    /// memo, and each group's attention price comes from the bounded
+    /// [`AttnCaches`]. The groups are the ones
     /// [`enumerate_stage_into`] builds from the materialized shape, in
     /// the same order, and feed the same pricing code, so the cost
     /// equals the grouped full path's to the bit.
-    fn stage_cost_carried(&mut self, delta: &StageDelta, cached: bool) -> StageCost {
+    fn stage_cost_carried(&mut self, delta: &StageDelta) -> StageCost {
         let keys = &mut self.prefill_keys;
         keys.clear();
         keys.extend(
@@ -1264,16 +1267,9 @@ impl SystemExecutor {
         prefill.clear();
         push_prefill_groups(&self.model, keys, &mut prefill);
         let prefill_tokens: u64 = keys.iter().map(|&(len, _, _)| len).sum();
-        let mut caches = cached.then(|| {
-            self.attn_caches
-                .take()
-                .unwrap_or_else(|| Box::new(AttnCaches::new()))
-        });
-        let priced =
-            self.price_attention(self.batch.groups().iter(), &prefill, caches.as_deref_mut());
-        if caches.is_some() {
-            self.attn_caches = caches;
-        }
+        let mut caches = self.attn_caches.take().unwrap_or_else(AttnCaches::new);
+        let priced = self.price_attention(self.batch.groups().iter(), &prefill, Some(&mut caches));
+        self.attn_caches = Some(caches);
         self.prefill_scratch = prefill;
         let decode_tokens = self.batch.reqs();
         let consts = self.stage_consts(ConstsKey {
