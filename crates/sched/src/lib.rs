@@ -13,7 +13,9 @@
 //! * [`scheduler`] — stage-level continuous batching: every ongoing
 //!   request advances one token per stage; new requests join as
 //!   prefills when the batch and the KV-cache budget allow, making the
-//!   stage *mixed*; otherwise the stage is *decoding-only*.
+//!   stage *mixed*; otherwise the stage is *decoding-only*. Holds the
+//!   executor contract and the paper's single-system [`Simulation`],
+//!   which runs on the scenario scheduler's batching loop.
 //! * [`delta`] — the incremental stage contract: each stage is also
 //!   announced as a [`StageDelta`] (advance + admissions +
 //!   retirements), letting executors that carry batch state price

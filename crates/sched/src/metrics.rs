@@ -410,7 +410,10 @@ pub struct KvReuseStats {
     /// prefill was skipped).
     pub reused_prefill_tokens: u64,
     /// Prompt tokens actually prefilled (fresh requests, evicted
-    /// histories, and new follow-up suffixes).
+    /// histories, new follow-up suffixes, and recompute resumes),
+    /// counted at admission. Every entry point fills it the same way,
+    /// so a [`crate::Simulation`] report holds the sum of its admitted
+    /// prompt lengths.
     pub prefilled_tokens: u64,
     /// Parked conversation histories evicted before their follow-up
     /// arrived (those follow-ups re-prefill in full).

@@ -1,13 +1,13 @@
 //! Pluggable admission policies for the scenario scheduler.
 //!
-//! The base [`crate::Simulation`] admits strictly FIFO. Scenario runs
-//! (see [`crate::scenario`]) instead consult a [`SchedulingPolicy`]
-//! each time a batch slot opens: the policy sees every request that
-//! has arrived and not yet been admitted, plus a [`PolicyContext`]
-//! describing the scheduler's stage (current clock, the chunked-prefill
-//! budget, batch occupancy), and picks which one prefills next. Three
-//! classic policies ship here; anything implementing the trait plugs
-//! in.
+//! The batching loop (see [`crate::scenario`]) consults a
+//! [`SchedulingPolicy`] each time a batch slot opens: the policy sees
+//! every request that has arrived and not yet been admitted, plus a
+//! [`PolicyContext`] describing the scheduler's stage (current clock,
+//! the chunked-prefill budget, batch occupancy), and picks which one
+//! prefills next. The base [`crate::Simulation`] runs under [`Fcfs`].
+//! Three classic policies ship here; anything implementing the trait
+//! plugs in.
 //!
 //! # Admission control
 //!

@@ -19,18 +19,37 @@
 //!   (deadline + priority) and a [`SchedulingPolicy`] picks admission
 //!   order; the report gains per-tier attainment and goodput.
 //!
-//! Unlike the base loop, the waiting queue is materialized (policies
-//! need to see every arrived request), so memory is O(waiting), not
-//! O(batch). Stage execution still flows through the PR 2
-//! [`StageDelta`] fast path: pure-decode stages price in O(1), mixed
-//! admit/retire stages fall back to the grouped full path.
-//!
 //! Internally the run is split into two pieces the cluster scheduler
 //! ([`crate::cluster`]) reuses verbatim: a `ScenarioStream` owning
 //! the arrival process, tier draws and follow-up spawning, and a
 //! `ReplicaSim` owning one continuous-batching event loop (queues,
 //! KV accounting, stage formation, metrics). A plain
-//! [`ScenarioSimulation`] is exactly a one-replica cluster.
+//! [`ScenarioSimulation`] is exactly a one-replica cluster, and the
+//! base [`crate::Simulation`] is a one-replica FCFS run fed lazily.
+//!
+//! # The batching loop
+//!
+//! `ReplicaSim` is the only batching loop, built for paper-scale runs:
+//!
+//! * each stage is announced to the executor as a [`StageDelta`]
+//!   (advance + admissions + retirements) alongside a [`StageShape`].
+//!   The shape's prefills are always filled; its decode contexts are
+//!   materialized only for executors whose
+//!   [`StageExecutor::needs_shape`] says they read them, so an
+//!   incremental executor prices a pure-decode stage in O(1);
+//! * a decoding request stores a stage stamp rather than a token
+//!   counter, so advancing the batch touches no request;
+//! * the retirement sweep runs only on stages where some request is
+//!   due, and scans a dense vector of finish stages kept beside the
+//!   batch rather than the requests themselves;
+//! * per-request accounting is O(1) (first/last token timestamps);
+//!   token gaps stream into a fixed-size digest once per stage.
+//!
+//! Scenario and cluster runs hand every arrival to the replica
+//! (policies rank the whole waiting queue, routers place on arrival),
+//! so their memory is O(waiting). The base `Simulation` queues an
+//! arrival only once a batch slot is free for it, which keeps its
+//! memory O(batch).
 //!
 //! # Reused prefixes price exactly
 //!
@@ -333,11 +352,16 @@ pub struct PendingRequest {
     pub skipped: u64,
 }
 
+/// A request in the decode batch. Every request advances one token per
+/// stage, so its progress follows from the replica's stage count: it
+/// has generated `stages - stamp` tokens once `stages` stages have run.
 #[derive(Debug)]
 struct ActiveRequest {
     pending: PendingRequest,
-    /// Tokens actually generated so far.
-    generated: u64,
+    /// Stage count minus tokens generated. In the within-step
+    /// `admitted`/`resumed` scratch it holds the tokens generated
+    /// before the joining stage instead, until the join re-stamps it.
+    stamp: u64,
     first_token_s: f64,
 }
 
@@ -433,14 +457,43 @@ impl MuxSlot {
 }
 
 impl ActiveRequest {
-    fn decode_ctx(&self) -> u64 {
-        self.pending.request.input_len + self.generated
+    /// A request joining the batch with `generated` tokens already
+    /// behind it (0 for a fresh prefill).
+    fn joining(pending: PendingRequest, generated: u64, first_token_s: f64) -> Self {
+        Self {
+            pending,
+            stamp: generated,
+            first_token_s,
+        }
+    }
+
+    /// Tokens generated once the replica has run `stages` stages.
+    fn generated(&self, stages: u64) -> u64 {
+        stages - self.stamp
+    }
+
+    /// Context attended while decoding the stage after `stages`: the
+    /// prompt plus every token generated so far.
+    fn decode_ctx(&self, stages: u64) -> u64 {
+        self.pending.request.input_len + self.generated(stages)
+    }
+
+    /// The stage count at which the request has all its tokens. A
+    /// prefill always samples one token, so `output_len == 0` finishes
+    /// on its prefill stage too.
+    fn finish(&self) -> u64 {
+        self.stamp + self.pending.request.output_len
     }
 
     fn kv_reserved(&self, bytes_per_token: u64) -> u64 {
         self.pending.request.max_kv_tokens() * bytes_per_token
     }
 }
+
+/// Re-audit the incrementally kept batch state against a full re-derive
+/// every this many stages (debug builds only). Per-stage re-summing
+/// would make debug runs quadratic in batch x stages.
+const KV_AUDIT_PERIOD: u64 = 256;
 
 /// The scenario-global side of a run: the arrival process, tier draws,
 /// follow-up spawning and (optionally) trace recording. One stream
@@ -514,14 +567,23 @@ impl<'a> ScenarioStream<'a> {
     /// one-replica cluster reproduces the plain scheduler's queue
     /// order), drawing its tier when it comes from the source.
     pub(crate) fn pop_next(&mut self) -> Option<PendingRequest> {
+        self.pop_arrived(f64::INFINITY)
+    }
+
+    /// [`pop_next`](Self::pop_next), when that arrival comes by
+    /// `horizon`.
+    pub(crate) fn pop_arrived(&mut self, horizon: f64) -> Option<PendingRequest> {
         let source = self.peek_source().map(|r| r.arrival_s);
         let follow = self.followups.last().map(|f| f.request.arrival_s);
-        let from_source = match (source, follow) {
-            (Some(a), Some(b)) => a <= b,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
+        let (from_source, arrival_s) = match (source, follow) {
+            (Some(a), Some(b)) => (a <= b, a.min(b)),
+            (Some(a), None) => (true, a),
+            (None, Some(b)) => (false, b),
             (None, None) => return None,
         };
+        if arrival_s > horizon {
+            return None;
+        }
         let pending = if from_source {
             let request = self.peeked.take().expect("peeked request exists");
             let tier = self.draw_tier();
@@ -714,6 +776,14 @@ pub(crate) struct ReplicaSim {
     inbox: Vec<PendingRequest>,
     pending: Vec<PendingRequest>,
     active: Vec<ActiveRequest>,
+    /// The finish stage of each active request, by position: the
+    /// retirement sweep scans this dense copy instead of the requests.
+    finish: Vec<u64>,
+    /// Smallest finish stage in the active set: stages before it
+    /// retire nothing, so they skip the sweep.
+    next_due: u64,
+    /// Within-step scratch: fresh prefills joining the stage being
+    /// formed. Empty at merge points.
     admitted: Vec<ActiveRequest>,
     /// Requests mid-way through a chunked prompt prefill, in admission
     /// order (each stage continues them FIFO).
@@ -790,7 +860,11 @@ pub(crate) struct ReplicaSim {
 }
 
 impl ReplicaSim {
+    /// # Panics
+    ///
+    /// Panics when `config.max_batch` is 0: no stage could ever run.
     pub(crate) fn new(config: SimulationConfig, scenario: &Scenario) -> Self {
+        assert!(config.max_batch > 0, "max_batch must be at least 1");
         let parked = scenario.conversation.as_ref().map(|spec| {
             PagedKvCache::new(
                 config.kv_capacity_bytes,
@@ -818,6 +892,8 @@ impl ReplicaSim {
             inbox: Vec::new(),
             pending: Vec::new(),
             active: Vec::new(),
+            finish: Vec::new(),
+            next_due: u64::MAX,
             admitted: Vec::new(),
             chunking: Vec::new(),
             paused: Vec::new(),
@@ -860,6 +936,27 @@ impl ReplicaSim {
             .inbox
             .partition_point(|q| q.request.arrival_s > p.request.arrival_s);
         self.inbox.insert(pos, p);
+    }
+
+    /// Hand over a request from a time-ordered feed: an arrived one
+    /// joins the waiting queue directly, a later one waits in the
+    /// inbox for the idle jump.
+    pub(crate) fn deliver(&mut self, p: PendingRequest) {
+        if p.request.arrival_s <= self.clock {
+            self.pending.push(p);
+        } else {
+            self.enqueue(p);
+        }
+    }
+
+    /// Batch slots that no in-flight or queued request has a claim on.
+    pub(crate) fn unclaimed_slots(&self) -> usize {
+        let claimed = self.active.len()
+            + self.chunking.len()
+            + self.mux.len()
+            + self.pending.len()
+            + self.inbox.len();
+        self.config.max_batch.saturating_sub(claimed)
     }
 
     pub(crate) fn in_flight(&self) -> bool {
@@ -918,10 +1015,16 @@ impl ReplicaSim {
         // Paused requests are queued-but-displaced: they will re-enter
         // this replica's batch, so the router prices them as queue.
         let queued = self.pending.len() + self.inbox.len() + self.paused.len();
+        let stages = self.stage_stats.stages;
         let mut tokens: u64 = self
             .active
             .iter()
-            .map(|a| a.pending.request.output_len.saturating_sub(a.generated))
+            .map(|a| {
+                a.pending
+                    .request
+                    .output_len
+                    .saturating_sub(a.generated(stages))
+            })
             .sum();
         tokens += self
             .chunking
@@ -1089,6 +1192,8 @@ impl ReplicaSim {
         lost.append(&mut self.pending);
         lost.extend(self.chunking.drain(..).map(|c| c.pending));
         lost.extend(self.active.drain(..).map(|a| a.pending));
+        self.finish.clear();
+        self.next_due = u64::MAX;
         // Paused requests and multiplex-slot members die with the
         // replica like any other in-flight decode (their parked KV is
         // wiped below either way).
@@ -1273,6 +1378,7 @@ impl ReplicaSim {
     /// toward the smallest resident context (cheapest to resume), then
     /// the smallest request id.
     fn pick_victim(&self, victim_priority: u32) -> Option<usize> {
+        let stages = self.stage_stats.stages;
         let mut best: Option<usize> = None;
         for (i, a) in self.active.iter().enumerate() {
             if a.pending.priority < victim_priority {
@@ -1280,7 +1386,7 @@ impl ReplicaSim {
             }
             let key = (
                 std::cmp::Reverse(a.pending.priority),
-                a.decode_ctx(),
+                a.decode_ctx(stages),
                 a.pending.request.id,
             );
             best = match best {
@@ -1288,7 +1394,7 @@ impl ReplicaSim {
                     let cur = &self.active[b];
                     let cur_key = (
                         std::cmp::Reverse(cur.pending.priority),
-                        cur.decode_ctx(),
+                        cur.decode_ctx(stages),
                         cur.pending.request.id,
                     );
                     if key < cur_key {
@@ -1311,19 +1417,23 @@ impl ReplicaSim {
     /// recompute-on-resume.
     fn pause_victim(&mut self, idx: usize, spec: &PreemptSpec) {
         let bytes_per_token = self.config.kv_bytes_per_token;
+        let stages = self.stage_stats.stages;
         let victim = self.active.swap_remove(idx);
+        if self.finish.swap_remove(idx) == self.next_due {
+            self.next_due = self.finish.iter().copied().min().unwrap_or(u64::MAX);
+        }
         if !self.tier_active.is_empty() {
             self.tier_active[victim.pending.tier] -= 1;
         }
         self.reserved -= victim.kv_reserved(bytes_per_token);
-        let ctx = victim.decode_ctx();
+        let ctx = victim.decode_ctx(stages);
         self.delta.retire.push(ctx);
         let swapped = spec.prefers_swap(ctx, ctx * bytes_per_token)
             && self.receive_parked(victim.pending.conversation, ctx);
         self.preempt.preemptions += 1;
         self.paused.push(PausedRequest {
+            generated: victim.generated(stages),
             pending: victim.pending,
-            generated: victim.generated,
             first_token_s: victim.first_token_s,
             ctx,
             swapped,
@@ -1421,7 +1531,7 @@ impl ReplicaSim {
     /// parked context survived, recompute otherwise).
     fn resume_paused(
         &mut self,
-        policy: &dyn SchedulingPolicy,
+        multiplex: Option<MultiplexSpec>,
         spec: &PreemptSpec,
         force: bool,
         budget: &mut u64,
@@ -1439,7 +1549,7 @@ impl ReplicaSim {
             allowance = allowance.max(1);
             *budget = (*budget).max(1);
         }
-        if let Some(mspec) = policy.multiplex_spec().copied() {
+        if let Some(mspec) = multiplex {
             while allowance > 0 && *budget > 0 {
                 let Some(slot) = self.form_mux_slot(spec, &mspec) else {
                     break;
@@ -1500,11 +1610,11 @@ impl ReplicaSim {
                 }
                 self.shape.push_prefill(1, pr.ctx - 1, false);
                 *budget -= 1;
-                self.resumed.push(ActiveRequest {
-                    pending: pr.pending,
-                    generated: pr.generated,
-                    first_token_s: pr.first_token_s,
-                });
+                self.resumed.push(ActiveRequest::joining(
+                    pr.pending,
+                    pr.generated,
+                    pr.first_token_s,
+                ));
             } else {
                 self.preempt.recomputes += 1;
                 let total = pr.ctx;
@@ -1530,11 +1640,11 @@ impl ReplicaSim {
                         self.delta.admit_ctx.push(total);
                     }
                     self.shape.push_prefill(total, 0, false);
-                    self.resumed.push(ActiveRequest {
-                        pending: pr.pending,
-                        generated: pr.generated,
-                        first_token_s: pr.first_token_s,
-                    });
+                    self.resumed.push(ActiveRequest::joining(
+                        pr.pending,
+                        pr.generated,
+                        pr.first_token_s,
+                    ));
                 }
             }
             allowance -= 1;
@@ -1551,9 +1661,9 @@ impl ReplicaSim {
     /// (same RNG sequence, same parked-KV operation order); the
     /// cluster drains at its merge points instead, which is what lets
     /// each replica step a whole window between router events.
-    pub(crate) fn step<E: StageExecutor + ?Sized>(
+    pub(crate) fn step<P: SchedulingPolicy + ?Sized, E: StageExecutor + ?Sized>(
         &mut self,
-        policy: &mut dyn SchedulingPolicy,
+        policy: &mut P,
         executor: &mut E,
     ) {
         let bytes_per_token = self.config.kv_bytes_per_token;
@@ -1589,11 +1699,7 @@ impl ReplicaSim {
                     .filter(|p| p.priority < spec.urgent_priority)
                     .count();
                 let occupied = self.active.len() + self.chunking.len() + self.mux.len();
-                let occupancy = if self.config.max_batch == 0 {
-                    0.0
-                } else {
-                    occupied as f64 / self.config.max_batch as f64
-                };
+                let occupancy = occupied as f64 / self.config.max_batch as f64;
                 // The cheapest urgent KV need: when even it cannot
                 // fit, capacity (not slots) is the binding constraint
                 // and preemption frees reservations — regardless of
@@ -1673,16 +1779,14 @@ impl ReplicaSim {
                 self.shape.push_prefill(slice, past, false);
                 let done = self.chunking.remove(ci);
                 match done.resumed {
-                    Some(carry) => self.resumed.push(ActiveRequest {
-                        pending: done.pending,
-                        generated: carry.generated,
-                        first_token_s: carry.first_token_s,
-                    }),
-                    None => self.admitted.push(ActiveRequest {
-                        pending: done.pending,
-                        generated: 0,
-                        first_token_s: 0.0,
-                    }),
+                    Some(carry) => self.resumed.push(ActiveRequest::joining(
+                        done.pending,
+                        carry.generated,
+                        carry.first_token_s,
+                    )),
+                    None => self
+                        .admitted
+                        .push(ActiveRequest::joining(done.pending, 0, 0.0)),
                 }
             } else {
                 self.delta.chunk.push((slice, past));
@@ -1724,7 +1828,7 @@ impl ReplicaSim {
             // urgent prompt needs, re-creating the very head-of-line
             // blocking preemption exists to remove.
             if urgent == 0 || force {
-                self.resume_paused(policy, &spec, force, &mut budget);
+                self.resume_paused(policy.multiplex_spec().copied(), &spec, force, &mut budget);
             }
         }
 
@@ -1732,27 +1836,18 @@ impl ReplicaSim {
         // `finished_prefills` holds this stage's final slices: they
         // still occupy batch slots until the stage executes (always
         // empty outside prefill-pool replicas).
-        while self.active.len()
+        let mut in_flight = self.active.len()
             + self.admitted.len()
             + self.chunking.len()
             + self.finished_prefills.len()
             + self.resumed.len()
             + self.mux.len()
-            + self.mux_admitted.len()
-            < self.config.max_batch
-            && !self.pending.is_empty()
-            && budget > 0
-        {
+            + self.mux_admitted.len();
+        while in_flight < self.config.max_batch && !self.pending.is_empty() && budget > 0 {
             let pctx = PolicyContext {
                 now_s: self.clock,
                 prefill_chunk: (stage_budget != u64::MAX).then_some(stage_budget),
-                in_flight: self.active.len()
-                    + self.admitted.len()
-                    + self.chunking.len()
-                    + self.finished_prefills.len()
-                    + self.resumed.len()
-                    + self.mux.len()
-                    + self.mux_admitted.len(),
+                in_flight,
                 max_batch: self.config.max_batch,
             };
             let Some(idx) = policy.admit_now(&self.pending, &pctx) else {
@@ -1847,6 +1942,7 @@ impl ReplicaSim {
                     });
                     continue;
                 }
+                in_flight += 1;
                 let slice = total.min(budget);
                 budget -= slice;
                 self.delta.chunk.push((slice, resident));
@@ -1864,6 +1960,7 @@ impl ReplicaSim {
                 }
                 continue;
             }
+            in_flight += 1;
             self.kv_reuse.prefilled_tokens += prefill;
             let slice = prefill.min(budget);
             budget -= slice;
@@ -1885,11 +1982,7 @@ impl ReplicaSim {
                     self.delta.admit_ctx.push(p.request.input_len);
                 }
                 self.shape.push_prefill(prefill, resident, false);
-                self.admitted.push(ActiveRequest {
-                    pending: p,
-                    generated: 0,
-                    first_token_s: 0.0,
-                });
+                self.admitted.push(ActiveRequest::joining(p, 0, 0.0));
             }
         }
 
@@ -1908,9 +2001,10 @@ impl ReplicaSim {
         // ---- execute the stage ----
         self.shape.decode_ctx.clear();
         if executor.needs_shape() {
+            let stages = self.stage_stats.stages;
             self.shape
                 .decode_ctx
-                .extend(self.active.iter().map(ActiveRequest::decode_ctx));
+                .extend(self.active.iter().map(|a| a.decode_ctx(stages)));
             // Each mux slot decodes exactly one shared row.
             self.shape
                 .decode_ctx
@@ -1932,10 +2026,10 @@ impl ReplicaSim {
         // Live multiplexed streams: ongoing slots decode one token per
         // live member per stage; joining slots sample first tokens.
         let mux_live: u64 = self.mux.iter().map(MuxSlot::live_members).sum();
-        let mux_joining: u64 = self.mux_admitted.iter().map(MuxSlot::live_members).sum();
         // Recovery timeline: bucket the tokens this stage generated
         // (decodes plus sampled first tokens) by virtual time.
         if self.timeline_bucket_s > 0.0 {
+            let mux_joining: u64 = self.mux_admitted.iter().map(MuxSlot::live_members).sum();
             let tokens = (self.active.len() + self.admitted.len() + self.resumed.len()) as u64
                 + mux_live
                 + mux_joining;
@@ -1985,9 +2079,9 @@ impl ReplicaSim {
                 stats.tbt_digest.record_n_in(bucket, stage_seconds, n);
             }
         }
-        for a in &mut self.active {
-            a.generated += 1;
-        }
+        // Active requests advance with the stage count alone (see
+        // `ActiveRequest::stamp`); multiplexed members count tokens.
+        let stages = self.stage_stats.stages;
         for slot in &mut self.mux {
             slot.generated += 1;
             for m in &mut slot.members {
@@ -1997,21 +2091,22 @@ impl ReplicaSim {
                 }
             }
         }
-        for mut a in self.admitted.drain(..) {
-            a.generated = 1;
-            a.first_token_s = self.clock;
+        // Seat the stage's joiners, fresh prefills first. Each stamp
+        // continues the count from the tokens the request carried in
+        // plus the one its join sampled. Only a fresh prefill carries
+        // none: its first token is this one. Resumed requests keep
+        // their original first-token time.
+        for mut a in self.admitted.drain(..).chain(self.resumed.drain(..)) {
+            if a.stamp == 0 {
+                a.first_token_s = self.clock;
+            }
+            a.stamp = stages - 1 - a.stamp;
             if !self.tier_active.is_empty() {
                 self.tier_active[a.pending.tier] += 1;
             }
-            self.active.push(a);
-        }
-        // Resumed requests keep their original counters: the join
-        // sampled their next token, not their first.
-        for mut a in self.resumed.drain(..) {
-            a.generated += 1;
-            if !self.tier_active.is_empty() {
-                self.tier_active[a.pending.tier] += 1;
-            }
+            let finish = a.finish();
+            self.next_due = self.next_due.min(finish);
+            self.finish.push(finish);
             self.active.push(a);
         }
         for mut slot in self.mux_admitted.drain(..) {
@@ -2027,70 +2122,29 @@ impl ReplicaSim {
         }
 
         // ---- retire, account SLOs, spawn follow-ups ----
-        let mut i = 0;
-        while i < self.active.len() {
-            if self.active[i].generated < self.active[i].pending.request.output_len {
-                i += 1;
-                continue;
-            }
-            let done = self.active.swap_remove(i);
-            if !self.tier_active.is_empty() {
-                self.tier_active[done.pending.tier] -= 1;
-            }
-            self.reserved -= done.kv_reserved(bytes_per_token);
-            self.delta.retire.push(done.decode_ctx());
-            let record = RequestRecord {
-                first_token_s: done.first_token_s,
-                last_token_s: self.clock,
-                tokens: done.generated,
-                request: done.pending.request,
-            };
-            if !self.tier_stats.is_empty() {
-                let tier = &self.tiers[done.pending.tier];
-                let stats = &mut self.tier_stats[done.pending.tier];
-                stats.completed += 1;
-                // The T2FT deadline is checked against the *absolute*
-                // deadline stamped at spawn time: a crash-retried
-                // request keeps its original deadline even though its
-                // arrival was rewritten to the retry time.
-                let met_t2ft = record.first_token_s <= done.pending.deadline_s;
-                let met_tbt =
-                    tier.tbt_deadline_s == 0.0 || record.mean_tbt() <= tier.tbt_deadline_s;
-                let met = met_t2ft && met_tbt;
-                if met {
-                    stats.met += 1;
-                    stats.good_tokens += record.tokens;
+        // A `swap_remove` sweep from position 0 over the dense finish
+        // vector, in lockstep with the batch; it runs only on stages
+        // where some request is due, and finds the next one due among
+        // the rest.
+        if self.next_due <= stages {
+            // The vectors leave `self` for the sweep, so the scan keeps
+            // them and the running minimum in registers.
+            let mut active = std::mem::take(&mut self.active);
+            let mut finish = std::mem::take(&mut self.finish);
+            let mut next_due = u64::MAX;
+            let mut i = 0;
+            while i < finish.len() {
+                if finish[i] > stages {
+                    next_due = next_due.min(finish[i]);
+                    i += 1;
+                    continue;
                 }
-                // During-failure SLO windows (fault plans only).
-                for (wi, &(start, end)) in self.fault_windows.iter().enumerate() {
-                    if record.last_token_s >= start && record.last_token_s < end {
-                        let cell = &mut self.window_counts[wi][done.pending.tier];
-                        cell.0 += 1;
-                        if met {
-                            cell.1 += 1;
-                        }
-                    }
-                }
+                finish.swap_remove(i);
+                self.retire(active.swap_remove(i), stages);
             }
-            if let Some(spec) = &self.conversation {
-                if done.pending.round < spec.max_rounds {
-                    // The continuation die, history parking and
-                    // follow-up spawn all happen at drain time (they
-                    // need the shared stream); `now_s` is captured so
-                    // a deferred drain prices think time identically.
-                    self.retire_events.push(RetireEvent::MaybeFollowup {
-                        history: done.pending.request.input_len + done.generated,
-                        now_s: self.clock,
-                        pending: done.pending,
-                    });
-                } else {
-                    // Round cap: the conversation is over, no die roll.
-                    self.retire_events.push(RetireEvent::Release {
-                        conversation: done.pending.conversation,
-                    });
-                }
-            }
-            self.completed.push(record);
+            self.active = active;
+            self.finish = finish;
+            self.next_due = next_due;
         }
 
         // ---- retire finished mux members, then emptied slots ----
@@ -2109,51 +2163,7 @@ impl ReplicaSim {
                     continue;
                 }
                 let done = self.mux[si].members.swap_remove(mi);
-                if !self.tier_active.is_empty() {
-                    self.tier_active[done.pending.tier] -= 1;
-                }
-                let record = RequestRecord {
-                    first_token_s: done.first_token_s,
-                    last_token_s: self.clock,
-                    tokens: done.generated,
-                    request: done.pending.request,
-                };
-                if !self.tier_stats.is_empty() {
-                    let tier = &self.tiers[done.pending.tier];
-                    let stats = &mut self.tier_stats[done.pending.tier];
-                    stats.completed += 1;
-                    let met_t2ft = record.first_token_s <= done.pending.deadline_s;
-                    let met_tbt =
-                        tier.tbt_deadline_s == 0.0 || record.mean_tbt() <= tier.tbt_deadline_s;
-                    let met = met_t2ft && met_tbt;
-                    if met {
-                        stats.met += 1;
-                        stats.good_tokens += (record.tokens as f64 * quality) as u64;
-                    }
-                    for (wi, &(start, end)) in self.fault_windows.iter().enumerate() {
-                        if record.last_token_s >= start && record.last_token_s < end {
-                            let cell = &mut self.window_counts[wi][done.pending.tier];
-                            cell.0 += 1;
-                            if met {
-                                cell.1 += 1;
-                            }
-                        }
-                    }
-                }
-                if let Some(spec) = &self.conversation {
-                    if done.pending.round < spec.max_rounds {
-                        self.retire_events.push(RetireEvent::MaybeFollowup {
-                            history: done.pending.request.input_len + done.generated,
-                            now_s: self.clock,
-                            pending: done.pending,
-                        });
-                    } else {
-                        self.retire_events.push(RetireEvent::Release {
-                            conversation: done.pending.conversation,
-                        });
-                    }
-                }
-                self.completed.push(record);
+                self.complete(done.pending, done.first_token_s, done.generated, quality);
             }
             if self.mux[si].members.is_empty() {
                 let slot = self.mux.swap_remove(si);
@@ -2163,6 +2173,122 @@ impl ReplicaSim {
                 si += 1;
             }
         }
+        if cfg!(debug_assertions) && stages.is_multiple_of(KV_AUDIT_PERIOD) {
+            self.audit();
+        }
+    }
+
+    /// Retire a finished decode after stage `stages`: release its KV
+    /// reservation, announce its post-advance context on the next
+    /// delta, and account it. Kept out of line so the sweep that calls
+    /// it stays a tight scan.
+    #[inline(never)]
+    fn retire(&mut self, done: ActiveRequest, stages: u64) {
+        self.reserved -= done.kv_reserved(self.config.kv_bytes_per_token);
+        self.delta.retire.push(done.decode_ctx(stages));
+        let tokens = done.generated(stages);
+        self.complete(done.pending, done.first_token_s, tokens, 1.0);
+    }
+
+    /// Account a request that has all its tokens: its tier occupancy,
+    /// completion record, SLO counters (goodput credited at `quality`
+    /// per token) and during-failure windows, and the conversation
+    /// event its retirement buffers.
+    fn complete(&mut self, pending: PendingRequest, first_token_s: f64, tokens: u64, quality: f64) {
+        let record = RequestRecord {
+            first_token_s,
+            last_token_s: self.clock,
+            tokens,
+            request: pending.request,
+        };
+        if !self.tier_stats.is_empty() {
+            self.tier_active[pending.tier] -= 1;
+            let tier = &self.tiers[pending.tier];
+            let stats = &mut self.tier_stats[pending.tier];
+            stats.completed += 1;
+            // The T2FT deadline is checked against the *absolute*
+            // deadline stamped at spawn time: a crash-retried request
+            // keeps its original deadline even though its arrival was
+            // rewritten to the retry time.
+            let met_t2ft = record.first_token_s <= pending.deadline_s;
+            let met_tbt = tier.tbt_deadline_s == 0.0 || record.mean_tbt() <= tier.tbt_deadline_s;
+            let met = met_t2ft && met_tbt;
+            if met {
+                stats.met += 1;
+                stats.good_tokens += (record.tokens as f64 * quality) as u64;
+            }
+            // During-failure SLO windows (fault plans only).
+            for (wi, &(start, end)) in self.fault_windows.iter().enumerate() {
+                if record.last_token_s >= start && record.last_token_s < end {
+                    let cell = &mut self.window_counts[wi][pending.tier];
+                    cell.0 += 1;
+                    if met {
+                        cell.1 += 1;
+                    }
+                }
+            }
+        }
+        if let Some(spec) = &self.conversation {
+            if pending.round < spec.max_rounds {
+                // The continuation die, history parking and follow-up
+                // spawn all happen at drain time (they need the shared
+                // stream); `now_s` is captured so a deferred drain
+                // prices think time identically.
+                self.retire_events.push(RetireEvent::MaybeFollowup {
+                    history: pending.request.input_len + tokens,
+                    now_s: self.clock,
+                    pending,
+                });
+            } else {
+                // Round cap: the conversation is over, no die roll.
+                self.retire_events.push(RetireEvent::Release {
+                    conversation: pending.conversation,
+                });
+            }
+        }
+        self.completed.push(record);
+    }
+
+    /// Re-derive the incrementally kept batch state and compare (debug
+    /// builds, every [`KV_AUDIT_PERIOD`] stages): the KV reservation
+    /// against a re-sum over in-flight work, and the finish vector and
+    /// `next_due` against the active set.
+    fn audit(&self) {
+        let bytes_per_token = self.config.kv_bytes_per_token;
+        let chunk_tokens = |c: &ChunkingRequest| {
+            if self.role == PoolRole::Prefill {
+                c.pending.request.input_len
+            } else {
+                c.pending.request.max_kv_tokens()
+            }
+        };
+        let resum = self
+            .active
+            .iter()
+            .map(|a| a.kv_reserved(bytes_per_token))
+            .chain(
+                self.chunking
+                    .iter()
+                    .map(|c| chunk_tokens(c) * bytes_per_token),
+            )
+            .chain(self.mux.iter().map(|m| m.kv_bytes))
+            .sum::<u64>();
+        assert_eq!(
+            self.reserved, resum,
+            "incremental KV reservation drifted from the in-flight set"
+        );
+        assert!(
+            self.finish
+                .iter()
+                .copied()
+                .eq(self.active.iter().map(ActiveRequest::finish)),
+            "finish stages drifted from the active set"
+        );
+        assert_eq!(
+            self.next_due,
+            self.finish.iter().copied().min().unwrap_or(u64::MAX),
+            "next_due drifted from the active set"
+        );
     }
 
     /// Whether [`ReplicaSim::step`] buffered conversation events that
@@ -2295,7 +2421,7 @@ impl ReplicaSim {
                 .iter()
                 .map(|a| ActiveState {
                     pending: a.pending.clone(),
-                    generated: a.generated,
+                    generated: a.generated(self.stage_stats.stages),
                     first_token_s: a.first_token_s,
                 })
                 .collect(),
@@ -2386,15 +2512,19 @@ impl ReplicaSim {
     pub(crate) fn import_state(&mut self, s: &ReplicaState) {
         self.inbox = s.inbox.clone();
         self.pending = s.pending.clone();
+        // Re-stamp the active set against the snapshot's stage count so
+        // every carried token count continues.
         self.active = s
             .active
             .iter()
             .map(|a| ActiveRequest {
                 pending: a.pending.clone(),
-                generated: a.generated,
+                stamp: s.stage_stats.stages - a.generated,
                 first_token_s: a.first_token_s,
             })
             .collect();
+        self.finish = self.active.iter().map(ActiveRequest::finish).collect();
+        self.next_due = self.finish.iter().copied().min().unwrap_or(u64::MAX);
         self.chunking = s
             .chunking
             .iter()
@@ -2663,18 +2793,123 @@ mod tests {
         assert_eq!(report.kv_reuse.reuse_hits, 0);
     }
 
+    /// Records every delta and prices a stage by its size, so the
+    /// clock depends on how each stage was formed.
+    #[derive(Default)]
+    struct Priced {
+        deltas: Vec<StageDelta>,
+    }
+    impl StageExecutor for Priced {
+        fn execute(&mut self, shape: &StageShape) -> StageOutcome {
+            StageOutcome {
+                seconds: 1e-3 + 1e-6 * shape.tokens() as f64 + 1e-8 * shape.decode_ctx.len() as f64,
+            }
+        }
+        fn execute_delta(&mut self, delta: &StageDelta, shape: &StageShape) -> StageOutcome {
+            self.deltas.push(delta.clone());
+            self.execute(shape)
+        }
+    }
+
     #[test]
     fn fcfs_scenario_equals_base_simulation_timeline() {
-        // Under FCFS with no conversations and no tiers, the scenario
-        // loop must reproduce the base Simulation exactly.
+        // `Simulation` feeds its replica lazily (an arrival is queued
+        // only once a slot is free for it); an FCFS scenario with no
+        // tiers, conversations or chunking queues every arrival. Both
+        // must give the same run, to the bit.
+        let trace = |lens: &[(u64, u64)]| {
+            Arrivals::trace(
+                lens.iter()
+                    .enumerate()
+                    .map(|(i, &(input_len, output_len))| crate::trace::TraceRequest {
+                        arrival_s: 2e-3 * (i / 3) as f64,
+                        input_len,
+                        output_len,
+                    })
+                    .collect(),
+            )
+        };
+        let short = [(9, 0), (10, 3), (11, 1), (12, 0), (13, 2), (14, 1), (15, 1)];
         let w = Workload::gaussian(64, 6).with_seed(11);
-        let base = crate::scheduler::Simulation::closed_loop(config(4), w.clone(), 12)
-            .run(&mut Fixed(0.01));
-        let scenario = Scenario::new("plain", w, Arrivals::ClosedLoop, 12);
-        let report = run_scenario(scenario, config(4), &mut Fcfs);
-        assert_eq!(report.stage_stats, base.stage_stats);
-        assert_eq!(report.total_time_s, base.total_time_s);
-        assert_eq!(report.completed.len(), base.completed.len());
+        let kv_limited = SimulationConfig {
+            kv_capacity_bytes: 200,
+            ..config(8)
+        };
+        let truncated = SimulationConfig {
+            max_stages: 17,
+            ..config(3)
+        };
+        let runs = [
+            ("closed", config(4), Arrivals::ClosedLoop, w.clone(), 40),
+            (
+                "idle gaps",
+                config(4),
+                Arrivals::Poisson { qps: 50.0 },
+                w.clone(),
+                40,
+            ),
+            (
+                "saturated",
+                config(4),
+                Arrivals::Poisson { qps: 5e3 },
+                w.clone(),
+                60,
+            ),
+            (
+                "kv head block",
+                kv_limited,
+                Arrivals::ClosedLoop,
+                w.clone(),
+                30,
+            ),
+            (
+                "kv open",
+                kv_limited,
+                Arrivals::Poisson { qps: 2e3 },
+                w.clone(),
+                30,
+            ),
+            (
+                "output 0 and 1",
+                config(2),
+                trace(&short),
+                w.clone(),
+                short.len(),
+            ),
+            ("truncated", truncated, Arrivals::ClosedLoop, w, 20),
+        ];
+        for (name, cfg, arrivals, workload, n) in runs {
+            let mut lazy_ex = Priced::default();
+            let lazy =
+                crate::scheduler::Simulation::new(cfg, workload.clone(), arrivals.clone(), n)
+                    .run(&mut lazy_ex);
+            let mut eager_ex = Priced::default();
+            let scenario = Scenario::new(name, workload, arrivals, n);
+            let eager = ScenarioSimulation::new(cfg, scenario).run(&mut Fcfs, &mut eager_ex);
+            assert!(!lazy.completed.is_empty(), "{name}");
+            assert_eq!(lazy, eager, "{name}");
+            assert_eq!(lazy_ex.deltas, eager_ex.deltas, "{name}");
+            assert_eq!(
+                lazy.total_time_s.to_bits(),
+                eager.total_time_s.to_bits(),
+                "{name}"
+            );
+            for (a, b) in lazy.completed.iter().zip(&eager.completed) {
+                assert_eq!(
+                    a.first_token_s.to_bits(),
+                    b.first_token_s.to_bits(),
+                    "{name}"
+                );
+                assert_eq!(a.last_token_s.to_bits(), b.last_token_s.to_bits(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_batch must be at least 1")]
+    fn zero_batch_fails_before_the_first_stage() {
+        let scenario = Scenario::new("empty", Workload::fixed(8, 2), Arrivals::ClosedLoop, 3);
+        run_scenario(scenario, config(0), &mut Fcfs);
     }
 
     #[test]

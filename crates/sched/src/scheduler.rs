@@ -8,32 +8,25 @@
 //! request's maximum context (Lin + Lout), which is what limits batch
 //! size on capacity-constrained systems (Fig. 5(c), Fig. 16).
 //!
-//! The loop is built for paper-scale runs:
-//!
-//! * requests are drawn from the [`RequestSource`] *on demand* (one
-//!   peeked request), so an open-loop run over millions of requests
-//!   holds O(batch) scheduler state, not O(total requests);
-//! * each stage is announced to the executor as a [`StageDelta`]
-//!   (advance + admissions + retirements) alongside a [`StageShape`].
-//!   The shape's prefills are always filled; its decode contexts are
-//!   materialized only for executors whose
-//!   [`StageExecutor::needs_shape`] says they read them, so an
-//!   incremental executor prices a pure-decode stage in O(1) and the
-//!   loop around it does O(admissions + retirements) work;
-//! * a request stores the stage that prefilled it rather than a token
-//!   counter, so advancing the batch touches no request;
-//! * the retirement sweep runs only on stages where some request is
-//!   due, and scans a dense vector of finish stages kept beside the
-//!   batch rather than the requests themselves;
-//! * per-request accounting is O(1) (first/last token timestamps);
-//!   token gaps stream into a fixed-size digest once per stage.
+//! This module holds the executor contract ([`StageExecutor`]) and the
+//! paper's single-system run, [`Simulation`]. The batching loop itself
+//! is the scenario scheduler's one-replica machine (`ReplicaSim` in
+//! [`crate::scenario`]), which every entry point shares. A
+//! `Simulation` drives it under FCFS admission with no tiers,
+//! conversations or chunking, and feeds it *lazily*: a request leaves
+//! the [`RequestSource`](crate::RequestSource) only once it has arrived
+//! and a batch slot is free for it. FCFS admits the queue head first
+//! and blocks on KV at the head, so this admits exactly what feeding
+//! every arrival would, while an open-loop run over millions of
+//! requests holds O(batch) scheduler state, not O(total requests).
 
 use duplex_model::ops::StageShape;
 
 use crate::delta::StageDelta;
-use crate::metrics::{LatencyDigest, SimReport, StageRecord, StageStats};
-use crate::request::{Request, RequestRecord};
-use crate::workload::{Arrivals, RequestSource, Workload};
+use crate::metrics::SimReport;
+use crate::policy::Fcfs;
+use crate::scenario::{ReplicaSim, Scenario, ScenarioStream};
+use crate::workload::{Arrivals, Workload};
 
 /// How long a stage took; produced by the system crate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,9 +120,10 @@ pub struct SimulationConfig {
     pub kv_bytes_per_token: u64,
     /// Safety cap on simulated stages.
     pub max_stages: usize,
-    /// Keep a [`StageRecord`] per stage in the report. Disable for
-    /// million-request runs: the aggregate [`StageStats`] (throughput,
-    /// stage mix, mean batch) are maintained either way.
+    /// Keep a [`StageRecord`](crate::StageRecord) per stage in the
+    /// report. Disable for million-request runs: the aggregate
+    /// [`StageStats`](crate::StageStats) (throughput, stage mix, mean
+    /// batch) are maintained either way.
     pub record_stages: bool,
 }
 
@@ -145,51 +139,11 @@ impl Default for SimulationConfig {
     }
 }
 
-/// Re-audit the incremental KV reservation against a full re-sum every
-/// this many stages (debug builds only). Per-stage re-summing would
-/// make debug runs quadratic in batch x stages.
-const KV_AUDIT_PERIOD: u64 = 256;
-
-/// A request in the batch. Every request advances one token per
-/// stage, so its progress follows from the stage that prefilled it.
-#[derive(Debug)]
-struct Active {
-    request: Request,
-    /// Index of the stage that prefilled the request (and sampled its
-    /// first token).
-    prefill_stage: u64,
-    first_token_s: f64,
-}
-
-impl Active {
-    fn kv_reserved(&self, bytes_per_token: u64) -> u64 {
-        self.request.max_kv_tokens() * bytes_per_token
-    }
-
-    /// Tokens generated once stage `s` has run.
-    fn generated_after(&self, s: u64) -> u64 {
-        s - self.prefill_stage + 1
-    }
-
-    /// Context attended while decoding in stage `s` (after the prefill
-    /// stage): the prompt plus every token generated before it.
-    fn decode_ctx(&self, s: u64) -> u64 {
-        self.request.input_len + s - self.prefill_stage
-    }
-
-    /// The stage after which the request has all its tokens. A prefill
-    /// always samples one token, so `output_len == 0` finishes there too.
-    fn finish_stage(&self) -> u64 {
-        self.prefill_stage + self.request.output_len.max(1) - 1
-    }
-}
-
 /// A configured simulation, ready to run against a [`StageExecutor`].
 #[derive(Debug)]
 pub struct Simulation {
     config: SimulationConfig,
-    source: RequestSource,
-    total_requests: usize,
+    scenario: Scenario,
 }
 
 impl Simulation {
@@ -201,188 +155,68 @@ impl Simulation {
         workload: Workload,
         total_requests: usize,
     ) -> Self {
-        Self {
-            config,
-            source: RequestSource::new(workload, Arrivals::ClosedLoop),
-            total_requests,
-        }
+        Self::new(config, workload, Arrivals::ClosedLoop, total_requests)
     }
 
     /// Open-loop serving: `total_requests` Poisson arrivals at `qps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `qps` is not positive.
     pub fn poisson(
         config: SimulationConfig,
         workload: Workload,
         qps: f64,
         total_requests: usize,
     ) -> Self {
+        Self::new(config, workload, Arrivals::Poisson { qps }, total_requests)
+    }
+
+    pub(crate) fn new(
+        config: SimulationConfig,
+        workload: Workload,
+        arrivals: Arrivals,
+        total_requests: usize,
+    ) -> Self {
+        arrivals.validate();
         Self {
             config,
-            source: RequestSource::new(workload, Arrivals::Poisson { qps }),
-            total_requests,
+            scenario: Scenario::new("simulation", workload, arrivals, total_requests),
         }
     }
 
     /// Run to completion (or the stage cap) and report.
-    pub fn run<E: StageExecutor + ?Sized>(mut self, executor: &mut E) -> SimReport {
-        // The request stream is drawn lazily: `peeked` holds the next
-        // not-yet-admitted request (FIFO order is preserved because the
-        // source is deterministic in draw order).
-        let mut peeked: Option<Request> = None;
-        let mut drawn = 0usize;
-        let mut active: Vec<Active> = Vec::new();
-        let mut prefills: Vec<Active> = Vec::new();
-        let mut completed: Vec<RequestRecord> = Vec::new();
-        let mut stages: Vec<StageRecord> = Vec::new();
-        let mut stage_stats = StageStats::default();
-        let mut tbt_digest = LatencyDigest::default();
-        let mut clock = 0.0f64;
-        // KV bytes reserved by the active set, maintained incrementally
-        // (+= on admission, -= on retirement) instead of re-summed over
-        // the whole batch every stage.
-        let mut reserved: u64 = 0;
-        // Reused per-stage buffers: the delta carries retirements from
-        // the previous stage boundary and admissions of this stage.
-        let mut delta = StageDelta::start();
-        let mut shape = StageShape::default();
-        // The finish stage of each active request, by position: the
-        // sweep scans this dense copy instead of the requests.
-        let mut finish: Vec<u64> = Vec::new();
-        // Smallest finish stage in the active set: stages before it
-        // retire nothing, so they skip the sweep.
-        let mut next_due = u64::MAX;
-
-        while completed.len() < self.total_requests
-            && (stage_stats.stages as usize) < self.config.max_stages
-        {
-            let s = stage_stats.stages;
-            // Admission: FIFO, gated by batch slots and KV reservation.
-            while active.len() + prefills.len() < self.config.max_batch {
-                if peeked.is_none() {
-                    if drawn >= self.total_requests {
+    ///
+    /// # Panics
+    ///
+    /// Panics when `max_batch` is 0, or when one request's KV
+    /// reservation exceeds the whole capacity.
+    pub fn run<E: StageExecutor + ?Sized>(self, executor: &mut E) -> SimReport {
+        let mut stream = ScenarioStream::new(&self.scenario, None);
+        let mut replica = ReplicaSim::new(self.config, &self.scenario);
+        while replica.can_accept() {
+            // Queue arrivals only while they could take a free slot
+            // this stage; an idle replica takes the next arrival (and
+            // any tied with it) and jumps its clock there.
+            let slots = replica.unclaimed_slots();
+            if slots > 0 {
+                let horizon = match replica.next_start() {
+                    Some(t) => t,
+                    None => match stream.next_arrival_time() {
+                        Some(t) => t.max(replica.clock()),
+                        None => break,
+                    },
+                };
+                for _ in 0..slots {
+                    let Some(p) = stream.pop_arrived(horizon) else {
                         break;
-                    }
-                    peeked = Some(self.source.next_request());
-                    drawn += 1;
-                }
-                let front = peeked.as_ref().expect("peeked request exists");
-                if front.arrival_s > clock {
-                    break;
-                }
-                let need = front.max_kv_tokens() * self.config.kv_bytes_per_token;
-                if reserved.saturating_add(need) > self.config.kv_capacity_bytes {
-                    break;
-                }
-                reserved += need;
-                let request = peeked.take().expect("peeked request exists");
-                delta.admit.push(request.input_len);
-                prefills.push(Active {
-                    request,
-                    prefill_stage: s,
-                    first_token_s: 0.0,
-                });
-            }
-
-            if active.is_empty() && prefills.is_empty() {
-                // Idle: jump to the next arrival. (No admissions were
-                // made above, so the pending delta is untouched.)
-                match &peeked {
-                    Some(next) => {
-                        clock = clock.max(next.arrival_s);
-                        continue;
-                    }
-                    None => break,
+                    };
+                    replica.deliver(p);
                 }
             }
-
-            shape.decode_ctx.clear();
-            if executor.needs_shape() {
-                shape
-                    .decode_ctx
-                    .extend(active.iter().map(|a| a.decode_ctx(s)));
-            }
-            shape.prefill_len.clear();
-            shape
-                .prefill_len
-                .extend(prefills.iter().map(|p| p.request.input_len));
-            let outcome = executor.execute_delta(&delta, &shape);
-            delta.clear();
-            clock += outcome.seconds;
-            let record = StageRecord {
-                seconds: outcome.seconds,
-                mixed: !prefills.is_empty(),
-                batch: active.len() + prefills.len(),
-                tokens: active.len() as u64 + shape.prefill_len.iter().sum::<u64>(),
-            };
-            stage_stats.record(&record);
-            if self.config.record_stages {
-                stages.push(record);
-            }
-
-            // Every advancing request sees the same token gap (they all
-            // emitted their previous token at the last stage boundary):
-            // one digest update covers the stage.
-            tbt_digest.record_n(outcome.seconds, active.len() as u64);
-            for mut p in prefills.drain(..) {
-                p.first_token_s = clock;
-                next_due = next_due.min(p.finish_stage());
-                finish.push(p.finish_stage());
-                active.push(p);
-            }
-            if next_due <= s {
-                // Retire every request that has all its tokens, and
-                // find the next one due among the rest.
-                next_due = u64::MAX;
-                let mut i = 0;
-                while i < active.len() {
-                    if finish[i] <= s {
-                        finish.swap_remove(i);
-                        let done = active.swap_remove(i);
-                        reserved -= done.kv_reserved(self.config.kv_bytes_per_token);
-                        delta.retire.push(done.decode_ctx(s + 1));
-                        completed.push(RequestRecord {
-                            first_token_s: done.first_token_s,
-                            last_token_s: clock,
-                            tokens: done.generated_after(s),
-                            request: done.request,
-                        });
-                    } else {
-                        next_due = next_due.min(finish[i]);
-                        i += 1;
-                    }
-                }
-            }
-            if cfg!(debug_assertions) && stage_stats.stages % KV_AUDIT_PERIOD == 0 {
-                debug_assert_eq!(
-                    reserved,
-                    active
-                        .iter()
-                        .map(|a| a.kv_reserved(self.config.kv_bytes_per_token))
-                        .sum::<u64>(),
-                    "incremental KV reservation drifted from the active set"
-                );
-                debug_assert!(
-                    finish
-                        .iter()
-                        .copied()
-                        .eq(active.iter().map(Active::finish_stage)),
-                    "finish stages drifted from the active set"
-                );
-                debug_assert_eq!(
-                    next_due,
-                    finish.iter().copied().min().unwrap_or(u64::MAX),
-                    "next_due drifted from the active set"
-                );
-            }
+            replica.step(&mut Fcfs, executor);
         }
-
-        SimReport {
-            completed,
-            stages,
-            stage_stats,
-            tbt_digest,
-            total_time_s: clock,
-            ..SimReport::default()
-        }
+        replica.into_report()
     }
 }
 
@@ -440,6 +274,26 @@ mod tests {
         for r in &report.completed {
             assert_eq!(r.tokens, r.request.output_len);
         }
+        // Every admitted prompt prefills in full.
+        let prompts: u64 = report.completed.iter().map(|r| r.request.input_len).sum();
+        assert_eq!(report.kv_reuse.prefilled_tokens, prompts);
+        assert_eq!(report.kv_reuse.reuse_fraction(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs 20 KV bytes")]
+    fn a_request_larger_than_the_kv_capacity_fails() {
+        let cfg = SimulationConfig {
+            kv_capacity_bytes: 10,
+            ..config(4)
+        };
+        Simulation::closed_loop(cfg, Workload::fixed(16, 4), 3).run(&mut Fixed(0.01));
+    }
+
+    #[test]
+    #[should_panic(expected = "max_batch must be at least 1")]
+    fn zero_batch_fails_before_the_first_stage() {
+        Simulation::closed_loop(config(0), Workload::fixed(16, 4), 3).run(&mut Fixed(0.01));
     }
 
     #[test]
@@ -558,11 +412,12 @@ mod tests {
                 output_len,
             })
             .collect();
-        Simulation {
-            config: config(max_batch),
-            source: RequestSource::new(Workload::fixed(1, 1), Arrivals::trace(requests)),
-            total_requests: lens.len(),
-        }
+        Simulation::new(
+            config(max_batch),
+            Workload::fixed(1, 1),
+            Arrivals::trace(requests),
+            lens.len(),
+        )
     }
 
     /// The full-sweep rule: after every stage each request advances one

@@ -117,6 +117,46 @@ pub enum Arrivals {
 }
 
 impl Arrivals {
+    /// Check the process's parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an arrival rate is not positive (NaN included), a
+    /// bursty phase duration is not positive, or a diurnal period or
+    /// amplitude is out of range.
+    pub(crate) fn validate(&self) {
+        if let Arrivals::Poisson { qps } = self {
+            assert!(*qps > 0.0, "qps must be positive");
+        }
+        if let Arrivals::Bursty {
+            base_qps,
+            burst_qps,
+            mean_off_s,
+            mean_on_s,
+        } = self
+        {
+            assert!(*base_qps >= 0.0, "base_qps must be non-negative");
+            assert!(*burst_qps > 0.0, "burst_qps must be positive");
+            assert!(
+                *mean_on_s > 0.0 && *mean_off_s > 0.0,
+                "phase durations must be positive"
+            );
+        }
+        if let Arrivals::Diurnal {
+            mean_qps,
+            period_s,
+            amplitude,
+        } = self
+        {
+            assert!(*mean_qps > 0.0, "mean_qps must be positive");
+            assert!(*period_s > 0.0, "period must be positive");
+            assert!(
+                (0.0..=1.0).contains(amplitude),
+                "amplitude must be in [0, 1]"
+            );
+        }
+    }
+
     /// Trace replay over `requests` (sorted by arrival time on load).
     pub fn trace(requests: Vec<TraceRequest>) -> Self {
         let mut requests = requests;
@@ -151,36 +191,7 @@ impl RequestSource {
     /// bursty phase duration is not positive, or a diurnal period or
     /// amplitude is out of range.
     pub fn new(workload: Workload, arrivals: Arrivals) -> Self {
-        if let Arrivals::Poisson { qps } = &arrivals {
-            assert!(*qps > 0.0, "qps must be positive");
-        }
-        if let Arrivals::Bursty {
-            base_qps,
-            burst_qps,
-            mean_off_s,
-            mean_on_s,
-        } = &arrivals
-        {
-            assert!(*base_qps >= 0.0, "base_qps must be non-negative");
-            assert!(*burst_qps > 0.0, "burst_qps must be positive");
-            assert!(
-                *mean_on_s > 0.0 && *mean_off_s > 0.0,
-                "phase durations must be positive"
-            );
-        }
-        if let Arrivals::Diurnal {
-            mean_qps,
-            period_s,
-            amplitude,
-        } = &arrivals
-        {
-            assert!(*mean_qps > 0.0, "mean_qps must be positive");
-            assert!(*period_s > 0.0, "period must be positive");
-            assert!(
-                (0.0..=1.0).contains(amplitude),
-                "amplitude must be in [0, 1]"
-            );
-        }
+        arrivals.validate();
         let mut rng = StdRng::seed_from_u64(workload.seed);
         // Bursty sources start in the quiet phase; draw its length now
         // so the first burst onset is seed-determined.

@@ -1,8 +1,8 @@
 //! Shape skipping is invisible: an executor that tells the schedulers
 //! it does not read decode contexts (`StageExecutor::needs_shape`
 //! returns false) gets shapes without them and prices every stage from
-//! the delta alone. Both batching loops (`Simulation` and the scenario
-//! scheduler behind `ScenarioSimulation` / `ClusterSimulation`) must
+//! the delta alone. Every entry point of the batching loop
+//! (`Simulation`, `ScenarioSimulation` and `ClusterSimulation`) must
 //! then produce reports, and the executor must accumulate costs,
 //! identical to the bit to a plain `SystemExecutor` run. Debug builds
 //! of the plain executor always ask for the shape, so under
