@@ -122,7 +122,8 @@ impl LatencyDigest {
     }
 
     /// The bucket `value` lands in (exactly [`LatencyDigest::record_n`]'s
-    /// choice). The bucket math costs two `ln` calls, so a caller
+    /// choice). The bucket math costs one `ln` call (the growth
+    /// factor's `ln` folds to a constant), so a caller
     /// recording one value into several digests — the scheduler feeds
     /// the fleet digest plus one digest per SLO tier every stage —
     /// looks the bucket up once and records via

@@ -51,10 +51,16 @@
 //! majority of a continuous-batching trace — are priced in O(1) from
 //! `(batch size, Σctx)` aggregates through a cached
 //! [`DecodeTemplate`]; membership changes rebuild the template from the
-//! carried groups. Mixed stages are priced from the carried groups
-//! too: the delta's prefills are grouped alongside them, and the
-//! grouped pricing runs with the memoized MoE cost, so no shape is
-//! materialized, sorted or regrouped. Consecutive mixed stages share
+//! carried groups. [`StageExecutor::execute_delta`] takes the template
+//! stage inline: a pure advance of a synced batch with no joins
+//! pending, under expected-value routing, with a template in hand, is
+//! one `advance` plus one `price`, exactly what the general path
+//! computes in that case. Every other stage goes to the general path,
+//! kept out of line so the inline branch stays small. Mixed stages
+//! are priced from the carried groups too: the delta's prefills are
+//! grouped alongside them, and the grouped pricing runs with the
+//! memoized MoE cost, so no shape is materialized, sorted or
+//! regrouped. Consecutive mixed stages share
 //! almost all of their groups, and a group's per-device attention
 //! price is a pure function of its context (decode) or its
 //! `(len, past)` (prefill), so the path takes them from two bounded
@@ -1556,33 +1562,29 @@ impl StageExecutor for SystemExecutor {
         }
     }
 
+    /// Prices the template's next stage inline (see the module docs):
+    /// on such a stage the general path would only advance the groups,
+    /// find the membership unchanged and price `advance` + `price`.
+    #[inline]
     fn execute_delta(&mut self, delta: &StageDelta, shape: &StageShape) -> StageOutcome {
-        let cost = if !self.batch.is_synced() && !delta.fresh {
-            // The delta stream was interrupted (a direct `execute`
-            // call); the materialized shape is ground truth — resync
-            // the batch state from it and price the full path once.
-            self.batch.rebuild_from(shape);
-            self.template = None;
-            self.stage_cost_impl(shape, true)
-        } else {
-            let cost = self.stage_cost_delta_inner(delta, Some(shape));
-            debug_assert_eq!(
-                self.batch.reqs() as usize,
-                shape.decode_ctx.len(),
-                "batch state drifted from the scheduler's shape"
-            );
-            debug_assert_eq!(
-                self.batch.ctx_sum(),
-                shape.decode_ctx.iter().sum::<u64>(),
-                "batch context sum drifted from the scheduler's shape"
-            );
-            cost
-        };
-        self.total += cost;
-        self.stages += 1;
-        StageOutcome {
-            seconds: cost.seconds,
+        if delta.is_pure_advance()
+            && self.batch.is_synced()
+            && self.batch.no_joins()
+            && self.router.mode() == RoutingMode::Expected
+        {
+            if let Some(template) = &mut self.template {
+                self.batch.advance();
+                template.advance();
+                let cost = template.price();
+                self.debug_check_shape(shape);
+                self.total += cost;
+                self.stages += 1;
+                return StageOutcome {
+                    seconds: cost.seconds,
+                };
+            }
         }
+        self.execute_delta_general(delta, shape)
     }
 
     /// The carried batch state prices every stage on an unbroken delta
@@ -1608,6 +1610,47 @@ impl StageExecutor for SystemExecutor {
         // and let the next stage rebuild it (bit-identical).
         self.template = None;
         self.rng = StdRng::from_state(checkpoint.rng);
+    }
+}
+
+impl SystemExecutor {
+    /// [`StageExecutor::execute_delta`] for every stage its inline
+    /// template branch does not take: resyncs, admissions,
+    /// retirements, template rebuilds and sampled routing.
+    #[inline(never)]
+    fn execute_delta_general(&mut self, delta: &StageDelta, shape: &StageShape) -> StageOutcome {
+        let cost = if !self.batch.is_synced() && !delta.fresh {
+            // The delta stream was interrupted (a direct `execute`
+            // call); the materialized shape is ground truth — resync
+            // the batch state from it and price the full path once.
+            self.batch.rebuild_from(shape);
+            self.template = None;
+            self.stage_cost_impl(shape, true)
+        } else {
+            let cost = self.stage_cost_delta_inner(delta, Some(shape));
+            self.debug_check_shape(shape);
+            cost
+        };
+        self.total += cost;
+        self.stages += 1;
+        StageOutcome {
+            seconds: cost.seconds,
+        }
+    }
+
+    /// Debug builds: the carried batch agrees with the decode contexts
+    /// of the scheduler's shape for the stage just priced.
+    fn debug_check_shape(&self, shape: &StageShape) {
+        debug_assert_eq!(
+            self.batch.reqs() as usize,
+            shape.decode_ctx.len(),
+            "batch state drifted from the scheduler's shape"
+        );
+        debug_assert_eq!(
+            self.batch.ctx_sum(),
+            shape.decode_ctx.iter().sum::<u64>(),
+            "batch context sum drifted from the scheduler's shape"
+        );
     }
 }
 
@@ -2269,6 +2312,180 @@ mod tests {
         let out = ex.execute_delta(&delta, &next);
         let want = oracle.stage_cost_reference(&next);
         assert!((out.seconds - want.seconds).abs() / want.seconds < 1e-9);
+    }
+
+    #[test]
+    fn pure_advance_branch_matches_the_out_of_line_path() {
+        // `fast` runs every stage through `execute_delta`, whose pure
+        // advances take the inline template branch; `oracle` prices the
+        // same deltas through `stage_cost_delta`, the general path;
+        // `probe` runs `execute_delta` from zeroed totals, so its total
+        // is each stage's `StageCost`. Costs compare by their `Debug`
+        // text, which round-trips every f64 bit.
+        struct Stage {
+            fresh: bool,
+            admit: Vec<u64>,
+            /// How many decodes retire; `usize::MAX` retires them all.
+            retire: usize,
+            /// Export `fast`'s batch and import it everywhere first.
+            import: bool,
+        }
+        let stage = |fresh, admit: &[u64], retire, import| Stage {
+            fresh,
+            admit: admit.to_vec(),
+            retire,
+            import,
+        };
+        let advances = |plan: &mut Vec<Stage>, n| {
+            for _ in 0..n {
+                plan.push(stage(false, &[], 0, false));
+            }
+        };
+        let mut plan = vec![stage(true, &[512, 512, 512, 100, 100, 100, 7], 0, false)];
+        advances(&mut plan, 6);
+        plan.push(stage(false, &[256], 3, false));
+        advances(&mut plan, 5);
+        // Retire to empty while two prompts prefill.
+        plan.push(stage(false, &[64, 64], usize::MAX, false));
+        advances(&mut plan, 5);
+        // A fresh restart mid-trace (a crashed replica's first stage).
+        plan.push(stage(true, &[300; 5], 0, false));
+        advances(&mut plan, 5);
+        // A snapshot import between two pure advances drops the
+        // template: the next stage must rebuild it, not advance it.
+        plan.push(stage(false, &[], 0, true));
+        advances(&mut plan, 5);
+        plan.push(stage(false, &[], 2, false));
+        advances(&mut plan, 4);
+
+        let cases = [
+            (SystemConfig::gpu(4, 1), ModelConfig::mixtral_8x7b()),
+            (SystemConfig::duplex(4, 1), ModelConfig::mixtral_8x7b()),
+            (SystemConfig::duplex_pe(4, 1), ModelConfig::mixtral_8x7b()),
+            (
+                SystemConfig::duplex_pe_et(4, 1),
+                ModelConfig::mixtral_8x7b(),
+            ),
+            (SystemConfig::bank_pim(4, 1), ModelConfig::mixtral_8x7b()),
+            (SystemConfig::hetero(), ModelConfig::mixtral_8x7b()),
+            (
+                SystemConfig::duplex_pe_et(4, 2),
+                ModelConfig::mixtral_8x7b(),
+            ),
+            (SystemConfig::duplex_pe_et(8, 2), ModelConfig::grok1()),
+            (SystemConfig::duplex(4, 1), ModelConfig::llama3_70b()),
+        ];
+        for (system, model) in cases {
+            for mode in [RoutingMode::Expected, RoutingMode::Sampled] {
+                let new = || {
+                    let mut ex = SystemExecutor::new(system.clone(), model.clone(), 1);
+                    ex.router = ex.router.clone().with_mode(mode);
+                    ex
+                };
+                let (mut fast, mut probe, mut oracle) = (new(), new(), new());
+                let mut tracker = BatchState::default();
+                let (mut mirror, mut joins) = (Vec::<u64>::new(), Vec::<u64>::new());
+                let mut shape = StageShape::default();
+                let mut sum = StageCost::default();
+                let mut inline = 0;
+                for (i, s) in plan.iter().enumerate() {
+                    let name = format!("{} / {mode:?} / stage {i}", system.name);
+                    if s.import {
+                        let cp = fast.export_batch().expect("carried state");
+                        for ex in [&mut fast, &mut probe, &mut oracle] {
+                            ex.import_batch(&cp);
+                        }
+                        tracker.restore(&cp.decode_groups, &cp.pending_joins);
+                    }
+                    if s.fresh {
+                        mirror.clear();
+                        joins.clear();
+                    }
+                    for c in &mut mirror {
+                        *c += 1;
+                    }
+                    mirror.extend(joins.drain(..).map(|j| j + 1));
+                    let retire = if s.retire == usize::MAX {
+                        std::mem::take(&mut mirror)
+                    } else {
+                        mirror.drain(..s.retire).collect()
+                    };
+                    joins.extend_from_slice(&s.admit);
+                    let delta = duplex_sched::StageDelta {
+                        fresh: s.fresh,
+                        admit: s.admit.clone(),
+                        admit_ctx: Vec::new(),
+                        chunk: Vec::new(),
+                        retire,
+                    };
+                    if delta.is_pure_advance() && fast.template.is_some() && fast.batch.no_joins() {
+                        inline += 1;
+                    }
+                    tracker.apply(&delta);
+                    tracker.fill_shape(&mut shape, &delta);
+                    let out = fast.execute_delta(&delta, &shape);
+                    probe.reset_totals();
+                    probe.execute_delta(&delta, &shape);
+                    let want = oracle.stage_cost_delta(&delta);
+                    assert_eq!(
+                        format!("{:?}", probe.total_cost()),
+                        format!("{want:?}"),
+                        "{name}"
+                    );
+                    assert_eq!(out.seconds.to_bits(), want.seconds.to_bits(), "{name}");
+                    sum += want;
+                }
+                let name = format!("{} / {mode:?}", system.name);
+                assert_eq!(
+                    format!("{:?}", fast.total_cost()),
+                    format!("{sum:?}"),
+                    "{name}"
+                );
+                assert_eq!(fast.stages_executed(), plan.len(), "{name}");
+                // Sampled routing never builds a template, so never
+                // takes the branch; expected routing takes it on every
+                // pure advance but the first after a membership change.
+                let want_inline = if mode == RoutingMode::Expected { 26 } else { 0 };
+                assert_eq!(inline, want_inline, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn pure_advance_branch_defers_to_pending_joins() {
+        // A template is a function of the groups alone, so it stays
+        // valid across a restore of the same groups with joins pending.
+        // The inline branch must still leave that stage to the general
+        // path, which flushes the joins into the batch.
+        let model = ModelConfig::mixtral_8x7b();
+        let system = SystemConfig::duplex_pe_et(4, 1);
+        let mut ex = SystemExecutor::new(system.clone(), model.clone(), 1);
+        let mut oracle = SystemExecutor::new(system, model, 1);
+        let mut tracker = BatchState::default();
+        let mut shape = StageShape::default();
+        let mut delta = duplex_sched::StageDelta::start();
+        delta.admit = vec![128; 4];
+        for _ in 0..4 {
+            tracker.apply(&delta);
+            tracker.fill_shape(&mut shape, &delta);
+            ex.execute_delta(&delta, &shape);
+            oracle.stage_cost_delta(&delta);
+            delta.clear();
+        }
+        let mut cp = ex.export_batch().expect("carried state");
+        cp.pending_joins.push(300);
+        let template = ex.template.take();
+        assert!(template.is_some());
+        ex.import_batch(&cp);
+        ex.template = template;
+        oracle.import_batch(&cp);
+        tracker.restore(&cp.decode_groups, &cp.pending_joins);
+        tracker.apply(&delta);
+        tracker.fill_shape(&mut shape, &delta);
+        let out = ex.execute_delta(&delta, &shape);
+        let want = oracle.stage_cost_delta(&delta);
+        assert_eq!(out.seconds.to_bits(), want.seconds.to_bits());
+        assert_eq!(ex.batch.reqs(), 5, "the join landed");
     }
 
     #[test]

@@ -30,7 +30,10 @@
 //!
 //! [`DecodeTemplate`] caches those coefficients; between membership
 //! changes each stage costs one `advance` (O(nodes) adds) and one
-//! `price` (O(nodes) multiplies). Any admission, retirement or resync
+//! `price` (O(nodes) multiplies). When a stage is a pure advance and
+//! no joins are pending, [`BatchState::apply`] would only advance the
+//! groups, so the executor's inline branch calls `BatchState::advance`
+//! and the template directly. Any admission, retirement or resync
 //! invalidates the template, and the executor rebuilds it from the
 //! carried groups (in O(1) on a single node, where the placement is
 //! the aggregates themselves).
@@ -93,6 +96,20 @@ impl BatchState {
     /// The run-length-encoded decode groups.
     pub fn groups(&self) -> &ContextGroups {
         &self.groups
+    }
+
+    /// Whether no admitted request waits to join the decode set on the
+    /// next advance.
+    pub(crate) fn no_joins(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// Advance every context by one token: what [`Self::apply`] does
+    /// with a pure-advance delta on a synced state with no joins
+    /// pending, minus the checks.
+    pub(crate) fn advance(&mut self) {
+        debug_assert!(self.synced && self.pending.is_empty());
+        self.groups.advance();
     }
 
     /// Apply one stage delta (see [`duplex_sched::delta`] for the event
