@@ -60,6 +60,18 @@
 //! order fixed, a run is a pure function of its configuration and
 //! seed.
 //!
+//! **Control-plane events.** The fault plan and the autoscaler each keep
+//! one queue of timed events (scripted faults, restarts, warm-up clears,
+//! evaluation ticks, joins). The earliest event, by virtual time and then
+//! by schedule order, is due once no stage starts and no arrival routes
+//! before it; a fully-down fleet's held arrivals do not block. At a merge
+//! point the fault runtime applies its due events, load triggers and
+//! finished drains, then the autoscaler its due events and finished
+//! scale-downs, alternating until both are quiet; the earliest pending
+//! event also ends the next window. A snapshot captures both queues with
+//! their schedule counters, the runtimes' retry, drain, trigger and pool
+//! state, and the pending disaggregation assignments.
+//!
 //! # Disaggregated prefill/decode pools
 //!
 //! [`ClusterSimulation::with_disagg`] partitions the fleet into a
@@ -119,7 +131,7 @@ use crate::metrics::{
     KvReuseStats, LatencyDigest, LatencySummary, SimReport, SloStats, StageStats,
 };
 use crate::policy::SchedulingPolicy;
-use crate::router::{PoolRole, ReplicaSnapshot, Router};
+use crate::router::{weighted_load, PoolRole, ReplicaSnapshot, Router};
 use crate::scenario::{ReplicaSim, Scenario, ScenarioStream, SloTier};
 use crate::scheduler::{SimulationConfig, StageExecutor};
 use crate::snapshot::{AutoscaleState, ClusterSnapshot, DisaggState, FaultState};
@@ -288,9 +300,29 @@ impl<'p> DisaggRuntime<'p> {
         }
     }
 
-    /// Restore state captured by [`DisaggRuntime::export_state`]. The
-    /// caller validated the shape against the plan and fleet.
-    fn import_state(&mut self, s: &DisaggState) {
+    /// Restore state captured by [`DisaggRuntime::export_state`],
+    /// rejecting assignments to replicas outside the plan's decode pool
+    /// or the `replicas`-replica fleet.
+    fn import_state(&mut self, s: &DisaggState, replicas: usize) -> Result<(), String> {
+        if let Some(&(id, target, _)) = s
+            .assignments
+            .iter()
+            .find(|&&(_, t, _)| self.plan.role_of(t as usize) != PoolRole::Decode)
+        {
+            return Err(format!(
+                "snapshot assigns request {id} to replica {target}, which is not in the \
+                 decode pool"
+            ));
+        }
+        if let Some(&(id, target, _)) = s
+            .assignments
+            .iter()
+            .find(|&&(_, t, _)| t as usize >= replicas)
+        {
+            return Err(format!(
+                "snapshot assigns request {id} to replica {target} of {replicas}"
+            ));
+        }
         self.assignments = s
             .assignments
             .iter()
@@ -302,6 +334,7 @@ impl<'p> DisaggRuntime<'p> {
             transfer_seconds: s.transfer_seconds,
             reprefills: s.reprefills,
         };
+        Ok(())
     }
 }
 
@@ -480,15 +513,72 @@ impl ClusterReport {
     }
 }
 
+/// The earliest of `times` (the first of equal times).
+fn earliest(times: impl IntoIterator<Item = f64>) -> Option<f64> {
+    times.into_iter().fold(None, |acc, t| match acc {
+        Some(best) if best <= t => Some(best),
+        _ => Some(t),
+    })
+}
+
 /// The fleet's earliest next stage start, across replicas.
 fn fleet_next_start(replicas: &[ReplicaSim]) -> Option<f64> {
-    replicas
-        .iter()
-        .filter_map(ReplicaSim::next_start)
-        .fold(None::<f64>, |acc, t| match acc {
-            Some(best) if best <= t => Some(best),
-            _ => Some(t),
-        })
+    earliest(replicas.iter().filter_map(ReplicaSim::next_start))
+}
+
+/// The replica passing `keep` with the least [`weighted_load`] (the
+/// most with `most`); ties go to the lowest index. `None` when no
+/// replica passes.
+fn pick_by_load(
+    configs: &[ReplicaConfig],
+    replicas: &[ReplicaSim],
+    most: bool,
+    keep: impl Fn(usize, &ReplicaSim) -> bool,
+) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (j, r) in replicas.iter().enumerate() {
+        if !keep(j, r) {
+            continue;
+        }
+        let (in_flight, queued, outstanding) = r.load();
+        let load = weighted_load(in_flight + queued, outstanding, configs[j].weight);
+        match best {
+            Some((_, b)) if (if most { b >= load } else { b <= load }) => {}
+            _ => best = Some((j, load)),
+        }
+    }
+    best.map(|(j, _)| j)
+}
+
+/// Move every parked KV history off replica `from` — one batched
+/// transfer to `to`, priced over `link` against the receiver's clock.
+/// Histories the receiver cannot hold, and all of them when there is no
+/// receiver, are dropped.
+fn hand_off_parked(
+    configs: &[ReplicaConfig],
+    replicas: &mut [ReplicaSim],
+    from: usize,
+    to: Option<usize>,
+    link: KvLinkSpec,
+    stats: &mut RecoveryStats,
+) {
+    let moved = replicas[from].take_parked();
+    let Some(to) = to else {
+        return;
+    };
+    let mut bytes = 0u64;
+    for (conversation, tokens) in moved {
+        if replicas[to].receive_parked(conversation, tokens) {
+            bytes += tokens * configs[from].sim.kv_bytes_per_token.max(1);
+            stats.kv_migrations += 1;
+        }
+    }
+    if bytes > 0 {
+        let seconds = link.transfer_seconds(bytes);
+        replicas[to].add_transfer_time(seconds);
+        stats.kv_bytes_migrated += bytes;
+        stats.migration_seconds += seconds;
+    }
 }
 
 /// Route every arrival due by the fleet's next stage start. Returns
@@ -626,8 +716,7 @@ fn dispatch_arrivals(
 
 /// Ship `conversation`'s parked KV from `src` to `target` (no-op when
 /// nothing is resident or the target cannot hold it), pricing the
-/// transfer over `link` against the target's clock. Returns the bytes
-/// moved.
+/// transfer over `link` against the target's clock.
 fn migrate_parked(
     configs: &[ReplicaConfig],
     replicas: &mut [ReplicaSim],
@@ -636,12 +725,12 @@ fn migrate_parked(
     conversation: u64,
     link: KvLinkSpec,
     stats: &mut RecoveryStats,
-) -> u64 {
+) {
     let Some(tokens) = replicas[src].parked_tokens(conversation) else {
-        return 0;
+        return;
     };
     if !replicas[target].receive_parked(conversation, tokens) {
-        return 0;
+        return;
     }
     replicas[src].release_parked(conversation);
     let bytes = tokens * configs[src].sim.kv_bytes_per_token.max(1);
@@ -650,73 +739,6 @@ fn migrate_parked(
     stats.kv_bytes_migrated += bytes;
     stats.kv_migrations += 1;
     stats.migration_seconds += seconds;
-    bytes
-}
-
-/// One dispatch → window → merge round. Returns `false` when no
-/// replica has a next stage (the fleet drained, truncated, or is fully
-/// down holding arrivals). See the module docs for why windows end at
-/// merge points.
-#[allow(clippy::too_many_arguments)]
-fn drive_round<E: StageExecutor>(
-    stream: &mut ScenarioStream<'_>,
-    router: &mut dyn Router,
-    configs: &[ReplicaConfig],
-    replicas: &mut [ReplicaSim],
-    snapshots: &mut Vec<ReplicaSnapshot>,
-    policies: &mut [Box<dyn SchedulingPolicy>],
-    executors: &mut [E],
-    limit: Option<f64>,
-    link: KvLinkSpec,
-    stats: &mut RecoveryStats,
-    mut disagg: Option<&mut DisaggRuntime<'_>>,
-) -> bool {
-    // ---- dispatch: route every arrival due by the fleet's next stage ----
-    dispatch_arrivals(
-        stream,
-        router,
-        configs,
-        replicas,
-        snapshots,
-        limit,
-        link,
-        stats,
-        disagg.as_deref_mut(),
-    );
-    if !replicas.iter().any(|r| r.next_start().is_some()) {
-        return false;
-    }
-    // ---- window: every replica steps to the next global sync point ----
-    // After dispatch the next arrival (if any) is strictly later than
-    // the fleet's earliest stage start, so at least one replica steps:
-    // every round makes progress. Two fault-plan wrinkles: windows
-    // never run past `limit` (the next fault event lands at that merge
-    // point), and a fully-down fleet ignores its *held* arrivals (they
-    // may predate the pending restart that will release them).
-    let arrival = stream.next_arrival_time();
-    let bound = if replicas.iter().any(ReplicaSim::is_admitting) {
-        match (arrival, limit) {
-            (Some(a), Some(l)) => Some(a.min(l)),
-            (a, l) => a.or(l),
-        }
-    } else {
-        limit
-    };
-    for ((r, p), e) in replicas
-        .iter_mut()
-        .zip(policies.iter_mut())
-        .zip(executors.iter_mut())
-    {
-        r.run_window(bound, p.as_mut(), e);
-    }
-    // ---- merge: apply buffered events in replica-index order ----
-    for r in replicas.iter_mut() {
-        r.drain_retire_events(stream);
-    }
-    if let Some(d) = disagg {
-        drain_handoffs(stream, configs, replicas, d);
-    }
-    true
 }
 
 /// Deliver every buffered prefill→decode handoff, in replica-index
@@ -745,7 +767,9 @@ fn drain_handoffs(
             // back to the least-loaded admitting decode replica.
             let target = match assigned {
                 Some((d, _)) if replicas[d].is_admitting() => Some(d),
-                _ => best_pool_target(configs, replicas, PoolRole::Decode),
+                _ => pick_by_load(configs, replicas, false, |_, r| {
+                    r.role() == PoolRole::Decode && r.is_admitting()
+                }),
             };
             let Some(d) = target else {
                 // The whole decode pool is down: the request re-enters
@@ -787,37 +811,78 @@ fn drain_handoffs(
     }
 }
 
-/// The least weighted-load admitting replica of `role` (the handoff
-/// fallback target); `None` when the whole pool is down.
-fn best_pool_target(
-    configs: &[ReplicaConfig],
-    replicas: &[ReplicaSim],
-    role: PoolRole,
-) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (j, r) in replicas.iter().enumerate() {
-        if r.role() != role || !r.is_admitting() {
-            continue;
-        }
-        let (in_flight, queued, outstanding) = r.load();
-        let slots = (in_flight + queued) as f64;
-        let drain = outstanding as f64;
-        let load = (slots + drain / (1.0 + drain)) / configs[j].weight.max(f64::MIN_POSITIVE);
-        match best {
-            Some((_, b)) if b <= load => {}
-            _ => best = Some((j, load)),
-        }
-    }
-    best.map(|(j, _)| j)
+/// A control-plane event queue on the virtual clock (see "Control-plane
+/// events" in the module docs).
+struct EventQueue<A> {
+    /// `(at_s, seq, action)` in schedule order; `seq` is the
+    /// deterministic tiebreak for equal times.
+    events: Vec<(f64, u64, A)>,
+    /// The next schedule-order number.
+    seq: u64,
 }
 
-/// A scheduled fault-machinery event on the virtual clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TimedEvent {
-    at_s: f64,
-    /// Schedule order, the deterministic tiebreak for equal times.
-    seq: u64,
-    action: Action,
+impl<A: Copy> EventQueue<A> {
+    fn new() -> Self {
+        Self {
+            events: Vec::new(),
+            seq: 0,
+        }
+    }
+
+    fn schedule(&mut self, at_s: f64, action: A) {
+        self.events.push((at_s, self.seq, action));
+        self.seq += 1;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Earliest pending event time (folds into the dispatch/window
+    /// `limit`).
+    fn next_at(&self) -> Option<f64> {
+        earliest(self.events.iter().map(|e| e.0))
+    }
+
+    /// Remove and return the earliest `(at_s, seq)` event if the fleet
+    /// frontier has reached it: no stage starts and no arrival routes
+    /// before it. A fully-down fleet's *held* arrivals don't block (they
+    /// may predate the very restart that will release them).
+    fn pop_due(
+        &mut self,
+        replicas: &[ReplicaSim],
+        stream: &mut ScenarioStream<'_>,
+    ) -> Option<(f64, A)> {
+        let (idx, &(at_s, _, _)) = self.events.iter().enumerate().min_by(|(_, a), (_, b)| {
+            a.0.partial_cmp(&b.0)
+                .expect("event times are never NaN")
+                .then(a.1.cmp(&b.1))
+        })?;
+        let stage_ok = fleet_next_start(replicas).is_none_or(|t| t >= at_s);
+        let arrival_ok = stream.next_arrival_time().is_none_or(|t| t >= at_s)
+            || !replicas.iter().any(ReplicaSim::is_admitting);
+        (stage_ok && arrival_ok).then(|| (at_s, self.events.remove(idx).2))
+    }
+
+    /// Rebuild a queue from snapshot rows `(at_s bits, seq, encoded
+    /// action)` in schedule order. `kind` names
+    /// the queue in errors; a NaN time is rejected here because the due
+    /// rule cannot order it. (An infinite time is legal: a crash whose
+    /// outage never ends schedules its restart at +inf.)
+    fn import<R>(
+        rows: impl Iterator<Item = (u64, u64, R)>,
+        seq: u64,
+        kind: &str,
+        decode: impl Fn(R) -> Result<A, String>,
+    ) -> Result<Self, String> {
+        let events: Vec<(f64, u64, A)> = rows
+            .map(|(at_bits, seq, code)| Ok((f64::from_bits(at_bits), seq, decode(code)?)))
+            .collect::<Result<_, String>>()?;
+        if events.iter().any(|e| e.0.is_nan()) {
+            return Err(format!("snapshot {kind} event has a NaN time"));
+        }
+        Ok(Self { events, seq })
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -830,6 +895,31 @@ enum Action {
     ClearSlow(usize),
 }
 
+impl Action {
+    /// The snapshot's `(code, arg)` pair (see [`FaultState`]).
+    fn encode(self) -> (u64, u64) {
+        match self {
+            Action::Apply(i) => (0, i as u64),
+            Action::Restart(i) => (1, i as u64),
+            Action::ClearSlow(i) => (2, i as u64),
+        }
+    }
+
+    /// Inverse of [`Action::encode`] for a plan of `faults` faults on a
+    /// `replicas`-replica fleet.
+    fn decode(code: u64, arg: u64, faults: usize, replicas: usize) -> Result<Self, String> {
+        let i = arg as usize;
+        match code {
+            0 if i < faults => Ok(Action::Apply(i)),
+            1 if i < replicas => Ok(Action::Restart(i)),
+            2 if i < replicas => Ok(Action::ClearSlow(i)),
+            _ => Err(format!(
+                "snapshot fault event has code {code} with out-of-range argument {arg}"
+            )),
+        }
+    }
+}
+
 /// The cluster's live fault machinery: the pending event queue
 /// (scripted faults plus the restarts/warm-up-clears they schedule),
 /// per-request retry counts, and in-progress drains. All of it is
@@ -838,8 +928,7 @@ enum Action {
 /// seed-deterministic and resumable from a mid-outage snapshot.
 struct FaultRuntime<'p> {
     plan: &'p FaultPlan,
-    events: Vec<TimedEvent>,
-    seq: u64,
+    queue: EventQueue<Action>,
     /// Retry counts per lost request id, sorted by id.
     attempts: Vec<(u64, u32)>,
     /// Per replica: `(down_s, fault_at_s)` of an in-progress drain.
@@ -850,55 +939,17 @@ struct FaultRuntime<'p> {
 
 impl<'p> FaultRuntime<'p> {
     fn new(plan: &'p FaultPlan, replica_count: usize) -> Self {
-        for f in &plan.faults {
-            assert!(
-                f.replica < replica_count,
-                "fault targets replica {} of {replica_count}",
-                f.replica
-            );
+        let mut queue = EventQueue::new();
+        for (i, f) in plan.faults.iter().enumerate() {
+            queue.schedule(f.at_s, Action::Apply(i));
         }
-        let events: Vec<TimedEvent> = plan
-            .faults
-            .iter()
-            .enumerate()
-            .map(|(i, f)| TimedEvent {
-                at_s: f.at_s,
-                seq: i as u64,
-                action: Action::Apply(i),
-            })
-            .collect();
         Self {
             plan,
-            seq: events.len() as u64,
-            events,
+            queue,
             attempts: Vec::new(),
             draining_down: vec![None; replica_count],
             trigger_state: vec![(0, 0.0); plan.triggers.len()],
         }
-    }
-
-    fn schedule(&mut self, at_s: f64, action: Action) {
-        self.events.push(TimedEvent {
-            at_s,
-            seq: self.seq,
-            action,
-        });
-        self.seq += 1;
-    }
-
-    fn has_events(&self) -> bool {
-        !self.events.is_empty()
-    }
-
-    /// Earliest pending event time (the dispatch/window `limit`).
-    fn next_event_at(&self) -> Option<f64> {
-        self.events
-            .iter()
-            .map(|e| e.at_s)
-            .fold(None::<f64>, |acc, t| match acc {
-                Some(best) if best <= t => Some(best),
-                _ => Some(t),
-            })
     }
 
     /// Retry count of `request` after one more loss (1-based).
@@ -913,27 +964,6 @@ impl<'p> FaultRuntime<'p> {
                 1
             }
         }
-    }
-
-    /// The earliest pending event, if the fleet frontier has reached
-    /// it: no stage starts before it and no arrival routes before it.
-    /// A fully-down fleet's *held* arrivals don't block (they may
-    /// predate the very restart that will release them).
-    fn due_event_index(
-        &self,
-        replicas: &[ReplicaSim],
-        stream: &mut ScenarioStream<'_>,
-    ) -> Option<usize> {
-        let (idx, ev) = self.events.iter().enumerate().min_by(|(_, a), (_, b)| {
-            a.at_s
-                .partial_cmp(&b.at_s)
-                .expect("event times are finite")
-                .then(a.seq.cmp(&b.seq))
-        })?;
-        let stage_ok = fleet_next_start(replicas).is_none_or(|t| t >= ev.at_s);
-        let arrival_ok = stream.next_arrival_time().is_none_or(|t| t >= ev.at_s)
-            || !replicas.iter().any(ReplicaSim::is_admitting);
-        (stage_ok && arrival_ok).then_some(idx)
     }
 
     /// Run the merge-point fault boundary to quiescence: apply every
@@ -954,28 +984,20 @@ impl<'p> FaultRuntime<'p> {
     ) -> bool {
         let mut acted = false;
         loop {
-            if let Some(idx) = self.due_event_index(replicas, stream) {
-                let ev = self.events.remove(idx);
-                self.apply_event(ev, stream, replicas, stats);
-                acted = true;
-                continue;
-            }
-            if self.fire_due_trigger(stream, replicas, stats) {
-                acted = true;
-                continue;
-            }
-            if let Some(i) = (0..replicas.len()).find(|&i| {
-                replicas[i].is_draining()
-                    && !replicas[i].in_flight()
-                    && !skip_drains.get(i).copied().unwrap_or(false)
-            }) {
+            if let Some((at_s, action)) = self.queue.pop_due(replicas, stream) {
+                self.apply_event(at_s, action, stream, replicas, stats);
+            } else if !self.fire_due_trigger(stream, replicas, stats) {
+                let Some(i) = (0..replicas.len()).find(|&i| {
+                    replicas[i].is_draining()
+                        && !replicas[i].in_flight()
+                        && !skip_drains.get(i).copied().unwrap_or(false)
+                }) else {
+                    return acted;
+                };
                 self.complete_drain(i, configs, replicas, stats);
-                acted = true;
-                continue;
             }
-            break;
+            acted = true;
         }
-        acted
     }
 
     /// Fire the first armed load trigger whose pressure condition a
@@ -1018,28 +1040,23 @@ impl<'p> FaultRuntime<'p> {
 
     fn apply_event(
         &mut self,
-        ev: TimedEvent,
+        at_s: f64,
+        action: Action,
         stream: &mut ScenarioStream<'_>,
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
     ) {
-        match ev.action {
+        match action {
             Action::Apply(fi) => {
-                let fault = self.plan.faults[fi];
-                self.inject(
-                    fault.at_s,
-                    fault.replica,
-                    fault.kind,
-                    stream,
-                    replicas,
-                    stats,
-                );
+                let f = self.plan.faults[fi];
+                self.inject(f.at_s, f.replica, f.kind, stream, replicas, stats);
             }
             Action::Restart(i) => {
-                replicas[i].restart(ev.at_s);
+                replicas[i].restart(at_s);
                 if self.plan.warmup_s > 0.0 {
                     replicas[i].set_perf_factor(self.plan.warmup_factor);
-                    self.schedule(ev.at_s + self.plan.warmup_s, Action::ClearSlow(i));
+                    self.queue
+                        .schedule(at_s + self.plan.warmup_s, Action::ClearSlow(i));
                 }
             }
             Action::ClearSlow(i) => replicas[i].set_perf_factor(1.0),
@@ -1067,7 +1084,7 @@ impl<'p> FaultRuntime<'p> {
                 let now = replicas[replica].clock().max(at_s);
                 let lost = replicas[replica].crash();
                 replicas[replica].mark_down(now);
-                self.schedule(now + down_s, Action::Restart(replica));
+                self.queue.schedule(now + down_s, Action::Restart(replica));
                 for mut p in lost {
                     stats.requests_lost += 1;
                     let attempt = self.bump_attempts(p.request.id);
@@ -1096,7 +1113,8 @@ impl<'p> FaultRuntime<'p> {
             FaultKind::Slowdown { duration_s, factor } => {
                 let now = replicas[replica].clock().max(at_s);
                 replicas[replica].set_perf_factor(factor);
-                self.schedule(now + duration_s, Action::ClearSlow(replica));
+                self.queue
+                    .schedule(now + duration_s, Action::ClearSlow(replica));
             }
         }
     }
@@ -1112,45 +1130,26 @@ impl<'p> FaultRuntime<'p> {
         stats: &mut RecoveryStats,
     ) {
         let (down_s, fault_at_s) = self.draining_down[i].take().unwrap_or((0.0, 0.0));
-        let moved = replicas[i].take_parked();
         replicas[i].finish_drain();
-        if !moved.is_empty() {
-            if let Some(target) = best_handoff_target(configs, replicas, i) {
-                let mut bytes = 0u64;
-                for (conversation, tokens) in moved {
-                    if replicas[target].receive_parked(conversation, tokens) {
-                        bytes += tokens * configs[i].sim.kv_bytes_per_token.max(1);
-                        stats.kv_migrations += 1;
-                    }
-                }
-                if bytes > 0 {
-                    let seconds = self.plan.link.transfer_seconds(bytes);
-                    replicas[target].add_transfer_time(seconds);
-                    stats.kv_bytes_migrated += bytes;
-                    stats.migration_seconds += seconds;
-                }
-            }
-        }
+        let to = best_handoff_target(configs, replicas, i);
+        hand_off_parked(configs, replicas, i, to, self.plan.link, stats);
         replicas[i].mark_down(replicas[i].clock().max(fault_at_s));
         let restart_at = replicas[i].clock().max(fault_at_s) + down_s;
-        self.schedule(restart_at, Action::Restart(i));
+        self.queue.schedule(restart_at, Action::Restart(i));
     }
 
     fn export_state(&self) -> FaultState {
         FaultState {
             events: self
+                .queue
                 .events
                 .iter()
-                .map(|e| {
-                    let (code, arg) = match e.action {
-                        Action::Apply(i) => (0u64, i as u64),
-                        Action::Restart(i) => (1, i as u64),
-                        Action::ClearSlow(i) => (2, i as u64),
-                    };
-                    (e.at_s.to_bits(), e.seq, code, arg)
+                .map(|&(at_s, seq, a)| {
+                    let (code, arg) = a.encode();
+                    (at_s.to_bits(), seq, code, arg)
                 })
                 .collect(),
-            seq: self.seq,
+            seq: self.queue.seq,
             attempts: self
                 .attempts
                 .iter()
@@ -1172,34 +1171,45 @@ impl<'p> FaultRuntime<'p> {
         }
     }
 
-    /// Restore state captured by [`FaultRuntime::export_state`]. The
-    /// caller validated the shape against the plan and fleet.
-    fn import_state(&mut self, s: &FaultState) {
-        self.events = s
+    /// Restore state captured by [`FaultRuntime::export_state`],
+    /// rejecting events, drains and trigger states this plan and fleet
+    /// cannot hold.
+    fn import_state(&mut self, s: &FaultState) -> Result<(), String> {
+        let (faults, replicas) = (self.plan.faults.len(), self.draining_down.len());
+        let rows = s
             .events
             .iter()
-            .map(|&(at_bits, seq, code, arg)| TimedEvent {
-                at_s: f64::from_bits(at_bits),
-                seq,
-                action: match code {
-                    0 => Action::Apply(arg as usize),
-                    1 => Action::Restart(arg as usize),
-                    _ => Action::ClearSlow(arg as usize),
-                },
-            })
-            .collect();
-        self.seq = s.seq;
-        self.attempts = s.attempts.iter().map(|&(id, n)| (id, n as u32)).collect();
-        for d in self.draining_down.iter_mut() {
-            *d = None;
+            .map(|&(at, seq, code, arg)| (at, seq, (code, arg)));
+        let queue = EventQueue::import(rows, s.seq, "fault", |(code, arg)| {
+            Action::decode(code, arg, faults, replicas)
+        })?;
+        if let Some(&(replica, _, _)) = s
+            .draining_down
+            .iter()
+            .find(|&&(r, _, _)| r as usize >= replicas)
+        {
+            return Err(format!(
+                "snapshot drain state targets replica {replica} of {replicas}"
+            ));
         }
+        if s.triggers.len() != self.trigger_state.len() {
+            return Err(format!(
+                "snapshot has {} load-trigger states, the plan has {}",
+                s.triggers.len(),
+                self.trigger_state.len()
+            ));
+        }
+        self.queue = queue;
+        self.attempts = s.attempts.iter().map(|&(id, n)| (id, n as u32)).collect();
+        self.draining_down.fill(None);
         for &(replica, down_bits, at_bits) in &s.draining_down {
             self.draining_down[replica as usize] =
                 Some((f64::from_bits(down_bits), f64::from_bits(at_bits)));
         }
-        for (i, &(fires, armed_bits)) in s.triggers.iter().enumerate() {
-            self.trigger_state[i] = (fires as u32, f64::from_bits(armed_bits));
+        for (state, &(fires, armed_bits)) in self.trigger_state.iter_mut().zip(&s.triggers) {
+            *state = (fires as u32, f64::from_bits(armed_bits));
         }
+        Ok(())
     }
 }
 
@@ -1212,38 +1222,27 @@ fn best_handoff_target(
     replicas: &[ReplicaSim],
     skip: usize,
 ) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (j, r) in replicas.iter().enumerate() {
-        if j == skip || !r.is_admitting() || r.role() != replicas[skip].role() {
-            continue;
-        }
-        let (in_flight, queued, outstanding) = r.load();
-        let slots = (in_flight + queued) as f64;
-        let drain = outstanding as f64;
-        let load = (slots + drain / (1.0 + drain)) / configs[j].weight.max(f64::MIN_POSITIVE);
-        match best {
-            Some((_, b)) if b <= load => {}
-            _ => best = Some((j, load)),
-        }
-    }
-    best.map(|(j, _)| j)
+    let role = replicas[skip].role();
+    pick_by_load(configs, replicas, false, |j, r| {
+        j != skip && r.is_admitting() && r.role() == role
+    })
 }
 
 /// Fold the plan, the leftover event queue and the per-replica
 /// recovery recordings into per-fault [`FaultOutcome`]s. Runs at the
-/// end of a completed run, before the replicas are consumed into
-/// reports; never-recovered faults get their remaining-span fallback
-/// filled in by the caller (which knows the fleet wall clock).
+/// end of a completed run that lasted `total_time_s`, before the
+/// replicas are consumed into reports.
 fn compute_fault_outcomes(
-    plan: &FaultPlan,
     rt: &FaultRuntime<'_>,
     replicas: &[ReplicaSim],
     tiers: &[SloTier],
+    total_time_s: f64,
 ) -> Vec<FaultOutcome> {
+    let plan = rt.plan;
     // A plan fault whose Apply event is still queued never fired.
     let mut unapplied = vec![false; plan.faults.len()];
-    for ev in &rt.events {
-        if let Action::Apply(fi) = ev.action {
+    for &(_, _, action) in &rt.queue.events {
+        if let Action::Apply(fi) = action {
             unapplied[fi] = true;
         }
     }
@@ -1307,19 +1306,13 @@ fn compute_fault_outcomes(
                 replica: f.replica,
                 kind: f.kind,
                 recovered_at_s,
-                recovery_time_s: recovered_at_s.map_or(0.0, |t| (t - f.at_s).max(0.0)),
+                // Never recovered inside the run: the remaining span is
+                // the pessimistic, gateable stand-in.
+                recovery_time_s: (recovered_at_s.unwrap_or(total_time_s) - f.at_s).max(0.0),
                 windows,
             }
         })
         .collect()
-}
-
-/// One scheduled scale event.
-#[derive(Debug, Clone, Copy)]
-struct ScaleEvent {
-    at_s: f64,
-    seq: u64,
-    action: ScaleAction,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -1333,6 +1326,35 @@ enum ScaleAction {
     ClearWarmup(usize),
 }
 
+impl ScaleAction {
+    /// The snapshot's `(code, arg, lag bits)` triple (see
+    /// [`AutoscaleState`]).
+    fn encode(self) -> (u64, u64, u64) {
+        match self {
+            ScaleAction::Eval => (0, 0, 0),
+            ScaleAction::ScaleUp { replica, lag_s } => (1, replica as u64, lag_s.to_bits()),
+            ScaleAction::ClearWarmup(i) => (2, i as u64, 0),
+        }
+    }
+
+    /// Inverse of [`ScaleAction::encode`] on a `replicas`-replica
+    /// fleet.
+    fn decode(code: u64, arg: u64, lag: u64, replicas: usize) -> Result<Self, String> {
+        let i = arg as usize;
+        match code {
+            0 => Ok(ScaleAction::Eval),
+            1 if i < replicas => Ok(ScaleAction::ScaleUp {
+                replica: i,
+                lag_s: f64::from_bits(lag),
+            }),
+            2 if i < replicas => Ok(ScaleAction::ClearWarmup(i)),
+            _ => Err(format!(
+                "snapshot scale event has code {code} with out-of-range argument {arg}"
+            )),
+        }
+    }
+}
+
 /// Merge-point autoscale machinery for one cluster run: evaluates the
 /// [`AutoscalePolicy`] signals on a fixed virtual-time cadence and
 /// turns its votes into provisioning / drain events, processed with
@@ -1340,8 +1362,7 @@ enum ScaleAction {
 /// stay deterministic and snapshot-resumable.
 struct AutoscaleRuntime<'p> {
     policy: &'p AutoscalePolicy,
-    events: Vec<ScaleEvent>,
-    seq: u64,
+    queue: EventQueue<ScaleAction>,
     /// Standby-pool membership: `pool[i]` while replica `i` is parked.
     pool: Vec<bool>,
     /// Scale-down drains in progress (ours, not the fault plan's).
@@ -1359,15 +1380,11 @@ struct AutoscaleRuntime<'p> {
 
 impl<'p> AutoscaleRuntime<'p> {
     fn new(policy: &'p AutoscalePolicy, replica_count: usize) -> Self {
-        assert!(
-            policy.min_replicas <= replica_count,
-            "autoscale floor {} exceeds the {replica_count}-replica fleet",
-            policy.min_replicas
-        );
-        let mut rt = Self {
+        let mut queue = EventQueue::new();
+        queue.schedule(policy.interval_s, ScaleAction::Eval);
+        Self {
             policy,
-            events: Vec::new(),
-            seq: 0,
+            queue,
             pool: (0..replica_count)
                 .map(|i| i >= policy.min_replicas)
                 .collect(),
@@ -1378,54 +1395,7 @@ impl<'p> AutoscaleRuntime<'p> {
             cooldown_until: 0.0,
             last_slo: (0, 0),
             stats: ScaleStats::default(),
-        };
-        rt.schedule(policy.interval_s, ScaleAction::Eval);
-        rt
-    }
-
-    fn schedule(&mut self, at_s: f64, action: ScaleAction) {
-        self.events.push(ScaleEvent {
-            at_s,
-            seq: self.seq,
-            action,
-        });
-        self.seq += 1;
-    }
-
-    fn has_events(&self) -> bool {
-        !self.events.is_empty()
-    }
-
-    /// Earliest pending scale event time (folds into the
-    /// dispatch/window `limit`).
-    fn next_event_at(&self) -> Option<f64> {
-        self.events
-            .iter()
-            .map(|e| e.at_s)
-            .fold(None::<f64>, |acc, t| match acc {
-                Some(best) if best <= t => Some(best),
-                _ => Some(t),
-            })
-    }
-
-    /// Same frontier rules as [`FaultRuntime::due_event_index`]: the
-    /// earliest event fires once no stage starts and no arrival routes
-    /// before it.
-    fn due_event_index(
-        &self,
-        replicas: &[ReplicaSim],
-        stream: &mut ScenarioStream<'_>,
-    ) -> Option<usize> {
-        let (idx, ev) = self.events.iter().enumerate().min_by(|(_, a), (_, b)| {
-            a.at_s
-                .partial_cmp(&b.at_s)
-                .expect("event times are finite")
-                .then(a.seq.cmp(&b.seq))
-        })?;
-        let stage_ok = fleet_next_start(replicas).is_none_or(|t| t >= ev.at_s);
-        let arrival_ok = stream.next_arrival_time().is_none_or(|t| t >= ev.at_s)
-            || !replicas.iter().any(ReplicaSim::is_admitting);
-        (stage_ok && arrival_ok).then_some(idx)
+        }
     }
 
     /// Run the merge-point scale boundary to quiescence: apply every
@@ -1440,44 +1410,41 @@ impl<'p> AutoscaleRuntime<'p> {
     ) -> bool {
         let mut acted = false;
         loop {
-            if let Some(idx) = self.due_event_index(replicas, stream) {
-                let ev = self.events.remove(idx);
-                self.apply_event(ev, stream, configs, replicas, stats);
-                acted = true;
-                continue;
-            }
-            if let Some(i) = (0..replicas.len()).find(|&i| {
+            if let Some((at_s, action)) = self.queue.pop_due(replicas, stream) {
+                self.apply_event(at_s, action, stream, configs, replicas, stats);
+            } else if let Some(i) = (0..replicas.len()).find(|&i| {
                 self.draining[i] && replicas[i].is_draining() && !replicas[i].in_flight()
             }) {
                 self.complete_scale_down(i, configs, replicas, stats);
-                acted = true;
-                continue;
+            } else {
+                return acted;
             }
-            break;
+            acted = true;
         }
-        acted
     }
 
     fn apply_event(
         &mut self,
-        ev: ScaleEvent,
+        at_s: f64,
+        action: ScaleAction,
         stream: &mut ScenarioStream<'_>,
         configs: &[ReplicaConfig],
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
     ) {
-        match ev.action {
+        match action {
             ScaleAction::Eval => {
-                self.evaluate(ev.at_s, stream, configs, replicas);
+                self.evaluate(at_s, stream, configs, replicas);
                 // Keep ticking only while the run still has work —
                 // arrivals to come or stages to run. An eternal tick
                 // on a drained fleet would never let the run end.
                 if stream.next_arrival_time().is_some() || fleet_next_start(replicas).is_some() {
-                    self.schedule(ev.at_s + self.policy.interval_s, ScaleAction::Eval);
+                    self.queue
+                        .schedule(at_s + self.policy.interval_s, ScaleAction::Eval);
                 }
             }
             ScaleAction::ScaleUp { replica, lag_s } => {
-                self.join(ev.at_s, replica, lag_s, configs, replicas, stats);
+                self.join(at_s, replica, lag_s, configs, replicas, stats);
             }
             ScaleAction::ClearWarmup(i) => replicas[i].set_perf_factor(1.0),
         }
@@ -1505,11 +1472,7 @@ impl<'p> AutoscaleRuntime<'p> {
             slots_sum += r.max_batch();
             active += 1;
         }
-        let pressure = if active == 0 {
-            0.0
-        } else {
-            pressure_sum / active as f64
-        };
+        let pressure = pressure_sum / active.max(1) as f64;
         let occupancy = if slots_sum == 0 {
             0.0
         } else {
@@ -1552,7 +1515,8 @@ impl<'p> AutoscaleRuntime<'p> {
                 self.pool[i] = false;
                 let join_at = t + self.policy.provision_s;
                 let lag_s = join_at - self.streak_start.unwrap_or(t);
-                self.schedule(join_at, ScaleAction::ScaleUp { replica: i, lag_s });
+                self.queue
+                    .schedule(join_at, ScaleAction::ScaleUp { replica: i, lag_s });
                 self.up_streak = 0;
                 self.streak_start = None;
                 self.cooldown_until = t + self.policy.cooldown_s;
@@ -1560,24 +1524,12 @@ impl<'p> AutoscaleRuntime<'p> {
             return;
         }
         if self.down_streak >= self.policy.down_windows && active > self.policy.min_replicas {
-            // Drain the least-loaded serving replica (the fault
-            // plan's handoff-target formula, minimized the other way).
-            let mut victim: Option<(usize, f64)> = None;
-            for (i, r) in replicas.iter().enumerate() {
-                if !r.is_admitting() || self.draining[i] {
-                    continue;
-                }
-                let (in_flight, queued, outstanding) = r.load();
-                let slots = (in_flight + queued) as f64;
-                let drain = outstanding as f64;
-                let load =
-                    (slots + drain / (1.0 + drain)) / configs[i].weight.max(f64::MIN_POSITIVE);
-                match victim {
-                    Some((_, b)) if b <= load => {}
-                    _ => victim = Some((i, load)),
-                }
-            }
-            if let Some((i, _)) = victim {
+            // Drain the least-loaded serving replica.
+            let draining = &self.draining;
+            let victim = pick_by_load(configs, replicas, false, |i, r| {
+                r.is_admitting() && !draining[i]
+            });
+            if let Some(i) = victim {
                 for p in replicas[i].begin_drain() {
                     stream.requeue(p);
                 }
@@ -1604,44 +1556,18 @@ impl<'p> AutoscaleRuntime<'p> {
         replicas[replica].restart(at_s);
         if self.policy.warmup_s > 0.0 {
             replicas[replica].set_perf_factor(self.policy.warmup_factor);
-            self.schedule(
+            self.queue.schedule(
                 at_s + self.policy.warmup_s,
                 ScaleAction::ClearWarmup(replica),
             );
         }
-        let mut donor: Option<(usize, f64)> = None;
-        for (j, r) in replicas.iter().enumerate() {
-            if j == replica
-                || !r.is_admitting()
-                || self.draining[j]
-                || r.role() != replicas[replica].role()
-            {
-                continue;
-            }
-            let (in_flight, queued, outstanding) = r.load();
-            let slots = (in_flight + queued) as f64;
-            let drain = outstanding as f64;
-            let load = (slots + drain / (1.0 + drain)) / configs[j].weight.max(f64::MIN_POSITIVE);
-            match donor {
-                Some((_, b)) if b >= load => {}
-                _ => donor = Some((j, load)),
-            }
-        }
-        if let Some((j, _)) = donor {
-            let moved = replicas[j].take_parked();
-            let mut bytes = 0u64;
-            for (conversation, tokens) in moved {
-                if replicas[replica].receive_parked(conversation, tokens) {
-                    bytes += tokens * configs[j].sim.kv_bytes_per_token.max(1);
-                    stats.kv_migrations += 1;
-                }
-            }
-            if bytes > 0 {
-                let seconds = self.policy.link.transfer_seconds(bytes);
-                replicas[replica].add_transfer_time(seconds);
-                stats.kv_bytes_migrated += bytes;
-                stats.migration_seconds += seconds;
-            }
+        let role = replicas[replica].role();
+        let draining = &self.draining;
+        let donor = pick_by_load(configs, replicas, true, |j, r| {
+            j != replica && r.is_admitting() && !draining[j] && r.role() == role
+        });
+        if let Some(j) = donor {
+            hand_off_parked(configs, replicas, j, Some(replica), self.policy.link, stats);
         }
         self.stats.scale_ups += 1;
         if lag_s > self.stats.scale_up_lag_s {
@@ -1659,25 +1585,9 @@ impl<'p> AutoscaleRuntime<'p> {
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
     ) {
-        let moved = replicas[i].take_parked();
         replicas[i].finish_drain();
-        if !moved.is_empty() {
-            if let Some(target) = best_handoff_target(configs, replicas, i) {
-                let mut bytes = 0u64;
-                for (conversation, tokens) in moved {
-                    if replicas[target].receive_parked(conversation, tokens) {
-                        bytes += tokens * configs[i].sim.kv_bytes_per_token.max(1);
-                        stats.kv_migrations += 1;
-                    }
-                }
-                if bytes > 0 {
-                    let seconds = self.policy.link.transfer_seconds(bytes);
-                    replicas[target].add_transfer_time(seconds);
-                    stats.kv_bytes_migrated += bytes;
-                    stats.migration_seconds += seconds;
-                }
-            }
-        }
+        let to = best_handoff_target(configs, replicas, i);
+        hand_off_parked(configs, replicas, i, to, self.policy.link, stats);
         replicas[i].mark_down(replicas[i].clock());
         self.pool[i] = true;
         self.draining[i] = false;
@@ -1687,20 +1597,15 @@ impl<'p> AutoscaleRuntime<'p> {
     fn export_state(&self) -> AutoscaleState {
         AutoscaleState {
             events: self
+                .queue
                 .events
                 .iter()
-                .map(|e| {
-                    let (code, arg, lag) = match e.action {
-                        ScaleAction::Eval => (0u64, 0u64, 0u64),
-                        ScaleAction::ScaleUp { replica, lag_s } => {
-                            (1, replica as u64, lag_s.to_bits())
-                        }
-                        ScaleAction::ClearWarmup(i) => (2, i as u64, 0),
-                    };
-                    (e.at_s.to_bits(), e.seq, code, arg, lag)
+                .map(|&(at_s, seq, a)| {
+                    let (code, arg, lag) = a.encode();
+                    (at_s.to_bits(), seq, code, arg, lag)
                 })
                 .collect(),
-            seq: self.seq,
+            seq: self.queue.seq,
             pool: self.pool.clone(),
             draining: self.draining.clone(),
             up_streak: u64::from(self.up_streak),
@@ -1714,26 +1619,23 @@ impl<'p> AutoscaleRuntime<'p> {
         }
     }
 
-    /// Restore state captured by [`AutoscaleRuntime::export_state`].
-    /// The caller validated the shape against the policy and fleet.
-    fn import_state(&mut self, s: &AutoscaleState) {
-        self.events = s
+    /// Restore state captured by [`AutoscaleRuntime::export_state`],
+    /// rejecting membership vectors and events this fleet cannot hold.
+    fn import_state(&mut self, s: &AutoscaleState) -> Result<(), String> {
+        let replicas = self.pool.len();
+        if s.pool.len() != replicas || s.draining.len() != replicas {
+            return Err(format!(
+                "snapshot autoscale state covers {} replicas, the cluster has {replicas}",
+                s.pool.len().max(s.draining.len()),
+            ));
+        }
+        let rows = s
             .events
             .iter()
-            .map(|&(at, seq, code, arg, lag)| ScaleEvent {
-                at_s: f64::from_bits(at),
-                seq,
-                action: match code {
-                    0 => ScaleAction::Eval,
-                    1 => ScaleAction::ScaleUp {
-                        replica: arg as usize,
-                        lag_s: f64::from_bits(lag),
-                    },
-                    _ => ScaleAction::ClearWarmup(arg as usize),
-                },
-            })
-            .collect();
-        self.seq = s.seq;
+            .map(|&(at, seq, code, arg, lag)| (at, seq, (code, arg, lag)));
+        self.queue = EventQueue::import(rows, s.seq, "scale", |(code, arg, lag)| {
+            ScaleAction::decode(code, arg, lag, replicas)
+        })?;
         self.pool = s.pool.clone();
         self.draining = s.draining.clone();
         self.up_streak = s.up_streak as u32;
@@ -1746,6 +1648,29 @@ impl<'p> AutoscaleRuntime<'p> {
             scale_downs: s.scale_downs,
             scale_up_lag_s: s.scale_up_lag_s,
         };
+        Ok(())
+    }
+}
+
+/// Reject a snapshot that carries `state` runtime state while the
+/// cluster lacks `config` (named with its article), or the reverse.
+fn check_presence<C, S>(
+    cluster: &Option<C>,
+    snapshot: &Option<S>,
+    config: &str,
+    state: &str,
+) -> Result<(), String> {
+    match (cluster, snapshot) {
+        (Some(_), None) => Err(format!(
+            "the cluster has {config} but the snapshot has no {state} state"
+        )),
+        (None, Some(_)) => {
+            let (_, bare) = config.split_once(' ').unwrap_or(("", config));
+            Err(format!(
+                "the snapshot has {state} state but the cluster has no {bare}"
+            ))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -1961,15 +1886,18 @@ impl ClusterSimulation {
         self.run_inner(router, policies, executors, Some(snapshot), Some(stop_s))
     }
 
-    /// Reject a snapshot whose shape cannot belong to this cluster
-    /// before any of it is imported (imports assume a valid shape).
-    /// `policies` is the per-replica policy slice of the resuming run:
-    /// preemption-armed policies carry a parked pool the scenario
-    /// alone would not predict.
-    fn validate_snapshot(
+    /// Check a snapshot's shape against this cluster and restore the
+    /// control-plane runtimes from it, before anything outside them is
+    /// touched (the replica imports that follow assume the checked
+    /// shape). `policies` is the resuming run's: preemption-armed
+    /// policies carry a parked pool the scenario alone would not predict.
+    fn restore_control_plane(
         &self,
         snap: &ClusterSnapshot,
         policies: &[Box<dyn SchedulingPolicy>],
+        fault_rt: Option<&mut FaultRuntime<'_>>,
+        auto_rt: Option<&mut AutoscaleRuntime<'_>>,
+        disagg_rt: Option<&mut DisaggRuntime<'_>>,
     ) -> Result<(), String> {
         if snap.replicas.len() != self.configs.len() {
             return Err(format!(
@@ -1978,21 +1906,12 @@ impl ClusterSimulation {
                 self.configs.len()
             ));
         }
-        match (&self.disagg, &snap.disagg) {
-            (Some(_), None) => {
-                return Err(
-                    "the cluster has a disaggregation plan but the snapshot has no disagg state"
-                        .to_string(),
-                );
-            }
-            (None, Some(_)) => {
-                return Err(
-                    "the snapshot has disagg state but the cluster has no disaggregation plan"
-                        .to_string(),
-                );
-            }
-            _ => {}
-        }
+        check_presence(
+            &self.disagg,
+            &snap.disagg,
+            "a disaggregation plan",
+            "disagg",
+        )?;
         let tier_count = self.scenario.tiers.len();
         let fault_count = self.faults.as_ref().map_or(0, |p| p.faults.len());
         for (i, s) in snap.replicas.iter().enumerate() {
@@ -2030,107 +1949,21 @@ impl ClusterSimulation {
                 ));
             }
         }
-        match (&self.faults, &snap.fault) {
-            (Some(_), None) => {
-                return Err(
-                    "the cluster has a fault plan but the snapshot has no fault state".to_string(),
-                );
-            }
-            (None, Some(_)) => {
-                return Err(
-                    "the snapshot has fault state but the cluster has no fault plan".to_string(),
-                );
-            }
-            _ => {}
+        check_presence(&self.faults, &snap.fault, "a fault plan", "fault")?;
+        if let (Some(rt), Some(fs)) = (fault_rt, &snap.fault) {
+            rt.import_state(fs)?;
         }
-        if let (Some(plan), Some(fs)) = (&self.faults, &snap.fault) {
-            for &(_, _, code, arg) in &fs.events {
-                let valid = match code {
-                    0 => (arg as usize) < plan.faults.len(),
-                    1 | 2 => (arg as usize) < self.configs.len(),
-                    _ => false,
-                };
-                if !valid {
-                    return Err(format!(
-                        "snapshot fault event has code {code} with out-of-range argument {arg}"
-                    ));
-                }
-            }
-            if let Some(&(replica, _, _)) = fs
-                .draining_down
-                .iter()
-                .find(|&&(r, _, _)| r as usize >= self.configs.len())
-            {
-                return Err(format!(
-                    "snapshot drain state targets replica {replica} of {}",
-                    self.configs.len()
-                ));
-            }
-            let trigger_count = plan.triggers.len();
-            if fs.triggers.len() != trigger_count {
-                return Err(format!(
-                    "snapshot has {} load-trigger states, the plan has {trigger_count}",
-                    fs.triggers.len()
-                ));
-            }
+        check_presence(
+            &self.autoscale,
+            &snap.autoscale,
+            "an autoscale policy",
+            "autoscale",
+        )?;
+        if let (Some(rt), Some(a)) = (auto_rt, &snap.autoscale) {
+            rt.import_state(a)?;
         }
-        match (&self.autoscale, &snap.autoscale) {
-            (Some(_), None) => {
-                return Err(
-                    "the cluster has an autoscale policy but the snapshot has no autoscale state"
-                        .to_string(),
-                );
-            }
-            (None, Some(_)) => {
-                return Err(
-                    "the snapshot has autoscale state but the cluster has no autoscale policy"
-                        .to_string(),
-                );
-            }
-            _ => {}
-        }
-        if let Some(a) = &snap.autoscale {
-            if a.pool.len() != self.configs.len() || a.draining.len() != self.configs.len() {
-                return Err(format!(
-                    "snapshot autoscale state covers {} replicas, the cluster has {}",
-                    a.pool.len().max(a.draining.len()),
-                    self.configs.len()
-                ));
-            }
-            for &(_, _, code, arg, _) in &a.events {
-                let valid = match code {
-                    0 => true,
-                    1 | 2 => (arg as usize) < self.configs.len(),
-                    _ => false,
-                };
-                if !valid {
-                    return Err(format!(
-                        "snapshot scale event has code {code} with out-of-range argument {arg}"
-                    ));
-                }
-            }
-        }
-        if let (Some(plan), Some(d)) = (&self.disagg, &snap.disagg) {
-            if let Some(&(id, target, _)) = d
-                .assignments
-                .iter()
-                .find(|&&(_, t, _)| plan.role_of(t as usize) != PoolRole::Decode)
-            {
-                return Err(format!(
-                    "snapshot assigns request {id} to replica {target}, which is not in the \
-                     decode pool"
-                ));
-            }
-            if let Some(&(id, target, _)) = d
-                .assignments
-                .iter()
-                .find(|&&(_, t, _)| t as usize >= self.configs.len())
-            {
-                return Err(format!(
-                    "snapshot assigns request {id} to replica {target} of {}",
-                    self.configs.len()
-                ));
-            }
+        if let (Some(rt), Some(d)) = (disagg_rt, &snap.disagg) {
+            rt.import_state(d, self.configs.len())?;
         }
         Ok(())
     }
@@ -2186,31 +2019,17 @@ impl ClusterSimulation {
             .autoscale
             .as_ref()
             .map(|policy| AutoscaleRuntime::new(policy, configs.len()));
-        if start.is_none() {
-            if let Some(rt) = &auto_rt {
-                // Fresh elastic start: everything beyond the floor
-                // begins parked in the standby pool.
-                for (i, replica) in replicas.iter_mut().enumerate() {
-                    if rt.pool[i] {
-                        replica.deactivate();
-                    }
-                }
-            }
-        }
         if let Some(snap) = start {
-            self.validate_snapshot(snap, policies)?;
+            self.restore_control_plane(
+                snap,
+                policies,
+                fault_rt.as_mut(),
+                auto_rt.as_mut(),
+                disagg_rt.as_mut(),
+            )?;
             stream.import_state(&snap.stream);
             router.import_state(&snap.router);
             stats = snap.stats;
-            if let (Some(rt), Some(fs)) = (fault_rt.as_mut(), &snap.fault) {
-                rt.import_state(fs);
-            }
-            if let (Some(rt), Some(a)) = (auto_rt.as_mut(), &snap.autoscale) {
-                rt.import_state(a);
-            }
-            if let (Some(rt), Some(d)) = (disagg_rt.as_mut(), &snap.disagg) {
-                rt.import_state(d);
-            }
             for ((replica, state), executor) in replicas
                 .iter_mut()
                 .zip(&snap.replicas)
@@ -2219,6 +2038,14 @@ impl ClusterSimulation {
                 replica.import_state(state);
                 if let Some(batch) = &state.batch {
                     executor.import_batch(batch);
+                }
+            }
+        } else if let Some(rt) = &auto_rt {
+            // Fresh elastic start: everything beyond the floor begins
+            // parked in the standby pool.
+            for (i, replica) in replicas.iter_mut().enumerate() {
+                if rt.pool[i] {
+                    replica.deactivate();
                 }
             }
         }
@@ -2254,24 +2081,29 @@ impl ClusterSimulation {
                     break;
                 }
             }
+            let limit = earliest(
+                [
+                    fault_rt.as_ref().and_then(|rt| rt.queue.next_at()),
+                    auto_rt.as_ref().and_then(|rt| rt.queue.next_at()),
+                ]
+                .into_iter()
+                .flatten(),
+            );
             // ---- pause check, at the merge-point boundary ----
             // Peeking the arrival time here draws the same source
             // request the upcoming dispatch would peek, so the stream
             // state a snapshot captures is on the uninterrupted run's
             // draw order.
             if let Some(stop) = stop_s {
-                let next_event = [
-                    fleet_next_start(&replicas),
-                    stream.next_arrival_time(),
-                    fault_rt.as_ref().and_then(FaultRuntime::next_event_at),
-                    auto_rt.as_ref().and_then(AutoscaleRuntime::next_event_at),
-                ]
-                .into_iter()
-                .flatten()
-                .fold(None::<f64>, |acc, t| match acc {
-                    Some(best) if best <= t => Some(best),
-                    _ => Some(t),
-                });
+                let next_event = earliest(
+                    [
+                        fleet_next_start(&replicas),
+                        stream.next_arrival_time(),
+                        limit,
+                    ]
+                    .into_iter()
+                    .flatten(),
+                );
                 if next_event.is_some_and(|t| t >= stop) {
                     let states = replicas
                         .iter()
@@ -2294,49 +2126,66 @@ impl ClusterSimulation {
                     })));
                 }
             }
-            let limit = [
-                fault_rt.as_ref().and_then(FaultRuntime::next_event_at),
-                auto_rt.as_ref().and_then(AutoscaleRuntime::next_event_at),
-            ]
-            .into_iter()
-            .flatten()
-            .fold(None::<f64>, |acc, t| match acc {
-                Some(best) if best <= t => Some(best),
-                _ => Some(t),
-            });
-            if !drive_round(
+            // ---- dispatch: route every arrival due by the fleet's next stage ----
+            dispatch_arrivals(
                 &mut stream,
                 router,
                 configs,
                 &mut replicas,
                 &mut snapshots,
-                policies,
-                executors,
                 limit,
                 link,
                 &mut stats,
                 disagg_rt.as_mut(),
-            ) {
-                // A fully-down fleet holds its arrivals instead of
-                // stepping: keep looping while the fault or scale
-                // machinery can still deliver them (pending events, or
-                // a finished drain whose completion unblocks the run).
-                let can_progress = fault_rt.as_ref().is_some_and(FaultRuntime::has_events)
-                    || auto_rt.as_ref().is_some_and(AutoscaleRuntime::has_events)
+            );
+            if !replicas.iter().any(|r| r.next_start().is_some()) {
+                // No replica has a next stage: the fleet drained,
+                // truncated, or is fully down. A fully-down fleet holds
+                // its arrivals instead of stepping: keep looping while
+                // the fault or scale machinery can still deliver them
+                // (pending events, or a finished drain whose completion
+                // unblocks the run).
+                let can_progress = fault_rt.as_ref().is_some_and(|rt| !rt.queue.is_empty())
+                    || auto_rt.as_ref().is_some_and(|rt| !rt.queue.is_empty())
                     || replicas.iter().any(|r| r.is_draining() && !r.in_flight());
                 if can_progress && stream.next_arrival_time().is_some() {
                     continue;
                 }
                 break;
             }
+            // ---- window: every replica steps to the next global sync point ----
+            // After dispatch the next arrival (if any) is strictly later
+            // than the fleet's earliest stage start, so at least one
+            // replica steps: every round makes progress. Two control-plane
+            // wrinkles: windows never run past `limit` (the next fault or
+            // scale event lands at that merge point), and a fully-down
+            // fleet ignores its *held* arrivals (they may predate the
+            // pending restart that will release them).
+            let arrival = stream.next_arrival_time();
+            let bound = if replicas.iter().any(ReplicaSim::is_admitting) {
+                match (arrival, limit) {
+                    (Some(a), Some(l)) => Some(a.min(l)),
+                    (a, l) => a.or(l),
+                }
+            } else {
+                limit
+            };
+            for ((r, p), e) in replicas
+                .iter_mut()
+                .zip(policies.iter_mut())
+                .zip(executors.iter_mut())
+            {
+                r.run_window(bound, p.as_mut(), e);
+            }
+            // ---- merge: apply buffered events in replica-index order ----
+            for r in replicas.iter_mut() {
+                r.drain_retire_events(&mut stream);
+            }
+            if let Some(d) = disagg_rt.as_mut() {
+                drain_handoffs(&mut stream, configs, &mut replicas, d);
+            }
         }
 
-        let mut fault_outcomes = match (&self.faults, &fault_rt) {
-            (Some(plan), Some(rt)) => {
-                compute_fault_outcomes(plan, rt, &replicas, &self.scenario.tiers)
-            }
-            _ => Vec::new(),
-        };
         // The fleet wall clock is the max replica clock (what each
         // report's `total_time_s` will be); billable replica time is
         // that span minus each replica's accumulated down time — pool
@@ -2349,16 +2198,12 @@ impl ClusterSimulation {
             .iter()
             .map(|r| (total_time_s - r.down_seconds_until(total_time_s)).max(0.0))
             .sum();
+        let fault_outcomes = fault_rt.as_ref().map_or_else(Vec::new, |rt| {
+            compute_fault_outcomes(rt, &replicas, &self.scenario.tiers, total_time_s)
+        });
         let scaling = auto_rt.map(|rt| rt.stats).unwrap_or_default();
         let disagg = disagg_rt.map(|rt| rt.stats).unwrap_or_default();
         let reports: Vec<SimReport> = replicas.into_iter().map(ReplicaSim::into_report).collect();
-        for o in fault_outcomes.iter_mut() {
-            if o.recovered_at_s.is_none() {
-                // Never recovered inside the run: the remaining span
-                // is the pessimistic, gateable stand-in.
-                o.recovery_time_s = (total_time_s - o.at_s).max(0.0);
-            }
-        }
         Ok(ClusterRun::Done(ClusterReport {
             replicas: reports,
             router: router.name().into(),

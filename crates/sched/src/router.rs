@@ -111,6 +111,15 @@ pub struct ReplicaSnapshot {
     pub transfer_backlog_bytes: u64,
 }
 
+/// The formula of [`ReplicaSnapshot::weighted_load`] (`slots` is
+/// in-flight + queued); the cluster's control plane ranks replicas by it
+/// too.
+pub(crate) fn weighted_load(slots: usize, outstanding: u64, weight: f64) -> f64 {
+    let slots = slots as f64;
+    let drain = outstanding as f64;
+    (slots + drain / (1.0 + drain)) / weight.max(f64::MIN_POSITIVE)
+}
+
 impl ReplicaSnapshot {
     /// Committed requests (in-flight + queued, the admission-delay
     /// signal) plus a token-scale tiebreak, normalized by the
@@ -120,9 +129,11 @@ impl ReplicaSnapshot {
     /// holding and waiting for slots ahead of it, not by their
     /// residual token counts.
     pub fn weighted_load(&self) -> f64 {
-        let slots = (self.in_flight + self.queued) as f64;
-        let drain = self.outstanding_tokens as f64;
-        (slots + drain / (1.0 + drain)) / self.weight.max(f64::MIN_POSITIVE)
+        weighted_load(
+            self.in_flight + self.queued,
+            self.outstanding_tokens,
+            self.weight,
+        )
     }
 
     /// Queue-pressure estimate: committed slots (in-flight + queued)

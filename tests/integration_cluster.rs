@@ -20,6 +20,7 @@ use duplex::experiments::{
     ClusterSpec, Scale,
 };
 use duplex::model::ModelConfig;
+use duplex::sched::json::{self, JsonValue};
 use duplex::sched::{
     Arrivals, ClusterSimulation, ClusterSnapshot, ConversationSpec, PolicyKind, ReplicaConfig,
     RouterKind, Scenario, ScenarioSimulation, SchedulingPolicy, SimulationConfig, Workload,
@@ -601,4 +602,274 @@ fn a_colocated_fleet_rejects_a_disaggregated_snapshot() {
         .resume(&snapshot, router.as_mut(), &mut policies, &mut executors)
         .expect_err("a disaggregated snapshot cannot resume on a colocated fleet");
     assert!(err.contains("disagg"), "{err}");
+}
+
+// ------------------------------------------- hostile snapshot inputs
+
+/// Pause `spec` under least-outstanding routing at `stop_s`.
+fn pause(spec: &ClusterSpec, stop_s: f64) -> ClusterSnapshot {
+    let (sim, mut policies, mut executors) = build_cluster(spec);
+    let mut router = RouterKind::LeastOutstandingWork.build_with(&spec.router_context());
+    sim.run_until(router.as_mut(), &mut policies, &mut executors, stop_s)
+        .snapshot()
+        .expect("the bound lands mid-run")
+}
+
+/// The three drills' fixed pause points: the failure drill between its
+/// crash and its drain, the elastic autoscale fleet and the split
+/// disagg fleet a little under halfway through their runs.
+fn drill_pauses() -> Vec<(&'static str, ClusterSpec, ClusterSnapshot)> {
+    let suite = cluster_suite(&Scale::quick());
+    let failover = failover_spec(&suite).clone();
+    let plan = failover.faults.as_ref().expect("the drill scripts faults");
+    let failover_stop = 0.5 * (plan.faults[0].at_s + plan.faults[1].at_s);
+    let autoscale = autoscale_drill(&Scale::quick()).swap_remove(0);
+    let disagg = grok_disagg(&Scale::quick()).swap_remove(2);
+    vec![
+        (
+            "failover",
+            failover.clone(),
+            pause(&failover, failover_stop),
+        ),
+        (
+            "autoscale",
+            autoscale.clone(),
+            pause(&autoscale, AUTOSCALE_STOP_S),
+        ),
+        ("disagg", disagg.clone(), pause(&disagg, DISAGG_STOP_S)),
+    ]
+}
+
+const AUTOSCALE_STOP_S: f64 = 1.7;
+const DISAGG_STOP_S: f64 = 2.8;
+
+/// Re-emit a parsed snapshot in the writer's compact form. Every
+/// number in a snapshot is a quoted string, so `Num` never occurs.
+fn emit(v: &JsonValue, out: &mut String) {
+    match v {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Num(_) => panic!("snapshots quote every number"),
+        JsonValue::Str(s) => {
+            out.push('"');
+            for c in s.chars() {
+                if c == '"' || c == '\\' {
+                    out.push('\\');
+                }
+                out.push(c);
+            }
+            out.push('"');
+        }
+        JsonValue::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                emit(item, out);
+            }
+            out.push(']');
+        }
+        JsonValue::Obj(members) => {
+            out.push('{');
+            for (i, (k, item)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!("\"{k}\":"));
+                emit(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// The node at `path` (object keys and array indices).
+fn node<'a>(mut v: &'a mut JsonValue, path: &[&str]) -> &'a mut JsonValue {
+    for key in path {
+        v = match v {
+            JsonValue::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            JsonValue::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+            _ => panic!("{key}: not a container"),
+        };
+    }
+    v
+}
+
+fn items<'a>(v: &'a mut JsonValue, path: &[&str]) -> &'a mut Vec<JsonValue> {
+    match node(v, path) {
+        JsonValue::Arr(items) => items,
+        _ => panic!("{path:?}: not an array"),
+    }
+}
+
+fn num(x: u64) -> JsonValue {
+    JsonValue::Str(x.to_string())
+}
+
+fn row(xs: &[u64]) -> JsonValue {
+    JsonValue::Arr(xs.iter().map(|&x| num(x)).collect())
+}
+
+type Corruption = fn(&mut JsonValue, &ClusterSpec);
+
+#[test]
+fn corrupted_drill_snapshots_are_rejected_with_errors() {
+    // One corruption per validated field, applied to real mid-run
+    // snapshots of the three drills and pushed through the wire
+    // format: resume must answer with a described error, never a
+    // panic and never a silent divergence.
+    let cases: [(&str, &str, Corruption, &str); 15] = [
+        (
+            "failover",
+            "replica count",
+            |v, _| drop(items(v, &["replicas"]).pop()),
+            "replicas, the cluster has",
+        ),
+        (
+            "failover",
+            "tier count",
+            |v, _| drop(items(v, &["replicas", "0", "tiers"]).pop()),
+            "SLO tiers, the scenario has",
+        ),
+        (
+            "failover",
+            "fault-window count",
+            |v, _| drop(items(v, &["replicas", "1", "window_counts"]).pop()),
+            "fault windows, the plan has",
+        ),
+        (
+            "failover",
+            "fault-window tier slots",
+            |v, _| drop(items(v, &["replicas", "2", "window_counts", "0"]).pop()),
+            "tier slots, the scenario has",
+        ),
+        (
+            "failover",
+            "fault event code",
+            |v, _| *node(v, &["fault", "events", "0", "2"]) = num(7),
+            "fault event has code 7 with out-of-range argument",
+        ),
+        (
+            "failover",
+            "fault event argument",
+            |v, _| {
+                *node(v, &["fault", "events", "0", "2"]) = num(0);
+                *node(v, &["fault", "events", "0", "3"]) = num(99);
+            },
+            "fault event has code 0 with out-of-range argument 99",
+        ),
+        (
+            "failover",
+            "drain-state replica",
+            |v, _| items(v, &["fault", "draining_down"]).push(row(&[99, 0, 0])),
+            "drain state targets replica 99",
+        ),
+        (
+            "failover",
+            "load-trigger count",
+            |v, _| items(v, &["fault", "triggers"]).push(row(&[0, 0])),
+            "load-trigger states, the plan has",
+        ),
+        (
+            "failover",
+            "fault event time",
+            |v, _| *node(v, &["fault", "events", "0", "0"]) = num(f64::NAN.to_bits()),
+            "fault event has a NaN time",
+        ),
+        (
+            "autoscale",
+            "autoscale pool length",
+            |v, _| drop(items(v, &["autoscale", "pool"]).pop()),
+            "autoscale state covers",
+        ),
+        (
+            "autoscale",
+            "autoscale draining length",
+            |v, _| items(v, &["autoscale", "draining"]).push(JsonValue::Bool(false)),
+            "autoscale state covers",
+        ),
+        (
+            "autoscale",
+            "scale-event replica",
+            |v, _| {
+                *node(v, &["autoscale", "events", "0", "2"]) = num(2);
+                *node(v, &["autoscale", "events", "0", "3"]) = num(99);
+            },
+            "scale event has code 2 with out-of-range argument 99",
+        ),
+        (
+            "autoscale",
+            "scale event time",
+            |v, _| *node(v, &["autoscale", "events", "0", "0"]) = num(f64::NAN.to_bits()),
+            "scale event has a NaN time",
+        ),
+        (
+            "disagg",
+            "assignment to a prefill replica",
+            |v, spec| {
+                let prefill = spec.disagg.as_ref().unwrap().prefill_replicas[0] as u64;
+                items(v, &["disagg", "assignments"]).push(row(&[u64::MAX, prefill, 0]));
+            },
+            "which is not in the decode pool",
+        ),
+        (
+            "disagg",
+            "assignment out of range",
+            |v, _| items(v, &["disagg", "assignments"]).push(row(&[u64::MAX, 99, 0])),
+            "to replica 99 of",
+        ),
+    ];
+    let pauses = drill_pauses();
+    for (drill, field, corrupt, phrase) in cases {
+        let (_, spec, snapshot) = pauses.iter().find(|(d, _, _)| *d == drill).unwrap();
+        let original = snapshot.to_json();
+        let mut doc = json::parse(&original).expect("snapshots are JSON");
+        let mut text = String::new();
+        emit(&doc, &mut text);
+        assert_eq!(text, original, "re-emission alone changes nothing");
+        corrupt(&mut doc, spec);
+        text.clear();
+        emit(&doc, &mut text);
+        let corrupted = ClusterSnapshot::from_json(&text).expect("still a well-formed document");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (sim, mut policies, mut executors) = build_cluster(spec);
+            let mut router = RouterKind::LeastOutstandingWork.build_with(&spec.router_context());
+            sim.resume(&corrupted, router.as_mut(), &mut policies, &mut executors)
+        }));
+        let err = match outcome {
+            Ok(Err(err)) => err,
+            Ok(Ok(_)) => panic!("{drill} {field}: the corrupted snapshot resumed"),
+            Err(_) => panic!("{drill} {field}: resume panicked instead of returning an error"),
+        };
+        assert!(err.contains(phrase), "{drill} {field}: {err}");
+    }
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn drill_snapshot_bytes_are_pinned() {
+    // The v5 wire format is a compatibility promise: the same run
+    // paused at the same bound writes the same bytes, release after
+    // release. A change to these hashes is a schema change.
+    let expected = [
+        ("failover", 0x77f6_e275_2db3_58b5_u64, 36_919_usize),
+        ("autoscale", 0xfdb5_d385_5b83_1a6a, 44_200),
+        ("disagg", 0x919d_7404_dd82_6f0b, 31_133),
+    ];
+    for ((drill, _, snapshot), (name, hash, len)) in drill_pauses().iter().zip(expected) {
+        assert_eq!(*drill, name);
+        let text = snapshot.to_json();
+        assert_eq!(
+            (fnv1a64(text.as_bytes()), text.len()),
+            (hash, len),
+            "{drill}"
+        );
+    }
 }
