@@ -1816,6 +1816,11 @@ impl ClusterSimulation {
     /// Run the fleet to completion (or every replica's stage cap).
     /// `policies` and `executors` are indexed like the replica configs
     /// and must match their length.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `policies` or `executors` does not hold one entry
+    /// per replica.
     pub fn run<E: StageExecutor>(
         &self,
         router: &mut dyn Router,
@@ -1825,7 +1830,7 @@ impl ClusterSimulation {
         match self.run_inner(router, policies, executors, None, None) {
             Ok(ClusterRun::Done(report)) => report,
             Ok(ClusterRun::Paused(_)) => unreachable!("an unbounded run never pauses"),
-            Err(e) => unreachable!("no snapshot to validate: {e}"),
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -1840,6 +1845,11 @@ impl ClusterSimulation {
     /// routing, same final report to the bit (asserted by the
     /// integration tests) — because snapshots capture the complete
     /// dynamic state at a merge point of the clock-merge protocol.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`run`](Self::run) on mismatched `policies` or
+    /// `executors`.
     pub fn run_until<E: StageExecutor>(
         &self,
         router: &mut dyn Router,
@@ -1848,7 +1858,7 @@ impl ClusterSimulation {
         stop_s: f64,
     ) -> ClusterRun {
         self.run_inner(router, policies, executors, None, Some(stop_s))
-            .expect("no snapshot to validate")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Continue a paused run to completion. The cluster, scenario,
@@ -1857,7 +1867,8 @@ impl ClusterSimulation {
     /// (their carried batch state is restored from the snapshot).
     /// Snapshots whose shape does not match this cluster (replica
     /// count, tier set, fault plan) are rejected with a descriptive
-    /// error.
+    /// error, and so are `policies` or `executors` without one entry
+    /// per replica.
     pub fn resume<E: StageExecutor>(
         &self,
         snapshot: &ClusterSnapshot,
@@ -1873,8 +1884,8 @@ impl ClusterSimulation {
 
     /// Continue a paused run until a further bound (see
     /// [`run_until`](Self::run_until)); a run may pause and resume any
-    /// number of times. Mismatched snapshots are rejected like in
-    /// [`resume`](Self::resume).
+    /// number of times. Mismatched snapshots, policies and executors
+    /// are rejected like in [`resume`](Self::resume).
     pub fn resume_until<E: StageExecutor>(
         &self,
         snapshot: &ClusterSnapshot,
@@ -1977,12 +1988,20 @@ impl ClusterSimulation {
         stop_s: Option<f64>,
     ) -> Result<ClusterRun, String> {
         let configs = &self.configs;
-        assert_eq!(
-            configs.len(),
-            policies.len(),
-            "one scheduling policy per replica"
-        );
-        assert_eq!(configs.len(), executors.len(), "one executor per replica");
+        if policies.len() != configs.len() {
+            return Err(format!(
+                "one scheduling policy per replica: {} policies for {} replicas",
+                policies.len(),
+                configs.len()
+            ));
+        }
+        if executors.len() != configs.len() {
+            return Err(format!(
+                "one executor per replica: {} executors for {} replicas",
+                executors.len(),
+                configs.len()
+            ));
+        }
         let mut stream = ScenarioStream::new(&self.scenario, None);
         let mut replicas: Vec<ReplicaSim> = configs
             .iter()
@@ -2247,9 +2266,38 @@ mod tests {
         (0..n).map(|_| kind.build()).collect()
     }
 
+    /// Long decodes arriving on exact stage ends of a `Fixed(0.25)`
+    /// replica (stage `k` ends at `0.25 * (k + 1)`): the fleet's window
+    /// bound, the next arrival, equals the end of a quiet stage.
+    fn on_stage_ends() -> Scenario {
+        let trace = [
+            (0.0, 30),
+            (0.0, 40),
+            (1.5, 25),
+            (2.0, 30),
+            (2.0, 12),
+            (3.75, 20),
+            (9.0, 8),
+        ]
+        .iter()
+        .map(|&(arrival_s, output_len)| crate::trace::TraceRequest {
+            arrival_s,
+            input_len: 4,
+            output_len,
+        })
+        .collect();
+        Scenario::new(
+            "stage-ends",
+            Workload::fixed(4, 4),
+            Arrivals::trace(trace),
+            7,
+        )
+        .with_tiers(Scenario::default_tiers(0.01))
+    }
+
     #[test]
     fn single_replica_cluster_equals_scenario_simulation() {
-        let scenario = Scenario::new(
+        let chat = Scenario::new(
             "solo",
             Workload::gaussian(96, 10).with_seed(7),
             Arrivals::Poisson { qps: 300.0 },
@@ -2257,22 +2305,69 @@ mod tests {
         )
         .with_conversation(ConversationSpec::chat(0.7, 3, 0.01, 24))
         .with_tiers(Scenario::default_tiers(0.01));
-        let plain = ScenarioSimulation::new(config(4), scenario.clone())
-            .run(PolicyKind::PriorityTiers.build().as_mut(), &mut Fixed(0.01));
-        for kind in RouterKind::ALL {
-            let cluster =
-                ClusterSimulation::new(vec![ReplicaConfig::new(config(4))], scenario.clone()).run(
-                    kind.build().as_mut(),
-                    &mut policies(1, PolicyKind::PriorityTiers),
-                    &mut [Fixed(0.01)],
-                );
-            assert_eq!(cluster.replicas.len(), 1);
-            let r = &cluster.replicas[0];
-            assert_eq!(r.stage_stats, plain.stage_stats, "{}", kind.name());
-            assert_eq!(r.total_time_s.to_bits(), plain.total_time_s.to_bits());
-            assert_eq!(r.completed.len(), plain.completed.len());
-            assert_eq!(r.kv_reuse, plain.kv_reuse);
-            assert_eq!(cluster.completed(), plain.completed.len());
+        for (scenario, stage_s) in [(chat, 0.01), (on_stage_ends(), 0.25)] {
+            let plain = ScenarioSimulation::new(config(4), scenario.clone()).run(
+                PolicyKind::PriorityTiers.build().as_mut(),
+                &mut Fixed(stage_s),
+            );
+            if let Some(joiner) = plain.completed.iter().find(|r| r.request.arrival_s == 1.5) {
+                // A slot is free, so the 1.5 s arrival joins the stage
+                // starting on it: the run before stops at its bound.
+                assert_eq!(joiner.first_token_s, 1.75);
+            }
+            for kind in RouterKind::ALL {
+                let cluster =
+                    ClusterSimulation::new(vec![ReplicaConfig::new(config(4))], scenario.clone())
+                        .run(
+                            kind.build().as_mut(),
+                            &mut policies(1, PolicyKind::PriorityTiers),
+                            &mut [Fixed(stage_s)],
+                        );
+                assert_eq!(cluster.replicas.len(), 1);
+                let r = &cluster.replicas[0];
+                let case = format!("{} under {}", scenario.name, kind.name());
+                assert_eq!(r.stage_stats, plain.stage_stats, "{case}");
+                assert_eq!(r.total_time_s.to_bits(), plain.total_time_s.to_bits());
+                assert_eq!(r.completed.len(), plain.completed.len());
+                assert_eq!(r.kv_reuse, plain.kv_reuse);
+                assert_eq!(cluster.completed(), plain.completed.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_stop_inside_a_run_of_quiet_stages_resumes_bit_for_bit() {
+        // Two replicas on the stage-end trace. Each stop lands while a
+        // replica is inside a run of quiet stages (2.1 s between the
+        // 2.0 s arrivals and the next one, 5.1 s and 7.6 s in the long
+        // tail before the 9 s arrival).
+        let sim =
+            || ClusterSimulation::new(vec![ReplicaConfig::new(config(2)); 2], on_stage_ends());
+        let full = sim().run(
+            &mut RoundRobin::default(),
+            &mut policies(2, PolicyKind::PriorityTiers),
+            &mut [Fixed(0.25); 2],
+        );
+        for stop in [2.1, 5.1, 7.6] {
+            let snap = sim()
+                .run_until(
+                    &mut RoundRobin::default(),
+                    &mut policies(2, PolicyKind::PriorityTiers),
+                    &mut [Fixed(0.25); 2],
+                    stop,
+                )
+                .snapshot()
+                .expect("the stop lands mid-run");
+            let snap = ClusterSnapshot::from_json(&snap.to_json()).expect("round-trips");
+            let resumed = sim()
+                .resume(
+                    &snap,
+                    &mut RoundRobin::default(),
+                    &mut policies(2, PolicyKind::PriorityTiers),
+                    &mut [Fixed(0.25); 2],
+                )
+                .expect("resumes");
+            assert_eq!(resumed, full, "stop at {stop}");
         }
     }
 

@@ -46,6 +46,17 @@
 //!   accounting as any other (clock, timeline, stage record, TBT
 //!   digests, retirement sweep). ~98.5% of a closed-loop decode run's
 //!   stages are quiet; a saturated open-loop run has almost none;
+//! * consecutive quiet stages run inside one `step` call. The caller
+//!   passes a bound, the earliest time its next iteration could hand
+//!   the replica something new: `run_window` its window bound (the
+//!   fleet's next arrival or control-plane event), `ScenarioSimulation`
+//!   the stream's next arrival, and the base `Simulation` the stream's
+//!   next arrival while a batch slot is unclaimed (no bound while the
+//!   batch is full). The run returns after the first stage that
+//!   retires a request, reaches the stage cap, ends at or after the
+//!   bound, or leaves a routed arrival due in the inbox. Until then
+//!   nothing a caller's iteration could change has changed, so each
+//!   skipped iteration would have stepped the same quiet stage;
 //! * a decoding request stores a stage stamp rather than a token
 //!   counter, so advancing the batch touches no request;
 //! * the retirement sweep runs only on stages where some request is
@@ -1660,7 +1671,18 @@ impl ReplicaSim {
         }
     }
 
-    /// Form and execute one stage at this replica's `next_start` time.
+    /// Form and execute one stage at this replica's `next_start` time,
+    /// or, when that stage is quiet, a run of quiet stages (see
+    /// [`ReplicaSim::quiet_stage`]).
+    ///
+    /// `bound` is the earliest time at which the caller's next loop
+    /// iteration could hand this replica something new, `None` when
+    /// nothing could: the window bound under [`ReplicaSim::run_window`]
+    /// (the fleet's next arrival or control-plane event), the stream's
+    /// next arrival under [`ScenarioSimulation`], and under
+    /// [`crate::Simulation`] the stream's next arrival while a batch
+    /// slot is unclaimed, `None` while the batch is full. A bound at or
+    /// before the replica's clock runs exactly one stage.
     ///
     /// `step` never touches the shared [`ScenarioStream`]: completed
     /// conversations are *buffered* as [`RetireEvent`]s in retirement
@@ -1674,6 +1696,7 @@ impl ReplicaSim {
         &mut self,
         policy: &mut P,
         executor: &mut E,
+        bound: Option<f64>,
     ) {
         // Idle replicas jump to their earliest routed arrival.
         if !self.in_flight() && self.pending.is_empty() {
@@ -1706,7 +1729,7 @@ impl ReplicaSim {
             && (self.pending.is_empty()
                 || (self.active.len() >= self.config.max_batch && policy.preempt_spec().is_none()));
         if quiet {
-            self.quiet_stage(executor);
+            self.quiet_stage(executor, bound);
             return;
         }
         if !self.form_stage(policy) {
@@ -1719,14 +1742,37 @@ impl ReplicaSim {
         self.audit(stages);
     }
 
-    /// A quiet stage: the full stage minus its no-op phases. Kept out
-    /// of line: inlined into `step`, it slowed open-loop runs, whose
-    /// stages are nearly all full ones, by ~1.5%.
+    /// A run of quiet stages, each the full stage minus its no-op
+    /// phases. While a stage retires nothing, the active set, the
+    /// waiting queue and the chunking, paused and multiplexed state
+    /// stay as they were, so the next stage is quiet too unless the
+    /// caller hands over something new; the run goes on inside this
+    /// call and returns after the first stage that
+    ///
+    /// * retires a request (its delta is no longer a pure advance),
+    /// * reaches the stage cap,
+    /// * ends at or after `bound` (see [`ReplicaSim::step`]),
+    /// * or leaves a routed arrival due in the inbox.
+    ///
+    /// Every stage of the run goes through the same accounting as a
+    /// full one. Kept out of line: inlined into `step`, it slowed
+    /// open-loop runs, whose stages are nearly all full ones, by ~1.5%.
     #[inline(never)]
-    fn quiet_stage<E: StageExecutor + ?Sized>(&mut self, executor: &mut E) {
-        let stages = self.execute_stage(executor);
-        self.sweep_due(stages);
-        self.audit(stages);
+    fn quiet_stage<E: StageExecutor + ?Sized>(&mut self, executor: &mut E, bound: Option<f64>) {
+        // Nothing a quiet stage does touches the inbox, so its earliest
+        // arrival bounds the run like the caller's bound.
+        let mut stop = bound.unwrap_or(f64::INFINITY);
+        if let Some(p) = self.inbox.last() {
+            stop = stop.min(p.request.arrival_s);
+        }
+        loop {
+            let stages = self.execute_stage(executor);
+            self.sweep_due(stages);
+            self.audit(stages);
+            if !self.delta.is_pure_advance() || !self.can_accept() || self.clock >= stop {
+                return;
+            }
+        }
     }
 
     /// Form the next stage into the carried delta and shape: preempt,
@@ -2420,7 +2466,9 @@ impl ReplicaSim {
     /// clock-merge protocol. Stopping at the first buffered event is
     /// what keeps windows deterministic: everything after it could
     /// depend on the continuation die or on parked-KV bytes freed by a
-    /// release, both of which are resolved only at merge time.
+    /// release, both of which are resolved only at merge time. Each
+    /// step gets `bound` too, so a run of quiet stages stops where this
+    /// loop would have.
     pub(crate) fn run_window<E: StageExecutor + ?Sized>(
         &mut self,
         bound: Option<f64>,
@@ -2431,7 +2479,7 @@ impl ReplicaSim {
             if bound.is_some_and(|b| t >= b) {
                 break;
             }
-            self.step(policy, executor);
+            self.step(policy, executor, bound);
             if self.has_retire_events() || self.has_handoffs() {
                 break;
             }
@@ -2789,7 +2837,8 @@ impl ScenarioSimulation {
             if replica.next_start().is_none() {
                 break;
             }
-            replica.step(policy, executor);
+            let bound = stream.next_arrival_time();
+            replica.step(policy, executor, bound);
             // Draining right after the step keeps the RNG-draw and
             // parked-KV operation order identical to the historical
             // inline retirement path.
@@ -3251,29 +3300,78 @@ mod tests {
         ReplicaSim::new(config(max_batch), &scenario)
     }
 
-    /// Run `replica` stage by stage, as the fleet steps one, over
-    /// `requests` given as `(arrival_s, input, output, tier)` with ids
-    /// in order. Returns the drained replica and every delta it sent.
+    /// Run `replica` as a fleet window with no later event steps it:
+    /// every request routed up front, every step unbounded. See
+    /// [`drive`] for `requests`. Returns the drained replica and every
+    /// delta it sent.
     fn drive_replica<P: SchedulingPolicy>(
-        mut replica: ReplicaSim,
+        replica: ReplicaSim,
         requests: &[(f64, u64, u64, usize)],
         policy: &mut P,
     ) -> (ReplicaSim, Vec<StageDelta>) {
+        let (replica, deltas, _) = drive(replica, requests, policy, true, false);
+        (replica, deltas)
+    }
+
+    /// Drive `replica` over `requests` (`(arrival_s, input, output,
+    /// tier)`, in arrival order, ids in order) like one of the callers
+    /// does. `upfront` routes every request into the inbox first and
+    /// steps with no bound, as a fleet window with no later event
+    /// does; otherwise requests are fed lazily like
+    /// `ScenarioSimulation::run` feeds its stream, every arrival due by
+    /// the next stage start, and each step is bounded by the next
+    /// undelivered arrival. `single` instead bounds every step at the
+    /// replica's clock, which runs exactly one stage per call. Returns
+    /// the drained replica, every delta it sent and the `step` calls.
+    fn drive<P: SchedulingPolicy>(
+        mut replica: ReplicaSim,
+        requests: &[(f64, u64, u64, usize)],
+        policy: &mut P,
+        upfront: bool,
+        single: bool,
+    ) -> (ReplicaSim, Vec<StageDelta>, usize) {
         replica.prepare_preempt(policy);
-        for (id, &(arrival_s, input_len, output_len, tier)) in requests.iter().enumerate() {
-            let request = Request {
-                id: id as u64,
-                arrival_s,
-                input_len,
-                output_len,
-            };
-            replica.enqueue(make_pending(request, tier, &replica.tiers));
+        let mut feed: Vec<PendingRequest> = requests
+            .iter()
+            .enumerate()
+            .map(|(id, &(arrival_s, input_len, output_len, tier))| {
+                let request = Request {
+                    id: id as u64,
+                    arrival_s,
+                    input_len,
+                    output_len,
+                };
+                make_pending(request, tier, &replica.tiers)
+            })
+            .rev()
+            .collect();
+        if upfront {
+            for p in feed.drain(..).rev() {
+                replica.enqueue(p);
+            }
         }
         let mut ex = Quarter::default();
-        while replica.next_start().is_some() {
-            replica.step(policy, &mut ex);
+        let mut calls = 0;
+        loop {
+            while let Some(p) = feed.last() {
+                match replica.next_start() {
+                    Some(t) if p.request.arrival_s > t => break,
+                    None if !replica.can_accept() => break,
+                    _ => replica.enqueue(feed.pop().expect("checked non-empty")),
+                }
+            }
+            if replica.next_start().is_none() {
+                break;
+            }
+            let bound = if single {
+                Some(replica.clock())
+            } else {
+                feed.last().map(|p| p.request.arrival_s)
+            };
+            replica.step(policy, &mut ex, bound);
+            calls += 1;
         }
-        (replica, ex.0)
+        (replica, ex.0, calls)
     }
 
     /// The stages whose delta only advances the batch.
@@ -3422,6 +3520,157 @@ mod tests {
                 "tier {t}"
             );
         }
+    }
+
+    /// Run one case under both feeds, each with its natural bounds and
+    /// one stage per call, and demand identical runs. Returns the
+    /// report and the fewest calls a natural run took.
+    fn assert_runs_match_single_steps<P: SchedulingPolicy>(
+        name: &str,
+        make: impl Fn() -> ReplicaSim,
+        requests: &[(f64, u64, u64, usize)],
+        policy: &mut P,
+    ) -> (SimReport, usize) {
+        let mut fewest = usize::MAX;
+        let mut report = SimReport::default();
+        for upfront in [false, true] {
+            let (run, run_deltas, run_calls) = drive(make(), requests, policy, upfront, false);
+            let (one, one_deltas, one_calls) = drive(make(), requests, policy, upfront, true);
+            let case = format!("{name}, upfront {upfront}");
+            assert_eq!(run.timeline(), one.timeline(), "{case}");
+            let (run, one) = (run.into_report(), one.into_report());
+            assert_eq!(
+                run.total_time_s.to_bits(),
+                one.total_time_s.to_bits(),
+                "{case}"
+            );
+            assert_eq!(run.stages, one.stages, "{case}");
+            assert_eq!(run.stage_stats, one.stage_stats, "{case}");
+            assert_eq!(run.tbt_digest, one.tbt_digest, "{case}");
+            assert_eq!(run, one, "{case}");
+            assert_eq!(run_deltas, one_deltas, "{case}");
+            assert_eq!(
+                one_calls as u64, one.stage_stats.stages,
+                "{case}: one stage per call"
+            );
+            fewest = fewest.min(run_calls);
+            report = run;
+        }
+        (report, fewest)
+    }
+
+    #[test]
+    fn runs_of_quiet_stages_match_single_steps() {
+        let staggered = |n: u64| -> Vec<(f64, u64, u64, usize)> {
+            (0..n)
+                .map(|i| (0.0, 4 + i, 6 + (7 * i) % 23, (i % 2) as usize))
+                .collect()
+        };
+        let plain = |max_batch: usize| move || replica(max_batch, Vec::new());
+
+        // Closed loop with a full batch: ten backlogged requests, four
+        // slots, long stretches of quiet stages between retirements.
+        let (report, calls) =
+            assert_runs_match_single_steps("closed", plain(4), &staggered(10), &mut Fcfs);
+        let stages = report.stage_stats.stages;
+        assert!(
+            calls * 2 < stages as usize,
+            "{calls} calls, {stages} stages"
+        );
+
+        // Poisson-like arrivals with idle gaps and free slots.
+        let sparse = [
+            (0.0, 4, 9, 0),
+            (0.1, 6, 20, 0),
+            (3.05, 5, 12, 0),
+            (3.3, 4, 3, 0),
+            (9.7, 8, 15, 0),
+            (14.0, 4, 2, 0),
+        ];
+        let (report, calls) =
+            assert_runs_match_single_steps("sparse", plain(4), &sparse, &mut Fcfs);
+        let stages = report.stage_stats.stages;
+        assert!(
+            calls * 2 < stages as usize,
+            "{calls} calls, {stages} stages"
+        );
+
+        // Arrivals exactly at the end of a quiet stage (stage k ends at
+        // 0.25 * (k + 1)), with a slot free and with the batch full.
+        let on_stage_ends = [
+            (0.0, 4, 30, 0),
+            (0.0, 4, 30, 0),
+            (1.5, 4, 20, 0),
+            (2.0, 4, 20, 0),
+            (3.75, 4, 5, 0),
+        ];
+        let (report, _) =
+            assert_runs_match_single_steps("stage ends", plain(3), &on_stage_ends, &mut Fcfs);
+        let joiner = report.completed.iter().find(|r| r.request.id == 2);
+        assert_eq!(
+            joiner.map(|r| r.first_token_s),
+            Some(1.75),
+            "joins at 1.5 s"
+        );
+
+        // The stage cap lands inside a run.
+        let capped = || {
+            let cfg = SimulationConfig {
+                max_stages: 11,
+                ..config(2)
+            };
+            ReplicaSim::new(
+                cfg,
+                &Scenario::new("cap", Workload::fixed(4, 4), Arrivals::ClosedLoop, 1),
+            )
+        };
+        let (report, _) = assert_runs_match_single_steps("cap", capped, &staggered(4), &mut Fcfs);
+        assert_eq!(report.stage_stats.stages, 11);
+
+        // Fault-plan timeline buckets of 1 s (four stages each) cross
+        // the runs.
+        let recording = || {
+            let mut r = replica(3, two_tiers());
+            r.set_fault_recording(vec![(0.0, 100.0)], 1.0);
+            r
+        };
+        assert_runs_match_single_steps("timeline", recording, &staggered(9), &mut PriorityTiers);
+
+        // Preemption armed with a full batch and a waiting queue.
+        let mut preempting = crate::preempt::PreemptionPolicy::new(
+            Box::new(PriorityTiers),
+            crate::preempt::PreemptSpec::new(),
+        );
+        // Batch-tier work fills the three slots and queues behind them;
+        // urgent arrivals then pause batch-tier victims.
+        let crowded = [
+            (0.0, 8, 40, 1),
+            (0.0, 4, 40, 1),
+            (0.0, 4, 30, 1),
+            (0.0, 4, 20, 1),
+            (0.0, 6, 25, 1),
+            (0.6, 4, 3, 0),
+            (1.3, 4, 10, 0),
+            (5.1, 4, 6, 0),
+        ];
+        let (report, _) = assert_runs_match_single_steps(
+            "preempt",
+            || replica(3, two_tiers()),
+            &crowded,
+            &mut preempting,
+        );
+        assert!(report.preempt.preemptions > 0, "{:?}", report.preempt);
+
+        // SLO tiers with staggered arrivals.
+        let tiered: Vec<(f64, u64, u64, usize)> = (0..12)
+            .map(|i| (0.3 * i as f64, 4 + i, 3 + (7 * i) % 11, (i % 2) as usize))
+            .collect();
+        assert_runs_match_single_steps(
+            "tiers",
+            || replica(3, two_tiers()),
+            &tiered,
+            &mut PriorityTiers,
+        );
     }
 
     #[test]

@@ -199,6 +199,7 @@ impl Simulation {
             // this stage; an idle replica takes the next arrival (and
             // any tied with it) and jumps its clock there.
             let slots = replica.unclaimed_slots();
+            let mut bound = None;
             if slots > 0 {
                 let horizon = match replica.next_start() {
                     Some(t) => t,
@@ -213,8 +214,11 @@ impl Simulation {
                     };
                     replica.deliver(p);
                 }
+                // The next arrival bounds a run of quiet stages only
+                // while a slot could take it; a full batch takes none.
+                bound = stream.next_arrival_time();
             }
-            replica.step(&mut Fcfs, executor);
+            replica.step(&mut Fcfs, executor, bound);
         }
         replica.into_report()
     }

@@ -640,6 +640,71 @@ fn drill_pauses() -> Vec<(&'static str, ClusterSpec, ClusterSnapshot)> {
     ]
 }
 
+fn hetero_spec() -> ClusterSpec {
+    cluster_suite(&Scale::quick())
+        .into_iter()
+        .find(|s| s.name == "mixtral_hetero")
+        .expect("the suite ships the mixtral fleet")
+}
+
+#[test]
+fn resume_rejects_slices_without_one_entry_per_replica() {
+    // A resume handed too few policies or executors reports both
+    // lengths as an error instead of panicking.
+    let spec = hetero_spec();
+    let snapshot = pause(&spec, 0.0);
+    let n = spec.systems.len();
+    let (sim, mut policies, mut executors) = build_cluster(&spec);
+    let mut router = RouterKind::RoundRobin.build();
+    let err = sim
+        .resume(
+            &snapshot,
+            router.as_mut(),
+            &mut policies[..n - 1],
+            &mut executors,
+        )
+        .expect_err("too few policies");
+    assert_eq!(
+        err,
+        format!(
+            "one scheduling policy per replica: {} policies for {n} replicas",
+            n - 1
+        )
+    );
+    let err = sim
+        .resume_until(
+            &snapshot,
+            router.as_mut(),
+            &mut policies,
+            &mut executors[..n - 1],
+            1.0,
+        )
+        .expect_err("too few executors");
+    assert_eq!(
+        err,
+        format!(
+            "one executor per replica: {} executors for {n} replicas",
+            n - 1
+        )
+    );
+}
+
+#[test]
+#[should_panic(expected = "one scheduling policy per replica: 1 policies for")]
+fn run_panics_on_too_few_policies() {
+    let (sim, mut policies, mut executors) = build_cluster(&hetero_spec());
+    let mut router = RouterKind::RoundRobin.build();
+    sim.run(router.as_mut(), &mut policies[..1], &mut executors);
+}
+
+#[test]
+#[should_panic(expected = "one executor per replica: 1 executors for")]
+fn run_until_panics_on_too_few_executors() {
+    let (sim, mut policies, mut executors) = build_cluster(&hetero_spec());
+    let mut router = RouterKind::RoundRobin.build();
+    sim.run_until(router.as_mut(), &mut policies, &mut executors[..1], 1.0);
+}
+
 const AUTOSCALE_STOP_S: f64 = 1.7;
 const DISAGG_STOP_S: f64 = 2.8;
 
