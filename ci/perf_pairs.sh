@@ -2,19 +2,21 @@
 # Alternating A/B pairs of the repository benchmark (perfbench/) between
 # the working tree and a parent revision.
 #
-#   ci/perf_pairs.sh [--pairs N] [--seconds S] [--work DIR] REV WORKLOAD
+#   ci/perf_pairs.sh [--pairs N] [--seconds S] [--work DIR] REV WORKLOAD... | all
 #
 # Builds perfbench twice, each into its own target directory under the
 # work directory: once from the working tree and once from REV, checked
 # out with `git archive` into a temporary source tree. perfbench builds
 # rewrite perfbench/Cargo.lock, so the script puts each tree's lock file
-# back afterwards. It then runs N pairs (default 10) of WORKLOAD with
-# seeds 1..N, each run `run_seconds` long (from BENCHMARK.json unless
-# --seconds says otherwise). The side that runs first alternates from
-# pair to pair.
+# back afterwards. Then, for each WORKLOAD in turn (`all` means every
+# BENCHMARK.json workload, in file order), it runs N pairs (default 10)
+# with seeds 1..N, each run `run_seconds` long (from BENCHMARK.json
+# unless --seconds says otherwise). The side that runs first alternates
+# from pair to pair.
 #
-# For every end-to-end metric in BENCHMARK.json it prints both sides'
-# medians and quartiles, and in how many pairs the change was better.
+# For each workload, and for every end-to-end metric in BENCHMARK.json,
+# it prints one table row: both sides' medians and quartiles, and in
+# how many pairs the change was better.
 # Two verdicts follow each metric:
 #   gain        at least 9 of 10 pairs better, and a median gap larger
 #               than the parent's quartile spread (q3 - q1);
@@ -23,12 +25,13 @@
 #
 # Exits 1 as soon as any run reports `correct: false`, 2 on usage or
 # build errors. The work directory (default: a fresh `mktemp -d`) keeps
-# the builds and a results.jsonl with every run's JSON line.
+# the builds and a results.jsonl with every run's JSON line, tagged with
+# its workload.
 # Nothing under perfbench/ changes. CI does not run this script.
 set -euo pipefail
 
 usage() {
-    sed -n '4p' "$0" | sed 's/^# *//' >&2
+    sed -n '5p' "$0" | sed 's/^# *//' >&2
     exit 2
 }
 
@@ -45,19 +48,25 @@ while [ $# -gt 0 ]; do
         *) break ;;
     esac
 done
-[ $# -eq 2 ] || usage
+[ $# -ge 2 ] || usage
 rev="$1"
-workload="$2"
+shift
 case "$pairs" in ''|*[!0-9]*|0) echo "--pairs takes a positive integer" >&2; exit 2 ;; esac
 
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
 git rev-parse --verify --quiet "$rev^{commit}" > /dev/null \
     || { echo "not a revision: $rev" >&2; exit 2; }
-if ! python3 -c 'import json, sys; sys.exit(sys.argv[1] not in [w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])' "$workload"; then
-    echo "not a BENCHMARK.json workload: $workload" >&2
-    exit 2
+known="$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+if [ "$*" = all ]; then
+    set -- $known
 fi
+for workload in "$@"; do
+    case " $known " in
+        *" $workload "*) ;;
+        *) echo "not a BENCHMARK.json workload: $workload" >&2; exit 2 ;;
+    esac
+done
 if [ -z "$seconds" ]; then
     seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
 fi
@@ -96,8 +105,8 @@ parent_exe="$work/parent-target/release/duplex-perfbench"
 # ---- alternating pairs ----
 results="$work/results.jsonl"
 : > "$results"
-run() { # run SIDE SEED
-    local side="$1" seed="$2" tree exe line
+run() { # run WORKLOAD SIDE SEED
+    local workload="$1" side="$2" seed="$3" tree exe line
     if [ "$side" = change ]; then tree="$root"; exe="$change_exe"; else tree="$parent_src"; exe="$parent_exe"; fi
     line="$(cd "$tree" && "$exe" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0 | tail -n 1)"
@@ -106,18 +115,13 @@ run() { # run SIDE SEED
         echo "$line" >&2
         exit 1
     fi
-    printf '{"side": "%s", "seed": %s, "result": %s}\n' "$side" "$seed" "$line" >> "$results"
+    printf '{"workload": "%s", "side": "%s", "seed": %s, "result": %s}\n' \
+        "$workload" "$side" "$seed" "$line" >> "$results"
 }
-for seed in $(seq 1 "$pairs"); do
-    if [ $((seed % 2)) -eq 1 ]; then order="change parent"; else order="parent change"; fi
-    for side in $order; do
-        echo "pair $seed/$pairs: $side" >&2
-        run "$side" "$seed"
-    done
-done
 
 # ---- report ----
-python3 - "$results" "$root/BENCHMARK.json" "$workload" "$rev" <<'EOF'
+report() { # report WORKLOAD
+python3 - "$results" "$root/BENCHMARK.json" "$1" "$rev" <<'EOF'
 import json
 import math
 import statistics
@@ -128,7 +132,8 @@ spec = json.load(open(spec_path))
 runs = {"change": {}, "parent": {}}
 for line in open(results_path):
     row = json.loads(line)
-    runs[row["side"]][row["seed"]] = row["result"]
+    if row["workload"] == workload:
+        runs[row["side"]][row["seed"]] = row["result"]
 seeds = sorted(runs["change"])
 n = len(seeds)
 # The gain rule asks for 9 of 10 pairs; other pair counts scale it.
@@ -167,3 +172,18 @@ for side in ("parent", "change"):
     failed = sum(runs[side][s]["failed"] for s in seeds)
     print(f"{side}: {failed} of {attempted} operations failed")
 EOF
+}
+
+first=1
+for workload in "$@"; do
+    for seed in $(seq 1 "$pairs"); do
+        if [ $((seed % 2)) -eq 1 ]; then order="change parent"; else order="parent change"; fi
+        for side in $order; do
+            echo "$workload pair $seed/$pairs: $side" >&2
+            run "$workload" "$side" "$seed"
+        done
+    done
+    [ "$first" -eq 1 ] || echo
+    first=0
+    report "$workload"
+done

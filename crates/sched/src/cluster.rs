@@ -1959,6 +1959,11 @@ impl ClusterSimulation {
                     w.len()
                 ));
             }
+            if !s.batch_matches_decode_set() {
+                return Err(format!(
+                    "replica {i}: the executor checkpoint does not match the decoding requests"
+                ));
+            }
         }
         check_presence(&self.faults, &snap.fault, "a fault plan", "fault")?;
         if let (Some(rt), Some(fs)) = (fault_rt, &snap.fault) {

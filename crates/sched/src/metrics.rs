@@ -5,6 +5,17 @@
 //! fixed-size streaming [`LatencyDigest`] — so a paper-scale run over
 //! millions of requests reports percentiles without per-token heap
 //! growth.
+//!
+//! The batching loop records one TBT sample per stage, and consecutive
+//! stages mostly land in the same 2% bucket: a quiet decode stage runs
+//! a few nanoseconds longer than the one before. `BucketMemo` keeps
+//! the last bucket's exact value range, so such a lookup costs two
+//! comparisons instead of [`LatencyDigest::bucket_for`]'s `ln`. Its
+//! ranges come from a process-wide table of the bucket thresholds,
+//! each found by walking floats until `bucket_for` itself changes its
+//! answer, so the memo agrees with `bucket_for` on every input.
+
+use std::sync::OnceLock;
 
 use crate::request::RequestRecord;
 
@@ -127,7 +138,10 @@ impl LatencyDigest {
     /// recording one value into several digests — the scheduler feeds
     /// the fleet digest plus one digest per SLO tier every stage —
     /// looks the bucket up once and records via
-    /// [`LatencyDigest::record_n_in`].
+    /// [`LatencyDigest::record_n_in`]. The scheduler looks it up
+    /// through a `BucketMemo` (see the module docs), which skips the
+    /// `ln` while values stay in one bucket; this function stays the
+    /// memo's oracle.
     pub fn bucket_for(value: f64) -> usize {
         Self::bucket_of(value)
     }
@@ -243,6 +257,91 @@ impl LatencyDigest {
             mean: self.mean(),
             count: self.count as usize,
         }
+    }
+}
+
+/// The lower edge of every digest bucket: entry `b` is the smallest
+/// `f64` that [`LatencyDigest::bucket_for`] puts in bucket `b` or
+/// above, with −∞ and +∞ closing the ends (12 KB, built on first use).
+///
+/// Each edge starts from the closed form `1e-9 * 1.02^b`, which lands
+/// within a few dozen ulps of it, and walks one float at a time until
+/// `bucket_for` changes its answer. The edges are therefore `bucket_for`'s
+/// own, not a reimplementation of its math; the memo is exact because
+/// `bucket_for` never decreases as its input grows, which the tests
+/// check around every edge.
+fn bucket_edges() -> &'static [f64; DIGEST_BUCKETS + 1] {
+    static EDGES: OnceLock<[f64; DIGEST_BUCKETS + 1]> = OnceLock::new();
+    EDGES.get_or_init(|| {
+        let mut edges = [f64::INFINITY; DIGEST_BUCKETS + 1];
+        edges[0] = f64::NEG_INFINITY;
+        for (b, edge) in edges.iter_mut().enumerate().take(DIGEST_BUCKETS).skip(1) {
+            let mut x = DIGEST_FLOOR_S * (b as f64 * DIGEST_GROWTH.ln()).exp();
+            while LatencyDigest::bucket_of(x) >= b {
+                x = x.next_down();
+            }
+            while LatencyDigest::bucket_of(x) < b {
+                x = x.next_up();
+            }
+            *edge = x;
+        }
+        edges
+    })
+}
+
+/// An exact memo of [`LatencyDigest::bucket_for`] for a stream of
+/// values that mostly stay in one bucket, such as a replica's stage
+/// latencies: a value inside the last bucket's `[lo, hi)` range costs
+/// two comparisons, any other value one `bucket_for` call plus two
+/// reads of the edge table. It holds no samples, so digests and
+/// snapshots do not see it.
+#[derive(Debug)]
+pub(crate) struct BucketMemo {
+    lo: f64,
+    hi: f64,
+    bucket: usize,
+    /// Lookups that missed the range and called `bucket_for`.
+    refills: u64,
+}
+
+impl Default for BucketMemo {
+    fn default() -> Self {
+        // NaN edges compare false, so the first lookup refills.
+        Self {
+            lo: f64::NAN,
+            hi: f64::NAN,
+            bucket: 0,
+            refills: 0,
+        }
+    }
+}
+
+impl BucketMemo {
+    /// `LatencyDigest::bucket_for(value)`, remembering its range.
+    #[inline(always)]
+    pub(crate) fn bucket(&mut self, value: f64) -> usize {
+        // NaN fails both comparisons and takes the refill.
+        if value >= self.lo && value < self.hi {
+            return self.bucket;
+        }
+        self.refill(value)
+    }
+
+    #[inline(never)]
+    fn refill(&mut self, value: f64) -> usize {
+        let bucket = LatencyDigest::bucket_of(value);
+        let edges = bucket_edges();
+        self.lo = edges[bucket];
+        self.hi = edges[bucket + 1];
+        self.bucket = bucket;
+        self.refills += 1;
+        bucket
+    }
+
+    /// Lookups so far that missed the remembered range.
+    #[cfg(test)]
+    pub(crate) fn refills(&self) -> u64 {
+        self.refills
     }
 }
 
@@ -654,6 +753,117 @@ mod tests {
         assert_eq!(d.count(), 2);
         assert!(d.quantile(0.0) >= 0.0);
         assert!(d.quantile(100.0) > 0.0);
+    }
+
+    /// The float `ulps` representable values away from a positive,
+    /// finite `x` (positive floats order like their bit patterns).
+    fn ulps_from(x: f64, ulps: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + ulps) as u64)
+    }
+
+    #[test]
+    fn bucket_edges_are_the_oracles_own() {
+        let edges = bucket_edges();
+        assert_eq!(edges[0], f64::NEG_INFINITY);
+        assert_eq!(edges[DIGEST_BUCKETS], f64::INFINITY);
+        for b in 1..DIGEST_BUCKETS {
+            let edge = edges[b];
+            assert!(edge > edges[b - 1], "edge {b} ascends");
+            assert_eq!(LatencyDigest::bucket_for(edge), b, "edge {b}");
+            assert_eq!(
+                LatencyDigest::bucket_for(edge.next_down()),
+                b - 1,
+                "just below edge {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn bucket_for_is_monotone_around_every_edge() {
+        // The memo answers from the bucket's range, so it is exact only
+        // where `bucket_for` never decreases as its input grows. Away
+        // from an edge the bucket index's rounding error (a few ulps of
+        // a number below 1520) cannot cross an integer, so a window of
+        // floats on each side of every edge covers every place where a
+        // non-monotone `ln` could show. Release test runs sweep the
+        // full window.
+        let window: i64 = if cfg!(debug_assertions) { 64 } else { 4096 };
+        let edges = &bucket_edges()[..DIGEST_BUCKETS];
+        for (b, &edge) in edges.iter().enumerate().skip(1) {
+            for k in -window..window {
+                let want = if k < 0 { b - 1 } else { b };
+                let x = ulps_from(edge, k);
+                assert_eq!(LatencyDigest::bucket_for(x), want, "edge {b}{k:+} ulps");
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_memo_counts_refills() {
+        let mut memo = BucketMemo::default();
+        for i in 0..100 {
+            memo.bucket(4e-3 + 1e-9 * i as f64);
+        }
+        assert_eq!(memo.refills(), 1, "one bucket, one refill");
+        memo.bucket(f64::NAN);
+        memo.bucket(f64::NAN);
+        memo.bucket(8e-3);
+        assert_eq!(memo.refills(), 4, "NaN never hits");
+    }
+
+    /// A float of one of the kinds a digest must bucket: NaN, ±0,
+    /// subnormals, values at or below the 1 ns floor, ±∞, values past
+    /// the last bucket's edge, values at and next to the edges,
+    /// arbitrary bit patterns and log-uniform latencies.
+    fn value_of_kind(kind: u64, bits: u64) -> f64 {
+        let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
+        let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+        let edges = bucket_edges();
+        match kind {
+            0 => f64::from_bits(0x7ff0_0000_0000_0001 | (bits & 0x800f_ffff_ffff_ffff)),
+            1 => sign * 0.0,
+            2 => f64::from_bits(bits & 0x000f_ffff_ffff_ffff),
+            3 => DIGEST_FLOOR_S * (1.0 - unit),
+            4 => sign * f64::INFINITY,
+            5 => edges[DIGEST_BUCKETS - 1] * (1.0 + unit * 1e6),
+            6 => ulps_from(
+                edges[1 + (bits % (DIGEST_BUCKETS as u64 - 1)) as usize],
+                (bits >> 32) as i64 % 5 - 2,
+            ),
+            7 => f64::from_bits(bits),
+            _ => DIGEST_FLOOR_S * 10f64.powf(13.5 * unit),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bucket_memo_matches_bucket_for_on_any_value(
+            values in proptest::collection::vec((0u64..9, 0u64..u64::MAX), 1..64),
+        ) {
+            let mut memo = BucketMemo::default();
+            for &(kind, bits) in &values {
+                let x = value_of_kind(kind, bits);
+                proptest::prop_assert_eq!(memo.bucket(x), LatencyDigest::bucket_for(x));
+            }
+        }
+
+        #[test]
+        fn bucket_memo_matches_bucket_for_on_drifting_streams(
+            start in 0.0f64..1.0,
+            steps in proptest::collection::vec((0u64..40, 0.0f64..1.0), 1..600),
+        ) {
+            // Quiet runs drift a stage latency upward by a few
+            // nanoseconds a stage; a mixed stage jumps anywhere.
+            let log_uniform = |u: f64| 1e-6 * 10f64.powf(6.0 * u);
+            let mut memo = BucketMemo::default();
+            let mut x = log_uniform(start);
+            for &(jump, u) in &steps {
+                x = if jump == 0 { log_uniform(u) } else { x * (1.0 + 1e-4 * u) };
+                proptest::prop_assert_eq!(memo.bucket(x), LatencyDigest::bucket_for(x));
+            }
+        }
     }
 
     fn report() -> SimReport {

@@ -110,7 +110,8 @@ use duplex_model::ops::StageShape;
 
 use crate::delta::StageDelta;
 use crate::metrics::{
-    KvReuseStats, LatencyDigest, SimReport, SloStats, StageRecord, StageStats, TierStats,
+    BucketMemo, KvReuseStats, LatencyDigest, SimReport, SloStats, StageRecord, StageStats,
+    TierStats,
 };
 use crate::policy::{PolicyContext, SchedulingPolicy};
 use crate::preempt::{MultiplexSpec, PreemptSpec, PreemptStats};
@@ -835,6 +836,9 @@ pub(crate) struct ReplicaSim {
     stages: Vec<StageRecord>,
     stage_stats: StageStats,
     tbt_digest: LatencyDigest,
+    /// The TBT bucket of recent stage latencies, shared by the fleet
+    /// and tier digests. Not part of any report or snapshot.
+    tbt_bucket: BucketMemo,
     tier_stats: Vec<TierStats>,
     /// Reused per-stage tier-occupancy counts for per-tier TBT.
     tier_active: Vec<u64>,
@@ -930,6 +934,7 @@ impl ReplicaSim {
             stages: Vec::new(),
             stage_stats: StageStats::default(),
             tbt_digest: LatencyDigest::default(),
+            tbt_bucket: BucketMemo::default(),
             tier_active: vec![0; tier_stats.len()],
             tier_stats,
             kv_reuse: KvReuseStats::default(),
@@ -2162,9 +2167,9 @@ impl ReplicaSim {
         // included — they each stream a token per stage); `tier_active`
         // tracks the active set's per-tier counts incrementally
         // (updated on admit and retire below), and the bucket index is
-        // computed once and shared across the fleet and tier digests.
+        // looked up once and shared across the fleet and tier digests.
         if !self.active.is_empty() || mux_live > 0 {
-            let bucket = LatencyDigest::bucket_for(stage_seconds);
+            let bucket = self.tbt_bucket.bucket(stage_seconds);
             self.tbt_digest
                 .record_n_in(bucket, stage_seconds, self.active.len() as u64 + mux_live);
             for (stats, &n) in self.tier_stats.iter_mut().zip(&self.tier_active) {
@@ -3520,6 +3525,45 @@ mod tests {
                 "tier {t}"
             );
         }
+    }
+
+    #[test]
+    fn tbt_buckets_are_looked_up_once_per_bucket_change() {
+        // Closed loop with a full batch and long outputs: quiet stages
+        // keep one latency, so the TBT bucket memo refills only when a
+        // mixed stage jumps away and back. A lookup path that calls `ln`
+        // every stage refills on every stage and fails here, though
+        // every output is the same.
+        let mut replica = ReplicaSim::new(
+            config(16),
+            &Scenario::new("long", Workload::fixed(4, 4), Arrivals::ClosedLoop, 1),
+        );
+        let mut lcg = 7u64;
+        for id in 0..96 {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let request = Request {
+                id,
+                arrival_s: 0.0,
+                input_len: 128 + (lcg >> 33) % 896,
+                output_len: 200 + (lcg >> 45) % 400,
+            };
+            replica.enqueue(make_pending(request, 0, &[]));
+        }
+        let mut ex = Priced::default();
+        while replica.next_start().is_some() {
+            replica.step(&mut Fcfs, &mut ex, None);
+        }
+        assert_eq!(replica.completed.len(), 96);
+        let stats = replica.stage_stats;
+        assert_eq!((stats.stages, stats.mixed), (2680, 81));
+        // Measured: 159 refills, 5.9% of stages, at most two per mixed
+        // stage. The floor catches a lookup that bypasses the memo.
+        let refills = replica.tbt_bucket.refills();
+        assert!(
+            (stats.mixed..=2 * stats.mixed).contains(&refills),
+            "{refills} refills in {} stages",
+            stats.stages
+        );
     }
 
     /// Run one case under both feeds, each with its natural bounds and

@@ -47,6 +47,8 @@
 //!   exact clock values round-trip without parsing loss;
 //! * booleans are plain JSON booleans.
 
+use std::collections::BTreeMap;
+
 use crate::fault::RecoveryStats;
 use crate::json::{self, JsonValue};
 use crate::metrics::{KvReuseStats, StageRecord, StageStats};
@@ -202,6 +204,52 @@ pub(crate) struct ReplicaState {
     /// The replica executor's carried batch state (`None` for
     /// stateless executors).
     pub(crate) batch: Option<BatchCheckpoint>,
+}
+
+impl ReplicaState {
+    /// Whether the executor checkpoint agrees with this replica's
+    /// decode set. The executor's next stage advances the checkpoint's
+    /// groups by one, joins the pending contexts at one past their
+    /// length and removes the carried retirements (a fresh delta drops
+    /// the checkpoint first); what remains must be the decode contexts
+    /// of the active requests and multiplex slots, as a multiset.
+    /// Stateless executors carry no checkpoint and always agree.
+    pub(crate) fn batch_matches_decode_set(&self) -> bool {
+        let Some(batch) = &self.batch else {
+            return true;
+        };
+        let mut carried: BTreeMap<u64, u64> = BTreeMap::new();
+        if !self.delta_fresh {
+            let joins = batch.pending_joins.iter().map(|&ctx| (ctx, 1));
+            for (ctx, reqs) in batch.decode_groups.iter().copied().chain(joins) {
+                let Some(next) = ctx.checked_add(1) else {
+                    return false;
+                };
+                let n = carried.entry(next).or_default();
+                *n = n.saturating_add(reqs);
+            }
+        }
+        for ctx in &self.delta_retire {
+            match carried.get_mut(ctx) {
+                Some(n) if *n > 0 => *n -= 1,
+                _ => return false,
+            }
+        }
+        carried.retain(|_, n| *n > 0);
+        let mut decoding: BTreeMap<u64, u64> = BTreeMap::new();
+        let active = self
+            .active
+            .iter()
+            .map(|a| a.pending.request.input_len.checked_add(a.generated));
+        let mux = self.mux.iter().map(|m| m.ctx.checked_add(m.generated));
+        for ctx in active.chain(mux) {
+            let Some(ctx) = ctx else {
+                return false;
+            };
+            *decoding.entry(ctx).or_default() += 1;
+        }
+        carried == decoding
+    }
 }
 
 /// The fault runtime's dynamic state: the pending event queue

@@ -778,13 +778,40 @@ fn row(xs: &[u64]) -> JsonValue {
 
 type Corruption = fn(&mut JsonValue, &ClusterSpec);
 
+/// Add one to the context of the first decode group in the first
+/// executor checkpoint that has one and that the next stage reads (a
+/// replica whose carried delta is fresh, such as a crashed one, drops
+/// its checkpoint).
+fn bump_checkpoint_context(v: &mut JsonValue) {
+    let replicas = items(v, &["replicas"]).len();
+    for i in 0..replicas {
+        let i = i.to_string();
+        if matches!(node(v, &["replicas", &i, "batch"]), JsonValue::Null)
+            || matches!(
+                node(v, &["replicas", &i, "delta_fresh"]),
+                JsonValue::Bool(true)
+            )
+            || items(v, &["replicas", &i, "batch", "decode_groups"]).is_empty()
+        {
+            continue;
+        }
+        let ctx = node(v, &["replicas", &i, "batch", "decode_groups", "0", "0"]);
+        let JsonValue::Str(digits) = ctx else {
+            panic!("a context is a quoted integer");
+        };
+        *ctx = num(digits.parse::<u64>().unwrap() + 1);
+        return;
+    }
+    panic!("no replica carries a decode group");
+}
+
 #[test]
 fn corrupted_drill_snapshots_are_rejected_with_errors() {
     // One corruption per validated field, applied to real mid-run
     // snapshots of the three drills and pushed through the wire
     // format: resume must answer with a described error, never a
     // panic and never a silent divergence.
-    let cases: [(&str, &str, Corruption, &str); 15] = [
+    let cases: [(&str, &str, Corruption, &str); 18] = [
         (
             "failover",
             "replica count",
@@ -883,6 +910,24 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
             "assignment out of range",
             |v, _| items(v, &["disagg", "assignments"]).push(row(&[u64::MAX, 99, 0])),
             "to replica 99 of",
+        ),
+        (
+            "failover",
+            "checkpoint context",
+            |v, _| bump_checkpoint_context(v),
+            "the executor checkpoint does not match the decoding requests",
+        ),
+        (
+            "autoscale",
+            "checkpoint context",
+            |v, _| bump_checkpoint_context(v),
+            "the executor checkpoint does not match the decoding requests",
+        ),
+        (
+            "disagg",
+            "checkpoint context",
+            |v, _| bump_checkpoint_context(v),
+            "the executor checkpoint does not match the decoding requests",
         ),
     ];
     let pauses = drill_pauses();
