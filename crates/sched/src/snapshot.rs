@@ -1714,6 +1714,53 @@ mod tests {
         let text = snap.to_json().replace("\"taken_at_s\"", "\"taken_at\"");
         let err = ClusterSnapshot::from_json(&text).expect_err("missing field");
         assert!(err.contains("taken_at_s"), "{err}");
+        // Every key the full fixture writes is required: renaming its
+        // first occurrence is an error that names it.
+        fn keys(v: &JsonValue, out: &mut Vec<String>) {
+            match v {
+                JsonValue::Obj(members) => {
+                    for (k, item) in members {
+                        if !out.contains(k) {
+                            out.push(k.clone());
+                        }
+                        keys(item, out);
+                    }
+                }
+                JsonValue::Arr(items) => items.iter().for_each(|item| keys(item, out)),
+                _ => {}
+            }
+        }
+        let full = sample().to_json();
+        let mut all = Vec::new();
+        keys(&json::parse(&full).expect("parses"), &mut all);
+        assert!(all.len() > 100, "{} keys", all.len());
+        for key in all {
+            let quoted = format!("\"{key}\"");
+            let at = full.find(&format!("{quoted}:")).expect("the key is written");
+            let text = format!("{}\"{key}_\"{}", &full[..at], &full[at + quoted.len()..]);
+            let err = ClusterSnapshot::from_json(&text).expect_err(&key);
+            assert!(err.contains(&quoted), "{key}: {err}");
+        }
+    }
+
+    /// FNV-1a, 64-bit.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn sample_snapshot_bytes_are_pinned() {
+        // The fixture fills every optional and preemption-only field
+        // (paused requests, multiplex slots, a recompute carry, the
+        // streak start, an outage, an executor checkpoint), so this
+        // pins the place of every key in the v5 wire format.
+        let text = sample().to_json();
+        assert_eq!(
+            (fnv1a64(text.as_bytes()), text.len()),
+            (0x81d9_8c19_ec7a_e100, 5_201)
+        );
     }
 
     #[test]
