@@ -128,11 +128,11 @@ use crate::fault::{
     FaultKind, FaultOutcome, FaultPlan, FaultWindowStats, KvLinkSpec, RecoveryStats,
 };
 use crate::metrics::{
-    KvReuseStats, LatencyDigest, LatencySummary, SimReport, SloStats, StageStats,
+    KvReuseStats, LatencyDigest, LatencySummary, SimReport, SloStats, StageStats, DIGEST_BUCKETS,
 };
 use crate::policy::SchedulingPolicy;
 use crate::router::{weighted_load, PoolRole, ReplicaSnapshot, Router};
-use crate::scenario::{ReplicaSim, Scenario, ScenarioStream, SloTier};
+use crate::scenario::{kv_reservation, ReplicaSim, Scenario, ScenarioStream, SloTier};
 use crate::scheduler::{SimulationConfig, StageExecutor};
 use crate::snapshot::{AutoscaleState, ClusterSnapshot, DisaggState, FaultState};
 
@@ -1608,11 +1608,12 @@ impl<'p> AutoscaleRuntime<'p> {
             seq: self.queue.seq,
             pool: self.pool.clone(),
             draining: self.draining.clone(),
-            up_streak: u64::from(self.up_streak),
-            down_streak: u64::from(self.down_streak),
+            up_streak: self.up_streak,
+            down_streak: self.down_streak,
             streak_start: self.streak_start,
             cooldown_until: self.cooldown_until,
-            last_slo: self.last_slo,
+            slo_met: self.last_slo.0,
+            slo_completed: self.last_slo.1,
             scale_ups: self.stats.scale_ups,
             scale_downs: self.stats.scale_downs,
             scale_up_lag_s: self.stats.scale_up_lag_s,
@@ -1638,11 +1639,11 @@ impl<'p> AutoscaleRuntime<'p> {
         })?;
         self.pool = s.pool.clone();
         self.draining = s.draining.clone();
-        self.up_streak = s.up_streak as u32;
-        self.down_streak = s.down_streak as u32;
+        self.up_streak = s.up_streak;
+        self.down_streak = s.down_streak;
         self.streak_start = s.streak_start;
         self.cooldown_until = s.cooldown_until;
-        self.last_slo = s.last_slo;
+        self.last_slo = (s.slo_met, s.slo_completed);
         self.stats = ScaleStats {
             scale_ups: s.scale_ups,
             scale_downs: s.scale_downs,
@@ -1936,11 +1937,12 @@ impl ClusterSimulation {
             // single-shot scenarios (it receives prefill handoffs), and
             // so does any replica whose policy arms preemption (the
             // pool receives swapped-out paused contexts).
+            let role = self
+                .disagg
+                .as_ref()
+                .map_or(PoolRole::Colocated, |plan| plan.role_of(i));
             let expects_parked = self.scenario.conversation.is_some()
-                || self
-                    .disagg
-                    .as_ref()
-                    .is_some_and(|plan| plan.role_of(i) == PoolRole::Decode)
+                || role == PoolRole::Decode
                 || policies.get(i).is_some_and(|p| p.preempt_spec().is_some());
             if s.parked.is_some() != expects_parked {
                 return Err(format!(
@@ -1962,6 +1964,25 @@ impl ClusterSimulation {
             if !s.batch_matches_decode_set() {
                 return Err(format!(
                     "replica {i}: the executor checkpoint does not match the decoding requests"
+                ));
+            }
+            let sim = &self.configs[i].sim;
+            let resum = kv_reservation(
+                s.active.iter().map(|a| &a.pending),
+                &s.chunking,
+                &s.mux,
+                role,
+                sim.kv_bytes_per_token,
+            );
+            if resum != Some(s.reserved) || s.reserved > sim.kv_capacity_bytes {
+                return Err(format!(
+                    "replica {i}: the snapshot KV reservation does not match the in-flight requests"
+                ));
+            }
+            let mut digests = std::iter::once(&s.tbt_digest).chain(s.tiers.iter().map(|t| &t.tbt));
+            if digests.any(|d| d.buckets.iter().any(|b| b.0 >= DIGEST_BUCKETS as u64)) {
+                return Err(format!(
+                    "replica {i}: a snapshot latency digest has a bucket index out of range"
                 ));
             }
         }

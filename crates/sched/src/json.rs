@@ -1,10 +1,13 @@
-//! A minimal JSON reader for the trace files and benchmark reports
-//! this workspace exchanges. The build environment is offline (no
-//! serde), so this hand-rolled recursive-descent parser covers the
-//! JSON subset those files use: objects, arrays, strings without
-//! escapes beyond `\" \\ \/ \n \t \r`, f64 numbers, booleans and null.
-//! Nesting is bounded at 128 levels, so hostile input is an error
-//! rather than a stack overflow.
+//! A minimal JSON reader and writer for the trace files, snapshots and
+//! benchmark reports this workspace exchanges. The build environment
+//! is offline (no serde), so this hand-rolled recursive-descent parser
+//! covers the JSON subset those files use: objects, arrays, strings
+//! without escapes beyond `\" \\ \/ \n \t \r`, f64 numbers, booleans
+//! and null. Nesting is bounded at 128 levels, so hostile input is an
+//! error rather than a stack overflow. [`emit`] writes a value back as
+//! compact text.
+
+use std::fmt::Write;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,6 +94,70 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
         return Err(format!("trailing characters at byte {pos}"));
     }
     Ok(value)
+}
+
+/// Write a value as compact JSON: no whitespace, object members in
+/// their stored order. Strings escape `"`, `\\`, `\n`, `\t` and `\r` as
+/// [`parse`] reads them and other control characters as `\u` escapes;
+/// a non-finite number, which JSON cannot spell, is written as `null`.
+pub fn emit(value: &JsonValue) -> String {
+    let mut out = String::new();
+    emit_into(value, &mut out);
+    out
+}
+
+fn emit_into(value: &JsonValue, out: &mut String) {
+    match value {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Num(x) if x.is_finite() => {
+            let _ = write!(out, "{x}");
+        }
+        JsonValue::Num(_) => out.push_str("null"),
+        JsonValue::Str(s) => emit_str(s, out),
+        JsonValue::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                emit_into(item, out);
+            }
+            out.push(']');
+        }
+        JsonValue::Obj(members) => {
+            out.push('{');
+            for (i, (key, item)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                emit_str(key, out);
+                out.push(':');
+                emit_into(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn emit_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -323,6 +390,19 @@ mod tests {
         assert_eq!(parse("{}").expect("obj"), JsonValue::Obj(vec![]));
         assert_eq!(parse("[]").expect("arr"), JsonValue::Arr(vec![]));
         assert_eq!(parse(" 4 ").expect("num").as_u64(), Some(4));
+    }
+
+    #[test]
+    fn emit_writes_compact_text_that_parses_back() {
+        let text = r#"{"a":[1,-2.5,300,true,null],"b":{"s":"q\"b\\s\nt\tr\r"},"c":[]}"#;
+        let v = parse(text).expect("valid");
+        assert_eq!(emit(&v), text);
+        assert_eq!(parse(&emit(&v)).expect("re-parses"), v);
+        let odd = JsonValue::Arr(vec![
+            JsonValue::Num(f64::NAN),
+            JsonValue::Str("\u{1}".into()),
+        ]);
+        assert_eq!(emit(&odd), r#"[null,"\u0001"]"#);
     }
 
     #[test]

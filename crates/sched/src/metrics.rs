@@ -18,6 +18,7 @@
 use std::sync::OnceLock;
 
 use crate::request::RequestRecord;
+use crate::snapshot::DigestState;
 
 /// Linear-interpolation percentile over unsorted samples.
 ///
@@ -88,7 +89,7 @@ const DIGEST_FLOOR_S: f64 = 1e-9;
 /// Geometric bucket growth: 2% wide buckets.
 const DIGEST_GROWTH: f64 = 1.02;
 /// Buckets spanning 1 ns .. ~10^4 s at 2% resolution.
-const DIGEST_BUCKETS: usize = 1520;
+pub(crate) const DIGEST_BUCKETS: usize = 1520;
 
 /// Streaming latency population: fixed-size log-spaced histogram with
 /// per-bucket sums.
@@ -216,7 +217,7 @@ impl LatencyDigest {
     /// `(index, count, sum)` plus the global count and sum. The global
     /// sum is accumulated in record order and is *not* recomputable
     /// from the bucket sums bit-exactly, so it is carried explicitly.
-    pub(crate) fn export_state(&self) -> (Vec<(u64, u64, f64)>, u64, f64) {
+    pub(crate) fn export_state(&self) -> DigestState {
         let buckets = self
             .buckets
             .iter()
@@ -224,24 +225,28 @@ impl LatencyDigest {
             .filter(|(_, &(n, _))| n > 0)
             .map(|(i, &(n, sum))| (i as u64, n, sum))
             .collect();
-        (buckets, self.count, self.sum)
+        DigestState {
+            buckets,
+            count: self.count,
+            sum: self.sum,
+        }
     }
 
     /// Rebuild a digest from [`export_state`](Self::export_state)
     /// output. A never-recorded digest round-trips to
     /// `LatencyDigest::default()` — bucket allocation stays lazy so
     /// `PartialEq` cannot tell a restored digest from the original.
-    pub(crate) fn import_state(buckets: &[(u64, u64, f64)], count: u64, sum: f64) -> Self {
+    pub(crate) fn import_state(s: &DigestState) -> Self {
         let mut d = LatencyDigest::default();
-        if count == 0 {
+        if s.count == 0 {
             return d;
         }
         d.buckets.resize(DIGEST_BUCKETS, (0, 0.0));
-        for &(i, n, s) in buckets {
-            d.buckets[i as usize] = (n, s);
+        for &(i, n, sum) in &s.buckets {
+            d.buckets[i as usize] = (n, sum);
         }
-        d.count = count;
-        d.sum = sum;
+        d.count = s.count;
+        d.sum = s.sum;
         d
     }
 

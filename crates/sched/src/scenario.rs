@@ -118,10 +118,7 @@ use crate::preempt::{MultiplexSpec, PreemptSpec, PreemptStats};
 use crate::request::{Request, RequestRecord};
 use crate::router::PoolRole;
 use crate::scheduler::{SimulationConfig, StageExecutor};
-use crate::snapshot::{
-    ActiveState, ChunkingState, DigestState, KvState, MuxMemberState, MuxState, PausedState,
-    ReplicaState, ResumeState, StreamState, TierState,
-};
+use crate::snapshot::{ActiveState, KvState, ReplicaState, StreamState, TierState};
 use crate::trace::TraceRecorder;
 use crate::workload::{exp_sample, sample_len, Arrivals, RequestSource, Workload};
 
@@ -388,28 +385,28 @@ struct ActiveRequest {
 
 /// A request whose prompt is being prefilled in chunks: admitted (its
 /// KV is reserved, it holds a batch slot) but not yet decoding.
-#[derive(Debug)]
-struct ChunkingRequest {
-    pending: PendingRequest,
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ChunkingRequest {
+    pub(crate) pending: PendingRequest,
     /// Resident history its chunks attend over (prefix reuse).
-    history: u64,
+    pub(crate) history: u64,
     /// New prompt tokens already prefilled by earlier chunks.
-    processed: u64,
+    pub(crate) processed: u64,
     /// Total new tokens to prefill (input_len - resident history).
-    prefill_total: u64,
+    pub(crate) prefill_total: u64,
     /// Mid-decode state carried by a recompute-on-resume re-prefill
     /// (`None` for ordinary prompts): the final slice restores this
     /// instead of sampling a first token.
-    resumed: Option<ResumeCarry>,
+    pub(crate) resumed: Option<ResumeCarry>,
 }
 
 /// Mid-decode progress a preempted request carries through its
 /// recompute re-prefill: generation continues where the pause left
 /// off, and the original first-token time survives for T2FT.
-#[derive(Debug, Clone, Copy)]
-struct ResumeCarry {
-    generated: u64,
-    first_token_s: f64,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ResumeCarry {
+    pub(crate) generated: u64,
+    pub(crate) first_token_s: f64,
 }
 
 /// A batch-tier decode paused by the preemption policy: off the batch
@@ -418,27 +415,27 @@ struct ResumeCarry {
 /// cost model's choice: the context is parked in the replica's paged
 /// pool (restored later as a priced transfer) or dropped for a full
 /// re-prefill.
-#[derive(Debug)]
-struct PausedRequest {
-    pending: PendingRequest,
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PausedRequest {
+    pub(crate) pending: PendingRequest,
     /// Tokens generated before the pause.
-    generated: u64,
-    first_token_s: f64,
+    pub(crate) generated: u64,
+    pub(crate) first_token_s: f64,
     /// Resident context at the pause: prompt + generated tokens.
-    ctx: u64,
+    pub(crate) ctx: u64,
     /// KV swap-out (true) vs recompute-on-resume (false).
-    swapped: bool,
+    pub(crate) swapped: bool,
     /// Replica clock at the pause, for the paused-time metric.
-    paused_at_s: f64,
+    pub(crate) paused_at_s: f64,
 }
 
 /// One member of a multiplex slot: a batch-tier request advancing one
 /// token per stage on the slot's shared compute.
-#[derive(Debug)]
-struct MuxMember {
-    pending: PendingRequest,
-    generated: u64,
-    first_token_s: f64,
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MuxMember {
+    pub(crate) pending: PendingRequest,
+    pub(crate) generated: u64,
+    pub(crate) first_token_s: f64,
 }
 
 /// A multiplex slot: several compatible paused batch-tier requests
@@ -447,18 +444,18 @@ struct MuxMember {
 /// and advances one token per stage — while every live member
 /// generates a token per stage, credited to goodput at the slot's
 /// quality exchange rate.
-#[derive(Debug)]
-struct MuxSlot {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MuxSlot {
     /// Decode context the slot joined at (max member context).
-    ctx: u64,
+    pub(crate) ctx: u64,
     /// Tokens the slot has advanced since joining.
-    generated: u64,
+    pub(crate) generated: u64,
     /// KV bytes reserved for the slot (released when it retires).
-    kv_bytes: u64,
+    pub(crate) kv_bytes: u64,
     /// Goodput credit per multiplexed token, from the
     /// [`crate::MultiplexSpec`] at formation time.
-    quality: f64,
-    members: Vec<MuxMember>,
+    pub(crate) quality: f64,
+    pub(crate) members: Vec<MuxMember>,
 }
 
 impl MuxSlot {
@@ -475,6 +472,36 @@ impl MuxSlot {
             .filter(|m| m.generated < m.pending.request.output_len)
             .count() as u64
     }
+}
+
+/// The KV bytes an in-flight set reserves, re-summed from scratch:
+/// each decoding request its full context budget, each chunking prompt
+/// its input on a prefill-pool replica (the decode replica reserves the
+/// rest) and its full budget elsewhere, and each multiplex slot its own
+/// reservation. `None` on overflow: a snapshot's values are outside
+/// input.
+pub(crate) fn kv_reservation<'a>(
+    active: impl Iterator<Item = &'a PendingRequest>,
+    chunking: &[ChunkingRequest],
+    mux: &[MuxSlot],
+    role: PoolRole,
+    bytes_per_token: u64,
+) -> Option<u64> {
+    let budget = |r: &Request| r.input_len.checked_add(r.output_len);
+    let chunk = |c: &ChunkingRequest| match role {
+        PoolRole::Prefill => Some(c.pending.request.input_len),
+        _ => budget(&c.pending.request),
+    };
+    let tokens = active
+        .map(|p| budget(&p.request))
+        .chain(chunking.iter().map(chunk));
+    let mut bytes = mux
+        .iter()
+        .try_fold(0u64, |sum, m| sum.checked_add(m.kv_bytes))?;
+    for t in tokens {
+        bytes = bytes.checked_add(t?.checked_mul(bytes_per_token)?)?;
+    }
+    Some(bytes)
 }
 
 impl ActiveRequest {
@@ -2376,27 +2403,16 @@ impl ReplicaSim {
         if !cfg!(debug_assertions) || !stages.is_multiple_of(KV_AUDIT_PERIOD) {
             return;
         }
-        let bytes_per_token = self.config.kv_bytes_per_token;
-        let chunk_tokens = |c: &ChunkingRequest| {
-            if self.role == PoolRole::Prefill {
-                c.pending.request.input_len
-            } else {
-                c.pending.request.max_kv_tokens()
-            }
-        };
-        let resum = self
-            .active
-            .iter()
-            .map(|a| a.kv_reserved(bytes_per_token))
-            .chain(
-                self.chunking
-                    .iter()
-                    .map(|c| chunk_tokens(c) * bytes_per_token),
-            )
-            .chain(self.mux.iter().map(|m| m.kv_bytes))
-            .sum::<u64>();
+        let resum = kv_reservation(
+            self.active.iter().map(|a| &a.pending),
+            &self.chunking,
+            &self.mux,
+            self.role,
+            self.config.kv_bytes_per_token,
+        );
         assert_eq!(
-            self.reserved, resum,
+            Some(self.reserved),
+            resum,
             "incremental KV reservation drifted from the in-flight set"
         );
         assert!(
@@ -2549,51 +2565,9 @@ impl ReplicaSim {
                     first_token_s: a.first_token_s,
                 })
                 .collect(),
-            chunking: self
-                .chunking
-                .iter()
-                .map(|c| ChunkingState {
-                    pending: c.pending.clone(),
-                    history: c.history,
-                    processed: c.processed,
-                    prefill_total: c.prefill_total,
-                    resumed: c.resumed.map(|r| ResumeState {
-                        generated: r.generated,
-                        first_token_s: r.first_token_s,
-                    }),
-                })
-                .collect(),
-            paused: self
-                .paused
-                .iter()
-                .map(|p| PausedState {
-                    pending: p.pending.clone(),
-                    generated: p.generated,
-                    first_token_s: p.first_token_s,
-                    ctx: p.ctx,
-                    swapped: p.swapped,
-                    paused_at_s: p.paused_at_s,
-                })
-                .collect(),
-            mux: self
-                .mux
-                .iter()
-                .map(|s| MuxState {
-                    ctx: s.ctx,
-                    generated: s.generated,
-                    kv_bytes: s.kv_bytes,
-                    quality: s.quality,
-                    members: s
-                        .members
-                        .iter()
-                        .map(|m| MuxMemberState {
-                            pending: m.pending.clone(),
-                            generated: m.generated,
-                            first_token_s: m.first_token_s,
-                        })
-                        .collect(),
-                })
-                .collect(),
+            chunking: self.chunking.clone(),
+            paused: self.paused.clone(),
+            mux: self.mux.clone(),
             preempt: self.preempt,
             parked: self.parked.as_ref().map(|cache| {
                 let (clock, entries) = cache.export_entries();
@@ -2606,7 +2580,7 @@ impl ReplicaSim {
             completed: self.completed.clone(),
             stages: self.stages.clone(),
             stage_stats: self.stage_stats,
-            tbt_digest: digest_state(&self.tbt_digest),
+            tbt_digest: self.tbt_digest.export_state(),
             tiers: self
                 .tier_stats
                 .iter()
@@ -2614,7 +2588,7 @@ impl ReplicaSim {
                     completed: t.completed,
                     met: t.met,
                     good_tokens: t.good_tokens,
-                    tbt: digest_state(&t.tbt_digest),
+                    tbt: t.tbt_digest.export_state(),
                 })
                 .collect(),
             kv_reuse: self.kv_reuse,
@@ -2649,51 +2623,9 @@ impl ReplicaSim {
             .collect();
         self.finish = self.active.iter().map(ActiveRequest::finish).collect();
         self.next_due = self.finish.iter().copied().min().unwrap_or(u64::MAX);
-        self.chunking = s
-            .chunking
-            .iter()
-            .map(|c| ChunkingRequest {
-                pending: c.pending.clone(),
-                history: c.history,
-                processed: c.processed,
-                prefill_total: c.prefill_total,
-                resumed: c.resumed.as_ref().map(|r| ResumeCarry {
-                    generated: r.generated,
-                    first_token_s: r.first_token_s,
-                }),
-            })
-            .collect();
-        self.paused = s
-            .paused
-            .iter()
-            .map(|p| PausedRequest {
-                pending: p.pending.clone(),
-                generated: p.generated,
-                first_token_s: p.first_token_s,
-                ctx: p.ctx,
-                swapped: p.swapped,
-                paused_at_s: p.paused_at_s,
-            })
-            .collect();
-        self.mux = s
-            .mux
-            .iter()
-            .map(|m| MuxSlot {
-                ctx: m.ctx,
-                generated: m.generated,
-                kv_bytes: m.kv_bytes,
-                quality: m.quality,
-                members: m
-                    .members
-                    .iter()
-                    .map(|mm| MuxMember {
-                        pending: mm.pending.clone(),
-                        generated: mm.generated,
-                        first_token_s: mm.first_token_s,
-                    })
-                    .collect(),
-            })
-            .collect();
+        self.chunking = s.chunking.clone();
+        self.paused = s.paused.clone();
+        self.mux = s.mux.clone();
         self.preempt = s.preempt;
         match (&mut self.parked, &s.parked) {
             (Some(cache), Some(kv)) => cache.import_entries(kv.clock, &kv.entries),
@@ -2723,7 +2655,7 @@ impl ReplicaSim {
         self.completed = s.completed.clone();
         self.stages = s.stages.clone();
         self.stage_stats = s.stage_stats;
-        self.tbt_digest = import_digest(&s.tbt_digest);
+        self.tbt_digest = LatencyDigest::import_state(&s.tbt_digest);
         assert_eq!(
             self.tier_stats.len(),
             s.tiers.len(),
@@ -2733,7 +2665,7 @@ impl ReplicaSim {
             t.completed = ts.completed;
             t.met = ts.met;
             t.good_tokens = ts.good_tokens;
-            t.tbt_digest = import_digest(&ts.tbt);
+            t.tbt_digest = LatencyDigest::import_state(&ts.tbt);
         }
         for n in self.tier_active.iter_mut() {
             *n = 0;
@@ -2762,19 +2694,6 @@ impl ReplicaSim {
         // import; the cluster validates the snapshot shape up front.
         self.window_counts = s.window_counts.clone();
     }
-}
-
-fn digest_state(d: &LatencyDigest) -> DigestState {
-    let (buckets, count, sum) = d.export_state();
-    DigestState {
-        buckets,
-        count,
-        sum,
-    }
-}
-
-fn import_digest(s: &DigestState) -> LatencyDigest {
-    LatencyDigest::import_state(&s.buckets, s.count, s.sum)
 }
 
 /// A configured scenario run, ready for a policy and an executor.

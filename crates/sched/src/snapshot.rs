@@ -36,16 +36,24 @@
 //! hysteresis streaks, scale counters). Version 4 extends v3 with
 //! disaggregated-placement state: the admission-time decode
 //! assignments of every request still prefilling, plus the fleet's
-//! handoff/transfer counters. Older documents are rejected with a
-//! message naming both versions rather than silently resuming without
-//! the newer state. Exactness rules:
+//! handoff/transfer counters. Version 5 extends v4 with preemption
+//! state: per replica the paused requests, the multiplex slots and
+//! the preemption counters, plus the recompute carry of a chunking
+//! re-prefill. Older documents are rejected with a message naming
+//! both versions rather than silently resuming without the newer
+//! state.
 //!
-//! * every `u64` is a quoted decimal string (RNG words use all 64
-//!   bits, beyond `f64`'s integer range);
+//! Each state type lists its JSON keys once, in wire order, in the
+//! `wire!` declarations at the end of this module; that one list
+//! drives both writing and reading, so a new field is declared in one
+//! place. Exactness rules:
+//!
+//! * every integer is a quoted decimal `u64` string (RNG words use all
+//!   64 bits, beyond `f64`'s integer range);
 //! * every `f64` is a quoted decimal string of its IEEE-754 bit
 //!   pattern (`f64::to_bits`), so infinities (untiered deadlines) and
 //!   exact clock values round-trip without parsing loss;
-//! * booleans are plain JSON booleans.
+//! * booleans are plain JSON booleans, and an absent value is `null`.
 
 use std::collections::BTreeMap;
 
@@ -54,7 +62,9 @@ use crate::json::{self, JsonValue};
 use crate::metrics::{KvReuseStats, StageRecord, StageStats};
 use crate::preempt::PreemptStats;
 use crate::request::{Request, RequestRecord};
-use crate::scenario::PendingRequest;
+use crate::scenario::{
+    ChunkingRequest, MuxMember, MuxSlot, PausedRequest, PendingRequest, ResumeCarry,
+};
 use crate::scheduler::BatchCheckpoint;
 use duplex_model::kv_cache::KvEntrySnapshot;
 
@@ -76,60 +86,14 @@ pub(crate) struct StreamState {
     pub(crate) followups: Vec<PendingRequest>,
 }
 
-/// One decoding request's state.
+/// One decoding request's state. The runtime keeps a stage stamp
+/// instead of `generated`, so this is the one in-flight request type
+/// with a snapshot form of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ActiveState {
     pub(crate) pending: PendingRequest,
     pub(crate) generated: u64,
     pub(crate) first_token_s: f64,
-}
-
-/// One mid-chunking request's state.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ChunkingState {
-    pub(crate) pending: PendingRequest,
-    pub(crate) history: u64,
-    pub(crate) processed: u64,
-    pub(crate) prefill_total: u64,
-    /// Mid-decode carry of a recompute-on-resume re-prefill (`None`
-    /// for ordinary prompts).
-    pub(crate) resumed: Option<ResumeState>,
-}
-
-/// Mid-decode progress carried through a recompute re-prefill.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ResumeState {
-    pub(crate) generated: u64,
-    pub(crate) first_token_s: f64,
-}
-
-/// One preempted (paused) request's state.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PausedState {
-    pub(crate) pending: PendingRequest,
-    pub(crate) generated: u64,
-    pub(crate) first_token_s: f64,
-    pub(crate) ctx: u64,
-    pub(crate) swapped: bool,
-    pub(crate) paused_at_s: f64,
-}
-
-/// One multiplex-slot member's state.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct MuxMemberState {
-    pub(crate) pending: PendingRequest,
-    pub(crate) generated: u64,
-    pub(crate) first_token_s: f64,
-}
-
-/// One multiplex slot's state (a shared decode row).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct MuxState {
-    pub(crate) ctx: u64,
-    pub(crate) generated: u64,
-    pub(crate) kv_bytes: u64,
-    pub(crate) quality: f64,
-    pub(crate) members: Vec<MuxMemberState>,
 }
 
 /// A parked-KV pool's dynamic state.
@@ -139,9 +103,9 @@ pub(crate) struct KvState {
     pub(crate) entries: Vec<KvEntrySnapshot>,
 }
 
-/// A latency digest's population: sparse nonzero buckets plus the
-/// record-order global count and sum (the sum is not bit-recomputable
-/// from the buckets).
+/// A latency digest's population: sparse nonzero buckets as
+/// `(index, count, sum)` plus the record-order global count and sum
+/// (the sum is not bit-recomputable from the buckets).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DigestState {
     pub(crate) buckets: Vec<(u64, u64, f64)>,
@@ -165,11 +129,11 @@ pub(crate) struct ReplicaState {
     pub(crate) inbox: Vec<PendingRequest>,
     pub(crate) pending: Vec<PendingRequest>,
     pub(crate) active: Vec<ActiveState>,
-    pub(crate) chunking: Vec<ChunkingState>,
+    pub(crate) chunking: Vec<ChunkingRequest>,
     /// Preempted requests awaiting resume, in pause (FIFO) order.
-    pub(crate) paused: Vec<PausedState>,
+    pub(crate) paused: Vec<PausedRequest>,
     /// Live multiplex slots (shared decode rows).
-    pub(crate) mux: Vec<MuxState>,
+    pub(crate) mux: Vec<MuxSlot>,
     /// Preemption counters accumulated so far.
     pub(crate) preempt: PreemptStats,
     pub(crate) parked: Option<KvState>,
@@ -279,15 +243,16 @@ pub(crate) struct AutoscaleState {
     pub(crate) seq: u64,
     pub(crate) pool: Vec<bool>,
     pub(crate) draining: Vec<bool>,
-    pub(crate) up_streak: u64,
-    pub(crate) down_streak: u64,
+    pub(crate) up_streak: u32,
+    pub(crate) down_streak: u32,
     /// First evaluation time of the running up-streak (`None` between
     /// streaks).
     pub(crate) streak_start: Option<f64>,
     pub(crate) cooldown_until: f64,
-    /// `(met, completed)` interactive-tier totals at the last
+    /// Interactive-tier met and completed totals at the last
     /// evaluation — the window delta baseline.
-    pub(crate) last_slo: (u64, u64),
+    pub(crate) slo_met: u64,
+    pub(crate) slo_completed: u64,
     pub(crate) scale_ups: u64,
     pub(crate) scale_downs: u64,
     pub(crate) scale_up_lag_s: f64,
@@ -370,40 +335,11 @@ impl ClusterSnapshot {
 
     /// Serialize to the `duplex/cluster-snapshot/v5` JSON document.
     pub fn to_json(&self) -> String {
-        let mut w = Writer::new();
-        w.obj_open();
-        w.str_field("schema", SCHEMA);
-        w.f64_field("taken_at_s", self.taken_at_s);
-        w.key("router");
-        w.u64_array(&self.router);
-        w.key("stream");
-        write_stream(&mut w, &self.stream);
-        w.key("replicas");
-        w.arr_open();
-        for r in &self.replicas {
-            w.item();
-            write_replica(&mut w, r);
+        let mut doc = self.put();
+        if let JsonValue::Obj(members) = &mut doc {
+            members.insert(0, ("schema".to_owned(), JsonValue::Str(SCHEMA.to_owned())));
         }
-        w.arr_close();
-        w.key("stats");
-        write_stats(&mut w, &self.stats);
-        w.key("fault");
-        match &self.fault {
-            Some(f) => write_fault(&mut w, f),
-            None => w.out.push_str("null"),
-        }
-        w.key("autoscale");
-        match &self.autoscale {
-            Some(a) => write_autoscale(&mut w, a),
-            None => w.out.push_str("null"),
-        }
-        w.key("disagg");
-        match &self.disagg {
-            Some(d) => write_disagg(&mut w, d),
-            None => w.out.push_str("null"),
-        }
-        w.obj_close();
-        w.out
+        json::emit(&doc)
     }
 
     /// Parse a document produced by [`to_json`](Self::to_json).
@@ -416,7 +352,9 @@ impl ClusterSnapshot {
     /// mistyped.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = json::parse(text)?;
-        let schema = get_str(&v, "schema")?;
+        let Some(schema) = v.get("schema").and_then(JsonValue::as_str) else {
+            return Err("missing or non-string field \"schema\"".into());
+        };
         if schema != SCHEMA {
             return Err(if RETIRED_SCHEMAS.contains(&schema) {
                 format!(
@@ -427,1006 +365,218 @@ impl ClusterSnapshot {
                 format!("unsupported snapshot schema {schema:?} (expected {SCHEMA:?})")
             });
         }
-        let fault = match get(&v, "fault")? {
-            JsonValue::Null => None,
-            f => Some(read_fault(f)?),
-        };
-        let autoscale = match get(&v, "autoscale")? {
-            JsonValue::Null => None,
-            a => Some(read_autoscale(a)?),
-        };
-        let disagg = match get(&v, "disagg")? {
-            JsonValue::Null => None,
-            d => Some(read_disagg(d)?),
-        };
-        Ok(ClusterSnapshot {
-            taken_at_s: get_f64(&v, "taken_at_s")?,
-            router: get_u64_array(&v, "router")?,
-            stream: read_stream(get(&v, "stream")?)?,
-            replicas: get_arr(&v, "replicas")?
-                .iter()
-                .map(read_replica)
-                .collect::<Result<Vec<_>, _>>()?,
-            stats: read_stats(get(&v, "stats")?)?,
-            fault,
-            autoscale,
-            disagg,
-        })
+        Self::take(&v, "snapshot")
     }
 }
 
 // ---------------------------------------------------------------- //
-// JSON writing: a minimal comma-tracking emitter. All u64 values are
-// quoted decimal strings; all f64 values are quoted decimal strings
-// of their to_bits pattern.
+// The wire codec: one `Wire` form per leaf value, and one field list
+// per state type that drives both directions.
 
-struct Writer {
-    out: String,
-    /// Whether the current container already holds an element.
-    needs_comma: Vec<bool>,
+/// A value's JSON wire form. `what` names the value in errors: its
+/// key, or the label of the fixed-width row it belongs to.
+trait Wire: Sized {
+    fn put(&self) -> JsonValue;
+    fn take(v: &JsonValue, what: &str) -> Result<Self, String>;
 }
 
-impl Writer {
-    fn new() -> Self {
-        Self {
-            out: String::new(),
-            needs_comma: Vec::new(),
-        }
+impl Wire for u64 {
+    fn put(&self) -> JsonValue {
+        JsonValue::Str(self.to_string())
     }
 
-    fn sep(&mut self) {
-        if let Some(last) = self.needs_comma.last_mut() {
-            if *last {
-                self.out.push(',');
+    fn take(v: &JsonValue, what: &str) -> Result<Self, String> {
+        let s = v
+            .as_str()
+            .ok_or_else(|| format!("{what} is not a quoted integer"))?;
+        s.parse()
+            .map_err(|e| format!("{what}: bad integer {s:?}: {e}"))
+    }
+}
+
+/// Narrower integers travel as `u64` and must fit on the way back.
+macro_rules! narrow_wire {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            fn put(&self) -> JsonValue {
+                (*self as u64).put()
             }
-            *last = true;
-        }
-    }
 
-    fn obj_open(&mut self) {
-        self.out.push('{');
-        self.needs_comma.push(false);
-    }
-
-    fn obj_close(&mut self) {
-        self.out.push('}');
-        self.needs_comma.pop();
-    }
-
-    fn arr_open(&mut self) {
-        self.out.push('[');
-        self.needs_comma.push(false);
-    }
-
-    fn arr_close(&mut self) {
-        self.out.push(']');
-        self.needs_comma.pop();
-    }
-
-    /// Start an array element (value written by the caller).
-    fn item(&mut self) {
-        self.sep();
-    }
-
-    /// Start an object field (value written by the caller).
-    fn key(&mut self, name: &str) {
-        self.sep();
-        self.out.push('"');
-        self.out.push_str(name);
-        self.out.push_str("\":");
-    }
-
-    fn str_field(&mut self, name: &str, value: &str) {
-        self.key(name);
-        self.out.push('"');
-        for c in value.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.out.push(c),
+            fn take(v: &JsonValue, what: &str) -> Result<Self, String> {
+                <$t>::try_from(u64::take(v, what)?).map_err(|e| format!("{what}: {e}"))
             }
         }
-        self.out.push('"');
+    )+};
+}
+
+narrow_wire!(u32, usize);
+
+impl Wire for f64 {
+    fn put(&self) -> JsonValue {
+        self.to_bits().put()
     }
 
-    fn u64_field(&mut self, name: &str, value: u64) {
-        self.key(name);
-        self.u64_value(value);
+    fn take(v: &JsonValue, what: &str) -> Result<Self, String> {
+        u64::take(v, what).map(f64::from_bits)
+    }
+}
+
+impl Wire for bool {
+    fn put(&self) -> JsonValue {
+        JsonValue::Bool(*self)
     }
 
-    fn u64_value(&mut self, value: u64) {
-        self.out.push('"');
-        self.out.push_str(&value.to_string());
-        self.out.push('"');
-    }
-
-    fn f64_field(&mut self, name: &str, value: f64) {
-        self.key(name);
-        self.f64_value(value);
-    }
-
-    fn f64_value(&mut self, value: f64) {
-        self.u64_value(value.to_bits());
-    }
-
-    fn bool_field(&mut self, name: &str, value: bool) {
-        self.key(name);
-        self.out.push_str(if value { "true" } else { "false" });
-    }
-
-    fn u64_array(&mut self, values: &[u64]) {
-        self.arr_open();
-        for &v in values {
-            self.item();
-            self.u64_value(v);
+    fn take(v: &JsonValue, what: &str) -> Result<Self, String> {
+        match v {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Err(format!("{what} is not a boolean")),
         }
-        self.arr_close();
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, T::put)
     }
 
-    fn bool_array(&mut self, values: &[bool]) {
-        self.arr_open();
-        for &v in values {
-            self.item();
-            self.out.push_str(if v { "true" } else { "false" });
+    fn take(v: &JsonValue, what: &str) -> Result<Self, String> {
+        match v {
+            JsonValue::Null => Ok(None),
+            v => T::take(v, what).map(Some),
         }
-        self.arr_close();
     }
 }
 
-fn write_request(w: &mut Writer, r: &Request) {
-    w.obj_open();
-    w.u64_field("id", r.id);
-    w.f64_field("arrival_s", r.arrival_s);
-    w.u64_field("input_len", r.input_len);
-    w.u64_field("output_len", r.output_len);
-    w.obj_close();
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self) -> JsonValue {
+        JsonValue::Arr(self.iter().map(T::put).collect())
+    }
+
+    fn take(v: &JsonValue, what: &str) -> Result<Self, String> {
+        v.as_array()
+            .ok_or_else(|| format!("field {what:?} is not an array"))?
+            .iter()
+            .map(|x| T::take(x, what))
+            .collect()
+    }
 }
 
-fn write_pending(w: &mut Writer, p: &PendingRequest) {
-    w.obj_open();
-    w.key("request");
-    write_request(w, &p.request);
-    w.u64_field("tier", p.tier as u64);
-    w.u64_field("priority", u64::from(p.priority));
-    w.f64_field("deadline_s", p.deadline_s);
-    w.u64_field("conversation", p.conversation);
-    w.u64_field("round", u64::from(p.round));
-    w.u64_field("history_tokens", p.history_tokens);
-    w.u64_field("skipped", p.skipped);
-    w.obj_close();
+impl Wire for [u64; 4] {
+    fn put(&self) -> JsonValue {
+        self.to_vec().put()
+    }
+
+    fn take(v: &JsonValue, what: &str) -> Result<Self, String> {
+        Vec::<u64>::take(v, what)?
+            .try_into()
+            .map_err(|_| format!("field {what:?} is not a 4-word RNG state"))
+    }
 }
 
-fn write_pending_list(w: &mut Writer, list: &[PendingRequest]) {
-    w.arr_open();
-    for p in list {
-        w.item();
-        write_pending(w, p);
-    }
-    w.arr_close();
-}
-
-fn write_digest(w: &mut Writer, d: &DigestState) {
-    w.obj_open();
-    w.u64_field("count", d.count);
-    w.f64_field("sum", d.sum);
-    w.key("buckets");
-    w.arr_open();
-    for &(i, n, sum) in &d.buckets {
-        w.item();
-        w.arr_open();
-        w.item();
-        w.u64_value(i);
-        w.item();
-        w.u64_value(n);
-        w.item();
-        w.f64_value(sum);
-        w.arr_close();
-    }
-    w.arr_close();
-    w.obj_close();
-}
-
-fn write_stream(w: &mut Writer, s: &StreamState) {
-    w.obj_open();
-    w.key("source_rng");
-    w.u64_array(&s.source_rng);
-    w.u64_field("source_next_id", s.source_next_id);
-    w.f64_field("source_clock", s.source_clock);
-    w.bool_field("source_burst_on", s.source_burst_on);
-    w.f64_field("source_phase_until", s.source_phase_until);
-    w.key("rng");
-    w.u64_array(&s.rng);
-    w.u64_field("drawn", s.drawn);
-    w.u64_field("next_id", s.next_id);
-    w.key("peeked");
-    match &s.peeked {
-        Some(r) => write_request(w, r),
-        None => w.out.push_str("null"),
-    }
-    w.key("followups");
-    write_pending_list(w, &s.followups);
-    w.obj_close();
-}
-
-fn write_stats(w: &mut Writer, s: &RecoveryStats) {
-    w.obj_open();
-    w.u64_field("faults_injected", s.faults_injected);
-    w.u64_field("requests_lost", s.requests_lost);
-    w.u64_field("retries_issued", s.retries_issued);
-    w.u64_field("requests_dropped", s.requests_dropped);
-    w.u64_field("kv_bytes_migrated", s.kv_bytes_migrated);
-    w.u64_field("kv_migrations", s.kv_migrations);
-    w.f64_field("migration_seconds", s.migration_seconds);
-    w.u64_field("triggers_fired", s.triggers_fired);
-    w.u64_field("requests_deferred", s.requests_deferred);
-    w.obj_close();
-}
-
-fn write_fault(w: &mut Writer, f: &FaultState) {
-    w.obj_open();
-    w.key("events");
-    w.arr_open();
-    for &(at, seq, code, arg) in &f.events {
-        w.item();
-        w.u64_array(&[at, seq, code, arg]);
-    }
-    w.arr_close();
-    w.u64_field("seq", f.seq);
-    w.key("attempts");
-    w.arr_open();
-    for &(id, n) in &f.attempts {
-        w.item();
-        w.u64_array(&[id, n]);
-    }
-    w.arr_close();
-    w.key("draining_down");
-    w.arr_open();
-    for &(replica, down, at) in &f.draining_down {
-        w.item();
-        w.u64_array(&[replica, down, at]);
-    }
-    w.arr_close();
-    w.key("triggers");
-    w.arr_open();
-    for &(fires, armed_at) in &f.triggers {
-        w.item();
-        w.u64_array(&[fires, armed_at]);
-    }
-    w.arr_close();
-    w.obj_close();
-}
-
-fn write_autoscale(w: &mut Writer, a: &AutoscaleState) {
-    w.obj_open();
-    w.key("events");
-    w.arr_open();
-    for &(at, seq, code, arg, lag) in &a.events {
-        w.item();
-        w.u64_array(&[at, seq, code, arg, lag]);
-    }
-    w.arr_close();
-    w.u64_field("seq", a.seq);
-    w.key("pool");
-    w.bool_array(&a.pool);
-    w.key("draining");
-    w.bool_array(&a.draining);
-    w.u64_field("up_streak", a.up_streak);
-    w.u64_field("down_streak", a.down_streak);
-    w.key("streak_start");
-    match a.streak_start {
-        Some(t) => w.f64_value(t),
-        None => w.out.push_str("null"),
-    }
-    w.f64_field("cooldown_until", a.cooldown_until);
-    w.u64_field("slo_met", a.last_slo.0);
-    w.u64_field("slo_completed", a.last_slo.1);
-    w.u64_field("scale_ups", a.scale_ups);
-    w.u64_field("scale_downs", a.scale_downs);
-    w.f64_field("scale_up_lag_s", a.scale_up_lag_s);
-    w.obj_close();
-}
-
-fn write_disagg(w: &mut Writer, d: &DisaggState) {
-    w.obj_open();
-    w.key("assignments");
-    w.arr_open();
-    for &(id, decode, bytes) in &d.assignments {
-        w.item();
-        w.u64_array(&[id, decode, bytes]);
-    }
-    w.arr_close();
-    w.u64_field("handoffs", d.handoffs);
-    w.u64_field("kv_bytes_shipped", d.kv_bytes_shipped);
-    w.f64_field("transfer_seconds", d.transfer_seconds);
-    w.u64_field("reprefills", d.reprefills);
-    w.obj_close();
-}
-
-fn write_replica(w: &mut Writer, r: &ReplicaState) {
-    w.obj_open();
-    w.key("inbox");
-    write_pending_list(w, &r.inbox);
-    w.key("pending");
-    write_pending_list(w, &r.pending);
-    w.key("active");
-    w.arr_open();
-    for a in &r.active {
-        w.item();
-        w.obj_open();
-        w.key("pending");
-        write_pending(w, &a.pending);
-        w.u64_field("generated", a.generated);
-        w.f64_field("first_token_s", a.first_token_s);
-        w.obj_close();
-    }
-    w.arr_close();
-    w.key("chunking");
-    w.arr_open();
-    for c in &r.chunking {
-        w.item();
-        w.obj_open();
-        w.key("pending");
-        write_pending(w, &c.pending);
-        w.u64_field("history", c.history);
-        w.u64_field("processed", c.processed);
-        w.u64_field("prefill_total", c.prefill_total);
-        w.key("resumed");
-        match &c.resumed {
-            Some(rc) => {
-                w.obj_open();
-                w.u64_field("generated", rc.generated);
-                w.f64_field("first_token_s", rc.first_token_s);
-                w.obj_close();
+/// Tuples are fixed-width rows: `[a, b, ...]`.
+macro_rules! row_wire {
+    ($n:literal: $($t:ident $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self) -> JsonValue {
+                JsonValue::Arr(vec![$(self.$i.put()),+])
             }
-            None => w.out.push_str("null"),
-        }
-        w.obj_close();
-    }
-    w.arr_close();
-    w.key("paused");
-    w.arr_open();
-    for p in &r.paused {
-        w.item();
-        w.obj_open();
-        w.key("pending");
-        write_pending(w, &p.pending);
-        w.u64_field("generated", p.generated);
-        w.f64_field("first_token_s", p.first_token_s);
-        w.u64_field("ctx", p.ctx);
-        w.bool_field("swapped", p.swapped);
-        w.f64_field("paused_at_s", p.paused_at_s);
-        w.obj_close();
-    }
-    w.arr_close();
-    w.key("mux");
-    w.arr_open();
-    for s in &r.mux {
-        w.item();
-        w.obj_open();
-        w.u64_field("ctx", s.ctx);
-        w.u64_field("generated", s.generated);
-        w.u64_field("kv_bytes", s.kv_bytes);
-        w.f64_field("quality", s.quality);
-        w.key("members");
-        w.arr_open();
-        for m in &s.members {
-            w.item();
-            w.obj_open();
-            w.key("pending");
-            write_pending(w, &m.pending);
-            w.u64_field("generated", m.generated);
-            w.f64_field("first_token_s", m.first_token_s);
-            w.obj_close();
-        }
-        w.arr_close();
-        w.obj_close();
-    }
-    w.arr_close();
-    w.key("preempt");
-    w.obj_open();
-    w.u64_field("preemptions", r.preempt.preemptions);
-    w.u64_field("swaps", r.preempt.swaps);
-    w.u64_field("recomputes", r.preempt.recomputes);
-    w.u64_field("resumes", r.preempt.resumes);
-    w.f64_field("swap_restore_seconds", r.preempt.swap_restore_seconds);
-    w.f64_field("paused_time_s", r.preempt.paused_time_s);
-    w.u64_field("mux_slots", r.preempt.mux_slots);
-    w.u64_field("mux_tokens", r.preempt.mux_tokens);
-    w.obj_close();
-    w.key("parked");
-    match &r.parked {
-        Some(kv) => {
-            w.obj_open();
-            w.u64_field("clock", kv.clock);
-            w.key("entries");
-            w.arr_open();
-            for e in &kv.entries {
-                w.item();
-                w.obj_open();
-                w.u64_field("request", e.request);
-                w.u64_field("pages", e.pages);
-                w.u64_field("tokens", e.tokens);
-                w.u64_field("last_touch", e.last_touch);
-                w.bool_field("resident", e.resident);
-                w.obj_close();
+
+            fn take(v: &JsonValue, what: &str) -> Result<Self, String> {
+                let row = v
+                    .as_array()
+                    .filter(|row| row.len() == $n)
+                    .ok_or_else(|| format!("{what} is not a {}-element array", $n))?;
+                Ok(($($t::take(&row[$i], what)?,)+))
             }
-            w.arr_close();
-            w.obj_close();
         }
-        None => w.out.push_str("null"),
-    }
-    w.u64_field("reserved", r.reserved);
-    w.f64_field("clock", r.clock);
-    w.bool_field("delta_fresh", r.delta_fresh);
-    w.key("delta_retire");
-    w.u64_array(&r.delta_retire);
-    w.key("completed");
-    w.arr_open();
-    for rec in &r.completed {
-        w.item();
-        w.obj_open();
-        w.key("request");
-        write_request(w, &rec.request);
-        w.f64_field("first_token_s", rec.first_token_s);
-        w.f64_field("last_token_s", rec.last_token_s);
-        w.u64_field("tokens", rec.tokens);
-        w.obj_close();
-    }
-    w.arr_close();
-    w.key("stages");
-    w.arr_open();
-    for s in &r.stages {
-        w.item();
-        w.obj_open();
-        w.f64_field("seconds", s.seconds);
-        w.bool_field("mixed", s.mixed);
-        w.u64_field("batch", s.batch as u64);
-        w.u64_field("tokens", s.tokens);
-        w.obj_close();
-    }
-    w.arr_close();
-    w.key("stage_stats");
-    w.obj_open();
-    w.u64_field("stages", r.stage_stats.stages);
-    w.u64_field("mixed", r.stage_stats.mixed);
-    w.u64_field("batch_sum", r.stage_stats.batch_sum);
-    w.u64_field("token_sum", r.stage_stats.token_sum);
-    w.obj_close();
-    w.key("tbt_digest");
-    write_digest(w, &r.tbt_digest);
-    w.key("tiers");
-    w.arr_open();
-    for t in &r.tiers {
-        w.item();
-        w.obj_open();
-        w.u64_field("completed", t.completed);
-        w.u64_field("met", t.met);
-        w.u64_field("good_tokens", t.good_tokens);
-        w.key("tbt");
-        write_digest(w, &t.tbt);
-        w.obj_close();
-    }
-    w.arr_close();
-    w.key("kv_reuse");
-    w.obj_open();
-    w.u64_field("reused_prefill_tokens", r.kv_reuse.reused_prefill_tokens);
-    w.u64_field("prefilled_tokens", r.kv_reuse.prefilled_tokens);
-    w.u64_field("parked_evictions", r.kv_reuse.parked_evictions);
-    w.u64_field("reuse_hits", r.kv_reuse.reuse_hits);
-    w.u64_field("reuse_misses", r.kv_reuse.reuse_misses);
-    w.obj_close();
-    w.bool_field("admitting", r.admitting);
-    w.bool_field("draining", r.draining);
-    w.f64_field("perf_factor", r.perf_factor);
-    w.key("down_since");
-    match r.down_since {
-        Some(t) => w.f64_value(t),
-        None => w.out.push_str("null"),
-    }
-    w.f64_field("down_seconds", r.down_seconds);
-    w.key("timeline");
-    w.arr_open();
-    for &(bucket, tokens) in &r.timeline {
-        w.item();
-        w.u64_array(&[bucket, tokens]);
-    }
-    w.arr_close();
-    w.key("window_counts");
-    w.arr_open();
-    for window in &r.window_counts {
-        w.item();
-        w.arr_open();
-        for &(completed, met) in window {
-            w.item();
-            w.u64_array(&[completed, met]);
-        }
-        w.arr_close();
-    }
-    w.arr_close();
-    w.key("batch");
-    match &r.batch {
-        Some(b) => {
-            w.obj_open();
-            w.key("decode_groups");
-            w.arr_open();
-            for &(ctx, reqs) in &b.decode_groups {
-                w.item();
-                w.arr_open();
-                w.item();
-                w.u64_value(ctx);
-                w.item();
-                w.u64_value(reqs);
-                w.arr_close();
-            }
-            w.arr_close();
-            w.key("pending_joins");
-            w.u64_array(&b.pending_joins);
-            w.key("rng");
-            w.u64_array(&b.rng);
-            w.obj_close();
-        }
-        None => w.out.push_str("null"),
-    }
-    w.obj_close();
-}
-
-// ---------------------------------------------------------------- //
-// JSON reading: field-by-field decoding over `json::parse` output.
-
-fn get<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))
-}
-
-fn u64_of(v: &JsonValue, what: &str) -> Result<u64, String> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| format!("{what} is not a quoted integer"))?;
-    s.parse::<u64>()
-        .map_err(|e| format!("{what}: bad integer {s:?}: {e}"))
-}
-
-fn f64_of(v: &JsonValue, what: &str) -> Result<f64, String> {
-    Ok(f64::from_bits(u64_of(v, what)?))
-}
-
-fn bool_of(v: &JsonValue, what: &str) -> Result<bool, String> {
-    match v {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(format!("{what} is not a boolean")),
-    }
-}
-
-fn get_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    u64_of(get(v, key)?, key)
-}
-
-fn get_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    f64_of(get(v, key)?, key)
-}
-
-fn get_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
-    bool_of(get(v, key)?, key)
-}
-
-fn get_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
-    get(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("field {key:?} is not an array"))
-}
-
-fn get_u64_array(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
-    get_arr(v, key)?.iter().map(|x| u64_of(x, key)).collect()
-}
-
-/// Decode a fixed-width row of quoted u64s (`["1","2",...]`).
-fn u64_row(v: &JsonValue, width: usize, what: &str) -> Result<Vec<u64>, String> {
-    let row = v
-        .as_array()
-        .filter(|a| a.len() == width)
-        .ok_or_else(|| format!("{what} is not a {width}-element array"))?;
-    row.iter().map(|x| u64_of(x, what)).collect()
-}
-
-fn u64_pair(v: &JsonValue, what: &str) -> Result<(u64, u64), String> {
-    let row = u64_row(v, 2, what)?;
-    Ok((row[0], row[1]))
-}
-
-fn read_request(v: &JsonValue) -> Result<Request, String> {
-    Ok(Request {
-        id: get_u64(v, "id")?,
-        arrival_s: get_f64(v, "arrival_s")?,
-        input_len: get_u64(v, "input_len")?,
-        output_len: get_u64(v, "output_len")?,
-    })
-}
-
-fn read_pending(v: &JsonValue) -> Result<PendingRequest, String> {
-    Ok(PendingRequest {
-        request: read_request(get(v, "request")?)?,
-        tier: get_u64(v, "tier")? as usize,
-        priority: get_u64(v, "priority")? as u32,
-        deadline_s: get_f64(v, "deadline_s")?,
-        conversation: get_u64(v, "conversation")?,
-        round: get_u64(v, "round")? as u32,
-        history_tokens: get_u64(v, "history_tokens")?,
-        skipped: get_u64(v, "skipped")?,
-    })
-}
-
-fn read_pending_list(v: &JsonValue, key: &str) -> Result<Vec<PendingRequest>, String> {
-    get_arr(v, key)?.iter().map(read_pending).collect()
-}
-
-fn read_digest(v: &JsonValue) -> Result<DigestState, String> {
-    let buckets = get_arr(v, "buckets")?
-        .iter()
-        .map(|b| {
-            let triple = b
-                .as_array()
-                .filter(|a| a.len() == 3)
-                .ok_or("digest bucket is not a 3-element array")?;
-            Ok((
-                u64_of(&triple[0], "bucket index")?,
-                u64_of(&triple[1], "bucket count")?,
-                f64_of(&triple[2], "bucket sum")?,
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(DigestState {
-        buckets,
-        count: get_u64(v, "count")?,
-        sum: get_f64(v, "sum")?,
-    })
-}
-
-fn read_stream(v: &JsonValue) -> Result<StreamState, String> {
-    let peeked = match get(v, "peeked")? {
-        JsonValue::Null => None,
-        r => Some(read_request(r)?),
     };
-    Ok(StreamState {
-        source_rng: rng_words(v, "source_rng")?,
-        source_next_id: get_u64(v, "source_next_id")?,
-        source_clock: get_f64(v, "source_clock")?,
-        source_burst_on: get_bool(v, "source_burst_on")?,
-        source_phase_until: get_f64(v, "source_phase_until")?,
-        rng: rng_words(v, "rng")?,
-        drawn: get_u64(v, "drawn")?,
-        next_id: get_u64(v, "next_id")?,
-        peeked,
-        followups: read_pending_list(v, "followups")?,
-    })
 }
 
-fn rng_words(v: &JsonValue, key: &str) -> Result<[u64; 4], String> {
-    let words = get_u64_array(v, key)?;
-    words
-        .try_into()
-        .map_err(|_| format!("field {key:?} is not a 4-word RNG state"))
+row_wire!(2: A 0, B 1);
+row_wire!(3: A 0, B 1, C 2);
+row_wire!(4: A 0, B 1, C 2, D 3);
+row_wire!(5: A 0, B 1, C 2, D 3, E 4);
+
+/// Read the member `key` of object `v`.
+fn field<T: Wire>(v: &JsonValue, key: &str, what: &str) -> Result<T, String> {
+    T::take(
+        v.get(key).ok_or_else(|| format!("missing field {key:?}"))?,
+        what,
+    )
 }
 
-fn read_stats(v: &JsonValue) -> Result<RecoveryStats, String> {
-    Ok(RecoveryStats {
-        faults_injected: get_u64(v, "faults_injected")?,
-        requests_lost: get_u64(v, "requests_lost")?,
-        retries_issued: get_u64(v, "retries_issued")?,
-        requests_dropped: get_u64(v, "requests_dropped")?,
-        kv_bytes_migrated: get_u64(v, "kv_bytes_migrated")?,
-        kv_migrations: get_u64(v, "kv_migrations")?,
-        migration_seconds: get_f64(v, "migration_seconds")?,
-        triggers_fired: get_u64(v, "triggers_fired")?,
-        requests_deferred: get_u64(v, "requests_deferred")?,
-    })
-}
+/// Declare each state type's wire fields once, in wire order: the key
+/// is the field name, and `as "label"` names a row field's elements
+/// in errors.
+macro_rules! wire {
+    ($($ty:ident { $($f:ident $(as $label:literal)?),+ $(,)? })+) => {$(
+        impl Wire for $ty {
+            fn put(&self) -> JsonValue {
+                JsonValue::Obj(vec![$((stringify!($f).to_owned(), self.$f.put())),+])
+            }
 
-fn read_fault(v: &JsonValue) -> Result<FaultState, String> {
-    let events = get_arr(v, "events")?
-        .iter()
-        .map(|e| {
-            let row = u64_row(e, 4, "fault event")?;
-            Ok((row[0], row[1], row[2], row[3]))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let attempts = get_arr(v, "attempts")?
-        .iter()
-        .map(|a| u64_pair(a, "retry attempt"))
-        .collect::<Result<Vec<_>, String>>()?;
-    let draining_down = get_arr(v, "draining_down")?
-        .iter()
-        .map(|d| {
-            let row = u64_row(d, 3, "drain state")?;
-            Ok((row[0], row[1], row[2]))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let triggers = get_arr(v, "triggers")?
-        .iter()
-        .map(|t| u64_pair(t, "trigger state"))
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(FaultState {
-        events,
-        seq: get_u64(v, "seq")?,
-        attempts,
-        draining_down,
-        triggers,
-    })
-}
-
-fn read_autoscale(v: &JsonValue) -> Result<AutoscaleState, String> {
-    let events = get_arr(v, "events")?
-        .iter()
-        .map(|e| {
-            let row = u64_row(e, 5, "scale event")?;
-            Ok((row[0], row[1], row[2], row[3], row[4]))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let pool = get_arr(v, "pool")?
-        .iter()
-        .map(|b| bool_of(b, "pool membership"))
-        .collect::<Result<Vec<_>, String>>()?;
-    let draining = get_arr(v, "draining")?
-        .iter()
-        .map(|b| bool_of(b, "scale-down drain flag"))
-        .collect::<Result<Vec<_>, String>>()?;
-    let streak_start = match get(v, "streak_start")? {
-        JsonValue::Null => None,
-        t => Some(f64_of(t, "streak_start")?),
-    };
-    Ok(AutoscaleState {
-        events,
-        seq: get_u64(v, "seq")?,
-        pool,
-        draining,
-        up_streak: get_u64(v, "up_streak")?,
-        down_streak: get_u64(v, "down_streak")?,
-        streak_start,
-        cooldown_until: get_f64(v, "cooldown_until")?,
-        last_slo: (get_u64(v, "slo_met")?, get_u64(v, "slo_completed")?),
-        scale_ups: get_u64(v, "scale_ups")?,
-        scale_downs: get_u64(v, "scale_downs")?,
-        scale_up_lag_s: get_f64(v, "scale_up_lag_s")?,
-    })
-}
-
-fn read_disagg(v: &JsonValue) -> Result<DisaggState, String> {
-    let assignments = get_arr(v, "assignments")?
-        .iter()
-        .map(|a| {
-            let row = u64_row(a, 3, "disagg assignment")?;
-            Ok((row[0], row[1], row[2]))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(DisaggState {
-        assignments,
-        handoffs: get_u64(v, "handoffs")?,
-        kv_bytes_shipped: get_u64(v, "kv_bytes_shipped")?,
-        transfer_seconds: get_f64(v, "transfer_seconds")?,
-        reprefills: get_u64(v, "reprefills")?,
-    })
-}
-
-fn read_replica(v: &JsonValue) -> Result<ReplicaState, String> {
-    let active = get_arr(v, "active")?
-        .iter()
-        .map(|a| {
-            Ok(ActiveState {
-                pending: read_pending(get(a, "pending")?)?,
-                generated: get_u64(a, "generated")?,
-                first_token_s: get_f64(a, "first_token_s")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let chunking = get_arr(v, "chunking")?
-        .iter()
-        .map(|c| {
-            Ok(ChunkingState {
-                pending: read_pending(get(c, "pending")?)?,
-                history: get_u64(c, "history")?,
-                processed: get_u64(c, "processed")?,
-                prefill_total: get_u64(c, "prefill_total")?,
-                resumed: match get(c, "resumed")? {
-                    JsonValue::Null => None,
-                    rc => Some(ResumeState {
-                        generated: get_u64(rc, "generated")?,
-                        first_token_s: get_f64(rc, "first_token_s")?,
-                    }),
-                },
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let paused = get_arr(v, "paused")?
-        .iter()
-        .map(|p| {
-            Ok(PausedState {
-                pending: read_pending(get(p, "pending")?)?,
-                generated: get_u64(p, "generated")?,
-                first_token_s: get_f64(p, "first_token_s")?,
-                ctx: get_u64(p, "ctx")?,
-                swapped: get_bool(p, "swapped")?,
-                paused_at_s: get_f64(p, "paused_at_s")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let mux = get_arr(v, "mux")?
-        .iter()
-        .map(|s| {
-            let members = get_arr(s, "members")?
-                .iter()
-                .map(|m| {
-                    Ok(MuxMemberState {
-                        pending: read_pending(get(m, "pending")?)?,
-                        generated: get_u64(m, "generated")?,
-                        first_token_s: get_f64(m, "first_token_s")?,
-                    })
+            fn take(v: &JsonValue, _: &str) -> Result<Self, String> {
+                Ok($ty {
+                    $($f: field(v, stringify!($f), [$($label,)? stringify!($f)][0])?,)+
                 })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(MuxState {
-                ctx: get_u64(s, "ctx")?,
-                generated: get_u64(s, "generated")?,
-                kv_bytes: get_u64(s, "kv_bytes")?,
-                quality: get_f64(s, "quality")?,
-                members,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let pp = get(v, "preempt")?;
-    let preempt = PreemptStats {
-        preemptions: get_u64(pp, "preemptions")?,
-        swaps: get_u64(pp, "swaps")?,
-        recomputes: get_u64(pp, "recomputes")?,
-        resumes: get_u64(pp, "resumes")?,
-        swap_restore_seconds: get_f64(pp, "swap_restore_seconds")?,
-        paused_time_s: get_f64(pp, "paused_time_s")?,
-        mux_slots: get_u64(pp, "mux_slots")?,
-        mux_tokens: get_u64(pp, "mux_tokens")?,
-    };
-    let parked = match get(v, "parked")? {
-        JsonValue::Null => None,
-        kv => {
-            let entries = get_arr(kv, "entries")?
-                .iter()
-                .map(|e| {
-                    Ok(KvEntrySnapshot {
-                        request: get_u64(e, "request")?,
-                        pages: get_u64(e, "pages")?,
-                        tokens: get_u64(e, "tokens")?,
-                        last_touch: get_u64(e, "last_touch")?,
-                        resident: get_bool(e, "resident")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Some(KvState {
-                clock: get_u64(kv, "clock")?,
-                entries,
-            })
+            }
         }
-    };
-    let completed = get_arr(v, "completed")?
-        .iter()
-        .map(|r| {
-            Ok(RequestRecord {
-                request: read_request(get(r, "request")?)?,
-                first_token_s: get_f64(r, "first_token_s")?,
-                last_token_s: get_f64(r, "last_token_s")?,
-                tokens: get_u64(r, "tokens")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let stages = get_arr(v, "stages")?
-        .iter()
-        .map(|s| {
-            Ok(StageRecord {
-                seconds: get_f64(s, "seconds")?,
-                mixed: get_bool(s, "mixed")?,
-                batch: get_u64(s, "batch")? as usize,
-                tokens: get_u64(s, "tokens")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let ss = get(v, "stage_stats")?;
-    let stage_stats = StageStats {
-        stages: get_u64(ss, "stages")?,
-        mixed: get_u64(ss, "mixed")?,
-        batch_sum: get_u64(ss, "batch_sum")?,
-        token_sum: get_u64(ss, "token_sum")?,
-    };
-    let tiers = get_arr(v, "tiers")?
-        .iter()
-        .map(|t| {
-            Ok(TierState {
-                completed: get_u64(t, "completed")?,
-                met: get_u64(t, "met")?,
-                good_tokens: get_u64(t, "good_tokens")?,
-                tbt: read_digest(get(t, "tbt")?)?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let kvr = get(v, "kv_reuse")?;
-    let kv_reuse = KvReuseStats {
-        reused_prefill_tokens: get_u64(kvr, "reused_prefill_tokens")?,
-        prefilled_tokens: get_u64(kvr, "prefilled_tokens")?,
-        parked_evictions: get_u64(kvr, "parked_evictions")?,
-        reuse_hits: get_u64(kvr, "reuse_hits")?,
-        reuse_misses: get_u64(kvr, "reuse_misses")?,
-    };
-    let batch = match get(v, "batch")? {
-        JsonValue::Null => None,
-        b => {
-            let decode_groups = get_arr(b, "decode_groups")?
-                .iter()
-                .map(|g| {
-                    let pair = g
-                        .as_array()
-                        .filter(|a| a.len() == 2)
-                        .ok_or("decode group is not a 2-element array")?;
-                    Ok((
-                        u64_of(&pair[0], "group ctx")?,
-                        u64_of(&pair[1], "group reqs")?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Some(BatchCheckpoint {
-                decode_groups,
-                pending_joins: get_u64_array(b, "pending_joins")?,
-                rng: rng_words(b, "rng")?,
-            })
-        }
-    };
-    let timeline = get_arr(v, "timeline")?
-        .iter()
-        .map(|p| u64_pair(p, "timeline entry"))
-        .collect::<Result<Vec<_>, String>>()?;
-    let window_counts = get_arr(v, "window_counts")?
-        .iter()
-        .map(|window| {
-            window
-                .as_array()
-                .ok_or("a fault window's counts are not an array")?
-                .iter()
-                .map(|p| u64_pair(p, "window tier counts"))
-                .collect::<Result<Vec<_>, String>>()
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(ReplicaState {
-        inbox: read_pending_list(v, "inbox")?,
-        pending: read_pending_list(v, "pending")?,
-        active,
-        chunking,
-        paused,
-        mux,
-        preempt,
-        parked,
-        reserved: get_u64(v, "reserved")?,
-        clock: get_f64(v, "clock")?,
-        delta_fresh: get_bool(v, "delta_fresh")?,
-        delta_retire: get_u64_array(v, "delta_retire")?,
-        completed,
-        stages,
-        stage_stats,
-        tbt_digest: read_digest(get(v, "tbt_digest")?)?,
-        tiers,
-        kv_reuse,
-        admitting: get_bool(v, "admitting")?,
-        draining: get_bool(v, "draining")?,
-        perf_factor: get_f64(v, "perf_factor")?,
-        down_since: match get(v, "down_since")? {
-            JsonValue::Null => None,
-            t => Some(f64_of(t, "down_since")?),
-        },
-        down_seconds: get_f64(v, "down_seconds")?,
-        timeline,
-        window_counts,
-        batch,
-    })
+    )+};
+}
+
+wire! {
+    Request { id, arrival_s, input_len, output_len }
+    PendingRequest {
+        request, tier, priority, deadline_s, conversation, round, history_tokens, skipped,
+    }
+    RequestRecord { request, first_token_s, last_token_s, tokens }
+    StreamState {
+        source_rng, source_next_id, source_clock, source_burst_on, source_phase_until, rng,
+        drawn, next_id, peeked, followups,
+    }
+    DigestState { count, sum, buckets as "digest bucket" }
+    TierState { completed, met, good_tokens, tbt }
+    ActiveState { pending, generated, first_token_s }
+    ChunkingRequest { pending, history, processed, prefill_total, resumed }
+    ResumeCarry { generated, first_token_s }
+    PausedRequest { pending, generated, first_token_s, ctx, swapped, paused_at_s }
+    MuxSlot { ctx, generated, kv_bytes, quality, members }
+    MuxMember { pending, generated, first_token_s }
+    PreemptStats {
+        preemptions, swaps, recomputes, resumes, swap_restore_seconds, paused_time_s,
+        mux_slots, mux_tokens,
+    }
+    KvState { clock, entries }
+    KvEntrySnapshot { request, pages, tokens, last_touch, resident }
+    StageRecord { seconds, mixed, batch, tokens }
+    StageStats { stages, mixed, batch_sum, token_sum }
+    KvReuseStats {
+        reused_prefill_tokens, prefilled_tokens, parked_evictions, reuse_hits, reuse_misses,
+    }
+    BatchCheckpoint { decode_groups as "decode group", pending_joins, rng }
+    ReplicaState {
+        inbox, pending, active, chunking, paused, mux, preempt, parked, reserved, clock,
+        delta_fresh, delta_retire, completed, stages, stage_stats, tbt_digest, tiers, kv_reuse,
+        admitting, draining, perf_factor, down_since, down_seconds,
+        timeline as "timeline entry", window_counts as "window tier counts", batch,
+    }
+    RecoveryStats {
+        faults_injected, requests_lost, retries_issued, requests_dropped, kv_bytes_migrated,
+        kv_migrations, migration_seconds, triggers_fired, requests_deferred,
+    }
+    FaultState {
+        events as "fault event", seq, attempts as "retry attempt",
+        draining_down as "drain state", triggers as "trigger state",
+    }
+    AutoscaleState {
+        events as "scale event", seq, pool, draining, up_streak, down_streak, streak_start,
+        cooldown_until, slo_met, slo_completed, scale_ups, scale_downs, scale_up_lag_s,
+    }
+    DisaggState {
+        assignments as "disagg assignment", handoffs, kv_bytes_shipped, transfer_seconds,
+        reprefills,
+    }
+    ClusterSnapshot { taken_at_s, router, stream, replicas, stats, fault, autoscale, disagg }
 }
 
 #[cfg(test)]
@@ -1480,17 +630,17 @@ mod tests {
                     generated: 4,
                     first_token_s: 11.0,
                 }],
-                chunking: vec![ChunkingState {
+                chunking: vec![ChunkingRequest {
                     pending: pending(35),
                     history: 16,
                     processed: 32,
                     prefill_total: 48,
-                    resumed: Some(ResumeState {
+                    resumed: Some(ResumeCarry {
                         generated: 6,
                         first_token_s: 10.75,
                     }),
                 }],
-                paused: vec![PausedState {
+                paused: vec![PausedRequest {
                     pending: pending(36),
                     generated: 5,
                     first_token_s: 11.5,
@@ -1498,12 +648,12 @@ mod tests {
                     swapped: true,
                     paused_at_s: 12.0,
                 }],
-                mux: vec![MuxState {
+                mux: vec![MuxSlot {
                     ctx: 72,
                     generated: 2,
                     kv_bytes: 4096,
                     quality: 0.9,
-                    members: vec![MuxMemberState {
+                    members: vec![MuxMember {
                         pending: pending(37),
                         generated: 7,
                         first_token_s: 11.25,
@@ -1621,7 +771,8 @@ mod tests {
                 down_streak: 0,
                 streak_start: Some(11.5),
                 cooldown_until: 14.0,
-                last_slo: (2, 3),
+                slo_met: 2,
+                slo_completed: 3,
                 scale_ups: 1,
                 scale_downs: 1,
                 scale_up_lag_s: 2.5,
@@ -1736,7 +887,9 @@ mod tests {
         assert!(all.len() > 100, "{} keys", all.len());
         for key in all {
             let quoted = format!("\"{key}\"");
-            let at = full.find(&format!("{quoted}:")).expect("the key is written");
+            let at = full
+                .find(&format!("{quoted}:"))
+                .expect("the key is written");
             let text = format!("{}\"{key}_\"{}", &full[..at], &full[at + quoted.len()..]);
             let err = ClusterSnapshot::from_json(&text).expect_err(&key);
             assert!(err.contains(&quoted), "{key}: {err}");

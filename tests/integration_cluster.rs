@@ -708,47 +708,6 @@ fn run_until_panics_on_too_few_executors() {
 const AUTOSCALE_STOP_S: f64 = 1.7;
 const DISAGG_STOP_S: f64 = 2.8;
 
-/// Re-emit a parsed snapshot in the writer's compact form. Every
-/// number in a snapshot is a quoted string, so `Num` never occurs.
-fn emit(v: &JsonValue, out: &mut String) {
-    match v {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Num(_) => panic!("snapshots quote every number"),
-        JsonValue::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                if c == '"' || c == '\\' {
-                    out.push('\\');
-                }
-                out.push(c);
-            }
-            out.push('"');
-        }
-        JsonValue::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                emit(item, out);
-            }
-            out.push(']');
-        }
-        JsonValue::Obj(members) => {
-            out.push('{');
-            for (i, (k, item)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{k}\":"));
-                emit(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
 /// The node at `path` (object keys and array indices).
 fn node<'a>(mut v: &'a mut JsonValue, path: &[&str]) -> &'a mut JsonValue {
     for key in path {
@@ -795,14 +754,18 @@ fn bump_checkpoint_context(v: &mut JsonValue) {
         {
             continue;
         }
-        let ctx = node(v, &["replicas", &i, "batch", "decode_groups", "0", "0"]);
-        let JsonValue::Str(digits) = ctx else {
-            panic!("a context is a quoted integer");
-        };
-        *ctx = num(digits.parse::<u64>().unwrap() + 1);
+        bump(v, &["replicas", &i, "batch", "decode_groups", "0", "0"]);
         return;
     }
     panic!("no replica carries a decode group");
+}
+
+/// Add one to the quoted integer at `path`.
+fn bump(v: &mut JsonValue, path: &[&str]) {
+    let JsonValue::Str(digits) = node(v, path) else {
+        panic!("{path:?}: not a quoted integer");
+    };
+    *digits = (digits.parse::<u64>().unwrap() + 1).to_string();
 }
 
 #[test]
@@ -811,7 +774,7 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
     // snapshots of the three drills and pushed through the wire
     // format: resume must answer with a described error, never a
     // panic and never a silent divergence.
-    let cases: [(&str, &str, Corruption, &str); 18] = [
+    let cases: [(&str, &str, Corruption, &str); 22] = [
         (
             "failover",
             "replica count",
@@ -929,19 +892,44 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
             |v, _| bump_checkpoint_context(v),
             "the executor checkpoint does not match the decoding requests",
         ),
+        (
+            "failover",
+            "digest bucket index",
+            |v, _| items(v, &["replicas", "0", "tbt_digest", "buckets"]).push(row(&[1520, 1, 0])),
+            "a snapshot latency digest has a bucket index out of range",
+        ),
+        (
+            "failover",
+            "KV reservation",
+            |v, _| bump(v, &["replicas", "0", "reserved"]),
+            "the snapshot KV reservation does not match the in-flight requests",
+        ),
+        (
+            "autoscale",
+            "KV reservation",
+            |v, _| bump(v, &["replicas", "0", "reserved"]),
+            "the snapshot KV reservation does not match the in-flight requests",
+        ),
+        (
+            "disagg",
+            "KV reservation",
+            |v, _| bump(v, &["replicas", "0", "reserved"]),
+            "the snapshot KV reservation does not match the in-flight requests",
+        ),
     ];
     let pauses = drill_pauses();
     for (drill, field, corrupt, phrase) in cases {
         let (_, spec, snapshot) = pauses.iter().find(|(d, _, _)| *d == drill).unwrap();
         let original = snapshot.to_json();
         let mut doc = json::parse(&original).expect("snapshots are JSON");
-        let mut text = String::new();
-        emit(&doc, &mut text);
-        assert_eq!(text, original, "re-emission alone changes nothing");
+        assert_eq!(
+            json::emit(&doc),
+            original,
+            "re-emission alone changes nothing"
+        );
         corrupt(&mut doc, spec);
-        text.clear();
-        emit(&doc, &mut text);
-        let corrupted = ClusterSnapshot::from_json(&text).expect("still a well-formed document");
+        let corrupted =
+            ClusterSnapshot::from_json(&json::emit(&doc)).expect("still a well-formed document");
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let (sim, mut policies, mut executors) = build_cluster(spec);
             let mut router = RouterKind::LeastOutstandingWork.build_with(&spec.router_context());
