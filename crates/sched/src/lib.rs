@@ -143,3 +143,11 @@ pub use scheduler::{BatchCheckpoint, Simulation, SimulationConfig, StageExecutor
 pub use snapshot::ClusterSnapshot;
 pub use trace::{TraceRecorder, TraceRequest};
 pub use workload::{Arrivals, RequestSource, Workload};
+
+/// FNV-1a, 64-bit: the hash behind the byte and stream pins.
+#[cfg(test)]
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

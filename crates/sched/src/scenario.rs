@@ -2998,6 +2998,36 @@ mod tests {
     }
 
     #[test]
+    fn followup_lengths_are_pinned() {
+        // Follow-up rounds draw their turn and output lengths from the
+        // stream's own RNG; pin every completed request's lengths.
+        let scenario = Scenario::new(
+            "chat",
+            Workload::gaussian(128, 32).with_cv(0.5).with_seed(7),
+            Arrivals::Poisson { qps: 400.0 },
+            300,
+        )
+        .with_conversation(ConversationSpec::chat(0.8, 4, 0.01, 48));
+        let report = run_scenario(scenario, config(32), &mut Fcfs);
+        let mut lens: Vec<(u64, u64, u64)> = report
+            .completed
+            .iter()
+            .map(|r| (r.request.id, r.request.input_len, r.request.output_len))
+            .collect();
+        lens.sort_unstable();
+        let mut bytes = Vec::new();
+        for (id, input, output) in &lens {
+            for word in [id, input, output] {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        assert_eq!(
+            (lens.len(), crate::fnv1a64(&bytes)),
+            (870, 0x366c_1129_9571_59e8)
+        );
+    }
+
+    #[test]
     fn reuse_admissions_announce_admit_ctx() {
         let scenario = Scenario::new(
             "chat",

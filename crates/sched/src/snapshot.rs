@@ -896,13 +896,6 @@ mod tests {
         }
     }
 
-    /// FNV-1a, 64-bit.
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
     #[test]
     fn sample_snapshot_bytes_are_pinned() {
         // The fixture fills every optional and preemption-only field
@@ -911,7 +904,7 @@ mod tests {
         // pins the place of every key in the v5 wire format.
         let text = sample().to_json();
         assert_eq!(
-            (fnv1a64(text.as_bytes()), text.len()),
+            (crate::fnv1a64(text.as_bytes()), text.len()),
             (0x81d9_8c19_ec7a_e100, 5_201)
         );
     }

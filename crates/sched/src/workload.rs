@@ -411,6 +411,59 @@ mod tests {
         assert!((out_mean - 500.0).abs() < 10.0, "got {out_mean}");
     }
 
+    /// FNV-1a over the first `n` requests' ids, arrival bits and
+    /// lengths.
+    fn stream_hash(workload: Workload, arrivals: Arrivals, n: usize) -> u64 {
+        let mut s = RequestSource::new(workload, arrivals);
+        let mut bytes = Vec::with_capacity(n * 32);
+        for _ in 0..n {
+            let r = s.next_request();
+            for word in [r.id, r.arrival_s.to_bits(), r.input_len, r.output_len] {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        crate::fnv1a64(&bytes)
+    }
+
+    #[test]
+    fn length_streams_are_pinned() {
+        // Every drawn length is part of the behaviour contract. These
+        // hashes were recorded from the plain libm length draw, so a
+        // faster draw that moves one length by one token fails here.
+        // The cv 0.6 case clamps ~15% of its draws.
+        let cases = [
+            (
+                Workload::gaussian(128, 32),
+                Arrivals::Poisson { qps: 50_000.0 },
+                0xe0ee_edcd_e96b_d4af_u64,
+            ),
+            (
+                Workload::gaussian(512, 4096),
+                Arrivals::ClosedLoop,
+                0xbb93_cdcb_a081_363b,
+            ),
+            (
+                Workload::gaussian(2048, 512).with_cv(0.6),
+                Arrivals::ClosedLoop,
+                0xc94f_163a_1786_8f0d,
+            ),
+            (
+                Workload::gaussian(3, 2).with_cv(0.9),
+                Arrivals::ClosedLoop,
+                0xc245_731b_e276_37d0,
+            ),
+            (
+                Workload::fixed(64, 16),
+                Arrivals::Poisson { qps: 8.0 },
+                0xa581_97fc_29f3_f3f4,
+            ),
+        ];
+        for (workload, arrivals, want) in cases {
+            let got = stream_hash(workload.clone(), arrivals, 100_000);
+            assert_eq!(got, want, "{workload:?}: {got:#x}");
+        }
+    }
+
     #[test]
     fn poisson_rate_matches_qps() {
         let mut s = RequestSource::new(
