@@ -6,7 +6,7 @@
 //! sweeps), Markov-modulated on/off bursts, diurnal rate curves, or
 //! replay of a recorded [`crate::trace`] file.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -364,6 +364,10 @@ pub(crate) fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
 /// variation `cv`, clamped to `[mean/4, 2*mean]` so a tail draw cannot
 /// dominate a run; `cv == 0` is deterministic. Shared by the request
 /// source and the scenario scheduler's follow-up generator.
+///
+/// The length is [`libm_len`] of two uniform draws. [`fast_len`]
+/// decides it without `ln`, `cos` or `round` for all but a few draws
+/// in a million; the rest run `libm_len` itself.
 pub(crate) fn sample_len(rng: &mut StdRng, mean: u64, cv: f64) -> u64 {
     if cv == 0.0 {
         return mean.max(1);
@@ -371,12 +375,185 @@ pub(crate) fn sample_len(rng: &mut StdRng, mean: u64, cv: f64) -> u64 {
     let std = cv * mean as f64;
     let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.random();
+    fast_len(u1, u2, mean, std).unwrap_or_else(|| libm_len(u1, u2, mean, std))
+}
+
+/// The Box–Muller length: `mean + std * sqrt(-2 ln u1) * cos(2π u2)`
+/// through libm, clamped, rounded half away from zero, at least 1.
+/// This expression defines every drawn length; [`fast_len`] must agree
+/// with it wherever it answers.
+fn libm_len(u1: f64, u2: f64, mean: u64, std: f64) -> u64 {
     let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
     let sample = mean as f64 + std * z;
     sample
         .clamp(mean as f64 * 0.25, mean as f64 * 2.0)
         .round()
         .max(1.0) as u64
+}
+
+/// Largest mean and standard deviation [`fast_len`] accepts: the
+/// range its error bound is stated for.
+const FAST_MAX_MEAN: u64 = 1 << 20;
+const FAST_MAX_STD: f64 = 4096.0;
+/// Distance, in tokens, that the fast value must keep from every
+/// rounding half-integer and both clamp bounds.
+const LEN_MARGIN: f64 = 1e-6;
+
+/// [`libm_len`]'s answer, decided from a table-and-polynomial value of
+/// the same expression, or `None` when that value cannot decide it.
+///
+/// **Error bound.** Let `u = 2^-53`. For `u1` in `[2^-53, 1)` (every
+/// draw but `u1 == f64::MIN_POSITIVE`), `u2` in `[0, 1)`, `1 <= mean
+/// <= 2^20` and `0 < std <= 4096`, the fast value `v` and the libm
+/// value `s` (the unclamped `sample` in [`libm_len`]) differ by at
+/// most `u * (310 * std + 2 * mean)`, which is below `3.8e-10`. With
+/// `C = sqrt(-2 ln u1) <= sqrt(106 ln 2) < 8.58` and `θ = 2π u2`:
+/// - libm: `ln` within 1 ulp (`2u` relative) and the `sqrt` rounding
+///   put `sqrt(-2 ln u1)` within `2uC`; the rounded `2π` and product
+///   put the `cos` argument within `10.3u` of `θ`, and `cos` adds 1
+///   ulp (`2u`); the product `z` adds `uC`. So `|z - C cos θ| <=
+///   15.3uC <= 131.2u`.
+/// - fast `ln` ([`fast_ln`]): `ln c` from libm (1 ulp of a value below
+///   `ln 2`, `<= 1.4u`), the rounding of `e ln 2` (split hi/lo, the hi
+///   product exact) and of the two partial sums, and the polynomial's
+///   truncation and rounding (`<= 0.02u`) give `|a - ln u1| <= u (1.44
+///   + 2 |ln u1|)`. Off the near-1 branch (`u1 < 1 - 2^-8`) `C >=
+///   0.088`, so the square root is within `u (1.44 / C + C) * 1.01 +
+///   uC <= 17.5u`. Near 1 the polynomial is relative (`<= 1.1u`) and
+///   the root is within `0.2u`.
+/// - fast `cos` ([`fast_cos_turn`]): each table entry is within
+///   `12.3u` (its rounded argument, `10.3u`, plus 1 ulp); the remainder
+///   angle (`|φ| <= π/256`, from an exact `256 u2` split), the
+///   truncated polynomials and the rotation add `1.2u`, so the cosine
+///   is within `13.6u` and `|z_fast - C cos θ| <= 17.5u + 14.6uC <=
+///   142.7u`.
+/// - `std * z` and `mean + ...` round once each on both sides:
+///   `4 * 8.58u * std + 2u * mean`.
+///
+/// The margin, 1e-6 token, is over 2,600 times that gap, so a value
+/// at least the margin away from every half-integer and both clamp
+/// bounds rounds and clamps as `s` does. Everything else is `None`:
+/// a value within the margin of an edge, a non-finite or out-of-range
+/// `std` or `mean`, and `u1` below `2^-53`.
+fn fast_len(u1: f64, u2: f64, mean: u64, std: f64) -> Option<u64> {
+    let in_range = (f64::EPSILON / 2.0..1.0).contains(&u1)
+        && (0.0..1.0).contains(&u2)
+        && (1..=FAST_MAX_MEAN).contains(&mean)
+        && std > 0.0
+        && std <= FAST_MAX_STD;
+    if !in_range {
+        return None;
+    }
+    let tables = DRAW_TABLES.get_or_init(DrawTables::build);
+    let z = (-2.0 * fast_ln(u1, tables)).sqrt() * fast_cos_turn(u2, tables);
+    decide_len(mean as f64 + std * z, mean)
+}
+
+/// The clamped, rounded length for a value within [`LEN_MARGIN`] of the
+/// true sample, or `None` when the margin straddles a clamp bound or a
+/// half-integer.
+fn decide_len(v: f64, mean: u64) -> Option<u64> {
+    let (lo, hi) = (mean as f64 * 0.25, mean as f64 * 2.0);
+    if v <= lo - LEN_MARGIN {
+        // `round(mean / 4)`, half away from zero.
+        return Some(((mean + 2) / 4).max(1));
+    }
+    if v >= hi + LEN_MARGIN {
+        return Some(2 * mean);
+    }
+    if v < lo + LEN_MARGIN || v > hi - LEN_MARGIN {
+        return None;
+    }
+    // Adding `ROUND_BITS` rounds `v > 0` to an integer `n` held in the
+    // low mantissa bits; `v - n` is exact, so `n` is `s.round()`
+    // unless `v` sits within the margin of a half-integer.
+    let t = v + ROUND;
+    let n = t - ROUND;
+    ((v - n).abs() < 0.5 - LEN_MARGIN).then(|| (t.to_bits() - ROUND.to_bits()).max(1))
+}
+
+/// `1.5 * 2^52`: the sum with any `|x| < 2^51` lands where the ulp is
+/// 1, so it holds `x` rounded to an integer.
+const ROUND: f64 = 6_755_399_441_055_744.0;
+
+/// `ln 2` split so that `e * LN2_HI` is exact for `|e| < 2^21` (its
+/// low 21 mantissa bits are zero); `LN2_HI + LN2_LO` is `ln 2` to
+/// about `2^-85`.
+const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+
+/// `ln u1` for `u1` in `[2^-53, 1)`: within `2^-8` of 1 the polynomial
+/// in the exact `u1 - 1`, so the result stays accurate relative to its
+/// tiny size; elsewhere the exponent, the table entry for the top 7
+/// mantissa bits (bin centre `c`) and the polynomial in `m / c - 1`.
+fn fast_ln(u1: f64, tables: &DrawTables) -> f64 {
+    if u1 >= 1.0 - 1.0 / 256.0 {
+        return ln_1p_poly(u1 - 1.0);
+    }
+    let bits = u1.to_bits();
+    let e = ((bits >> 52) as i64 - 1023) as f64;
+    let m = f64::from_bits(bits & MANTISSA | ONE_BITS);
+    // The bin's top 7 mantissa bits plus half a bin: `m - c` is exact.
+    let c = f64::from_bits(bits & BIN_BITS | ONE_BITS | 1 << 44);
+    let (inv_c, ln_c) = tables.ln[((bits >> 45) & 127) as usize];
+    (e * LN2_HI + ln_c) + (e * LN2_LO + ln_1p_poly((m - c) * inv_c))
+}
+
+const MANTISSA: u64 = (1 << 52) - 1;
+const BIN_BITS: u64 = 127 << 45;
+const ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
+
+/// `ln(1 + x)` to degree 7, for `|x| <= 2^-8`: the truncation is below
+/// `|x| * 2^-56 / 8`. Estrin's scheme keeps the dependency chain short.
+fn ln_1p_poly(x: f64) -> f64 {
+    let x2 = x * x;
+    let inner = (-0.5 + x * (1.0 / 3.0))
+        + x2 * (-0.25 + x * 0.2)
+        + x2 * x2 * (-1.0 / 6.0 + x * (1.0 / 7.0));
+    x + x2 * inner
+}
+
+/// `cos(2π u2)` for `u2` in `[0, 1)`: the table entry at the nearest
+/// 256th of a turn, rotated by the remainder `|φ| <= π/256` through
+/// short polynomials (`1 - cos φ` to `φ^6`, `sin φ` to `φ^5`).
+fn fast_cos_turn(u2: f64, tables: &DrawTables) -> f64 {
+    let x = u2 * 256.0;
+    let t = x + ROUND;
+    let (cos_j, sin_j) = tables.turn[(t.to_bits() & 255) as usize];
+    let phi = (x - (t - ROUND)) * TURN_STEP;
+    let p2 = phi * phi;
+    let one_minus_cos = p2 * (0.5 - p2 * (1.0 / 24.0 - p2 * (1.0 / 720.0)));
+    let sin = phi * (1.0 - p2 * (1.0 / 6.0 - p2 * (1.0 / 120.0)));
+    cos_j - (cos_j * one_minus_cos + sin_j * sin)
+}
+
+/// One 256th of a turn, in radians.
+const TURN_STEP: f64 = std::f64::consts::TAU / 256.0;
+
+/// Lookup tables for [`fast_len`], 6 KB, built from libm on the first
+/// draw of the process.
+struct DrawTables {
+    /// `(1 / c, ln c)` for the bin centre `c = 1 + (i + 1/2) / 128`.
+    ln: [(f64, f64); 128],
+    /// `(cos, sin)` of `j` 256ths of a turn.
+    turn: [(f64, f64); 256],
+}
+
+static DRAW_TABLES: OnceLock<DrawTables> = OnceLock::new();
+
+impl DrawTables {
+    fn build() -> Self {
+        Self {
+            ln: std::array::from_fn(|i| {
+                let c = 1.0 + (i as f64 + 0.5) / 128.0;
+                (1.0 / c, c.ln())
+            }),
+            turn: std::array::from_fn(|j| {
+                let angle = j as f64 * TURN_STEP;
+                (angle.cos(), angle.sin())
+            }),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -461,6 +638,114 @@ mod tests {
         for (workload, arrivals, want) in cases {
             let got = stream_hash(workload.clone(), arrivals, 100_000);
             assert_eq!(got, want, "{workload:?}: {got:#x}");
+        }
+    }
+
+    /// `(mean, cv)` grid for the fast-path oracle: cv 0.1 across
+    /// means, cv 0.6 with frequent clamps, tiny means, and cv 2.
+    const ORACLE_CASES: [(u64, f64); 11] = [
+        (128, 0.1),
+        (32, 0.1),
+        (512, 0.1),
+        (4096, 0.1),
+        (2048, 0.6),
+        (512, 0.6),
+        (256, 0.6),
+        (1, 0.5),
+        (3, 0.9),
+        (130, 0.3),
+        (7, 2.0),
+    ];
+
+    /// `u1` edges: below the analysed range, the exponent extremes,
+    /// both sides of the near-1 branch, and next to 1.
+    const EDGE_U1: [f64; 9] = [
+        f64::MIN_POSITIVE,
+        1e-300,
+        1e-20,
+        f64::EPSILON / 2.0,
+        0.5,
+        1.0 - 1.0 / 256.0 - f64::EPSILON / 2.0,
+        1.0 - 1.0 / 256.0,
+        0.999_999_9,
+        1.0 - f64::EPSILON / 2.0,
+    ];
+
+    #[test]
+    fn fast_lengths_match_the_libm_expression() {
+        // Debug builds run a hundredth of the draws to keep the suite
+        // fast; the release test step runs all of them.
+        let draws: u32 = if cfg!(debug_assertions) {
+            10_000
+        } else {
+            1_000_000
+        };
+        let mut rng = StdRng::seed_from_u64(0xFA57);
+        for (mean, cv) in ORACLE_CASES {
+            let std = cv * mean as f64;
+            let check = |u1: f64, u2: f64| {
+                let fast = fast_len(u1, u2, mean, std);
+                if let Some(n) = fast {
+                    assert_eq!(n, libm_len(u1, u2, mean, std), "{mean} {cv} {u1:e} {u2:e}");
+                }
+                fast.is_some()
+            };
+            let mut fallbacks = 0;
+            for _ in 0..draws {
+                let u1 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+                let u2 = rng.random::<f64>();
+                fallbacks += u32::from(!check(u1, u2));
+            }
+            // A fast path that quietly always falls back keeps every
+            // length right and every run slow: require 99.99% fast.
+            assert!(
+                fallbacks * 10_000 <= draws,
+                "({mean}, {cv}): {fallbacks} of {draws} draws fell back"
+            );
+            for u1 in EDGE_U1 {
+                for k in 0..4096 {
+                    check(u1, f64::from(k) / 4096.0);
+                    check(u1, (f64::from(k) + rng.random::<f64>()) / 4096.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn values_near_rounding_and_clamp_edges_fall_back() {
+        // Mean 128 clamps to [32, 256].
+        for v in [128.5 + 1e-9, 128.5 - 1e-9, 32.0, 256.0] {
+            assert_eq!(decide_len(v, 128), None, "{v}");
+        }
+        assert_eq!(decide_len(0.5 - 1e-9, 1), None);
+        assert_eq!(decide_len(128.5 + 2e-6, 128), Some(129));
+        assert_eq!(decide_len(128.5 - 2e-6, 128), Some(128));
+        assert_eq!(decide_len(32.0 - 2e-6, 128), Some(32));
+        assert_eq!(decide_len(256.0 + 2e-6, 128), Some(256));
+        // Clamped to 1.5 then rounded up; clamped to 0.25 then raised
+        // to 1; rounded to 0 then raised to 1.
+        assert_eq!(decide_len(-5.0, 6), Some(2));
+        assert_eq!(decide_len(0.1, 1), Some(1));
+        assert_eq!(decide_len(0.3, 1), Some(1));
+
+        // End to end: `u2 = 0` makes both cosines exactly 1, and
+        // `ln u1 = -1/8` puts the sample within 1e-9 of 128.5.
+        let u1 = (-0.125_f64).exp();
+        let z = (-2.0 * u1.ln()).sqrt();
+        assert!((128.0 + z - 128.5).abs() < 1e-9, "{z}");
+        assert_eq!(fast_len(u1, 0.0, 128, 1.0), None);
+
+        // Outside the analysed range.
+        for (u1, mean, std) in [
+            (f64::MIN_POSITIVE, 128, 12.8),
+            (0.5, 0, 1.0),
+            (0.5, FAST_MAX_MEAN + 1, 1.0),
+            (0.5, 128, FAST_MAX_STD * 1.5),
+            (0.5, 128, f64::NAN),
+            (0.5, 128, f64::INFINITY),
+            (0.5, 128, -12.8),
+        ] {
+            assert_eq!(fast_len(u1, 0.3, mean, std), None, "{u1} {mean} {std}");
         }
     }
 
