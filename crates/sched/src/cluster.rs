@@ -132,7 +132,9 @@ use crate::metrics::{
 };
 use crate::policy::SchedulingPolicy;
 use crate::router::{weighted_load, PoolRole, ReplicaSnapshot, Router};
-use crate::scenario::{kv_reservation, ReplicaSim, Scenario, ScenarioStream, SloTier};
+use crate::scenario::{
+    kv_reservation, PendingRequest, ReplicaSim, Scenario, ScenarioStream, SloTier,
+};
 use crate::scheduler::{SimulationConfig, StageExecutor};
 use crate::snapshot::{AutoscaleState, ClusterSnapshot, DisaggState, FaultState};
 
@@ -1925,8 +1927,21 @@ impl ClusterSimulation {
             "disagg",
         )?;
         let tier_count = self.scenario.tiers.len();
+        // Untiered scenarios put every request in tier 0.
+        let bad_tier = |p: &PendingRequest| {
+            (p.tier >= tier_count.max(1)).then(|| {
+                let (id, tier) = (p.request.id, p.tier);
+                format!("request {id} has SLO tier {tier}, the scenario has {tier_count}")
+            })
+        };
+        if let Some(e) = snap.stream.followups.iter().find_map(bad_tier) {
+            return Err(format!("stream: queued {e}"));
+        }
         let fault_count = self.faults.as_ref().map_or(0, |p| p.faults.len());
         for (i, s) in snap.replicas.iter().enumerate() {
+            if let Some(e) = s.carried().find_map(bad_tier) {
+                return Err(format!("replica {i}: {e}"));
+            }
             if s.tiers.len() != tier_count {
                 return Err(format!(
                     "replica {i}: snapshot has {} SLO tiers, the scenario has {tier_count}",

@@ -171,6 +171,19 @@ pub(crate) struct ReplicaState {
 }
 
 impl ReplicaState {
+    /// Every request the replica carries: queued, decoding, chunking,
+    /// paused and multiplexed.
+    pub(crate) fn carried(&self) -> impl Iterator<Item = &PendingRequest> {
+        let members = self.mux.iter().flat_map(|slot| &slot.members);
+        self.inbox
+            .iter()
+            .chain(&self.pending)
+            .chain(self.active.iter().map(|a| &a.pending))
+            .chain(self.chunking.iter().map(|c| &c.pending))
+            .chain(self.paused.iter().map(|p| &p.pending))
+            .chain(members.map(|m| &m.pending))
+    }
+
     /// Whether the executor checkpoint agrees with this replica's
     /// decode set. The executor's next stage advances the checkpoint's
     /// groups by one, joins the pending contexts at one past their

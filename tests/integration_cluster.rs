@@ -774,7 +774,7 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
     // snapshots of the three drills and pushed through the wire
     // format: resume must answer with a described error, never a
     // panic and never a silent divergence.
-    let cases: [(&str, &str, Corruption, &str); 22] = [
+    let cases: [(&str, &str, Corruption, &str); 24] = [
         (
             "failover",
             "replica count",
@@ -915,6 +915,25 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
             "KV reservation",
             |v, _| bump(v, &["replicas", "0", "reserved"]),
             "the snapshot KV reservation does not match the in-flight requests",
+        ),
+        (
+            "failover",
+            "decoding request tier",
+            |v, _| {
+                let replicas = items(v, &["replicas"]).len();
+                let i = (0..replicas)
+                    .map(|i| i.to_string())
+                    .find(|i| !items(v, &["replicas", i, "active"]).is_empty())
+                    .expect("some replica is decoding");
+                *node(v, &["replicas", &i, "active", "0", "pending", "tier"]) = num(3);
+            },
+            "has SLO tier 3, the scenario has 3",
+        ),
+        (
+            "failover",
+            "queued follow-up tier",
+            |v, _| *node(v, &["stream", "followups", "0", "tier"]) = num(99),
+            "has SLO tier 99, the scenario has 3",
         ),
     ];
     let pauses = drill_pauses();
