@@ -15,8 +15,9 @@
 //!   memory (quick mode runs 50k requests).
 //!
 //! Each entry repeats its whole run (a pass) until the passes total at
-//! least [`MIN_WALL_S`] of wall time, and reports the median pass:
-//! a closed entry's pass takes milliseconds, too short to time once.
+//! least 0.2 s of wall time ([`duplex_bench::run_repeated`]), and
+//! reports the median pass: a closed entry's pass takes milliseconds,
+//! too short to time once.
 //!
 //! Results print as a table and land in `BENCH_sim.json` next to
 //! `BENCH_stage_cost.json` so CI tracks both the pricing kernel and
@@ -27,10 +28,7 @@ use std::time::Instant;
 use duplex::model::ModelConfig;
 use duplex::sched::{SimReport, Simulation, SimulationConfig, Workload};
 use duplex::system::{SystemConfig, SystemExecutor};
-use duplex_bench::print_table;
-
-/// Wall time an entry's passes must add up to before it reports.
-const MIN_WALL_S: f64 = 0.2;
+use duplex_bench::{print_table, run_repeated};
 
 struct Scenario {
     name: &'static str,
@@ -80,21 +78,6 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     ]
 }
 
-/// Run `s` until its passes total [`MIN_WALL_S`]: the last pass's
-/// report (every pass simulates the same run), the median pass's wall
-/// time, and the pass count.
-fn run_repeated(s: &Scenario) -> (SimReport, f64, usize) {
-    let mut walls = Vec::new();
-    loop {
-        let (report, wall_s) = run_scenario(s);
-        walls.push(wall_s);
-        if walls.iter().sum::<f64>() >= MIN_WALL_S {
-            walls.sort_by(f64::total_cmp);
-            return (report, walls[walls.len() / 2], walls.len());
-        }
-    }
-}
-
 fn run_scenario(s: &Scenario) -> (SimReport, f64) {
     let mut ex = SystemExecutor::new(s.system.clone(), s.model.clone(), 7);
     let cfg = SimulationConfig {
@@ -120,7 +103,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut json_entries = Vec::new();
     for s in scenarios(quick) {
-        let (report, wall_s, passes) = run_repeated(&s);
+        let (report, wall_s, passes) = run_repeated(|| run_scenario(&s));
         assert_eq!(
             report.completed.len(),
             s.requests,

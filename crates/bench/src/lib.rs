@@ -48,6 +48,27 @@ pub fn scale_from_args() -> Scale {
     }
 }
 
+/// Wall time a timed entry's passes must add up to before it reports.
+const MIN_WALL_S: f64 = 0.2;
+
+/// Repeat `pass` until the passes' wall times total at least
+/// [`MIN_WALL_S`]: an entry whose run takes a millisecond is too short
+/// to time once. `pass` returns its result and the wall time of the
+/// part it times, so set-up can stay outside. Returns the last pass's
+/// result (every pass replays the same seeded run), the median pass
+/// time and the pass count.
+pub fn run_repeated<T>(mut pass: impl FnMut() -> (T, f64)) -> (T, f64, usize) {
+    let mut walls = Vec::new();
+    loop {
+        let (out, wall_s) = pass();
+        walls.push(wall_s);
+        if walls.iter().sum::<f64>() >= MIN_WALL_S {
+            walls.sort_by(f64::total_cmp);
+            return (out, walls[walls.len() / 2], walls.len());
+        }
+    }
+}
+
 /// Render an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
