@@ -386,6 +386,19 @@ mod tests {
     }
 
     #[test]
+    fn hostile_bytes_are_errors_or_values_never_panics() {
+        let valid = [
+            r#"{"schema": "x/v1", "ok": true, "none": null, "nums": [1, -2.5, 3e2, 1e999]}"#,
+            r#"["a\"b", "tab\there", "\u00e9\ud83e\udd80", {"nested": {"a": [[], {}]}}]"#,
+            r#"{"a":[1,-2.5,300,true,null],"b":{"s":"q\"b\\s\nt\tr\r"},"c":[]}"#,
+        ];
+        let cases = crate::hostile_strings(&valid, 4_000, 0x4A53);
+        let parsed = cases.iter().filter(|text| parse(text).is_ok()).count();
+        // Some edits (in a digit, a string, whitespace) leave valid JSON.
+        assert!(parsed > 0 && parsed < cases.len(), "{parsed} parsed");
+    }
+
+    #[test]
     fn empty_containers_parse() {
         assert_eq!(parse("{}").expect("obj"), JsonValue::Obj(vec![]));
         assert_eq!(parse("[]").expect("arr"), JsonValue::Arr(vec![]));

@@ -144,6 +144,46 @@ pub use snapshot::ClusterSnapshot;
 pub use trace::{TraceRecorder, TraceRequest};
 pub use workload::{Arrivals, RequestSource, Workload};
 
+/// `count` seeded hostile strings for the text loaders: even cases are
+/// up to 64 random bytes, half drawn from JSON punctuation, literals
+/// and digits so the parser gets past the first byte; odd cases are one
+/// of `valid` with one to four byte edits (overwrite, insert, delete,
+/// truncate). Invalid UTF-8 is replaced, as a file read lossily would.
+#[cfg(test)]
+pub(crate) fn hostile_strings(valid: &[&str], count: usize, seed: u64) -> Vec<String> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    const JSONISH: &[u8] = b"{}[]\":,.-+eE0123456789 truefalsnul\\/\n\t";
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut below = |n: usize| rng.random_below(n as u64) as usize;
+    (0..count)
+        .map(|i| {
+            let bytes = if i % 2 == 0 {
+                let len = below(65);
+                (0..len)
+                    .map(|_| match below(2) {
+                        0 => JSONISH[below(JSONISH.len())],
+                        _ => below(256) as u8,
+                    })
+                    .collect()
+            } else {
+                let mut doc = valid[below(valid.len())].as_bytes().to_vec();
+                for _ in 0..=below(4) {
+                    let at = below(doc.len() + 1);
+                    match below(4) {
+                        0 if at < doc.len() => doc[at] = below(256) as u8,
+                        1 => doc.insert(at, JSONISH[below(JSONISH.len())]),
+                        2 if at < doc.len() => drop(doc.remove(at)),
+                        _ => doc.truncate(at.max(doc.len() / 2)),
+                    }
+                }
+                doc
+            };
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+        .collect()
+}
+
 /// FNV-1a, 64-bit: the hash behind the byte and stream pins.
 #[cfg(test)]
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {

@@ -189,6 +189,19 @@ mod tests {
     }
 
     #[test]
+    fn hostile_bytes_are_errors_or_traces_never_panics() {
+        let valid = [
+            r#"{"requests": [{"arrival_s": 1.5, "input_len": 128, "output_len": 32},
+                {"arrival_s": 0.5, "input_len": 64, "output_len": 16}]}"#,
+            r#"[{"arrival_s": 0.0, "input_len": 8, "output_len": 2}]"#,
+            r#"[{"arrival_s": 2e-3, "input_len": 4096, "output_len": 1e3}]"#,
+        ];
+        let cases = crate::hostile_strings(&valid, 4_000, 0x7ACE);
+        let parsed = cases.iter().filter(|t| parse_trace(t).is_ok()).count();
+        assert!(parsed > 0 && parsed < cases.len(), "{parsed} parsed");
+    }
+
+    #[test]
     fn recorder_round_trips_through_parse() {
         let mut rec = TraceRecorder::new();
         assert!(rec.is_empty());
