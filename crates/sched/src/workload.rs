@@ -464,7 +464,7 @@ fn decide_len(v: f64, mean: u64) -> Option<u64> {
     if v < lo + LEN_MARGIN || v > hi - LEN_MARGIN {
         return None;
     }
-    // Adding `ROUND_BITS` rounds `v > 0` to an integer `n` held in the
+    // Adding `ROUND` rounds `v > 0` to an integer `n` held in the
     // low mantissa bits; `v - n` is exact, so `n` is `s.round()`
     // unless `v` sits within the margin of a half-integer.
     let t = v + ROUND;
