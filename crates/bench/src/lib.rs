@@ -52,8 +52,8 @@ pub fn scale_from_args() -> Scale {
 const MIN_WALL_S: f64 = 0.2;
 
 /// Repeat `pass` until the passes' wall times total at least
-/// [`MIN_WALL_S`]: an entry whose run takes a millisecond is too short
-/// to time once. `pass` returns its result and the wall time of the
+/// `MIN_WALL_S` (0.2 s): an entry whose run takes a millisecond is too
+/// short to time once. `pass` returns its result and the wall time of the
 /// part it times, so set-up can stay outside. Returns the last pass's
 /// result (every pass replays the same seeded run), the median pass
 /// time and the pass count.

@@ -5,6 +5,20 @@
 //! [`Arrivals`] process — closed-loop refill, Poisson (the QPS
 //! sweeps), Markov-modulated on/off bursts, diurnal rate curves, or
 //! replay of a recorded [`crate::trace`] file.
+//!
+//! # Length draws
+//!
+//! A Gaussian length is the Box–Muller value `mean + std * sqrt(-2 ln
+//! u1) * cos(2π u2)` of two uniform draws, clamped to `[mean/4,
+//! 2*mean]` and rounded; the libm evaluation of that expression defines
+//! every length. Only the rounded integer leaves the draw, so a
+//! table-and-polynomial evaluation with a proven error bound decides
+//! it, and the libm expression runs only when that value lands within
+//! 1e-6 token of a rounding half-integer or a clamp bound, or an input
+//! lies outside the analysed range: a few draws in a million. Lengths,
+//! and with them every arrival, stage and snapshot byte downstream,
+//! are those of the libm draw. Arrival gaps are `f64` outputs with no
+//! rounding edge to filter against and stay on libm.
 
 use std::sync::{Arc, OnceLock};
 
@@ -416,11 +430,11 @@ const LEN_MARGIN: f64 = 1e-6;
 /// - fast `ln` ([`fast_ln`]): `ln c` from libm (1 ulp of a value below
 ///   `ln 2`, `<= 1.4u`), the rounding of `e ln 2` (split hi/lo, the hi
 ///   product exact) and of the two partial sums, and the polynomial's
-///   truncation and rounding (`<= 0.02u`) give `|a - ln u1| <= u (1.44
-///   + 2 |ln u1|)`. Off the near-1 branch (`u1 < 1 - 2^-8`) `C >=
-///   0.088`, so the square root is within `u (1.44 / C + C) * 1.01 +
-///   uC <= 17.5u`. Near 1 the polynomial is relative (`<= 1.1u`) and
-///   the root is within `0.2u`.
+///   truncation and rounding (`<= 0.02u`) give `|a - ln u1| <=
+///   u (1.44 + 2 |ln u1|)`. Off the near-1 branch (`u1 < 1 - 2^-8`)
+///   `C >= 0.088`, so the square root is within
+///   `u (1.44 / C + C) * 1.01 + uC <= 17.5u`. Near 1 the polynomial is
+///   relative (`<= 1.1u`) and the root is within `0.2u`.
 /// - fast `cos` ([`fast_cos_turn`]): each table entry is within
 ///   `12.3u` (its rounded argument, `10.3u`, plus 1 ulp); the remainder
 ///   angle (`|φ| <= π/256`, from an exact `256 u2` split), the
