@@ -3278,12 +3278,27 @@ mod tests {
     /// replica's clock, which runs exactly one stage per call. Returns
     /// the drained replica, every delta it sent and the `step` calls.
     fn drive<P: SchedulingPolicy>(
-        mut replica: ReplicaSim,
+        replica: ReplicaSim,
         requests: &[(f64, u64, u64, usize)],
         policy: &mut P,
         upfront: bool,
         single: bool,
     ) -> (ReplicaSim, Vec<StageDelta>, usize) {
+        let mut ex = Quarter::default();
+        let (replica, calls) = drive_with(replica, requests, policy, upfront, single, &mut ex);
+        (replica, ex.0, calls)
+    }
+
+    /// [`drive`] with the given executor. Returns the drained replica
+    /// and the `step` calls.
+    fn drive_with<P: SchedulingPolicy, E: StageExecutor>(
+        mut replica: ReplicaSim,
+        requests: &[(f64, u64, u64, usize)],
+        policy: &mut P,
+        upfront: bool,
+        single: bool,
+        ex: &mut E,
+    ) -> (ReplicaSim, usize) {
         replica.prepare_preempt(policy);
         let mut feed: Vec<PendingRequest> = requests
             .iter()
@@ -3304,7 +3319,6 @@ mod tests {
                 replica.enqueue(p);
             }
         }
-        let mut ex = Quarter::default();
         let mut calls = 0;
         loop {
             while let Some(p) = feed.last() {
@@ -3322,10 +3336,10 @@ mod tests {
             } else {
                 feed.last().map(|p| p.request.arrival_s)
             };
-            replica.step(policy, &mut ex, bound);
+            replica.step(policy, ex, bound);
             calls += 1;
         }
-        (replica, ex.0, calls)
+        (replica, calls)
     }
 
     /// The stages whose delta only advances the batch.
@@ -3664,6 +3678,212 @@ mod tests {
             &tiered,
             &mut PriorityTiers,
         );
+    }
+
+    /// Prices a stage from its shape's decode contexts, which grow
+    /// every stage, so the latency of a run of quiet stages keeps
+    /// crossing TBT buckets. It reads the shape, so it keeps
+    /// `needs_shape`'s default.
+    struct CtxPriced;
+    impl StageExecutor for CtxPriced {
+        fn execute(&mut self, shape: &StageShape) -> StageOutcome {
+            let ctx: u64 = shape.decode_ctx.iter().sum();
+            StageOutcome {
+                seconds: 1e-3 + 1e-6 * shape.tokens() as f64 + 3e-6 * ctx as f64,
+            }
+        }
+    }
+
+    /// Prices a stage from the delta stream alone (a stage counter and
+    /// the admissions), so it answers `needs_shape` false and is handed
+    /// shapes without decode contexts.
+    #[derive(Default)]
+    struct DeltaPriced(u64);
+    impl StageExecutor for DeltaPriced {
+        fn execute(&mut self, _shape: &StageShape) -> StageOutcome {
+            unreachable!("priced from the delta stream")
+        }
+        fn execute_delta(&mut self, delta: &StageDelta, _shape: &StageShape) -> StageOutcome {
+            self.0 += 1;
+            let ramp = (self.0 % 40) as f64;
+            StageOutcome {
+                seconds: 1e-3 * (1.0 + 7e-3 * ramp) + 1e-4 * delta.admit.len() as f64,
+            }
+        }
+        fn needs_shape(&self) -> bool {
+            false
+        }
+    }
+
+    /// FNV-1a of everything a run accounts: the fault timeline and the
+    /// during-failure window counts kept on the replica, then the whole
+    /// report (clock bits, stage stats and records, fleet and tier TBT
+    /// digests as exported, tier counters, every completed record, and
+    /// the reuse and preemption counters).
+    fn accounting_pin(replica: ReplicaSim) -> u64 {
+        fn digest(out: &mut Vec<u64>, d: &LatencyDigest) {
+            let state = d.export_state();
+            out.push(state.buckets.len() as u64);
+            for (i, n, sum) in state.buckets {
+                out.extend([i, n, sum.to_bits()]);
+            }
+            out.extend([state.count, state.sum.to_bits()]);
+        }
+        let mut out = Vec::new();
+        out.push(replica.timeline().len() as u64);
+        for &(bucket, n) in replica.timeline() {
+            out.extend([bucket, n]);
+        }
+        for row in replica.window_counts() {
+            out.push(row.len() as u64);
+            for &(completed, met) in row {
+                out.extend([completed, met]);
+            }
+        }
+        let report = replica.into_report();
+        let s = report.stage_stats;
+        out.extend([
+            report.total_time_s.to_bits(),
+            s.stages,
+            s.mixed,
+            s.batch_sum,
+            s.token_sum,
+        ]);
+        out.push(report.stages.len() as u64);
+        for r in &report.stages {
+            out.extend([
+                r.seconds.to_bits(),
+                u64::from(r.mixed),
+                r.batch as u64,
+                r.tokens,
+            ]);
+        }
+        digest(&mut out, &report.tbt_digest);
+        for t in &report.slo.tiers {
+            out.extend([t.completed, t.met, t.good_tokens]);
+            digest(&mut out, &t.tbt_digest);
+        }
+        out.push(report.completed.len() as u64);
+        for r in &report.completed {
+            out.extend([
+                r.request.id,
+                r.request.arrival_s.to_bits(),
+                r.request.input_len,
+                r.request.output_len,
+                r.first_token_s.to_bits(),
+                r.last_token_s.to_bits(),
+                r.tokens,
+            ]);
+        }
+        let mut bytes: Vec<u8> = out.iter().flat_map(|x| x.to_le_bytes()).collect();
+        bytes.extend(format!("{:?}{:?}", report.kv_reuse, report.preempt).bytes());
+        crate::fnv1a64(&bytes)
+    }
+
+    #[test]
+    fn quiet_stage_accounting_is_pinned() {
+        // Quiet-heavy runs over every input a run of quiet stages reads:
+        // SLO tiers, a fault timeline with failure windows, a perf
+        // factor off 1, stage records on and off, the stage cap inside
+        // a run, prices that change TBT bucket within a run, and
+        // executors that do and do not read the decode contexts. The
+        // pins were recorded before quiet runs kept their accounting in
+        // locals; any change to what a stage accounts moves one.
+        let requests: Vec<(f64, u64, u64, usize)> = (0..14)
+            .map(|i| {
+                (
+                    0.004 * i as f64,
+                    8 + 3 * i,
+                    40 + (37 * i) % 90,
+                    (i % 2) as usize,
+                )
+            })
+            .collect();
+        let tiered = |max_batch: usize, record_stages: bool, max_stages: usize| {
+            let cfg = SimulationConfig {
+                record_stages,
+                max_stages,
+                ..config(max_batch)
+            };
+            let scenario = Scenario::new("pin", Workload::fixed(4, 4), Arrivals::ClosedLoop, 1)
+                .with_tiers(two_tiers());
+            ReplicaSim::new(cfg, &scenario)
+        };
+        let mut pins = Vec::new();
+        let mut check = |name: &str, (replica, calls): (ReplicaSim, usize), pin: u64| {
+            let stages = replica.stage_stats.stages;
+            assert!(
+                calls * 4 < stages as usize,
+                "{name}: {calls} calls, {stages} stages"
+            );
+            // Each mixed stage refills the TBT bucket memo at most
+            // twice, so the rest come from prices changing bucket
+            // inside runs of quiet stages.
+            let (mixed, refills) = (replica.stage_stats.mixed, replica.tbt_bucket.refills());
+            assert!(
+                refills > 4 * mixed,
+                "{name}: {refills} refills, {mixed} mixed"
+            );
+            pins.push((name.to_string(), accounting_pin(replica), pin));
+        };
+
+        // Tiers, lazy feed, prices from the decode contexts.
+        let run = drive_with(
+            tiered(3, true, 100_000),
+            &requests,
+            &mut PriorityTiers,
+            false,
+            false,
+            &mut CtxPriced,
+        );
+        check("tiers", run, 0x3d45_4076_61be_1e23);
+
+        // Failure windows, a 3 ms timeline and a 1.37 perf factor,
+        // every request routed up front, prices from the deltas.
+        let mut faulted = tiered(3, true, 100_000);
+        faulted.set_fault_recording(vec![(0.01, 0.05), (0.08, 1.0)], 0.003);
+        faulted.set_perf_factor(1.37);
+        let run = drive_with(
+            faulted,
+            &requests,
+            &mut PriorityTiers,
+            true,
+            false,
+            &mut DeltaPriced::default(),
+        );
+        check("faults", run, 0x52d6_17dc_e713_9bbf);
+
+        // No stage records, and the stage cap at stage 150.
+        let run = drive_with(
+            tiered(4, false, 150),
+            &requests,
+            &mut Fcfs,
+            true,
+            false,
+            &mut CtxPriced,
+        );
+        assert_eq!(run.0.stage_stats.stages, 150);
+        assert!(run.0.delta.is_pure_advance(), "the cap lands inside a run");
+        check("cap", run, 0x2f9e_a270_c5a7_f4a0);
+
+        // No stage records, a 0.83 perf factor and a timeline, lazy
+        // feed, prices from the deltas.
+        let mut slowed = tiered(4, false, 100_000);
+        slowed.set_fault_recording(Vec::new(), 0.002);
+        slowed.set_perf_factor(0.83);
+        let run = drive_with(
+            slowed,
+            &requests,
+            &mut Fcfs,
+            false,
+            false,
+            &mut DeltaPriced::default(),
+        );
+        check("perf", run, 0x722e_6f58_4696_5df9);
+
+        for (name, got, want) in pins {
+            assert_eq!(got, want, "{name}: {got:#018x}");
+        }
     }
 
     #[test]
