@@ -17,6 +17,8 @@
 
 use std::sync::OnceLock;
 
+use duplex_model::count_f64;
+
 use crate::request::RequestRecord;
 use crate::snapshot::DigestState;
 
@@ -149,6 +151,7 @@ impl LatencyDigest {
 
     /// [`LatencyDigest::record_n`] with the bucket index precomputed by
     /// [`LatencyDigest::bucket_for`] on the same `value`.
+    #[inline]
     pub fn record_n_in(&mut self, bucket: usize, value: f64, n: u64) {
         if n == 0 {
             return;
@@ -156,11 +159,41 @@ impl LatencyDigest {
         if self.buckets.is_empty() {
             self.buckets.resize(DIGEST_BUCKETS, (0, 0.0));
         }
+        let x = value * count_f64(n);
         let b = &mut self.buckets[bucket];
         b.0 += n;
-        b.1 += value * n as f64;
+        b.1 += x;
         self.count += n;
-        self.sum += value * n as f64;
+        self.sum += x;
+    }
+
+    /// Take out this digest's totals and bucket `bucket` for a run of
+    /// stages to record into in locals (see [`HeldDigest`]).
+    #[inline]
+    pub(crate) fn hold(&self, bucket: usize) -> HeldDigest {
+        let (n, bucket_sum) = self.buckets.get(bucket).copied().unwrap_or((0, 0.0));
+        HeldDigest {
+            bucket,
+            n,
+            bucket_sum,
+            count: self.count,
+            sum: self.sum,
+        }
+    }
+
+    /// Write back what [`LatencyDigest::hold`] took out. A digest
+    /// that has still recorded nothing stays unallocated.
+    #[inline]
+    pub(crate) fn put_held(&mut self, held: &HeldDigest) {
+        if held.count == 0 {
+            return;
+        }
+        if self.buckets.is_empty() {
+            self.buckets.resize(DIGEST_BUCKETS, (0, 0.0));
+        }
+        self.buckets[held.bucket] = (held.n, held.bucket_sum);
+        self.count = held.count;
+        self.sum = held.sum;
     }
 
     /// Recorded sample count.
@@ -294,13 +327,58 @@ fn bucket_edges() -> &'static [f64; DIGEST_BUCKETS + 1] {
     })
 }
 
+/// A digest's totals and one of its buckets, held in locals while a
+/// run of stages records into it: a sample landing in the held bucket
+/// touches no memory, and one landing elsewhere writes the held bucket
+/// back and takes out its own. The digest itself is stale until
+/// [`LatencyDigest::put_held`], so nothing may read it in between.
+/// Every sum grows in record order, so the digest ends bit-identical
+/// to one fed by [`LatencyDigest::record_n_in`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HeldDigest {
+    bucket: usize,
+    n: u64,
+    bucket_sum: f64,
+    count: u64,
+    sum: f64,
+}
+
+impl HeldDigest {
+    /// [`LatencyDigest::record_n_in`] on `digest`, the digest this was
+    /// held from, for `n > 0`.
+    #[inline(always)]
+    pub(crate) fn record_n_in(
+        &mut self,
+        digest: &mut LatencyDigest,
+        bucket: usize,
+        value: f64,
+        n: u64,
+    ) {
+        debug_assert!(n > 0, "a held digest records whole stages");
+        if bucket != self.bucket {
+            self.switch(digest, bucket);
+        }
+        let x = value * count_f64(n);
+        self.n += n;
+        self.bucket_sum += x;
+        self.count += n;
+        self.sum += x;
+    }
+
+    #[inline(never)]
+    fn switch(&mut self, digest: &mut LatencyDigest, bucket: usize) {
+        digest.put_held(self);
+        *self = digest.hold(bucket);
+    }
+}
+
 /// An exact memo of [`LatencyDigest::bucket_for`] for a stream of
 /// values that mostly stay in one bucket, such as a replica's stage
 /// latencies: a value inside the last bucket's `[lo, hi)` range costs
 /// two comparisons, any other value one `bucket_for` call plus two
 /// reads of the edge table. It holds no samples, so digests and
 /// snapshots do not see it.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct BucketMemo {
     lo: f64,
     hi: f64,
@@ -330,6 +408,12 @@ impl BucketMemo {
             return self.bucket;
         }
         self.refill(value)
+    }
+
+    /// The bucket of the remembered range.
+    #[inline]
+    pub(crate) fn last_bucket(&self) -> usize {
+        self.bucket
     }
 
     #[inline(never)]
@@ -382,6 +466,7 @@ pub struct StageStats {
 
 impl StageStats {
     /// Fold one stage into the counters.
+    #[inline]
     pub fn record(&mut self, record: &StageRecord) {
         self.stages += 1;
         self.mixed += u64::from(record.mixed);

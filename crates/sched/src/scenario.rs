@@ -110,8 +110,8 @@ use duplex_model::ops::StageShape;
 
 use crate::delta::StageDelta;
 use crate::metrics::{
-    BucketMemo, KvReuseStats, LatencyDigest, SimReport, SloStats, StageRecord, StageStats,
-    TierStats,
+    BucketMemo, HeldDigest, KvReuseStats, LatencyDigest, SimReport, SloStats, StageRecord,
+    StageStats, TierStats,
 };
 use crate::policy::{PolicyContext, SchedulingPolicy};
 use crate::preempt::{MultiplexSpec, PreemptSpec, PreemptStats};
@@ -802,6 +802,21 @@ pub(crate) struct HandoffEvent {
     pub(crate) pending: PendingRequest,
     /// The replica clock when the last prefill slice completed.
     pub(crate) done_s: f64,
+}
+
+/// The accounting state a stage writes, held in locals from
+/// [`ReplicaSim::open_tally`] to [`ReplicaSim::close_tally`]: for one
+/// full stage, or for a whole run of quiet stages. The replica's own
+/// copies are stale in between, so nothing may read them.
+struct Tally {
+    clock: f64,
+    stats: StageStats,
+    memo: BucketMemo,
+    /// The fleet TBT digest's totals and current bucket, held by a run
+    /// of quiet stages. A full stage records into the digest itself:
+    /// its latency rarely stays in one bucket, so holding would only
+    /// move the bucket out and back.
+    tbt: Option<HeldDigest>,
 }
 
 /// One replica's continuous-batching event loop: routed requests enter
@@ -1781,14 +1796,20 @@ impl ReplicaSim {
     /// caller hands over something new; the run goes on inside this
     /// call and returns after the first stage that
     ///
-    /// * retires a request (its delta is no longer a pure advance),
+    /// * retires a request (it reaches `next_due`),
     /// * reaches the stage cap,
     /// * ends at or after `bound` (see [`ReplicaSim::step`]),
     /// * or leaves a routed arrival due in the inbox.
     ///
-    /// Every stage of the run goes through the same accounting as a
-    /// full one. Kept out of line: inlined into `step`, it slowed
-    /// open-loop runs, whose stages are nearly all full ones, by ~1.5%.
+    /// The run is one loop over the executor and
+    /// [`ReplicaSim::account`], the accounting every stage goes
+    /// through. What the run cannot change is read once: the batch's
+    /// size (and so each stage's record and TBT sample count), the perf
+    /// factor, the next retirement, the stage cap and the stop time.
+    /// The accounting state lives in a [`Tally`] for the whole run and
+    /// is written back once, before the final stage's retirement sweep.
+    /// Kept out of line, so the full stage's code in `step` stays as
+    /// compact as it was.
     #[inline(never)]
     fn quiet_stage<E: StageExecutor + ?Sized>(&mut self, executor: &mut E, bound: Option<f64>) {
         // Nothing a quiet stage does touches the inbox, so its earliest
@@ -1797,13 +1818,52 @@ impl ReplicaSim {
         if let Some(p) = self.inbox.last() {
             stop = stop.min(p.request.arrival_s);
         }
+        debug_assert!(
+            self.shape.prefill_len.is_empty()
+                && self.admitted.is_empty()
+                && self.resumed.is_empty()
+                && self.mux.is_empty()
+                && self.mux_admitted.is_empty(),
+            "a quiet stage has no joiners and no multiplexed slots"
+        );
+        let decoding = self.active.len() as u64;
+        let record = StageRecord {
+            seconds: 0.0,
+            mixed: false,
+            batch: self.active.len(),
+            tokens: decoding,
+        };
+        let perf_factor = self.perf_factor;
+        let next_due = self.next_due;
+        let cap = self.config.max_stages as u64;
+        let mut tally = self.open_tally(true);
         loop {
-            let stages = self.execute_stage(executor);
-            self.sweep_due(stages);
-            self.audit(stages);
-            if !self.delta.is_pure_advance() || !self.can_accept() || self.clock >= stop {
+            self.shape.decode_ctx.clear();
+            if executor.needs_shape() {
+                let stages = tally.stats.stages;
+                self.shape
+                    .decode_ctx
+                    .extend(self.active.iter().map(|a| a.decode_ctx(stages)));
+            }
+            // The delta stays a pure advance for the whole run: the
+            // executor only reads it, and nothing else writes it until
+            // the retirement sweep.
+            let outcome = executor.execute_delta(&self.delta, &self.shape);
+            let seconds = outcome.seconds * perf_factor;
+            self.account(
+                &mut tally,
+                StageRecord { seconds, ..record },
+                decoding,
+                decoding,
+            );
+            let stages = tally.stats.stages;
+            if stages >= next_due || stages >= cap || tally.clock >= stop {
+                self.close_tally(tally);
+                self.sweep_due(stages);
+                self.audit(stages);
                 return;
             }
+            self.audit(stages);
         }
     }
 
@@ -2130,10 +2190,11 @@ impl ReplicaSim {
         true
     }
 
-    /// Execute the formed stage and account it: the clock (scaled by
-    /// `perf_factor`), the token timeline, the stage record and stats,
-    /// and the fleet and per-tier TBT digests. Returns the stage count
-    /// after this stage. Inlined into the full and the quiet stage.
+    /// Execute the formed stage and account it through
+    /// [`ReplicaSim::account`]: its latency is scaled by `perf_factor`,
+    /// and every request decoding in it (multiplexed members included)
+    /// adds a TBT sample. Returns the stage count after this stage.
+    /// Inlined into `step`.
     #[inline(always)]
     fn execute_stage<E: StageExecutor + ?Sized>(&mut self, executor: &mut E) -> u64 {
         self.shape.decode_ctx.clear();
@@ -2158,52 +2219,94 @@ impl ReplicaSim {
         self.delta.clear();
         // `perf_factor` is 1.0 outside fault plans, and x * 1.0 == x
         // is bit-exact in IEEE 754, so no-fault runs are unchanged.
-        let stage_seconds = outcome.seconds * self.perf_factor;
-        self.clock += stage_seconds;
+        let seconds = outcome.seconds * self.perf_factor;
         // Live multiplexed streams: ongoing slots decode one token per
         // live member per stage; joining slots sample first tokens.
         let mux_live: u64 = self.mux.iter().map(MuxSlot::live_members).sum();
-        // Recovery timeline: bucket the tokens this stage generated
-        // (decodes plus sampled first tokens) by virtual time.
-        if self.timeline_bucket_s > 0.0 {
-            let mux_joining: u64 = self.mux_admitted.iter().map(MuxSlot::live_members).sum();
-            let tokens = (self.active.len() + self.admitted.len() + self.resumed.len()) as u64
-                + mux_live
-                + mux_joining;
-            if tokens > 0 {
-                let bucket = (self.clock / self.timeline_bucket_s) as u64;
-                match self.timeline.last_mut() {
-                    Some((b, n)) if *b == bucket => *n += tokens,
-                    _ => self.timeline.push((bucket, tokens)),
-                }
-            }
-        }
+        let mux_joining: u64 = self.mux_admitted.iter().map(MuxSlot::live_members).sum();
         let decoding = self.active.len() + self.mux.len();
         let record = StageRecord {
-            seconds: stage_seconds,
+            seconds,
             mixed: self.shape.is_mixed(),
             batch: decoding + self.shape.prefill_len.len(),
             tokens: decoding as u64 + self.shape.prefill_len.iter().sum::<u64>(),
         };
-        self.stage_stats.record(&record);
+        self.shape.clear_prefills();
+        // Generated tokens: decodes plus sampled first tokens.
+        let tokens = (self.active.len() + self.admitted.len() + self.resumed.len()) as u64
+            + mux_live
+            + mux_joining;
+        let mut tally = self.open_tally(false);
+        self.account(
+            &mut tally,
+            record,
+            tokens,
+            self.active.len() as u64 + mux_live,
+        );
+        self.close_tally(tally);
+        self.stage_stats.stages
+    }
+
+    /// Take the accounting state out of the replica for a stage or,
+    /// with `hold_tbt`, for a run of stages (see [`Tally`]).
+    #[inline(always)]
+    fn open_tally(&self, hold_tbt: bool) -> Tally {
+        Tally {
+            clock: self.clock,
+            stats: self.stage_stats,
+            memo: self.tbt_bucket,
+            tbt: hold_tbt.then(|| self.tbt_digest.hold(self.tbt_bucket.last_bucket())),
+        }
+    }
+
+    /// Write back what [`ReplicaSim::open_tally`] took out.
+    #[inline(always)]
+    fn close_tally(&mut self, tally: Tally) {
+        self.clock = tally.clock;
+        self.stage_stats = tally.stats;
+        self.tbt_bucket = tally.memo;
+        if let Some(held) = &tally.tbt {
+            self.tbt_digest.put_held(held);
+        }
+    }
+
+    /// Account one executed stage, the one accounting path of full and
+    /// quiet stages: advance the clock by the stage's latency, bucket
+    /// the `tokens` it generated into the recovery timeline (fault
+    /// plans only), fold its record into the stage stats and the
+    /// per-stage log, and add `decoding` TBT samples to the fleet
+    /// digest and each tier's active count to its tier digest. The
+    /// bucket index is looked up once, through the memo, and shared by
+    /// every digest; `tier_active` tracks the active set's per-tier
+    /// counts incrementally (updated on admit and retire).
+    #[inline(always)]
+    fn account(&mut self, tally: &mut Tally, record: StageRecord, tokens: u64, decoding: u64) {
+        tally.clock += record.seconds;
+        if self.timeline_bucket_s > 0.0 && tokens > 0 {
+            let bucket = (tally.clock / self.timeline_bucket_s) as u64;
+            match self.timeline.last_mut() {
+                Some((b, n)) if *b == bucket => *n += tokens,
+                _ => self.timeline.push((bucket, tokens)),
+            }
+        }
+        tally.stats.record(&record);
         if self.config.record_stages {
             self.stages.push(record);
         }
-        self.shape.clear_prefills();
-        // One TBT sample per decoding request (multiplexed members
-        // included — they each stream a token per stage); `tier_active`
-        // tracks the active set's per-tier counts incrementally
-        // (updated on admit and retire below), and the bucket index is
-        // looked up once and shared across the fleet and tier digests.
-        if !self.active.is_empty() || mux_live > 0 {
-            let bucket = self.tbt_bucket.bucket(stage_seconds);
-            self.tbt_digest
-                .record_n_in(bucket, stage_seconds, self.active.len() as u64 + mux_live);
+        if decoding > 0 {
+            let bucket = tally.memo.bucket(record.seconds);
+            match &mut tally.tbt {
+                Some(held) => {
+                    held.record_n_in(&mut self.tbt_digest, bucket, record.seconds, decoding)
+                }
+                None => self
+                    .tbt_digest
+                    .record_n_in(bucket, record.seconds, decoding),
+            }
             for (stats, &n) in self.tier_stats.iter_mut().zip(&self.tier_active) {
-                stats.tbt_digest.record_n_in(bucket, stage_seconds, n);
+                stats.tbt_digest.record_n_in(bucket, record.seconds, n);
             }
         }
-        self.stage_stats.stages
     }
 
     /// Seat the executed stage's joiners and advance the multiplexed

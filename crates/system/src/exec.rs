@@ -107,6 +107,8 @@
 //! Timing uses the representative (most-loaded) node and takes maxima
 //! across parallel devices; energy sums over all devices.
 
+use std::cell::OnceCell;
+
 use duplex_compute::engine::{default_profile, AmortizedGemmPricer};
 use duplex_compute::hash::FastMap;
 use duplex_compute::kernel::{GemmShape, Kernel};
@@ -116,7 +118,7 @@ use duplex_model::ops::{
     StageWork,
 };
 use duplex_model::routing::RoutingMode;
-use duplex_model::{ExpertRouter, ModelConfig};
+use duplex_model::{count_f64, ExpertRouter, ModelConfig};
 use duplex_sched::{BatchCheckpoint, StageDelta, StageExecutor, StageOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,6 +169,7 @@ impl TimeBreakdown {
 }
 
 impl std::ops::AddAssign for TimeBreakdown {
+    #[inline]
     fn add_assign(&mut self, rhs: Self) {
         self.fc += rhs.fc;
         self.attn_prefill += rhs.attn_prefill;
@@ -221,6 +224,7 @@ impl EnergyBuckets {
 }
 
 impl std::ops::AddAssign for EnergyBuckets {
+    #[inline]
     fn add_assign(&mut self, rhs: Self) {
         self.fc_dram += rhs.fc_dram;
         self.fc_comp += rhs.fc_comp;
@@ -244,6 +248,7 @@ pub struct StageCost {
 }
 
 impl std::ops::AddAssign for StageCost {
+    #[inline]
     fn add_assign(&mut self, rhs: Self) {
         self.seconds += rhs.seconds;
         self.time += rhs.time;
@@ -388,7 +393,7 @@ impl DecodeAttnPricer {
     #[inline]
     fn cost(&self, ctx: u64) -> KernelCost {
         let kv_dev = ctx * self.kv_unit_dev;
-        let ctx_f = ctx as f64;
+        let ctx_f = count_f64(ctx);
         let score_flops = self.score_flops_base * ctx_f * self.d_head_f;
         let value_flops = self.value_flops_per_ctx * ctx_f;
         let mut cost = self.gemm.price(score_flops, kv_dev / 2);
@@ -594,6 +599,9 @@ pub struct SystemExecutor {
     /// its first stage rather than by [`Self::new`], so building an
     /// executor stays cheap.
     attn_caches: Option<AttnCaches>,
+    /// The decode-attention pricer, a function of the configuration
+    /// and the model alone, built by its first use.
+    decode_pricer: OnceCell<DecodeAttnPricer>,
 }
 
 impl SystemExecutor {
@@ -675,6 +683,7 @@ impl SystemExecutor {
             fc_scratch: Vec::new(),
             hist_scratch: Vec::new(),
             attn_caches: None,
+            decode_pricer: OnceCell::new(),
         }
     }
 
@@ -789,12 +798,17 @@ impl SystemExecutor {
         cost
     }
 
-    /// Build the linear pricer for decode-attention groups on the decode
+    /// The linear pricer for decode-attention groups on the decode
     /// engine: decode groups differ only in context length, and within
     /// the family time/energy are linear in ctx, so each group prices
     /// with a few multiplies. Matches [`Self::attn_cost`] to
-    /// floating-point associativity.
-    fn decode_attn_pricer(&self) -> DecodeAttnPricer {
+    /// floating-point associativity. Built once, on first use.
+    fn decode_attn_pricer(&self) -> &DecodeAttnPricer {
+        self.decode_pricer
+            .get_or_init(|| self.build_decode_attn_pricer())
+    }
+
+    fn build_decode_attn_pricer(&self) -> DecodeAttnPricer {
         let (_, tp, _) = self.parallel_dims();
         let engine = self.decode_engine();
         let op = AttnOp::decode_group(&self.model, 1, 1);
@@ -1093,9 +1107,9 @@ impl SystemExecutor {
         let (_, tp_attn, _) = self.parallel_dims();
         let tp = f64::from(tp_attn);
         let (prefill_engine, decode_engine) = (&self.xpu, self.decode_engine());
-        // All decode groups share everything but ctx: build the linear
-        // pricer once per stage instead of re-deriving shapes per group.
-        let decode_pricer = self.decode_attn_pricer();
+        // All decode groups share everything but ctx: one linear
+        // pricer serves them instead of re-deriving shapes per group.
+        let decode_pricer = *self.decode_attn_pricer();
         let kv_tok = self.model.kv_bytes_per_token();
         // One batched kernel set (score, softmax, value) per layer and
         // class: charge the launch overhead once per layer.
@@ -1112,7 +1126,7 @@ impl SystemExecutor {
                 if cnt == 0 {
                     continue;
                 }
-                let mult_f = cnt as f64;
+                let mult_f = count_f64(cnt);
                 let c = match caches.as_deref_mut() {
                     Some(caches) => caches.decode.get_or_price(ctx, || decode_pricer.cost(ctx)),
                     None => decode_pricer.cost(ctx),

@@ -54,6 +54,7 @@
 //! admit/retire/advance traces, and the carried mixed path's equality
 //! with the grouped full path is pinned bit for bit there too.
 
+use duplex_model::count_f64;
 use duplex_model::ops::{ContextGroups, StageShape};
 use duplex_sched::StageDelta;
 
@@ -278,6 +279,7 @@ pub struct DecodeTemplate {
 
 impl DecodeTemplate {
     /// Advance every context by one token.
+    #[inline]
     pub(crate) fn advance(&mut self) {
         for (sum, count) in self.node_sumctx.iter_mut().zip(&self.node_count) {
             *sum += *count;
@@ -286,15 +288,16 @@ impl DecodeTemplate {
     }
 
     /// Price the stage at the template's current Σctx.
+    #[inline]
     pub(crate) fn price(&self) -> StageCost {
         let mut dec = 0.0f64;
         for (&sum, &konst) in self.node_sumctx.iter().zip(&self.node_const_s) {
-            dec = dec.max(self.sec_per_ctx * sum as f64 + konst);
+            dec = dec.max(self.sec_per_ctx * count_f64(sum) + konst);
         }
         let mut time = self.base_time;
         time.attn_decode = dec;
         let mut energy = self.base_energy;
-        let s = self.total_sumctx as f64;
+        let s = count_f64(self.total_sumctx);
         energy.attn_dram += self.attn_dram_j_per_ctx * s;
         energy.attn_comp += self.attn_comp_j_per_ctx * s;
         // Decode-only: prefill attention is zero, so the co-processing
