@@ -138,6 +138,11 @@ use crate::scenario::{
 use crate::scheduler::{SimulationConfig, StageExecutor};
 use crate::snapshot::{AutoscaleState, ClusterSnapshot, DisaggState, FaultState};
 
+/// How far past a snapshot's pause time a replica clock may lead: a
+/// simulated day, far more in-flight work than any drill or suite run
+/// carries (their clocks lead by milliseconds).
+const MAX_CLOCK_LEAD_S: f64 = 86_400.0;
+
 /// Fleets always step serially, so this type carries no settings.
 /// Kept only for the benchmark package (`perfbench`); goes in a later
 /// benchmark change.
@@ -1941,6 +1946,17 @@ impl ClusterSimulation {
         for (i, s) in snap.replicas.iter().enumerate() {
             if let Some(e) = s.carried().find_map(bad_tier) {
                 return Err(format!("replica {i}: {e}"));
+            }
+            // A replica steps past the pause time only through stages it
+            // had work for, so its clock leads the pause by at most its
+            // in-flight work. A far-future clock would have an autoscaled
+            // fleet tick its evaluator once per interval all the way
+            // there, which never ends in practice.
+            if !(s.clock >= 0.0 && s.clock <= snap.taken_at_s + MAX_CLOCK_LEAD_S) {
+                return Err(format!(
+                    "replica {i}: clock {:e} s is not within a day of the pause at {:e} s",
+                    s.clock, snap.taken_at_s
+                ));
             }
             if s.tiers.len() != tier_count {
                 return Err(format!(

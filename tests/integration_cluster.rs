@@ -774,7 +774,7 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
     // snapshots of the three drills and pushed through the wire
     // format: resume must answer with a described error, never a
     // panic and never a silent divergence.
-    let cases: [(&str, &str, Corruption, &str); 24] = [
+    let cases: [(&str, &str, Corruption, &str); 25] = [
         (
             "failover",
             "replica count",
@@ -935,6 +935,12 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
             |v, _| *node(v, &["stream", "followups", "0", "tier"]) = num(99),
             "has SLO tier 99, the scenario has 3",
         ),
+        (
+            "autoscale",
+            "far-future replica clock",
+            |v, _| *node(v, &["replicas", "4", "clock"]) = num(8.2e133_f64.to_bits()),
+            "replica 4: clock 8.2e133 s is not within a day of the pause",
+        ),
     ];
     let pauses = drill_pauses();
     for (drill, field, corrupt, phrase) in cases {
@@ -961,6 +967,57 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
         };
         assert!(err.contains(phrase), "{drill} {field}: {err}");
     }
+}
+
+#[test]
+fn digit_mutated_snapshots_error_or_resume_without_panicking() {
+    // Seeded single-digit mutations of each drill snapshot, parsed and
+    // resumed on a fresh fleet. Each must end in a parse error, a
+    // resume error or a report, never a panic. Most mutations land in
+    // a float's bits or a counter a resumed run carries on from; the
+    // rest break an invariant `resume` checks before any import.
+    let cases = if cfg!(debug_assertions) { 50 } else { 300 };
+    let mut state = 0x5eed_0fd1_6175_u64;
+    let mut next = move || {
+        // SplitMix64.
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut resume_errors = 0;
+    for (drill, spec, snapshot) in drill_pauses() {
+        let text = snapshot.to_json();
+        let digits: Vec<usize> = text
+            .bytes()
+            .enumerate()
+            .filter(|(_, b)| b.is_ascii_digit())
+            .map(|(i, _)| i)
+            .collect();
+        for case in 0..cases {
+            let pos = digits[(next() % digits.len() as u64) as usize];
+            let mut bytes = text.clone().into_bytes();
+            let shift = 1 + (next() % 9) as u8;
+            bytes[pos] = b'0' + (bytes[pos] - b'0' + shift) % 10;
+            let mutated = String::from_utf8(bytes).expect("a digit for a digit");
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let Ok(corrupted) = ClusterSnapshot::from_json(&mutated) else {
+                    return false;
+                };
+                let (sim, mut policies, mut executors) = build_cluster(&spec);
+                let mut router =
+                    RouterKind::LeastOutstandingWork.build_with(&spec.router_context());
+                sim.resume(&corrupted, router.as_mut(), &mut policies, &mut executors)
+                    .is_err()
+            }));
+            match outcome {
+                Ok(rejected) => resume_errors += usize::from(rejected),
+                Err(_) => panic!("{drill} case {case}: byte {pos} mutated, resume panicked"),
+            }
+        }
+    }
+    assert!(resume_errors > 0, "no mutation reached a resume check");
 }
 
 /// FNV-1a, 64-bit.
