@@ -6,9 +6,14 @@
 //! batching with parked-KV reuse, and the incremental stage fast path
 //! on every replica.
 //!
-//! Every (fleet, router) pair runs once, timed: `wall_s` is its wall
-//! clock and `fleet_stages_per_s` the harness throughput (simulated
-//! fleet stages per second of wall clock).
+//! Every (fleet, router) pair repeats its whole run (a pass, on a
+//! freshly built fleet) until the passes total at least 0.2 s of wall
+//! time ([`duplex_bench::run_repeated`]): a run takes a few
+//! milliseconds, too short to time once. `wall_s` is the median pass's
+//! wall clock, `passes` the pass count and `fleet_stages_per_s` the
+//! harness throughput (simulated fleet stages per second of wall
+//! clock). Every pass replays the same seeded run; the simulated
+//! fields come from the last one.
 //!
 //! Also exercises pause/resume: the Grok fleet is paused mid-run, the
 //! snapshot is written to `BENCH_cluster_snapshot.json` (the CI
@@ -51,7 +56,7 @@ use std::time::Instant;
 
 use duplex::experiments::{build_cluster, run_cluster, ClusterRow, ClusterSpec};
 use duplex::sched::{ClusterSnapshot, RouterKind};
-use duplex_bench::print_table;
+use duplex_bench::{print_table, run_repeated};
 
 /// Pause the fleet at 40% of its simulated span, push the snapshot
 /// through the JSON wire format, resume, and demand the report the
@@ -128,11 +133,13 @@ fn main() {
                     kind.build()
                 }
             };
-            let (sim, mut policies, mut executors) = build_cluster(spec);
-            let mut router = build_router();
-            let start = Instant::now();
-            let report = sim.run(router.as_mut(), &mut policies, &mut executors);
-            let wall_s = start.elapsed().as_secs_f64();
+            let (report, wall_s, passes) = run_repeated(|| {
+                let (sim, mut policies, mut executors) = build_cluster(spec);
+                let mut router = build_router();
+                let start = Instant::now();
+                let report = sim.run(router.as_mut(), &mut policies, &mut executors);
+                (report, start.elapsed().as_secs_f64())
+            });
             if spec.name == "grok_chat_tiered" {
                 grok_time_s = Some(report.total_time_s);
             }
@@ -146,7 +153,8 @@ fn main() {
                 row.replicas.to_string(),
                 row.completed.to_string(),
                 row.stages.to_string(),
-                format!("{wall_s:.3}"),
+                format!("{wall_s:.4}"),
+                passes.to_string(),
                 format!("{fleet_stages_per_s:.0}"),
                 format!("{:.0}", row.throughput),
                 format!("{tbt_p99_ms:.2}"),
@@ -212,11 +220,12 @@ fn main() {
                 String::new()
             };
             json_entries.push(format!(
-                "    \"{}_{}\": {{\"fleet_stages_per_s\": {:.1}, \"wall_s\": {:.4}, \"stages\": {}, \"completed\": {}, \"replicas\": {}, \"replica_seconds\": {:.4}, \"sim_tokens_per_sec\": {:.1}, \"tbt_p99_ms\": {:.4}, {}{}{}{}\"kv_reuse_fraction\": {:.4}, \"load_imbalance\": {:.4}, \"policy\": \"{}\", \"model\": \"{}\", \"batch\": {}}}",
+                "    \"{}_{}\": {{\"fleet_stages_per_s\": {:.1}, \"wall_s\": {:.4}, \"passes\": {}, \"stages\": {}, \"completed\": {}, \"replicas\": {}, \"replica_seconds\": {:.4}, \"sim_tokens_per_sec\": {:.1}, \"tbt_p99_ms\": {:.4}, {}{}{}{}\"kv_reuse_fraction\": {:.4}, \"load_imbalance\": {:.4}, \"policy\": \"{}\", \"model\": \"{}\", \"batch\": {}}}",
                 row.cluster,
                 kind.name().replace('-', "_"),
                 fleet_stages_per_s,
                 wall_s,
+                passes,
                 row.stages,
                 row.completed,
                 row.replicas,
@@ -244,6 +253,7 @@ fn main() {
             "Done",
             "Stages",
             "Wall s",
+            "Passes",
             "fleet st/s",
             "sim tok/s",
             "TBT p99 ms",
