@@ -56,7 +56,8 @@
 //!   retires a request, reaches the stage cap, ends at or after the
 //!   bound, or leaves a routed arrival due in the inbox. Until then
 //!   nothing a caller's iteration could change has changed, so each
-//!   skipped iteration would have stepped the same quiet stage;
+//!   skipped iteration would have stepped the same quiet stage. The
+//!   run keeps its accounting in locals and writes it back once;
 //! * a decoding request stores a stage stamp rather than a token
 //!   counter, so advancing the batch touches no request;
 //! * the retirement sweep runs only on stages where some request is
@@ -1808,8 +1809,8 @@ impl ReplicaSim {
     /// factor, the next retirement, the stage cap and the stop time.
     /// The accounting state lives in a [`Tally`] for the whole run and
     /// is written back once, before the final stage's retirement sweep.
-    /// Kept out of line, so the full stage's code in `step` stays as
-    /// compact as it was.
+    /// Kept out of line so that `step`, which runs the full stages of
+    /// open-loop runs, stays small.
     #[inline(never)]
     fn quiet_stage<E: StageExecutor + ?Sized>(&mut self, executor: &mut E, bound: Option<f64>) {
         // Nothing a quiet stage does touches the inbox, so its earliest

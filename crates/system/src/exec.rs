@@ -1109,6 +1109,8 @@ impl SystemExecutor {
         let (prefill_engine, decode_engine) = (&self.xpu, self.decode_engine());
         // All decode groups share everything but ctx: one linear
         // pricer serves them instead of re-deriving shapes per group.
+        // Copied out of the cell so the group loop keeps it in
+        // registers.
         let decode_pricer = *self.decode_attn_pricer();
         let kv_tok = self.model.kv_bytes_per_token();
         // One batched kernel set (score, softmax, value) per layer and
