@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Code lines per first-party crate: non-blank lines that are not `//`
 # comments (doc comments included), counted in every `.rs` file under
-# `crates/<crate>/` down to the file's first `#[cfg(test)]`, so unit
-# tests do not count. The vendored shims under `crates/vendor/` are
-# not first-party and are skipped.
+# `crates/<crate>/` down to the file's first `#[cfg(test)]` module, so
+# unit tests do not count. A `#[cfg(test)]` on anything but a `mod`
+# (a test-only field, counter or helper) does not end the count. The
+# vendored shims under `crates/vendor/` are not first-party and are
+# skipped.
 #
 # Usage: ci/loc.sh [repo root]   (defaults to this script's repo)
 set -euo pipefail
@@ -16,7 +18,9 @@ for dir in "$root"/crates/*/; do
     files=0
     code=0
     while IFS= read -r -d '' f; do
-        n="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        n="$(awk 'held && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { exit }
+                  held { n++; held = 0 }
+                  /^[[:space:]]*#\[cfg\(test\)\]/ { held = 1; next }
                   /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
                   { n++ }
                   END { print n + 0 }' "$f")"

@@ -27,10 +27,13 @@
 //! ~8 retirements per stage, the shape of `perfbench`'s
 //! `prefill_open`.
 //!
-//! Contexts advance every stage, as in a real decode loop, so the
-//! numbers include cold kernel pricings, not just cache hits. Results
-//! print as a table and land in `BENCH_stage_cost.json` in the current
-//! directory so CI can track the perf trajectory across PRs.
+//! Contexts advance every stage, as in a real decode loop. Every entry
+//! repeats its timed loop (a pass, on a freshly built and warmed
+//! executor) until the passes total at least 0.2 s of wall time
+//! ([`duplex_bench::run_repeated`]) and reports the median pass as
+//! `stages_per_sec`, with the pass count as `passes`. Results print as
+//! a table and land in `BENCH_stage_cost.json` in the current directory
+//! so CI can track the perf trajectory across PRs.
 
 use std::time::Instant;
 
@@ -40,7 +43,7 @@ use duplex::sched::{
     Simulation, SimulationConfig, StageDelta, StageExecutor, StageOutcome, Workload,
 };
 use duplex::system::{SystemConfig, SystemExecutor};
-use duplex_bench::print_table;
+use duplex_bench::{print_table, run_repeated};
 
 struct ShapeClass {
     name: &'static str,
@@ -88,47 +91,65 @@ fn shape_at(class: &ShapeClass, stage: u64) -> StageShape {
     }
 }
 
-/// Price `stages` advancing stages through the full path and return
-/// stages/second.
-fn measure_full(class: &ShapeClass, stages: u64) -> f64 {
-    let mut ex = SystemExecutor::new(class.system.clone(), class.model.clone(), 7);
-    // Warm up the executor (engine construction, first pricings).
-    for s in 0..(stages / 10).max(1) {
-        ex.stage_cost(&shape_at(class, s));
-    }
-    let start = Instant::now();
-    for s in 0..stages {
-        ex.stage_cost(&shape_at(class, s));
-    }
-    stages as f64 / start.elapsed().as_secs_f64()
+/// Time `stages` stage pricings per pass: `pass` builds and warms an
+/// executor, then returns a closure that prices one stage. Returns the
+/// median pass's stages/s and the pass count.
+fn timed<F: FnMut()>(stages: u64, mut pass: impl FnMut() -> F) -> (f64, usize) {
+    let ((), wall_s, passes) = run_repeated(|| {
+        let mut price = pass();
+        let start = Instant::now();
+        for _ in 0..stages {
+            price();
+        }
+        ((), start.elapsed().as_secs_f64())
+    });
+    (stages as f64 / wall_s, passes)
+}
+
+/// Price `stages` advancing stages through the full path: stages/s and
+/// passes.
+fn measure_full(class: &ShapeClass, stages: u64) -> (f64, usize) {
+    timed(stages, || {
+        let mut ex = SystemExecutor::new(class.system.clone(), class.model.clone(), 7);
+        // Warm up the executor (engine construction, first pricings).
+        for s in 0..(stages / 10).max(1) {
+            ex.stage_cost(&shape_at(class, s));
+        }
+        let mut s = 0;
+        move || {
+            ex.stage_cost(&shape_at(class, s));
+            s += 1;
+        }
+    })
 }
 
 /// Price `stages` advancing stages through the incremental delta path
 /// (admit the cohort once, then advance it, with the class's prefill
-/// riding along on every stage) and return stages/s.
-fn measure_delta(class: &ShapeClass, stages: u64) -> f64 {
-    let mut ex = SystemExecutor::new(class.system.clone(), class.model.clone(), 7);
-    // Admit the cohort so it decodes from `start_ctx` onward, mirroring
-    // the contexts the full-path measurement walks.
-    let mut admit = StageDelta::start();
-    admit.admit = vec![class.start_ctx - 1; class.batch];
-    ex.stage_cost_delta(&admit);
-    let mut step = StageDelta::default();
-    if let Some(prefill) = class.prefill {
-        // From the second prefill on, the previous one retires as it
-        // joins the decode set, keeping the batch at the class's shape.
-        step.admit.push(prefill);
-        ex.stage_cost_delta(&step);
-        step.retire.push(prefill + 1);
-    }
-    for _ in 0..(stages / 10).max(1) {
-        ex.stage_cost_delta(&step);
-    }
-    let start = Instant::now();
-    for _ in 0..stages {
-        ex.stage_cost_delta(&step);
-    }
-    stages as f64 / start.elapsed().as_secs_f64()
+/// riding along on every stage): stages/s and passes.
+fn measure_delta(class: &ShapeClass, stages: u64) -> (f64, usize) {
+    timed(stages, || {
+        let mut ex = SystemExecutor::new(class.system.clone(), class.model.clone(), 7);
+        // Admit the cohort so it decodes from `start_ctx` onward,
+        // mirroring the contexts the full-path measurement walks.
+        let mut admit = StageDelta::start();
+        admit.admit = vec![class.start_ctx - 1; class.batch];
+        ex.stage_cost_delta(&admit);
+        let mut step = StageDelta::default();
+        if let Some(prefill) = class.prefill {
+            // From the second prefill on, the previous one retires as
+            // it joins the decode set, keeping the batch at the class's
+            // shape.
+            step.admit.push(prefill);
+            ex.stage_cost_delta(&step);
+            step.retire.push(prefill + 1);
+        }
+        for _ in 0..(stages / 10).max(1) {
+            ex.stage_cost_delta(&step);
+        }
+        move || {
+            ex.stage_cost_delta(&step);
+        }
+    })
 }
 
 /// A saturated open-loop run whose stage stream the delta path prices:
@@ -199,20 +220,20 @@ fn record_open_loop(run: &OpenLoop) -> Vec<StageDelta> {
     recorder.deltas
 }
 
-/// Price `stages` stages of `run`'s recorded stream through the
-/// incremental delta path and return stages/s.
-fn measure_open_loop(run: &OpenLoop, stages: u64) -> f64 {
-    let deltas = record_open_loop(run);
-    let mut ex = SystemExecutor::new(run.system.clone(), run.model.clone(), 7);
-    let mut stream = deltas.iter().cycle();
-    for delta in stream.by_ref().take(deltas.len()) {
-        ex.stage_cost_delta(delta);
-    }
-    let start = Instant::now();
-    for delta in stream.take(stages as usize) {
-        ex.stage_cost_delta(delta);
-    }
-    stages as f64 / start.elapsed().as_secs_f64()
+/// Price `stages` stages of the recorded stream `deltas` of `run`
+/// through the incremental delta path, after one warm-up replay:
+/// stages/s and passes.
+fn measure_open_loop(run: &OpenLoop, deltas: &[StageDelta], stages: u64) -> (f64, usize) {
+    timed(stages, || {
+        let mut ex = SystemExecutor::new(run.system.clone(), run.model.clone(), 7);
+        for delta in deltas {
+            ex.stage_cost_delta(delta);
+        }
+        let mut stream = deltas.iter().cycle();
+        move || {
+            ex.stage_cost_delta(stream.next().expect("the stream cycles"));
+        }
+    })
 }
 
 fn json_escape_free(name: &str) -> &str {
@@ -226,7 +247,7 @@ fn main() {
     let quick = scale == duplex::experiments::Scale::quick();
     let stages: u64 = if quick { 300 } else { 3000 };
     // The delta path is one (mixed) to two (decode) orders of magnitude
-    // faster; measure more stages so the timed window stays meaningful.
+    // faster; a pass prices more stages so it stays long enough to time.
     let delta_stages: u64 = if quick { 30_000 } else { 1_000_000 };
 
     let mut rows = Vec::new();
@@ -235,41 +256,44 @@ fn main() {
                     model: &ModelConfig,
                     system: &SystemConfig,
                     batch: usize,
-                    sps: f64,
+                    (sps, passes): (f64, usize),
                     n: u64| {
         rows.push(vec![
             name.clone(),
             model.name.clone(),
             system.name.clone(),
             batch.to_string(),
+            passes.to_string(),
             format!("{sps:.0}"),
         ]);
         json_entries.push(format!(
-            "    \"{}\": {{\"stages_per_sec\": {:.1}, \"model\": \"{}\", \"system\": \"{}\", \"batch\": {}, \"stages\": {}}}",
+            "    \"{}\": {{\"stages_per_sec\": {:.1}, \"model\": \"{}\", \"system\": \"{}\", \"batch\": {}, \"stages\": {}, \"passes\": {}}}",
             json_escape_free(&name),
             sps,
             model.name,
             system.name,
             batch,
-            n
+            n,
+            passes
         ));
     };
     for class in classes() {
         let (model, system) = (&class.model, &class.system);
-        let sps = measure_full(&class, stages);
+        let timing = measure_full(&class, stages);
         let name = class.name.to_string();
-        push(name, model, system, class.batch, sps, stages);
-        let sps = measure_delta(&class, delta_stages);
+        push(name, model, system, class.batch, timing, stages);
+        let timing = measure_delta(&class, delta_stages);
         let name = format!("{}_delta", class.name);
-        push(name, model, system, class.batch, sps, delta_stages);
+        push(name, model, system, class.batch, timing, delta_stages);
     }
     let run = open_loop();
-    let sps = measure_open_loop(&run, delta_stages);
-    let name = "open_loop_delta".to_string();
-    push(name, &run.model, &run.system, run.batch, sps, delta_stages);
+    let deltas = record_open_loop(&run);
+    let timing = measure_open_loop(&run, &deltas, delta_stages);
+    let (name, model, system) = ("open_loop_delta".to_string(), &run.model, &run.system);
+    push(name, model, system, run.batch, timing, delta_stages);
     print_table(
         "Stage-cost throughput (full vs incremental delta path)",
-        &["Class", "Model", "System", "Batch", "stages/s"],
+        &["Class", "Model", "System", "Batch", "Passes", "stages/s"],
         &rows,
     );
 

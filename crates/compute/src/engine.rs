@@ -14,21 +14,8 @@
 //! This is the analytic steady-state of the command-level engine — the
 //! same quantity the paper's Ramulator backend converges to for the
 //! multi-megabyte streams that dominate LLM layers.
-//!
-//! Pricing is memoized: decode serving re-prices the same kernel shapes
-//! across layers, requests and stages (weights are fixed, contexts
-//! advance in lockstep), so each [`Engine`] keeps a hash cache keyed by
-//! the full [`Kernel`] description. Hits skip the roofline/energy math;
-//! [`Engine::cache_stats`] exposes hit/miss counters so tests can pin
-//! the fast path. The cache is dropped whenever an engine is cloned or
-//! rescaled (`with_bandwidth_fraction` / `with_resource_fraction`),
-//! because cached costs are only valid for the exact engine parameters
-//! they were priced under.
 
-use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
-
-use crate::hash::FastMap;
 
 use duplex_hbm::{BandwidthProfile, DramEnergyModel, EnergyBreakdown, HbmGeometry, HbmTiming};
 
@@ -119,57 +106,6 @@ impl std::iter::Sum for KernelCost {
     }
 }
 
-/// Memoized kernel prices with hit/miss accounting.
-///
-/// Cloning yields an *empty* cache (cached values are parameter-bound),
-/// and caches never participate in equality.
-#[derive(Debug, Default)]
-struct PriceCache {
-    map: RefCell<FastMap<Kernel, KernelCost>>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-}
-
-/// Safety valve: decode contexts grow without bound over very long
-/// simulations, so cap the cache and start over if it fills.
-const PRICE_CACHE_MAX_ENTRIES: usize = 1 << 20;
-
-impl PriceCache {
-    fn get(&self, kernel: &Kernel) -> Option<KernelCost> {
-        let hit = self.map.borrow().get(kernel).copied();
-        match hit {
-            Some(c) => {
-                self.hits.set(self.hits.get() + 1);
-                Some(c)
-            }
-            None => {
-                self.misses.set(self.misses.get() + 1);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, kernel: Kernel, cost: KernelCost) {
-        let mut map = self.map.borrow_mut();
-        if map.len() >= PRICE_CACHE_MAX_ENTRIES {
-            map.clear();
-        }
-        map.insert(kernel, cost);
-    }
-}
-
-impl Clone for PriceCache {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl PartialEq for PriceCache {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
 /// A processing unit bound to its memory system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Engine {
@@ -181,7 +117,6 @@ pub struct Engine {
     activations_per_byte: f64,
     dram: DramEnergyModel,
     compute_energy: ComputeEnergy,
-    cache: PriceCache,
 }
 
 impl Engine {
@@ -197,7 +132,6 @@ impl Engine {
             activations_per_byte: profile.activations_per_byte(path),
             dram: DramEnergyModel::default(),
             compute_energy: ComputeEnergy::default(),
-            cache: PriceCache::default(),
         }
     }
 
@@ -282,38 +216,6 @@ impl Engine {
         self.without_overhead(self.kernel_cost(kernel), Self::amortizable_work(kernel))
     }
 
-    /// Like [`Engine::gemm_cost`] but bypassing the memo cache. The
-    /// roofline math is a handful of multiplies — cheaper than a probe
-    /// of the memo table — so per-stage pricing paths use this and
-    /// reserve memoization for aggregates (see `kernel_cost`).
-    pub fn gemm_cost_uncached(&self, shape: GemmShape, dram_bytes: u64) -> KernelCost {
-        self.price_kernel(&Kernel::Gemm { shape, dram_bytes })
-    }
-
-    /// Like [`Engine::gemm_cost_amortized`] but bypassing the memo
-    /// cache (see [`Engine::gemm_cost_uncached`]).
-    pub fn gemm_cost_amortized_uncached(&self, shape: GemmShape, dram_bytes: u64) -> KernelCost {
-        self.without_overhead(
-            self.gemm_cost_uncached(shape, dram_bytes),
-            shape.m * shape.n * shape.k,
-        )
-    }
-
-    /// Like [`Engine::kernel_cost_amortized`] but bypassing the memo
-    /// cache. Use for kernels whose shapes rarely repeat (per-context
-    /// attention score/value GEMMs advance every stage), where caching
-    /// only pays hash-and-insert overhead and bloats the table.
-    pub fn kernel_cost_amortized_uncached(&self, kernel: &Kernel) -> KernelCost {
-        self.without_overhead(self.price_kernel(kernel), Self::amortizable_work(kernel))
-    }
-
-    /// Uncached single-kernel pricing (see
-    /// [`Engine::kernel_cost_amortized_uncached`] for when to prefer
-    /// this over the memoized [`Engine::kernel_cost`]).
-    pub fn kernel_cost_uncached(&self, kernel: &Kernel) -> KernelCost {
-        self.price_kernel(kernel)
-    }
-
     fn amortizable_work(kernel: &Kernel) -> u64 {
         match kernel {
             Kernel::Gemm { shape, .. } => shape.m * shape.n * shape.k,
@@ -330,29 +232,8 @@ impl Engine {
         cost
     }
 
-    /// Cache hit/miss counters `(hits, misses)` accumulated over this
-    /// engine's lifetime (misses count first-time pricings).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits.get(), self.cache.misses.get())
-    }
-
-    /// Drop all memoized prices (counters are kept).
-    pub fn clear_price_cache(&self) {
-        self.cache.map.borrow_mut().clear();
-    }
-
-    /// Price one kernel, memoized on the full kernel description.
+    /// Price one kernel: roofline time plus DRAM and compute energy.
     pub fn kernel_cost(&self, kernel: &Kernel) -> KernelCost {
-        if let Some(cost) = self.cache.get(kernel) {
-            return cost;
-        }
-        let cost = self.price_kernel(kernel);
-        self.cache.insert(*kernel, cost);
-        cost
-    }
-
-    /// The uncached roofline + energy math behind [`Engine::kernel_cost`].
-    fn price_kernel(&self, kernel: &Kernel) -> KernelCost {
         match kernel {
             Kernel::Gemm { shape, dram_bytes } => {
                 if shape.m == 0 || shape.n == 0 || shape.k == 0 {
@@ -417,21 +298,13 @@ impl Engine {
         }
     }
 
-    /// Price a sequence of kernels run back to back.
-    pub fn sequence_cost<'a, I>(&self, kernels: I) -> KernelCost
-    where
-        I: IntoIterator<Item = &'a Kernel>,
-    {
-        kernels.into_iter().map(|k| self.kernel_cost(k)).sum()
-    }
-
     /// Precompute the linear pricing coefficients for a *family* of
     /// amortized GEMMs that share the activation row count `m` on this
     /// engine (engine efficiency depends only on `m`). Within the
     /// family, time and energy are linear in FLOPs and DRAM bytes, so
     /// [`AmortizedGemmPricer::price`] is a handful of multiplies — the
     /// grouped-attention hot loop prices one group per distinct context
-    /// with it. Results match [`Engine::kernel_cost_amortized_uncached`]
+    /// with it. Results match [`Engine::kernel_cost_amortized`]
     /// to floating-point associativity (~1 ulp).
     pub fn amortized_gemm_pricer(&self, m: u64) -> AmortizedGemmPricer {
         let unit =
@@ -620,7 +493,7 @@ mod tests {
                 dram_bytes: g.weight_bytes(2),
             },
         ];
-        let two = xpu.sequence_cost(&kernels);
+        let two: KernelCost = kernels.iter().map(|k| xpu.kernel_cost(k)).sum();
         assert!((two.seconds - 2.0 * one.seconds).abs() < 1e-12);
         assert!((two.total_energy_j() - 2.0 * one.total_energy_j()).abs() < 1e-12);
     }
@@ -691,50 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_pricings_hit_the_cache() {
-        let xpu = Engine::h100_xpu();
-        let g = GemmShape {
-            m: 8,
-            n: 14336,
-            k: 4096,
-        };
-        let first = xpu.gemm_cost(g, g.weight_bytes(2));
-        let (h0, m0) = xpu.cache_stats();
-        assert_eq!(h0, 0);
-        assert!(m0 >= 1);
-        for _ in 0..10 {
-            assert_eq!(xpu.gemm_cost(g, g.weight_bytes(2)), first);
-        }
-        let (h1, m1) = xpu.cache_stats();
-        assert_eq!(h1, 10, "10 repeat pricings must all hit");
-        assert_eq!(m1, m0, "no new misses on repeats");
-    }
-
-    #[test]
-    fn rescaled_engines_start_with_a_cold_correct_cache() {
-        let pim = Engine::logic_pim();
-        let g = GemmShape {
-            m: 1,
-            n: 14336,
-            k: 4096,
-        };
-        let b = g.weight_bytes(2);
-        let full = pim.gemm_cost(g, b);
-        let half = pim.with_bandwidth_fraction(0.5);
-        assert_eq!(
-            half.cache_stats(),
-            (0, 0),
-            "clone must not inherit the cache"
-        );
-        let halved = half.gemm_cost(g, b);
-        assert!(
-            halved.seconds > full.seconds,
-            "half bandwidth must not reuse stale prices"
-        );
-    }
-
-    #[test]
-    fn clearing_the_cache_keeps_prices_identical() {
+    fn repeated_pricings_are_bit_identical() {
         let xpu = Engine::h100_xpu();
         let kernels = [
             Kernel::Gemm {
@@ -755,10 +585,35 @@ mod tests {
                 write: true,
             },
         ];
-        let before: Vec<KernelCost> = kernels.iter().map(|k| xpu.kernel_cost(k)).collect();
-        xpu.clear_price_cache();
-        let after: Vec<KernelCost> = kernels.iter().map(|k| xpu.kernel_cost(k)).collect();
-        assert_eq!(before, after);
+        let bits = |engine: &Engine| -> Vec<String> {
+            kernels
+                .iter()
+                .flat_map(|k| [engine.kernel_cost(k), engine.kernel_cost_amortized(k)])
+                .map(|c| format!("{c:?}"))
+                .collect()
+        };
+        let first = bits(&xpu);
+        for _ in 0..10 {
+            assert_eq!(bits(&xpu), first, "a repeat pricing changed bits");
+        }
+        assert_eq!(bits(&xpu.clone()), first, "a clone prices differently");
+    }
+
+    #[test]
+    fn half_bandwidth_engines_price_slower() {
+        let pim = Engine::logic_pim();
+        let g = GemmShape {
+            m: 1,
+            n: 14336,
+            k: 4096,
+        };
+        let b = g.weight_bytes(2);
+        let full = pim.gemm_cost(g, b);
+        let halved = pim.with_bandwidth_fraction(0.5).gemm_cost(g, b);
+        assert!(
+            halved.seconds > full.seconds,
+            "half bandwidth must price slower"
+        );
     }
 
     #[test]
@@ -770,7 +625,7 @@ mod tests {
                 let shape = GemmShape { m, n: ctx, k: 128 };
                 let bytes = 2 * ctx * 128 * 8;
                 let fast = pricer.price(shape.flops(), bytes);
-                let generic = engine.kernel_cost_amortized_uncached(&Kernel::Gemm {
+                let generic = engine.kernel_cost_amortized(&Kernel::Gemm {
                     shape,
                     dram_bytes: bytes,
                 });

@@ -23,11 +23,10 @@
 //!   and scaled by the MoE block count;
 //! * per-stage scratch (enumeration and prefill-group buffers) lives in
 //!   the executor and is reused across stages instead of reallocated;
-//! * kernel pricing underneath goes straight to the roofline math
-//!   (`duplex_compute::Engine::kernel_cost_uncached` and friends): a
-//!   price is a handful of multiplies, cheaper than probing the
-//!   engines' memo table. The executor memoizes *aggregates* instead,
-//!   which under expected-value routing depend on token counts alone:
+//! * kernel pricing underneath is the engines' roofline math
+//!   (`duplex_compute::Engine::kernel_cost` and friends): a price is a
+//!   handful of multiplies. The executor memoizes *aggregates*, which
+//!   under expected-value routing depend on token counts alone:
 //!   a decode stage's FC/MoE/communication constants, and any stage's
 //!   MoE cost. The full path ([`SystemExecutor::stage_cost`]) and the
 //!   reference path price every attention group afresh; only the
@@ -514,6 +513,9 @@ impl SlotKey for (u64, u64) {
 #[derive(Debug)]
 struct PriceCache<K> {
     slots: Box<[(K, KernelCost)]>,
+    /// Lookups that missed and priced.
+    #[cfg(test)]
+    misses: u64,
 }
 
 impl<K: SlotKey> PriceCache<K> {
@@ -523,6 +525,8 @@ impl<K: SlotKey> PriceCache<K> {
             slots: (0..slots)
                 .map(|slot| (K::vacant(slot), KernelCost::zero()))
                 .collect(),
+            #[cfg(test)]
+            misses: 0,
         }
     }
 
@@ -533,6 +537,10 @@ impl<K: SlotKey> PriceCache<K> {
         let slot = &mut self.slots[key.slot_hash() as usize & mask];
         if slot.0 != key {
             *slot = (key, price());
+            #[cfg(test)]
+            {
+                self.misses += 1;
+            }
         }
         slot.1
     }
@@ -788,12 +796,12 @@ impl SystemExecutor {
         };
         let mut cost = KernelCost::zero();
         for _ in 0..work.up_count {
-            cost += engine.gemm_cost_amortized_uncached(up, up.weight_bytes(bpe));
+            cost += engine.gemm_cost_amortized(up, up.weight_bytes(bpe));
         }
-        cost += engine.gemm_cost_amortized_uncached(down, down.weight_bytes(bpe));
+        cost += engine.gemm_cost_amortized(down, down.weight_bytes(bpe));
         if work.activation_elems > 0 {
             let elems = (work.activation_elems as f64 * frac).ceil() as u64;
-            cost += engine.kernel_cost_uncached(&Kernel::Elementwise { elems });
+            cost += engine.kernel_cost(&Kernel::Elementwise { elems });
         }
         cost
     }
@@ -844,19 +852,15 @@ impl SystemExecutor {
         value.m = op.q_rows * groups_dev;
         // Per-request attention within one layer is dispatched as one
         // batched kernel; overhead is added per layer in `stage_cost`.
-        // Attention shapes carry the context length, which advances
-        // every stage and differs per request cohort — they almost
-        // never repeat, so price them uncached instead of churning the
-        // engines' memo tables.
-        let mut cost = engine.kernel_cost_amortized_uncached(&Kernel::Gemm {
+        let mut cost = engine.kernel_cost_amortized(&Kernel::Gemm {
             shape: score,
             dram_bytes: kv_dev / 2,
         });
-        cost += engine.kernel_cost_uncached(&Kernel::Softmax {
+        cost += engine.kernel_cost(&Kernel::Softmax {
             rows: score.m,
             cols: score.n,
         });
-        cost += engine.kernel_cost_amortized_uncached(&Kernel::Gemm {
+        cost += engine.kernel_cost_amortized(&Kernel::Gemm {
             shape: value,
             dram_bytes: kv_dev - kv_dev / 2,
         });
@@ -987,7 +991,7 @@ impl SystemExecutor {
                 continue;
             }
             let bytes = cnt * kv_tok / u64::from(tp_attn);
-            let c = engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
+            let c = engine.kernel_cost(&Kernel::Stream { bytes, write: true });
             tpl.base_energy.add_attn(&c.scaled(f64::from(tp_attn)));
             tpl.node_const_s
                 .push(c.seconds + 3.0 * engine.spec().launch_overhead_s * layers);
@@ -1164,13 +1168,13 @@ impl SystemExecutor {
             // KV by the prefill engine (later migrated; Sec. V-C).
             if decode_tokens > 0 {
                 let bytes = decode_tokens * kv_tok / u64::from(tp_attn);
-                let c = decode_engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
+                let c = decode_engine.kernel_cost(&Kernel::Stream { bytes, write: true });
                 dec += c.seconds;
                 out.energy.add_attn(&c.scaled(tp));
             }
             if prefill_tokens > 0 {
                 let bytes = prefill_tokens * kv_tok / u64::from(tp_attn);
-                let c = prefill_engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
+                let c = prefill_engine.kernel_cost(&Kernel::Stream { bytes, write: true });
                 pre += c.seconds;
                 out.energy.add_attn(&c.scaled(tp));
             }
@@ -1304,23 +1308,6 @@ impl SystemExecutor {
         self.assemble(&priced, &consts)
     }
 
-    /// Aggregate kernel-pricing cache statistics `(hits, misses)`
-    /// across this executor's engines. The executor's own stage paths
-    /// price kernels uncached (the roofline math is cheaper than a memo
-    /// probe), so for simulator runs this reports `(0, 0)`; it stays
-    /// for callers that price kernels through the engines directly.
-    /// The carried mixed path's per-group attention caches are the
-    /// executor's own and are not counted here.
-    pub fn price_cache_stats(&self) -> (u64, u64) {
-        let (mut h, mut m) = self.xpu.cache_stats();
-        if let Some(pim) = &self.pim {
-            let (ph, pm) = pim.cache_stats();
-            h += ph;
-            m += pm;
-        }
-        (h, m)
-    }
-
     /// Price the batched FC layers (always on the xPU): `m_fc` tokens
     /// on the representative node, `lm_rows` LM-head rows.
     fn price_fc_ops(
@@ -1342,10 +1329,7 @@ impl SystemExecutor {
                 k: op.shape.k,
             };
             let dram = op.weight_bytes(bpe) / u64::from(tp_fc);
-            let dev = self
-                .xpu
-                .gemm_cost_uncached(sharded, dram)
-                .scaled(op.count as f64);
+            let dev = self.xpu.gemm_cost(sharded, dram).scaled(op.count as f64);
             time.fc += dev.seconds;
             // Every device of every node does symmetric work.
             let cluster = dev.scaled(f64::from(tp_fc) * nodes as f64);
@@ -1400,7 +1384,7 @@ impl SystemExecutor {
                 // On-device partial-sum all-reduce: the xPU reads each
                 // Logic-PIM stack's partial outputs (Sec. V-A).
                 let partial = m_fc * self.model.hidden * bpe;
-                let c = self.xpu.kernel_cost_uncached(&Kernel::Stream {
+                let c = self.xpu.kernel_cost(&Kernel::Stream {
                     bytes: partial,
                     write: false,
                 });
@@ -1902,10 +1886,59 @@ mod tests {
             b.seconds.to_bits(),
             "repeated identical stage must price bit-identically"
         );
-        assert_eq!(
-            ex.price_cache_stats(),
-            (0, 0),
-            "stage pricing must not touch the engine kernel memo"
+    }
+
+    #[test]
+    fn attention_price_caches_miss_once_per_distinct_group() {
+        // A saturated open-loop stream (batch 256, Gaussian 128/32 at
+        // 50k qps): nearly every stage admits and retires, so it takes
+        // the carried mixed path, and consecutive stages share most of
+        // their attention groups. Forcing every cache lookup to miss
+        // leaves every price unchanged, so only this count catches it.
+        struct Recorder {
+            inner: SystemExecutor,
+            deltas: Vec<StageDelta>,
+        }
+        impl StageExecutor for Recorder {
+            fn execute(&mut self, shape: &StageShape) -> StageOutcome {
+                self.inner.execute(shape)
+            }
+            fn execute_delta(&mut self, delta: &StageDelta, shape: &StageShape) -> StageOutcome {
+                self.deltas.push(delta.clone());
+                self.inner.execute_delta(delta, shape)
+            }
+        }
+        let model = ModelConfig::mixtral_8x7b();
+        let system = SystemConfig::duplex_pe_et(4, 1);
+        let inner = SystemExecutor::new(system.clone(), model.clone(), 7);
+        let config = duplex_sched::SimulationConfig {
+            max_batch: 256,
+            kv_capacity_bytes: inner.kv_capacity_bytes(),
+            kv_bytes_per_token: model.kv_bytes_per_token(),
+            max_stages: 512,
+            record_stages: false,
+        };
+        let mut recorder = Recorder {
+            inner,
+            deltas: Vec::new(),
+        };
+        let workload = duplex_sched::Workload::gaussian(128, 32);
+        duplex_sched::Simulation::poisson(config, workload, 50_000.0, usize::MAX)
+            .run(&mut recorder);
+
+        let mut ex = SystemExecutor::new(system, model, 7);
+        for delta in &recorder.deltas {
+            ex.stage_cost_delta(delta);
+        }
+        let caches = ex.attn_caches.as_ref().expect("mixed stages ran");
+        let (decode, prefill) = (caches.decode.misses, caches.prefill.misses);
+        assert_eq!(recorder.deltas.len(), 512);
+        // 128 decode and 81 prefill misses in ~35k lookups: a price is
+        // a function of the group's key alone, so after warm-up only a
+        // context or prompt not seen before misses.
+        assert!(
+            (64..=256).contains(&decode) && (40..=162).contains(&prefill),
+            "misses: {decode} decode, {prefill} prefill"
         );
     }
 
