@@ -563,9 +563,8 @@ mod tests {
         assert_eq!(xpu.spec().kind, EngineKind::Xpu);
     }
 
-    #[test]
-    fn repeated_pricings_are_bit_identical() {
-        let xpu = Engine::h100_xpu();
+    /// One kernel of each kind, priced both plainly and amortized.
+    fn priced_bits(engine: &Engine) -> Vec<String> {
         let kernels = [
             Kernel::Gemm {
                 shape: GemmShape {
@@ -585,18 +584,32 @@ mod tests {
                 write: true,
             },
         ];
-        let bits = |engine: &Engine| -> Vec<String> {
-            kernels
-                .iter()
-                .flat_map(|k| [engine.kernel_cost(k), engine.kernel_cost_amortized(k)])
-                .map(|c| format!("{c:?}"))
-                .collect()
-        };
-        let first = bits(&xpu);
+        kernels
+            .iter()
+            .flat_map(|k| [engine.kernel_cost(k), engine.kernel_cost_amortized(k)])
+            .map(|c| format!("{c:?}"))
+            .collect()
+    }
+
+    #[test]
+    fn repeated_pricings_are_bit_identical() {
+        let xpu = Engine::h100_xpu();
+        let first = priced_bits(&xpu);
         for _ in 0..10 {
-            assert_eq!(bits(&xpu), first, "a repeat pricing changed bits");
+            assert_eq!(priced_bits(&xpu), first, "a repeat pricing changed bits");
         }
-        assert_eq!(bits(&xpu.clone()), first, "a clone prices differently");
+    }
+
+    #[test]
+    fn cloned_engines_price_identically() {
+        for engine in [Engine::h100_xpu(), Engine::logic_pim(), Engine::bank_pim()] {
+            let first = priced_bits(&engine);
+            assert_eq!(
+                priced_bits(&engine.clone()),
+                first,
+                "a clone prices differently"
+            );
+        }
     }
 
     #[test]
