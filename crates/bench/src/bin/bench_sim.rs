@@ -112,7 +112,7 @@ fn main() {
         );
         let stages = report.stage_stats.stages;
         let stages_per_sec = stages as f64 / wall_s;
-        let tokens_per_sec = report.generated_tokens() as f64 / wall_s;
+        let host_tokens_per_sec = report.generated_tokens() as f64 / wall_s;
         rows.push(vec![
             s.name.to_string(),
             s.model.name.clone(),
@@ -121,13 +121,13 @@ fn main() {
             format!("{passes}"),
             format!("{:.4}", wall_s),
             format!("{stages_per_sec:.0}"),
-            format!("{tokens_per_sec:.0}"),
+            format!("{host_tokens_per_sec:.0}"),
         ]);
         json_entries.push(format!(
-            "    \"{}\": {{\"stages_per_sec\": {:.1}, \"sim_tokens_per_sec\": {:.1}, \"sim_fc_tokens_per_sec\": {:.1}, \"wall_s\": {:.4}, \"passes\": {}, \"stages\": {}, \"requests\": {}, \"model\": \"{}\", \"system\": \"{}\", \"batch\": {}}}",
+            "    \"{}\": {{\"stages_per_sec\": {:.1}, \"host_tokens_per_sec\": {:.1}, \"host_fc_tokens_per_sec\": {:.1}, \"wall_s\": {:.4}, \"passes\": {}, \"stages\": {}, \"requests\": {}, \"model\": \"{}\", \"system\": \"{}\", \"batch\": {}}}",
             s.name,
             stages_per_sec,
-            tokens_per_sec,
+            host_tokens_per_sec,
             report.fc_tokens() as f64 / wall_s,
             wall_s,
             passes,
@@ -148,13 +148,13 @@ fn main() {
             "Passes",
             "Median wall s",
             "stages/s",
-            "sim tokens/s",
+            "host tokens/s",
         ],
         &rows,
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"duplex-bench/sim/v1\",\n  \"mode\": \"{}\",\n  \"scenarios\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"duplex-bench/sim/v2\",\n  \"mode\": \"{}\",\n  \"scenarios\": {{\n{}\n  }}\n}}\n",
         if quick { "quick" } else { "paper" },
         json_entries.join(",\n")
     );

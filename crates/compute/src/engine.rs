@@ -180,20 +180,6 @@ impl Engine {
         e
     }
 
-    /// Scale compute and bandwidth together (a tensor-parallel slice of
-    /// the engine across devices is priced on one device's slice).
-    pub fn with_resource_fraction(&self, fraction: f64) -> Engine {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]"
-        );
-        let mut e = self.clone();
-        e.bytes_per_sec *= fraction;
-        e.inv_bytes_per_sec = e.bytes_per_sec.recip();
-        e.spec.peak_flops *= fraction;
-        e
-    }
-
     /// Price a GEMM that streams `dram_bytes` from memory.
     pub fn gemm_cost(&self, shape: GemmShape, dram_bytes: u64) -> KernelCost {
         self.kernel_cost(&Kernel::Gemm { shape, dram_bytes })

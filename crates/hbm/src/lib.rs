@@ -17,9 +17,6 @@
 //!   *sustained* bandwidth and activation count of each access path
 //!   (xPU via the interposer, Logic-PIM via the added TSVs, Bank-PIM
 //!   in-bank, BankGroup-PIM per bank group).
-//! * [`alloc`] — the four bank-bundle-indexed memory spaces of Sec. V-C
-//!   and the placement rules for expert weights, KV cache and prefill
-//!   scratch that make expert/attention co-processing conflict-free.
 //! * [`energy`] — per-access DRAM energy (activation, array read, on-die
 //!   datapath, TSV, interposer I/O) following the fine-grained DRAM
 //!   energy breakdown of O'Connor et al. (MICRO 2017), which the paper
@@ -43,13 +40,11 @@
 //! assert!(pim > 2.9 * xpu, "Logic-PIM should deliver ~4x the xPU path");
 //! ```
 
-pub mod alloc;
 pub mod energy;
 pub mod geometry;
 pub mod stream;
 pub mod timing;
 
-pub use alloc::{MemoryLayout, MemoryPlanError, Region, RegionKind, SpaceIndex};
 pub use energy::{DramEnergy, DramEnergyModel, EnergyBreakdown};
 pub use geometry::{BankBundle, HbmGeometry};
 pub use stream::{AccessPath, BandwidthProfile, StreamResult};

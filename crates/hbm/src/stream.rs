@@ -52,16 +52,6 @@ impl AccessPath {
         AccessPath::BankGroupPim,
         AccessPath::BankPim,
     ];
-
-    /// Peak (zero-stall) bandwidth multiple relative to the conventional
-    /// pseudo-channel peak, as stated in the paper.
-    pub fn peak_multiple(&self) -> f64 {
-        match self {
-            AccessPath::Xpu => 1.0,
-            AccessPath::LogicPim | AccessPath::BankGroupPim => 4.0,
-            AccessPath::BankPim => 16.0,
-        }
-    }
 }
 
 impl std::fmt::Display for AccessPath {

@@ -390,11 +390,6 @@ impl AttnOp {
         }
     }
 
-    /// Softmax dimensions (rows, cols).
-    pub fn softmax_dims(&self) -> (u64, u64) {
-        (self.q_rows * self.groups, self.eff_ctx())
-    }
-
     /// DRAM bytes of K plus V streamed per layer instance (resident
     /// past included: the suffix's cross-attention reads it too).
     pub fn kv_dram_bytes(&self, bytes_per_elem: u64) -> u64 {

@@ -138,10 +138,28 @@ use crate::scenario::{
 use crate::scheduler::{SimulationConfig, StageExecutor};
 use crate::snapshot::{AutoscaleState, ClusterSnapshot, DisaggState, FaultState};
 
-/// How far past a snapshot's pause time a replica clock may lead: a
+/// How far past a snapshot's pause time a carried time may lead: a
 /// simulated day, far more in-flight work than any drill or suite run
 /// carries (their clocks lead by milliseconds).
 const MAX_CLOCK_LEAD_S: f64 = 86_400.0;
+
+/// Check a time a snapshot carries: finite, at least 0 and at most
+/// [`MAX_CLOCK_LEAD_S`] past the pause at `taken_at_s`. A replica steps
+/// past the pause only through stages it had work for, and the stream
+/// draws arrivals only a short way ahead, so real times lead the pause
+/// by little. A far-future time would have an autoscaled fleet tick its
+/// evaluator once per interval all the way there, which never ends in
+/// practice.
+/// The error names the time; callers prefix what carried it.
+fn check_clock(t: f64, taken_at_s: f64) -> Result<(), String> {
+    if t.is_finite() && t >= 0.0 && t <= taken_at_s + MAX_CLOCK_LEAD_S {
+        Ok(())
+    } else {
+        Err(format!(
+            "{t:e} s is not within a day of the pause at {taken_at_s:e} s"
+        ))
+    }
+}
 
 /// Fleets always step serially, so this type carries no settings.
 /// Kept only for the benchmark package (`perfbench`); goes in a later
@@ -182,12 +200,6 @@ impl ReplicaConfig {
     pub fn with_weight(mut self, weight: f64) -> Self {
         assert!(weight > 0.0, "capacity weight must be positive");
         self.weight = weight;
-        self
-    }
-
-    /// Replace the scheduler limits.
-    pub fn with_sim(mut self, sim: SimulationConfig) -> Self {
-        self.sim = sim;
         self
     }
 }
@@ -1942,22 +1954,25 @@ impl ClusterSimulation {
         if let Some(e) = snap.stream.followups.iter().find_map(bad_tier) {
             return Err(format!("stream: queued {e}"));
         }
+        let stream = &snap.stream;
+        check_clock(stream.source_clock, snap.taken_at_s)
+            .map_err(|e| format!("stream: source clock {e}"))?;
+        check_clock(stream.source_phase_until, snap.taken_at_s)
+            .map_err(|e| format!("stream: source phase end {e}"))?;
+        let queued = stream
+            .peeked
+            .iter()
+            .chain(stream.followups.iter().map(|f| &f.request));
+        for r in queued {
+            check_clock(r.arrival_s, snap.taken_at_s)
+                .map_err(|e| format!("stream: request {} arrival {e}", r.id))?;
+        }
         let fault_count = self.faults.as_ref().map_or(0, |p| p.faults.len());
         for (i, s) in snap.replicas.iter().enumerate() {
             if let Some(e) = s.carried().find_map(bad_tier) {
                 return Err(format!("replica {i}: {e}"));
             }
-            // A replica steps past the pause time only through stages it
-            // had work for, so its clock leads the pause by at most its
-            // in-flight work. A far-future clock would have an autoscaled
-            // fleet tick its evaluator once per interval all the way
-            // there, which never ends in practice.
-            if !(s.clock >= 0.0 && s.clock <= snap.taken_at_s + MAX_CLOCK_LEAD_S) {
-                return Err(format!(
-                    "replica {i}: clock {:e} s is not within a day of the pause at {:e} s",
-                    s.clock, snap.taken_at_s
-                ));
-            }
+            check_clock(s.clock, snap.taken_at_s).map_err(|e| format!("replica {i}: clock {e}"))?;
             if s.tiers.len() != tier_count {
                 return Err(format!(
                     "replica {i}: snapshot has {} SLO tiers, the scenario has {tier_count}",

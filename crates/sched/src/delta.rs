@@ -33,7 +33,8 @@
 //! `admit_ctx` exists for *prefix reuse*: a multi-turn follow-up whose
 //! conversation KV is still resident prefills only its new suffix
 //! tokens (`admit`) but decodes over its full history (`admit_ctx`).
-//! Schedulers that never reuse leave `admit_ctx` empty.
+//! The scenario scheduler fills it for every join, reuse or not; other
+//! producers may leave it empty, which means no reuse.
 //!
 //! Under *chunked prefill* a long prompt is additionally split into
 //! bounded slices across consecutive stages. Every slice but the last
@@ -63,8 +64,10 @@ pub struct StageDelta {
     /// Under prefix reuse this is only the non-resident suffix.
     pub admit: Vec<u64>,
     /// Post-prefill decode-join context of each admitted request,
-    /// parallel to `admit`. Empty means "no reuse": every request joins
-    /// at its prefilled prompt length. Non-empty requires
+    /// parallel to `admit`. The scenario scheduler always fills it.
+    /// Other producers may leave it empty, meaning "no reuse": every
+    /// request joins at its prefilled prompt length, priced exactly as
+    /// `admit_ctx == admit`. Non-empty requires
     /// `admit_ctx.len() == admit.len()` and `admit_ctx[i] >= admit[i]`.
     /// The difference `admit_ctx[i] - admit[i]` is the resident past
     /// the admission's new tokens cross-attend over

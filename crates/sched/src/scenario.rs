@@ -14,7 +14,8 @@
 //!   still resident, only the new turn's tokens prefill (prefix reuse)
 //!   and the admission announces the split through
 //!   [`StageDelta::admit_ctx`], keeping the incremental executor's
-//!   carried batch state exact;
+//!   carried batch state exact (every join fills `admit_ctx`, reuse or
+//!   not);
 //! * **SLO tiers and policies** — requests draw a [`SloTier`]
 //!   (deadline + priority) and a [`SchedulingPolicy`] picks admission
 //!   order; the report gains per-tier attainment and goodput.
@@ -65,6 +66,12 @@
 //!   batch rather than the requests themselves;
 //! * per-request accounting is O(1) (first/last token timestamps);
 //!   token gaps stream into a fixed-size digest once per stage.
+//!
+//! Every in-flight request holds one of the `max_batch` slots:
+//! decodes, prompts mid-chunk, multiplex slots, and the joiners of the
+//! stage being formed, a resumed request's final recompute slice
+//! included. `ReplicaSim::seated` is that one count; preemption,
+//! resumes and admission all read it.
 //!
 //! Scenario and cluster runs hand every arrival to the replica
 //! (policies rank the whole waiting queue, routers place on arrival),
@@ -300,12 +307,6 @@ impl Scenario {
     pub fn with_tiers(mut self, tiers: Vec<SloTier>) -> Self {
         self.tiers = tiers;
         self
-    }
-
-    /// Whether any stage may carry a prefill budget (fixed or
-    /// adaptive).
-    pub fn chunked(&self) -> bool {
-        self.prefill_chunk > 0 || self.adaptive_chunk.is_some()
     }
 
     /// Validate the scenario and clamp its request count to the trace
@@ -831,10 +832,6 @@ pub(crate) struct ReplicaSim {
     conversation: Option<ConversationSpec>,
     prefill_chunk: u64,
     adaptive_chunk: Option<AdaptiveChunk>,
-    /// Whether deltas must carry decode-join contexts: reuse
-    /// admissions and chunked final slices join above their prefilled
-    /// length.
-    announce_ctx: bool,
     /// Routed requests not yet folded into the waiting queue, sorted
     /// by descending arrival time (pop from the back).
     inbox: Vec<PendingRequest>,
@@ -932,14 +929,10 @@ impl ReplicaSim {
     /// Panics when `config.max_batch` is 0: no stage could ever run.
     pub(crate) fn new(config: SimulationConfig, scenario: &Scenario) -> Self {
         assert!(config.max_batch > 0, "max_batch must be at least 1");
-        let parked = scenario.conversation.as_ref().map(|spec| {
-            PagedKvCache::new(
-                config.kv_capacity_bytes,
-                spec.page_tokens,
-                config.kv_bytes_per_token.max(1),
-                EvictionPolicy::Recompute,
-            )
-        });
+        let parked = scenario
+            .conversation
+            .as_ref()
+            .map(|spec| Self::parked_pool(&config, Some(spec)));
         let tier_stats: Vec<TierStats> = scenario
             .tiers
             .iter()
@@ -955,7 +948,6 @@ impl ReplicaSim {
             conversation: scenario.conversation,
             prefill_chunk: scenario.prefill_chunk,
             adaptive_chunk: scenario.adaptive_chunk,
-            announce_ctx: scenario.conversation.is_some() || scenario.chunked(),
             inbox: Vec::new(),
             pending: Vec::new(),
             active: Vec::new(),
@@ -1017,26 +1009,54 @@ impl ReplicaSim {
         }
     }
 
+    /// An empty parked-KV pool with the conversation's page size, or
+    /// [`Self::HANDOFF_PAGE_TOKENS`] when the scenario has no
+    /// conversation.
+    fn parked_pool(
+        config: &SimulationConfig,
+        conversation: Option<&ConversationSpec>,
+    ) -> PagedKvCache {
+        PagedKvCache::new(
+            config.kv_capacity_bytes,
+            conversation.map_or(Self::HANDOFF_PAGE_TOKENS, |spec| spec.page_tokens),
+            config.kv_bytes_per_token.max(1),
+            EvictionPolicy::Recompute,
+        )
+    }
+
+    /// Give a replica without a conversation pool an empty parked pool
+    /// (for received handoffs or swapped-out contexts).
+    fn ensure_parked_pool(&mut self) {
+        if self.parked.is_none() {
+            self.parked = Some(Self::parked_pool(&self.config, self.conversation.as_ref()));
+        }
+    }
+
+    /// Batch slots held by in-flight work: decodes, prompts mid-chunk
+    /// and multiplex slots, plus, while a stage forms, its joiners
+    /// (fresh prefills, resumes, joining multiplex slots) and its
+    /// prefill-pool final slices. Stage formation keeps it at or below
+    /// `max_batch`.
+    fn seated(&self) -> usize {
+        self.active.len()
+            + self.admitted.len()
+            + self.resumed.len()
+            + self.chunking.len()
+            + self.finished_prefills.len()
+            + self.mux.len()
+            + self.mux_admitted.len()
+    }
+
     /// Batch slots that no in-flight or queued request has a claim on.
     pub(crate) fn unclaimed_slots(&self) -> usize {
-        let claimed = self.active.len()
-            + self.chunking.len()
-            + self.mux.len()
-            + self.pending.len()
-            + self.inbox.len();
+        let claimed = self.seated() + self.pending.len() + self.inbox.len();
         self.config.max_batch.saturating_sub(claimed)
     }
 
+    /// Whether this replica holds work: seated requests, or paused ones
+    /// that must resume and finish here before it counts as drained.
     pub(crate) fn in_flight(&self) -> bool {
-        !self.active.is_empty()
-            || !self.chunking.is_empty()
-            || !self.admitted.is_empty()
-            || !self.resumed.is_empty()
-            || !self.mux.is_empty()
-            || !self.mux_admitted.is_empty()
-            // Paused work still belongs to this replica: it must resume
-            // and finish here before the replica counts as drained.
-            || !self.paused.is_empty()
+        self.seated() > 0 || !self.paused.is_empty()
     }
 
     /// Whether the stage cap still allows this replica to run.
@@ -1140,22 +1160,12 @@ impl ReplicaSim {
     }
 
     /// Arm the preemption machinery before the run starts (and before
-    /// any snapshot import) when `policy` preempts: resumes join the
-    /// batch above their prefilled length, so deltas must announce
-    /// decode-join contexts, and swap-out needs a parked pool even in
-    /// single-shot scenarios. A no-op for plain policies.
+    /// any snapshot import) when `policy` preempts: swap-out needs a
+    /// parked pool even in single-shot scenarios. A no-op for plain
+    /// policies.
     pub(crate) fn prepare_preempt(&mut self, policy: &dyn SchedulingPolicy) {
-        if policy.preempt_spec().is_none() {
-            return;
-        }
-        self.announce_ctx = true;
-        if self.parked.is_none() {
-            self.parked = Some(PagedKvCache::new(
-                self.config.kv_capacity_bytes,
-                Self::HANDOFF_PAGE_TOKENS,
-                self.config.kv_bytes_per_token.max(1),
-                EvictionPolicy::Recompute,
-            ));
+        if policy.preempt_spec().is_some() {
+            self.ensure_parked_pool();
         }
     }
 
@@ -1205,22 +1215,12 @@ impl ReplicaSim {
     const HANDOFF_PAGE_TOKENS: u64 = 16;
 
     /// Assign this replica's pool role before the run starts (or before
-    /// a snapshot import). A `Decode` replica must announce decode-join
-    /// contexts — handed-off prompts join above their shipped KV — and
-    /// needs a parked pool to receive that KV even in single-shot
-    /// scenarios.
+    /// a snapshot import). A `Decode` replica needs a parked pool to
+    /// receive handed-off KV even in single-shot scenarios.
     pub(crate) fn set_role(&mut self, role: PoolRole) {
         self.role = role;
         if role == PoolRole::Decode {
-            self.announce_ctx = true;
-            if self.parked.is_none() {
-                self.parked = Some(PagedKvCache::new(
-                    self.config.kv_capacity_bytes,
-                    Self::HANDOFF_PAGE_TOKENS,
-                    self.config.kv_bytes_per_token.max(1),
-                    EvictionPolicy::Recompute,
-                ));
-            }
+            self.ensure_parked_pool();
         }
     }
 
@@ -1280,16 +1280,7 @@ impl ReplicaSim {
         if self.parked.is_some() {
             // Wipe the parked pool (conversation histories or received
             // prefill handoffs alike are gone with the replica).
-            let page_tokens = self
-                .conversation
-                .as_ref()
-                .map_or(Self::HANDOFF_PAGE_TOKENS, |spec| spec.page_tokens);
-            self.parked = Some(PagedKvCache::new(
-                self.config.kv_capacity_bytes,
-                page_tokens,
-                self.config.kv_bytes_per_token.max(1),
-                EvictionPolicy::Recompute,
-            ));
+            self.parked = Some(Self::parked_pool(&self.config, self.conversation.as_ref()));
         }
         self.admitting = false;
         self.draining = false;
@@ -1447,34 +1438,18 @@ impl ReplicaSim {
     /// the smallest request id.
     fn pick_victim(&self, victim_priority: u32) -> Option<usize> {
         let stages = self.stage_stats.stages;
-        let mut best: Option<usize> = None;
-        for (i, a) in self.active.iter().enumerate() {
-            if a.pending.priority < victim_priority {
-                continue;
-            }
-            let key = (
-                std::cmp::Reverse(a.pending.priority),
-                a.decode_ctx(stages),
-                a.pending.request.id,
-            );
-            best = match best {
-                Some(b) => {
-                    let cur = &self.active[b];
-                    let cur_key = (
-                        std::cmp::Reverse(cur.pending.priority),
-                        cur.decode_ctx(stages),
-                        cur.pending.request.id,
-                    );
-                    if key < cur_key {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-                None => Some(i),
-            };
-        }
-        best
+        self.active
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.pending.priority >= victim_priority)
+            .min_by_key(|(_, a)| {
+                (
+                    std::cmp::Reverse(a.pending.priority),
+                    a.decode_ctx(stages),
+                    a.pending.request.id,
+                )
+            })
+            .map(|(i, _)| i)
     }
 
     /// Pause one active decode mid-flight: retire it from the stage
@@ -1605,14 +1580,7 @@ impl ReplicaSim {
         budget: &mut u64,
     ) {
         let bytes_per_token = self.config.kv_bytes_per_token;
-        let occupied = self.active.len()
-            + self.admitted.len()
-            + self.chunking.len()
-            + self.finished_prefills.len()
-            + self.mux.len()
-            + self.mux_admitted.len();
-        let free = self.config.max_batch.saturating_sub(occupied);
-        let mut allowance = free;
+        let mut allowance = self.config.max_batch.saturating_sub(self.seated());
         if force {
             allowance = allowance.max(1);
             *budget = (*budget).max(1);
@@ -1624,11 +1592,7 @@ impl ReplicaSim {
                 };
                 // One-token join at the slot's padded context: the
                 // slot decodes one row that all members share.
-                self.delta.admit.push(1);
-                if self.announce_ctx {
-                    self.delta.admit_ctx.push(slot.ctx);
-                }
-                self.shape.push_prefill(1, slot.ctx - 1, false);
+                self.join(1, slot.ctx - 1);
                 self.reserved += slot.kv_bytes;
                 *budget -= 1;
                 allowance -= 1;
@@ -1657,14 +1621,7 @@ impl ReplicaSim {
                     cache.release(pr.pending.conversation);
                 }
             }
-            if let Some(cache) = self.parked.as_mut() {
-                while self.reserved + cache.resident_bytes() > self.config.kv_capacity_bytes {
-                    cache
-                        .evict_one()
-                        .expect("over budget implies a parked victim");
-                    self.kv_reuse.parked_evictions += 1;
-                }
-            }
+            self.evict_to_fit();
             if use_swap {
                 // Priced restore of the parked KV, then a one-token
                 // rejoin at the parked context.
@@ -1672,11 +1629,7 @@ impl ReplicaSim {
                 self.clock += restore;
                 self.preempt.swap_restore_seconds += restore;
                 self.preempt.swaps += 1;
-                self.delta.admit.push(1);
-                if self.announce_ctx {
-                    self.delta.admit_ctx.push(pr.ctx);
-                }
-                self.shape.push_prefill(1, pr.ctx - 1, false);
+                self.join(1, pr.ctx - 1);
                 *budget -= 1;
                 self.resumed.push(ActiveRequest::joining(
                     pr.pending,
@@ -1690,8 +1643,7 @@ impl ReplicaSim {
                 let slice = total.min(*budget);
                 *budget -= slice;
                 if slice < total {
-                    self.delta.chunk.push((slice, 0));
-                    self.shape.push_prefill(slice, 0, true);
+                    self.hold(slice, 0);
                     self.chunking.push(ChunkingRequest {
                         pending: pr.pending,
                         history: 0,
@@ -1703,11 +1655,7 @@ impl ReplicaSim {
                         }),
                     });
                 } else {
-                    self.delta.admit.push(total);
-                    if self.announce_ctx {
-                        self.delta.admit_ctx.push(total);
-                    }
-                    self.shape.push_prefill(total, 0, false);
+                    self.join(total, 0);
                     self.resumed.push(ActiveRequest::joining(
                         pr.pending,
                         pr.generated,
@@ -1874,6 +1822,21 @@ impl ReplicaSim {
     /// replica handed off one-token prompts and holds nothing else).
     fn form_stage<P: SchedulingPolicy + ?Sized>(&mut self, policy: &mut P) -> bool {
         let bytes_per_token = self.config.kv_bytes_per_token;
+        let preempt = policy.preempt_spec().copied();
+        // Urgent (interactive) requests waiting, counted once: only
+        // preemption and resumes read it, and prefill-pool replicas do
+        // neither.
+        let urgent =
+            if self.role != PoolRole::Prefill && (preempt.is_some() || !self.paused.is_empty()) {
+                let urgent_priority = preempt.unwrap_or_default().urgent_priority;
+                self.pending
+                    .iter()
+                    .filter(|p| p.priority < urgent_priority)
+                    .count()
+            } else {
+                0
+            };
+
         // ---- preemptive slot reclaim ----
         // When the policy arms preemption and urgent (interactive)
         // work is waiting behind a saturated batch, pause batch-tier
@@ -1882,45 +1845,31 @@ impl ReplicaSim {
         // reservation, and parks (swap-out) or drops (recompute) its
         // context per the cost model. Paused work resumes below once
         // slots free up — nothing is dropped.
-        if let Some(spec) = policy.preempt_spec().copied() {
-            if self.role != PoolRole::Prefill && !self.active.is_empty() {
-                let urgent = self
-                    .pending
-                    .iter()
-                    .filter(|p| p.priority < spec.urgent_priority)
-                    .count();
-                let occupied = self.active.len() + self.chunking.len() + self.mux.len();
-                let occupancy = occupied as f64 / self.config.max_batch as f64;
-                // The cheapest urgent KV need: when even it cannot
-                // fit, capacity (not slots) is the binding constraint
-                // and preemption frees reservations — regardless of
-                // how many batch *slots* are occupied.
-                let urgent_min_need = self
-                    .pending
-                    .iter()
-                    .filter(|p| p.priority < spec.urgent_priority)
-                    .map(|p| p.request.max_kv_tokens() * bytes_per_token)
-                    .min()
-                    .unwrap_or(0);
-                let kv_blocked =
-                    self.reserved.saturating_add(urgent_min_need) > self.config.kv_capacity_bytes;
-                if urgent > 0 && (occupancy >= spec.utilization_threshold || kv_blocked) {
-                    let mut preempts = 0;
-                    while preempts < spec.max_preempts_per_stage {
-                        let occupied = self.active.len() + self.chunking.len() + self.mux.len();
-                        let free = self.config.max_batch.saturating_sub(occupied);
-                        let slot_short = urgent > free;
-                        let kv_short = self.reserved.saturating_add(urgent_min_need)
-                            > self.config.kv_capacity_bytes;
-                        if !(slot_short || kv_short) {
-                            break;
-                        }
-                        let Some(idx) = self.pick_victim(spec.victim_priority) else {
-                            break;
-                        };
-                        self.pause_victim(idx, &spec);
-                        preempts += 1;
+        if let Some(spec) = preempt.filter(|_| urgent > 0 && !self.active.is_empty()) {
+            // The cheapest urgent KV need: when even it cannot fit,
+            // capacity (not slots) is the binding constraint and
+            // preemption frees reservations — regardless of how many
+            // batch *slots* are occupied.
+            let urgent_min_need = self
+                .pending
+                .iter()
+                .filter(|p| p.priority < spec.urgent_priority)
+                .map(|p| p.request.max_kv_tokens() * bytes_per_token)
+                .min()
+                .unwrap_or(0);
+            let kv_short =
+                |r: &Self| r.reserved.saturating_add(urgent_min_need) > r.config.kv_capacity_bytes;
+            let occupancy = self.seated() as f64 / self.config.max_batch as f64;
+            if occupancy >= spec.utilization_threshold || kv_short(self) {
+                for _ in 0..spec.max_preempts_per_stage {
+                    let slot_short = urgent > self.config.max_batch.saturating_sub(self.seated());
+                    if !(slot_short || kv_short(self)) {
+                        break;
                     }
+                    let Some(idx) = self.pick_victim(spec.victim_priority) else {
+                        break;
+                    };
+                    self.pause_victim(idx, &spec);
                 }
             }
         }
@@ -1943,47 +1892,36 @@ impl ReplicaSim {
             let slice = remaining.min(budget);
             let past = c.history + c.processed;
             budget -= slice;
-            if slice == remaining {
-                if self.role == PoolRole::Prefill {
-                    // Final slice of a prefill-pool prompt: held like
-                    // any other chunk (the decode replica samples the
-                    // first token at the join), then ships after this
-                    // stage executes.
-                    self.delta.chunk.push((slice, past));
-                    self.shape.push_prefill(slice, past, true);
-                    let done = self.chunking.remove(ci);
-                    self.finished_prefills.push(done.pending);
-                    continue;
-                }
-                // Final slice: samples the first token and joins the
-                // decode set at the full prompt context. A resumed
-                // recompute joins at its paused context (history +
-                // prefill_total) and keeps its original counters.
-                self.delta.admit.push(slice);
-                if self.announce_ctx {
-                    let join_ctx = match &c.resumed {
-                        Some(_) => c.history + c.prefill_total,
-                        None => c.pending.request.input_len,
-                    };
-                    self.delta.admit_ctx.push(join_ctx);
-                }
-                self.shape.push_prefill(slice, past, false);
-                let done = self.chunking.remove(ci);
-                match done.resumed {
-                    Some(carry) => self.resumed.push(ActiveRequest::joining(
-                        done.pending,
-                        carry.generated,
-                        carry.first_token_s,
-                    )),
-                    None => self
-                        .admitted
-                        .push(ActiveRequest::joining(done.pending, 0, 0.0)),
-                }
-            } else {
-                self.delta.chunk.push((slice, past));
-                self.shape.push_prefill(slice, past, true);
+            if slice < remaining {
                 c.processed += slice;
+                self.hold(slice, past);
                 ci += 1;
+                continue;
+            }
+            let done = self.chunking.remove(ci);
+            if self.role == PoolRole::Prefill {
+                // Final slice of a prefill-pool prompt: held like any
+                // other chunk (the decode replica samples the first
+                // token at the join), then ships after this stage
+                // executes.
+                self.hold(slice, past);
+                self.finished_prefills.push(done.pending);
+                continue;
+            }
+            // Final slice: samples the first token and joins the decode
+            // set at the full prompt context, `history + prefill_total`.
+            // A resumed recompute joins at its paused context and keeps
+            // its original counters.
+            self.join(slice, past);
+            match done.resumed {
+                Some(carry) => self.resumed.push(ActiveRequest::joining(
+                    done.pending,
+                    carry.generated,
+                    carry.first_token_s,
+                )),
+                None => self
+                    .admitted
+                    .push(ActiveRequest::joining(done.pending, 0, 0.0)),
             }
         }
 
@@ -1997,48 +1935,27 @@ impl ReplicaSim {
         // counters at the join. When multiplexing is armed, compatible
         // swapped victims pack into shared decode slots first.
         if !self.paused.is_empty() && self.role != PoolRole::Prefill {
-            let spec = policy.preempt_spec().copied().unwrap_or_default();
-            let urgent = self
-                .pending
-                .iter()
-                .filter(|p| p.priority < spec.urgent_priority)
-                .count();
-            let occupied = self.active.len()
-                + self.admitted.len()
-                + self.chunking.len()
-                + self.finished_prefills.len()
-                + self.mux.len()
-                + self.mux_admitted.len();
             // With the batch otherwise empty and nothing to admit, at
             // least one resume must land this stage, or the replica
             // would execute an empty shape and the clock would never
             // advance.
-            let force = occupied == 0 && self.pending.is_empty();
+            let force = self.seated() == 0 && self.pending.is_empty();
             // Resumes yield to waiting urgent work entirely: a
             // recompute re-prefill would eat the stage budget the
             // urgent prompt needs, re-creating the very head-of-line
             // blocking preemption exists to remove.
             if urgent == 0 || force {
+                let spec = preempt.unwrap_or_default();
                 self.resume_paused(policy.multiplex_spec().copied(), &spec, force, &mut budget);
             }
         }
 
         // ---- policy-driven admission ----
-        // `finished_prefills` holds this stage's final slices: they
-        // still occupy batch slots until the stage executes (always
-        // empty outside prefill-pool replicas).
-        let mut in_flight = self.active.len()
-            + self.admitted.len()
-            + self.chunking.len()
-            + self.finished_prefills.len()
-            + self.resumed.len()
-            + self.mux.len()
-            + self.mux_admitted.len();
-        while in_flight < self.config.max_batch && !self.pending.is_empty() && budget > 0 {
+        while self.seated() < self.config.max_batch && !self.pending.is_empty() && budget > 0 {
             let pctx = PolicyContext {
                 now_s: self.clock,
                 prefill_chunk: (stage_budget != u64::MAX).then_some(stage_budget),
-                in_flight,
+                in_flight: self.seated(),
                 max_batch: self.config.max_batch,
             };
             let Some(idx) = policy.admit_now(&self.pending, &pctx) else {
@@ -2066,10 +1983,7 @@ impl ReplicaSim {
                 // Even evicting every parked history cannot admit:
                 // wait for retirements (head-of-line block).
                 assert!(
-                    !(self.active.is_empty()
-                        && self.admitted.is_empty()
-                        && self.chunking.is_empty()
-                        && self.reserved == 0),
+                    self.seated() > 0 || self.reserved > 0,
                     "request {} needs {need} KV bytes, capacity {}",
                     self.pending[idx].request.id,
                     self.config.kv_capacity_bytes
@@ -2087,34 +2001,26 @@ impl ReplicaSim {
             // reservation), then evict other parked histories until
             // the new reservation fits.
             let mut prefill = p.request.input_len;
-            if let Some(cache) = self.parked.as_mut() {
-                if p.history_tokens > 0 {
-                    // The parked entry may be *stale*: in a cluster, an
-                    // earlier round parked here while later rounds ran
-                    // elsewhere. Histories are append-only, so a stale
-                    // entry is a valid prefix — reuse exactly the
-                    // resident tokens, never the full history the
-                    // request wishes were here.
-                    match cache.resident_tokens(p.conversation) {
-                        Some(resident_tokens) => {
-                            let reused = resident_tokens.min(p.history_tokens);
-                            cache.release(p.conversation);
-                            prefill = p.request.input_len - reused;
-                            self.kv_reuse.reuse_hits += 1;
-                            self.kv_reuse.reused_prefill_tokens += reused;
-                        }
-                        None => self.kv_reuse.reuse_misses += 1,
+            if let Some(cache) = self.parked.as_mut().filter(|_| p.history_tokens > 0) {
+                // The parked entry may be *stale*: in a cluster, an
+                // earlier round parked here while later rounds ran
+                // elsewhere. Histories are append-only, so a stale
+                // entry is a valid prefix — reuse exactly the resident
+                // tokens, never the full history the request wishes
+                // were here.
+                match cache.resident_tokens(p.conversation) {
+                    Some(resident_tokens) => {
+                        let reused = resident_tokens.min(p.history_tokens);
+                        cache.release(p.conversation);
+                        prefill = p.request.input_len - reused;
+                        self.kv_reuse.reuse_hits += 1;
+                        self.kv_reuse.reused_prefill_tokens += reused;
                     }
-                }
-                while self.reserved + cache.resident_bytes() + need > self.config.kv_capacity_bytes
-                {
-                    cache
-                        .evict_one()
-                        .expect("over budget implies a parked victim");
-                    self.kv_reuse.parked_evictions += 1;
+                    None => self.kv_reuse.reuse_misses += 1,
                 }
             }
             self.reserved += need;
+            self.evict_to_fit();
             // The new tokens cross-attend over any reused history.
             let resident = p.request.input_len - prefill;
             if self.role == PoolRole::Prefill {
@@ -2133,11 +2039,9 @@ impl ReplicaSim {
                     });
                     continue;
                 }
-                in_flight += 1;
                 let slice = total.min(budget);
                 budget -= slice;
-                self.delta.chunk.push((slice, resident));
-                self.shape.push_prefill(slice, resident, true);
+                self.hold(slice, resident);
                 if slice == total {
                     self.finished_prefills.push(p);
                 } else {
@@ -2151,15 +2055,13 @@ impl ReplicaSim {
                 }
                 continue;
             }
-            in_flight += 1;
             self.kv_reuse.prefilled_tokens += prefill;
             let slice = prefill.min(budget);
             budget -= slice;
             if slice < prefill {
                 // Prompt longer than the remaining budget: start
                 // chunking — this slice attends, writes KV, holds.
-                self.delta.chunk.push((slice, resident));
-                self.shape.push_prefill(slice, resident, true);
+                self.hold(slice, resident);
                 self.chunking.push(ChunkingRequest {
                     pending: p,
                     history: resident,
@@ -2168,19 +2070,21 @@ impl ReplicaSim {
                     resumed: None,
                 });
             } else {
-                self.delta.admit.push(prefill);
-                if self.announce_ctx {
-                    self.delta.admit_ctx.push(p.request.input_len);
-                }
-                self.shape.push_prefill(prefill, resident, false);
+                self.join(prefill, resident);
                 self.admitted.push(ActiveRequest::joining(p, 0, 0.0));
             }
         }
 
+        debug_assert!(
+            self.seated() <= self.config.max_batch,
+            "stage holds {} requests, max_batch is {}",
+            self.seated(),
+            self.config.max_batch
+        );
         // A prefill-pool stage may consist entirely of final slices
         // (nothing survives into `chunking`), and one-token prompts
         // hand off with no stage at all.
-        if !self.in_flight() && self.finished_prefills.is_empty() {
+        if !self.in_flight() {
             assert!(
                 !self.handoffs.is_empty(),
                 "step called with no admissible work (queue {} requests)",
@@ -2189,6 +2093,36 @@ impl ReplicaSim {
             return false;
         }
         true
+    }
+
+    /// Announce a held prefill slice in the delta and the shape: `len`
+    /// new tokens attend over `past` resident ones and write their KV,
+    /// but sample nothing and do not join the decode set.
+    fn hold(&mut self, len: u64, past: u64) {
+        self.delta.chunk.push((len, past));
+        self.shape.push_prefill(len, past, true);
+    }
+
+    /// Announce a joining prefill in the delta and the shape: `len` new
+    /// tokens attend over `past` resident ones, sample a token and join
+    /// the decode set at context `len + past`.
+    fn join(&mut self, len: u64, past: u64) {
+        self.delta.admit.push(len);
+        self.delta.admit_ctx.push(len + past);
+        self.shape.push_prefill(len, past, false);
+    }
+
+    /// Evict parked histories until they fit in the KV budget beside
+    /// the in-flight reservation.
+    fn evict_to_fit(&mut self) {
+        if let Some(cache) = self.parked.as_mut() {
+            while self.reserved + cache.resident_bytes() > self.config.kv_capacity_bytes {
+                cache
+                    .evict_one()
+                    .expect("over budget implies a parked victim");
+                self.kv_reuse.parked_evictions += 1;
+            }
+        }
     }
 
     /// Execute the formed stage and account it through
@@ -2731,23 +2665,19 @@ impl ReplicaSim {
         self.paused = s.paused.clone();
         self.mux = s.mux.clone();
         self.preempt = s.preempt;
-        match (&mut self.parked, &s.parked) {
-            (Some(cache), Some(kv)) => cache.import_entries(kv.clock, &kv.entries),
-            (None, None) => {}
-            (None, Some(kv)) => {
-                // A preempting policy swapped contexts out on a
-                // scenario with no conversation pool of its own:
-                // recreate the pool exactly as `prepare_preempt` does.
-                let mut cache = PagedKvCache::new(
-                    self.config.kv_capacity_bytes,
-                    Self::HANDOFF_PAGE_TOKENS,
-                    self.config.kv_bytes_per_token.max(1),
-                    EvictionPolicy::Recompute,
-                );
+        match &s.parked {
+            Some(kv) => {
+                // A preempting policy may have swapped contexts out on
+                // a scenario with no conversation pool of its own:
+                // create the pool as `prepare_preempt` does.
+                self.ensure_parked_pool();
+                let cache = self.parked.as_mut().expect("just ensured");
                 cache.import_entries(kv.clock, &kv.entries);
-                self.parked = Some(cache);
             }
-            (Some(_), None) => panic!("snapshot parked-KV state does not match the scenario"),
+            None => assert!(
+                self.parked.is_none(),
+                "snapshot parked-KV state does not match the scenario"
+            ),
         }
         self.reserved = s.reserved;
         self.clock = s.clock;
@@ -2887,6 +2817,18 @@ mod tests {
     impl StageExecutor for Fixed {
         fn execute(&mut self, _shape: &StageShape) -> StageOutcome {
             StageOutcome { seconds: self.0 }
+        }
+    }
+
+    /// A shape-aware executor: prefills stall the whole batch, decodes
+    /// are cheap.
+    struct Linear;
+    impl StageExecutor for Linear {
+        fn execute(&mut self, shape: &StageShape) -> StageOutcome {
+            let prefill: u64 = shape.prefill_len.iter().sum();
+            StageOutcome {
+                seconds: 0.002 + 1.5e-4 * prefill as f64 + 1e-4 * shape.decode_ctx.len() as f64,
+            }
         }
     }
 
@@ -4084,15 +4026,6 @@ mod tests {
         // mixed-stage latency and miss their TBT deadline; the
         // shedding wrapper defers batch admissions while occupancy is
         // high, pushing those prefills into emptier moments.
-        struct Linear;
-        impl StageExecutor for Linear {
-            fn execute(&mut self, shape: &StageShape) -> StageOutcome {
-                let prefill: u64 = shape.prefill_len.iter().sum();
-                StageOutcome {
-                    seconds: 0.002 + 1.5e-4 * prefill as f64 + 1e-4 * shape.decode_ctx.len() as f64,
-                }
-            }
-        }
         let tiers = vec![
             SloTier::new("interactive", 0.5, 0, 0.6, 0.0048),
             SloTier::new("batch", 0.5, 2, 60.0, 0.0),
@@ -4138,15 +4071,6 @@ mod tests {
         // its tight T2FT deadline. Preemption pauses a victim at the
         // very next stage, releasing its reservation: the interactive
         // prompt admits within milliseconds.
-        struct Linear;
-        impl StageExecutor for Linear {
-            fn execute(&mut self, shape: &StageShape) -> StageOutcome {
-                let prefill: u64 = shape.prefill_len.iter().sum();
-                StageOutcome {
-                    seconds: 0.002 + 1.5e-4 * prefill as f64 + 1e-4 * shape.decode_ctx.len() as f64,
-                }
-            }
-        }
         let tiers = vec![
             SloTier::new("interactive", 0.5, 0, 0.035, 0.0),
             SloTier::new("batch", 0.5, 2, 60.0, 0.0),
@@ -4226,6 +4150,35 @@ mod tests {
         ));
         assert_eq!(preempt.completed, again.completed);
         assert_eq!(preempt.preempt, again.preempt);
+    }
+
+    #[test]
+    fn a_resumed_final_slice_holds_its_batch_slot() {
+        // A recompute resume whose last re-prefill chunk lands in a
+        // stage joins that stage's batch. Resumes and admissions formed
+        // after it must count its slot, or the stage holds
+        // max_batch + 1 requests.
+        let tiers = vec![
+            SloTier::new("interactive", 0.5, 0, 0.035, 0.0),
+            SloTier::new("batch", 0.5, 2, 60.0, 0.0),
+        ];
+        let scenario = Scenario::new(
+            "overflow",
+            Workload::gaussian(64, 96).with_seed(1),
+            Arrivals::Poisson { qps: 40.0 },
+            200,
+        )
+        .with_tiers(tiers)
+        .with_prefill_chunk(8);
+        let spec = crate::preempt::PreemptSpec::new()
+            .with_mode(crate::preempt::PreemptMode::RecomputeOnly)
+            .with_threshold(0.5);
+        let mut policy = crate::preempt::PreemptionPolicy::new(Box::new(PriorityTiers), spec);
+        let report = ScenarioSimulation::new(config(2), scenario).run(&mut policy, &mut Linear);
+        assert_eq!(report.completed.len(), 200);
+        assert!(report.preempt.recomputes > 0, "{:?}", report.preempt);
+        let over = report.stages.iter().filter(|s| s.batch > 2).count();
+        assert_eq!(over, 0, "{over} stages hold more than max_batch 2");
     }
 
     #[test]

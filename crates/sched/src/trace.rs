@@ -74,16 +74,6 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceRequest>, String> {
     Ok(requests)
 }
 
-/// Load and parse a trace file.
-///
-/// # Errors
-///
-/// Propagates I/O errors and [`parse_trace`] failures as messages.
-pub fn load_trace(path: &str) -> Result<Vec<TraceRequest>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    parse_trace(&text)
-}
-
 /// Serialize requests as a trace document (the inverse of
 /// [`parse_trace`]; handy for writing example traces).
 pub fn format_trace(requests: &[TraceRequest]) -> String {

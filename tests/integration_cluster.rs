@@ -774,7 +774,7 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
     // snapshots of the three drills and pushed through the wire
     // format: resume must answer with a described error, never a
     // panic and never a silent divergence.
-    let cases: [(&str, &str, Corruption, &str); 25] = [
+    let cases: [(&str, &str, Corruption, &str); 29] = [
         (
             "failover",
             "replica count",
@@ -940,6 +940,33 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
             "far-future replica clock",
             |v, _| *node(v, &["replicas", "4", "clock"]) = num(8.2e133_f64.to_bits()),
             "replica 4: clock 8.2e133 s is not within a day of the pause",
+        ),
+        (
+            "autoscale",
+            "far-future source clock",
+            |v, _| *node(v, &["stream", "source_clock"]) = num(1e130_f64.to_bits()),
+            "stream: source clock 1e130 s is not within a day of the pause",
+        ),
+        (
+            "autoscale",
+            "NaN source phase end",
+            |v, _| *node(v, &["stream", "source_phase_until"]) = num(f64::NAN.to_bits()),
+            "stream: source phase end NaN s is not within a day of the pause",
+        ),
+        (
+            "autoscale",
+            "far-future peeked arrival",
+            |v, _| *node(v, &["stream", "peeked", "arrival_s"]) = num(1e130_f64.to_bits()),
+            "arrival 1e130 s is not within a day of the pause",
+        ),
+        (
+            "failover",
+            "negative queued follow-up arrival",
+            |v, _| {
+                *node(v, &["stream", "followups", "0", "request", "arrival_s"]) =
+                    num((-1.0_f64).to_bits())
+            },
+            "arrival -1e0 s is not within a day of the pause",
         ),
     ];
     let pauses = drill_pauses();

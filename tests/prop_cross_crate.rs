@@ -1229,6 +1229,7 @@ proptest! {
         prop_assert_eq!(a.stages.len(), b.stages.len());
         for (i, (sa, sb)) in a.stages.iter().zip(&b.stages).enumerate() {
             prop_assert_eq!(sa.batch, sb.batch);
+            prop_assert!(sa.batch <= batch, "stage {} holds {} requests", i, sa.batch);
             prop_assert!(
                 rel_diff(sa.seconds, sb.seconds) < 1e-9,
                 "stage {}: incremental {} vs reference {}",
