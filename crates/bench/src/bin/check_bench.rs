@@ -11,8 +11,9 @@
 //! Without `--report` flags it gates the default reports
 //! (`BENCH_stage_cost.json`, `BENCH_sim.json`, `BENCH_scenarios.json`,
 //! `BENCH_cluster.json`)
-//! from the working directory; reports whose file is absent or that
-//! have no baseline section are skipped. Exits 1 when any baselined
+//! from the working directory. Exits 1 when the file of a report the
+//! baseline gates is missing (reports without a baseline section are
+//! skipped, present or not), and when any baselined
 //! metric drifts more than the threshold past its baseline —
 //! throughput metrics by dropping, latency metrics (TBT/T2FT tails)
 //! and cost metrics (`replica_seconds`, `scale_up_lag_s`) by rising —
@@ -35,7 +36,7 @@
 //! deterministic simulated-time metrics recorded exactly.
 
 use duplex_bench::regression::{
-    gate_reports, render_gate, run_self_test, write_baseline, DEFAULT_THRESHOLD,
+    check_missing, gate_reports, render_gate, run_self_test, write_baseline, DEFAULT_THRESHOLD,
 };
 
 fn usage(bin: &str) -> ! {
@@ -101,10 +102,14 @@ fn main() {
     }
 
     let mut reports: Vec<(&str, String)> = Vec::new();
+    let mut missing: Vec<&str> = Vec::new();
     for (name, path) in &report_specs {
         match std::fs::read_to_string(path) {
             Ok(text) => reports.push((name.as_str(), text)),
-            Err(e) => println!("skipping {name}: {path}: {e}"),
+            Err(e) => {
+                println!("cannot read {name}: {path}: {e}");
+                missing.push(name);
+            }
         }
     }
 
@@ -161,6 +166,10 @@ fn main() {
         return;
     }
 
+    if let Err(e) = check_missing(&baseline, &missing) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
     match gate_reports(&baseline, &reports) {
         Ok(comparisons) if comparisons.is_empty() => {
             println!("no baselined metrics found; nothing to gate");

@@ -150,6 +150,29 @@ pub fn gate_reports(
     Ok(all)
 }
 
+/// Check that no report the baseline gates is among the `missing`
+/// ones (reports whose file could not be read): a bench step that
+/// failed to write its report must fail the gate, not skip it. Missing
+/// reports without a baseline section are fine.
+///
+/// # Errors
+///
+/// Names every missing report the baseline gates, and reports a
+/// malformed baseline.
+pub fn check_missing(baseline_text: &str, missing: &[&str]) -> Result<(), String> {
+    let baseline = parse(baseline_text).map_err(|e| format!("baseline: {e}"))?;
+    let gated: Vec<&str> = missing
+        .iter()
+        .copied()
+        .filter(|name| baseline.get(name).is_some())
+        .collect();
+    if gated.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("baselined report missing: {}", gated.join(", ")))
+    }
+}
+
 /// One `(key, direction)` pair a self-test fixture declares must trip.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MustTrip {
@@ -533,6 +556,19 @@ mod tests {
         )];
         let err = gate_reports(BASELINE, &reports).expect_err("missing entry");
         assert!(err.contains("decode_only_delta"), "{err}");
+    }
+
+    #[test]
+    fn missing_baselined_reports_fail_the_gate() {
+        let err = check_missing(
+            BASELINE,
+            &["BENCH_sim", "BENCH_scenarios", "BENCH_stage_cost"],
+        )
+        .expect_err("two baselined reports are missing");
+        assert_eq!(err, "baselined report missing: BENCH_sim, BENCH_stage_cost");
+        // Reports without a baseline section may be missing.
+        assert_eq!(check_missing(BASELINE, &["BENCH_scenarios"]), Ok(()));
+        assert_eq!(check_missing(BASELINE, &[]), Ok(()));
     }
 
     #[test]

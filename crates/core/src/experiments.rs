@@ -1132,9 +1132,9 @@ pub fn scenarios(scale: &Scale) -> Vec<ScenarioRow> {
 // ---------------------------------------------------------------- Clusters
 
 /// The fleet interconnect KV transfers cross: the same inter-node
-/// link [`CommModel`] prices p2p transfers on. One derivation for
-/// fault migration, autoscale steal, disaggregated handoff, and
-/// router cost models alike.
+/// link [`CommModel`] prices p2p transfers on. [`build_cluster`] prices
+/// every cross-replica KV move over the first replica's link, and
+/// [`ClusterSpec::router_context`] hands routers the same one.
 pub fn fleet_kv_link(system: &SystemConfig) -> KvLinkSpec {
     CommModel::new(system.link, system.nodes, system.devices_per_node).kv_link()
 }
@@ -1414,8 +1414,6 @@ pub fn cluster_suite(scale: &Scale) -> Vec<ClusterSpec> {
         )
         .with_conversation(ConversationSpec::chat(1.0, 4, 0.5 * life_s, turn))
         .with_tiers(Scenario::default_tiers(duplex_stage));
-        // KV migrations ship over the fleet's inter-node interconnect.
-        let link = fleet_kv_link(&duplex);
         let faults = FaultPlan::new(vec![
             // Hard crash of a Duplex replica mid-run: in-flight and
             // queued requests are lost and retried through the router.
@@ -1436,7 +1434,6 @@ pub fn cluster_suite(scale: &Scale) -> Vec<ClusterSpec> {
                 },
             ),
         ])
-        .with_link(link)
         .with_warmup(1.0 * life_s, 2.0)
         .with_recovery_tracking(0.7, span_est / 40.0, 4.0 * life_s);
         specs.push(
@@ -1537,9 +1534,6 @@ pub fn autoscale_drill(scale: &Scale) -> Vec<ClusterSpec> {
         requests,
     )
     .with_tiers(Scenario::default_tiers(stage));
-    // The joiner's KV steal ships over the same inter-node link the
-    // failover drill prices its migrations on.
-    let link = fleet_kv_link(&duplex);
     // Quick detection (one hot window scales up), slower release
     // (three calm windows scale down): SLO misses cost more than an
     // extra replica-minute.
@@ -1549,8 +1543,7 @@ pub fn autoscale_drill(scale: &Scale) -> Vec<ClusterSpec> {
         .with_down_occupancy(0.75)
         .with_cadence(interval_s, 1, 2)
         .with_cooldown(2.0 * interval_s)
-        .with_provisioning(interval_s, interval_s, 1.2)
-        .with_link(link);
+        .with_provisioning(interval_s, interval_s, 1.2);
     let spec = |name: &str, replicas: usize, autoscale: Option<AutoscalePolicy>| {
         let base = ClusterSpec::new(
             name,
@@ -1641,7 +1634,7 @@ pub fn grok_disagg(scale: &Scale) -> Vec<ClusterSpec> {
                 .with_prefill_chunk_adaptive(scale.len(1024).max(1), lin),
         ),
         spec("grok_long_prefill_disagg", scenario)
-            .with_disagg(DisaggPlan::new((0..split).collect()).with_link(fleet_kv_link(&duplex))),
+            .with_disagg(DisaggPlan::new((0..split).collect())),
     ]
 }
 
@@ -1682,7 +1675,8 @@ pub fn build_cluster(
         .collect();
     let policies: Vec<Box<dyn SchedulingPolicy>> =
         spec.systems.iter().map(|_| spec.policy.build()).collect();
-    let mut sim = ClusterSimulation::new(configs, spec.scenario.clone());
+    let mut sim = ClusterSimulation::new(configs, spec.scenario.clone())
+        .with_kv_link(fleet_kv_link(&spec.systems[0]));
     if let Some(plan) = &spec.faults {
         sim = sim.with_faults(plan.clone());
     }

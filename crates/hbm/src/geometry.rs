@@ -10,8 +10,8 @@
 //! Logic-PIM (Sec. IV-C) splits those 16 banks into an upper and a lower
 //! half of eight banks each — a *bank bundle* — which are read as one
 //! unit over dedicated TSVs. With two ranks, each pseudo channel sees
-//! four bundles (indices 0..4); the bundle index also names the *memory
-//! space* used by the allocator in [`crate::alloc`].
+//! four bundles (indices 0..4); the bundle index also names the bundle's
+//! *memory space*.
 
 /// Geometry of one HBM stack and its derived quantities.
 ///

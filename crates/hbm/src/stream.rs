@@ -89,10 +89,9 @@ impl StreamResult {
 /// Simulate streaming `bytes` of sequential data through one pseudo
 /// channel over the given access path.
 ///
-/// The address layout is the streaming-friendly one the allocator in
-/// [`crate::alloc`] produces: consecutive cache lines interleave across
-/// bank groups (xPU) or across the banks of one bundle (PIM paths), and
-/// fill whole rows before moving on.
+/// The address layout is the streaming-friendly one: consecutive cache
+/// lines interleave across bank groups (xPU) or across the banks of one
+/// bundle (PIM paths), and fill whole rows before moving on.
 ///
 /// # Panics
 ///

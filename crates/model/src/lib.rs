@@ -42,7 +42,7 @@ pub mod ops;
 pub mod routing;
 
 pub use config::ModelConfig;
-pub use kv_cache::{EvictionPolicy, KvCacheError, KvEvent, PagedKvCache};
+pub use kv_cache::{KvCacheError, PagedKvCache};
 pub use ops::{AttnOp, ContextGroups, FcOp, MoeLayerWork, StageShape, StageWork};
 pub use routing::ExpertRouter;
 

@@ -26,8 +26,9 @@
 //!   provisioned: it joins [`AutoscalePolicy::provision_s`] later,
 //!   warms up at [`AutoscalePolicy::warmup_factor`] for
 //!   [`AutoscalePolicy::warmup_s`], and steals the parked KV of the
-//!   most-loaded survivor as **one** priced transfer over
-//!   [`AutoscalePolicy::link`] — a drain handoff in reverse.
+//!   most-loaded survivor as **one** priced transfer over the fleet's
+//!   KV link ([`crate::ClusterSimulation::with_kv_link`]) — a drain
+//!   handoff in reverse.
 //! * **scale-down** — when pressure *and* occupancy hold below their
 //!   `down_` thresholds for [`AutoscalePolicy::down_windows`]
 //!   evaluations (and the SLO window is healthy), the least-loaded
@@ -53,8 +54,6 @@
 //! assert_eq!(policy.min_replicas, 2);
 //! assert!(policy.up_pressure > policy.down_pressure);
 //! ```
-
-use crate::fault::KvLinkSpec;
 
 /// Elastic scaling policy for a cluster run. Attach with
 /// [`crate::ClusterSimulation::with_autoscale`]; replicas beyond
@@ -97,8 +96,6 @@ pub struct AutoscalePolicy {
     pub warmup_s: f64,
     /// Stage-latency multiplier during the warm-up window (>= 1).
     pub warmup_factor: f64,
-    /// The link the joiner's parked-KV steal is priced over.
-    pub link: KvLinkSpec,
 }
 
 impl AutoscalePolicy {
@@ -106,7 +103,7 @@ impl AutoscalePolicy {
     /// defaults: scale up at 1.5 batches of pressure (2 consecutive
     /// 0.5 s windows), down at 0.25 with idle batches (4 windows),
     /// 1 s cooldown and provisioning, no warm-up, attainment signal
-    /// off, default interconnect. All knobs have `with_` setters.
+    /// off. All knobs have `with_` setters.
     pub fn new(min_replicas: usize) -> Self {
         assert!(min_replicas >= 1, "the replica floor must be at least 1");
         Self {
@@ -122,7 +119,6 @@ impl AutoscalePolicy {
             provision_s: 1.0,
             warmup_s: 0.0,
             warmup_factor: 1.0,
-            link: KvLinkSpec::default(),
         }
     }
 
@@ -199,12 +195,6 @@ impl AutoscalePolicy {
         self.warmup_factor = warmup_factor;
         self
     }
-
-    /// Set the link the scale-up KV steal is priced over.
-    pub fn with_link(mut self, link: KvLinkSpec) -> Self {
-        self.link = link;
-        self
-    }
 }
 
 /// Scale-event counters for one cluster run; all zeros without an
@@ -233,8 +223,7 @@ mod tests {
             .with_attainment_floor(0.9)
             .with_cadence(0.25, 3, 5)
             .with_cooldown(2.0)
-            .with_provisioning(1.5, 0.5, 2.0)
-            .with_link(KvLinkSpec::new(100e9, 1e-6));
+            .with_provisioning(1.5, 0.5, 2.0);
         assert_eq!(p.min_replicas, 3);
         assert_eq!(p.up_pressure, 2.0);
         assert_eq!(p.down_pressure, 0.1);
@@ -245,7 +234,6 @@ mod tests {
         assert_eq!(p.cooldown_s, 2.0);
         assert_eq!(p.provision_s, 1.5);
         assert_eq!((p.warmup_s, p.warmup_factor), (0.5, 2.0));
-        assert_eq!(p.link.bytes_per_s, 100e9);
     }
 
     #[test]

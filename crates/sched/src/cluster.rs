@@ -72,6 +72,16 @@
 //! their schedule counters, the runtimes' retry, drain, trigger and pool
 //! state, and the pending disaggregation assignments.
 //!
+//! # The fleet KV link
+//!
+//! A fleet has one KV interconnect, a [`KvLinkSpec`] set with
+//! [`ClusterSimulation::with_kv_link`] ([`KvLinkSpec::default`] when
+//! unset). Every cross-replica KV move is priced over it, charged to
+//! the receiving replica's clock: router-requested migrations, fault
+//! drain and autoscale scale-down handoffs, autoscale-join steals and
+//! disaggregated prefill→decode handoffs. A migration-aware router
+//! should be built against the same link.
+//!
 //! # Disaggregated prefill/decode pools
 //!
 //! [`ClusterSimulation::with_disagg`] partitions the fleet into a
@@ -81,7 +91,7 @@
 //! the prompt (chunked or whole, minus its final token) and buffers a
 //! handoff event when it finishes; the
 //! cluster delivers the handoff at the next merge point, pricing the
-//! KV transfer over the plan's [`KvLinkSpec`] against the decode
+//! KV transfer over the fleet KV link against the decode
 //! replica chosen at *admission* time, where the request joins the
 //! decode batch through the ordinary reuse-admission path (a one-token
 //! prefill above the shipped context). Handoffs are buffered
@@ -143,22 +153,29 @@ use crate::snapshot::{AutoscaleState, ClusterSnapshot, DisaggState, FaultState};
 /// carries (their clocks lead by milliseconds).
 const MAX_CLOCK_LEAD_S: f64 = 86_400.0;
 
-/// Check a time a snapshot carries: finite, at least 0 and at most
-/// [`MAX_CLOCK_LEAD_S`] past the pause at `taken_at_s`. A replica steps
-/// past the pause only through stages it had work for, and the stream
-/// draws arrivals only a short way ahead, so real times lead the pause
-/// by little. A far-future time would have an autoscaled fleet tick its
-/// evaluator once per interval all the way there, which never ends in
-/// practice.
+/// Check a time a snapshot carries: at least 0 and at most
+/// [`MAX_CLOCK_LEAD_S`] plus `delay_s` past the pause at `taken_at_s`
+/// (so NaN fails, and +inf passes only for an infinite `delay_s`).
+/// A replica steps past the pause only through stages it had work for,
+/// and the stream draws arrivals only a short way ahead, so real times
+/// lead the pause by little. A far-future time would have an autoscaled
+/// fleet tick its evaluator once per interval all the way there, which
+/// never ends in practice. `delay_s` is 0 except for control-plane
+/// events, which a queue schedules up to its longest configured delay
+/// past a time it has reached.
 /// The error names the time; callers prefix what carried it.
-fn check_clock(t: f64, taken_at_s: f64) -> Result<(), String> {
-    if t.is_finite() && t >= 0.0 && t <= taken_at_s + MAX_CLOCK_LEAD_S {
-        Ok(())
-    } else {
-        Err(format!(
-            "{t:e} s is not within a day of the pause at {taken_at_s:e} s"
-        ))
+fn check_clock(t: f64, taken_at_s: f64, delay_s: f64) -> Result<(), String> {
+    if t >= 0.0 && t <= taken_at_s + delay_s + MAX_CLOCK_LEAD_S {
+        return Ok(());
     }
+    let delay = if delay_s > 0.0 {
+        format!(" and {delay_s:e} s")
+    } else {
+        String::new()
+    };
+    Err(format!(
+        "{t:e} s is not within a day{delay} of the pause at {taken_at_s:e} s"
+    ))
 }
 
 /// Fleets always step serially, so this type carries no settings.
@@ -206,31 +223,19 @@ impl ReplicaConfig {
 
 /// A prefill/decode pool split for a fleet: the listed replicas form
 /// the prefill pool, every other replica the decode pool, and finished
-/// prompts ship their KV over `link` (see the module docs and
-/// `docs/placement-api.md`).
+/// prompts ship their KV over the fleet's KV link (see the module docs
+/// and `docs/placement-api.md`).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct DisaggPlan {
     /// Replica indices serving the prefill pool.
     pub prefill_replicas: Vec<usize>,
-    /// The prefill→decode interconnect pricing KV handoffs.
-    pub link: KvLinkSpec,
 }
 
 impl DisaggPlan {
-    /// A split with the given prefill-pool members over the default
-    /// link.
+    /// A split with the given prefill-pool members.
     pub fn new(prefill_replicas: Vec<usize>) -> Self {
-        Self {
-            prefill_replicas,
-            link: KvLinkSpec::default(),
-        }
-    }
-
-    /// Price handoffs over `link` instead of the default.
-    pub fn with_link(mut self, link: KvLinkSpec) -> Self {
-        self.link = link;
-        self
+        Self { prefill_replicas }
     }
 
     /// The role this plan assigns to replica `i`.
@@ -593,8 +598,7 @@ fn hand_off_parked(
         }
     }
     if bytes > 0 {
-        let seconds = link.transfer_seconds(bytes);
-        replicas[to].add_transfer_time(seconds);
+        let seconds = replicas[to].receive_transfer(link, bytes);
         stats.kv_bytes_migrated += bytes;
         stats.migration_seconds += seconds;
     }
@@ -753,8 +757,7 @@ fn migrate_parked(
     }
     replicas[src].release_parked(conversation);
     let bytes = tokens * configs[src].sim.kv_bytes_per_token.max(1);
-    let seconds = link.transfer_seconds(bytes);
-    replicas[target].add_transfer_time(seconds);
+    let seconds = replicas[target].receive_transfer(link, bytes);
     stats.kv_bytes_migrated += bytes;
     stats.kv_migrations += 1;
     stats.migration_seconds += seconds;
@@ -763,7 +766,7 @@ fn migrate_parked(
 /// Deliver every buffered prefill→decode handoff, in replica-index
 /// order (the merge half of disaggregated serving): ship the prompt KV
 /// to the decode replica assigned at admission time, price the
-/// transfer over the plan's link against the receiver's clock, and
+/// transfer over `link` against the receiver's clock, and
 /// enqueue the request there — it joins the decode batch through the
 /// ordinary reuse-admission path as a one-token prefill above the
 /// shipped context. A decode replica that went down (or cannot hold
@@ -773,6 +776,7 @@ fn drain_handoffs(
     stream: &mut ScenarioStream<'_>,
     configs: &[ReplicaConfig],
     replicas: &mut [ReplicaSim],
+    link: KvLinkSpec,
     disagg: &mut DisaggRuntime<'_>,
 ) {
     for i in 0..replicas.len() {
@@ -806,8 +810,7 @@ fn drain_handoffs(
             let join_tokens = p.request.input_len.saturating_sub(1);
             disagg.stats.handoffs += 1;
             if join_tokens > 0 && replicas[d].receive_parked(p.conversation, join_tokens) {
-                let seconds = disagg.plan.link.transfer_seconds(bytes);
-                replicas[d].add_transfer_time(seconds);
+                let seconds = replicas[d].receive_transfer(link, bytes);
                 disagg.stats.kv_bytes_shipped += bytes;
                 disagg.stats.transfer_seconds += seconds;
                 p.history_tokens = join_tokens;
@@ -884,14 +887,18 @@ impl<A: Copy> EventQueue<A> {
     }
 
     /// Rebuild a queue from snapshot rows `(at_s bits, seq, encoded
-    /// action)` in schedule order. `kind` names
-    /// the queue in errors; a NaN time is rejected here because the due
-    /// rule cannot order it. (An infinite time is legal: a crash whose
-    /// outage never ends schedules its restart at +inf.)
+    /// action)` in schedule order, from a snapshot taken at
+    /// `taken_at_s`. `kind` names the queue in errors. A NaN time is
+    /// rejected because the due rule cannot order it; every other time
+    /// must pass [`check_clock`] with the queue's longest configured
+    /// delay `delay_s` (+inf only when that delay is infinite), unless
+    /// `exempt` accepts it.
     fn import<R>(
         rows: impl Iterator<Item = (u64, u64, R)>,
         seq: u64,
         kind: &str,
+        (taken_at_s, delay_s): (f64, f64),
+        exempt: impl Fn(f64, A) -> bool,
         decode: impl Fn(R) -> Result<A, String>,
     ) -> Result<Self, String> {
         let events: Vec<(f64, u64, A)> = rows
@@ -899,6 +906,10 @@ impl<A: Copy> EventQueue<A> {
             .collect::<Result<_, String>>()?;
         if events.iter().any(|e| e.0.is_nan()) {
             return Err(format!("snapshot {kind} event has a NaN time"));
+        }
+        for &(at_s, _, _) in events.iter().filter(|e| !exempt(e.0, e.2)) {
+            check_clock(at_s, taken_at_s, delay_s)
+                .map_err(|e| format!("snapshot {kind} event at {e}"))?;
         }
         Ok(Self { events, seq })
     }
@@ -947,6 +958,8 @@ impl Action {
 /// seed-deterministic and resumable from a mid-outage snapshot.
 struct FaultRuntime<'p> {
     plan: &'p FaultPlan,
+    /// The fleet's KV link, pricing drain handoffs.
+    link: KvLinkSpec,
     queue: EventQueue<Action>,
     /// Retry counts per lost request id, sorted by id.
     attempts: Vec<(u64, u32)>,
@@ -957,13 +970,14 @@ struct FaultRuntime<'p> {
 }
 
 impl<'p> FaultRuntime<'p> {
-    fn new(plan: &'p FaultPlan, replica_count: usize) -> Self {
+    fn new(plan: &'p FaultPlan, replica_count: usize, link: KvLinkSpec) -> Self {
         let mut queue = EventQueue::new();
         for (i, f) in plan.faults.iter().enumerate() {
             queue.schedule(f.at_s, Action::Apply(i));
         }
         Self {
             plan,
+            link,
             queue,
             attempts: Vec::new(),
             draining_down: vec![None; replica_count],
@@ -1138,9 +1152,8 @@ impl<'p> FaultRuntime<'p> {
         }
     }
 
-    /// A draining replica's batch just emptied: hand its parked KV to
-    /// the least-loaded admitting replica as one priced batched
-    /// transfer, then take it down and schedule the restart.
+    /// A draining replica's batch just emptied: finish the drain (see
+    /// [`finish_drain`]) and schedule the restart.
     fn complete_drain(
         &mut self,
         i: usize,
@@ -1149,12 +1162,8 @@ impl<'p> FaultRuntime<'p> {
         stats: &mut RecoveryStats,
     ) {
         let (down_s, fault_at_s) = self.draining_down[i].take().unwrap_or((0.0, 0.0));
-        replicas[i].finish_drain();
-        let to = best_handoff_target(configs, replicas, i);
-        hand_off_parked(configs, replicas, i, to, self.plan.link, stats);
-        replicas[i].mark_down(replicas[i].clock().max(fault_at_s));
-        let restart_at = replicas[i].clock().max(fault_at_s) + down_s;
-        self.queue.schedule(restart_at, Action::Restart(i));
+        let down_at = finish_drain(i, fault_at_s, configs, replicas, self.link, stats);
+        self.queue.schedule(down_at + down_s, Action::Restart(i));
     }
 
     fn export_state(&self) -> FaultState {
@@ -1190,18 +1199,36 @@ impl<'p> FaultRuntime<'p> {
         }
     }
 
-    /// Restore state captured by [`FaultRuntime::export_state`],
-    /// rejecting events, drains and trigger states this plan and fleet
-    /// cannot hold.
-    fn import_state(&mut self, s: &FaultState) -> Result<(), String> {
-        let (faults, replicas) = (self.plan.faults.len(), self.draining_down.len());
+    /// Restore state captured by [`FaultRuntime::export_state`] in a
+    /// snapshot taken at `taken_at_s`, rejecting events, drains and
+    /// trigger states this plan and fleet cannot hold. A restart at
+    /// +inf (an outage that never ends) is legal.
+    fn import_state(&mut self, s: &FaultState, taken_at_s: f64) -> Result<(), String> {
+        let plan = self.plan;
+        let (faults, replicas) = (plan.faults.len(), self.draining_down.len());
         let rows = s
             .events
             .iter()
             .map(|&(at, seq, code, arg)| (at, seq, (code, arg)));
-        let queue = EventQueue::import(rows, s.seq, "fault", |(code, arg)| {
-            Action::decode(code, arg, faults, replicas)
-        })?;
+        // Plan faults apply at their scripted times, restarts and
+        // slowdown ends come a down time or duration after a reached
+        // time, and warm-up ends a warm-up after a restart.
+        let delay_s = plan
+            .faults
+            .iter()
+            .map(|f| match f.kind {
+                FaultKind::Crash { down_s } | FaultKind::Drain { down_s } => f.at_s.max(down_s),
+                FaultKind::Slowdown { duration_s, .. } => f.at_s.max(duration_s),
+            })
+            .fold(plan.warmup_s, f64::max);
+        let queue = EventQueue::import(
+            rows,
+            s.seq,
+            "fault",
+            (taken_at_s, delay_s),
+            |at_s, action| at_s == f64::INFINITY && matches!(action, Action::Restart(_)),
+            |(code, arg)| Action::decode(code, arg, faults, replicas),
+        )?;
         if let Some(&(replica, _, _)) = s
             .draining_down
             .iter()
@@ -1230,6 +1257,27 @@ impl<'p> FaultRuntime<'p> {
         }
         Ok(())
     }
+}
+
+/// Finish replica `i`'s drain once its batch has emptied: hand its
+/// parked KV to the least-loaded admitting replica of its role as one
+/// batched transfer priced over `link`, then take it down at its clock
+/// or `not_before_s`, whichever is later. Returns that down time. The
+/// fault drain and the autoscaler's scale-down both end here.
+fn finish_drain(
+    i: usize,
+    not_before_s: f64,
+    configs: &[ReplicaConfig],
+    replicas: &mut [ReplicaSim],
+    link: KvLinkSpec,
+    stats: &mut RecoveryStats,
+) -> f64 {
+    replicas[i].finish_drain();
+    let to = best_handoff_target(configs, replicas, i);
+    hand_off_parked(configs, replicas, i, to, link, stats);
+    let down_at = replicas[i].clock().max(not_before_s);
+    replicas[i].mark_down(down_at);
+    down_at
 }
 
 /// The least weighted-load admitting replica other than `skip` (the
@@ -1381,6 +1429,9 @@ impl ScaleAction {
 /// stay deterministic and snapshot-resumable.
 struct AutoscaleRuntime<'p> {
     policy: &'p AutoscalePolicy,
+    /// The fleet's KV link, pricing join steals and scale-down
+    /// handoffs.
+    link: KvLinkSpec,
     queue: EventQueue<ScaleAction>,
     /// Standby-pool membership: `pool[i]` while replica `i` is parked.
     pool: Vec<bool>,
@@ -1398,11 +1449,12 @@ struct AutoscaleRuntime<'p> {
 }
 
 impl<'p> AutoscaleRuntime<'p> {
-    fn new(policy: &'p AutoscalePolicy, replica_count: usize) -> Self {
+    fn new(policy: &'p AutoscalePolicy, replica_count: usize, link: KvLinkSpec) -> Self {
         let mut queue = EventQueue::new();
         queue.schedule(policy.interval_s, ScaleAction::Eval);
         Self {
             policy,
+            link,
             queue,
             pool: (0..replica_count)
                 .map(|i| i >= policy.min_replicas)
@@ -1586,7 +1638,7 @@ impl<'p> AutoscaleRuntime<'p> {
             j != replica && r.is_admitting() && !draining[j] && r.role() == role
         });
         if let Some(j) = donor {
-            hand_off_parked(configs, replicas, j, Some(replica), self.policy.link, stats);
+            hand_off_parked(configs, replicas, j, Some(replica), self.link, stats);
         }
         self.stats.scale_ups += 1;
         if lag_s > self.stats.scale_up_lag_s {
@@ -1594,9 +1646,9 @@ impl<'p> AutoscaleRuntime<'p> {
         }
     }
 
-    /// A scale-down drain's batch just emptied: hand its parked KV to
-    /// the least-loaded survivor (exactly the fault drain path) and
-    /// park the replica back in the pool — no restart is scheduled.
+    /// A scale-down drain's batch just emptied: finish the drain
+    /// exactly like a fault drain (see [`finish_drain`]) and park the
+    /// replica back in the pool — no restart is scheduled.
     fn complete_scale_down(
         &mut self,
         i: usize,
@@ -1604,10 +1656,7 @@ impl<'p> AutoscaleRuntime<'p> {
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
     ) {
-        replicas[i].finish_drain();
-        let to = best_handoff_target(configs, replicas, i);
-        hand_off_parked(configs, replicas, i, to, self.policy.link, stats);
-        replicas[i].mark_down(replicas[i].clock());
+        finish_drain(i, 0.0, configs, replicas, self.link, stats);
         self.pool[i] = true;
         self.draining[i] = false;
         self.stats.scale_downs += 1;
@@ -1639,9 +1688,10 @@ impl<'p> AutoscaleRuntime<'p> {
         }
     }
 
-    /// Restore state captured by [`AutoscaleRuntime::export_state`],
-    /// rejecting membership vectors and events this fleet cannot hold.
-    fn import_state(&mut self, s: &AutoscaleState) -> Result<(), String> {
+    /// Restore state captured by [`AutoscaleRuntime::export_state`] in a
+    /// snapshot taken at `taken_at_s`, rejecting membership vectors and
+    /// events this fleet cannot hold.
+    fn import_state(&mut self, s: &AutoscaleState, taken_at_s: f64) -> Result<(), String> {
         let replicas = self.pool.len();
         if s.pool.len() != replicas || s.draining.len() != replicas {
             return Err(format!(
@@ -1653,9 +1703,16 @@ impl<'p> AutoscaleRuntime<'p> {
             .events
             .iter()
             .map(|&(at, seq, code, arg, lag)| (at, seq, (code, arg, lag)));
-        self.queue = EventQueue::import(rows, s.seq, "scale", |(code, arg, lag)| {
-            ScaleAction::decode(code, arg, lag, replicas)
-        })?;
+        let p = self.policy;
+        let delay_s = p.interval_s.max(p.provision_s).max(p.warmup_s);
+        self.queue = EventQueue::import(
+            rows,
+            s.seq,
+            "scale",
+            (taken_at_s, delay_s),
+            |_, _| false,
+            |(code, arg, lag)| ScaleAction::decode(code, arg, lag, replicas),
+        )?;
         self.pool = s.pool.clone();
         self.draining = s.draining.clone();
         self.up_streak = s.up_streak;
@@ -1737,6 +1794,7 @@ impl ClusterRun {
 pub struct ClusterSimulation {
     configs: Vec<ReplicaConfig>,
     scenario: Scenario,
+    kv_link: KvLinkSpec,
     faults: Option<FaultPlan>,
     autoscale: Option<AutoscalePolicy>,
     disagg: Option<DisaggPlan>,
@@ -1750,6 +1808,7 @@ impl ClusterSimulation {
         Self {
             configs,
             scenario: scenario.normalized(),
+            kv_link: KvLinkSpec::default(),
             faults: None,
             autoscale: None,
             disagg: None,
@@ -1759,6 +1818,17 @@ impl ClusterSimulation {
     /// Returns the simulation unchanged. Kept only for the benchmark
     /// package; goes in a later benchmark change.
     pub fn with_config(self, _cluster: ClusterConfig) -> Self {
+        self
+    }
+
+    /// Price every cross-replica KV move over `link` instead of
+    /// [`KvLinkSpec::default`]: router-requested migrations, fault-drain
+    /// and scale-down handoffs, autoscale-join steals and
+    /// disaggregated prefill→decode handoffs. A fleet has one KV
+    /// interconnect; routers that weigh a migration should be built
+    /// against the same link.
+    pub fn with_kv_link(mut self, link: KvLinkSpec) -> Self {
+        self.kv_link = link;
         self
     }
 
@@ -1799,7 +1869,7 @@ impl ClusterSimulation {
 
     /// Disaggregate the fleet into prefill and decode pools (see the
     /// module docs): the plan's replicas run prompts only and ship the
-    /// finished KV over its link to decode replicas chosen at
+    /// finished KV over the fleet's KV link to decode replicas chosen at
     /// admission time. At least one replica must serve each pool.
     pub fn with_disagg(mut self, plan: DisaggPlan) -> Self {
         assert!(
@@ -1955,16 +2025,16 @@ impl ClusterSimulation {
             return Err(format!("stream: queued {e}"));
         }
         let stream = &snap.stream;
-        check_clock(stream.source_clock, snap.taken_at_s)
+        check_clock(stream.source_clock, snap.taken_at_s, 0.0)
             .map_err(|e| format!("stream: source clock {e}"))?;
-        check_clock(stream.source_phase_until, snap.taken_at_s)
+        check_clock(stream.source_phase_until, snap.taken_at_s, 0.0)
             .map_err(|e| format!("stream: source phase end {e}"))?;
         let queued = stream
             .peeked
             .iter()
             .chain(stream.followups.iter().map(|f| &f.request));
         for r in queued {
-            check_clock(r.arrival_s, snap.taken_at_s)
+            check_clock(r.arrival_s, snap.taken_at_s, 0.0)
                 .map_err(|e| format!("stream: request {} arrival {e}", r.id))?;
         }
         let fault_count = self.faults.as_ref().map_or(0, |p| p.faults.len());
@@ -1972,7 +2042,12 @@ impl ClusterSimulation {
             if let Some(e) = s.carried().find_map(bad_tier) {
                 return Err(format!("replica {i}: {e}"));
             }
-            check_clock(s.clock, snap.taken_at_s).map_err(|e| format!("replica {i}: clock {e}"))?;
+            check_clock(s.clock, snap.taken_at_s, 0.0)
+                .map_err(|e| format!("replica {i}: clock {e}"))?;
+            for (p, what, t) in s.carried_times() {
+                check_clock(t, snap.taken_at_s, 0.0)
+                    .map_err(|e| format!("replica {i}: request {} {what} {e}", p.request.id))?;
+            }
             if s.tiers.len() != tier_count {
                 return Err(format!(
                     "replica {i}: snapshot has {} SLO tiers, the scenario has {tier_count}",
@@ -2034,7 +2109,7 @@ impl ClusterSimulation {
         }
         check_presence(&self.faults, &snap.fault, "a fault plan", "fault")?;
         if let (Some(rt), Some(fs)) = (fault_rt, &snap.fault) {
-            rt.import_state(fs)?;
+            rt.import_state(fs, snap.taken_at_s)?;
         }
         check_presence(
             &self.autoscale,
@@ -2043,7 +2118,7 @@ impl ClusterSimulation {
             "autoscale",
         )?;
         if let (Some(rt), Some(a)) = (auto_rt, &snap.autoscale) {
-            rt.import_state(a)?;
+            rt.import_state(a, snap.taken_at_s)?;
         }
         if let (Some(rt), Some(d)) = (disagg_rt, &snap.disagg) {
             rt.import_state(d, self.configs.len())?;
@@ -2104,12 +2179,12 @@ impl ClusterSimulation {
             for r in replicas.iter_mut() {
                 r.set_fault_recording(windows.clone(), plan.timeline_bucket_s);
             }
-            FaultRuntime::new(plan, configs.len())
+            FaultRuntime::new(plan, configs.len(), self.kv_link)
         });
         let mut auto_rt = self
             .autoscale
             .as_ref()
-            .map(|policy| AutoscaleRuntime::new(policy, configs.len()));
+            .map(|policy| AutoscaleRuntime::new(policy, configs.len(), self.kv_link));
         if let Some(snap) = start {
             self.restore_control_plane(
                 snap,
@@ -2140,10 +2215,6 @@ impl ClusterSimulation {
                 }
             }
         }
-        let link = self
-            .faults
-            .as_ref()
-            .map_or_else(KvLinkSpec::default, |p| p.link);
         let mut snapshots: Vec<ReplicaSnapshot> = Vec::with_capacity(replicas.len());
 
         let no_skip: Vec<bool> = Vec::new();
@@ -2225,7 +2296,7 @@ impl ClusterSimulation {
                 &mut replicas,
                 &mut snapshots,
                 limit,
-                link,
+                self.kv_link,
                 &mut stats,
                 disagg_rt.as_mut(),
             );
@@ -2273,7 +2344,7 @@ impl ClusterSimulation {
                 r.drain_retire_events(&mut stream);
             }
             if let Some(d) = disagg_rt.as_mut() {
-                drain_handoffs(&mut stream, configs, &mut replicas, d);
+                drain_handoffs(&mut stream, configs, &mut replicas, self.kv_link, d);
             }
         }
 
@@ -2313,7 +2384,9 @@ mod tests {
     use super::*;
     use crate::fault::{FaultEvent, LoadTrigger, RetryPolicy};
     use crate::policy::PolicyKind;
-    use crate::router::{FleetShed, LeastOutstandingWork, RoundRobin, RouterKind, SessionAffinity};
+    use crate::router::{
+        FleetShed, KvMigration, LeastOutstandingWork, RoundRobin, RouterKind, SessionAffinity,
+    };
     use crate::scenario::{ConversationSpec, ScenarioSimulation};
     use crate::scheduler::StageOutcome;
     use crate::workload::{Arrivals, Workload};
@@ -2544,6 +2617,41 @@ mod tests {
             rr_kv
         );
         assert!(aff_kv.reuse_hits > rr_kv.reuse_hits);
+    }
+
+    #[test]
+    fn router_migrations_are_priced_over_the_fleet_kv_link() {
+        // A hot two-replica chat fleet with no faults: the migration
+        // router diverts follow-ups off their saturated holder and
+        // ships the parked KV along, over the link the fleet was given
+        // (not the default one).
+        let link = KvLinkSpec::new(1e9, 1e-3);
+        let cfg = SimulationConfig {
+            kv_bytes_per_token: 1000,
+            ..config(2)
+        };
+        let scenario = Scenario::new(
+            "migrate",
+            Workload::fixed(96, 8).with_seed(11),
+            Arrivals::Poisson { qps: 2000.0 },
+            24,
+        )
+        .with_conversation(ConversationSpec::chat(1.0, 3, 0.001, 16));
+        let report = ClusterSimulation::new(vec![ReplicaConfig::new(cfg); 2], scenario)
+            .with_kv_link(link)
+            .run(
+                &mut KvMigration::new(link, 1000, 1e4),
+                &mut policies(2, PolicyKind::Fcfs),
+                &mut [Fixed(0.01); 2],
+            );
+        let r = report.recovery;
+        assert!(r.kv_migrations > 0, "{r:?}");
+        let expected = r.kv_bytes_migrated as f64 / 1e9 + r.kv_migrations as f64 * 1e-3;
+        assert!(
+            (r.migration_seconds - expected).abs() <= 1e-12 * expected,
+            "{} s priced, {expected} s over the fleet link",
+            r.migration_seconds
+        );
     }
 
     #[test]

@@ -36,11 +36,13 @@
 //! application deterministic: no fault ever lands inside a window.
 //!
 //! Cross-replica KV migration is a first-class priced operation: a
-//! parked conversation's pages ship over a [`KvLinkSpec`] (derive one
-//! from the system crate's comm model to price it over the same
-//! interconnect as inter-node collectives), the transfer seconds are
-//! charged to the receiving replica's clock, and the bytes are
-//! accounted in [`RecoveryStats`]. The migration-aware router
+//! parked conversation's pages ship over the fleet's one KV link, the
+//! [`KvLinkSpec`] set by [`crate::ClusterSimulation::with_kv_link`]
+//! (derive it from the system crate's comm model to price it over the
+//! same interconnect as inter-node collectives). Drain handoffs and
+//! router-requested migrations alike charge the transfer seconds to
+//! the receiving replica's clock and account the bytes in
+//! [`RecoveryStats`]. The migration-aware router
 //! ([`crate::router::KvMigration`]) weighs exactly this transfer cost
 //! against re-prefilling the history when a pinned replica is down or
 //! saturated.
@@ -62,11 +64,12 @@
 //!     FaultEvent::new(2.0, 0, FaultKind::Crash { down_s: 0.5 }),
 //!     FaultEvent::new(4.0, 1, FaultKind::Drain { down_s: 0.25 }),
 //! ])
-//! .with_retry(RetryPolicy::new(2).with_backoff(0.05, 2.0))
-//! .with_link(KvLinkSpec::new(400e9, 2e-6));
+//! .with_retry(RetryPolicy::new(2).with_backoff(0.05, 2.0));
 //! assert_eq!(plan.faults.len(), 2);
-//! // 1 MiB of parked KV ships in ~2.6 microseconds of virtual time.
-//! assert!(plan.link.transfer_seconds(1 << 20) < 1e-5);
+//! // The drain's handoff ships over the fleet's KV link: 1 MiB of
+//! // parked KV takes ~2.6 microseconds of virtual time.
+//! let link = KvLinkSpec::new(400e9, 2e-6);
+//! assert!(link.transfer_seconds(1 << 20) < 1e-5);
 //! ```
 
 /// What happens to the faulted replica.
@@ -188,11 +191,13 @@ impl RetryPolicy {
     }
 }
 
-/// The interconnect a parked conversation's KV pages ship over when
-/// they migrate between replicas: a bandwidth/latency pair, matching
-/// the point-to-point pricing of the system crate's comm model (build
-/// one from it via its `kv_link()` hook so migration is charged over
-/// the same inter-node path as collectives).
+/// An interconnect KV pages ship over: a bandwidth/latency pair,
+/// matching the point-to-point pricing of the system crate's comm
+/// model. A fleet has one, set by
+/// [`crate::ClusterSimulation::with_kv_link`] (build it from the comm
+/// model's `kv_link()` hook so migration is charged over the same
+/// inter-node path as collectives); a preempted context's swap restore
+/// is priced over [`crate::PreemptSpec::swap_link`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvLinkSpec {
     /// Link bandwidth in bytes per second.
@@ -289,8 +294,8 @@ impl LoadTrigger {
 }
 
 /// A deterministic fault script for one cluster run: the faults, the
-/// retry policy for crash-lost requests, the KV-migration link, the
-/// restart warm-up, and the recovery-measurement knobs. Attach with
+/// retry policy for crash-lost requests, the restart warm-up, and the
+/// recovery-measurement knobs. Attach with
 /// [`crate::ClusterSimulation::with_faults`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -302,8 +307,6 @@ pub struct FaultPlan {
     pub triggers: Vec<LoadTrigger>,
     /// Retry policy for requests lost to crashes.
     pub retry: RetryPolicy,
-    /// The link cross-replica KV migrations are priced over.
-    pub link: KvLinkSpec,
     /// Post-restart warm-up window length in virtual seconds (cold
     /// caches after a crash or drain restart); 0 disables it.
     pub warmup_s: f64,
@@ -322,8 +325,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan over `faults` with default retry policy, link, no
-    /// warm-up, a 70% recovery threshold, 0.5 s timeline buckets and a
+    /// A plan over `faults` with default retry policy, no warm-up, a 70% recovery threshold, 0.5 s timeline buckets and a
     /// 1 s during-failure SLO window. All knobs have `with_` setters.
     pub fn new(faults: Vec<FaultEvent>) -> Self {
         for f in &faults {
@@ -345,7 +347,6 @@ impl FaultPlan {
             faults,
             triggers: Vec::new(),
             retry: RetryPolicy::default(),
-            link: KvLinkSpec::default(),
             warmup_s: 0.0,
             warmup_factor: 1.0,
             recovery_threshold: 0.7,
@@ -377,12 +378,6 @@ impl FaultPlan {
             "retry backoff multiplier must be positive"
         );
         self.retry = retry;
-        self
-    }
-
-    /// Set the KV-migration link.
-    pub fn with_link(mut self, link: KvLinkSpec) -> Self {
-        self.link = link;
         self
     }
 

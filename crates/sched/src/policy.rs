@@ -351,9 +351,7 @@ impl PolicyKind {
             PolicyKind::PriorityTiers => Box::new(PriorityTiers),
             PolicyKind::ShedBatchTier => Box::new(ShedBatchTier::edf()),
             PolicyKind::Preempt => Box::new(PreemptionPolicy::edf()),
-            PolicyKind::Multiplex => {
-                Box::new(PreemptionPolicy::edf().with_multiplex(MultiplexSpec::new()))
-            }
+            PolicyKind::Multiplex => Box::new(PreemptionPolicy::edf().with_multiplex()),
         }
     }
 

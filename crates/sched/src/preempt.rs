@@ -17,16 +17,18 @@
 //!   victim's current context length. Paused work resumes
 //!   deterministically once slots free up; nothing is dropped.
 //! * **Multiplexing** — compatible paused batch-tier requests re-enter
-//!   as *fractional slots*: a [`MultiplexSpec`] lets up to `lanes`
-//!   swapped-out requests share one batch slot (RevMUX-style), each
-//!   advancing one token per stage at a configurable quality exchange
-//!   rate on goodput. One slot's compute now serves several batch
-//!   requests, so batch-tier throughput survives sustained preemption.
+//!   as *fractional slots*: a [`MultiplexSpec`] lets up to
+//!   [`MultiplexSpec::LANES`] swapped-out requests share one batch slot
+//!   (RevMUX-style), each advancing one token per stage at a fixed
+//!   quality exchange rate on goodput. One slot's compute now serves
+//!   several batch requests, so batch-tier throughput survives
+//!   sustained preemption.
 //!
 //! The decision flow per stage and the interaction with
 //! [`crate::ShedBatchTier`] / `FleetShed` are documented in
 //! `docs/scheduling.md`.
 
+use crate::fault::KvLinkSpec;
 use crate::policy::{PolicyContext, SchedulingPolicy};
 use crate::scenario::PendingRequest;
 
@@ -43,8 +45,12 @@ pub enum PreemptMode {
     RecomputeOnly,
 }
 
-/// Cost model and limits for preemptive scheduling, consumed by the
-/// scenario scheduler through [`SchedulingPolicy::preempt_spec`].
+/// Cost model for preemptive scheduling, consumed by the scenario
+/// scheduler through [`SchedulingPolicy::preempt_spec`]. Which tiers
+/// preempt and which are preempted, and the per-stage victim cap, are
+/// fixed: see [`PreemptSpec::VICTIM_PRIORITY`],
+/// [`PreemptSpec::URGENT_PRIORITY`] and
+/// [`PreemptSpec::MAX_PREEMPTS_PER_STAGE`].
 ///
 /// Construct with [`PreemptSpec::new`] plus `with_*` builders; the
 /// struct is `#[non_exhaustive]` so new knobs extend the API without
@@ -52,26 +58,15 @@ pub enum PreemptMode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct PreemptSpec {
-    /// Requests with `priority >= victim_priority` may be paused
-    /// mid-decode (2 = the default tier set's batch tier).
-    pub victim_priority: u32,
-    /// Pending requests with `priority < urgent_priority` trigger
-    /// preemption when they cannot admit (1 = the default tier set's
-    /// interactive tier).
-    pub urgent_priority: u32,
     /// Batch-occupancy fraction at or above which preemption engages;
     /// below it urgent work just takes a free slot.
     pub utilization_threshold: f64,
-    /// Restore bandwidth for a swapped-out context, bytes/s (link
-    /// transfer or HBM restream).
-    pub swap_bytes_per_s: f64,
-    /// Fixed per-restore latency, seconds.
-    pub swap_latency_s: f64,
+    /// The link a swapped-out context is restored over (link transfer
+    /// or HBM restream).
+    pub swap_link: KvLinkSpec,
     /// Estimated re-prefill throughput, tokens/s: the recompute cost a
     /// swap restore competes with.
     pub recompute_tokens_per_s: f64,
-    /// Cap on victims paused in one stage (bounds churn).
-    pub max_preempts_per_stage: usize,
     /// Swap/recompute selection mode.
     pub mode: PreemptMode,
 }
@@ -79,35 +74,26 @@ pub struct PreemptSpec {
 impl PreemptSpec {
     /// Default occupancy fraction at which preemption engages.
     pub const DEFAULT_THRESHOLD: f64 = 0.85;
+    /// Requests with `priority >= VICTIM_PRIORITY` may be paused
+    /// mid-decode (the default tier set's batch tier).
+    pub const VICTIM_PRIORITY: u32 = 2;
+    /// Pending requests with `priority < URGENT_PRIORITY` trigger
+    /// preemption when they cannot admit (the default tier set's
+    /// interactive tier).
+    pub const URGENT_PRIORITY: u32 = 1;
+    /// Cap on victims paused in one stage (bounds churn).
+    pub const MAX_PREEMPTS_PER_STAGE: usize = 4;
 
-    /// The default cost model: batch tier (priority >= 2) preemptible
-    /// by interactive (priority 0) work above 85% occupancy, ~8 GB/s
-    /// restore with 0.5 ms latency vs ~10k tokens/s re-prefill, at
-    /// most 4 victims per stage, cheaper path chosen per victim.
+    /// The default cost model: preemption engages above 85% occupancy,
+    /// ~8 GB/s restore with 0.5 ms latency vs ~10k tokens/s
+    /// re-prefill, cheaper path chosen per victim.
     pub fn new() -> Self {
         Self {
-            victim_priority: 2,
-            urgent_priority: 1,
             utilization_threshold: Self::DEFAULT_THRESHOLD,
-            swap_bytes_per_s: 8e9,
-            swap_latency_s: 5e-4,
+            swap_link: KvLinkSpec::new(8e9, 5e-4),
             recompute_tokens_per_s: 10_000.0,
-            max_preempts_per_stage: 4,
             mode: PreemptMode::Auto,
         }
-    }
-
-    /// Override the preemptible-priority floor.
-    pub fn with_victim_priority(mut self, priority: u32) -> Self {
-        self.victim_priority = priority;
-        self
-    }
-
-    /// Override the urgent-priority ceiling (requests strictly below
-    /// it trigger preemption).
-    pub fn with_urgent_priority(mut self, priority: u32) -> Self {
-        self.urgent_priority = priority;
-        self
     }
 
     /// Override the occupancy threshold. Must be positive: at zero an
@@ -118,13 +104,9 @@ impl PreemptSpec {
         self
     }
 
-    /// Override the swap-restore link (bandwidth in bytes/s, fixed
-    /// latency in seconds).
-    pub fn with_swap_link(mut self, bytes_per_s: f64, latency_s: f64) -> Self {
-        assert!(bytes_per_s > 0.0, "swap bandwidth must be positive");
-        assert!(latency_s >= 0.0, "swap latency must be non-negative");
-        self.swap_bytes_per_s = bytes_per_s;
-        self.swap_latency_s = latency_s;
+    /// Override the swap-restore link.
+    pub fn with_swap_link(mut self, link: KvLinkSpec) -> Self {
+        self.swap_link = link;
         self
     }
 
@@ -135,25 +117,11 @@ impl PreemptSpec {
         self
     }
 
-    /// Override the per-stage victim cap.
-    pub fn with_max_preempts(mut self, max_preempts_per_stage: usize) -> Self {
-        self.max_preempts_per_stage = max_preempts_per_stage;
-        self
-    }
-
     /// Force a swap/recompute mode (tests and ablations; the default
     /// `Auto` picks the cheaper path per victim).
     pub fn with_mode(mut self, mode: PreemptMode) -> Self {
         self.mode = mode;
         self
-    }
-
-    /// Seconds to restore a swapped-out context of `bytes` KV bytes.
-    pub fn swap_restore_seconds(&self, bytes: u64) -> f64 {
-        if bytes == 0 {
-            return 0.0;
-        }
-        bytes as f64 / self.swap_bytes_per_s + self.swap_latency_s
     }
 
     /// Estimated seconds to re-prefill a dropped context of
@@ -169,7 +137,9 @@ impl PreemptSpec {
         match self.mode {
             PreemptMode::SwapOnly => true,
             PreemptMode::RecomputeOnly => false,
-            PreemptMode::Auto => self.swap_restore_seconds(bytes) <= self.recompute_seconds(ctx),
+            PreemptMode::Auto => {
+                self.swap_link.transfer_seconds(bytes) <= self.recompute_seconds(ctx)
+            }
         }
     }
 }
@@ -180,65 +150,24 @@ impl Default for PreemptSpec {
     }
 }
 
-/// Batch-multiplexing configuration: lets compatible swapped-out
-/// batch-tier requests share one batch slot on resume, trading output
-/// quality (goodput scale) for slot compute.
-///
-/// Construct with [`MultiplexSpec::new`] plus `with_*` builders.
+/// Batch multiplexing: lets compatible swapped-out batch-tier requests
+/// share one batch slot on resume, trading output quality (goodput
+/// scale) for slot compute. Its exchange rate is fixed by the
+/// associated constants; [`PreemptionPolicy::with_multiplex`] arms it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub struct MultiplexSpec {
-    /// Maximum requests sharing one slot (>= 2).
-    pub lanes: usize,
+pub struct MultiplexSpec;
+
+impl MultiplexSpec {
+    /// Maximum requests sharing one slot.
+    pub const LANES: usize = 2;
     /// Maximum context-length spread (tokens) between slot members:
     /// the shared forward pass prices at the longest member's context,
     /// so a tight tolerance bounds the overhead short members pay.
-    pub ctx_tolerance: u64,
-    /// Goodput scale applied to multiplexed tokens in `(0, 1]`: the
-    /// compute/quality exchange rate — a member's SLO `good_tokens`
-    /// are credited at this fraction.
-    pub quality: f64,
-}
-
-impl MultiplexSpec {
-    /// The default exchange rate: 2 lanes, 256-token spread, 90%
-    /// quality credit.
-    pub fn new() -> Self {
-        Self {
-            lanes: 2,
-            ctx_tolerance: 256,
-            quality: 0.9,
-        }
-    }
-
-    /// Override the lane count (>= 2).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        assert!(lanes >= 2, "a multiplex slot shares between >= 2 requests");
-        self.lanes = lanes;
-        self
-    }
-
-    /// Override the member context-spread tolerance, tokens.
-    pub fn with_ctx_tolerance(mut self, tolerance: u64) -> Self {
-        self.ctx_tolerance = tolerance;
-        self
-    }
-
-    /// Override the quality credit in `(0, 1]`.
-    pub fn with_quality(mut self, quality: f64) -> Self {
-        assert!(
-            quality > 0.0 && quality <= 1.0,
-            "quality credit must be in (0, 1]"
-        );
-        self.quality = quality;
-        self
-    }
-}
-
-impl Default for MultiplexSpec {
-    fn default() -> Self {
-        Self::new()
-    }
+    pub const CTX_TOLERANCE: u64 = 256;
+    /// Goodput scale applied to multiplexed tokens: the compute/quality
+    /// exchange rate — a member's SLO `good_tokens` are credited at
+    /// this fraction.
+    pub const QUALITY: f64 = 0.9;
 }
 
 /// Preemption and multiplexing counters, reported per replica on
@@ -262,7 +191,7 @@ pub struct PreemptStats {
     /// Multiplex slots formed.
     pub mux_slots: u64,
     /// Tokens generated inside multiplex slots (before the quality
-    /// scale; goodput credits them at [`MultiplexSpec::quality`]).
+    /// scale; goodput credits them at [`MultiplexSpec::QUALITY`]).
     pub mux_tokens: u64,
 }
 
@@ -293,11 +222,10 @@ impl PreemptStats {
 /// near-saturation scenarios.
 pub struct PreemptionPolicy {
     inner: Box<dyn SchedulingPolicy>,
-    name: &'static str,
     /// The preemption cost model handed to the scheduler.
     pub spec: PreemptSpec,
-    /// Batch multiplexing, when enabled.
-    pub multiplex: Option<MultiplexSpec>,
+    /// Whether batch multiplexing is armed.
+    pub multiplex: bool,
 }
 
 impl PreemptionPolicy {
@@ -305,9 +233,8 @@ impl PreemptionPolicy {
     pub fn new(inner: Box<dyn SchedulingPolicy>, spec: PreemptSpec) -> Self {
         Self {
             inner,
-            name: "preempt",
             spec,
-            multiplex: None,
+            multiplex: false,
         }
     }
 
@@ -318,10 +245,9 @@ impl PreemptionPolicy {
     }
 
     /// Enable batch multiplexing: paused batch-tier work re-enters as
-    /// fractional slots under `spec`.
-    pub fn with_multiplex(mut self, spec: MultiplexSpec) -> Self {
-        self.name = "preempt-mux";
-        self.multiplex = Some(spec);
+    /// fractional slots at the [`MultiplexSpec`] exchange rate.
+    pub fn with_multiplex(mut self) -> Self {
+        self.multiplex = true;
         self
     }
 }
@@ -338,7 +264,11 @@ impl std::fmt::Debug for PreemptionPolicy {
 
 impl SchedulingPolicy for PreemptionPolicy {
     fn name(&self) -> &'static str {
-        self.name
+        if self.multiplex {
+            "preempt-mux"
+        } else {
+            "preempt"
+        }
     }
 
     fn pick(&mut self, pending: &[PendingRequest], ctx: &PolicyContext) -> usize {
@@ -354,7 +284,7 @@ impl SchedulingPolicy for PreemptionPolicy {
     }
 
     fn multiplex_spec(&self) -> Option<&MultiplexSpec> {
-        self.multiplex.as_ref()
+        self.multiplex.then_some(&MultiplexSpec)
     }
 }
 
@@ -369,7 +299,7 @@ mod tests {
         // swap latency 5e-3 s. Crossover at
         // lat / (1/rate - bpt/bw) = 5e-3 / 5e-5 = 100 tokens.
         let spec = PreemptSpec::new()
-            .with_swap_link(1e6, 5e-3)
+            .with_swap_link(KvLinkSpec::new(1e6, 5e-3))
             .with_recompute_rate(10_000.0);
         let bpt = 50;
         // Short context: the fixed restore latency dominates.
@@ -387,37 +317,23 @@ mod tests {
 
     #[test]
     fn restore_pricing_matches_the_link_model() {
-        let spec = PreemptSpec::new().with_swap_link(1e9, 1e-3);
-        assert_eq!(spec.swap_restore_seconds(0), 0.0);
-        assert!((spec.swap_restore_seconds(1_000_000) - (1e-3 + 1e-3)).abs() < 1e-12);
+        let spec = PreemptSpec::new().with_swap_link(KvLinkSpec::new(1e9, 1e-3));
+        assert_eq!(spec.swap_link.transfer_seconds(0), 0.0);
+        assert!((spec.swap_link.transfer_seconds(1_000_000) - (1e-3 + 1e-3)).abs() < 1e-12);
         assert!((spec.recompute_seconds(1000) - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn builders_set_every_knob() {
         let spec = PreemptSpec::new()
-            .with_victim_priority(3)
-            .with_urgent_priority(2)
             .with_threshold(0.5)
-            .with_swap_link(1e9, 1e-3)
+            .with_swap_link(KvLinkSpec::new(1e9, 1e-3))
             .with_recompute_rate(5e3)
-            .with_max_preempts(7)
             .with_mode(PreemptMode::SwapOnly);
-        assert_eq!(spec.victim_priority, 3);
-        assert_eq!(spec.urgent_priority, 2);
         assert_eq!(spec.utilization_threshold, 0.5);
-        assert_eq!(spec.swap_bytes_per_s, 1e9);
-        assert_eq!(spec.swap_latency_s, 1e-3);
+        assert_eq!(spec.swap_link, KvLinkSpec::new(1e9, 1e-3));
         assert_eq!(spec.recompute_tokens_per_s, 5e3);
-        assert_eq!(spec.max_preempts_per_stage, 7);
         assert_eq!(spec.mode, PreemptMode::SwapOnly);
-        let mux = MultiplexSpec::new()
-            .with_lanes(4)
-            .with_ctx_tolerance(64)
-            .with_quality(0.8);
-        assert_eq!(mux.lanes, 4);
-        assert_eq!(mux.ctx_tolerance, 64);
-        assert_eq!(mux.quality, 0.8);
     }
 
     #[test]
@@ -426,7 +342,7 @@ mod tests {
         assert_eq!(plain.name(), "preempt");
         assert!(plain.preempt_spec().is_some());
         assert!(plain.multiplex_spec().is_none());
-        let mux = PreemptionPolicy::edf().with_multiplex(MultiplexSpec::new());
+        let mux = PreemptionPolicy::edf().with_multiplex();
         assert_eq!(mux.name(), "preempt-mux");
         assert!(mux.multiplex_spec().is_some());
         // Plain policies expose neither hook.
@@ -458,11 +374,5 @@ mod tests {
     #[should_panic(expected = "threshold must be positive")]
     fn zero_threshold_rejected() {
         PreemptSpec::new().with_threshold(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = ">= 2 requests")]
-    fn single_lane_mux_rejected() {
-        MultiplexSpec::new().with_lanes(1);
     }
 }

@@ -113,10 +113,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use duplex_model::kv_cache::{EvictionPolicy, PagedKvCache};
+use duplex_model::kv_cache::PagedKvCache;
 use duplex_model::ops::StageShape;
 
 use crate::delta::StageDelta;
+use crate::fault::KvLinkSpec;
 use crate::metrics::{
     BucketMemo, HeldDigest, KvReuseStats, LatencyDigest, SimReport, SloStats, StageRecord,
     StageStats, TierStats,
@@ -454,8 +455,8 @@ pub(crate) struct MuxSlot {
     pub(crate) generated: u64,
     /// KV bytes reserved for the slot (released when it retires).
     pub(crate) kv_bytes: u64,
-    /// Goodput credit per multiplexed token, from the
-    /// [`crate::MultiplexSpec`] at formation time.
+    /// Goodput credit per multiplexed token:
+    /// [`crate::MultiplexSpec::QUALITY`] (a snapshot field).
     pub(crate) quality: f64,
     pub(crate) members: Vec<MuxMember>,
 }
@@ -1020,7 +1021,6 @@ impl ReplicaSim {
             config.kv_capacity_bytes,
             conversation.map_or(Self::HANDOFF_PAGE_TOKENS, |spec| spec.page_tokens),
             config.kv_bytes_per_token.max(1),
-            EvictionPolicy::Recompute,
         )
     }
 
@@ -1386,13 +1386,9 @@ impl ReplicaSim {
         // A stale shorter prefix of the same conversation may already
         // be parked here; the shipped entry supersedes it.
         cache.release(conversation);
-        match cache.admit(conversation, tokens) {
-            Ok(evicted) => {
-                self.kv_reuse.parked_evictions += evicted.len() as u64;
-                true
-            }
-            Err(_) => false,
-        }
+        let admitted = cache.admit(conversation, tokens);
+        self.kv_reuse.parked_evictions += admitted.unwrap_or(0);
+        admitted.is_ok()
     }
 
     /// Take every parked entry for a drain handoff, in deterministic
@@ -1413,10 +1409,13 @@ impl ReplicaSim {
         moved
     }
 
-    /// Charge a KV-migration transfer to this (receiving) replica's
-    /// clock: the interconnect and the pool are busy for `seconds`.
-    pub(crate) fn add_transfer_time(&mut self, seconds: f64) {
+    /// Charge a transfer of `bytes` KV bytes over `link` to this
+    /// (receiving) replica's clock: the link and the pool are busy for
+    /// the returned seconds. Fleet KV moves and swap restores alike.
+    pub(crate) fn receive_transfer(&mut self, link: KvLinkSpec, bytes: u64) -> f64 {
+        let seconds = link.transfer_seconds(bytes);
         self.clock += seconds;
+        seconds
     }
 
     /// Per-fault during-failure SLO counts (window x tier), for the
@@ -1436,12 +1435,12 @@ impl ReplicaSim {
     /// more batch-like), pick the most batch-like first, break ties
     /// toward the smallest resident context (cheapest to resume), then
     /// the smallest request id.
-    fn pick_victim(&self, victim_priority: u32) -> Option<usize> {
+    fn pick_victim(&self) -> Option<usize> {
         let stages = self.stage_stats.stages;
         self.active
             .iter()
             .enumerate()
-            .filter(|(_, a)| a.pending.priority >= victim_priority)
+            .filter(|(_, a)| a.pending.priority >= PreemptSpec::VICTIM_PRIORITY)
             .min_by_key(|(_, a)| {
                 (
                     std::cmp::Reverse(a.pending.priority),
@@ -1484,6 +1483,14 @@ impl ReplicaSim {
         });
     }
 
+    /// Restore a swapped-out context of `ctx` tokens over the spec's
+    /// swap link, charging the transfer to the clock.
+    fn restore_swap(&mut self, spec: &PreemptSpec, ctx: u64) {
+        let bytes = ctx * self.config.kv_bytes_per_token;
+        self.preempt.swap_restore_seconds += self.receive_transfer(spec.swap_link, bytes);
+        self.preempt.swaps += 1;
+    }
+
     /// Whether a paused request's swapped-out context is still fully
     /// resident in the parked pool (it may have been evicted under KV
     /// pressure since the pause, which forces a recompute instead).
@@ -1502,17 +1509,18 @@ impl ReplicaSim {
     /// each member's KV restore on the clock. Returns `None` when no
     /// two compatible members exist or the slot's padded KV
     /// reservation cannot fit.
-    fn form_mux_slot(&mut self, spec: &PreemptSpec, mspec: &MultiplexSpec) -> Option<MuxSlot> {
+    fn form_mux_slot(&mut self, spec: &PreemptSpec) -> Option<MuxSlot> {
         let bytes_per_token = self.config.kv_bytes_per_token;
         let anchor = (0..self.paused.len()).find(|&i| self.swap_resident(&self.paused[i]))?;
         let anchor_ctx = self.paused[anchor].ctx;
         let mut picked = vec![anchor];
         for i in anchor + 1..self.paused.len() {
-            if picked.len() >= mspec.lanes {
+            if picked.len() >= MultiplexSpec::LANES {
                 break;
             }
             let pr = &self.paused[i];
-            if pr.ctx.abs_diff(anchor_ctx) <= mspec.ctx_tolerance && self.swap_resident(pr) {
+            let close = pr.ctx.abs_diff(anchor_ctx) <= MultiplexSpec::CTX_TOLERANCE;
+            if close && self.swap_resident(pr) {
                 picked.push(i);
             }
         }
@@ -1547,10 +1555,7 @@ impl ReplicaSim {
             if let Some(cache) = self.parked.as_mut() {
                 cache.release(pr.pending.conversation);
             }
-            let restore = spec.swap_restore_seconds(pr.ctx * bytes_per_token);
-            self.clock += restore;
-            self.preempt.swap_restore_seconds += restore;
-            self.preempt.swaps += 1;
+            self.restore_swap(spec, pr.ctx);
             self.preempt.resumes += 1;
             members.push(MuxMember {
                 pending: pr.pending,
@@ -1564,7 +1569,7 @@ impl ReplicaSim {
             ctx: slot_ctx,
             generated: 0,
             kv_bytes,
-            quality: mspec.quality,
+            quality: MultiplexSpec::QUALITY,
             members,
         })
     }
@@ -1574,7 +1579,7 @@ impl ReplicaSim {
     /// parked context survived, recompute otherwise).
     fn resume_paused(
         &mut self,
-        multiplex: Option<MultiplexSpec>,
+        multiplex: bool,
         spec: &PreemptSpec,
         force: bool,
         budget: &mut u64,
@@ -1585,9 +1590,9 @@ impl ReplicaSim {
             allowance = allowance.max(1);
             *budget = (*budget).max(1);
         }
-        if let Some(mspec) = multiplex {
+        if multiplex {
             while allowance > 0 && *budget > 0 {
-                let Some(slot) = self.form_mux_slot(spec, &mspec) else {
+                let Some(slot) = self.form_mux_slot(spec) else {
                     break;
                 };
                 // One-token join at the slot's padded context: the
@@ -1625,10 +1630,7 @@ impl ReplicaSim {
             if use_swap {
                 // Priced restore of the parked KV, then a one-token
                 // rejoin at the parked context.
-                let restore = spec.swap_restore_seconds(pr.ctx * bytes_per_token);
-                self.clock += restore;
-                self.preempt.swap_restore_seconds += restore;
-                self.preempt.swaps += 1;
+                self.restore_swap(spec, pr.ctx);
                 self.join(1, pr.ctx - 1);
                 *budget -= 1;
                 self.resumed.push(ActiveRequest::joining(
@@ -1828,10 +1830,9 @@ impl ReplicaSim {
         // neither.
         let urgent =
             if self.role != PoolRole::Prefill && (preempt.is_some() || !self.paused.is_empty()) {
-                let urgent_priority = preempt.unwrap_or_default().urgent_priority;
                 self.pending
                     .iter()
-                    .filter(|p| p.priority < urgent_priority)
+                    .filter(|p| p.priority < PreemptSpec::URGENT_PRIORITY)
                     .count()
             } else {
                 0
@@ -1853,7 +1854,7 @@ impl ReplicaSim {
             let urgent_min_need = self
                 .pending
                 .iter()
-                .filter(|p| p.priority < spec.urgent_priority)
+                .filter(|p| p.priority < PreemptSpec::URGENT_PRIORITY)
                 .map(|p| p.request.max_kv_tokens() * bytes_per_token)
                 .min()
                 .unwrap_or(0);
@@ -1861,12 +1862,12 @@ impl ReplicaSim {
                 |r: &Self| r.reserved.saturating_add(urgent_min_need) > r.config.kv_capacity_bytes;
             let occupancy = self.seated() as f64 / self.config.max_batch as f64;
             if occupancy >= spec.utilization_threshold || kv_short(self) {
-                for _ in 0..spec.max_preempts_per_stage {
+                for _ in 0..PreemptSpec::MAX_PREEMPTS_PER_STAGE {
                     let slot_short = urgent > self.config.max_batch.saturating_sub(self.seated());
                     if !(slot_short || kv_short(self)) {
                         break;
                     }
-                    let Some(idx) = self.pick_victim(spec.victim_priority) else {
+                    let Some(idx) = self.pick_victim() else {
                         break;
                     };
                     self.pause_victim(idx, &spec);
@@ -1946,7 +1947,7 @@ impl ReplicaSim {
             // blocking preemption exists to remove.
             if urgent == 0 || force {
                 let spec = preempt.unwrap_or_default();
-                self.resume_paused(policy.multiplex_spec().copied(), &spec, force, &mut budget);
+                self.resume_paused(policy.multiplex_spec().is_some(), &spec, force, &mut budget);
             }
         }
 
@@ -2117,9 +2118,7 @@ impl ReplicaSim {
     fn evict_to_fit(&mut self) {
         if let Some(cache) = self.parked.as_mut() {
             while self.reserved + cache.resident_bytes() > self.config.kv_capacity_bytes {
-                cache
-                    .evict_one()
-                    .expect("over budget implies a parked victim");
+                assert!(cache.evict_one(), "over budget implies a parked victim");
                 self.kv_reuse.parked_evictions += 1;
             }
         }
@@ -2503,9 +2502,8 @@ impl ReplicaSim {
                     if stream.roll_followup(followup_prob) {
                         // Park the history; if it cannot fit alone the
                         // follow-up simply re-prefills.
-                        if let Ok(evicted) = cache.admit(pending.conversation, history) {
-                            self.kv_reuse.parked_evictions += evicted.len() as u64;
-                        }
+                        let admitted = cache.admit(pending.conversation, history);
+                        self.kv_reuse.parked_evictions += admitted.unwrap_or(0);
                         stream.spawn_followup(&pending, history, now_s);
                     } else {
                         // The conversation is over; drop any parked KV.
@@ -4105,7 +4103,7 @@ mod tests {
         // tokens (1 KV byte per token here): short victims re-prefill,
         // long ones swap — both paths must see traffic.
         let spec = crate::preempt::PreemptSpec::new()
-            .with_swap_link(2e4, 7.5e-3)
+            .with_swap_link(crate::fault::KvLinkSpec::new(2e4, 7.5e-3))
             .with_recompute_rate(1e4);
         let preempt = mk(&mut crate::preempt::PreemptionPolicy::new(
             Box::new(PriorityTiers),
@@ -4196,7 +4194,6 @@ mod tests {
         let spec = crate::preempt::PreemptSpec::new()
             .with_mode(crate::preempt::PreemptMode::SwapOnly)
             .with_threshold(0.75);
-        let mspec = crate::preempt::MultiplexSpec::new();
         let mk = || {
             let scenario = Scenario::new(
                 "mux",
@@ -4211,7 +4208,7 @@ mod tests {
             )
             .with_tiers(tiers.clone());
             let mut policy = crate::preempt::PreemptionPolicy::new(Box::new(PriorityTiers), spec)
-                .with_multiplex(mspec);
+                .with_multiplex();
             ScenarioSimulation::new(config(4), scenario).run(&mut policy, &mut Fixed(0.01))
         };
         let report = mk();

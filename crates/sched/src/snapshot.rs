@@ -184,6 +184,35 @@ impl ReplicaState {
             .chain(members.map(|m| &m.pending))
     }
 
+    /// Every per-request time the replica carries, with its request and
+    /// what it is: inbox arrivals, pause times, and the first-token
+    /// times of decoding, paused, recomputing and multiplexed requests.
+    pub(crate) fn carried_times(&self) -> impl Iterator<Item = (&PendingRequest, &str, f64)> {
+        let members = self.mux.iter().flat_map(|slot| &slot.members);
+        let carries = self
+            .chunking
+            .iter()
+            .filter_map(|c| Some((&c.pending, c.resumed?.first_token_s)));
+        let first_tokens = self
+            .active
+            .iter()
+            .map(|a| (&a.pending, a.first_token_s))
+            .chain(self.paused.iter().map(|p| (&p.pending, p.first_token_s)))
+            .chain(carries)
+            .chain(members.map(|m| (&m.pending, m.first_token_s)));
+        let arrivals = self
+            .inbox
+            .iter()
+            .map(|p| (p, "arrival", p.request.arrival_s));
+        let pauses = self
+            .paused
+            .iter()
+            .map(|p| (&p.pending, "pause", p.paused_at_s));
+        arrivals
+            .chain(pauses)
+            .chain(first_tokens.map(|(p, t)| (p, "first token", t)))
+    }
+
     /// Whether the executor checkpoint agrees with this replica's
     /// decode set. The executor's next stage advances the checkpoint's
     /// groups by one, joins the pending contexts at one past their

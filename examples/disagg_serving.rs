@@ -20,7 +20,7 @@
 //!
 //! Run with `cargo run --release --example disagg_serving`.
 
-use duplex::experiments::{grok_disagg, run_cluster, ClusterRow, Scale};
+use duplex::experiments::{fleet_kv_link, grok_disagg, run_cluster, ClusterRow, Scale};
 use duplex::sched::{Arrivals, RouterKind};
 
 fn main() {
@@ -31,6 +31,8 @@ fn main() {
         .disagg
         .as_ref()
         .expect("the drill ships a disaggregated variant");
+    // Every fleet prices its KV moves over its first replica's link.
+    let link = fleet_kv_link(&split.systems[0]);
     let Arrivals::Poisson { qps } = split.scenario.arrivals else {
         panic!("the drill offers Poisson load");
     };
@@ -43,8 +45,8 @@ fn main() {
         "  pool split: {} prefill + {} decode replicas, KV handoffs at {:.1} GB/s + {:.0} us",
         plan.prefill_replicas.len(),
         split.systems.len() - plan.prefill_replicas.len(),
-        plan.link.bytes_per_s / 1e9,
-        plan.link.latency_s * 1e6
+        link.bytes_per_s / 1e9,
+        link.latency_s * 1e6
     );
 
     println!(

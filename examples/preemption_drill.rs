@@ -22,7 +22,7 @@
 
 use duplex::model::ops::StageShape;
 use duplex::sched::{
-    Arrivals, MultiplexSpec, PreemptMode, PreemptSpec, PreemptionPolicy, PriorityTiers, Scenario,
+    Arrivals, KvLinkSpec, PreemptMode, PreemptSpec, PreemptionPolicy, PriorityTiers, Scenario,
     ScenarioSimulation, SchedulingPolicy, ShedBatchTier, SimReport, SimulationConfig, SloTier,
     StageExecutor, StageOutcome, Workload,
 };
@@ -51,7 +51,7 @@ impl StageExecutor for Fixed {
 /// 64..~256-token victim spread exercises both restore paths.
 fn gate_spec() -> PreemptSpec {
     PreemptSpec::new()
-        .with_swap_link(2e4, 7.5e-3)
+        .with_swap_link(KvLinkSpec::new(2e4, 7.5e-3))
         .with_recompute_rate(1e4)
 }
 
@@ -145,8 +145,7 @@ fn main() {
     let spec = PreemptSpec::new()
         .with_mode(PreemptMode::SwapOnly)
         .with_threshold(0.75);
-    let mut mux_policy =
-        PreemptionPolicy::new(Box::new(PriorityTiers), spec).with_multiplex(MultiplexSpec::new());
+    let mut mux_policy = PreemptionPolicy::new(Box::new(PriorityTiers), spec).with_multiplex();
     let report =
         ScenarioSimulation::new(mux_cfg, mux_scenario()).run(&mut mux_policy, &mut Fixed(0.01));
     println!("Bursty multiplex drill (80 requests, 4 slots, 40 qps bursts):");

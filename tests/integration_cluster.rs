@@ -735,7 +735,71 @@ fn row(xs: &[u64]) -> JsonValue {
     JsonValue::Arr(xs.iter().map(|&x| num(x)).collect())
 }
 
+fn secs(t: f64) -> JsonValue {
+    num(t.to_bits())
+}
+
 type Corruption = fn(&mut JsonValue, &ClusterSpec);
+
+/// The index of the first replica whose `field` list is not empty.
+fn first_with(v: &mut JsonValue, field: &str) -> String {
+    let replicas = items(v, &["replicas"]).len();
+    (0..replicas)
+        .map(|i| i.to_string())
+        .find(|i| !items(v, &["replicas", i, field]).is_empty())
+        .unwrap_or_else(|| panic!("no replica has a {field} entry"))
+}
+
+/// Push `row(request)` onto the `field` list of the first decoding
+/// replica, where `request` is that replica's first decoding request.
+/// The drills leave the lists this fills empty, so the row lands at
+/// index 0. Returns the replica index.
+fn inject(v: &mut JsonValue, field: &str, row: fn(&JsonValue) -> JsonValue) -> String {
+    let i = first_with(v, "active");
+    let request = node(v, &["replicas", &i, "active", "0"]).clone();
+    items(v, &["replicas", &i, field]).push(row(&request));
+    i
+}
+
+/// An object of the `keys` members of `from` (cloned) and `extra`.
+fn obj(from: &JsonValue, keys: &[&str], extra: Vec<(&str, JsonValue)>) -> JsonValue {
+    let copied = keys.iter().map(|&k| (k, from.get(k).unwrap().clone()));
+    JsonValue::Obj(
+        copied
+            .chain(extra)
+            .map(|(k, x)| (k.to_owned(), x))
+            .collect(),
+    )
+}
+
+const MEMBER: [&str; 3] = ["pending", "generated", "first_token_s"];
+
+/// A paused copy of a decoding request, paused at its first token.
+fn paused(a: &JsonValue) -> JsonValue {
+    let extra = vec![
+        ("ctx", num(64)),
+        ("swapped", JsonValue::Bool(false)),
+        ("paused_at_s", a.get("first_token_s").unwrap().clone()),
+    ];
+    obj(a, &MEMBER, extra)
+}
+
+/// Set the time at `path` under replica `i`.
+fn set(v: &mut JsonValue, i: &str, path: &[&str], t: f64) {
+    let path: Vec<&str> = ["replicas", i].iter().chain(path).copied().collect();
+    *node(v, &path) = secs(t);
+}
+
+/// Set the time of the first fault event with action `code` (0 applies
+/// a plan fault, 1 restarts a replica).
+fn set_fault_event(v: &mut JsonValue, code: u64, t: f64) {
+    let events = items(v, &["fault", "events"]).len();
+    let e = (0..events)
+        .map(|e| e.to_string())
+        .find(|e| *node(v, &["fault", "events", e, "2"]) == num(code))
+        .expect("the fault queue holds such an event");
+    *node(v, &["fault", "events", &e, "0"]) = secs(t);
+}
 
 /// Add one to the context of the first decode group in the first
 /// executor checkpoint that has one and that the next stage reads (a
@@ -774,7 +838,7 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
     // snapshots of the three drills and pushed through the wire
     // format: resume must answer with a described error, never a
     // panic and never a silent divergence.
-    let cases: [(&str, &str, Corruption, &str); 29] = [
+    let cases: [(&str, &str, Corruption, &str); 43] = [
         (
             "failover",
             "replica count",
@@ -920,11 +984,7 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
             "failover",
             "decoding request tier",
             |v, _| {
-                let replicas = items(v, &["replicas"]).len();
-                let i = (0..replicas)
-                    .map(|i| i.to_string())
-                    .find(|i| !items(v, &["replicas", i, "active"]).is_empty())
-                    .expect("some replica is decoding");
+                let i = first_with(v, "active");
                 *node(v, &["replicas", &i, "active", "0", "pending", "tier"]) = num(3);
             },
             "has SLO tier 3, the scenario has 3",
@@ -968,6 +1028,139 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
             },
             "arrival -1e0 s is not within a day of the pause",
         ),
+        (
+            "disagg",
+            "far-future inbox arrival",
+            |v, _| {
+                let i = first_with(v, "inbox");
+                set(v, &i, &["inbox", "0", "request", "arrival_s"], 1e130);
+            },
+            "arrival 1e130 s is not within a day of the pause",
+        ),
+        (
+            "disagg",
+            "negative inbox arrival",
+            |v, _| {
+                let i = first_with(v, "inbox");
+                set(v, &i, &["inbox", "0", "request", "arrival_s"], -1.0);
+            },
+            "arrival -1e0 s is not within a day of the pause",
+        ),
+        (
+            "failover",
+            "NaN first token of a decoding request",
+            |v, _| {
+                let i = first_with(v, "active");
+                set(v, &i, &["active", "0", "first_token_s"], f64::NAN);
+            },
+            "first token NaN s is not within a day of the pause",
+        ),
+        (
+            "autoscale",
+            "far-future first token of a decoding request",
+            |v, _| {
+                let i = first_with(v, "active");
+                set(v, &i, &["active", "0", "first_token_s"], 1e130);
+            },
+            "first token 1e130 s is not within a day of the pause",
+        ),
+        (
+            "failover",
+            "NaN pause time",
+            |v, _| {
+                let i = inject(v, "paused", paused);
+                set(v, &i, &["paused", "0", "paused_at_s"], f64::NAN);
+            },
+            "pause NaN s is not within a day of the pause",
+        ),
+        (
+            "autoscale",
+            "far-future pause time",
+            |v, _| {
+                let i = inject(v, "paused", paused);
+                set(v, &i, &["paused", "0", "paused_at_s"], 1e130);
+            },
+            "pause 1e130 s is not within a day of the pause",
+        ),
+        (
+            "failover",
+            "negative first token of a paused request",
+            |v, _| {
+                let i = inject(v, "paused", paused);
+                set(v, &i, &["paused", "0", "first_token_s"], -1.0);
+            },
+            "first token -1e0 s is not within a day of the pause",
+        ),
+        (
+            "failover",
+            "far-future first token carried through a recompute",
+            |v, _| {
+                let i = inject(v, "chunking", |a| {
+                    let extra = vec![
+                        ("history", num(0)),
+                        ("processed", num(0)),
+                        ("prefill_total", num(64)),
+                        ("resumed", obj(a, &["generated", "first_token_s"], vec![])),
+                    ];
+                    obj(a, &["pending"], extra)
+                });
+                set(v, &i, &["chunking", "0", "resumed", "first_token_s"], 1e130);
+            },
+            "first token 1e130 s is not within a day of the pause",
+        ),
+        (
+            "disagg",
+            "NaN first token of a multiplexed request",
+            |v, _| {
+                let i = inject(v, "mux", |a| {
+                    let extra = vec![
+                        ("ctx", num(64)),
+                        ("generated", num(0)),
+                        ("kv_bytes", num(0)),
+                        ("quality", secs(0.9)),
+                        ("members", JsonValue::Arr(vec![obj(a, &MEMBER, vec![])])),
+                    ];
+                    obj(a, &[], extra)
+                });
+                set(
+                    v,
+                    &i,
+                    &["mux", "0", "members", "0", "first_token_s"],
+                    f64::NAN,
+                );
+            },
+            "first token NaN s is not within a day of the pause",
+        ),
+        (
+            "failover",
+            "far-future fault restart",
+            |v, _| set_fault_event(v, 1, 1e130),
+            "snapshot fault event at 1e130 s is not within a day and",
+        ),
+        (
+            "failover",
+            "negative fault restart",
+            |v, _| set_fault_event(v, 1, -1.0),
+            "snapshot fault event at -1e0 s is not within a day and",
+        ),
+        (
+            "failover",
+            "plan fault moved far ahead",
+            |v, _| set_fault_event(v, 0, 1e130),
+            "snapshot fault event at 1e130 s is not within a day and",
+        ),
+        (
+            "autoscale",
+            "far-future scale event",
+            |v, _| *node(v, &["autoscale", "events", "0", "0"]) = secs(1e130),
+            "snapshot scale event at 1e130 s is not within a day and",
+        ),
+        (
+            "autoscale",
+            "negative scale event",
+            |v, _| *node(v, &["autoscale", "events", "0", "0"]) = secs(-1.0),
+            "snapshot scale event at -1e0 s is not within a day and",
+        ),
     ];
     let pauses = drill_pauses();
     for (drill, field, corrupt, phrase) in cases {
@@ -994,6 +1187,18 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
         };
         assert!(err.contains(phrase), "{drill} {field}: {err}");
     }
+    // A never-ending outage schedules its restart at +inf: that time is
+    // legal, and the resumed run still finishes.
+    let (_, spec, snapshot) = pauses.iter().find(|(d, _, _)| *d == "failover").unwrap();
+    let mut doc = json::parse(&snapshot.to_json()).expect("snapshots are JSON");
+    set_fault_event(&mut doc, 1, f64::INFINITY);
+    let endless = ClusterSnapshot::from_json(&json::emit(&doc)).expect("well-formed");
+    let (sim, mut policies, mut executors) = build_cluster(spec);
+    let mut router = RouterKind::LeastOutstandingWork.build_with(&spec.router_context());
+    let report = sim
+        .resume(&endless, router.as_mut(), &mut policies, &mut executors)
+        .expect("a restart at +inf resumes");
+    assert!(report.completed() > 0);
 }
 
 #[test]

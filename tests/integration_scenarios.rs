@@ -8,8 +8,8 @@
 use duplex::model::ops::StageShape;
 use duplex::model::ModelConfig;
 use duplex::sched::{
-    Arrivals, ClusterReport, ClusterSimulation, ConversationSpec, PolicyKind, PreemptMode,
-    PreemptSpec, PreemptionPolicy, PriorityTiers, ReplicaConfig, RouterKind, Scenario,
+    Arrivals, ClusterReport, ClusterSimulation, ConversationSpec, KvLinkSpec, PolicyKind,
+    PreemptMode, PreemptSpec, PreemptionPolicy, PriorityTiers, ReplicaConfig, RouterKind, Scenario,
     ScenarioSimulation, SchedulingPolicy, ShedBatchTier, SimReport, Simulation, SimulationConfig,
     SloTier, StageExecutor, StageOutcome, TraceRequest, Workload,
 };
@@ -430,7 +430,7 @@ fn preemption_lifts_interactive_attainment_over_shedding() {
     // Crossover at 150 resident tokens: the 64..~256-token victim
     // spread straddles it, so both restore paths see traffic.
     let spec = PreemptSpec::new()
-        .with_swap_link(2e4, 7.5e-3)
+        .with_swap_link(KvLinkSpec::new(2e4, 7.5e-3))
         .with_recompute_rate(1e4);
     let preempt = run_preempt_gate(&mut PreemptionPolicy::new(Box::new(PriorityTiers), spec));
 

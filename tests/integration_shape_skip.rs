@@ -12,7 +12,7 @@
 use duplex::model::ops::StageShape;
 use duplex::model::ModelConfig;
 use duplex::sched::{
-    Arrivals, BatchCheckpoint, ClusterSimulation, ConversationSpec, MultiplexSpec, PreemptSpec,
+    Arrivals, BatchCheckpoint, ClusterSimulation, ConversationSpec, KvLinkSpec, PreemptSpec,
     PreemptionPolicy, PriorityTiers, ReplicaConfig, RouterKind, Scenario, ScenarioSimulation,
     SchedulingPolicy, SimReport, Simulation, SimulationConfig, SloTier, StageDelta, StageExecutor,
     StageOutcome, Workload,
@@ -221,9 +221,9 @@ fn serving_scenario() -> Scenario {
 fn preempting_policy() -> PreemptionPolicy {
     let spec = PreemptSpec::new()
         .with_threshold(0.75)
-        .with_swap_link(2e9, 1e-4)
+        .with_swap_link(KvLinkSpec::new(2e9, 1e-4))
         .with_recompute_rate(1e4);
-    PreemptionPolicy::new(Box::new(PriorityTiers), spec).with_multiplex(MultiplexSpec::new())
+    PreemptionPolicy::new(Box::new(PriorityTiers), spec).with_multiplex()
 }
 
 fn scenario_config() -> SimulationConfig {

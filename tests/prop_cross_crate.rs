@@ -7,9 +7,9 @@ use duplex::model::ops::StageShape;
 use duplex::model::{ExpertRouter, ModelConfig};
 use duplex::sched::{
     Arrivals, AutoscalePolicy, ClusterSimulation, ClusterSnapshot, ConversationSpec, DisaggPlan,
-    FaultEvent, FaultKind, FaultPlan, KvLinkSpec, LatencyDigest, MultiplexSpec, PendingRequest,
-    Placement, PolicyKind, PoolRole, PreemptMode, PreemptSpec, PreemptionPolicy, PriorityTiers,
-    ReplicaConfig, ReplicaSnapshot, Request, RetryPolicy, RouterKind, Scenario, ScenarioSimulation,
+    FaultEvent, FaultKind, FaultPlan, KvLinkSpec, LatencyDigest, PendingRequest, Placement,
+    PolicyKind, PoolRole, PreemptMode, PreemptSpec, PreemptionPolicy, PriorityTiers, ReplicaConfig,
+    ReplicaSnapshot, Request, RetryPolicy, RouterKind, Scenario, ScenarioSimulation,
     SchedulingPolicy, Simulation, SimulationConfig, SloStats, StageDelta, StageExecutor,
     StageOutcome, TierStats, Workload,
 };
@@ -998,7 +998,8 @@ proptest! {
             );
             let mut split_ex = TokenLinear::fleet(4);
             let split = ClusterSimulation::new(configs.clone(), mk())
-                .with_disagg(DisaggPlan::new(vec![0, 1]).with_link(free_link))
+                .with_disagg(DisaggPlan::new(vec![0, 1]))
+                .with_kv_link(free_link)
                 .run(kind.build().as_mut(), &mut mk_pol(), &mut split_ex);
 
             prop_assert_eq!(colocated.completed(), requests);
@@ -1122,12 +1123,14 @@ proptest! {
             requests,
         )
         .with_tiers(Scenario::default_tiers(0.01));
-        let plan = DisaggPlan::new(vec![0, 1])
-            .with_link(KvLinkSpec::new(link_bytes_per_s, link_latency_s));
+        let link = KvLinkSpec::new(link_bytes_per_s, link_latency_s);
         let configs = vec![ReplicaConfig::new(cfg); 4];
         for kind in RouterKind::ALL {
-            let mk_sim =
-                || ClusterSimulation::new(configs.clone(), mk()).with_disagg(plan.clone());
+            let mk_sim = || {
+                ClusterSimulation::new(configs.clone(), mk())
+                    .with_disagg(DisaggPlan::new(vec![0, 1]))
+                    .with_kv_link(link)
+            };
             let mk_pol = || -> Vec<Box<dyn SchedulingPolicy>> {
                 (0..4).map(|_| PolicyKind::PriorityTiers.build()).collect()
             };
@@ -1213,13 +1216,13 @@ proptest! {
         let mode = [PreemptMode::Auto, PreemptMode::SwapOnly, PreemptMode::RecomputeOnly][mode_idx];
         let spec = PreemptSpec::new()
             .with_threshold(threshold)
-            .with_swap_link(swap_gb_s, swap_lat)
+            .with_swap_link(KvLinkSpec::new(swap_gb_s, swap_lat))
             .with_recompute_rate(recompute_rate)
             .with_mode(mode);
         let mk_pol = || {
             let p = PreemptionPolicy::new(Box::new(PriorityTiers), spec);
             if mux_bit == 1 {
-                p.with_multiplex(MultiplexSpec::new())
+                p.with_multiplex()
             } else {
                 p
             }
@@ -1291,7 +1294,7 @@ proptest! {
         let mode = [PreemptMode::Auto, PreemptMode::SwapOnly, PreemptMode::RecomputeOnly][mode_idx];
         let spec = PreemptSpec::new()
             .with_threshold(threshold)
-            .with_swap_link(swap_gb_s, swap_lat)
+            .with_swap_link(KvLinkSpec::new(swap_gb_s, swap_lat))
             .with_recompute_rate(recompute_rate)
             .with_mode(mode);
         let mk_pol = || -> Vec<Box<dyn SchedulingPolicy>> {
@@ -1299,7 +1302,7 @@ proptest! {
                 .map(|_| {
                     let p = PreemptionPolicy::new(Box::new(PriorityTiers), spec);
                     let p = if mux_bit == 1 {
-                        p.with_multiplex(MultiplexSpec::new())
+                        p.with_multiplex()
                     } else {
                         p
                     };
