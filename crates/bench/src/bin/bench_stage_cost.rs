@@ -25,7 +25,14 @@
 //! `mixed` system (batch 256, Gaussian 128-token prompts and 32-token
 //! outputs, Poisson at 50k qps): ~67 decode groups, ~8 admissions and
 //! ~8 retirements per stage, the shape of `perfbench`'s
-//! `prefill_open`.
+//! `prefill_open`. `open_loop_cold` prices the same stream once per
+//! pass on a fresh, unwarmed executor, so its MoE memo misses (each a
+//! table-priced expert split) are part of the timing.
+//!
+//! `sampled_skew` is `decode_only` on the delta path under Zipf-1.0
+//! sampled expert routing: every stage draws each MoE layer's
+//! histogram and prices it, with no memo. Neither of these two entries
+//! has a baseline in `ci/bench_baseline.json`.
 //!
 //! Contexts advance every stage, as in a real decode loop. Every entry
 //! repeats its timed loop (a pass, on a freshly built and warmed
@@ -125,10 +132,14 @@ fn measure_full(class: &ShapeClass, stages: u64) -> (f64, usize) {
 
 /// Price `stages` advancing stages through the incremental delta path
 /// (admit the cohort once, then advance it, with the class's prefill
-/// riding along on every stage): stages/s and passes.
-fn measure_delta(class: &ShapeClass, stages: u64) -> (f64, usize) {
+/// riding along on every stage), under Zipf-`skew` sampled routing when
+/// given: stages/s and passes.
+fn measure_delta(class: &ShapeClass, skew: Option<f64>, stages: u64) -> (f64, usize) {
     timed(stages, || {
         let mut ex = SystemExecutor::new(class.system.clone(), class.model.clone(), 7);
+        if let Some(skew) = skew {
+            ex.set_expert_skew(skew);
+        }
         // Admit the cohort so it decodes from `start_ctx` onward,
         // mirroring the contexts the full-path measurement walks.
         let mut admit = StageDelta::start();
@@ -236,6 +247,18 @@ fn measure_open_loop(run: &OpenLoop, deltas: &[StageDelta], stages: u64) -> (f64
     })
 }
 
+/// Price the recorded stream `deltas` of `run` once per pass, each on
+/// a fresh executor with nothing warmed: stages/s and passes.
+fn measure_open_loop_cold(run: &OpenLoop, deltas: &[StageDelta]) -> (f64, usize) {
+    timed(deltas.len() as u64, || {
+        let mut ex = SystemExecutor::new(run.system.clone(), run.model.clone(), 7);
+        let mut stream = deltas.iter();
+        move || {
+            ex.stage_cost_delta(stream.next().expect("one replay a pass"));
+        }
+    })
+}
+
 fn json_escape_free(name: &str) -> &str {
     // Class names are static identifiers; assert rather than escape.
     assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
@@ -282,15 +305,24 @@ fn main() {
         let timing = measure_full(&class, stages);
         let name = class.name.to_string();
         push(name, model, system, class.batch, timing, stages);
-        let timing = measure_delta(&class, delta_stages);
+        let timing = measure_delta(&class, None, delta_stages);
         let name = format!("{}_delta", class.name);
         push(name, model, system, class.batch, timing, delta_stages);
+        if class.name == "decode_only" {
+            // Sampled stages cost about as much as full-path ones.
+            let timing = measure_delta(&class, Some(1.0), stages);
+            let name = "sampled_skew".to_string();
+            push(name, model, system, class.batch, timing, stages);
+        }
     }
     let run = open_loop();
     let deltas = record_open_loop(&run);
     let timing = measure_open_loop(&run, &deltas, delta_stages);
     let (name, model, system) = ("open_loop_delta".to_string(), &run.model, &run.system);
     push(name, model, system, run.batch, timing, delta_stages);
+    let timing = measure_open_loop_cold(&run, &deltas);
+    let name = "open_loop_cold".to_string();
+    push(name, model, system, run.batch, timing, deltas.len() as u64);
     print_table(
         "Stage-cost throughput (full vs incremental delta path)",
         &["Class", "Model", "System", "Batch", "Passes", "stages/s"],

@@ -511,6 +511,9 @@ pub struct StageWork {
     /// Sort scratch for prefill `(len, past, hold)` keys (see
     /// [`push_prefill_groups`]).
     pub pre_scratch: Vec<(u64, u64, bool)>,
+    /// Largest-remainder scratch of expected-value routing (see
+    /// [`ExpertRouter::route_expected_into`]).
+    pub remainder_scratch: Vec<(f64, usize)>,
 }
 
 /// Fill `fc_ops` with the batched FC GEMMs of one stage over `tokens`
@@ -723,7 +726,11 @@ pub fn enumerate_stage_into<R: Rng + ?Sized>(
             // compute one histogram; layers 1.. stay collapsed (see
             // [`StageWork::moe_uniform`]).
             crate::routing::RoutingMode::Expected => {
-                router.route_expected_into(tokens, &mut work.moe[0].expert_tokens);
+                router.route_expected_into(
+                    tokens,
+                    &mut work.moe[0].expert_tokens,
+                    &mut work.remainder_scratch,
+                );
                 work.moe_uniform = true;
             }
             // Each layer's gate is an independent draw.

@@ -129,13 +129,21 @@ impl ExpertRouter {
     /// lower expert index). Sums exactly to `tokens * top_k`.
     pub fn route_expected(&self, tokens: u64) -> Vec<u64> {
         let mut counts = Vec::new();
-        self.route_expected_into(tokens, &mut counts);
+        self.route_expected_into(tokens, &mut counts, &mut Vec::new());
         counts
     }
 
-    /// [`ExpertRouter::route_expected`] writing into a reusable buffer
-    /// (cleared and refilled; capacity kept).
-    pub fn route_expected_into(&self, tokens: u64, counts: &mut Vec<u64>) {
+    /// [`ExpertRouter::route_expected`] writing into reusable buffers:
+    /// `counts` receives the histogram, `remainders` is the caller's
+    /// scratch for the largest-remainder ranking. Both are cleared and
+    /// refilled with their capacity kept, so a call allocates nothing
+    /// once they hold one entry per expert.
+    pub fn route_expected_into(
+        &self,
+        tokens: u64,
+        counts: &mut Vec<u64>,
+        remainders: &mut Vec<(f64, usize)>,
+    ) {
         let total = tokens * u64::from(self.top_k);
         counts.clear();
         counts.resize(self.n_experts as usize, 0);
@@ -143,19 +151,22 @@ impl ExpertRouter {
             return;
         }
         let mut assigned = 0u64;
-        let mut fracs: Vec<(f64, usize)> = Vec::with_capacity(self.probs.len());
+        remainders.clear();
         for (i, &p) in self.probs.iter().enumerate() {
             let exact = total as f64 * p;
             let floor = exact.floor() as u64;
             counts[i] = floor;
             assigned += floor;
-            fracs.push((exact - floor as f64, i));
+            remainders.push((exact - floor as f64, i));
         }
-        // Largest remainder; stable tie-break on expert index.
+        // Largest remainder; ties to the lower expert index. The order
+        // is total, so the unstable sort needs no merge buffer.
         let remainder = (total - assigned) as usize;
-        fracs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-        for &(_, i) in fracs.iter().take(remainder) {
-            counts[i] += 1;
+        if remainder > 0 {
+            remainders.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+            for &(_, i) in remainders.iter().take(remainder) {
+                counts[i] += 1;
+            }
         }
     }
 
@@ -291,6 +302,53 @@ mod tests {
         let counts = router.route_expected(10);
         assert_eq!(counts.iter().sum::<u64>(), 10);
         assert_eq!(counts, vec![4, 3, 3]);
+    }
+
+    /// The expected histogram from a fresh remainder list and a stable
+    /// sort: the oracle for the buffered form.
+    fn route_expected_allocating(router: &ExpertRouter, tokens: u64) -> Vec<u64> {
+        let total = tokens * u64::from(router.top_k);
+        let mut counts = vec![0u64; router.n_experts as usize];
+        if total == 0 {
+            return counts;
+        }
+        let mut assigned = 0u64;
+        let mut fracs: Vec<(f64, usize)> = Vec::with_capacity(router.probs.len());
+        for (i, &p) in router.probs.iter().enumerate() {
+            let exact = total as f64 * p;
+            let floor = exact.floor() as u64;
+            counts[i] = floor;
+            assigned += floor;
+            fracs.push((exact - floor as f64, i));
+        }
+        let remainder = (total - assigned) as usize;
+        fracs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+        for &(_, i) in fracs.iter().take(remainder) {
+            counts[i] += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn buffered_expected_routing_matches_the_allocating_form() {
+        // Shared buffers across every router and token count, as the
+        // executor keeps them: stale contents must never leak through.
+        let (mut counts, mut remainders) = (Vec::new(), Vec::new());
+        for n_experts in 1..=64u32 {
+            for skew in [0.0, 1.0] {
+                for top_k in [1, 2.min(n_experts), n_experts] {
+                    let router = ExpertRouter::zipf(n_experts, top_k, skew);
+                    for tokens in (0..=300).chain([511, 1000, 4096, 65_537]) {
+                        router.route_expected_into(tokens, &mut counts, &mut remainders);
+                        assert_eq!(
+                            counts,
+                            route_expected_allocating(&router, tokens),
+                            "{n_experts} experts, top-{top_k}, skew {skew}, {tokens} tokens"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -2024,6 +2024,14 @@ impl ClusterSimulation {
         if let Some(e) = snap.stream.followups.iter().find_map(bad_tier) {
             return Err(format!("stream: queued {e}"));
         }
+        // Every carried time is checked against the pause, so the pause
+        // itself must be a time; the replica clocks below pin it down.
+        if !(snap.taken_at_s.is_finite() && snap.taken_at_s >= 0.0) {
+            return Err(format!(
+                "the pause at {:e} s is not a finite, non-negative time",
+                snap.taken_at_s
+            ));
+        }
         let stream = &snap.stream;
         check_clock(stream.source_clock, snap.taken_at_s, 0.0)
             .map_err(|e| format!("stream: source clock {e}"))?;
@@ -2044,6 +2052,16 @@ impl ClusterSimulation {
             }
             check_clock(s.clock, snap.taken_at_s, 0.0)
                 .map_err(|e| format!("replica {i}: clock {e}"))?;
+            // The fleet pauses only when its next stage starts at or
+            // after the pause, and a replica with work starts its next
+            // stage at its clock.
+            let sim = &self.configs[i].sim;
+            if s.would_start(sim.max_stages) && s.clock < snap.taken_at_s {
+                return Err(format!(
+                    "replica {i}: clock {:e} s is behind the pause at {:e} s, with work to run",
+                    s.clock, snap.taken_at_s
+                ));
+            }
             for (p, what, t) in s.carried_times() {
                 check_clock(t, snap.taken_at_s, 0.0)
                     .map_err(|e| format!("replica {i}: request {} {what} {e}", p.request.id))?;
@@ -2087,7 +2105,6 @@ impl ClusterSimulation {
                     "replica {i}: the executor checkpoint does not match the decoding requests"
                 ));
             }
-            let sim = &self.configs[i].sim;
             let resum = kv_reservation(
                 s.active.iter().map(|a| &a.pending),
                 &s.chunking,

@@ -2543,6 +2543,11 @@ impl ReplicaSim {
         }
     }
 
+    /// Reserve room for `records` more completion records up front.
+    pub(crate) fn reserve_completions(&mut self, records: usize) {
+        self.completed.reserve_exact(records);
+    }
+
     /// Fold the accumulated metrics into a report.
     pub(crate) fn into_report(self) -> SimReport {
         SimReport {

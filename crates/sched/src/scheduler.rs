@@ -194,6 +194,11 @@ impl Simulation {
     pub fn run<E: StageExecutor + ?Sized>(self, executor: &mut E) -> SimReport {
         let mut stream = ScenarioStream::new(&self.scenario, None);
         let mut replica = ReplicaSim::new(self.config, &self.scenario);
+        // A stage retires at most `max_batch` requests, so the log is
+        // sized once instead of doubling (and briefly held twice) on
+        // its way to a long run's length.
+        let retirable = self.config.max_stages.saturating_mul(self.config.max_batch);
+        replica.reserve_completions(self.scenario.requests.min(retirable));
         while replica.can_accept() {
             // Queue arrivals only while they could take a free slot
             // this stage; an idle replica takes the next arrival (and
@@ -628,6 +633,21 @@ mod tests {
         let report = sim.run(&mut Fixed(0.01));
         assert_eq!(report.stages.len(), 5);
         assert!(report.completed.is_empty());
+    }
+
+    #[test]
+    fn the_completion_log_is_reserved_within_the_stage_cap() {
+        // 2^40 requests would reserve terabytes; ten stages of batch 32
+        // retire at most 320.
+        let cfg = SimulationConfig {
+            max_stages: 10,
+            ..config(32)
+        };
+        let sim = Simulation::closed_loop(cfg, Workload::fixed(4, 2), 1 << 40);
+        let report = sim.run(&mut Fixed(0.01));
+        assert_eq!(report.stage_stats.stages, 10);
+        assert!(!report.completed.is_empty());
+        assert!(report.completed.capacity() <= 10 * 32);
     }
 
     #[test]

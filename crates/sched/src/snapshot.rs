@@ -184,6 +184,18 @@ impl ReplicaState {
             .chain(members.map(|m| &m.pending))
     }
 
+    /// Whether this replica would start a stage at its clock: it has
+    /// work in flight or waiting, under a stage cap of `max_stages`
+    /// (the state behind `ReplicaSim::next_start` answering the clock).
+    pub(crate) fn would_start(&self, max_stages: usize) -> bool {
+        let work = !(self.active.is_empty()
+            && self.chunking.is_empty()
+            && self.paused.is_empty()
+            && self.mux.is_empty()
+            && self.pending.is_empty());
+        work && (self.stage_stats.stages as usize) < max_stages
+    }
+
     /// Every per-request time the replica carries, with its request and
     /// what it is: inbox arrivals, pause times, and the first-token
     /// times of decoding, paused, recomputing and multiplexed requests.

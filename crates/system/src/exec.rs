@@ -21,6 +21,13 @@
 //! * MoE layers whose expert histograms are identical — always the
 //!   case under the default expected-value routing — are priced once
 //!   and scaled by the MoE block count;
+//! * an MoE layer is priced without building a list: each device (EP)
+//!   or node (ET) reads its experts as a strided view of the layer's
+//!   histogram, each expert's price comes from its unit's table by
+//!   token count — the latency lookup table of Sec. V-B, 128 slots per
+//!   unit, allocated by first use and filled by the same roofline call
+//!   — and the co-processing split sorts in buffers the executor keeps
+//!   (see [`crate::coproc`]);
 //! * per-stage scratch (enumeration and prefill-group buffers) lives in
 //!   the executor and is reused across stages instead of reallocated;
 //! * kernel pricing underneath is the engines' roofline math
@@ -123,7 +130,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::comm::{CommModel, LinkSpec};
-use crate::coproc::split_experts;
+use crate::coproc::{split_experts, SplitScratch};
 use crate::incremental::{round_robin_share, BatchState, DecodeTemplate};
 use crate::parallel::CapacityPlan;
 
@@ -567,6 +574,94 @@ impl AttnCaches {
     }
 }
 
+/// Slots of each unit's expert price table (a power of two). Slots
+/// follow the token count, so the counts of one expected-value
+/// histogram (at most two, one apart) never evict each other.
+const EXPERT_PRICE_SLOTS: usize = 128;
+
+/// One unit's price of one expert by token count: the latency lookup
+/// table of Sec. V-B, filled on first use of each count by the same
+/// roofline call ([`SystemExecutor::expert_cost`]) and so returning
+/// its bits. An executor shards its experts one way, so the table is
+/// keyed by the count alone and remembers the shard fraction only to
+/// check it.
+#[derive(Debug)]
+struct ExpertTable {
+    prices: PriceCache<u64>,
+    frac: f64,
+}
+
+impl ExpertTable {
+    fn new(frac: f64) -> Self {
+        Self {
+            prices: PriceCache::new(EXPERT_PRICE_SLOTS),
+            frac,
+        }
+    }
+
+    /// The price of one expert of `tokens` tokens on `engine`, the unit
+    /// this table belongs to.
+    #[inline]
+    fn price(
+        &mut self,
+        ex: &SystemExecutor,
+        engine: &Engine,
+        tokens: u64,
+        frac: f64,
+    ) -> KernelCost {
+        debug_assert_eq!(
+            frac.to_bits(),
+            self.frac.to_bits(),
+            "an executor shards its experts one way"
+        );
+        self.prices
+            .get_or_price(tokens, || ex.expert_cost(engine, tokens, frac))
+    }
+}
+
+/// The MoE path's reusable state: each unit's expert price table,
+/// allocated by its first use, and the expert split's buffers. Taken
+/// out of the executor for a pricing and put back, like the
+/// [`AttnCaches`], so pricing an MoE layer allocates nothing.
+#[derive(Debug, Default)]
+struct MoeScratch {
+    xpu: Option<ExpertTable>,
+    /// The low-Op/B unit's table.
+    pim: Option<ExpertTable>,
+    split: SplitScratch,
+}
+
+/// The experts one device (EP) or node (ET) owns under round-robin
+/// placement: every `step`-th expert of the layer, from `first`.
+#[derive(Debug, Clone, Copy)]
+struct OwnedExperts<'a> {
+    tokens: &'a [u64],
+    first: usize,
+    step: usize,
+}
+
+impl OwnedExperts<'_> {
+    fn len(&self) -> usize {
+        self.tokens
+            .len()
+            .saturating_sub(self.first)
+            .div_ceil(self.step)
+    }
+
+    /// Token count of the `i`-th owned expert.
+    fn get(&self, i: usize) -> u64 {
+        self.tokens[self.first + i * self.step]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.tokens
+            .iter()
+            .skip(self.first)
+            .step_by(self.step)
+            .copied()
+    }
+}
+
 /// Executes stages for one system; implements
 /// [`duplex_sched::StageExecutor`].
 #[derive(Debug)]
@@ -588,6 +683,8 @@ pub struct SystemExecutor {
     batch: BatchState,
     /// Cached linear pricing of the current decode membership.
     template: Option<DecodeTemplate>,
+    /// The last dropped template, whose buffers the next rebuild reuses.
+    spare_template: Option<DecodeTemplate>,
     /// Memoized FC/MoE/communication constants of expected-routing
     /// decode stages.
     consts_memo: FastMap<ConstsKey, StageConsts>,
@@ -601,8 +698,12 @@ pub struct SystemExecutor {
     prefill_keys: Vec<(u64, u64, bool)>,
     /// Reused FC-op list for stage-consts computation.
     fc_scratch: Vec<FcOp>,
-    /// Reused expert histogram for stage-consts computation.
+    /// Reused expert histogram for stage-consts computation, and the
+    /// router's largest-remainder scratch.
     hist_scratch: Vec<u64>,
+    remainder_scratch: Vec<(f64, usize)>,
+    /// Expert price tables and split buffers of the MoE path.
+    moe_scratch: MoeScratch,
     /// Attention price caches of the carried mixed path, allocated by
     /// its first stage rather than by [`Self::new`], so building an
     /// executor stays cheap.
@@ -683,6 +784,7 @@ impl SystemExecutor {
             work: StageWork::default(),
             batch: BatchState::default(),
             template: None,
+            spare_template: None,
             consts_memo: FastMap::default(),
             moe_memo: FastMap::default(),
             shape_scratch: StageShape::default(),
@@ -690,6 +792,8 @@ impl SystemExecutor {
             prefill_keys: Vec::new(),
             fc_scratch: Vec::new(),
             hist_scratch: Vec::new(),
+            remainder_scratch: Vec::new(),
+            moe_scratch: MoeScratch::default(),
             attn_caches: None,
             decode_pricer: OnceCell::new(),
         }
@@ -741,7 +845,7 @@ impl SystemExecutor {
         assert!(self.model.is_moe(), "expert skew needs an MoE model");
         self.router = ExpertRouter::zipf(self.model.n_experts, self.model.top_k, skew);
         // Cached stage constants embed the old router's histogram.
-        self.template = None;
+        self.invalidate_template();
         self.consts_memo.clear();
         self.moe_memo.clear();
     }
@@ -918,7 +1022,7 @@ impl SystemExecutor {
             // RNG, and each draw depends only on the stage's token
             // count; grouping sorts contexts and prefill keys, so the
             // carried groups price exactly like the scheduler's shape.
-            self.template = None;
+            self.invalidate_template();
             let mut shape = std::mem::take(&mut self.shape_scratch);
             self.batch.fill_shape(&mut shape, delta);
             let cost = self.stage_cost_impl(&shape, true);
@@ -928,7 +1032,7 @@ impl SystemExecutor {
         if !delta.admit.is_empty() || !delta.chunk.is_empty() || self.batch.reqs() == 0 {
             // The template was not advanced through this stage; the
             // next decode stage rebuilds it from the carried groups.
-            self.template = None;
+            self.invalidate_template();
             let cost = self.stage_cost_carried(delta);
             if cfg!(debug_assertions) {
                 if let Some(shape) = debug_shape {
@@ -948,13 +1052,25 @@ impl SystemExecutor {
         self.template.as_ref().expect("rebuilt above").price()
     }
 
+    /// Drop the decode template, keeping its buffers for the next
+    /// rebuild.
+    fn invalidate_template(&mut self) {
+        if let Some(tpl) = self.template.take() {
+            self.spare_template = Some(tpl);
+        }
+    }
+
     /// Rebuild the decode template from the carried groups: per-node
     /// placement, memoized FC/MoE/comm constants, and the linear
     /// attention coefficients.
     fn rebuild_decode_template(&mut self) {
         let nodes = self.config.nodes as usize;
         let (_, tp_attn, _) = self.parallel_dims();
-        let mut tpl = self.template.take().unwrap_or_default();
+        let mut tpl = self
+            .template
+            .take()
+            .or_else(|| self.spare_template.take())
+            .unwrap_or_default();
         self.batch
             .node_placement(nodes, &mut tpl.node_count, &mut tpl.node_sumctx);
         tpl.total_count = self.batch.reqs();
@@ -1036,7 +1152,8 @@ impl SystemExecutor {
         let blocks = self.model.moe_block_count();
         let mut hist = std::mem::take(&mut self.hist_scratch);
         if blocks > 0 {
-            self.router.route_expected_into(tokens, &mut hist);
+            self.router
+                .route_expected_into(tokens, &mut hist, &mut self.remainder_scratch);
         }
         let shared = (blocks > 0).then_some((hist.as_slice(), f64::from(blocks)));
         let moe = self.price_moe(mixed, shared);
@@ -1052,18 +1169,20 @@ impl SystemExecutor {
     /// priced once and counted `times` (a histogram shared by several
     /// MoE layers, or one layer of a stage whose layers differ).
     fn price_moe<'a>(
-        &self,
+        &mut self,
         mixed: bool,
         moe: impl IntoIterator<Item = (&'a [u64], f64)>,
     ) -> MoeCost {
         let (tp_fc, _, moe_devices) = self.parallel_dims();
+        let mut scratch = std::mem::take(&mut self.moe_scratch);
         let mut cost = MoeCost::default();
         for (hist, times) in moe {
-            let (t, e) = self.price_moe_layer(hist, mixed, tp_fc, moe_devices);
+            let (t, e) = self.price_moe_layer(hist, mixed, tp_fc, moe_devices, &mut scratch);
             cost.seconds += t * times;
             cost.dram_j += e.moe_dram * times;
             cost.comp_j += e.moe_comp * times;
         }
+        self.moe_scratch = scratch;
         cost
     }
 
@@ -1256,7 +1375,8 @@ impl SystemExecutor {
             let first = layers
                 .first()
                 .map(|l| (&l.expert_tokens[..], layers.len() as f64));
-            self.price_consts(&key, &work.fc_ops, self.price_moe(key.mixed, first))
+            let moe = self.price_moe(key.mixed, first);
+            self.price_consts(&key, &work.fc_ops, moe)
         } else {
             // The reference path sums per-layer prices; a collapsed
             // uniform stage prices `moe[0]` once per layer, which sums
@@ -1344,11 +1464,12 @@ impl SystemExecutor {
         mixed: bool,
         tp_fc: u32,
         moe_devices: u32,
+        scratch: &mut MoeScratch,
     ) -> (f64, EnergyBuckets) {
         if self.config.expert_tensor_parallel {
-            self.moe_layer_et(expert_tokens, mixed, tp_fc)
+            self.moe_layer_et(expert_tokens, mixed, tp_fc, scratch)
         } else {
-            self.moe_layer_ep(expert_tokens, mixed, moe_devices)
+            self.moe_layer_ep(expert_tokens, mixed, moe_devices, scratch)
         }
     }
 
@@ -1414,6 +1535,7 @@ impl SystemExecutor {
         expert_tokens: &[u64],
         mixed: bool,
         devices: u32,
+        scratch: &mut MoeScratch,
     ) -> (f64, EnergyBuckets) {
         let nex = expert_tokens.len() as u32;
         let mut energy = EnergyBuckets::default();
@@ -1426,14 +1548,12 @@ impl SystemExecutor {
         };
         let mut worst = 0.0f64;
         for d in 0..eff_devices {
-            let owned: Vec<u64> = expert_tokens
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|(e, _)| (*e as u32) % eff_devices == d)
-                .map(|(_, t)| t)
-                .collect();
-            let (t, e) = self.run_device_experts(&owned, mixed, frac);
+            let owned = OwnedExperts {
+                tokens: expert_tokens,
+                first: d as usize,
+                step: eff_devices as usize,
+            };
+            let (t, e) = self.run_device_experts(owned, mixed, frac, scratch);
             worst = worst.max(t);
             energy += e;
         }
@@ -1442,20 +1562,24 @@ impl SystemExecutor {
 
     /// Expert-tensor-parallel MoE layer: every device of a node holds a
     /// `1/tp` shard of each expert owned by its node (EP across nodes).
-    fn moe_layer_et(&self, expert_tokens: &[u64], mixed: bool, tp: u32) -> (f64, EnergyBuckets) {
+    fn moe_layer_et(
+        &self,
+        expert_tokens: &[u64],
+        mixed: bool,
+        tp: u32,
+        scratch: &mut MoeScratch,
+    ) -> (f64, EnergyBuckets) {
         let nodes = self.config.nodes;
         let frac = 1.0 / f64::from(tp);
         let mut worst = 0.0f64;
         let mut energy = EnergyBuckets::default();
         for node in 0..nodes {
-            let owned: Vec<u64> = expert_tokens
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|(e, _)| (*e as u32) % nodes == node)
-                .map(|(_, t)| t)
-                .collect();
-            let (t, e) = self.run_device_experts(&owned, mixed, frac);
+            let owned = OwnedExperts {
+                tokens: expert_tokens,
+                first: node as usize,
+                step: nodes as usize,
+            };
+            let (t, e) = self.run_device_experts(owned, mixed, frac, scratch);
             worst = worst.max(t);
             // All tp devices of the node do symmetric shard work.
             let mut e_scaled = e;
@@ -1466,55 +1590,45 @@ impl SystemExecutor {
         (worst, energy)
     }
 
-    /// Run one device's expert list under the policy: GPU-only, PIM by
-    /// stage type (base Duplex), or co-processing split.
-    fn run_device_experts(&self, tokens: &[u64], mixed: bool, frac: f64) -> (f64, EnergyBuckets) {
+    /// Run one device's experts under the policy: GPU-only, PIM by
+    /// stage type (base Duplex), or co-processing split. Each expert's
+    /// price comes from its unit's table in `scratch`.
+    fn run_device_experts(
+        &self,
+        owned: OwnedExperts<'_>,
+        mixed: bool,
+        frac: f64,
+        scratch: &mut MoeScratch,
+    ) -> (f64, EnergyBuckets) {
         let mut energy = EnergyBuckets::default();
         // Experts in one layer dispatch as one grouped kernel per unit:
         // one launch-overhead set per unit that does any work.
         let launches = f64::from(self.model.ffn_fcs);
+        let MoeScratch { xpu, pim, split } = scratch;
         let has_pim = self.pim.is_some() || self.config.hetero;
-        if !has_pim {
-            let mut t = 0.0;
-            let mut any = false;
-            for &tk in tokens {
-                let c = self.expert_cost(&self.xpu, tk, frac);
-                t += c.seconds;
-                any |= tk > 0;
-                energy.add_moe(&c);
+        if self.config.coproc && has_pim {
+            let xpu_table = xpu.get_or_insert_with(|| ExpertTable::new(frac));
+            let pim_table = pim.get_or_insert_with(|| ExpertTable::new(frac));
+            let pim = self.pim();
+            let split = split_experts(
+                owned.len(),
+                |i| {
+                    let tk = owned.get(i);
+                    (
+                        pim_table.price(self, pim, tk, frac).seconds,
+                        xpu_table.price(self, &self.xpu, tk, frac).seconds,
+                    )
+                },
+                split,
+            );
+            for &i in split.pim_experts() {
+                energy.add_moe(&pim_table.price(self, pim, owned.get(i), frac));
             }
-            if any {
-                t += launches * self.xpu.spec().launch_overhead_s;
-            }
-            return (t, energy);
-        }
-        if self.config.coproc {
-            // `(tokens, PIM cost, xPU cost)` per distinct token count:
-            // an expected-value histogram holds at most two.
-            let mut priced: Vec<(u64, KernelCost, KernelCost)> = Vec::new();
-            for &tk in tokens {
-                if !priced.iter().any(|p| p.0 == tk) {
-                    let pim = self.expert_cost(self.pim(), tk, frac);
-                    priced.push((tk, pim, self.expert_cost(&self.xpu, tk, frac)));
-                }
-            }
-            let cost_of = |tk: u64| {
-                let p = priced.iter().find(|p| p.0 == tk).expect("priced above");
-                (p.1, p.2)
-            };
-            let costs: Vec<(f64, f64)> = tokens
-                .iter()
-                .map(|&tk| (cost_of(tk).0.seconds, cost_of(tk).1.seconds))
-                .collect();
-            let split = split_experts(&costs);
-            for &i in &split.pim_experts {
-                energy.add_moe(&cost_of(tokens[i]).0);
-            }
-            for &i in &split.xpu_experts {
-                energy.add_moe(&cost_of(tokens[i]).1);
+            for &i in split.xpu_experts() {
+                energy.add_moe(&xpu_table.price(self, &self.xpu, owned.get(i), frac));
             }
             let pim_side = if split.pim_seconds > 0.0 {
-                split.pim_seconds + launches * self.pim().spec().launch_overhead_s
+                split.pim_seconds + launches * pim.spec().launch_overhead_s
             } else {
                 0.0
             };
@@ -1523,29 +1637,30 @@ impl SystemExecutor {
             } else {
                 0.0
             };
-            (pim_side.max(xpu_side), energy)
-        } else {
-            // Base Duplex / Bank-PIM / hetero: the PIM owns MoE in
-            // decoding-only stages; the hetero system has no choice and
-            // keeps MoE on its PIM pool even in mixed stages.
-            let engine = if mixed && !self.config.hetero {
-                &self.xpu
-            } else {
-                self.pim()
-            };
-            let mut t = 0.0;
-            let mut any = false;
-            for &tk in tokens {
-                let c = self.expert_cost(engine, tk, frac);
-                t += c.seconds;
-                any |= tk > 0;
-                energy.add_moe(&c);
-            }
-            if any {
-                t += launches * engine.spec().launch_overhead_s;
-            }
-            (t, energy)
+            return (pim_side.max(xpu_side), energy);
         }
+        // GPU: everything on the xPU. Base Duplex / Bank-PIM / hetero:
+        // the PIM owns MoE in decoding-only stages; the hetero system
+        // has no choice and keeps MoE on its PIM pool even in mixed
+        // stages.
+        let (engine, table) = if !has_pim || (mixed && !self.config.hetero) {
+            (&self.xpu, xpu)
+        } else {
+            (self.pim(), pim)
+        };
+        let table = table.get_or_insert_with(|| ExpertTable::new(frac));
+        let mut t = 0.0;
+        let mut any = false;
+        for tk in owned.iter() {
+            let c = table.price(self, engine, tk, frac);
+            t += c.seconds;
+            any |= tk > 0;
+            energy.add_moe(&c);
+        }
+        if any {
+            t += launches * engine.spec().launch_overhead_s;
+        }
+        (t, energy)
     }
 }
 
@@ -1608,7 +1723,7 @@ impl StageExecutor for SystemExecutor {
             .restore(&checkpoint.decode_groups, &checkpoint.pending_joins);
         // The decode template is a pure function of the groups; drop it
         // and let the next stage rebuild it (bit-identical).
-        self.template = None;
+        self.invalidate_template();
         self.rng = StdRng::from_state(checkpoint.rng);
     }
 }
@@ -1624,7 +1739,7 @@ impl SystemExecutor {
             // call); the materialized shape is ground truth — resync
             // the batch state from it and price the full path once.
             self.batch.rebuild_from(shape);
-            self.template = None;
+            self.invalidate_template();
             self.stage_cost_impl(shape, true)
         } else {
             let cost = self.stage_cost_delta_inner(delta, Some(shape));
@@ -1940,6 +2055,49 @@ mod tests {
             (64..=256).contains(&decode) && (40..=162).contains(&prefill),
             "misses: {decode} decode, {prefill} prefill"
         );
+    }
+
+    #[test]
+    fn expert_tables_price_every_count_like_a_fresh_roofline_call() {
+        let bits = |c: KernelCost| {
+            [
+                c.seconds.to_bits(),
+                c.dram_energy.activation_j.to_bits(),
+                c.dram_energy.transfer_j.to_bits(),
+                c.compute_j.to_bits(),
+            ]
+        };
+        for system in [
+            SystemConfig::gpu(4, 1),
+            SystemConfig::duplex(4, 1),
+            SystemConfig::duplex_pe_et(4, 1),
+            SystemConfig::bank_pim(4, 1),
+        ] {
+            let mut ex = SystemExecutor::new(system.clone(), ModelConfig::mixtral_8x7b(), 1);
+            // A mixed and a decode stage build each unit's table at the
+            // executor's shard fraction.
+            ex.stage_cost(&mixed_stage(8, 512, 128));
+            ex.stage_cost(&decode_stage(8, 512));
+            let mut scratch = std::mem::take(&mut ex.moe_scratch);
+            let xpu = (scratch.xpu.as_mut(), Some(&ex.xpu));
+            let pim = (scratch.pim.as_mut(), ex.pim.as_ref());
+            assert_eq!(pim.0.is_some(), system.device != DeviceKind::Gpu);
+            for (table, engine) in [xpu, pim] {
+                let (Some(table), Some(engine)) = (table, engine) else {
+                    continue;
+                };
+                let frac = table.frac;
+                // Each count twice in a row (a miss, then a hit), upward
+                // and then downward, so later counts evict earlier ones.
+                for tokens in (0..=4096u64).chain((0..=4096).rev()) {
+                    let fresh = bits(ex.expert_cost(engine, tokens, frac));
+                    for _ in 0..2 {
+                        let priced = bits(table.price(&ex, engine, tokens, frac));
+                        assert_eq!(priced, fresh, "{}: {tokens} tokens", system.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

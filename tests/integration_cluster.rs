@@ -838,7 +838,7 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
     // snapshots of the three drills and pushed through the wire
     // format: resume must answer with a described error, never a
     // panic and never a silent divergence.
-    let cases: [(&str, &str, Corruption, &str); 43] = [
+    let cases: [(&str, &str, Corruption, &str); 46] = [
         (
             "failover",
             "replica count",
@@ -1160,6 +1160,27 @@ fn corrupted_drill_snapshots_are_rejected_with_errors() {
             "negative scale event",
             |v, _| *node(v, &["autoscale", "events", "0", "0"]) = secs(-1.0),
             "snapshot scale event at -1e0 s is not within a day and",
+        ),
+        (
+            "failover",
+            "pause and one replica clock moved far ahead",
+            |v, _| {
+                *node(v, &["taken_at_s"]) = secs(1e130);
+                set(v, "1", &["clock"], 1e130);
+            },
+            "replica 2: clock 1.7773220911446732e0 s is behind the pause at 1e130 s",
+        ),
+        (
+            "autoscale",
+            "NaN pause",
+            |v, _| *node(v, &["taken_at_s"]) = secs(f64::NAN),
+            "the pause at NaN s is not a finite, non-negative time",
+        ),
+        (
+            "disagg",
+            "infinite pause",
+            |v, _| *node(v, &["taken_at_s"]) = secs(f64::INFINITY),
+            "the pause at inf s is not a finite, non-negative time",
         ),
     ];
     let pauses = drill_pauses();

@@ -13,7 +13,7 @@ use duplex::sched::{
     SchedulingPolicy, Simulation, SimulationConfig, SloStats, StageDelta, StageExecutor,
     StageOutcome, TierStats, Workload,
 };
-use duplex::system::coproc::split_experts;
+use duplex::system::coproc::{split_experts, SplitScratch};
 use duplex::system::{StageCost, SystemConfig, SystemExecutor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -47,6 +47,51 @@ impl StageExecutor for ReferenceExec {
             seconds: cost.seconds,
         }
     }
+}
+
+/// The expert split with fresh lists per call: a stable sort by PIM
+/// time, then every prefix split evaluated; returns the PIM and xPU
+/// experts and their seconds. The oracle for the buffer-based
+/// `split_experts`.
+fn split_experts_allocating(costs: &[(f64, f64)]) -> (Vec<usize>, Vec<usize>, f64, f64) {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by(|&a, &b| costs[a].0.partial_cmp(&costs[b].0).unwrap());
+    let mut xpu_suffix = vec![0.0f64; order.len() + 1];
+    for i in (0..order.len()).rev() {
+        xpu_suffix[i] = xpu_suffix[i + 1] + costs[order[i]].1;
+    }
+    let (mut best_k, mut best_makespan, mut pim_prefix) = (0, f64::INFINITY, 0.0f64);
+    for k in 0..=order.len() {
+        let makespan = pim_prefix.max(xpu_suffix[k]);
+        if makespan < best_makespan {
+            (best_k, best_makespan) = (k, makespan);
+        }
+        if k < order.len() {
+            pim_prefix += costs[order[k]].0;
+        }
+    }
+    let pim: Vec<usize> = order[..best_k].to_vec();
+    let xpu: Vec<usize> = order[best_k..].to_vec();
+    let pim_s: f64 = pim.iter().map(|&i| costs[i].0).sum();
+    let xpu_s: f64 = xpu.iter().map(|&i| costs[i].1).sum();
+    (pim, xpu, pim_s, xpu_s)
+}
+
+/// The least makespan over all 2^n assignments of experts to units.
+fn split_experts_exhaustive(costs: &[(f64, f64)]) -> f64 {
+    let mut best = f64::INFINITY;
+    for mask in 0u32..(1 << costs.len()) {
+        let (mut pim, mut xpu) = (0.0f64, 0.0f64);
+        for (i, c) in costs.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                pim += c.0;
+            } else {
+                xpu += c.1;
+            }
+        }
+        best = best.min(pim.max(xpu));
+    }
+    best
 }
 
 /// Every field of a stage cost, as bits.
@@ -650,12 +695,41 @@ proptest! {
     /// The expert split never exceeds either single-unit assignment.
     #[test]
     fn expert_split_bounded(costs in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..24)) {
-        let s = split_experts(&costs);
+        let mut scratch = SplitScratch::default();
+        let s = split_experts(costs.len(), |i| costs[i], &mut scratch);
         let all_pim: f64 = costs.iter().map(|c| c.0).sum();
         let all_xpu: f64 = costs.iter().map(|c| c.1).sum();
         prop_assert!(s.makespan() <= all_pim + 1e-9);
         prop_assert!(s.makespan() <= all_xpu + 1e-9);
-        prop_assert_eq!(s.pim_experts.len() + s.xpu_experts.len(), costs.len());
+        prop_assert_eq!(s.pim_experts().len() + s.xpu_experts().len(), costs.len());
+    }
+
+    /// The buffer-based split equals the allocating one to the bit,
+    /// with its buffers left over from a split of another list, on
+    /// continuous costs and on coarse ones full of ties. No split of
+    /// all 2^n partitions beats it by more than rounding.
+    #[test]
+    fn buffered_expert_split_matches_its_oracles(
+        continuous in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..14),
+        coarse in proptest::collection::vec((0u32..6, 0u32..6), 0..14),
+        previous in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..24),
+    ) {
+        let coarse: Vec<(f64, f64)> = coarse
+            .iter()
+            .map(|&(p, x)| (f64::from(p) * 0.25, f64::from(x) * 0.25))
+            .collect();
+        let mut scratch = SplitScratch::default();
+        for costs in [&continuous, &coarse] {
+            split_experts(previous.len(), |i| previous[i], &mut scratch);
+            let s = split_experts(costs.len(), |i| costs[i], &mut scratch);
+            let (pim, xpu, pim_s, xpu_s) = split_experts_allocating(costs);
+            prop_assert_eq!(s.pim_experts(), &pim[..]);
+            prop_assert_eq!(s.xpu_experts(), &xpu[..]);
+            prop_assert_eq!(s.pim_seconds.to_bits(), pim_s.to_bits());
+            prop_assert_eq!(s.xpu_seconds.to_bits(), xpu_s.to_bits());
+            let optimum = split_experts_exhaustive(costs);
+            prop_assert!(optimum <= s.makespan() * (1.0 + 1e-12), "{} < {}", s.makespan(), optimum);
+        }
     }
 
     /// Router counts always sum to tokens * top_k, for any expert count.
