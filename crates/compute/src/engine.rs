@@ -166,20 +166,6 @@ impl Engine {
         self.bytes_per_sec
     }
 
-    /// Scale the engine to a fraction of its DRAM bandwidth (used when
-    /// an engine may only touch a subset of the bank bundles during
-    /// co-processing, or a tensor-parallel shard of the device).
-    pub fn with_bandwidth_fraction(&self, fraction: f64) -> Engine {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]"
-        );
-        let mut e = self.clone();
-        e.bytes_per_sec *= fraction;
-        e.inv_bytes_per_sec = e.bytes_per_sec.recip();
-        e
-    }
-
     /// Price a GEMM that streams `dram_bytes` from memory.
     pub fn gemm_cost(&self, shape: GemmShape, dram_bytes: u64) -> KernelCost {
         self.kernel_cost(&Kernel::Gemm { shape, dram_bytes })
@@ -516,21 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_fraction_scales_memory_time() {
-        let pim = Engine::logic_pim();
-        let half = pim.with_bandwidth_fraction(0.5);
-        let g = GemmShape {
-            m: 1,
-            n: 14336,
-            k: 4096,
-        };
-        let b = g.weight_bytes(2);
-        let full_t = pim.gemm_cost(g, b).seconds - pim.spec().launch_overhead_s;
-        let half_t = half.gemm_cost(g, b).seconds - half.spec().launch_overhead_s;
-        assert!((half_t / full_t - 2.0).abs() < 0.01);
-    }
-
-    #[test]
     fn engine_kinds_price_energy_differently() {
         let xpu = Engine::h100_xpu();
         let pim = Engine::logic_pim();
@@ -596,23 +567,6 @@ mod tests {
                 "a clone prices differently"
             );
         }
-    }
-
-    #[test]
-    fn half_bandwidth_engines_price_slower() {
-        let pim = Engine::logic_pim();
-        let g = GemmShape {
-            m: 1,
-            n: 14336,
-            k: 4096,
-        };
-        let b = g.weight_bytes(2);
-        let full = pim.gemm_cost(g, b);
-        let halved = pim.with_bandwidth_fraction(0.5).gemm_cost(g, b);
-        assert!(
-            halved.seconds > full.seconds,
-            "half bandwidth must price slower"
-        );
     }
 
     #[test]

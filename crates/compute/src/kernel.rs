@@ -34,11 +34,6 @@ impl GemmShape {
         self.n * self.k * bytes_per_elem
     }
 
-    /// Bytes of activations in and out at `bytes_per_elem` precision.
-    pub fn activation_bytes(&self, bytes_per_elem: u64) -> u64 {
-        (self.m * self.k + self.m * self.n) * bytes_per_elem
-    }
-
     /// Arithmetic intensity in FLOP per DRAM byte, counting only the
     /// weight traffic (the paper's convention: activations stay
     /// on-chip for the layer shapes of interest).
@@ -157,7 +152,6 @@ mod tests {
         let g = GemmShape { m: 2, n: 3, k: 5 };
         assert_eq!(g.flops(), 60.0);
         assert_eq!(g.weight_bytes(2), 30);
-        assert_eq!(g.activation_bytes(2), (2 * 5 + 2 * 3) * 2);
     }
 
     #[test]

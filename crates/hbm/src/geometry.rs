@@ -93,27 +93,6 @@ impl HbmGeometry {
         self.bundles_per_rank() * self.ranks()
     }
 
-    /// Capacity governed by a single pseudo channel, in bytes.
-    pub fn bytes_per_pseudo_channel(&self) -> u64 {
-        self.capacity_bytes / u64::from(self.pseudo_channels)
-    }
-
-    /// Capacity of one bank, in bytes.
-    pub fn bytes_per_bank(&self) -> u64 {
-        self.bytes_per_pseudo_channel() / u64::from(self.banks_per_pseudo_channel())
-    }
-
-    /// Capacity of one bank-bundle-indexed memory space across the whole
-    /// stack, in bytes (stack capacity / 4 for HBM3).
-    pub fn bytes_per_space(&self) -> u64 {
-        self.capacity_bytes / u64::from(self.bundles_per_pseudo_channel())
-    }
-
-    /// Rows per bank.
-    pub fn rows_per_bank(&self) -> u64 {
-        self.bytes_per_bank() / self.row_bytes
-    }
-
     /// Column accesses needed to drain one open row.
     pub fn reads_per_row(&self) -> u64 {
         self.row_bytes / self.burst_bytes
@@ -138,16 +117,6 @@ impl BankBundle {
     pub fn rank(&self, geom: &HbmGeometry) -> u32 {
         self.space / geom.bundles_per_rank()
     }
-
-    /// Whether two bundles can be accessed concurrently without a bank
-    /// conflict. Bundles conflict only when they are the *same* bundle
-    /// of the same pseudo channel; different spaces never conflict,
-    /// which is what lets xPU and Logic-PIM run simultaneously
-    /// (Sec. IV-C: "a simple switch separates it from the Logic-PIM
-    /// datapath").
-    pub fn conflicts_with(&self, other: &BankBundle) -> bool {
-        self == other
-    }
 }
 
 #[cfg(test)]
@@ -165,44 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn capacity_partitions_exactly() {
-        let g = HbmGeometry::hbm3_8hi();
-        assert_eq!(
-            g.bytes_per_pseudo_channel() * u64::from(g.pseudo_channels),
-            g.capacity_bytes
-        );
-        assert_eq!(
-            g.bytes_per_space() * u64::from(g.bundles_per_pseudo_channel()),
-            g.capacity_bytes
-        );
-        // 16 GB / 32 pCH / 32 banks = 16 MB per bank.
-        assert_eq!(g.bytes_per_bank(), 16 << 20);
-    }
-
-    #[test]
     fn row_math() {
         let g = HbmGeometry::hbm3_8hi();
         assert_eq!(g.reads_per_row(), 32);
-        assert_eq!(g.rows_per_bank(), (16 << 20) / 1024);
-    }
-
-    #[test]
-    fn bundle_conflicts() {
-        let a = BankBundle {
-            pseudo_channel: 0,
-            space: 1,
-        };
-        let b = BankBundle {
-            pseudo_channel: 0,
-            space: 2,
-        };
-        let c = BankBundle {
-            pseudo_channel: 1,
-            space: 1,
-        };
-        assert!(a.conflicts_with(&a));
-        assert!(!a.conflicts_with(&b));
-        assert!(!a.conflicts_with(&c));
     }
 
     #[test]

@@ -327,15 +327,6 @@ impl BandwidthProfile {
     pub fn activations_per_byte(&self, path: AccessPath) -> f64 {
         self.activations_per_byte[Self::index(path)]
     }
-
-    /// Time in seconds to stream `bytes` through a device with `stacks`
-    /// stacks over `path`, assuming all pseudo channels participate.
-    pub fn stream_seconds(&self, path: AccessPath, stacks: u32, bytes: u64) -> f64 {
-        if bytes == 0 {
-            return 0.0;
-        }
-        bytes as f64 / self.device_bytes_per_sec(path, stacks)
-    }
 }
 
 #[cfg(test)]
@@ -393,15 +384,6 @@ mod tests {
         let dev = p.device_bytes_per_sec(AccessPath::Xpu, 5);
         // 5 stacks of HBM3 => ~3.35 TB/s on an H100.
         assert!(dev > 3.0e12 && dev < 3.6e12, "got {dev}");
-    }
-
-    #[test]
-    fn stream_seconds_scales_linearly() {
-        let p = profile();
-        let one = p.stream_seconds(AccessPath::Xpu, 5, 1 << 30);
-        let two = p.stream_seconds(AccessPath::Xpu, 5, 2 << 30);
-        assert!((two / one - 2.0).abs() < 1e-9);
-        assert_eq!(p.stream_seconds(AccessPath::Xpu, 5, 0), 0.0);
     }
 
     #[test]

@@ -60,13 +60,6 @@ impl HbmTiming {
     pub fn peak_pseudo_channel_gbps(&self, burst_bytes: u64) -> f64 {
         burst_bytes as f64 / self.tccd_s
     }
-
-    /// Minimum time to cycle one bank through PRE + ACT before it can be
-    /// read again (ns). Used to check that bank interleaving hides row
-    /// turnaround during streaming.
-    pub fn row_turnaround(&self) -> f64 {
-        self.trp + self.trcd
-    }
 }
 
 impl Default for HbmTiming {
@@ -101,6 +94,6 @@ mod tests {
         // exceeds tRP + tRCD = 28 ns: interleaved banks can hide
         // turnaround, so streaming sustains near peak. The stream engine
         // test verifies this end to end.
-        assert!(32.0 * t.tccd_s > t.row_turnaround());
+        assert!(32.0 * t.tccd_s > t.trp + t.trcd);
     }
 }

@@ -52,7 +52,7 @@
 //! stands at one consistent virtual time, so every fleet-level
 //! mechanism acts there and nowhere else: routing places arrivals
 //! against per-replica snapshots taken at the merge point, scripted
-//! faults and load triggers ([`FaultPlan`]) land there, the autoscaler
+//! faults ([`FaultPlan`]) land there, the autoscaler
 //! ([`AutoscalePolicy`]) evaluates and provisions there, disaggregated
 //! prefill→decode handoffs are delivered there, and a
 //! [`ClusterSnapshot`] captures one, so a resumed run replays the same
@@ -65,12 +65,12 @@
 //! evaluation ticks, joins). The earliest event, by virtual time and then
 //! by schedule order, is due once no stage starts and no arrival routes
 //! before it; a fully-down fleet's held arrivals do not block. At a merge
-//! point the fault runtime applies its due events, load triggers and
-//! finished drains, then the autoscaler its due events and finished
+//! point the fault runtime applies its due events and finished
+//! drains, then the autoscaler its due events and finished
 //! scale-downs, alternating until both are quiet; the earliest pending
 //! event also ends the next window. A snapshot captures both queues with
-//! their schedule counters, the runtimes' retry, drain, trigger and pool
-//! state, and the pending disaggregation assignments.
+//! their schedule counters, the runtimes' retry, drain and pool state,
+//! and the pending disaggregation assignments.
 //!
 //! # The fleet KV link
 //!
@@ -624,7 +624,7 @@ fn hand_off_parked(
 /// fully-down colocated behavior).
 #[allow(clippy::too_many_arguments)]
 fn dispatch_arrivals(
-    stream: &mut ScenarioStream<'_>,
+    stream: &mut ScenarioStream,
     router: &mut dyn Router,
     configs: &[ReplicaConfig],
     replicas: &mut [ReplicaSim],
@@ -691,17 +691,6 @@ fn dispatch_arrivals(
                     },
                 ));
                 let placement = router.place(&p, snapshots);
-                if let Some(defer_to) = placement.defer_until_s {
-                    // Fleet-level shed: the request is not placed at
-                    // all — it re-enters the arrival stream later with
-                    // its absolute deadline intact (see
-                    // [`crate::router::FleetShed`]).
-                    let mut p = p;
-                    p.request.arrival_s = defer_to.max(t_a);
-                    stats.requests_deferred += 1;
-                    stream.requeue(p);
-                    continue;
-                }
                 let target = placement.prefill;
                 assert!(
                     target < replicas.len(),
@@ -773,7 +762,7 @@ fn migrate_parked(
 /// the KV) degrades gracefully: another decode replica is picked, or
 /// the prompt re-prefills from scratch.
 fn drain_handoffs(
-    stream: &mut ScenarioStream<'_>,
+    stream: &mut ScenarioStream,
     configs: &[ReplicaConfig],
     replicas: &mut [ReplicaSim],
     link: KvLinkSpec,
@@ -873,7 +862,7 @@ impl<A: Copy> EventQueue<A> {
     fn pop_due(
         &mut self,
         replicas: &[ReplicaSim],
-        stream: &mut ScenarioStream<'_>,
+        stream: &mut ScenarioStream,
     ) -> Option<(f64, A)> {
         let (idx, &(at_s, _, _)) = self.events.iter().enumerate().min_by(|(_, a), (_, b)| {
             a.0.partial_cmp(&b.0)
@@ -965,8 +954,6 @@ struct FaultRuntime<'p> {
     attempts: Vec<(u64, u32)>,
     /// Per replica: `(down_s, fault_at_s)` of an in-progress drain.
     draining_down: Vec<Option<(f64, f64)>>,
-    /// Per [`crate::fault::LoadTrigger`]: (fires so far, re-armed at).
-    trigger_state: Vec<(u32, f64)>,
 }
 
 impl<'p> FaultRuntime<'p> {
@@ -981,7 +968,6 @@ impl<'p> FaultRuntime<'p> {
             queue,
             attempts: Vec::new(),
             draining_down: vec![None; replica_count],
-            trigger_state: vec![(0, 0.0); plan.triggers.len()],
         }
     }
 
@@ -1000,16 +986,15 @@ impl<'p> FaultRuntime<'p> {
     }
 
     /// Run the merge-point fault boundary to quiescence: apply every
-    /// due event (virtual-time order, schedule order on ties), fire
-    /// every armed load trigger (trigger order, replica order), and
+    /// due event (virtual-time order, schedule order on ties) and
     /// complete every finished drain (replica-index order), repeating
-    /// until none fires. Drains owned by the autoscaler
+    /// until none is left. Drains owned by the autoscaler
     /// (`skip_drains[i]`) are left for it to complete — they return
     /// the replica to the pool instead of scheduling a restart.
     /// Returns whether anything was applied.
     fn process_boundary(
         &mut self,
-        stream: &mut ScenarioStream<'_>,
+        stream: &mut ScenarioStream,
         configs: &[ReplicaConfig],
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
@@ -1019,7 +1004,7 @@ impl<'p> FaultRuntime<'p> {
         loop {
             if let Some((at_s, action)) = self.queue.pop_due(replicas, stream) {
                 self.apply_event(at_s, action, stream, replicas, stats);
-            } else if !self.fire_due_trigger(stream, replicas, stats) {
+            } else {
                 let Some(i) = (0..replicas.len()).find(|&i| {
                     replicas[i].is_draining()
                         && !replicas[i].in_flight()
@@ -1033,56 +1018,55 @@ impl<'p> FaultRuntime<'p> {
         }
     }
 
-    /// Fire the first armed load trigger whose pressure condition a
-    /// replica meets (trigger order, then replica order — a fixed,
-    /// deterministic scan), injecting its fault at the offender's
-    /// clock. Returns whether one fired.
-    fn fire_due_trigger(
-        &mut self,
-        stream: &mut ScenarioStream<'_>,
-        replicas: &mut [ReplicaSim],
-        stats: &mut RecoveryStats,
-    ) -> bool {
-        for ti in 0..self.plan.triggers.len() {
-            let trigger = self.plan.triggers[ti];
-            let (fires, armed_at) = self.trigger_state[ti];
-            if fires >= trigger.max_fires {
-                continue;
-            }
-            for i in 0..replicas.len() {
-                if !replicas[i].is_admitting() || replicas[i].is_draining() {
-                    continue;
-                }
-                let now = replicas[i].clock();
-                if now < armed_at {
-                    continue;
-                }
-                let (in_flight, queued, _) = replicas[i].load();
-                let pressure = (in_flight + queued) as f64 / replicas[i].max_batch().max(1) as f64;
-                if pressure < trigger.pressure {
-                    continue;
-                }
-                self.trigger_state[ti] = (fires + 1, now + trigger.cooldown_s);
-                stats.triggers_fired += 1;
-                self.inject(now, i, trigger.kind, stream, replicas, stats);
-                return true;
-            }
-        }
-        false
-    }
-
     fn apply_event(
         &mut self,
         at_s: f64,
         action: Action,
-        stream: &mut ScenarioStream<'_>,
+        stream: &mut ScenarioStream,
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
     ) {
         match action {
             Action::Apply(fi) => {
                 let f = self.plan.faults[fi];
-                self.inject(f.at_s, f.replica, f.kind, stream, replicas, stats);
+                let replica = &mut replicas[f.replica];
+                stats.faults_injected += 1;
+                match f.kind {
+                    FaultKind::Crash { down_s } => {
+                        // The replica's last stage may have straddled
+                        // the fault time (stage granularity): the
+                        // outage is measured from where it actually
+                        // stopped.
+                        let now = replica.clock().max(f.at_s);
+                        let lost = replica.crash();
+                        replica.mark_down(now);
+                        self.queue
+                            .schedule(now + down_s, Action::Restart(f.replica));
+                        for mut p in lost {
+                            stats.requests_lost += 1;
+                            let attempt = self.bump_attempts(p.request.id);
+                            if attempt <= self.plan.retry.max_retries {
+                                stats.retries_issued += 1;
+                                // Re-enqueue through the router at the
+                                // backoff time; the original absolute
+                                // SLO deadline is kept.
+                                p.request.arrival_s = now + self.plan.retry.delay_s(attempt);
+                                stream.requeue(p);
+                            } else {
+                                stats.requests_dropped += 1;
+                            }
+                        }
+                    }
+                    FaultKind::Drain { down_s } => {
+                        self.draining_down[f.replica] = Some((down_s, f.at_s));
+                        // Not-yet-started requests reroute at their
+                        // original arrival times: nothing was lost, no
+                        // retry budget is spent.
+                        for p in replica.begin_drain() {
+                            stream.requeue(p);
+                        }
+                    }
+                }
             }
             Action::Restart(i) => {
                 replicas[i].restart(at_s);
@@ -1093,62 +1077,6 @@ impl<'p> FaultRuntime<'p> {
                 }
             }
             Action::ClearSlow(i) => replicas[i].set_perf_factor(1.0),
-        }
-    }
-
-    /// Inject one fault on `replica` at virtual time `at_s` — the
-    /// shared path for scripted [`Action::Apply`] events and
-    /// load-trigger fires.
-    fn inject(
-        &mut self,
-        at_s: f64,
-        replica: usize,
-        kind: FaultKind,
-        stream: &mut ScenarioStream<'_>,
-        replicas: &mut [ReplicaSim],
-        stats: &mut RecoveryStats,
-    ) {
-        stats.faults_injected += 1;
-        match kind {
-            FaultKind::Crash { down_s } => {
-                // The replica's last stage may have straddled the
-                // fault time (stage granularity): the outage is
-                // measured from where it actually stopped.
-                let now = replicas[replica].clock().max(at_s);
-                let lost = replicas[replica].crash();
-                replicas[replica].mark_down(now);
-                self.queue.schedule(now + down_s, Action::Restart(replica));
-                for mut p in lost {
-                    stats.requests_lost += 1;
-                    let attempt = self.bump_attempts(p.request.id);
-                    if attempt <= self.plan.retry.max_retries {
-                        stats.retries_issued += 1;
-                        // Re-enqueue through the router at the backoff
-                        // time; the original absolute SLO deadline is
-                        // kept.
-                        p.request.arrival_s = now + self.plan.retry.delay_s(attempt);
-                        stream.requeue(p);
-                    } else {
-                        stats.requests_dropped += 1;
-                    }
-                }
-            }
-            FaultKind::Drain { down_s } => {
-                let displaced = replicas[replica].begin_drain();
-                self.draining_down[replica] = Some((down_s, at_s));
-                // Not-yet-started requests reroute at their original
-                // arrival times: nothing was lost, no retry budget is
-                // spent.
-                for p in displaced {
-                    stream.requeue(p);
-                }
-            }
-            FaultKind::Slowdown { duration_s, factor } => {
-                let now = replicas[replica].clock().max(at_s);
-                replicas[replica].set_perf_factor(factor);
-                self.queue
-                    .schedule(now + duration_s, Action::ClearSlow(replica));
-            }
         }
     }
 
@@ -1191,17 +1119,12 @@ impl<'p> FaultRuntime<'p> {
                     d.map(|(down_s, at_s)| (i as u64, down_s.to_bits(), at_s.to_bits()))
                 })
                 .collect(),
-            triggers: self
-                .trigger_state
-                .iter()
-                .map(|&(fires, armed_at)| (u64::from(fires), armed_at.to_bits()))
-                .collect(),
         }
     }
 
     /// Restore state captured by [`FaultRuntime::export_state`] in a
-    /// snapshot taken at `taken_at_s`, rejecting events, drains and
-    /// trigger states this plan and fleet cannot hold. A restart at
+    /// snapshot taken at `taken_at_s`, rejecting events and drains
+    /// this plan and fleet cannot hold. A restart at
     /// +inf (an outage that never ends) is legal.
     fn import_state(&mut self, s: &FaultState, taken_at_s: f64) -> Result<(), String> {
         let plan = self.plan;
@@ -1210,15 +1133,15 @@ impl<'p> FaultRuntime<'p> {
             .events
             .iter()
             .map(|&(at, seq, code, arg)| (at, seq, (code, arg)));
-        // Plan faults apply at their scripted times, restarts and
-        // slowdown ends come a down time or duration after a reached
-        // time, and warm-up ends a warm-up after a restart.
+        // Plan faults apply at their scripted times, restarts come a
+        // down time after a reached time, and warm-up ends a warm-up
+        // after a restart.
         let delay_s = plan
             .faults
             .iter()
-            .map(|f| match f.kind {
-                FaultKind::Crash { down_s } | FaultKind::Drain { down_s } => f.at_s.max(down_s),
-                FaultKind::Slowdown { duration_s, .. } => f.at_s.max(duration_s),
+            .map(|f| {
+                let (FaultKind::Crash { down_s } | FaultKind::Drain { down_s }) = f.kind;
+                f.at_s.max(down_s)
             })
             .fold(plan.warmup_s, f64::max);
         let queue = EventQueue::import(
@@ -1238,22 +1161,12 @@ impl<'p> FaultRuntime<'p> {
                 "snapshot drain state targets replica {replica} of {replicas}"
             ));
         }
-        if s.triggers.len() != self.trigger_state.len() {
-            return Err(format!(
-                "snapshot has {} load-trigger states, the plan has {}",
-                s.triggers.len(),
-                self.trigger_state.len()
-            ));
-        }
         self.queue = queue;
         self.attempts = s.attempts.iter().map(|&(id, n)| (id, n as u32)).collect();
         self.draining_down.fill(None);
         for &(replica, down_bits, at_bits) in &s.draining_down {
             self.draining_down[replica as usize] =
                 Some((f64::from_bits(down_bits), f64::from_bits(at_bits)));
-        }
-        for (state, &(fires, armed_bits)) in self.trigger_state.iter_mut().zip(&s.triggers) {
-            *state = (fires as u32, f64::from_bits(armed_bits));
         }
         Ok(())
     }
@@ -1474,7 +1387,7 @@ impl<'p> AutoscaleRuntime<'p> {
     /// (replica-index order). Returns whether anything was applied.
     fn process_boundary(
         &mut self,
-        stream: &mut ScenarioStream<'_>,
+        stream: &mut ScenarioStream,
         configs: &[ReplicaConfig],
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
@@ -1498,7 +1411,7 @@ impl<'p> AutoscaleRuntime<'p> {
         &mut self,
         at_s: f64,
         action: ScaleAction,
-        stream: &mut ScenarioStream<'_>,
+        stream: &mut ScenarioStream,
         configs: &[ReplicaConfig],
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
@@ -1526,7 +1439,7 @@ impl<'p> AutoscaleRuntime<'p> {
     fn evaluate(
         &mut self,
         t: f64,
-        stream: &mut ScenarioStream<'_>,
+        stream: &mut ScenarioStream,
         configs: &[ReplicaConfig],
         replicas: &mut [ReplicaSim],
     ) {
@@ -1832,8 +1745,8 @@ impl ClusterSimulation {
         self
     }
 
-    /// Attach a deterministic fault script (crashes, drains,
-    /// slowdowns) applied at the run's clock-merge points; the report
+    /// Attach a deterministic fault script (crashes and drains)
+    /// applied at the run's clock-merge points; the report
     /// then carries [`ClusterReport::recovery`] and
     /// [`ClusterReport::faults`].
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
@@ -2166,7 +2079,7 @@ impl ClusterSimulation {
                 configs.len()
             ));
         }
-        let mut stream = ScenarioStream::new(&self.scenario, None);
+        let mut stream = ScenarioStream::new(&self.scenario);
         let mut replicas: Vec<ReplicaSim> = configs
             .iter()
             .map(|c| ReplicaSim::new(c.sim, &self.scenario))
@@ -2238,8 +2151,8 @@ impl ClusterSimulation {
 
         loop {
             // ---- fault + scale boundary, at the merge point ----
-            // Apply every due fault event (scripted faults, load
-            // triggers, restarts, warm-up clears) and every due scale
+            // Apply every due fault event (scripted faults, restarts,
+            // warm-up clears) and every due scale
             // event, completing finished drains, before anything
             // observes the fleet. Fault machinery runs first on each
             // pass — a fixed order keeps runs deterministic — and the
@@ -2399,10 +2312,10 @@ impl ClusterSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultEvent, LoadTrigger, RetryPolicy};
+    use crate::fault::{FaultEvent, RetryPolicy};
     use crate::policy::PolicyKind;
     use crate::router::{
-        FleetShed, KvMigration, LeastOutstandingWork, RoundRobin, RouterKind, SessionAffinity,
+        KvMigration, LeastOutstandingWork, RoundRobin, RouterKind, SessionAffinity,
     };
     use crate::scenario::{ConversationSpec, ScenarioSimulation};
     use crate::scheduler::StageOutcome;
@@ -2924,47 +2837,6 @@ mod tests {
     }
 
     #[test]
-    fn a_slowdown_stretches_the_run_but_loses_nothing() {
-        let scenario = || {
-            Scenario::new(
-                "sluggish",
-                Workload::fixed(64, 8).with_seed(5),
-                Arrivals::Poisson { qps: 600.0 },
-                30,
-            )
-        };
-        let configs = vec![ReplicaConfig::new(config(4))];
-        let healthy = ClusterSimulation::new(configs.clone(), scenario()).run(
-            &mut RoundRobin::default(),
-            &mut policies(1, PolicyKind::Fcfs),
-            &mut [Fixed(0.01)],
-        );
-        let plan = FaultPlan::new(vec![FaultEvent::new(
-            0.0,
-            0,
-            FaultKind::Slowdown {
-                duration_s: 1e3,
-                factor: 4.0,
-            },
-        )]);
-        let slowed = ClusterSimulation::new(configs, scenario())
-            .with_faults(plan)
-            .run(
-                &mut RoundRobin::default(),
-                &mut policies(1, PolicyKind::Fcfs),
-                &mut [Fixed(0.01)],
-            );
-        assert_eq!(slowed.completed(), 30);
-        assert_eq!(slowed.recovery.requests_lost, 0);
-        assert!(
-            slowed.total_time_s > healthy.total_time_s * 2.0,
-            "4x slowdown: {} vs {}",
-            slowed.total_time_s,
-            healthy.total_time_s
-        );
-    }
-
-    #[test]
     fn an_autoscaled_fleet_provisions_under_pressure_and_bills_less() {
         let scenario = Scenario::new(
             "elastic",
@@ -3173,67 +3045,5 @@ mod tests {
             paused_in_flight,
             "no stop bound caught a paused request mid-flight"
         );
-    }
-
-    #[test]
-    fn a_load_trigger_injects_its_fault_when_pressure_crosses() {
-        let scenario = Scenario::new(
-            "hot",
-            Workload::fixed(48, 8).with_seed(3),
-            Arrivals::Poisson { qps: 900.0 },
-            40,
-        );
-        let plan = FaultPlan::new(Vec::new()).with_triggers(vec![LoadTrigger::new(
-            1.5,
-            FaultKind::Slowdown {
-                duration_s: 0.05,
-                factor: 2.0,
-            },
-        )
-        .with_max_fires(2)
-        .with_cooldown(0.1)]);
-        let report = ClusterSimulation::new(vec![ReplicaConfig::new(config(4)); 2], scenario)
-            .with_faults(plan)
-            .run(
-                &mut RoundRobin::default(),
-                &mut policies(2, PolicyKind::Fcfs),
-                &mut [Fixed(0.01); 2],
-            );
-        assert!(report.recovery.triggers_fired >= 1, "{:?}", report.recovery);
-        assert!(report.recovery.triggers_fired <= 2, "max_fires caps firing");
-        assert_eq!(
-            report.recovery.faults_injected, report.recovery.triggers_fired,
-            "triggered faults count as injected"
-        );
-        assert!(
-            report.faults.is_empty(),
-            "triggered faults have no scripted outcome windows"
-        );
-        assert_eq!(report.completed(), 40);
-    }
-
-    #[test]
-    fn fleet_level_shedding_defers_batch_arrivals_and_still_completes() {
-        let scenario = Scenario::new(
-            "shed",
-            Workload::fixed(48, 8).with_seed(9),
-            Arrivals::Poisson { qps: 900.0 },
-            40,
-        )
-        .with_tiers(Scenario::default_tiers(0.01));
-        let mut router = FleetShed::new(Box::<RoundRobin>::default()).with_shedding(0.25, 2, 0.05);
-        let report = ClusterSimulation::new(vec![ReplicaConfig::new(config(4)); 2], scenario).run(
-            &mut router,
-            &mut policies(2, PolicyKind::Fcfs),
-            &mut [Fixed(0.01); 2],
-        );
-        assert!(
-            report.recovery.requests_deferred > 0,
-            "{:?}",
-            report.recovery
-        );
-        // Deferral only delays admission; nothing is lost or dropped.
-        assert_eq!(report.completed(), 40);
-        assert_eq!(report.router, "fleet-shed");
     }
 }

@@ -1,8 +1,8 @@
 //! Fault injection and recovery for cluster runs (see
 //! [`crate::cluster`]).
 //!
-//! A [`FaultPlan`] is a deterministic script of replica faults — crash,
-//! drain-and-restart, transient slowdown — pinned to virtual times. The
+//! A [`FaultPlan`] is a deterministic script of replica faults — crash
+//! and drain-and-restart — pinned to virtual times. The
 //! [`crate::ClusterSimulation`] applies every fault at a clock-merge
 //! point of the cluster's dispatch/window protocol, in a fixed order:
 //! that is the one instant the whole fleet stands at a consistent
@@ -25,9 +25,6 @@
 //!   the least-loaded surviving replica as a priced transfer, then goes
 //!   down for `down_s` and restarts. Queued-but-unstarted requests are
 //!   rerouted immediately (no retry budget spent: nothing was lost).
-//! * **Slowdown** ([`FaultKind::Slowdown`]) — the replica's stage
-//!   latency is multiplied by `factor` for `duration_s` of virtual
-//!   time; work keeps flowing.
 //!
 //! Faults are stage-granular: a stage that *started* before a fault's
 //! virtual time runs to completion at its original speed, and the fault
@@ -90,14 +87,6 @@ pub enum FaultKind {
         /// Virtual seconds from drain completion to the restart.
         down_s: f64,
     },
-    /// Transient slowdown: stage latency is multiplied by `factor`
-    /// (>1 = slower) for `duration_s` virtual seconds.
-    Slowdown {
-        /// How long the degradation lasts.
-        duration_s: f64,
-        /// Stage-latency multiplier while degraded.
-        factor: f64,
-    },
 }
 
 impl FaultKind {
@@ -106,7 +95,6 @@ impl FaultKind {
         match self {
             FaultKind::Crash { .. } => "crash",
             FaultKind::Drain { .. } => "drain",
-            FaultKind::Slowdown { .. } => "slowdown",
         }
     }
 }
@@ -238,61 +226,6 @@ impl Default for KvLinkSpec {
     }
 }
 
-/// A load-driven fault trigger: instead of (or alongside) the scripted
-/// [`FaultEvent`] list, the cluster watches every replica's queue
-/// pressure ([`crate::router::ReplicaSnapshot::queue_pressure`] units:
-/// committed slots per batch slot) at its clock-merge points and
-/// injects `kind` on any replica whose pressure crosses `pressure` —
-/// the "slow or drain a hot replica" knob real fleets wire to their
-/// load balancer's health checks. Evaluation happens only at merge
-/// points, so triggered runs are as deterministic and resumable as
-/// scripted ones.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadTrigger {
-    /// Queue-pressure threshold (committed slots per batch slot) at or
-    /// above which the trigger fires on a replica.
-    pub pressure: f64,
-    /// The fault injected on the offending replica.
-    pub kind: FaultKind,
-    /// Minimum virtual time between two fires of this trigger (across
-    /// all replicas); 0 re-arms immediately.
-    pub cooldown_s: f64,
-    /// Lifetime fire budget of this trigger.
-    pub max_fires: u32,
-}
-
-impl LoadTrigger {
-    /// A trigger injecting `kind` when a replica's queue pressure
-    /// reaches `pressure`, with a 1-fire budget and no cooldown. Both
-    /// knobs have `with_` setters.
-    pub fn new(pressure: f64, kind: FaultKind) -> Self {
-        assert!(
-            pressure > 0.0 && pressure.is_finite(),
-            "trigger pressure must be positive and finite"
-        );
-        Self {
-            pressure,
-            kind,
-            cooldown_s: 0.0,
-            max_fires: 1,
-        }
-    }
-
-    /// Set the re-arm cooldown.
-    pub fn with_cooldown(mut self, cooldown_s: f64) -> Self {
-        assert!(cooldown_s >= 0.0, "trigger cooldown must be non-negative");
-        self.cooldown_s = cooldown_s;
-        self
-    }
-
-    /// Set the lifetime fire budget.
-    pub fn with_max_fires(mut self, max_fires: u32) -> Self {
-        assert!(max_fires >= 1, "trigger budget must be at least 1");
-        self.max_fires = max_fires;
-        self
-    }
-}
-
 /// A deterministic fault script for one cluster run: the faults, the
 /// retry policy for crash-lost requests, the restart warm-up, and the
 /// recovery-measurement knobs. Attach with
@@ -302,9 +235,6 @@ impl LoadTrigger {
 pub struct FaultPlan {
     /// The scripted faults (applied in virtual-time order).
     pub faults: Vec<FaultEvent>,
-    /// Load-driven triggers evaluated at every merge point, an
-    /// alternative trigger source to the fixed script (empty = none).
-    pub triggers: Vec<LoadTrigger>,
     /// Retry policy for requests lost to crashes.
     pub retry: RetryPolicy,
     /// Post-restart warm-up window length in virtual seconds (cold
@@ -333,19 +263,11 @@ impl FaultPlan {
                 f.at_s.is_finite() && f.at_s >= 0.0,
                 "fault time must be finite and non-negative"
             );
-            match f.kind {
-                FaultKind::Crash { down_s } | FaultKind::Drain { down_s } => {
-                    assert!(down_s >= 0.0, "down time must be non-negative");
-                }
-                FaultKind::Slowdown { duration_s, factor } => {
-                    assert!(duration_s >= 0.0, "slowdown duration must be non-negative");
-                    assert!(factor > 0.0, "slowdown factor must be positive");
-                }
-            }
+            let (FaultKind::Crash { down_s } | FaultKind::Drain { down_s }) = f.kind;
+            assert!(down_s >= 0.0, "down time must be non-negative");
         }
         Self {
             faults,
-            triggers: Vec::new(),
             retry: RetryPolicy::default(),
             warmup_s: 0.0,
             warmup_factor: 1.0,
@@ -353,21 +275,6 @@ impl FaultPlan {
             timeline_bucket_s: 0.5,
             slo_window_s: 1.0,
         }
-    }
-
-    /// Add load-driven triggers (see [`LoadTrigger`]); evaluated in
-    /// the given order at every merge point.
-    pub fn with_triggers(mut self, triggers: Vec<LoadTrigger>) -> Self {
-        for t in &triggers {
-            assert!(
-                t.pressure > 0.0 && t.pressure.is_finite(),
-                "trigger pressure must be positive and finite"
-            );
-            assert!(t.cooldown_s >= 0.0, "trigger cooldown must be non-negative");
-            assert!(t.max_fires >= 1, "trigger budget must be at least 1");
-        }
-        self.triggers = triggers;
-        self
     }
 
     /// Set the retry policy for crash-lost requests.
@@ -435,13 +342,6 @@ pub struct RecoveryStats {
     pub kv_migrations: u64,
     /// Virtual seconds of transfer time charged for those migrations.
     pub migration_seconds: f64,
-    /// Faults injected by [`LoadTrigger`]s (also counted in
-    /// [`RecoveryStats::faults_injected`]).
-    pub triggers_fired: u64,
-    /// Arrivals pushed back by fleet-level admission control (see
-    /// [`crate::router::FleetShed`]); each deferral of the same
-    /// request counts once.
-    pub requests_deferred: u64,
 }
 
 /// Per-tier during-failure SLO accounting for one fault's window.
@@ -524,14 +424,11 @@ mod tests {
         let plan = FaultPlan::new(vec![FaultEvent::new(
             1.0,
             2,
-            FaultKind::Slowdown {
-                duration_s: 0.5,
-                factor: 3.0,
-            },
+            FaultKind::Drain { down_s: 0.5 },
         )])
         .with_warmup(0.2, 1.5)
         .with_recovery_tracking(0.9, 0.25, 2.0);
-        assert_eq!(plan.faults[0].kind.name(), "slowdown");
+        assert_eq!(plan.faults[0].kind.name(), "drain");
         assert_eq!(plan.warmup_factor, 1.5);
         assert_eq!(plan.recovery_threshold, 0.9);
         assert_eq!(plan.timeline_bucket_s, 0.25);

@@ -45,17 +45,15 @@
 //!   handoffs between them, and colocated serving is the degenerate
 //!   `prefill == decode` case (see `docs/placement-api.md`).
 //! * [`fault`] — deterministic fault injection for cluster runs:
-//!   scripted crashes, drains and slowdowns, load-driven fault
-//!   triggers, retry/reroute of lost requests, priced cross-replica
-//!   KV migration, and recovery metrics.
+//!   scripted crashes and drains, retry/reroute of lost requests,
+//!   priced cross-replica KV migration, and recovery metrics.
 //! * [`autoscale`] — elastic fleets: an [`AutoscalePolicy`] watches
 //!   windowed queue pressure, decode occupancy and SLO attainment at
 //!   the cluster's clock-merge points and provisions standby replicas
 //!   (warm-up + priced parked-KV steal) or drains surplus ones back
 //!   into the pool, deterministically.
-//! * [`trace`] / [`json`] — recorded arrival traces, the
-//!   [`TraceRecorder`] that captures a run as a replayable trace, and
-//!   the minimal JSON reader behind them.
+//! * [`trace`] / [`json`] — arrival-trace files replayed through
+//!   [`Arrivals::Trace`], and the minimal JSON reader behind them.
 //!
 //! # Example
 //!
@@ -118,8 +116,8 @@ pub use cluster::{
 };
 pub use delta::StageDelta;
 pub use fault::{
-    FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultWindowStats, KvLinkSpec, LoadTrigger,
-    RecoveryStats, RetryPolicy,
+    FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultWindowStats, KvLinkSpec, RecoveryStats,
+    RetryPolicy,
 };
 pub use metrics::{
     KvReuseStats, LatencyDigest, LatencySummary, SimReport, SloStats, StageRecord, StageStats,
@@ -132,16 +130,15 @@ pub use policy::{
 pub use preempt::{MultiplexSpec, PreemptMode, PreemptSpec, PreemptStats, PreemptionPolicy};
 pub use request::{Request, RequestRecord};
 pub use router::{
-    AffinityCore, ClusterContext, FleetShed, KvMigration, LeastOutstandingWork, Placement,
-    PoolRole, PoolTarget, ReplicaSnapshot, RoundRobin, RouteDecision, Router, RouterKind,
-    SessionAffinity,
+    AffinityCore, ClusterContext, KvMigration, LeastOutstandingWork, Placement, PoolRole,
+    PoolTarget, ReplicaSnapshot, RoundRobin, RouteDecision, Router, RouterKind, SessionAffinity,
 };
 pub use scenario::{
     AdaptiveChunk, ConversationSpec, PendingRequest, Scenario, ScenarioSimulation, SloTier,
 };
 pub use scheduler::{BatchCheckpoint, Simulation, SimulationConfig, StageExecutor, StageOutcome};
 pub use snapshot::ClusterSnapshot;
-pub use trace::{TraceRecorder, TraceRequest};
+pub use trace::TraceRequest;
 pub use workload::{Arrivals, RequestSource, Workload};
 
 /// `count` seeded hostile strings for the text loaders: even cases are

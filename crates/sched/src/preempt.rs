@@ -25,7 +25,7 @@
 //!   sustained preemption.
 //!
 //! The decision flow per stage and the interaction with
-//! [`crate::ShedBatchTier`] / `FleetShed` are documented in
+//! [`crate::ShedBatchTier`] are documented in
 //! `docs/scheduling.md`.
 
 use crate::fault::KvLinkSpec;

@@ -171,9 +171,8 @@ fn argmin_accepting<K: PartialOrd, F: Fn(&ReplicaSnapshot) -> K>(
     best.unwrap_or(0)
 }
 
-/// A routing decision: where the request queues, whether its parked
-/// conversation KV should be migrated there first, and whether the
-/// fleet sheds it instead of placing it at all.
+/// A routing decision: where the request queues and whether its
+/// parked conversation KV should be migrated there first.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteDecision {
     /// The replica the request queues on.
@@ -184,21 +183,14 @@ pub struct RouteDecision {
     /// cluster ignores it when it equals the target or the source no
     /// longer holds the history.
     pub migrate_from: Option<usize>,
-    /// Fleet-level shed: do not place the request now — requeue it
-    /// into the arrival stream at this virtual time instead (its
-    /// absolute SLO deadline is unchanged, so the shed still costs
-    /// attainment if overdone). `replica`/`migrate_from` are ignored
-    /// when set. Emitted by [`FleetShed`]; `None` everywhere else.
-    pub defer_until_s: Option<f64>,
 }
 
 impl RouteDecision {
-    /// A plain placement on `replica` (no migration, no shed).
+    /// A plain placement on `replica` (no migration).
     pub fn place(replica: usize) -> Self {
         Self {
             replica,
             migrate_from: None,
-            defer_until_s: None,
         }
     }
 }
@@ -206,9 +198,8 @@ impl RouteDecision {
 /// A two-dimensional routing decision: which replica runs the
 /// request's prompt and which replica its generated tokens — the
 /// colocated case being the degenerate one where both targets are the
-/// same replica. Produced by [`Router::place`]; the extra fields
-/// carry the [`RouteDecision`] escape hatches (KV migration, fleet
-/// shed) through unchanged.
+/// same replica. Produced by [`Router::place`]; `migrate_from` carries
+/// the [`RouteDecision`] KV-migration request through unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Placement {
     /// The replica that runs the prompt.
@@ -222,8 +213,6 @@ pub struct Placement {
     /// disaggregated handoffs move KV through the prefill→decode
     /// transfer instead).
     pub migrate_from: Option<usize>,
-    /// As [`RouteDecision::defer_until_s`].
-    pub defer_until_s: Option<f64>,
 }
 
 impl Placement {
@@ -233,7 +222,6 @@ impl Placement {
             prefill: replica,
             decode: replica,
             migrate_from: None,
-            defer_until_s: None,
         }
     }
 
@@ -243,7 +231,6 @@ impl Placement {
             prefill,
             decode,
             migrate_from: None,
-            defer_until_s: None,
         }
     }
 
@@ -254,7 +241,6 @@ impl Placement {
             prefill: decision.replica,
             decode: decision.replica,
             migrate_from: decision.migrate_from,
-            defer_until_s: decision.defer_until_s,
         }
     }
 
@@ -305,19 +291,14 @@ pub trait Router {
     /// * Disaggregated fleet → one [`Router::decide`] call per pool
     ///   against a masked view where the other pool is non-accepting
     ///   (`pool_view`); KV migration is dropped (the handoff moves
-    ///   the KV), deferrals from either pool are honored.
+    ///   the KV).
     fn place(&mut self, request: &PendingRequest, replicas: &[ReplicaSnapshot]) -> Placement {
         if !replicas.iter().any(|r| r.role == PoolRole::Prefill) {
             return Placement::from_decision(self.decide(request, replicas));
         }
         let prefill = self.decide(request, &pool_view(replicas, PoolRole::Prefill));
         let decode = self.decide(request, &pool_view(replicas, PoolRole::Decode));
-        Placement {
-            prefill: prefill.replica,
-            decode: decode.replica,
-            migrate_from: None,
-            defer_until_s: prefill.defer_until_s.or(decode.defer_until_s),
-        }
+        Placement::split(prefill.replica, decode.replica)
     }
 
     /// The router's mutable state as opaque words, for cluster
@@ -375,12 +356,7 @@ impl Router for RoundRobin {
         core::mem::swap(&mut self.next, &mut self.decode_next);
         let decode = self.route(request, &pool_view(replicas, PoolRole::Decode));
         core::mem::swap(&mut self.next, &mut self.decode_next);
-        Placement {
-            prefill,
-            decode,
-            migrate_from: None,
-            defer_until_s: None,
-        }
+        Placement::split(prefill, decode)
     }
 
     fn export_state(&self) -> Vec<u64> {
@@ -631,119 +607,10 @@ impl Router for KvMigration {
                 return RouteDecision {
                     replica: target,
                     migrate_from: migrate.then_some(src),
-                    defer_until_s: None,
                 };
             }
         }
         RouteDecision::place(self.fallback.route(request, replicas))
-    }
-}
-
-/// Cluster-wide admission control: the fleet-level analogue of the
-/// per-replica [`crate::policy::ShedBatchTier`] wrapper. While the
-/// fleet's aggregate utilization (committed slots over total batch
-/// slots of the admitting replicas) is at or above
-/// [`FleetShed::utilization_threshold`], arrivals of priority
-/// [`FleetShed::shed_priority`] or lower (numerically greater-or-
-/// equal) are not placed at all — the router defers them
-/// [`FleetShed::defer_s`] of virtual time back into the arrival
-/// stream, with their absolute SLO deadlines unchanged. Interactive
-/// tiers keep routing through the wrapped inner router untouched.
-///
-/// Deferrals are counted in
-/// [`crate::fault::RecoveryStats::requests_deferred`]. Because the
-/// utilization signal is a pure function of the snapshots every
-/// router already sees, shedding keeps cluster runs deterministic.
-pub struct FleetShed {
-    inner: Box<dyn Router>,
-    /// Fleet utilization (committed slots / total batch slots of the
-    /// admitting replicas) at or above which sheddable arrivals defer.
-    pub utilization_threshold: f64,
-    /// Lowest priority value that is *kept* under load; requests with
-    /// `priority >= shed_priority` (lower tiers) shed. Matches
-    /// [`crate::policy::ShedBatchTier::shed_priority`].
-    pub shed_priority: u32,
-    /// Virtual seconds a shed arrival is pushed back before it retries
-    /// admission.
-    pub defer_s: f64,
-}
-
-impl FleetShed {
-    /// Default utilization threshold, matching the per-replica
-    /// [`crate::policy::ShedBatchTier`].
-    pub const DEFAULT_UTILIZATION_THRESHOLD: f64 = 0.85;
-    /// Default shed priority: the batch tier of the default tier set.
-    pub const DEFAULT_SHED_PRIORITY: u32 = 2;
-    /// Default deferral: half a virtual second per shed.
-    pub const DEFAULT_DEFER_S: f64 = 0.5;
-
-    /// Wrap `inner` with fleet-level shedding at the default
-    /// threshold, priority and deferral.
-    pub fn new(inner: Box<dyn Router>) -> Self {
-        Self {
-            inner,
-            utilization_threshold: Self::DEFAULT_UTILIZATION_THRESHOLD,
-            shed_priority: Self::DEFAULT_SHED_PRIORITY,
-            defer_s: Self::DEFAULT_DEFER_S,
-        }
-    }
-
-    /// Override the threshold, shed priority and deferral.
-    pub fn with_shedding(mut self, threshold: f64, shed_priority: u32, defer_s: f64) -> Self {
-        assert!(
-            threshold > 0.0 && threshold.is_finite(),
-            "utilization threshold must be positive and finite"
-        );
-        assert!(defer_s > 0.0, "deferral must be positive");
-        self.utilization_threshold = threshold;
-        self.shed_priority = shed_priority;
-        self.defer_s = defer_s;
-        self
-    }
-
-    /// Committed slots over total batch slots of the admitting
-    /// replicas (0 when none admits — nothing to shed toward).
-    fn utilization(replicas: &[ReplicaSnapshot]) -> f64 {
-        let (mut committed, mut slots) = (0usize, 0usize);
-        for r in replicas.iter().filter(|r| r.accepting) {
-            committed += r.in_flight + r.queued;
-            slots += r.max_batch;
-        }
-        if slots == 0 {
-            return 0.0;
-        }
-        committed as f64 / slots as f64
-    }
-}
-
-impl Router for FleetShed {
-    fn name(&self) -> &'static str {
-        "fleet-shed"
-    }
-
-    fn route(&mut self, request: &PendingRequest, replicas: &[ReplicaSnapshot]) -> usize {
-        self.inner.route(request, replicas)
-    }
-
-    fn decide(&mut self, request: &PendingRequest, replicas: &[ReplicaSnapshot]) -> RouteDecision {
-        if request.priority >= self.shed_priority
-            && Self::utilization(replicas) >= self.utilization_threshold
-        {
-            return RouteDecision {
-                replica: 0,
-                migrate_from: None,
-                defer_until_s: Some(request.request.arrival_s + self.defer_s),
-            };
-        }
-        self.inner.decide(request, replicas)
-    }
-
-    fn export_state(&self) -> Vec<u64> {
-        self.inner.export_state()
-    }
-
-    fn import_state(&mut self, state: &[u64]) {
-        self.inner.import_state(state);
     }
 }
 
@@ -986,7 +853,6 @@ mod tests {
             RouteDecision {
                 replica: 1,
                 migrate_from: Some(0),
-                defer_until_s: None
             }
         );
         // Fresh requests just load-balance.
@@ -1020,7 +886,6 @@ mod tests {
             RouteDecision {
                 replica: 1,
                 migrate_from: Some(0),
-                defer_until_s: None
             }
         );
     }
@@ -1030,55 +895,6 @@ mod tests {
         for kind in RouterKind::ALL {
             assert_eq!(kind.build().name(), kind.name());
         }
-    }
-
-    #[test]
-    fn fleet_shed_defers_only_the_batch_tier_under_load() {
-        let mut shed = FleetShed::new(Box::new(LeastOutstandingWork));
-        // A saturated two-replica fleet: 14 committed slots over 16.
-        let mut snaps = vec![snapshot(100, 1.0), snapshot(100, 1.0)];
-        snaps[0].in_flight = 8;
-        snaps[1].in_flight = 5;
-        snaps[1].queued = 1;
-        let mut batch = request(0);
-        batch.priority = 2;
-        batch.request.arrival_s = 3.0;
-        let decision = shed.decide(&batch, &snaps);
-        assert_eq!(
-            decision.defer_until_s,
-            Some(3.0 + FleetShed::DEFAULT_DEFER_S),
-            "batch tier sheds at 87.5% fleet utilization"
-        );
-        // The interactive tier routes straight through the inner
-        // router, untouched.
-        let interactive = request(0);
-        assert_eq!(shed.decide(&interactive, &snaps), RouteDecision::place(1));
-        // Under the threshold the batch tier routes normally too.
-        snaps[0].in_flight = 2;
-        snaps[1].in_flight = 2;
-        snaps[1].queued = 0;
-        assert_eq!(shed.decide(&batch, &snaps), RouteDecision::place(0));
-    }
-
-    #[test]
-    fn fleet_shed_ignores_non_admitting_capacity() {
-        // A downed replica's empty batch is not real capacity: with
-        // one of two replicas down and the survivor full, utilization
-        // is 8/8, not 8/16.
-        let mut shed = FleetShed::new(Box::new(LeastOutstandingWork)).with_shedding(0.9, 1, 0.25);
-        let mut snaps = vec![snapshot(0, 1.0), snapshot(0, 1.0)];
-        snaps[0].accepting = false;
-        snaps[1].in_flight = 8;
-        let mut batch = request(0);
-        batch.priority = 1;
-        assert!(shed.decide(&batch, &snaps).defer_until_s.is_some());
-        // With the whole fleet down there is nothing to defer toward.
-        snaps[1].accepting = false;
-        assert!(shed.decide(&batch, &snaps).defer_until_s.is_none());
-        // State pass-through: the wrapper exports the inner router's
-        // words verbatim.
-        assert!(Router::export_state(&shed).is_empty());
-        assert_eq!(shed.name(), "fleet-shed");
     }
 
     #[test]

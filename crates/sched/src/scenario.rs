@@ -128,7 +128,6 @@ use crate::request::{Request, RequestRecord};
 use crate::router::PoolRole;
 use crate::scheduler::{SimulationConfig, StageExecutor};
 use crate::snapshot::{ActiveState, KvState, ReplicaState, StreamState, TierState};
-use crate::trace::TraceRecorder;
 use crate::workload::{exp_sample, sample_len, Arrivals, RequestSource, Workload};
 
 /// One service tier: a share of traffic, a priority, and deadlines.
@@ -546,12 +545,12 @@ impl ActiveRequest {
 /// would make debug runs quadratic in batch x stages.
 const KV_AUDIT_PERIOD: u64 = 256;
 
-/// The scenario-global side of a run: the arrival process, tier draws,
-/// follow-up spawning and (optionally) trace recording. One stream
+/// The scenario-global side of a run: the arrival process, tier draws
+/// and follow-up spawning. One stream
 /// feeds every replica of a cluster; the replicas never touch RNG, so
 /// the draw order — and with it seeded determinism — is fixed by the
 /// global event order alone.
-pub(crate) struct ScenarioStream<'a> {
+pub(crate) struct ScenarioStream {
     workload: Workload,
     conversation: Option<ConversationSpec>,
     tiers: Vec<SloTier>,
@@ -565,11 +564,10 @@ pub(crate) struct ScenarioStream<'a> {
     /// Follow-ups not yet arrived, sorted by descending arrival time
     /// (pop from the back).
     followups: Vec<PendingRequest>,
-    recorder: Option<&'a mut TraceRecorder>,
 }
 
-impl<'a> ScenarioStream<'a> {
-    pub(crate) fn new(scenario: &Scenario, recorder: Option<&'a mut TraceRecorder>) -> Self {
+impl ScenarioStream {
+    pub(crate) fn new(scenario: &Scenario) -> Self {
         let total_weight: f64 = scenario.tiers.iter().map(|t| t.weight).sum();
         assert!(
             scenario.tiers.is_empty() || total_weight > 0.0,
@@ -590,7 +588,6 @@ impl<'a> ScenarioStream<'a> {
             next_id: scenario.requests as u64,
             peeked: None,
             followups: Vec::new(),
-            recorder,
         }
     }
 
@@ -635,17 +632,13 @@ impl<'a> ScenarioStream<'a> {
         if arrival_s > horizon {
             return None;
         }
-        let pending = if from_source {
+        Some(if from_source {
             let request = self.peeked.take().expect("peeked request exists");
             let tier = self.draw_tier();
             make_pending(request, tier, &self.tiers)
         } else {
             self.followups.pop().expect("checked non-empty")
-        };
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.record_request(&pending.request);
-        }
-        Some(pending)
+        })
     }
 
     fn draw_tier(&mut self) -> usize {
@@ -904,8 +897,8 @@ pub(crate) struct ReplicaSim {
     admitting: bool,
     /// Whether the replica is finishing its batch under a drain fault.
     draining: bool,
-    /// Virtual-time multiplier on stage latency (restart warm-up,
-    /// transient slowdown). 1.0 is bit-exact pass-through.
+    /// Virtual-time multiplier on stage latency (fault-restart and
+    /// autoscale-join warm-up). 1.0 is bit-exact pass-through.
     perf_factor: f64,
     /// When this replica last went down (crash applied, drain handoff
     /// completed, or parked in the standby pool); `None` while up.
@@ -1203,8 +1196,7 @@ impl ReplicaSim {
         self.timeline_bucket_s = bucket_s;
     }
 
-    /// Scale this replica's stage latency (warm-up, slowdown; 1.0 =
-    /// nominal).
+    /// Scale this replica's stage latency (warm-up; 1.0 = nominal).
     pub(crate) fn set_perf_factor(&mut self, factor: f64) {
         self.perf_factor = factor;
     }
@@ -2478,7 +2470,7 @@ impl ReplicaSim {
     /// finished histories, spawn follow-up rounds, release closed
     /// conversations. Calling this right after [`ReplicaSim::step`]
     /// reproduces the inline retirement semantics bit for bit.
-    pub(crate) fn drain_retire_events(&mut self, stream: &mut ScenarioStream<'_>) {
+    pub(crate) fn drain_retire_events(&mut self, stream: &mut ScenarioStream) {
         if self.retire_events.is_empty() {
             return;
         }
@@ -2756,30 +2748,8 @@ impl ScenarioSimulation {
         policy: &mut dyn SchedulingPolicy,
         executor: &mut E,
     ) -> SimReport {
-        self.run_inner(policy, executor, None)
-    }
-
-    /// Run like [`ScenarioSimulation::run`] while recording every
-    /// admitted request (initial arrivals *and* spawned follow-up
-    /// rounds, with absolute arrival times and full prompts) into
-    /// `recorder`, ready for [`crate::Arrivals::Trace`] replay.
-    pub fn run_recording<E: StageExecutor + ?Sized>(
-        self,
-        policy: &mut dyn SchedulingPolicy,
-        executor: &mut E,
-        recorder: &mut TraceRecorder,
-    ) -> SimReport {
-        self.run_inner(policy, executor, Some(recorder))
-    }
-
-    fn run_inner<E: StageExecutor + ?Sized>(
-        self,
-        policy: &mut dyn SchedulingPolicy,
-        executor: &mut E,
-        recorder: Option<&mut TraceRecorder>,
-    ) -> SimReport {
         let Self { config, scenario } = self;
-        let mut stream = ScenarioStream::new(&scenario, recorder);
+        let mut stream = ScenarioStream::new(&scenario);
         let mut replica = ReplicaSim::new(config, &scenario);
         replica.prepare_preempt(policy);
         loop {
@@ -2814,7 +2784,6 @@ mod tests {
     use super::*;
     use crate::policy::{Fcfs, PriorityTiers, ShortestPromptFirst};
     use crate::scheduler::StageOutcome;
-    use crate::trace::parse_trace;
 
     struct Fixed(f64);
     impl StageExecutor for Fixed {
@@ -4306,68 +4275,6 @@ mod tests {
         ScenarioSimulation::new(config(4), scenario).run(&mut Fcfs, &mut rec);
         assert!(rec.deltas.iter().any(|d| !d.chunk.is_empty()));
         assert_deltas_mirror_shapes(&rec);
-    }
-
-    #[test]
-    fn recorder_round_trips_through_trace_replay() {
-        // Record a bursty run's admissions, replay the JSON trace, and
-        // the replayed run must reproduce the timeline byte for byte.
-        let scenario = Scenario::new(
-            "record",
-            Workload::gaussian(48, 6).with_seed(17),
-            Arrivals::Bursty {
-                base_qps: 0.0,
-                burst_qps: 400.0,
-                mean_off_s: 0.05,
-                mean_on_s: 0.02,
-            },
-            24,
-        );
-        let mut recorder = TraceRecorder::new();
-        let original = ScenarioSimulation::new(config(4), scenario).run_recording(
-            &mut Fcfs,
-            &mut Fixed(0.01),
-            &mut recorder,
-        );
-        assert_eq!(recorder.len(), 24);
-
-        let parsed = parse_trace(&recorder.to_json()).expect("recorded trace parses");
-        assert_eq!(parsed.len(), 24);
-        let replay = Scenario::new(
-            "replay",
-            Workload::fixed(1, 1),
-            Arrivals::trace(parsed),
-            1000,
-        );
-        let replayed = ScenarioSimulation::new(config(4), replay).run(&mut Fcfs, &mut Fixed(0.01));
-        assert_eq!(replayed.completed.len(), original.completed.len());
-        assert_eq!(replayed.stage_stats, original.stage_stats);
-        assert_eq!(
-            replayed.total_time_s.to_bits(),
-            original.total_time_s.to_bits()
-        );
-    }
-
-    #[test]
-    fn recorder_captures_followup_rounds() {
-        let scenario = Scenario::new(
-            "chatrec",
-            Workload::fixed(64, 4).with_seed(1),
-            Arrivals::ClosedLoop,
-            2,
-        )
-        .with_conversation(ConversationSpec::chat(1.0, 2, 0.001, 16));
-        let mut recorder = TraceRecorder::new();
-        let report = ScenarioSimulation::new(config(4), scenario).run_recording(
-            &mut Fcfs,
-            &mut Fixed(0.01),
-            &mut recorder,
-        );
-        assert_eq!(report.completed.len(), 4);
-        // Two conversations x two rounds: the follow-ups appear with
-        // their full (history + turn) prompts.
-        assert_eq!(recorder.len(), 4);
-        assert!(recorder.trace().iter().any(|r| r.input_len == 84));
     }
 
     fn assert_deltas_mirror_shapes(rec: &Recording) {

@@ -192,7 +192,7 @@ impl Simulation {
     /// Panics when `max_batch` is 0, or when one request's KV
     /// reservation exceeds the whole capacity.
     pub fn run<E: StageExecutor + ?Sized>(self, executor: &mut E) -> SimReport {
-        let mut stream = ScenarioStream::new(&self.scenario, None);
+        let mut stream = ScenarioStream::new(&self.scenario);
         let mut replica = ReplicaSim::new(self.config, &self.scenario);
         // A stage retires at most `max_batch` requests, so the log is
         // sized once instead of doubling (and briefly held twice) on

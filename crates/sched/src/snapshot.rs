@@ -31,7 +31,8 @@
 //! fault perf factor, the generated-token timeline, per-fault SLO
 //! window counters, the fleet's [`RecoveryStats`], and the pending
 //! fault event queue. Version 3 extends v2 with elastic-fleet state:
-//! per-replica down-time accounting, load-trigger arming, and the
+//! per-replica down-time accounting, load-trigger arming (a retired
+//! key, now always empty), and the
 //! autoscale runtime (pending scale events, pool membership,
 //! hysteresis streaks, scale counters). Version 4 extends v3 with
 //! disaggregated-placement state: the admission-time decode
@@ -272,17 +273,15 @@ impl ReplicaState {
 
 /// The fault runtime's dynamic state: the pending event queue
 /// (`(at_s bits, seq, code, replica-or-fault index)` with codes
-/// 0 = apply scripted fault, 1 = restart, 2 = clear slowdown), the
-/// event sequence counter, per-request retry attempts, in-progress
-/// drains as `(replica, down_s bits, fault at_s bits)`, and per load
-/// trigger its `(fires so far, re-armed-at bits)` pair.
+/// 0 = apply scripted fault, 1 = restart, 2 = clear warm-up), the
+/// event sequence counter, per-request retry attempts, and in-progress
+/// drains as `(replica, down_s bits, fault at_s bits)`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FaultState {
     pub(crate) events: Vec<(u64, u64, u64, u64)>,
     pub(crate) seq: u64,
     pub(crate) attempts: Vec<(u64, u64)>,
     pub(crate) draining_down: Vec<(u64, u64, u64)>,
-    pub(crate) triggers: Vec<(u64, u64)>,
 }
 
 /// The autoscale runtime's dynamic state: the pending scale-event
@@ -559,20 +558,46 @@ fn field<T: Wire>(v: &JsonValue, key: &str, what: &str) -> Result<T, String> {
     )
 }
 
+/// Read the retired member `key` of object `v`, which must still hold
+/// its type's default.
+fn retired<T: Wire + Default + PartialEq>(
+    v: &JsonValue,
+    key: &str,
+    what: &str,
+) -> Result<(), String> {
+    if field::<T>(v, key, what)? == T::default() {
+        Ok(())
+    } else {
+        Err(format!(
+            "field {key:?} is retired and must be zero or empty"
+        ))
+    }
+}
+
 /// Declare each state type's wire fields once, in wire order: the key
 /// is the field name, and `as "label"` names a row field's elements
-/// in errors.
+/// in errors. The keys after `; retired` belong to removed features and
+/// have no field: each is written as its type's default, so the bytes
+/// do not change, and read back only while it holds that default.
 macro_rules! wire {
-    ($($ty:ident { $($f:ident $(as $label:literal)?),+ $(,)? })+) => {$(
+    ($($ty:ident {
+        $($f:ident $(as $label:literal)?),+ $(,)?
+        $(; retired $($r:ident $(as $rlabel:literal)?: $rt:ty),+ $(,)?)?
+    })+) => {$(
         impl Wire for $ty {
             fn put(&self) -> JsonValue {
-                JsonValue::Obj(vec![$((stringify!($f).to_owned(), self.$f.put())),+])
+                JsonValue::Obj(vec![
+                    $((stringify!($f).to_owned(), self.$f.put()),)+
+                    $($((stringify!($r).to_owned(), <$rt>::default().put()),)+)?
+                ])
             }
 
             fn take(v: &JsonValue, _: &str) -> Result<Self, String> {
-                Ok($ty {
+                let value = $ty {
                     $($f: field(v, stringify!($f), [$($label,)? stringify!($f)][0])?,)+
-                })
+                };
+                $($(retired::<$rt>(v, stringify!($r), [$($rlabel,)? stringify!($r)][0])?;)+)?
+                Ok(value)
             }
         }
     )+};
@@ -616,11 +641,13 @@ wire! {
     }
     RecoveryStats {
         faults_injected, requests_lost, retries_issued, requests_dropped, kv_bytes_migrated,
-        kv_migrations, migration_seconds, triggers_fired, requests_deferred,
+        kv_migrations, migration_seconds;
+        retired triggers_fired: u64, requests_deferred: u64,
     }
     FaultState {
         events as "fault event", seq, attempts as "retry attempt",
-        draining_down as "drain state", triggers as "trigger state",
+        draining_down as "drain state";
+        retired triggers as "trigger state": Vec<(u64, u64)>,
     }
     AutoscaleState {
         events as "scale event", seq, pool, draining, up_streak, down_streak, streak_start,
@@ -803,15 +830,12 @@ mod tests {
                 kv_bytes_migrated: 7 << 20,
                 kv_migrations: 2,
                 migration_seconds: 0.25e-3,
-                triggers_fired: 1,
-                requests_deferred: 6,
             },
             fault: Some(FaultState {
                 events: vec![(4.5f64.to_bits(), 1, 1, 0), (6.0f64.to_bits(), 2, 2, 0)],
                 seq: 3,
                 attempts: vec![(31, 1), (40, 2)],
                 draining_down: vec![(0, 1.5f64.to_bits(), 4.0f64.to_bits())],
-                triggers: vec![(1, 9.5f64.to_bits())],
             }),
             autoscale: Some(AutoscaleState {
                 events: vec![
@@ -959,7 +983,7 @@ mod tests {
         let text = sample().to_json();
         assert_eq!(
             (crate::fnv1a64(text.as_bytes()), text.len()),
-            (0x81d9_8c19_ec7a_e100, 5_201)
+            (0xe874_61af_b9f6_24bf, 5_174)
         );
     }
 

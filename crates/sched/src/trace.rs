@@ -5,17 +5,8 @@
 //! array) of `{"arrival_s": f64, "input_len": u64, "output_len": u64}`
 //! objects. Requests are sorted by arrival time on load, so traces may
 //! be recorded out of order.
-//!
-//! [`TraceRecorder`] closes the loop in the other direction: attach
-//! one to a scenario run (see
-//! [`crate::ScenarioSimulation::run_recording`]) and every admitted
-//! request — synthetic arrivals *and* multi-turn follow-up rounds,
-//! with absolute arrival times and full prompts — is captured in this
-//! format, ready to be written out and replayed through
-//! [`crate::Arrivals::Trace`].
 
 use crate::json::{parse, JsonValue};
-use crate::request::Request;
 
 /// One recorded request.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,81 +65,6 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceRequest>, String> {
     Ok(requests)
 }
 
-/// Serialize requests as a trace document (the inverse of
-/// [`parse_trace`]; handy for writing example traces).
-pub fn format_trace(requests: &[TraceRequest]) -> String {
-    let mut out = String::from("{\n  \"requests\": [\n");
-    for (i, r) in requests.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arrival_s\": {}, \"input_len\": {}, \"output_len\": {}}}{}\n",
-            r.arrival_s,
-            r.input_len,
-            r.output_len,
-            if i + 1 < requests.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Captures a request stream as a replayable trace: the bridge from
-/// "a scenario happened" to "a trace file exists". The scenario
-/// scheduler records each request when it enters the waiting queue, so
-/// a recorded multi-turn run flattens into plain arrivals whose
-/// prompts carry their conversation history — replaying it reproduces
-/// the same offered load without needing the conversation machinery.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceRecorder {
-    requests: Vec<TraceRequest>,
-}
-
-impl TraceRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one request's arrival time and shape.
-    pub fn record(&mut self, arrival_s: f64, input_len: u64, output_len: u64) {
-        self.requests.push(TraceRequest {
-            arrival_s,
-            input_len,
-            output_len,
-        });
-    }
-
-    /// Record a scheduler [`Request`].
-    pub fn record_request(&mut self, r: &Request) {
-        self.record(r.arrival_s, r.input_len, r.output_len);
-    }
-
-    /// Requests recorded so far, in recording order.
-    pub fn trace(&self) -> &[TraceRequest] {
-        &self.requests
-    }
-
-    /// Number of recorded requests.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// The recording as a trace document (see [`format_trace`]);
-    /// [`parse_trace`] round-trips it.
-    pub fn to_json(&self) -> String {
-        format_trace(&self.requests)
-    }
-
-    /// Consume the recorder into a replayable arrival process.
-    pub fn into_arrivals(self) -> crate::workload::Arrivals {
-        crate::workload::Arrivals::trace(self.requests)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,45 +105,5 @@ mod tests {
         let cases = crate::hostile_strings(&valid, 4_000, 0x7ACE);
         let parsed = cases.iter().filter(|t| parse_trace(t).is_ok()).count();
         assert!(parsed > 0 && parsed < cases.len(), "{parsed} parsed");
-    }
-
-    #[test]
-    fn recorder_round_trips_through_parse() {
-        let mut rec = TraceRecorder::new();
-        assert!(rec.is_empty());
-        rec.record(0.5, 128, 32);
-        rec.record_request(&Request {
-            id: 9,
-            arrival_s: 0.25,
-            input_len: 64,
-            output_len: 16,
-        });
-        assert_eq!(rec.len(), 2);
-        let parsed = parse_trace(&rec.to_json()).expect("recorded trace parses");
-        // Parsing sorts by arrival; the recorded shapes survive.
-        assert_eq!(parsed[0].arrival_s, 0.25);
-        assert_eq!(parsed[1].input_len, 128);
-        match rec.into_arrivals() {
-            crate::workload::Arrivals::Trace { requests } => assert_eq!(requests.len(), 2),
-            other => panic!("expected a trace process, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn round_trips_through_format() {
-        let requests = vec![
-            TraceRequest {
-                arrival_s: 0.25,
-                input_len: 100,
-                output_len: 20,
-            },
-            TraceRequest {
-                arrival_s: 1.75,
-                input_len: 300,
-                output_len: 60,
-            },
-        ];
-        let text = format_trace(&requests);
-        assert_eq!(parse_trace(&text).expect("round trip"), requests);
     }
 }

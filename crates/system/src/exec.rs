@@ -685,6 +685,9 @@ pub struct SystemExecutor {
     template: Option<DecodeTemplate>,
     /// The last dropped template, whose buffers the next rebuild reuses.
     spare_template: Option<DecodeTemplate>,
+    /// Decode-template rebuilds so far.
+    #[cfg(test)]
+    template_rebuilds: u64,
     /// Memoized FC/MoE/communication constants of expected-routing
     /// decode stages.
     consts_memo: FastMap<ConstsKey, StageConsts>,
@@ -785,6 +788,8 @@ impl SystemExecutor {
             batch: BatchState::default(),
             template: None,
             spare_template: None,
+            #[cfg(test)]
+            template_rebuilds: 0,
             consts_memo: FastMap::default(),
             moe_memo: FastMap::default(),
             shape_scratch: StageShape::default(),
@@ -1064,6 +1069,10 @@ impl SystemExecutor {
     /// placement, memoized FC/MoE/comm constants, and the linear
     /// attention coefficients.
     fn rebuild_decode_template(&mut self) {
+        #[cfg(test)]
+        {
+            self.template_rebuilds += 1;
+        }
         let nodes = self.config.nodes as usize;
         let (_, tp_attn, _) = self.parallel_dims();
         let mut tpl = self
@@ -2003,13 +2012,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn attention_price_caches_miss_once_per_distinct_group() {
-        // A saturated open-loop stream (batch 256, Gaussian 128/32 at
-        // 50k qps): nearly every stage admits and retires, so it takes
-        // the carried mixed path, and consecutive stages share most of
-        // their attention groups. Forcing every cache lookup to miss
-        // leaves every price unchanged, so only this count catches it.
+    /// The delta stream of a Mixtral run on `system` at batch
+    /// `max_batch`, capped at `max_stages`: closed loop when `qps` is
+    /// `None`, Poisson at `qps` otherwise.
+    fn record_deltas(
+        system: &SystemConfig,
+        max_batch: usize,
+        max_stages: usize,
+        workload: duplex_sched::Workload,
+        qps: Option<f64>,
+    ) -> Vec<StageDelta> {
         struct Recorder {
             inner: SystemExecutor,
             deltas: Vec<StageDelta>,
@@ -2024,36 +2036,74 @@ mod tests {
             }
         }
         let model = ModelConfig::mixtral_8x7b();
-        let system = SystemConfig::duplex_pe_et(4, 1);
         let inner = SystemExecutor::new(system.clone(), model.clone(), 7);
         let config = duplex_sched::SimulationConfig {
-            max_batch: 256,
+            max_batch,
             kv_capacity_bytes: inner.kv_capacity_bytes(),
             kv_bytes_per_token: model.kv_bytes_per_token(),
-            max_stages: 512,
+            max_stages,
             record_stages: false,
         };
         let mut recorder = Recorder {
             inner,
             deltas: Vec::new(),
         };
-        let workload = duplex_sched::Workload::gaussian(128, 32);
-        duplex_sched::Simulation::poisson(config, workload, 50_000.0, usize::MAX)
-            .run(&mut recorder);
+        let sim = match qps {
+            Some(qps) => duplex_sched::Simulation::poisson(config, workload, qps, usize::MAX),
+            None => duplex_sched::Simulation::closed_loop(config, workload, usize::MAX),
+        };
+        sim.run(&mut recorder);
+        recorder.deltas
+    }
 
-        let mut ex = SystemExecutor::new(system, model, 7);
-        for delta in &recorder.deltas {
+    #[test]
+    fn attention_price_caches_miss_once_per_distinct_group() {
+        // A saturated open-loop stream (batch 256, Gaussian 128/32 at
+        // 50k qps): nearly every stage admits and retires, so it takes
+        // the carried mixed path, and consecutive stages share most of
+        // their attention groups. Forcing every cache lookup to miss
+        // leaves every price unchanged, so only this count catches it.
+        let system = SystemConfig::duplex_pe_et(4, 1);
+        let workload = duplex_sched::Workload::gaussian(128, 32);
+        let deltas = record_deltas(&system, 256, 512, workload, Some(50_000.0));
+
+        let mut ex = SystemExecutor::new(system, ModelConfig::mixtral_8x7b(), 7);
+        for delta in &deltas {
             ex.stage_cost_delta(delta);
         }
         let caches = ex.attn_caches.as_ref().expect("mixed stages ran");
         let (decode, prefill) = (caches.decode.misses, caches.prefill.misses);
-        assert_eq!(recorder.deltas.len(), 512);
+        assert_eq!(deltas.len(), 512);
         // 128 decode and 81 prefill misses in ~35k lookups: a price is
         // a function of the group's key alone, so after warm-up only a
         // context or prompt not seen before misses.
         assert!(
             (64..=256).contains(&decode) && (40..=162).contains(&prefill),
             "misses: {decode} decode, {prefill} prefill"
+        );
+    }
+
+    #[test]
+    fn the_decode_template_is_rebuilt_only_when_membership_changes() {
+        // A closed-loop decode stream (batch 64, Gaussian 512/512):
+        // most stages are pure advances, which the template prices
+        // without a rebuild. Dropping the template every stage leaves
+        // every price unchanged, so only this count catches it.
+        let system = SystemConfig::duplex_pe_et(4, 1);
+        let workload = duplex_sched::Workload::gaussian(512, 512);
+        let deltas = record_deltas(&system, 64, 2_048, workload, None);
+
+        let mut ex = SystemExecutor::new(system, ModelConfig::mixtral_8x7b(), 7);
+        for delta in &deltas {
+            ex.stage_cost_delta(delta);
+        }
+        let changed = deltas.iter().filter(|d| !d.is_pure_advance()).count() as u64;
+        assert_eq!(deltas.len(), 2_048);
+        assert!(
+            (1..=changed).contains(&ex.template_rebuilds),
+            "{} rebuilds for {changed} changed stages of {}",
+            ex.template_rebuilds,
+            deltas.len()
         );
     }
 

@@ -33,16 +33,12 @@ fn main() {
         spec.scenario.requests
     );
     for fault in &plan.faults {
-        let what = match fault.kind {
-            FaultKind::Crash { down_s } => format!("crash, down {down_s:.2}s"),
-            FaultKind::Drain { down_s } => format!("drain, down {down_s:.2}s"),
-            FaultKind::Slowdown { duration_s, factor } => {
-                format!("slowdown x{factor:.1} for {duration_s:.2}s")
-            }
-        };
+        let (FaultKind::Crash { down_s } | FaultKind::Drain { down_s }) = fault.kind;
         println!(
-            "  t={:>7.2}s  replica {}: {}",
-            fault.at_s, fault.replica, what
+            "  t={:>7.2}s  replica {}: {}, down {down_s:.2}s",
+            fault.at_s,
+            fault.replica,
+            fault.kind.name()
         );
     }
 
