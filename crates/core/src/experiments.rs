@@ -23,11 +23,11 @@ use duplex_model::ops::StageShape;
 use duplex_model::ModelConfig;
 use duplex_sched::{
     Arrivals, AutoscalePolicy, ClusterContext, ClusterReport, ClusterSimulation, ConversationSpec,
-    DisaggPlan, FaultEvent, FaultKind, FaultPlan, KvLinkSpec, PolicyKind, ReplicaConfig,
-    RequestSource, Router, RouterKind, Scenario, ScenarioSimulation, SchedulingPolicy, SimReport,
-    SimulationConfig, TraceRequest, Workload,
+    DisaggPlan, FaultEvent, FaultKind, FaultPlan, KvLinkSpec, LatencySummary, PolicyKind,
+    ReplicaConfig, RequestSource, Router, RouterKind, Scenario, ScenarioSimulation,
+    SchedulingPolicy, SimReport, SimulationConfig, TraceRequest, Workload,
 };
-use duplex_system::{CommModel, SplitSimulation, SystemConfig, SystemExecutor};
+use duplex_system::{CommModel, SystemConfig, SystemExecutor};
 
 use crate::{run, RunConfig, RunResult};
 
@@ -45,7 +45,8 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Full paper-sized sweeps (minutes of wall clock in release mode).
+    /// Full paper-sized sweeps (well under a second of wall clock for
+    /// all of `run_all --paper` in release mode).
     pub fn paper() -> Self {
         Self {
             shrink: 1,
@@ -800,44 +801,65 @@ pub fn fig15_energy(scale: &Scale) -> Vec<EnergyRow> {
 
 // ---------------------------------------------------------------- Fig. 16
 
-/// Fig. 16: Duplex vs Duplex-Split (Splitwise-style disaggregation),
-/// Mixtral, batch 128.
-pub fn fig16_split(scale: &Scale) -> Vec<LatencyRow> {
+/// Fig. 16's (Lin, Lout) points.
+const FIG16_SHAPES: [(u64, u64); 3] = [(256, 256), (1024, 1024), (4096, 4096)];
+
+/// One Fig. 16 point: the Duplex row's run (Duplex+PE, 4 devices,
+/// batch 128) and the Duplex-Split fleet serving the same closed-loop
+/// requests on the same four devices, as two 2-device Duplex+PE
+/// replicas: replica 0 is the prefill pool, replica 1 the decode pool.
+fn fig16_point(scale: &Scale, lin: u64, lout: u64) -> (RunConfig, ClusterSpec) {
     let model = ModelConfig::mixtral_8x7b();
-    let batch = 128usize;
-    let pairs = vec![(256u64, 256u64), (1024, 1024), (4096, 4096)];
-    pairs
+    let mut cfg = scale.run_config(model, SystemConfig::duplex_pe(4, 1), lin, lout, 128);
+    cfg.max_stages = usize::MAX;
+    let scenario = Scenario::new(
+        "fig16_split",
+        cfg.workload.clone(),
+        Arrivals::ClosedLoop,
+        cfg.requests,
+    );
+    let split = ClusterSpec::new(
+        "Duplex-Split",
+        cfg.model.clone(),
+        vec![SystemConfig::duplex_pe(2, 1); 2],
+        cfg.max_batch,
+        PolicyKind::Fcfs,
+        scenario,
+    )
+    .with_disagg(DisaggPlan::new(vec![0]));
+    (cfg, split)
+}
+
+/// Fig. 16: Duplex vs Duplex-Split (Splitwise-style disaggregation),
+/// Mixtral, batch 128. Duplex-Split is a 1 + 1 [`DisaggPlan`] fleet:
+/// one prefill replica and one decode replica, each holding the full
+/// weights, with finished prompts' KV shipped over the fleet link.
+pub fn fig16_split(scale: &Scale) -> Vec<LatencyRow> {
+    FIG16_SHAPES
+        .to_vec()
         .into_par_iter()
         .flat_map(|(lin, lout)| {
-            let mut cfg = scale.run_config(
-                model.clone(),
-                SystemConfig::duplex_pe(4, 1),
-                lin,
-                lout,
-                batch,
-            );
-            cfg.max_stages = usize::MAX;
-            let duplex = run(cfg.clone());
-            let duplex_row = LatencyRow::of(lin, lout, &duplex);
-
-            let split = SplitSimulation::new(
-                &SystemConfig::duplex_pe(2, 1),
-                model.clone(),
-                2,
-                cfg.workload.clone(),
-                cfg.requests,
-                batch,
-            );
-            let report = split.run();
+            let (cfg, split) = fig16_point(scale, lin, lout);
+            let duplex = run(cfg);
+            // Each pool has one replica, so the router never chooses.
+            let report = run_cluster(&split, RouterKind::RoundRobin.build().as_mut());
+            // A handoff restamps the request's arrival, so the records'
+            // own T2FT and E2E leave out the prefill pool. Every
+            // closed-loop request arrives at t = 0: the token times are
+            // T2FT and E2E as the Duplex row measures them.
+            let records = report.replicas.iter().flat_map(|r| &r.completed);
+            let t2ft: Vec<f64> = records.clone().map(|r| r.first_token_s).collect();
+            let e2e: Vec<f64> = records.map(|r| r.last_token_s).collect();
+            let tbt = report.tbt();
             vec![
-                duplex_row,
+                LatencyRow::of(lin, lout, &duplex),
                 LatencyRow {
-                    system: "Duplex-Split".into(),
+                    system: split.name,
                     lin,
                     lout,
-                    tbt: [report.tbt().p50, report.tbt().p90, report.tbt().p99],
-                    t2ft_p50: report.t2ft().p50,
-                    e2e_p50: report.e2e().p50,
+                    tbt: [tbt.p50, tbt.p90, tbt.p99],
+                    t2ft_p50: LatencySummary::of(&t2ft).p50,
+                    e2e_p50: LatencySummary::of(&e2e).p50,
                     throughput: report.generation_throughput(),
                 },
             ]
@@ -1956,6 +1978,22 @@ mod tests {
         let row = ClusterRow::of(spec, "least-outstanding", &report);
         assert_eq!(row.replicas, 4);
         assert!(!row.tiered);
+    }
+
+    #[test]
+    fn fig16_split_hands_every_prompt_to_the_decode_pool() {
+        for (lin, lout) in FIG16_SHAPES {
+            let (cfg, split) = fig16_point(&Scale::quick(), lin, lout);
+            let report = run_cluster(&split, RouterKind::RoundRobin.build().as_mut());
+            let requests = cfg.requests;
+            assert_eq!(report.completed(), requests, "({lin}, {lout})");
+            assert_eq!(report.disagg.handoffs, requests as u64, "({lin}, {lout})");
+            assert_eq!(report.disagg.reprefills, 0, "({lin}, {lout})");
+            assert!(
+                report.replicas[0].completed.is_empty(),
+                "({lin}, {lout}): the prefill pool completes nothing"
+            );
+        }
     }
 
     #[test]

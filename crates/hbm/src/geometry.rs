@@ -49,7 +49,6 @@ impl HbmGeometry {
     /// ```
     /// let g = duplex_hbm::HbmGeometry::hbm3_8hi();
     /// assert_eq!(g.ranks(), 2);
-    /// assert_eq!(g.bundles_per_pseudo_channel(), 4);
     /// assert_eq!(g.capacity_bytes, 16 << 30);
     /// ```
     pub fn hbm3_8hi() -> Self {
@@ -81,41 +80,9 @@ impl HbmGeometry {
         self.banks_per_rank() * self.ranks()
     }
 
-    /// Bank bundles per rank as seen from one pseudo channel
-    /// (16 banks / 8 banks per bundle = 2 for HBM3).
-    pub fn bundles_per_rank(&self) -> u32 {
-        self.banks_per_rank() / self.banks_per_bundle
-    }
-
-    /// Bank bundles per pseudo channel across ranks (4 for HBM3; these
-    /// four indices are the four *memory spaces* of Sec. V-C).
-    pub fn bundles_per_pseudo_channel(&self) -> u32 {
-        self.bundles_per_rank() * self.ranks()
-    }
-
     /// Column accesses needed to drain one open row.
     pub fn reads_per_row(&self) -> u64 {
         self.row_bytes / self.burst_bytes
-    }
-}
-
-/// Identifies one bank bundle within a stack.
-///
-/// `space` is the bundle index 0..[`HbmGeometry::bundles_per_pseudo_channel`]
-/// shared by all pseudo channels; the paper uses this index to carve the
-/// device memory into four co-processing-safe spaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BankBundle {
-    /// Pseudo-channel index within the stack.
-    pub pseudo_channel: u32,
-    /// Bundle (memory-space) index within the pseudo channel.
-    pub space: u32,
-}
-
-impl BankBundle {
-    /// Rank that hosts this bundle (two bundles per rank for HBM3).
-    pub fn rank(&self, geom: &HbmGeometry) -> u32 {
-        self.space / geom.bundles_per_rank()
     }
 }
 
@@ -129,8 +96,6 @@ mod tests {
         assert_eq!(g.ranks(), 2);
         assert_eq!(g.banks_per_rank(), 16);
         assert_eq!(g.banks_per_pseudo_channel(), 32);
-        assert_eq!(g.bundles_per_rank(), 2);
-        assert_eq!(g.bundles_per_pseudo_channel(), 4);
     }
 
     #[test]
@@ -141,16 +106,10 @@ mod tests {
 
     #[test]
     fn bundle_rank_mapping() {
+        // A bundle is half of a rank's banks, so each pseudo channel
+        // sees two bundles per rank and four memory spaces (Sec. V-C).
         let g = HbmGeometry::hbm3_8hi();
-        let spaces: Vec<u32> = (0..g.bundles_per_pseudo_channel())
-            .map(|s| {
-                BankBundle {
-                    pseudo_channel: 0,
-                    space: s,
-                }
-                .rank(&g)
-            })
-            .collect();
-        assert_eq!(spaces, vec![0, 0, 1, 1]);
+        assert_eq!(g.banks_per_rank(), 2 * g.banks_per_bundle);
+        assert_eq!(g.banks_per_pseudo_channel() / g.banks_per_bundle, 4);
     }
 }

@@ -46,6 +46,6 @@ pub mod stream;
 pub mod timing;
 
 pub use energy::{DramEnergy, DramEnergyModel, EnergyBreakdown};
-pub use geometry::{BankBundle, HbmGeometry};
+pub use geometry::HbmGeometry;
 pub use stream::{AccessPath, BandwidthProfile, StreamResult};
 pub use timing::HbmTiming;

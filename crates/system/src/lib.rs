@@ -15,9 +15,7 @@
 //!   expert-tensor-parallelism (Fig. 10, Fig. 11);
 //! * `Bank-PIM` — a device whose low-Op/B unit is an in-bank PIM
 //!   (Fig. 14);
-//! * the heterogeneous 2-GPU + 2-Logic-PIM system of Fig. 5;
-//! * the Splitwise-style split prefill/decode system of Fig. 16
-//!   ([`split`]).
+//! * the heterogeneous 2-GPU + 2-Logic-PIM system of Fig. 5.
 //!
 //! # Example
 //!
@@ -54,11 +52,9 @@ pub mod coproc;
 pub mod exec;
 pub mod incremental;
 pub mod parallel;
-pub mod split;
 
 pub use comm::{CommModel, LinkSpec};
 pub use coproc::ExpertSplit;
 pub use exec::{DeviceKind, EnergyBuckets, StageCost, SystemConfig, SystemExecutor, TimeBreakdown};
 pub use incremental::BatchState;
 pub use parallel::CapacityPlan;
-pub use split::SplitSimulation;

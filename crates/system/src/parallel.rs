@@ -11,10 +11,7 @@
 //! * the **heterogeneous** system stores expert weights and KV cache on
 //!   its Logic-PIM devices (which run MoE and decode attention) and
 //!   non-expert weights on both device kinds, stranding most of the GPU
-//!   memory;
-//! * the **split** system duplicates the full model on both the prefill
-//!   pool and the decode pool, so only the decode pool's remainder
-//!   holds KV.
+//!   memory.
 
 use duplex_model::ModelConfig;
 
@@ -86,30 +83,6 @@ impl CapacityPlan {
         }
     }
 
-    /// Split system: the model is fully duplicated on the prefill pool
-    /// and the decode pool; KV lives on the decode pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weights do not fit in either pool.
-    pub fn split(
-        model: &ModelConfig,
-        prefill_devices: u32,
-        decode_devices: u32,
-        device_mem_bytes: u64,
-    ) -> Self {
-        let prefill_mem = device_mem_bytes * u64::from(prefill_devices);
-        let decode_mem = device_mem_bytes * u64::from(decode_devices);
-        let w = model.weight_bytes();
-        assert!(w <= prefill_mem, "weights overflow the prefill pool");
-        assert!(w <= decode_mem, "weights overflow the decode pool");
-        Self {
-            total_memory_bytes: prefill_mem + decode_mem,
-            weight_bytes_stored: 2 * w,
-            kv_capacity_bytes: decode_mem - w,
-        }
-    }
-
     /// Largest batch of requests with `ctx` max context tokens each
     /// that fits the KV budget, capped at `requested`.
     pub fn max_batch(&self, model: &ModelConfig, ctx: u64, requested: usize) -> usize {
@@ -162,11 +135,13 @@ mod tests {
 
     #[test]
     fn split_duplicates_whole_model() {
+        // Fig. 16's split pools: each 2-device pool stores the whole
+        // model, so together they keep less KV than one 4-device system.
         let m = ModelConfig::mixtral_8x7b();
-        let split = CapacityPlan::split(&m, 2, 2, 80 * GB);
-        assert_eq!(split.weight_bytes_stored, 2 * m.weight_bytes());
+        let pool = CapacityPlan::homogeneous(&m, 1, 2, 80 * GB);
+        assert_eq!(pool.weight_bytes_stored, m.weight_bytes());
         let homo = CapacityPlan::homogeneous(&m, 1, 4, 80 * GB);
-        assert!(split.kv_capacity_bytes < homo.kv_capacity_bytes);
+        assert!(2 * pool.kv_capacity_bytes < homo.kv_capacity_bytes);
     }
 
     #[test]

@@ -108,8 +108,9 @@ fn oversized_models_are_rejected() {
 #[test]
 fn split_pools_fit_and_shrink_kv() {
     let model = ModelConfig::mixtral_8x7b();
-    let split = CapacityPlan::split(&model, 2, 2, DEVICE_MEM_BYTES);
+    // Two 2-device pools, each storing the full weights.
+    let pool = CapacityPlan::homogeneous(&model, 1, 2, DEVICE_MEM_BYTES);
     let homo = CapacityPlan::homogeneous(&model, 1, 4, DEVICE_MEM_BYTES);
-    assert!(split.kv_capacity_bytes < homo.kv_capacity_bytes);
-    assert_eq!(split.weight_bytes_stored, 2 * model.weight_bytes());
+    assert!(2 * pool.kv_capacity_bytes < homo.kv_capacity_bytes);
+    assert_eq!(pool.weight_bytes_stored, model.weight_bytes());
 }
