@@ -491,3 +491,181 @@ fn different_seeds_differ() {
     };
     assert_ne!(summary(&run(1)), summary(&run(2)));
 }
+
+/// FNV-1a 64 over a report's text: the hash the suite pins hold.
+fn fnv1a64(text: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in text.bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Every scenario of the quick suite under every policy, hashed.
+fn suite_hashes() -> Vec<(String, [u64; 6])> {
+    let model = ModelConfig::mixtral_8x7b();
+    let system = SystemConfig::duplex_pe_et(4, 1);
+    duplex::experiments::scenario_suite(&duplex::experiments::Scale::quick(), &model, &system, 64)
+        .into_iter()
+        .map(|scenario| {
+            let hashes = PolicyKind::ALL.map(|kind| {
+                let report = duplex::experiments::run_scenario(
+                    &model,
+                    &system,
+                    scenario.clone(),
+                    kind.build().as_mut(),
+                    64,
+                );
+                // `summary` leaves out the preemption counters.
+                fnv1a64(&format!(
+                    "{}preempt={:?}\n",
+                    summary(&report),
+                    report.preempt
+                ))
+            });
+            (scenario.name.clone(), hashes)
+        })
+        .collect()
+}
+
+/// The quick scenario suite's reports, pinned per (scenario, policy)
+/// pair: FNV-1a 64 of `summary` plus the preemption counters, one hash
+/// per policy in `PolicyKind::ALL` order (fcfs, spf, priority-edf,
+/// shed-batch, preempt, preempt-mux). Without tiers every policy but
+/// shortest-prompt-first admits in arrival order, and the
+/// near-saturation trio shares one shape, so many pins repeat.
+const SUITE_PINS: [(&str, [u64; 6]); 11] = [
+    (
+        "bursty",
+        [
+            0x7749f2f6a34e39a5,
+            0xaea3b87081e352f2,
+            0x7749f2f6a34e39a5,
+            0x7749f2f6a34e39a5,
+            0x7749f2f6a34e39a5,
+            0x7749f2f6a34e39a5,
+        ],
+    ),
+    (
+        "diurnal",
+        [
+            0xdc61cfb8cff66f07,
+            0x927dd6318f505b83,
+            0xdc61cfb8cff66f07,
+            0xdc61cfb8cff66f07,
+            0xdc61cfb8cff66f07,
+            0xdc61cfb8cff66f07,
+        ],
+    ),
+    (
+        "multi_turn",
+        [
+            0xa7c4ad42f1096399,
+            0x6ffa650613082ebd,
+            0xa7c4ad42f1096399,
+            0xa7c4ad42f1096399,
+            0xa7c4ad42f1096399,
+            0xa7c4ad42f1096399,
+        ],
+    ),
+    (
+        "slo_tiered",
+        [
+            0x71151f3a7942232e,
+            0xa2e71c2fc3cfb40d,
+            0x461152aa7333d867,
+            0x32a60cb96ce97a31,
+            0xca5850750789a1c8,
+            0x0a9af1ec3112036c,
+        ],
+    ),
+    (
+        "slo_shed",
+        [
+            0x03a5f531defb80ff,
+            0x0f5e6fd4cd4f625d,
+            0x46d97d6c954b5169,
+            0x83ee362bba2b54d5,
+            0x6aea43d15706a0b0,
+            0xb04304e78816be98,
+        ],
+    ),
+    (
+        "slo_preempt",
+        [
+            0x03a5f531defb80ff,
+            0x0f5e6fd4cd4f625d,
+            0x46d97d6c954b5169,
+            0x83ee362bba2b54d5,
+            0x6aea43d15706a0b0,
+            0xb04304e78816be98,
+        ],
+    ),
+    (
+        "slo_multiplex",
+        [
+            0x03a5f531defb80ff,
+            0x0f5e6fd4cd4f625d,
+            0x46d97d6c954b5169,
+            0x83ee362bba2b54d5,
+            0x6aea43d15706a0b0,
+            0xb04304e78816be98,
+        ],
+    ),
+    (
+        "trace_replay",
+        [
+            0xccf166bf216b4e09,
+            0x2ffaec522cd0f14c,
+            0xccf166bf216b4e09,
+            0xccf166bf216b4e09,
+            0xccf166bf216b4e09,
+            0xccf166bf216b4e09,
+        ],
+    ),
+    (
+        "long_prefill",
+        [
+            0x5d6c232b503aa21e,
+            0x5d6c232b503aa21e,
+            0x5d6c232b503aa21e,
+            0x5d6c232b503aa21e,
+            0x5d6c232b503aa21e,
+            0x5d6c232b503aa21e,
+        ],
+    ),
+    (
+        "long_prefill_chunked",
+        [
+            0x55a704a9a4ab90ae,
+            0x55a704a9a4ab90ae,
+            0x55a704a9a4ab90ae,
+            0x55a704a9a4ab90ae,
+            0x55a704a9a4ab90ae,
+            0x55a704a9a4ab90ae,
+        ],
+    ),
+    (
+        "long_prefill_adaptive",
+        [
+            0xa557c0c4df541b39,
+            0xa557c0c4df541b39,
+            0xa557c0c4df541b39,
+            0xa557c0c4df541b39,
+            0xa557c0c4df541b39,
+            0xa557c0c4df541b39,
+        ],
+    ),
+];
+
+#[test]
+fn scenario_suite_reports_are_pinned() {
+    let hashes = suite_hashes();
+    assert_eq!(hashes.len(), SUITE_PINS.len());
+    for ((name, got), (pin_name, pin)) in hashes.iter().zip(SUITE_PINS) {
+        assert_eq!(name, pin_name);
+        for ((g, p), kind) in got.iter().zip(pin).zip(PolicyKind::ALL) {
+            assert_eq!(*g, p, "{name} under {}: {g:#018x}", kind.name());
+        }
+    }
+}
