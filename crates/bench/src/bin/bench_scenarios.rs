@@ -4,11 +4,15 @@
 //! policy, KV accounting and incremental stage pricing — and reports
 //! both serving metrics (SLO attainment, goodput, prefix-reuse rate)
 //! and harness throughput (simulated stages per second of wall clock).
+//! Each suite entry is a one-replica fleet that names its own policy
+//! (`experiments::scenario_suite`).
 //!
-//! Each entry repeats its whole run (a pass, with a fresh policy) until
-//! the passes total at least 0.2 s of wall time
+//! Each entry repeats its whole run (a pass, on a freshly built fleet)
+//! until the passes total at least 0.2 s of wall time
 //! ([`duplex_bench::run_repeated`]) and reports the median pass: an
 //! entry's run takes about a millisecond, too short to time once.
+//! Building the fleet (executor, capacity probe) stays outside the
+//! timed region, as in `bench_cluster`.
 //!
 //! Results print as a table and land in `BENCH_scenarios.json` next to
 //! `BENCH_stage_cost.json` / `BENCH_sim.json` so CI tracks the
@@ -16,9 +20,9 @@
 
 use std::time::Instant;
 
-use duplex::experiments::{run_scenario, scenario_suite, Scale};
+use duplex::experiments::{build_cluster, scenario_suite, Scale};
 use duplex::model::ModelConfig;
-use duplex::sched::PolicyKind;
+use duplex::sched::RouterKind;
 use duplex::system::SystemConfig;
 use duplex_bench::{print_table, run_repeated};
 
@@ -31,31 +35,19 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut json_entries = Vec::new();
-    for scenario in scenario_suite(&scale, &model, &system, batch) {
-        // The policy that matches the scenario's intent: the
-        // near-saturation trio maps by name to its namesake policy
-        // (shed vs preempt vs preempt-mux, same traffic — the baseline
-        // pins their attainment spread), EDF over the tiered mix, FCFS
-        // elsewhere.
-        let kind = if scenario.name.contains("preempt") {
-            PolicyKind::Preempt
-        } else if scenario.name.contains("multiplex") {
-            PolicyKind::Multiplex
-        } else if scenario.name.contains("shed") {
-            PolicyKind::ShedBatchTier
-        } else if scenario.tiers.is_empty() {
-            PolicyKind::Fcfs
-        } else {
-            PolicyKind::PriorityTiers
-        };
-        let name = scenario.name.clone();
-        let tiered = !scenario.tiers.is_empty();
-        let (report, wall_s, passes) = run_repeated(|| {
-            let mut policy = kind.build();
+    for spec in scenario_suite(&scale, &model, &system, batch) {
+        let kind = spec.policy;
+        let name = spec.name.clone();
+        let tiered = !spec.scenario.tiers.is_empty();
+        let (mut fleet, wall_s, passes) = run_repeated(|| {
+            let (sim, mut policies, mut executors) = build_cluster(&spec);
+            // One replica, so the router never chooses.
+            let mut router = RouterKind::RoundRobin.build();
             let start = Instant::now();
-            let report = run_scenario(&model, &system, scenario.clone(), policy.as_mut(), batch);
-            (report, start.elapsed().as_secs_f64())
+            let fleet = sim.run(router.as_mut(), &mut policies, &mut executors);
+            (fleet, start.elapsed().as_secs_f64())
         });
+        let report = fleet.replicas.swap_remove(0);
         let stages = report.stage_stats.stages;
         let stages_per_sec = stages as f64 / wall_s;
         let tbt_p99_ms = report.tbt().p99 * 1e3;

@@ -412,7 +412,7 @@ pub fn scenarios(scale: &Scale) {
         .into_iter()
         .map(|r| {
             vec![
-                r.scenario,
+                r.cluster,
                 r.policy,
                 r.completed.to_string(),
                 format!("{:.0}", r.throughput),

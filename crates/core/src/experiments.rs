@@ -24,8 +24,8 @@ use duplex_model::ModelConfig;
 use duplex_sched::{
     Arrivals, AutoscalePolicy, ClusterContext, ClusterReport, ClusterSimulation, ConversationSpec,
     DisaggPlan, FaultEvent, FaultKind, FaultPlan, KvLinkSpec, LatencySummary, PolicyKind,
-    ReplicaConfig, RequestSource, Router, RouterKind, Scenario, ScenarioSimulation,
-    SchedulingPolicy, SimReport, SimulationConfig, TraceRequest, Workload,
+    ReplicaConfig, RequestSource, Router, RouterKind, Scenario, SchedulingPolicy, SimulationConfig,
+    TraceRequest, Workload,
 };
 use duplex_system::{CommModel, SystemConfig, SystemExecutor};
 
@@ -869,38 +869,6 @@ pub fn fig16_split(scale: &Scale) -> Vec<LatencyRow> {
 
 // ---------------------------------------------------------------- Scenarios
 
-/// One row of the scenario sweep: a (scenario, policy) pair on one
-/// system, with serving, SLO and reuse metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRow {
-    /// Scenario name ("bursty", "multi_turn", ...).
-    pub scenario: String,
-    /// System display name.
-    pub system: String,
-    /// Scheduling-policy name.
-    pub policy: String,
-    /// Requests completed (follow-up rounds included).
-    pub completed: usize,
-    /// Stages executed.
-    pub stages: u64,
-    /// Generation throughput in tokens/s (in-flight tokens counted).
-    pub throughput: f64,
-    /// Goodput: tokens of SLO-attaining requests per second (0 when
-    /// the scenario declares no tiers).
-    pub goodput: f64,
-    /// Overall SLO attainment in [0, 1] (0 without tiers).
-    pub attainment: f64,
-    /// Whether the scenario declared SLO tiers.
-    pub tiered: bool,
-    /// TBT p99 in seconds.
-    pub tbt_p99: f64,
-    /// T2FT p50 in seconds.
-    pub t2ft_p50: f64,
-    /// Fraction of prompt tokens served from resident KV (multi-turn
-    /// scenarios; 0 otherwise).
-    pub kv_reuse_fraction: f64,
-}
-
 /// Price one decoding-only stage of `model` on `system` — the time
 /// unit the scenario suite scales its rates and deadlines by, so the
 /// same scenarios stay meaningfully loaded at quick and paper scales.
@@ -928,12 +896,17 @@ pub fn probe_prefill_seconds(model: &ModelConfig, system: &SystemConfig, lin: u6
 /// SLO-tiered mix, and replay of a recorded bursty trace. Rates are
 /// fractions of the system's closed-loop capacity (`batch / (Lout *
 /// stage_s)`), deadlines multiples of the probed stage latency.
+///
+/// Each entry is a one-replica fleet named after its scenario, running
+/// the policy the scenario is built for: the near-saturation trio its
+/// namesake policy, the other tiered mix priority-EDF, the untiered
+/// scenarios FCFS.
 pub fn scenario_suite(
     scale: &Scale,
     model: &ModelConfig,
     system: &SystemConfig,
     batch: usize,
-) -> Vec<Scenario> {
+) -> Vec<ClusterSpec> {
     let lin = scale.len(1024);
     let lout = scale.len(512);
     let stage_s = probe_stage_seconds(model, system, batch, lin + lout / 2);
@@ -997,9 +970,9 @@ pub fn scenario_suite(
     // Near-saturation tiered mix: demand just past the closed-loop
     // capacity, so interactive work queues behind batch-tier decodes
     // and the shed/preempt/multiplex policies actually diverge. Three
-    // names, one shape: the quick bench maps each name to its namesake
-    // policy (`shed-batch` / `preempt` / `preempt-mux`) so the CI
-    // baselines pin the attainment spread between them.
+    // names, one shape: each runs its namesake policy (`shed-batch` /
+    // `preempt` / `preempt-mux`) so the CI baselines pin the attainment
+    // spread between them.
     let saturated = |name: &str| {
         Scenario::new(
             name,
@@ -1079,74 +1052,52 @@ pub fn scenario_suite(
     )
     .with_prefill_chunk_adaptive(scale.len(1024), scale.len(8192));
 
-    vec![
-        bursty,
-        diurnal,
-        chat,
-        tiered,
-        slo_shed,
-        slo_preempt,
-        slo_multiplex,
-        replay,
-        long_prefill,
-        long_prefill_chunked,
-        long_prefill_adaptive,
-    ]
-}
-
-/// Run one scenario on one system under one policy.
-pub fn run_scenario(
-    model: &ModelConfig,
-    system: &SystemConfig,
-    scenario: Scenario,
-    policy: &mut dyn SchedulingPolicy,
-    max_batch: usize,
-) -> SimReport {
-    let mut ex = SystemExecutor::new(system.clone(), model.clone(), 7);
-    let cfg = SimulationConfig {
-        max_batch,
-        kv_capacity_bytes: ex.kv_capacity_bytes(),
-        kv_bytes_per_token: model.kv_bytes_per_token(),
-        max_stages: usize::MAX,
-        record_stages: false,
+    let fleet = |scenario: Scenario, policy: PolicyKind| {
+        let name = scenario.name.clone();
+        ClusterSpec::new(
+            &name,
+            model.clone(),
+            vec![system.clone()],
+            batch,
+            policy,
+            scenario,
+        )
     };
-    ScenarioSimulation::new(cfg, scenario).run(policy, &mut ex)
+    vec![
+        fleet(bursty, PolicyKind::Fcfs),
+        fleet(diurnal, PolicyKind::Fcfs),
+        fleet(chat, PolicyKind::Fcfs),
+        fleet(tiered, PolicyKind::PriorityTiers),
+        fleet(slo_shed, PolicyKind::ShedBatchTier),
+        fleet(slo_preempt, PolicyKind::Preempt),
+        fleet(slo_multiplex, PolicyKind::Multiplex),
+        fleet(replay, PolicyKind::Fcfs),
+        fleet(long_prefill, PolicyKind::Fcfs),
+        fleet(long_prefill_chunked, PolicyKind::Fcfs),
+        fleet(long_prefill_adaptive, PolicyKind::Fcfs),
+    ]
 }
 
 /// The scenario sweep: every suite scenario under every shipped
 /// policy, Mixtral on Duplex+PE+ET (4 devices), batch 64.
-pub fn scenarios(scale: &Scale) -> Vec<ScenarioRow> {
+pub fn scenarios(scale: &Scale) -> Vec<ClusterRow> {
     let model = ModelConfig::mixtral_8x7b();
     let system = SystemConfig::duplex_pe_et(4, 1);
-    let batch = 64usize;
-    let suite = scenario_suite(scale, &model, &system, batch);
     let mut points = Vec::new();
-    for scenario in suite {
+    for spec in scenario_suite(scale, &model, &system, 64) {
         for kind in PolicyKind::ALL {
-            points.push((scenario.clone(), kind));
+            let mut spec = spec.clone();
+            spec.policy = kind;
+            points.push(spec);
         }
     }
     points
         .into_par_iter()
-        .map(|(scenario, kind)| {
-            let tiered = !scenario.tiers.is_empty();
-            let name = scenario.name.clone();
-            let mut policy = kind.build();
-            let report = run_scenario(&model, &system, scenario, policy.as_mut(), batch);
-            ScenarioRow {
-                scenario: name,
-                system: system.name.clone(),
-                policy: kind.name().into(),
-                completed: report.completed.len(),
-                stages: report.stage_stats.stages,
-                throughput: report.generation_throughput(),
-                goodput: report.goodput_tokens_per_s(),
-                attainment: report.slo_attainment(),
-                tiered,
-                tbt_p99: report.tbt().p99,
-                t2ft_p50: report.t2ft().p50,
-                kv_reuse_fraction: report.kv_reuse.reuse_fraction(),
-            }
+        .map(|spec| {
+            // One replica, so the router never chooses.
+            let router = RouterKind::RoundRobin;
+            let report = run_cluster(&spec, router.build().as_mut());
+            ClusterRow::of(&spec, router.name(), &report)
         })
         .collect()
 }
@@ -1260,6 +1211,8 @@ pub struct ClusterRow {
     pub cluster: String,
     /// Router display name.
     pub router: String,
+    /// Admission-policy name every replica runs.
+    pub policy: String,
     /// Replicas in the fleet.
     pub replicas: usize,
     /// Requests completed fleet-wide (follow-up rounds included).
@@ -1278,6 +1231,8 @@ pub struct ClusterRow {
     pub tiered: bool,
     /// Fleet TBT p99 in seconds (merged digests).
     pub tbt_p99: f64,
+    /// Fleet T2FT p50 in seconds.
+    pub t2ft_p50: f64,
     /// Fraction of prompt tokens served from resident KV fleet-wide.
     pub kv_reuse_fraction: f64,
     /// Hottest replica's generated tokens over the fleet mean (1.0 =
@@ -1315,6 +1270,7 @@ impl ClusterRow {
         Self {
             cluster: spec.name.clone(),
             router: router.into(),
+            policy: spec.policy.name().into(),
             replicas: spec.systems.len(),
             completed: report.completed(),
             stages: report.stages(),
@@ -1324,6 +1280,7 @@ impl ClusterRow {
             interactive_attainment: slo.tiers.first().map_or(0.0, |t| t.attainment()),
             tiered: !slo.tiers.is_empty(),
             tbt_p99: report.tbt().p99,
+            t2ft_p50: report.t2ft().p50,
             kv_reuse_fraction: report.kv_reuse().reuse_fraction(),
             load_imbalance: report.load_imbalance(),
             recovery_time_s: report.recovery_time_s(),
@@ -1794,6 +1751,13 @@ mod tests {
         assert!(s.requests(32) >= 33);
     }
 
+    /// Run a one-replica suite fleet and return its replica's report.
+    fn solo(spec: &ClusterSpec) -> duplex_sched::SimReport {
+        run_cluster(spec, RouterKind::RoundRobin.build().as_mut())
+            .replicas
+            .remove(0)
+    }
+
     #[test]
     fn scenario_suite_covers_the_required_shapes() {
         let model = ModelConfig::mixtral_8x7b();
@@ -1803,21 +1767,32 @@ mod tests {
         for required in ["bursty", "multi_turn", "slo_tiered"] {
             assert!(names.contains(&required), "missing {required} in {names:?}");
         }
-        let chat = suite
-            .iter()
-            .find(|s| s.name == "multi_turn")
-            .expect("chat exists");
-        assert!(chat.conversation.is_some());
-        let tiered = suite
-            .iter()
-            .find(|s| s.name == "slo_tiered")
-            .expect("tiers exist");
-        assert_eq!(tiered.tiers.len(), 3);
-        let replay = suite
-            .iter()
-            .find(|s| s.name == "trace_replay")
-            .expect("replay");
-        assert!(matches!(replay.arrivals, Arrivals::Trace { .. }));
+        let spec = |name: &str| {
+            suite
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("{name} exists"))
+        };
+        assert!(spec("multi_turn").scenario.conversation.is_some());
+        assert_eq!(spec("slo_tiered").scenario.tiers.len(), 3);
+        assert!(matches!(
+            spec("trace_replay").scenario.arrivals,
+            Arrivals::Trace { .. }
+        ));
+        // One replica each, and each scenario names the policy it is
+        // built for.
+        for s in &suite {
+            assert_eq!(s.systems, vec![system.clone()], "{}", s.name);
+            assert_eq!(s.name, s.scenario.name);
+            let intended = match s.name.as_str() {
+                "slo_shed" => PolicyKind::ShedBatchTier,
+                "slo_preempt" => PolicyKind::Preempt,
+                "slo_multiplex" => PolicyKind::Multiplex,
+                _ if s.scenario.tiers.is_empty() => PolicyKind::Fcfs,
+                _ => PolicyKind::PriorityTiers,
+            };
+            assert_eq!(s.policy, intended, "{}", s.name);
+        }
     }
 
     #[test]
@@ -1828,19 +1803,15 @@ mod tests {
         let plain = suite
             .iter()
             .find(|s| s.name == "long_prefill")
-            .expect("long_prefill")
-            .clone();
+            .expect("long_prefill");
         let chunked = suite
             .iter()
             .find(|s| s.name == "long_prefill_chunked")
-            .expect("chunked variant")
-            .clone();
-        assert_eq!(plain.prefill_chunk, 0);
-        assert!(chunked.prefill_chunk > 0);
-        let mut p1 = PolicyKind::Fcfs.build();
-        let a = run_scenario(&model, &system, plain, p1.as_mut(), 64);
-        let mut p2 = PolicyKind::Fcfs.build();
-        let b = run_scenario(&model, &system, chunked, p2.as_mut(), 64);
+            .expect("chunked variant");
+        assert_eq!(plain.scenario.prefill_chunk, 0);
+        assert!(chunked.scenario.prefill_chunk > 0);
+        let a = solo(plain);
+        let b = solo(chunked);
         // Chunking flattens the mixed-stage TBT tail ...
         assert!(
             b.tbt().p99 < 0.7 * a.tbt().p99,
@@ -1864,11 +1835,9 @@ mod tests {
         let adaptive = suite
             .iter()
             .find(|s| s.name == "long_prefill_adaptive")
-            .expect("adaptive variant")
-            .clone();
-        assert!(adaptive.adaptive_chunk.is_some());
-        let mut p3 = PolicyKind::Fcfs.build();
-        let c = run_scenario(&model, &system, adaptive, p3.as_mut(), 64);
+            .expect("adaptive variant");
+        assert!(adaptive.scenario.adaptive_chunk.is_some());
+        let c = solo(adaptive);
         assert!(
             c.tbt().p99 < 0.85 * a.tbt().p99,
             "adaptive p99 {} vs unchunked {}",
@@ -2002,23 +1971,18 @@ mod tests {
         let system = SystemConfig::duplex_pe_et(4, 1);
         let scale = Scale::quick();
         let suite = scenario_suite(&scale, &model, &system, 64);
-        let chat = suite
-            .iter()
-            .find(|s| s.name == "multi_turn")
-            .expect("chat")
-            .clone();
-        let mut policy = PolicyKind::Fcfs.build();
-        let report = run_scenario(&model, &system, chat, policy.as_mut(), 64);
+        let chat = suite.iter().find(|s| s.name == "multi_turn").expect("chat");
+        assert_eq!(chat.policy, PolicyKind::Fcfs);
+        let report = solo(chat);
         assert!(!report.completed.is_empty());
         assert!(report.kv_reuse.reuse_hits > 0, "{:?}", report.kv_reuse);
 
         let tiered = suite
             .iter()
             .find(|s| s.name == "slo_tiered")
-            .expect("tiers")
-            .clone();
-        let mut policy = PolicyKind::PriorityTiers.build();
-        let report = run_scenario(&model, &system, tiered, policy.as_mut(), 64);
+            .expect("tiers");
+        assert_eq!(tiered.policy, PolicyKind::PriorityTiers);
+        let report = solo(tiered);
         assert_eq!(report.slo.tiers.len(), 3);
         assert!(report.slo_attainment() > 0.0);
         assert!(report.goodput_tokens_per_s() > 0.0);

@@ -15,7 +15,9 @@
 //!   prefills when the batch and the KV-cache budget allow, making the
 //!   stage *mixed*; otherwise the stage is *decoding-only*. Holds the
 //!   executor contract and the paper's single-system [`Simulation`],
-//!   which runs on the scenario scheduler's batching loop.
+//!   which runs on the scenario scheduler's batching loop and feeds it
+//!   lazily: a request leaves the stream only once a batch slot is
+//!   free.
 //! * [`delta`] — the incremental stage contract: each stage is also
 //!   announced as a [`StageDelta`] (advance + admissions +
 //!   retirements), letting executors that carry batch state price
@@ -24,7 +26,8 @@
 //!   SLO attainment / goodput counters and the simulation report.
 //! * [`scenario`] — the scenario scheduler: SLO tiers, policy-driven
 //!   admission, and multi-turn conversations with reuse-aware KV
-//!   accounting through `duplex_model::kv_cache`.
+//!   accounting through `duplex_model::kv_cache`. A scenario runs on a
+//!   [`ClusterSimulation`]; one system is a one-replica fleet.
 //! * [`policy`] — pluggable admission policies (FCFS,
 //!   shortest-prompt-first, priority tiers with SLO deadlines, and
 //!   the batch-tier load-shedding wrapper).
@@ -133,9 +136,7 @@ pub use router::{
     AffinityCore, ClusterContext, KvMigration, LeastOutstandingWork, Placement, PoolRole,
     PoolTarget, ReplicaSnapshot, RoundRobin, RouteDecision, Router, RouterKind, SessionAffinity,
 };
-pub use scenario::{
-    AdaptiveChunk, ConversationSpec, PendingRequest, Scenario, ScenarioSimulation, SloTier,
-};
+pub use scenario::{AdaptiveChunk, ConversationSpec, PendingRequest, Scenario, SloTier};
 pub use scheduler::{BatchCheckpoint, Simulation, SimulationConfig, StageExecutor, StageOutcome};
 pub use snapshot::ClusterSnapshot;
 pub use trace::TraceRequest;

@@ -87,11 +87,7 @@ impl PolicyContext {
 }
 
 /// Picks the next pending request to admit.
-///
-/// `Send` is a supertrait so boxed policies can ride along when the
-/// cluster simulator steps replicas on worker threads; policies are
-/// replica-local state machines, so this costs implementors nothing.
-pub trait SchedulingPolicy: Send {
+pub trait SchedulingPolicy {
     /// Display name for reports.
     fn name(&self) -> &'static str;
 

@@ -2,8 +2,8 @@
 //! and multi-turn conversations with reuse-aware KV accounting.
 //!
 //! The base [`crate::Simulation`] reproduces the paper's setup: one
-//! synthetic workload shape, FIFO admission. A [`ScenarioSimulation`]
-//! generalizes it along three axes:
+//! synthetic workload shape, FIFO admission. A [`Scenario`] generalizes
+//! it along three axes:
 //!
 //! * **arrivals** — any [`Arrivals`] process, including the bursty
 //!   on/off and diurnal curves and recorded-trace replay;
@@ -20,13 +20,14 @@
 //!   (deadline + priority) and a [`SchedulingPolicy`] picks admission
 //!   order; the report gains per-tier attainment and goodput.
 //!
-//! Internally the run is split into two pieces the cluster scheduler
-//! ([`crate::cluster`]) reuses verbatim: a `ScenarioStream` owning
-//! the arrival process, tier draws and follow-up spawning, and a
-//! `ReplicaSim` owning one continuous-batching event loop (queues,
-//! KV accounting, stage formation, metrics). A plain
-//! [`ScenarioSimulation`] is exactly a one-replica cluster, and the
-//! base [`crate::Simulation`] is a one-replica FCFS run fed lazily.
+//! A scenario runs on a [`crate::ClusterSimulation`], on one system as
+//! a one-replica fleet, built from two pieces: a `ScenarioStream`
+//! owning the arrival process, tier draws and follow-up spawning, and
+//! a `ReplicaSim` per replica owning one continuous-batching event
+//! loop (queues, KV accounting, stage formation, metrics). Those are
+//! the two drivers of the loop: the fleet hands every arrival to a
+//! replica, and the base [`crate::Simulation`] is a one-replica FCFS
+//! run fed lazily.
 //!
 //! # The batching loop
 //!
@@ -50,15 +51,15 @@
 //! * consecutive quiet stages run inside one `step` call. The caller
 //!   passes a bound, the earliest time its next iteration could hand
 //!   the replica something new: `run_window` its window bound (the
-//!   fleet's next arrival or control-plane event), `ScenarioSimulation`
-//!   the stream's next arrival, and the base `Simulation` the stream's
-//!   next arrival while a batch slot is unclaimed (no bound while the
-//!   batch is full). The run returns after the first stage that
-//!   retires a request, reaches the stage cap, ends at or after the
-//!   bound, or leaves a routed arrival due in the inbox. Until then
-//!   nothing a caller's iteration could change has changed, so each
-//!   skipped iteration would have stepped the same quiet stage. The
-//!   run keeps its accounting in locals and writes it back once;
+//!   fleet's next arrival or control-plane event), and the base
+//!   `Simulation` the stream's next arrival while a batch slot is
+//!   unclaimed (no bound while the batch is full). The run returns
+//!   after the first stage that retires a request, reaches the stage
+//!   cap, ends at or after the bound, or leaves a routed arrival due
+//!   in the inbox. Until then nothing a caller's iteration could
+//!   change has changed, so each skipped iteration would have stepped
+//!   the same quiet stage. The run keeps its accounting in locals and
+//!   writes it back once;
 //! * a decoding request stores a stage stamp rather than a token
 //!   counter, so advancing the batch touches no request;
 //! * the retirement sweep runs only on stages where some request is
@@ -73,11 +74,10 @@
 //! included. `ReplicaSim::seated` is that one count; preemption,
 //! resumes and admission all read it.
 //!
-//! Scenario and cluster runs hand every arrival to the replica
-//! (policies rank the whole waiting queue, routers place on arrival),
-//! so their memory is O(waiting). The base `Simulation` queues an
-//! arrival only once a batch slot is free for it, which keeps its
-//! memory O(batch).
+//! Fleet runs hand every arrival to a replica (policies rank the whole
+//! waiting queue, routers place on arrival), so their memory is
+//! O(waiting). The base `Simulation` queues an arrival only once a
+//! batch slot is free for it, which keeps its memory O(batch).
 //!
 //! # Reused prefixes price exactly
 //!
@@ -310,10 +310,8 @@ impl Scenario {
     }
 
     /// Validate the scenario and clamp its request count to the trace
-    /// length under replay — the shared front door of
-    /// [`ScenarioSimulation::new`] and
-    /// [`crate::cluster::ClusterSimulation::new`], so the two entry
-    /// points cannot drift.
+    /// length under replay: the front door of
+    /// [`crate::cluster::ClusterSimulation::new`].
     ///
     /// # Panics
     ///
@@ -611,9 +609,9 @@ impl ScenarioStream {
         }
     }
 
-    /// Pop the earliest pending arrival (source wins exact ties so the
-    /// one-replica cluster reproduces the plain scheduler's queue
-    /// order), drawing its tier when it comes from the source.
+    /// Pop the earliest pending arrival (source wins exact ties: a fresh
+    /// request queues ahead of a follow-up due at the same instant),
+    /// drawing its tier when it comes from the source.
     pub(crate) fn pop_next(&mut self) -> Option<PendingRequest> {
         self.pop_arrived(f64::INFINITY)
     }
@@ -818,8 +816,8 @@ struct Tally {
 /// One replica's continuous-batching event loop: routed requests enter
 /// through [`ReplicaSim::enqueue`], [`ReplicaSim::step`] forms and
 /// executes one stage, and the accumulated metrics leave through
-/// [`ReplicaSim::into_report`]. The plain [`ScenarioSimulation`] is a
-/// one-replica instance of exactly this machine.
+/// [`ReplicaSim::into_report`]. A scenario on one system is a
+/// one-replica fleet of exactly this machine.
 pub(crate) struct ReplicaSim {
     config: SimulationConfig,
     tiers: Vec<SloTier>,
@@ -1668,8 +1666,7 @@ impl ReplicaSim {
     /// `bound` is the earliest time at which the caller's next loop
     /// iteration could hand this replica something new, `None` when
     /// nothing could: the window bound under [`ReplicaSim::run_window`]
-    /// (the fleet's next arrival or control-plane event), the stream's
-    /// next arrival under [`ScenarioSimulation`], and under
+    /// (the fleet's next arrival or control-plane event), and under
     /// [`crate::Simulation`] the stream's next arrival while a batch
     /// slot is unclaimed, `None` while the batch is full. A bound at or
     /// before the replica's clock runs exactly one stage.
@@ -2725,60 +2722,6 @@ impl ReplicaSim {
     }
 }
 
-/// A configured scenario run, ready for a policy and an executor.
-#[derive(Debug)]
-pub struct ScenarioSimulation {
-    config: SimulationConfig,
-    scenario: Scenario,
-}
-
-impl ScenarioSimulation {
-    /// Bind a scenario to scheduler limits. Under trace replay the
-    /// request count is clamped to the trace length.
-    pub fn new(config: SimulationConfig, scenario: Scenario) -> Self {
-        Self {
-            config,
-            scenario: scenario.normalized(),
-        }
-    }
-
-    /// Run to completion (or the stage cap) under `policy` and report.
-    pub fn run<E: StageExecutor + ?Sized>(
-        self,
-        policy: &mut dyn SchedulingPolicy,
-        executor: &mut E,
-    ) -> SimReport {
-        let Self { config, scenario } = self;
-        let mut stream = ScenarioStream::new(&scenario);
-        let mut replica = ReplicaSim::new(config, &scenario);
-        replica.prepare_preempt(policy);
-        loop {
-            // Deliver every arrival due by the replica's next stage
-            // start (all of them, when it is idle).
-            while let Some(t_a) = stream.next_arrival_time() {
-                match replica.next_start() {
-                    Some(t) if t_a > t => break,
-                    None if !replica.can_accept() => break,
-                    _ => {
-                        let p = stream.pop_next().expect("arrival time implies a request");
-                        replica.enqueue(p);
-                    }
-                }
-            }
-            if replica.next_start().is_none() {
-                break;
-            }
-            let bound = stream.next_arrival_time();
-            replica.step(policy, executor, bound);
-            // Draining right after the step keeps the RNG-draw and
-            // parked-KV operation order identical to the historical
-            // inline retirement path.
-            replica.drain_retire_events(&mut stream);
-        }
-        replica.into_report()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2835,18 +2778,39 @@ mod tests {
         }
     }
 
+    /// Serve `scenario` on a one-replica fleet (the router never
+    /// chooses) and return the replica's report.
+    fn solo<E: StageExecutor>(
+        cfg: SimulationConfig,
+        scenario: Scenario,
+        policy: Box<dyn SchedulingPolicy>,
+        executor: &mut E,
+    ) -> SimReport {
+        crate::cluster::ClusterSimulation::new(
+            vec![crate::cluster::ReplicaConfig::new(cfg)],
+            scenario,
+        )
+        .run(
+            &mut crate::router::RoundRobin::default(),
+            &mut [policy],
+            std::slice::from_mut(executor),
+        )
+        .replicas
+        .remove(0)
+    }
+
     fn run_scenario(
         scenario: Scenario,
         cfg: SimulationConfig,
-        policy: &mut dyn SchedulingPolicy,
+        policy: Box<dyn SchedulingPolicy>,
     ) -> SimReport {
-        ScenarioSimulation::new(cfg, scenario).run(policy, &mut Fixed(0.01))
+        solo(cfg, scenario, policy, &mut Fixed(0.01))
     }
 
     #[test]
     fn single_shot_matches_base_semantics() {
         let scenario = Scenario::new("plain", Workload::fixed(64, 5), Arrivals::ClosedLoop, 20);
-        let report = run_scenario(scenario, config(8), &mut Fcfs);
+        let report = run_scenario(scenario, config(8), Box::new(Fcfs));
         assert_eq!(report.completed.len(), 20);
         for r in &report.completed {
             assert_eq!(r.tokens, r.request.output_len);
@@ -2947,7 +2911,7 @@ mod tests {
                     .run(&mut lazy_ex);
             let mut eager_ex = Priced::default();
             let scenario = Scenario::new(name, workload, arrivals, n);
-            let eager = ScenarioSimulation::new(cfg, scenario).run(&mut Fcfs, &mut eager_ex);
+            let eager = solo(cfg, scenario, Box::new(Fcfs), &mut eager_ex);
             assert!(!lazy.completed.is_empty(), "{name}");
             assert_eq!(lazy, eager, "{name}");
             assert_eq!(lazy_ex.deltas, eager_ex.deltas, "{name}");
@@ -2971,7 +2935,7 @@ mod tests {
     #[should_panic(expected = "max_batch must be at least 1")]
     fn zero_batch_fails_before_the_first_stage() {
         let scenario = Scenario::new("empty", Workload::fixed(8, 2), Arrivals::ClosedLoop, 3);
-        run_scenario(scenario, config(0), &mut Fcfs);
+        run_scenario(scenario, config(0), Box::new(Fcfs));
     }
 
     #[test]
@@ -2987,7 +2951,7 @@ mod tests {
             },
             40,
         );
-        let report = run_scenario(scenario, config(8), &mut Fcfs);
+        let report = run_scenario(scenario, config(8), Box::new(Fcfs));
         assert_eq!(report.completed.len(), 40);
         assert!(report.total_time_s > 0.0);
     }
@@ -3001,7 +2965,7 @@ mod tests {
             20,
         )
         .with_conversation(ConversationSpec::chat(1.0, 3, 0.001, 16));
-        let report = run_scenario(scenario, config(16), &mut Fcfs);
+        let report = run_scenario(scenario, config(16), Box::new(Fcfs));
         // Every conversation runs exactly 3 rounds at prob 1.0.
         assert_eq!(report.completed.len(), 60);
         assert!(report.kv_reuse.reuse_hits > 0, "{:?}", report.kv_reuse);
@@ -3026,7 +2990,7 @@ mod tests {
             300,
         )
         .with_conversation(ConversationSpec::chat(0.8, 4, 0.01, 48));
-        let report = run_scenario(scenario, config(32), &mut Fcfs);
+        let report = run_scenario(scenario, config(32), Box::new(Fcfs));
         let mut lens: Vec<(u64, u64, u64)> = report
             .completed
             .iter()
@@ -3055,7 +3019,7 @@ mod tests {
         )
         .with_conversation(ConversationSpec::chat(1.0, 2, 0.001, 16));
         let mut rec = Recording::new();
-        let report = ScenarioSimulation::new(config(4), scenario).run(&mut Fcfs, &mut rec);
+        let report = solo(config(4), scenario, Box::new(Fcfs), &mut rec);
         assert_eq!(report.completed.len(), 4);
         // Find the admission of a follow-up with resident history:
         // prefill (admit) is the 20-token suffix? No: turn=16, output=4
@@ -3096,7 +3060,7 @@ mod tests {
             6,
         )
         .with_conversation(ConversationSpec::chat(1.0, 2, 0.01, 16));
-        let report = run_scenario(scenario, cfg, &mut Fcfs);
+        let report = run_scenario(scenario, cfg, Box::new(Fcfs));
         assert_eq!(report.completed.len(), 12);
         assert!(
             report.kv_reuse.reuse_misses + report.kv_reuse.parked_evictions > 0,
@@ -3118,7 +3082,7 @@ mod tests {
             40,
         )
         .with_tiers(tiers);
-        let report = run_scenario(scenario, config(4), &mut PriorityTiers);
+        let report = run_scenario(scenario, config(4), Box::new(PriorityTiers));
         assert_eq!(report.completed.len(), 40);
         assert_eq!(report.slo.tiers.len(), 2);
         assert_eq!(report.slo.completed(), 40);
@@ -3153,11 +3117,15 @@ mod tests {
         ];
         let scenario = Scenario::new("spf", Workload::fixed(1, 1), Arrivals::trace(trace), 3);
         let mut rec = Recording::new();
-        ScenarioSimulation::new(config(1), scenario.clone())
-            .run(&mut ShortestPromptFirst::default(), &mut rec);
+        solo(
+            config(1),
+            scenario.clone(),
+            Box::new(ShortestPromptFirst::default()),
+            &mut rec,
+        );
         assert_eq!(rec.shapes[0].prefill_len, vec![10]);
         let mut rec2 = Recording::new();
-        ScenarioSimulation::new(config(1), scenario).run(&mut Fcfs, &mut rec2);
+        solo(config(1), scenario, Box::new(Fcfs), &mut rec2);
         assert_eq!(rec2.shapes[0].prefill_len, vec![500]);
     }
 
@@ -3183,14 +3151,14 @@ mod tests {
             }
             trace
         };
-        let run = |policy: &mut dyn SchedulingPolicy| {
+        let run = |policy: Box<dyn SchedulingPolicy>| {
             let scenario = Scenario::new(
                 "starve",
                 Workload::fixed(1, 1),
                 Arrivals::trace(mk_trace()),
                 61,
             );
-            ScenarioSimulation::new(config(1), scenario).run(policy, &mut Fixed(0.01))
+            solo(config(1), scenario, policy, &mut Fixed(0.01))
         };
         let long_first_token = |report: &SimReport| {
             report
@@ -3201,8 +3169,8 @@ mod tests {
                 .first_token_s
         };
 
-        let unguarded = run(&mut ShortestPromptFirst::unguarded());
-        let guarded = run(&mut ShortestPromptFirst::with_aging(6));
+        let unguarded = run(Box::new(ShortestPromptFirst::unguarded()));
+        let guarded = run(Box::new(ShortestPromptFirst::with_aging(6)));
         let t_unguarded = long_first_token(&unguarded);
         let t_guarded = long_first_token(&guarded);
         // Unguarded: every one of the 60 shorts (2 stages each) goes
@@ -3235,7 +3203,7 @@ mod tests {
             },
         ];
         let scenario = Scenario::new("trace", Workload::fixed(1, 1), Arrivals::trace(trace), 1000);
-        let report = run_scenario(scenario, config(4), &mut Fcfs);
+        let report = run_scenario(scenario, config(4), Box::new(Fcfs));
         assert_eq!(report.completed.len(), 2);
     }
 
@@ -3246,7 +3214,7 @@ mod tests {
             ..config(1)
         };
         let scenario = Scenario::new("cap", Workload::fixed(8, 100), Arrivals::ClosedLoop, 3);
-        let report = run_scenario(scenario, cfg, &mut Fcfs);
+        let report = run_scenario(scenario, cfg, Box::new(Fcfs));
         assert_eq!(report.stage_stats.stages, 5);
         assert!(report.completed.is_empty());
     }
@@ -3289,12 +3257,12 @@ mod tests {
     /// tier)`, in arrival order, ids in order) like one of the callers
     /// does. `upfront` routes every request into the inbox first and
     /// steps with no bound, as a fleet window with no later event
-    /// does; otherwise requests are fed lazily like
-    /// `ScenarioSimulation::run` feeds its stream, every arrival due by
-    /// the next stage start, and each step is bounded by the next
-    /// undelivered arrival. `single` instead bounds every step at the
-    /// replica's clock, which runs exactly one stage per call. Returns
-    /// the drained replica, every delta it sent and the `step` calls.
+    /// does; otherwise requests are fed lazily, as a one-replica fleet
+    /// routes them: every arrival due by the next stage start, and each
+    /// step is bounded by the next undelivered arrival. `single`
+    /// instead bounds every step at the replica's clock, which runs
+    /// exactly one stage per call. Returns the drained replica, every
+    /// delta it sent and the `step` calls.
     fn drive<P: SchedulingPolicy>(
         replica: ReplicaSim,
         requests: &[(f64, u64, u64, usize)],
@@ -3457,7 +3425,7 @@ mod tests {
         let lazy = crate::scheduler::Simulation::closed_loop(cfg, workload.clone(), 4).run(&mut ex);
         let scenario = Scenario::new("cap", workload, Arrivals::ClosedLoop, 4);
         let mut eager_ex = Quarter::default();
-        let eager = ScenarioSimulation::new(cfg, scenario).run(&mut Fcfs, &mut eager_ex);
+        let eager = solo(cfg, scenario, Box::new(Fcfs), &mut eager_ex);
         for (report, deltas) in [(lazy, ex.0), (eager, eager_ex.0)] {
             assert_eq!(report.stage_stats.stages, 5);
             assert_eq!(report.stages.len(), 5);
@@ -3911,7 +3879,7 @@ mod tests {
         let scenario = Scenario::new("chunk", Workload::fixed(300, 3), Arrivals::ClosedLoop, 1)
             .with_prefill_chunk(128);
         let mut rec = Recording::new();
-        let report = ScenarioSimulation::new(config(4), scenario).run(&mut Fcfs, &mut rec);
+        let report = solo(config(4), scenario, Box::new(Fcfs), &mut rec);
         assert_eq!(report.completed.len(), 1);
 
         assert_eq!(rec.shapes[0].prefill_len, vec![128]);
@@ -3949,7 +3917,7 @@ mod tests {
         )
         .with_prefill_chunk(96);
         let mut rec = Recording::new();
-        let report = ScenarioSimulation::new(config(6), scenario).run(&mut Fcfs, &mut rec);
+        let report = solo(config(6), scenario, Box::new(Fcfs), &mut rec);
         assert_eq!(report.completed.len(), 12);
         for (i, shape) in rec.shapes.iter().enumerate() {
             let prefill: u64 = shape.prefill_len.iter().sum();
@@ -3975,7 +3943,7 @@ mod tests {
                 15,
             )
             .with_prefill_chunk(chunk);
-            run_scenario(scenario, config(4), &mut Fcfs)
+            run_scenario(scenario, config(4), Box::new(Fcfs))
         };
         let plain = mk(0);
         let chunked = mk(64);
@@ -4002,7 +3970,7 @@ mod tests {
             SloTier::new("interactive", 0.5, 0, 0.6, 0.0048),
             SloTier::new("batch", 0.5, 2, 60.0, 0.0),
         ];
-        let mk = |policy: &mut dyn SchedulingPolicy| {
+        let mk = |policy: Box<dyn SchedulingPolicy>| {
             let scenario = Scenario::new(
                 "shed",
                 Workload::gaussian(64, 16).with_seed(21),
@@ -4010,14 +3978,14 @@ mod tests {
                 400,
             )
             .with_tiers(tiers.clone());
-            ScenarioSimulation::new(config(8), scenario).run(policy, &mut Linear)
+            solo(config(8), scenario, policy, &mut Linear)
         };
-        let edf = mk(&mut PriorityTiers);
-        let shed = mk(&mut crate::policy::ShedBatchTier::new(
+        let edf = mk(Box::new(PriorityTiers));
+        let shed = mk(Box::new(crate::policy::ShedBatchTier::new(
             Box::new(PriorityTiers),
             0.5,
             2,
-        ));
+        )));
         assert_eq!(edf.completed.len(), 400);
         assert_eq!(shed.completed.len(), 400, "shedding defers, never drops");
         let interactive = |r: &SimReport| r.slo.tiers[0].attainment();
@@ -4047,7 +4015,7 @@ mod tests {
             SloTier::new("interactive", 0.5, 0, 0.035, 0.0),
             SloTier::new("batch", 0.5, 2, 60.0, 0.0),
         ];
-        let mk = |policy: &mut dyn SchedulingPolicy| {
+        let mk = |policy: Box<dyn SchedulingPolicy>| {
             let scenario = Scenario::new(
                 "preempt",
                 Workload::gaussian(64, 192).with_seed(21),
@@ -4066,23 +4034,23 @@ mod tests {
                 kv_capacity_bytes: 1280,
                 ..config(8)
             };
-            ScenarioSimulation::new(cfg, scenario).run(policy, &mut Linear)
+            solo(cfg, scenario, policy, &mut Linear)
         };
-        let shed = mk(&mut crate::policy::ShedBatchTier::new(
+        let shed = mk(Box::new(crate::policy::ShedBatchTier::new(
             Box::new(PriorityTiers),
             0.5,
             2,
-        ));
+        )));
         // Crossover at ctx = 7.5e-3 / (1e-4 - 5e-5) = 150 resident
         // tokens (1 KV byte per token here): short victims re-prefill,
         // long ones swap — both paths must see traffic.
         let spec = crate::preempt::PreemptSpec::new()
             .with_swap_link(crate::fault::KvLinkSpec::new(2e4, 7.5e-3))
             .with_recompute_rate(1e4);
-        let preempt = mk(&mut crate::preempt::PreemptionPolicy::new(
+        let preempt = mk(Box::new(crate::preempt::PreemptionPolicy::new(
             Box::new(PriorityTiers),
             spec,
-        ));
+        )));
         assert_eq!(shed.completed.len(), 400);
         assert_eq!(preempt.completed.len(), 400, "paused work is never dropped");
         let interactive = |r: &SimReport| r.slo.tiers[0].attainment();
@@ -4116,10 +4084,10 @@ mod tests {
         assert_eq!(preempt.preempt.resumes, preempt.preempt.preemptions);
         assert!(preempt.preempt.paused_time_s > 0.0);
         // Seed-determinism: the preempting run replays bit-for-bit.
-        let again = mk(&mut crate::preempt::PreemptionPolicy::new(
+        let again = mk(Box::new(crate::preempt::PreemptionPolicy::new(
             Box::new(PriorityTiers),
             spec,
-        ));
+        )));
         assert_eq!(preempt.completed, again.completed);
         assert_eq!(preempt.preempt, again.preempt);
     }
@@ -4145,8 +4113,8 @@ mod tests {
         let spec = crate::preempt::PreemptSpec::new()
             .with_mode(crate::preempt::PreemptMode::RecomputeOnly)
             .with_threshold(0.5);
-        let mut policy = crate::preempt::PreemptionPolicy::new(Box::new(PriorityTiers), spec);
-        let report = ScenarioSimulation::new(config(2), scenario).run(&mut policy, &mut Linear);
+        let policy = crate::preempt::PreemptionPolicy::new(Box::new(PriorityTiers), spec);
+        let report = solo(config(2), scenario, Box::new(policy), &mut Linear);
         assert_eq!(report.completed.len(), 200);
         assert!(report.preempt.recomputes > 0, "{:?}", report.preempt);
         let over = report.stages.iter().filter(|s| s.batch > 2).count();
@@ -4181,9 +4149,9 @@ mod tests {
                 80,
             )
             .with_tiers(tiers.clone());
-            let mut policy = crate::preempt::PreemptionPolicy::new(Box::new(PriorityTiers), spec)
+            let policy = crate::preempt::PreemptionPolicy::new(Box::new(PriorityTiers), spec)
                 .with_multiplex();
-            ScenarioSimulation::new(config(4), scenario).run(&mut policy, &mut Fixed(0.01))
+            solo(config(4), scenario, Box::new(policy), &mut Fixed(0.01))
         };
         let report = mk();
         assert_eq!(report.completed.len(), 80, "mux members all finish");
@@ -4223,7 +4191,7 @@ mod tests {
         // stages with decoders in flight stay near the floor.
         let mk = |scenario: Scenario| {
             let mut rec = Recording::new();
-            let report = ScenarioSimulation::new(config(4), scenario).run(&mut Fcfs, &mut rec);
+            let report = solo(config(4), scenario, Box::new(Fcfs), &mut rec);
             (report, rec)
         };
         let base = Scenario::new(
@@ -4272,7 +4240,7 @@ mod tests {
         .with_conversation(ConversationSpec::chat(0.8, 3, 0.002, 48))
         .with_prefill_chunk_adaptive(48, 160);
         let mut rec = Recording::new();
-        ScenarioSimulation::new(config(4), scenario).run(&mut Fcfs, &mut rec);
+        solo(config(4), scenario, Box::new(Fcfs), &mut rec);
         assert!(rec.deltas.iter().any(|d| !d.chunk.is_empty()));
         assert_deltas_mirror_shapes(&rec);
     }
@@ -4338,7 +4306,7 @@ mod tests {
         .with_conversation(ConversationSpec::chat(0.8, 3, 0.002, 48))
         .with_prefill_chunk(80);
         let mut rec = Recording::new();
-        ScenarioSimulation::new(config(4), scenario).run(&mut Fcfs, &mut rec);
+        solo(config(4), scenario, Box::new(Fcfs), &mut rec);
         assert!(rec.deltas.iter().any(|d| !d.chunk.is_empty()));
         assert_deltas_mirror_shapes(&rec);
     }
@@ -4353,7 +4321,7 @@ mod tests {
         )
         .with_conversation(ConversationSpec::chat(1.0, 2, 0.001, 16));
         let mut rec = Recording::new();
-        ScenarioSimulation::new(config(4), scenario).run(&mut Fcfs, &mut rec);
+        solo(config(4), scenario, Box::new(Fcfs), &mut rec);
         // A reused follow-up prefills its 16-token suffix over the
         // 68-token resident history, and the shape says so.
         let (i, shape) = rec
@@ -4384,7 +4352,7 @@ mod tests {
         )
         .with_conversation(ConversationSpec::chat(0.7, 3, 0.002, 12));
         let mut rec = Recording::new();
-        ScenarioSimulation::new(config(4), scenario).run(&mut Fcfs, &mut rec);
+        solo(config(4), scenario, Box::new(Fcfs), &mut rec);
         let mut mirror: Vec<u64> = Vec::new();
         let mut pend: Vec<u64> = Vec::new();
         for (delta, shape) in rec.deltas.iter().zip(&rec.shapes) {

@@ -11,14 +11,16 @@
 //! This module holds the executor contract ([`StageExecutor`]) and the
 //! paper's single-system run, [`Simulation`]. The batching loop itself
 //! is the scenario scheduler's one-replica machine (`ReplicaSim` in
-//! [`crate::scenario`]), which every entry point shares. A
-//! `Simulation` drives it under FCFS admission with no tiers,
-//! conversations or chunking, and feeds it *lazily*: a request leaves
-//! the [`RequestSource`](crate::RequestSource) only once it has arrived
-//! and a batch slot is free for it. FCFS admits the queue head first
-//! and blocks on KV at the head, so this admits exactly what feeding
-//! every arrival would, while an open-loop run over millions of
-//! requests holds O(batch) scheduler state, not O(total requests).
+//! [`crate::scenario`]), which both drivers share: a `Simulation`, and
+//! a [`crate::ClusterSimulation`] of one replica or more, which runs
+//! every scenario. A `Simulation` drives it under FCFS admission with
+//! no tiers, conversations or chunking, and feeds it *lazily*: a
+//! request leaves the [`RequestSource`](crate::RequestSource) only
+//! once it has arrived and a batch slot is free for it. FCFS admits
+//! the queue head first and blocks on KV at the head, so this admits
+//! exactly what feeding every arrival would, while an open-loop run
+//! over millions of requests holds O(batch) scheduler state, not
+//! O(total requests).
 
 use duplex_model::ops::StageShape;
 

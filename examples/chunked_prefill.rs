@@ -9,9 +9,9 @@
 //!
 //! Run with `cargo run --release --example chunked_prefill`.
 
-use duplex::experiments::{run_scenario, scenario_suite, Scale};
+use duplex::experiments::{run_cluster, scenario_suite, Scale};
 use duplex::model::ModelConfig;
-use duplex::sched::PolicyKind;
+use duplex::sched::RouterKind;
 use duplex::system::SystemConfig;
 
 fn main() {
@@ -32,14 +32,14 @@ fn main() {
 
     let mut p99 = Vec::new();
     for name in ["long_prefill", "long_prefill_chunked"] {
-        let scenario = suite
+        let spec = suite
             .iter()
             .find(|s| s.name == name)
-            .expect("suite scenario")
-            .clone();
-        let chunk = scenario.prefill_chunk;
-        let mut policy = PolicyKind::Fcfs.build();
-        let report = run_scenario(&model, &system, scenario, policy.as_mut(), batch);
+            .expect("suite scenario");
+        let chunk = spec.scenario.prefill_chunk;
+        // A one-replica fleet, so the router never chooses.
+        let fleet = run_cluster(spec, RouterKind::RoundRobin.build().as_mut());
+        let report = &fleet.replicas[0];
         let tbt = report.tbt();
         p99.push(tbt.p99);
         println!(

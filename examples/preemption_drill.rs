@@ -22,9 +22,9 @@
 
 use duplex::model::ops::StageShape;
 use duplex::sched::{
-    Arrivals, KvLinkSpec, PreemptMode, PreemptSpec, PreemptionPolicy, PriorityTiers, Scenario,
-    ScenarioSimulation, SchedulingPolicy, ShedBatchTier, SimReport, SimulationConfig, SloTier,
-    StageExecutor, StageOutcome, Workload,
+    Arrivals, ClusterSimulation, KvLinkSpec, PreemptMode, PreemptSpec, PreemptionPolicy,
+    PriorityTiers, ReplicaConfig, RouterKind, Scenario, SchedulingPolicy, ShedBatchTier, SimReport,
+    SimulationConfig, SloTier, StageExecutor, StageOutcome, Workload,
 };
 
 /// The gate's executor: stage cost linear in prefill tokens and decode
@@ -69,7 +69,25 @@ fn gate_scenario() -> Scenario {
     .with_prefill_chunk(64)
 }
 
-fn run_gate(policy: &mut dyn SchedulingPolicy) -> SimReport {
+/// Serve `scenario` on a one-replica fleet (the router never chooses)
+/// and return the replica's report.
+fn run_solo(
+    cfg: SimulationConfig,
+    scenario: Scenario,
+    policy: Box<dyn SchedulingPolicy>,
+    executor: impl StageExecutor,
+) -> SimReport {
+    ClusterSimulation::new(vec![ReplicaConfig::new(cfg)], scenario)
+        .run(
+            RouterKind::RoundRobin.build().as_mut(),
+            &mut [policy],
+            &mut [executor],
+        )
+        .replicas
+        .remove(0)
+}
+
+fn run_gate(policy: Box<dyn SchedulingPolicy>) -> SimReport {
     // KV-bound: capacity fits ~5 concurrent (input + output)
     // reservations, so running batch decodes block interactive
     // admission on bytes, not slots — the regime where shedding can
@@ -80,7 +98,7 @@ fn run_gate(policy: &mut dyn SchedulingPolicy) -> SimReport {
         kv_bytes_per_token: 1,
         ..SimulationConfig::default()
     };
-    ScenarioSimulation::new(cfg, gate_scenario()).run(policy, &mut LinearCost)
+    run_solo(cfg, gate_scenario(), policy, LinearCost)
 }
 
 fn row(name: &str, report: &SimReport) {
@@ -105,12 +123,11 @@ fn main() {
         "{:<14} {:>6} {:>9} {:>9} {:>8} {:>6} {:>6} {:>7} {:>9}",
         "Policy", "done", "int. att", "batch tok", "preempt", "swap", "recomp", "mux", "paused s"
     );
-    let mut edf = PriorityTiers;
-    row("priority-edf", &run_gate(&mut edf));
-    let mut shed = ShedBatchTier::new(Box::new(PriorityTiers), 0.5, 2);
-    row("shed-batch", &run_gate(&mut shed));
-    let mut preempt = PreemptionPolicy::new(Box::new(PriorityTiers), gate_spec());
-    row("preempt", &run_gate(&mut preempt));
+    row("priority-edf", &run_gate(Box::new(PriorityTiers)));
+    let shed = ShedBatchTier::new(Box::new(PriorityTiers), 0.5, 2);
+    row("shed-batch", &run_gate(Box::new(shed)));
+    let preempt = PreemptionPolicy::new(Box::new(PriorityTiers), gate_spec());
+    row("preempt", &run_gate(Box::new(preempt)));
 
     println!("\nShedding buys interactive attainment by deferring batch admission;");
     println!("preemption buys more of it by reclaiming running work: victims park");
@@ -145,9 +162,8 @@ fn main() {
     let spec = PreemptSpec::new()
         .with_mode(PreemptMode::SwapOnly)
         .with_threshold(0.75);
-    let mut mux_policy = PreemptionPolicy::new(Box::new(PriorityTiers), spec).with_multiplex();
-    let report =
-        ScenarioSimulation::new(mux_cfg, mux_scenario()).run(&mut mux_policy, &mut Fixed(0.01));
+    let mux_policy = PreemptionPolicy::new(Box::new(PriorityTiers), spec).with_multiplex();
+    let report = run_solo(mux_cfg, mux_scenario(), Box::new(mux_policy), Fixed(0.01));
     println!("Bursty multiplex drill (80 requests, 4 slots, 40 qps bursts):");
     println!(
         "preempt-mux packed {} shared slots ({} multiplexed tokens) out of {} pauses; all {} requests completed.",

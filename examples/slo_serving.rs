@@ -5,9 +5,9 @@
 //!
 //! Run with `cargo run --release --example slo_serving`.
 
-use duplex::experiments::{probe_stage_seconds, run_scenario, Scale};
+use duplex::experiments::{probe_stage_seconds, run_cluster, ClusterSpec, Scale};
 use duplex::model::ModelConfig;
-use duplex::sched::{Arrivals, PolicyKind, Scenario, Workload};
+use duplex::sched::{Arrivals, PolicyKind, RouterKind, Scenario, Workload};
 use duplex::system::SystemConfig;
 
 fn main() {
@@ -40,8 +40,17 @@ fn main() {
             256,
         )
         .with_tiers(Scenario::default_tiers(stage_s));
-        let mut policy = kind.build();
-        let report = run_scenario(&model, &system, scenario, policy.as_mut(), batch);
+        let spec = ClusterSpec::new(
+            "slo_serving",
+            model.clone(),
+            vec![system.clone()],
+            batch,
+            kind,
+            scenario,
+        );
+        // One replica, so the router never chooses.
+        let fleet = run_cluster(&spec, RouterKind::RoundRobin.build().as_mut());
+        let report = &fleet.replicas[0];
         let att: Vec<f64> = report.slo.tiers.iter().map(|t| t.attainment()).collect();
         println!(
             "{:<14} {:>11.1}% {:>11.1}% {:>11.1}% {:>11.1}% {:>12.0} {:>12.2}",

@@ -9,8 +9,8 @@
 //!   SLO attainment (the capacity-weighted balancer stops overfeeding
 //!   the fleet's slow replica);
 //!
-//! and a one-replica cluster is bit-for-bit the plain
-//! `ScenarioSimulation` under every router. All numbers are simulated
+//! and a one-replica cluster gives the same report, bit for bit, under
+//! every router. All numbers are simulated
 //! time: seed-deterministic, so these are exact assertions, and the
 //! same values land in `BENCH_cluster.json` where the CI gate pins
 //! them.
@@ -23,7 +23,7 @@ use duplex::model::ModelConfig;
 use duplex::sched::json::{self, JsonValue};
 use duplex::sched::{
     Arrivals, ClusterSimulation, ClusterSnapshot, ConversationSpec, PolicyKind, ReplicaConfig,
-    RouterKind, Scenario, ScenarioSimulation, SchedulingPolicy, SimulationConfig, Workload,
+    RouterKind, Scenario, SchedulingPolicy, SimulationConfig, Workload,
 };
 use duplex::system::{SystemConfig, SystemExecutor};
 
@@ -95,11 +95,11 @@ fn least_outstanding_beats_round_robin_on_interactive_attainment() {
 }
 
 #[test]
-fn one_replica_cluster_is_exactly_the_scenario_simulation() {
+fn one_replica_cluster_is_router_independent() {
     // Same model, same system, same scenario: a 1-replica cluster must
-    // reproduce the plain scenario scheduler bit for bit, router
-    // regardless — including through a real SystemExecutor on the
-    // delta fast path.
+    // give the same report bit for bit under every router, through a
+    // real SystemExecutor on the delta fast path. Its fleet accessors
+    // must read the same bits as the replica's own report.
     let model = ModelConfig::mixtral_8x7b();
     let system = SystemConfig::duplex_pe_et(4, 1);
     let scenario = Scenario::new(
@@ -110,38 +110,54 @@ fn one_replica_cluster_is_exactly_the_scenario_simulation() {
     )
     .with_conversation(ConversationSpec::chat(0.75, 3, 0.01, 32))
     .with_tiers(Scenario::default_tiers(0.004));
-    let mk_exec = || SystemExecutor::new(system.clone(), model.clone(), 7);
-    let cfg = |ex: &SystemExecutor| SimulationConfig {
-        max_batch: 8,
-        kv_capacity_bytes: ex.kv_capacity_bytes(),
-        kv_bytes_per_token: model.kv_bytes_per_token(),
-        ..SimulationConfig::default()
-    };
-
-    let mut plain_ex = mk_exec();
-    let plain = ScenarioSimulation::new(cfg(&plain_ex), scenario.clone())
-        .run(PolicyKind::PriorityTiers.build().as_mut(), &mut plain_ex);
-
-    for kind in RouterKind::ALL {
-        let mut ex = mk_exec();
-        let configs = vec![ReplicaConfig::new(cfg(&ex))];
+    let run = |kind: RouterKind| {
+        let mut ex = SystemExecutor::new(system.clone(), model.clone(), 7);
+        let cfg = SimulationConfig {
+            max_batch: 8,
+            kv_capacity_bytes: ex.kv_capacity_bytes(),
+            kv_bytes_per_token: model.kv_bytes_per_token(),
+            ..SimulationConfig::default()
+        };
         let mut policies: Vec<Box<dyn SchedulingPolicy>> = vec![PolicyKind::PriorityTiers.build()];
-        let cluster = ClusterSimulation::new(configs, scenario.clone()).run(
+        ClusterSimulation::new(vec![ReplicaConfig::new(cfg)], scenario.clone()).run(
             kind.build().as_mut(),
             &mut policies,
             std::slice::from_mut(&mut ex),
-        );
+        )
+    };
+
+    let base = run(RouterKind::RoundRobin);
+    let solo = &base.replicas[0];
+    assert!(solo.completed.len() > 30, "follow-ups ran");
+    assert!(solo.kv_reuse.reuse_hits > 0);
+    let bits = |x: f64| x.to_bits();
+    assert_eq!(bits(base.total_time_s), bits(solo.total_time_s));
+    assert_eq!(base.completed(), solo.completed.len());
+    assert_eq!(base.stage_stats(), solo.stage_stats);
+    assert_eq!(
+        bits(base.generation_throughput()),
+        bits(solo.generation_throughput())
+    );
+    assert_eq!(
+        bits(base.goodput_tokens_per_s()),
+        bits(solo.goodput_tokens_per_s())
+    );
+    assert_eq!(bits(base.slo_attainment()), bits(solo.slo_attainment()));
+    assert_eq!(base.tbt(), solo.tbt());
+    assert_eq!(base.t2ft(), solo.t2ft());
+    assert_eq!(base.kv_reuse(), solo.kv_reuse);
+    assert_eq!(base.preempt(), solo.preempt);
+
+    for kind in RouterKind::ALL {
+        let cluster = run(kind);
         let r = &cluster.replicas[0];
-        assert_eq!(r.stage_stats, plain.stage_stats, "{}", kind.name());
-        assert_eq!(r.total_time_s.to_bits(), plain.total_time_s.to_bits());
-        assert_eq!(r.completed.len(), plain.completed.len());
-        for (a, b) in r.completed.iter().zip(&plain.completed) {
-            assert_eq!(a.request, b.request);
-            assert_eq!(a.first_token_s.to_bits(), b.first_token_s.to_bits());
-            assert_eq!(a.last_token_s.to_bits(), b.last_token_s.to_bits());
+        assert_eq!(r, solo, "{}", kind.name());
+        assert_eq!(bits(r.total_time_s), bits(solo.total_time_s));
+        for (a, b) in r.completed.iter().zip(&solo.completed) {
+            assert_eq!(bits(a.first_token_s), bits(b.first_token_s));
+            assert_eq!(bits(a.last_token_s), bits(b.last_token_s));
         }
-        assert_eq!(r.kv_reuse, plain.kv_reuse);
-        assert_eq!(cluster.total_time_s.to_bits(), plain.total_time_s.to_bits());
+        assert_eq!(bits(cluster.total_time_s), bits(base.total_time_s));
     }
 }
 

@@ -5,13 +5,14 @@
 //! hidden nondeterminism (iteration order, shared RNG, wall-clock
 //! leakage) shows up as a summary mismatch.
 
+use duplex::experiments::{run_cluster, scenario_suite, Scale};
 use duplex::model::ops::StageShape;
 use duplex::model::ModelConfig;
 use duplex::sched::{
     Arrivals, ClusterReport, ClusterSimulation, ConversationSpec, KvLinkSpec, PolicyKind,
     PreemptMode, PreemptSpec, PreemptionPolicy, PriorityTiers, ReplicaConfig, RouterKind, Scenario,
-    ScenarioSimulation, SchedulingPolicy, ShedBatchTier, SimReport, Simulation, SimulationConfig,
-    SloTier, StageExecutor, StageOutcome, TraceRequest, Workload,
+    SchedulingPolicy, ShedBatchTier, SimReport, Simulation, SimulationConfig, SloTier,
+    StageExecutor, StageOutcome, TraceRequest, Workload,
 };
 use duplex::system::{SystemConfig, SystemExecutor};
 
@@ -78,6 +79,24 @@ fn sim_config(ex: &SystemExecutor, max_batch: usize) -> SimulationConfig {
     }
 }
 
+/// Serve `scenario` on a one-replica fleet (the router never chooses)
+/// and return the replica's report.
+fn solo<E: StageExecutor>(
+    cfg: SimulationConfig,
+    scenario: Scenario,
+    policy: Box<dyn SchedulingPolicy>,
+    executor: &mut E,
+) -> SimReport {
+    ClusterSimulation::new(vec![ReplicaConfig::new(cfg)], scenario)
+        .run(
+            RouterKind::RoundRobin.build().as_mut(),
+            &mut [policy],
+            std::slice::from_mut(executor),
+        )
+        .replicas
+        .remove(0)
+}
+
 #[test]
 fn base_simulation_is_seed_deterministic() {
     let run = || {
@@ -105,7 +124,7 @@ fn bursty_scenario_is_seed_deterministic() {
             },
             30,
         );
-        ScenarioSimulation::new(cfg, scenario).run(PolicyKind::Fcfs.build().as_mut(), &mut ex)
+        solo(cfg, scenario, PolicyKind::Fcfs.build(), &mut ex)
     };
     assert_eq!(summary(&run()), summary(&run()));
 }
@@ -125,8 +144,12 @@ fn diurnal_scenario_is_seed_deterministic() {
             },
             30,
         );
-        ScenarioSimulation::new(cfg, scenario)
-            .run(PolicyKind::ShortestPromptFirst.build().as_mut(), &mut ex)
+        solo(
+            cfg,
+            scenario,
+            PolicyKind::ShortestPromptFirst.build(),
+            &mut ex,
+        )
     };
     assert_eq!(summary(&run()), summary(&run()));
 }
@@ -144,8 +167,7 @@ fn multi_turn_tiered_scenario_is_seed_deterministic() {
         )
         .with_conversation(ConversationSpec::chat(0.8, 3, 0.01, 24))
         .with_tiers(Scenario::default_tiers(0.005));
-        ScenarioSimulation::new(cfg, scenario)
-            .run(PolicyKind::PriorityTiers.build().as_mut(), &mut ex)
+        solo(cfg, scenario, PolicyKind::PriorityTiers.build(), &mut ex)
     };
     let a = run();
     let b = run();
@@ -173,8 +195,7 @@ fn chunked_prefill_scenario_is_seed_deterministic() {
         .with_conversation(ConversationSpec::chat(0.6, 3, 0.01, 48))
         .with_tiers(Scenario::default_tiers(0.004))
         .with_prefill_chunk(96);
-        ScenarioSimulation::new(cfg, scenario)
-            .run(PolicyKind::PriorityTiers.build().as_mut(), &mut ex)
+        solo(cfg, scenario, PolicyKind::PriorityTiers.build(), &mut ex)
     };
     let a = run();
     let b = run();
@@ -214,7 +235,7 @@ fn chunked_and_unchunked_complete_the_same_requests() {
             20,
         )
         .with_prefill_chunk(chunk);
-        ScenarioSimulation::new(cfg, scenario).run(PolicyKind::Fcfs.build().as_mut(), &mut ex)
+        solo(cfg, scenario, PolicyKind::Fcfs.build(), &mut ex)
     };
     let plain = run(0);
     let chunked = run(128);
@@ -243,7 +264,7 @@ fn trace_replay_is_deterministic_and_seed_independent() {
             Arrivals::trace(trace.clone()),
             25,
         );
-        ScenarioSimulation::new(cfg, scenario).run(PolicyKind::Fcfs.build().as_mut(), &mut ex)
+        solo(cfg, scenario, PolicyKind::Fcfs.build(), &mut ex)
     };
     assert_eq!(summary(&run(1)), summary(&run(1)));
     assert_eq!(summary(&run(1)), summary(&run(2)));
@@ -405,7 +426,7 @@ fn preempt_scenario() -> Scenario {
     .with_prefill_chunk(64)
 }
 
-fn run_preempt_gate(policy: &mut dyn SchedulingPolicy) -> SimReport {
+fn run_preempt_gate(policy: Box<dyn SchedulingPolicy>) -> SimReport {
     // KV-bound: capacity fits ~5 concurrent (input + output)
     // reservations, so running batch decodes block interactive
     // admission on bytes, not slots.
@@ -415,7 +436,7 @@ fn run_preempt_gate(policy: &mut dyn SchedulingPolicy) -> SimReport {
         kv_bytes_per_token: 1,
         ..SimulationConfig::default()
     };
-    ScenarioSimulation::new(cfg, preempt_scenario()).run(policy, &mut LinearCost)
+    solo(cfg, preempt_scenario(), policy, &mut LinearCost)
 }
 
 #[test]
@@ -426,13 +447,20 @@ fn preemption_lifts_interactive_attainment_over_shedding() {
     // victim) must beat admission-side shedding on interactive SLO
     // attainment while keeping at least 90% of the batch tier's
     // goodput.
-    let shed = run_preempt_gate(&mut ShedBatchTier::new(Box::new(PriorityTiers), 0.5, 2));
+    let shed = run_preempt_gate(Box::new(ShedBatchTier::new(
+        Box::new(PriorityTiers),
+        0.5,
+        2,
+    )));
     // Crossover at 150 resident tokens: the 64..~256-token victim
     // spread straddles it, so both restore paths see traffic.
     let spec = PreemptSpec::new()
         .with_swap_link(KvLinkSpec::new(2e4, 7.5e-3))
         .with_recompute_rate(1e4);
-    let preempt = run_preempt_gate(&mut PreemptionPolicy::new(Box::new(PriorityTiers), spec));
+    let preempt = run_preempt_gate(Box::new(PreemptionPolicy::new(
+        Box::new(PriorityTiers),
+        spec,
+    )));
 
     assert_eq!(shed.completed.len(), 400);
     assert_eq!(preempt.completed.len(), 400, "paused work is never dropped");
@@ -459,24 +487,27 @@ fn preemption_lifts_interactive_attainment_over_shedding() {
     assert!(preempt.preempt.swaps > 0, "{:?}", preempt.preempt);
     assert!(preempt.preempt.recomputes > 0, "{:?}", preempt.preempt);
     assert_eq!(preempt.preempt.resumes, preempt.preempt.preemptions);
-    let swap_only = run_preempt_gate(&mut PreemptionPolicy::new(
+    let swap_only = run_preempt_gate(Box::new(PreemptionPolicy::new(
         Box::new(PriorityTiers),
         spec.with_mode(PreemptMode::SwapOnly),
-    ));
+    )));
     assert!(
         swap_only.preempt.swaps > preempt.preempt.swaps,
         "forcing SwapOnly parks victims the cost model would recompute: {:?} vs {:?}",
         swap_only.preempt,
         preempt.preempt
     );
-    let recompute_only = run_preempt_gate(&mut PreemptionPolicy::new(
+    let recompute_only = run_preempt_gate(Box::new(PreemptionPolicy::new(
         Box::new(PriorityTiers),
         spec.with_mode(PreemptMode::RecomputeOnly),
-    ));
+    )));
     assert_eq!(recompute_only.preempt.swaps, 0, "RecomputeOnly never parks");
 
     // The preempting run is part of the deterministic surface.
-    let again = run_preempt_gate(&mut PreemptionPolicy::new(Box::new(PriorityTiers), spec));
+    let again = run_preempt_gate(Box::new(PreemptionPolicy::new(
+        Box::new(PriorityTiers),
+        spec,
+    )));
     assert_eq!(summary(&preempt), summary(&again));
 }
 
@@ -505,25 +536,23 @@ fn fnv1a64(text: &str) -> u64 {
 fn suite_hashes() -> Vec<(String, [u64; 6])> {
     let model = ModelConfig::mixtral_8x7b();
     let system = SystemConfig::duplex_pe_et(4, 1);
-    duplex::experiments::scenario_suite(&duplex::experiments::Scale::quick(), &model, &system, 64)
+    scenario_suite(&Scale::quick(), &model, &system, 64)
         .into_iter()
-        .map(|scenario| {
+        .map(|spec| {
             let hashes = PolicyKind::ALL.map(|kind| {
-                let report = duplex::experiments::run_scenario(
-                    &model,
-                    &system,
-                    scenario.clone(),
-                    kind.build().as_mut(),
-                    64,
-                );
+                let mut spec = spec.clone();
+                spec.policy = kind;
+                // One replica, so the router never chooses.
+                let fleet = run_cluster(&spec, RouterKind::RoundRobin.build().as_mut());
+                let report = &fleet.replicas[0];
                 // `summary` leaves out the preemption counters.
                 fnv1a64(&format!(
                     "{}preempt={:?}\n",
-                    summary(&report),
+                    summary(report),
                     report.preempt
                 ))
             });
-            (scenario.name.clone(), hashes)
+            (spec.name, hashes)
         })
         .collect()
 }

@@ -1,9 +1,9 @@
 //! Shape skipping is invisible: an executor that tells the schedulers
 //! it does not read decode contexts (`StageExecutor::needs_shape`
 //! returns false) gets shapes without them and prices every stage from
-//! the delta alone. Every entry point of the batching loop
-//! (`Simulation`, `ScenarioSimulation` and `ClusterSimulation`) must
-//! then produce reports, and the executor must accumulate costs,
+//! the delta alone. Both drivers of the batching loop (`Simulation`
+//! and `ClusterSimulation`, with one replica or several) must then
+//! produce reports, and the executor must accumulate costs,
 //! identical to the bit to a plain `SystemExecutor` run. Debug builds
 //! of the plain executor always ask for the shape, so under
 //! `cargo test` this compares the skipping path with the materialized
@@ -13,9 +13,9 @@ use duplex::model::ops::StageShape;
 use duplex::model::ModelConfig;
 use duplex::sched::{
     Arrivals, BatchCheckpoint, ClusterSimulation, ConversationSpec, KvLinkSpec, PreemptSpec,
-    PreemptionPolicy, PriorityTiers, ReplicaConfig, RouterKind, Scenario, ScenarioSimulation,
-    SchedulingPolicy, SimReport, Simulation, SimulationConfig, SloTier, StageDelta, StageExecutor,
-    StageOutcome, Workload,
+    PreemptionPolicy, PriorityTiers, ReplicaConfig, RouterKind, Scenario, SchedulingPolicy,
+    SimReport, Simulation, SimulationConfig, SloTier, StageDelta, StageExecutor, StageOutcome,
+    Workload,
 };
 use duplex::system::{StageCost, SystemConfig, SystemExecutor};
 
@@ -230,16 +230,31 @@ fn scenario_config() -> SimulationConfig {
     sim_config(4)
 }
 
+/// Serve the serving scenario on a one-replica fleet (the router never
+/// chooses) and return the replica's report.
+fn solo_run<E: StageExecutor>(executor: &mut E) -> SimReport {
+    let mut policies: [Box<dyn SchedulingPolicy>; 1] = [Box::new(preempting_policy())];
+    ClusterSimulation::new(
+        vec![ReplicaConfig::new(scenario_config())],
+        serving_scenario(),
+    )
+    .run(
+        RouterKind::RoundRobin.build().as_mut(),
+        &mut policies,
+        std::slice::from_mut(executor),
+    )
+    .replicas
+    .remove(0)
+}
+
 #[test]
 fn scenario_skipping_the_shape_matches_the_materialized_run() {
     for skew in ROUTINGS {
         let what = format!("skew {skew:?}");
         let mut plain = executor(skew);
         let mut skip = DeltaOnly::new(executor(skew));
-        let a = ScenarioSimulation::new(scenario_config(), serving_scenario())
-            .run(&mut preempting_policy(), &mut plain);
-        let b = ScenarioSimulation::new(scenario_config(), serving_scenario())
-            .run(&mut preempting_policy(), &mut skip);
+        let a = solo_run(&mut plain);
+        let b = solo_run(&mut skip);
         assert_same(&a, &b, &what);
         assert_same(plain.total_cost(), &skip.total, &what);
         // The run exercised what the scenario scheduler adds.

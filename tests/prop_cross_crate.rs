@@ -9,9 +9,9 @@ use duplex::sched::{
     Arrivals, AutoscalePolicy, ClusterSimulation, ClusterSnapshot, ConversationSpec, DisaggPlan,
     FaultEvent, FaultKind, FaultPlan, KvLinkSpec, LatencyDigest, PendingRequest, Placement,
     PolicyKind, PoolRole, PreemptMode, PreemptSpec, PreemptionPolicy, PriorityTiers, ReplicaConfig,
-    ReplicaSnapshot, Request, RetryPolicy, RouterKind, Scenario, ScenarioSimulation,
-    SchedulingPolicy, Simulation, SimulationConfig, SloStats, StageDelta, StageExecutor,
-    StageOutcome, TierStats, Workload,
+    ReplicaSnapshot, Request, RetryPolicy, RouterKind, Scenario, SchedulingPolicy, SimReport,
+    Simulation, SimulationConfig, SloStats, StageDelta, StageExecutor, StageOutcome, TierStats,
+    Workload,
 };
 use duplex::system::coproc::{split_experts, SplitScratch};
 use duplex::system::{StageCost, SystemConfig, SystemExecutor};
@@ -22,6 +22,24 @@ use rand::{Rng, SeedableRng};
 /// Relative difference, safe around zero.
 fn rel_diff(a: f64, b: f64) -> f64 {
     (a - b).abs() / a.abs().max(b.abs()).max(f64::MIN_POSITIVE)
+}
+
+/// Serve `scenario` on a one-replica fleet (the router never chooses)
+/// and return the replica's report.
+fn solo<E: StageExecutor>(
+    cfg: SimulationConfig,
+    scenario: Scenario,
+    policy: Box<dyn SchedulingPolicy>,
+    executor: &mut E,
+) -> SimReport {
+    ClusterSimulation::new(vec![ReplicaConfig::new(cfg)], scenario)
+        .run(
+            RouterKind::RoundRobin.build().as_mut(),
+            &mut [policy],
+            std::slice::from_mut(executor),
+        )
+        .replicas
+        .remove(0)
 }
 
 /// Executor that prices every stage through the per-request reference
@@ -357,8 +375,8 @@ proptest! {
             s
         };
         let kind = PolicyKind::ALL[policy_idx];
-        let a = ScenarioSimulation::new(cfg, mk()).run(kind.build().as_mut(), &mut inc);
-        let b = ScenarioSimulation::new(cfg, mk()).run(kind.build().as_mut(), &mut oracle);
+        let a = solo(cfg, mk(), kind.build(), &mut inc);
+        let b = solo(cfg, mk(), kind.build(), &mut oracle);
         prop_assert_eq!(a.stages.len(), b.stages.len());
         for (i, (sa, sb)) in a.stages.iter().zip(&b.stages).enumerate() {
             prop_assert_eq!(sa.batch, sb.batch);
@@ -429,17 +447,18 @@ proptest! {
             scenario = scenario.with_conversation(ConversationSpec::chat(0.7, 3, 0.05, 16));
         }
         let kind = PolicyKind::ALL[policy_idx];
-        ScenarioSimulation::new(cfg, scenario).run(kind.build().as_mut(), &mut exec);
+        solo(cfg, scenario, kind.build(), &mut exec);
         prop_assert!(exec.mixed > 0);
         prop_assert!(exec.mismatches.is_empty(), "{:#?}", exec.mismatches);
     }
 
-    /// A one-replica cluster is the plain scenario scheduler, bit for
-    /// bit: same stage stream, same timeline, same completions — for
-    /// every shipped router, over randomized scenarios (conversations,
-    /// tiers, chunking) on a real `SystemExecutor`.
+    /// A one-replica cluster leaves its router nothing to choose: every
+    /// shipped router gives the round-robin run's report bit for bit
+    /// (same stage stream, timeline, completions and energy) over
+    /// randomized scenarios (conversations, tiers, chunking, every
+    /// policy) on a real `SystemExecutor`.
     #[test]
-    fn one_replica_cluster_equals_scenario_simulation(
+    fn one_replica_cluster_is_router_independent(
         mean_in in 32u64..256,
         mean_out in 4u64..24,
         requests in 4usize..14,
@@ -448,7 +467,7 @@ proptest! {
         qps in 20.0f64..2000.0,
         multi_turn_bit in 0u8..2,
         chunk in proptest::option::of(8u64..64),
-        policy_idx in 0usize..4,
+        policy_idx in 0usize..PolicyKind::ALL.len(),
         router_idx in 0usize..RouterKind::ALL.len(),
     ) {
         let model = ModelConfig::mixtral_8x7b();
@@ -476,7 +495,7 @@ proptest! {
             s
         };
         let kind = PolicyKind::ALL[policy_idx];
-        let plain = ScenarioSimulation::new(cfg, mk()).run(kind.build().as_mut(), &mut plain_ex);
+        let plain = solo(cfg, mk(), kind.build(), &mut plain_ex);
         let mut policies: Vec<Box<dyn SchedulingPolicy>> = vec![kind.build()];
         let cluster = ClusterSimulation::new(vec![ReplicaConfig::new(cfg)], mk()).run(
             RouterKind::ALL[router_idx].build().as_mut(),
@@ -484,7 +503,7 @@ proptest! {
             std::slice::from_mut(&mut cluster_ex),
         );
         let r = &cluster.replicas[0];
-        prop_assert_eq!(&r.stage_stats, &plain.stage_stats);
+        prop_assert_eq!(r, &plain);
         prop_assert_eq!(r.total_time_s.to_bits(), plain.total_time_s.to_bits());
         prop_assert_eq!(r.completed.len(), plain.completed.len());
         for (a, b) in r.completed.iter().zip(&plain.completed) {
@@ -1301,8 +1320,8 @@ proptest! {
                 p
             }
         };
-        let a = ScenarioSimulation::new(cfg, mk()).run(&mut mk_pol(), &mut inc);
-        let b = ScenarioSimulation::new(cfg, mk()).run(&mut mk_pol(), &mut oracle);
+        let a = solo(cfg, mk(), Box::new(mk_pol()), &mut inc);
+        let b = solo(cfg, mk(), Box::new(mk_pol()), &mut oracle);
         prop_assert_eq!(a.stages.len(), b.stages.len());
         for (i, (sa, sb)) in a.stages.iter().zip(&b.stages).enumerate() {
             prop_assert_eq!(sa.batch, sb.batch);
