@@ -60,17 +60,22 @@
 //! order fixed, a run is a pure function of its configuration and
 //! seed.
 //!
-//! **Control-plane events.** The fault plan and the autoscaler each keep
-//! one queue of timed events (scripted faults, restarts, warm-up clears,
-//! evaluation ticks, joins). The earliest event, by virtual time and then
-//! by schedule order, is due once no stage starts and no arrival routes
-//! before it; a fully-down fleet's held arrivals do not block. At a merge
-//! point the fault runtime applies its due events and finished
-//! drains, then the autoscaler its due events and finished
-//! scale-downs, alternating until both are quiet; the earliest pending
-//! event also ends the next window. A snapshot captures both queues with
-//! their schedule counters, the runtimes' retry, drain and pool state,
-//! and the pending disaggregation assignments.
+//! **Control-plane events.** The fault plan and the autoscaler share one
+//! control plane with one queue of timed events (scripted faults,
+//! restarts, warm-up clears, evaluation ticks, joins) and one schedule
+//! counter. The earliest event, by virtual time and then by schedule
+//! order whatever its kind, is due once no stage starts and no arrival
+//! routes before it; a fully-down fleet's held arrivals do not block. At
+//! a merge point the plane applies the earliest due event; when none is
+//! due it completes the lowest-index drain whose batch has emptied, as
+//! the drain's owner directs (a fault drain schedules its restart, a
+//! scale-down parks the replica in the standby pool); it stops when
+//! neither is left. The earliest pending event also ends the next
+//! window. A fault restart leaves a replica the autoscaler has parked
+//! where it is. A snapshot writes the queue split by kind into its fault
+//! and autoscale sections, each with the shared counter, along with the
+//! retry, drain and pool state and the pending disaggregation
+//! assignments.
 //!
 //! # The fleet KV link
 //!
@@ -822,31 +827,21 @@ fn drain_handoffs(
     }
 }
 
-/// A control-plane event queue on the virtual clock (see "Control-plane
-/// events" in the module docs).
-struct EventQueue<A> {
-    /// `(at_s, seq, action)` in schedule order; `seq` is the
+/// The control plane's event queue on the virtual clock (see
+/// "Control-plane events" in the module docs).
+#[derive(Default)]
+struct EventQueue {
+    /// `(at_s, seq, event)` in schedule order; `seq` is the
     /// deterministic tiebreak for equal times.
-    events: Vec<(f64, u64, A)>,
+    events: Vec<(f64, u64, Event)>,
     /// The next schedule-order number.
     seq: u64,
 }
 
-impl<A: Copy> EventQueue<A> {
-    fn new() -> Self {
-        Self {
-            events: Vec::new(),
-            seq: 0,
-        }
-    }
-
-    fn schedule(&mut self, at_s: f64, action: A) {
-        self.events.push((at_s, self.seq, action));
+impl EventQueue {
+    fn schedule(&mut self, at_s: f64, event: Event) {
+        self.events.push((at_s, self.seq, event));
         self.seq += 1;
-    }
-
-    fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Earliest pending event time (folds into the dispatch/window
@@ -863,7 +858,7 @@ impl<A: Copy> EventQueue<A> {
         &mut self,
         replicas: &[ReplicaSim],
         stream: &mut ScenarioStream,
-    ) -> Option<(f64, A)> {
+    ) -> Option<(f64, Event)> {
         let (idx, &(at_s, _, _)) = self.events.iter().enumerate().min_by(|(_, a), (_, b)| {
             a.0.partial_cmp(&b.0)
                 .expect("event times are never NaN")
@@ -875,100 +870,194 @@ impl<A: Copy> EventQueue<A> {
         (stage_ok && arrival_ok).then(|| (at_s, self.events.remove(idx).2))
     }
 
-    /// Rebuild a queue from snapshot rows `(at_s bits, seq, encoded
-    /// action)` in schedule order, from a snapshot taken at
-    /// `taken_at_s`. `kind` names the queue in errors. A NaN time is
-    /// rejected because the due rule cannot order it; every other time
-    /// must pass [`check_clock`] with the queue's longest configured
-    /// delay `delay_s` (+inf only when that delay is infinite), unless
-    /// `exempt` accepts it.
-    fn import<R>(
-        rows: impl Iterator<Item = (u64, u64, R)>,
-        seq: u64,
-        kind: &str,
+    /// Decode one snapshot section's rows `(at_s bits, seq, row)` (see
+    /// [`Event::row`]) for a plan of `faults` faults on a
+    /// `replicas`-replica fleet, from a snapshot taken at `taken_at_s`.
+    /// A NaN time is rejected because the due rule cannot order it;
+    /// every other time must pass [`check_clock`] with the section's
+    /// longest configured delay `delay_s`, except a restart at +inf (an
+    /// outage that never ends).
+    fn import(
+        rows: impl Iterator<Item = (u64, u64, (bool, u64, u64, u64))>,
         (taken_at_s, delay_s): (f64, f64),
-        exempt: impl Fn(f64, A) -> bool,
-        decode: impl Fn(R) -> Result<A, String>,
-    ) -> Result<Self, String> {
-        let events: Vec<(f64, u64, A)> = rows
-            .map(|(at_bits, seq, code)| Ok((f64::from_bits(at_bits), seq, decode(code)?)))
-            .collect::<Result<_, String>>()?;
-        if events.iter().any(|e| e.0.is_nan()) {
-            return Err(format!("snapshot {kind} event has a NaN time"));
-        }
-        for &(at_s, _, _) in events.iter().filter(|e| !exempt(e.0, e.2)) {
-            check_clock(at_s, taken_at_s, delay_s)
-                .map_err(|e| format!("snapshot {kind} event at {e}"))?;
-        }
-        Ok(Self { events, seq })
+        (faults, replicas): (usize, usize),
+    ) -> Result<Vec<(f64, u64, Event)>, String> {
+        rows.map(|(at_bits, seq, row)| {
+            let kind = if row.0 { "scale" } else { "fault" };
+            let (at_s, event) = (
+                f64::from_bits(at_bits),
+                Event::from_row(row, faults, replicas)?,
+            );
+            if at_s.is_nan() {
+                return Err(format!("snapshot {kind} event has a NaN time"));
+            }
+            if !(at_s == f64::INFINITY && matches!(event, Event::Restart(_))) {
+                check_clock(at_s, taken_at_s, delay_s)
+                    .map_err(|e| format!("snapshot {kind} event at {e}"))?;
+            }
+            Ok((at_s, seq, event))
+        })
+        .collect()
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Action {
+/// A control-plane event. The first three come from the fault plan and
+/// travel in the snapshot's fault section, the last three from the
+/// autoscaler and travel in its autoscale section.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Event {
     /// Apply plan fault `faults[i]`.
     Apply(usize),
-    /// Bring replica `i` back up.
+    /// Bring replica `i` back up after a fault.
     Restart(usize),
-    /// Reset replica `i`'s stage-latency factor to nominal.
+    /// End replica `i`'s post-restart warm-up.
     ClearSlow(usize),
+    /// Evaluate the fleet signals (and reschedule the next tick).
+    Eval,
+    /// A provisioned pool replica joins the serving fleet; `lag_s` is
+    /// the decision-to-join lag it will be credited with.
+    ScaleUp { replica: usize, lag_s: f64 },
+    /// End a joiner's warm-up window.
+    ClearWarmup(usize),
 }
 
-impl Action {
-    /// The snapshot's `(code, arg)` pair (see [`FaultState`]).
-    fn encode(self) -> (u64, u64) {
+impl Event {
+    /// The event's snapshot row `(scale, code, arg, lag bits)`: `scale`
+    /// picks the section, [`AutoscaleState`] over [`FaultState`], whose
+    /// docs list the codes.
+    fn row(self) -> (bool, u64, u64, u64) {
         match self {
-            Action::Apply(i) => (0, i as u64),
-            Action::Restart(i) => (1, i as u64),
-            Action::ClearSlow(i) => (2, i as u64),
+            Event::Apply(i) => (false, 0, i as u64, 0),
+            Event::Restart(i) => (false, 1, i as u64, 0),
+            Event::ClearSlow(i) => (false, 2, i as u64, 0),
+            Event::Eval => (true, 0, 0, 0),
+            Event::ScaleUp { replica, lag_s } => (true, 1, replica as u64, lag_s.to_bits()),
+            Event::ClearWarmup(i) => (true, 2, i as u64, 0),
         }
     }
 
-    /// Inverse of [`Action::encode`] for a plan of `faults` faults on a
+    /// Inverse of [`Event::row`] for a plan of `faults` faults on a
     /// `replicas`-replica fleet.
-    fn decode(code: u64, arg: u64, faults: usize, replicas: usize) -> Result<Self, String> {
+    fn from_row(
+        (scale, code, arg, lag): (bool, u64, u64, u64),
+        faults: usize,
+        replicas: usize,
+    ) -> Result<Self, String> {
         let i = arg as usize;
-        match code {
-            0 if i < faults => Ok(Action::Apply(i)),
-            1 if i < replicas => Ok(Action::Restart(i)),
-            2 if i < replicas => Ok(Action::ClearSlow(i)),
+        match (scale, code) {
+            (false, 0) if i < faults => Ok(Event::Apply(i)),
+            (false, 1) if i < replicas => Ok(Event::Restart(i)),
+            (false, 2) if i < replicas => Ok(Event::ClearSlow(i)),
+            (true, 0) => Ok(Event::Eval),
+            (true, 1) if i < replicas => Ok(Event::ScaleUp {
+                replica: i,
+                lag_s: f64::from_bits(lag),
+            }),
+            (true, 2) if i < replicas => Ok(Event::ClearWarmup(i)),
             _ => Err(format!(
-                "snapshot fault event has code {code} with out-of-range argument {arg}"
+                "snapshot {} event has code {code} with out-of-range argument {arg}",
+                if scale { "scale" } else { "fault" }
             )),
         }
     }
 }
 
-/// The cluster's live fault machinery: the pending event queue
-/// (scripted faults plus the restarts/warm-up-clears they schedule),
-/// per-request retry counts, and in-progress drains. All of it is
-/// merge-point state: events apply only when every replica's frontier
-/// has reached the event time, which is what keeps faulted runs
-/// seed-deterministic and resumable from a mid-outage snapshot.
-struct FaultRuntime<'p> {
-    plan: &'p FaultPlan,
-    /// The fleet's KV link, pricing drain handoffs.
-    link: KvLinkSpec,
-    queue: EventQueue<Action>,
-    /// Retry counts per lost request id, sorted by id.
-    attempts: Vec<(u64, u32)>,
-    /// Per replica: `(down_s, fault_at_s)` of an in-progress drain.
-    draining_down: Vec<Option<(f64, f64)>>,
+/// Who owns a replica's drain, and so what completing it does. The
+/// latest drain to begin on a replica owns it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Drain {
+    /// A plan drain fault at `at_s`: the replica restarts `down_s` after
+    /// its handoff.
+    Fault { down_s: f64, at_s: f64 },
+    /// An autoscale scale-down: the replica returns to the standby pool.
+    ScaleDown,
 }
 
-impl<'p> FaultRuntime<'p> {
-    fn new(plan: &'p FaultPlan, replica_count: usize, link: KvLinkSpec) -> Self {
-        let mut queue = EventQueue::new();
-        for (i, f) in plan.faults.iter().enumerate() {
-            queue.schedule(f.at_s, Action::Apply(i));
+/// The autoscaler's state: its policy, the standby pool and the
+/// hysteresis state the evaluator carries from tick to tick.
+struct Autoscaler<'p> {
+    policy: &'p AutoscalePolicy,
+    /// Standby-pool membership: `pool[i]` while replica `i` is parked.
+    pool: Vec<bool>,
+    up_streak: u32,
+    down_streak: u32,
+    /// First evaluation time of the running up-streak.
+    streak_start: Option<f64>,
+    cooldown_until: f64,
+    /// `(met, completed)` interactive totals at the last evaluation —
+    /// the baseline the next window delta is taken against.
+    last_slo: (u64, u64),
+    stats: ScaleStats,
+}
+
+/// The fleet's control plane: the fault plan and the autoscaler behind
+/// one event queue (scripted faults, the restarts and warm-up clears
+/// they schedule, evaluation ticks, joins), per-request retry counts
+/// and the owner of each in-progress drain. All of it is merge-point
+/// state: events apply only when every replica's frontier has reached
+/// the event time, which is what keeps faulted and elastic runs
+/// seed-deterministic and resumable from a mid-event snapshot. A fleet
+/// with neither a plan nor a policy has none.
+struct ControlPlane<'p> {
+    faults: Option<&'p FaultPlan>,
+    scaler: Option<Autoscaler<'p>>,
+    /// The fleet's KV link, pricing drain handoffs and join steals.
+    link: KvLinkSpec,
+    queue: EventQueue,
+    /// Retry counts per lost request id, sorted by id.
+    attempts: Vec<(u64, u32)>,
+    /// Per replica: the owner of its drain. A crash ends the drain but
+    /// leaves the owner, so its row stays on the wire.
+    drains: Vec<Option<Drain>>,
+}
+
+impl<'p> ControlPlane<'p> {
+    fn new(
+        faults: Option<&'p FaultPlan>,
+        policy: Option<&'p AutoscalePolicy>,
+        replica_count: usize,
+        link: KvLinkSpec,
+    ) -> Option<Self> {
+        if faults.is_none() && policy.is_none() {
+            return None;
         }
-        Self {
-            plan,
+        let mut queue = EventQueue::default();
+        for (i, f) in faults.iter().flat_map(|plan| &plan.faults).enumerate() {
+            queue.schedule(f.at_s, Event::Apply(i));
+        }
+        let scaler = policy.map(|policy| {
+            queue.schedule(policy.interval_s, Event::Eval);
+            Autoscaler {
+                policy,
+                pool: (0..replica_count)
+                    .map(|i| i >= policy.min_replicas)
+                    .collect(),
+                up_streak: 0,
+                down_streak: 0,
+                streak_start: None,
+                cooldown_until: 0.0,
+                last_slo: (0, 0),
+                stats: ScaleStats::default(),
+            }
+        });
+        Some(Self {
+            faults,
+            scaler,
             link,
             queue,
             attempts: Vec::new(),
-            draining_down: vec![None; replica_count],
-        }
+            drains: vec![None; replica_count],
+        })
+    }
+
+    fn plan(&self) -> &'p FaultPlan {
+        self.faults.expect("fault events come from a fault plan")
+    }
+
+    fn scaler(&mut self) -> &mut Autoscaler<'p> {
+        self.scaler
+            .as_mut()
+            .expect("scale events come from an autoscale policy")
     }
 
     /// Retry count of `request` after one more loss (1-based).
@@ -985,50 +1074,54 @@ impl<'p> FaultRuntime<'p> {
         }
     }
 
-    /// Run the merge-point fault boundary to quiescence: apply every
-    /// due event (virtual-time order, schedule order on ties) and
-    /// complete every finished drain (replica-index order), repeating
-    /// until none is left. Drains owned by the autoscaler
-    /// (`skip_drains[i]`) are left for it to complete — they return
-    /// the replica to the pool instead of scheduling a restart.
-    /// Returns whether anything was applied.
+    /// The lowest-index replica whose owned drain has an empty batch.
+    fn finished_drain(&self, replicas: &[ReplicaSim]) -> Option<usize> {
+        (0..replicas.len()).find(|&i| {
+            self.drains[i].is_some() && replicas[i].is_draining() && !replicas[i].in_flight()
+        })
+    }
+
+    /// Whether a fully-down fleet can still come back: an event is
+    /// pending, or a finished drain waits for completion.
+    fn can_progress(&self, replicas: &[ReplicaSim]) -> bool {
+        !self.queue.events.is_empty() || self.finished_drain(replicas).is_some()
+    }
+
+    /// Run the merge-point boundary to quiescence: apply the earliest
+    /// due event (virtual-time order, schedule order on ties); when
+    /// none is due, complete the lowest-index finished drain as its
+    /// owner directs; stop when neither is left.
     fn process_boundary(
         &mut self,
         stream: &mut ScenarioStream,
         configs: &[ReplicaConfig],
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
-        skip_drains: &[bool],
-    ) -> bool {
-        let mut acted = false;
+    ) {
         loop {
-            if let Some((at_s, action)) = self.queue.pop_due(replicas, stream) {
-                self.apply_event(at_s, action, stream, replicas, stats);
-            } else {
-                let Some(i) = (0..replicas.len()).find(|&i| {
-                    replicas[i].is_draining()
-                        && !replicas[i].in_flight()
-                        && !skip_drains.get(i).copied().unwrap_or(false)
-                }) else {
-                    return acted;
-                };
+            if let Some((at_s, event)) = self.queue.pop_due(replicas, stream) {
+                self.apply_event(at_s, event, stream, configs, replicas, stats);
+            } else if let Some(i) = self.finished_drain(replicas) {
                 self.complete_drain(i, configs, replicas, stats);
+            } else {
+                return;
             }
-            acted = true;
         }
     }
 
     fn apply_event(
         &mut self,
         at_s: f64,
-        action: Action,
+        event: Event,
         stream: &mut ScenarioStream,
+        configs: &[ReplicaConfig],
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
     ) {
-        match action {
-            Action::Apply(fi) => {
-                let f = self.plan.faults[fi];
+        match event {
+            Event::Apply(fi) => {
+                let plan = self.plan();
+                let f = plan.faults[fi];
                 let replica = &mut replicas[f.replica];
                 stats.faults_injected += 1;
                 match f.kind {
@@ -1040,17 +1133,16 @@ impl<'p> FaultRuntime<'p> {
                         let now = replica.clock().max(f.at_s);
                         let lost = replica.crash();
                         replica.mark_down(now);
-                        self.queue
-                            .schedule(now + down_s, Action::Restart(f.replica));
+                        self.queue.schedule(now + down_s, Event::Restart(f.replica));
                         for mut p in lost {
                             stats.requests_lost += 1;
                             let attempt = self.bump_attempts(p.request.id);
-                            if attempt <= self.plan.retry.max_retries {
+                            if attempt <= plan.retry.max_retries {
                                 stats.retries_issued += 1;
                                 // Re-enqueue through the router at the
                                 // backoff time; the original absolute
                                 // SLO deadline is kept.
-                                p.request.arrival_s = now + self.plan.retry.delay_s(attempt);
+                                p.request.arrival_s = now + plan.retry.delay_s(attempt);
                                 stream.requeue(p);
                             } else {
                                 stats.requests_dropped += 1;
@@ -1058,7 +1150,10 @@ impl<'p> FaultRuntime<'p> {
                         }
                     }
                     FaultKind::Drain { down_s } => {
-                        self.draining_down[f.replica] = Some((down_s, f.at_s));
+                        self.drains[f.replica] = Some(Drain::Fault {
+                            down_s,
+                            at_s: f.at_s,
+                        });
                         // Not-yet-started requests reroute at their
                         // original arrival times: nothing was lost, no
                         // retry budget is spent.
@@ -1068,20 +1163,53 @@ impl<'p> FaultRuntime<'p> {
                     }
                 }
             }
-            Action::Restart(i) => {
-                replicas[i].restart(at_s);
-                if self.plan.warmup_s > 0.0 {
-                    replicas[i].set_perf_factor(self.plan.warmup_factor);
-                    self.queue
-                        .schedule(at_s + self.plan.warmup_s, Action::ClearSlow(i));
+            // A fault on a replica parked in the standby pool leaves it
+            // parked: only a join brings it into service.
+            Event::Restart(i) if !self.scaler.as_ref().is_some_and(|a| a.pool[i]) => {
+                let plan = self.plan();
+                let warmup = (plan.warmup_s, plan.warmup_factor);
+                self.start_replica(at_s, i, replicas, warmup, Event::ClearSlow(i));
+            }
+            Event::Restart(_) => {}
+            Event::ClearSlow(i) | Event::ClearWarmup(i) => replicas[i].set_perf_factor(1.0),
+            Event::Eval => {
+                self.evaluate(at_s, stream, configs, replicas);
+                // Keep ticking only while the run still has work —
+                // arrivals to come or stages to run. An eternal tick
+                // on a drained fleet would never let the run end.
+                if stream.next_arrival_time().is_some() || fleet_next_start(replicas).is_some() {
+                    let next = at_s + self.scaler().policy.interval_s;
+                    self.queue.schedule(next, Event::Eval);
                 }
             }
-            Action::ClearSlow(i) => replicas[i].set_perf_factor(1.0),
+            Event::ScaleUp { replica, lag_s } => {
+                self.join(at_s, replica, lag_s, configs, replicas, stats);
+            }
         }
     }
 
-    /// A draining replica's batch just emptied: finish the drain (see
-    /// [`finish_drain`]) and schedule the restart.
+    /// Bring replica `i` up at `at_s` and start its `(warmup_s, factor)`
+    /// warm-up: stages run at `factor` times nominal latency until
+    /// `clear` lands `warmup_s` later (no window when `warmup_s` is 0).
+    /// A fault restart and an autoscale join both start here.
+    fn start_replica(
+        &mut self,
+        at_s: f64,
+        i: usize,
+        replicas: &mut [ReplicaSim],
+        (warmup_s, factor): (f64, f64),
+        clear: Event,
+    ) {
+        replicas[i].restart(at_s);
+        if warmup_s > 0.0 {
+            replicas[i].set_perf_factor(factor);
+            self.queue.schedule(at_s + warmup_s, clear);
+        }
+    }
+
+    /// Replica `i`'s drain batch just emptied: finish the drain (see
+    /// [`finish_drain`]), then schedule the restart of a fault drain, or
+    /// park a scale-down back in the pool.
     fn complete_drain(
         &mut self,
         i: usize,
@@ -1089,21 +1217,151 @@ impl<'p> FaultRuntime<'p> {
         replicas: &mut [ReplicaSim],
         stats: &mut RecoveryStats,
     ) {
-        let (down_s, fault_at_s) = self.draining_down[i].take().unwrap_or((0.0, 0.0));
-        let down_at = finish_drain(i, fault_at_s, configs, replicas, self.link, stats);
-        self.queue.schedule(down_at + down_s, Action::Restart(i));
+        if let Some(Drain::Fault { down_s, at_s }) = self.drains[i].take() {
+            let down_at = finish_drain(i, at_s, configs, replicas, self.link, stats);
+            self.queue.schedule(down_at + down_s, Event::Restart(i));
+        } else {
+            finish_drain(i, 0.0, configs, replicas, self.link, stats);
+            let a = self.scaler();
+            a.pool[i] = true;
+            a.stats.scale_downs += 1;
+        }
     }
 
-    fn export_state(&self) -> FaultState {
-        FaultState {
+    /// One evaluation tick: fold the fleet signals, update the
+    /// hysteresis streaks, and fire at most one scale event.
+    fn evaluate(
+        &mut self,
+        t: f64,
+        stream: &mut ScenarioStream,
+        configs: &[ReplicaConfig],
+        replicas: &mut [ReplicaSim],
+    ) {
+        let Some(a) = self.scaler.as_mut() else {
+            return;
+        };
+        let mut pressure_sum = 0.0;
+        let mut active = 0usize;
+        let (mut in_flight_sum, mut slots_sum) = (0usize, 0usize);
+        for r in replicas.iter().filter(|r| r.is_admitting()) {
+            let (in_flight, queued, _) = r.load();
+            pressure_sum += (in_flight + queued) as f64 / r.max_batch().max(1) as f64;
+            in_flight_sum += in_flight;
+            slots_sum += r.max_batch();
+            active += 1;
+        }
+        let pressure = pressure_sum / active.max(1) as f64;
+        let occupancy = if slots_sum == 0 {
+            0.0
+        } else {
+            in_flight_sum as f64 / slots_sum as f64
+        };
+        let (met, completed) = replicas.iter().fold((0u64, 0u64), |(m, c), r| {
+            let (rm, rc) = r.interactive_slo_counts();
+            (m + rm, c + rc)
+        });
+        let window_met = met - a.last_slo.0;
+        let window_completed = completed - a.last_slo.1;
+        a.last_slo = (met, completed);
+        let policy = a.policy;
+        // An empty window is healthy: nothing completed, nothing
+        // missed.
+        let attainment_bad = policy.attainment_floor > 0.0
+            && window_completed > 0
+            && (window_met as f64 / window_completed as f64) < policy.attainment_floor;
+        let up_vote = pressure >= policy.up_pressure || attainment_bad;
+        let down_vote = pressure <= policy.down_pressure
+            && occupancy <= policy.down_occupancy
+            && !attainment_bad;
+        if up_vote {
+            a.up_streak += 1;
+            if a.streak_start.is_none() {
+                a.streak_start = Some(t);
+            }
+        } else {
+            a.up_streak = 0;
+            a.streak_start = None;
+        }
+        a.down_streak = if down_vote { a.down_streak + 1 } else { 0 };
+        if t < a.cooldown_until {
+            return;
+        }
+        if a.up_streak >= policy.up_windows {
+            // Provision the lowest-index pool replica; with the pool
+            // exhausted the streak keeps running, so a scale-down
+            // freeing a replica can still satisfy it later.
+            if let Some(i) = a.pool.iter().position(|&parked| parked) {
+                a.pool[i] = false;
+                let join_at = t + policy.provision_s;
+                let lag_s = join_at - a.streak_start.unwrap_or(t);
+                self.queue
+                    .schedule(join_at, Event::ScaleUp { replica: i, lag_s });
+                a.up_streak = 0;
+                a.streak_start = None;
+                a.cooldown_until = t + policy.cooldown_s;
+            }
+            return;
+        }
+        if a.down_streak >= policy.down_windows && active > policy.min_replicas {
+            // Drain the least-loaded serving replica.
+            if let Some(i) = pick_by_load(configs, replicas, false, |_, r| r.is_admitting()) {
+                for p in replicas[i].begin_drain() {
+                    stream.requeue(p);
+                }
+                self.drains[i] = Some(Drain::ScaleDown);
+                a.down_streak = 0;
+                a.cooldown_until = t + policy.cooldown_s;
+            }
+        }
+    }
+
+    /// A provisioned replica joins the serving fleet: start it and its
+    /// warm-up window, and steal the parked KV of the most-loaded
+    /// survivor as one priced transfer (a drain handoff in reverse —
+    /// the joiner pays the transfer time).
+    fn join(
+        &mut self,
+        at_s: f64,
+        replica: usize,
+        lag_s: f64,
+        configs: &[ReplicaConfig],
+        replicas: &mut [ReplicaSim],
+        stats: &mut RecoveryStats,
+    ) {
+        let policy = self.scaler().policy;
+        let warmup = (policy.warmup_s, policy.warmup_factor);
+        self.start_replica(at_s, replica, replicas, warmup, Event::ClearWarmup(replica));
+        let role = replicas[replica].role();
+        let donor = pick_by_load(configs, replicas, true, |j, r| {
+            j != replica && r.is_admitting() && r.role() == role
+        });
+        if let Some(j) = donor {
+            hand_off_parked(configs, replicas, j, Some(replica), self.link, stats);
+        }
+        let scaled = &mut self.scaler().stats;
+        scaled.scale_ups += 1;
+        if lag_s > scaled.scale_up_lag_s {
+            scaled.scale_up_lag_s = lag_s;
+        }
+    }
+
+    /// One snapshot section's events as rows `(at_s bits, seq, row)`, in
+    /// schedule order (see [`Event::row`]).
+    fn rows(&self, scale: bool) -> impl Iterator<Item = (u64, u64, (bool, u64, u64, u64))> + '_ {
+        let rows = self.queue.events.iter();
+        rows.map(|&(at_s, seq, e)| (at_s.to_bits(), seq, e.row()))
+            .filter(move |r| r.2 .0 == scale)
+    }
+
+    /// The snapshot's fault section (`None` without a fault plan): the
+    /// plan's events in schedule order, the shared schedule counter,
+    /// retry counts and the fault-owned drains.
+    fn export_fault(&self) -> Option<FaultState> {
+        self.faults?;
+        Some(FaultState {
             events: self
-                .queue
-                .events
-                .iter()
-                .map(|&(at_s, seq, a)| {
-                    let (code, arg) = a.encode();
-                    (at_s.to_bits(), seq, code, arg)
-                })
+                .rows(false)
+                .map(|(at, seq, (_, code, arg, _))| (at, seq, code, arg))
                 .collect(),
             seq: self.queue.seq,
             attempts: self
@@ -1112,62 +1370,146 @@ impl<'p> FaultRuntime<'p> {
                 .map(|&(id, n)| (id, u64::from(n)))
                 .collect(),
             draining_down: self
-                .draining_down
+                .drains
                 .iter()
                 .enumerate()
-                .filter_map(|(i, d)| {
-                    d.map(|(down_s, at_s)| (i as u64, down_s.to_bits(), at_s.to_bits()))
+                .filter_map(|(i, d)| match *d {
+                    Some(Drain::Fault { down_s, at_s }) => {
+                        Some((i as u64, down_s.to_bits(), at_s.to_bits()))
+                    }
+                    _ => None,
                 })
                 .collect(),
-        }
+        })
     }
 
-    /// Restore state captured by [`FaultRuntime::export_state`] in a
-    /// snapshot taken at `taken_at_s`, rejecting events and drains
-    /// this plan and fleet cannot hold. A restart at
-    /// +inf (an outage that never ends) is legal.
-    fn import_state(&mut self, s: &FaultState, taken_at_s: f64) -> Result<(), String> {
-        let plan = self.plan;
-        let (faults, replicas) = (plan.faults.len(), self.draining_down.len());
-        let rows = s
-            .events
-            .iter()
-            .map(|&(at, seq, code, arg)| (at, seq, (code, arg)));
-        // Plan faults apply at their scripted times, restarts come a
-        // down time after a reached time, and warm-up ends a warm-up
-        // after a restart.
-        let delay_s = plan
-            .faults
-            .iter()
-            .map(|f| {
-                let (FaultKind::Crash { down_s } | FaultKind::Drain { down_s }) = f.kind;
-                f.at_s.max(down_s)
-            })
-            .fold(plan.warmup_s, f64::max);
-        let queue = EventQueue::import(
-            rows,
-            s.seq,
-            "fault",
-            (taken_at_s, delay_s),
-            |at_s, action| at_s == f64::INFINITY && matches!(action, Action::Restart(_)),
-            |(code, arg)| Action::decode(code, arg, faults, replicas),
-        )?;
-        if let Some(&(replica, _, _)) = s
-            .draining_down
-            .iter()
-            .find(|&&(r, _, _)| r as usize >= replicas)
-        {
-            return Err(format!(
-                "snapshot drain state targets replica {replica} of {replicas}"
-            ));
+    /// The snapshot's autoscale section (`None` without a policy): the
+    /// scale events in schedule order, the shared schedule counter, the
+    /// pool, the scale-down drains and the evaluator's state.
+    fn export_autoscale(&self) -> Option<AutoscaleState> {
+        let a = self.scaler.as_ref()?;
+        Some(AutoscaleState {
+            events: self
+                .rows(true)
+                .map(|(at, seq, (_, code, arg, lag))| (at, seq, code, arg, lag))
+                .collect(),
+            seq: self.queue.seq,
+            pool: a.pool.clone(),
+            draining: self
+                .drains
+                .iter()
+                .map(|d| *d == Some(Drain::ScaleDown))
+                .collect(),
+            up_streak: a.up_streak,
+            down_streak: a.down_streak,
+            streak_start: a.streak_start,
+            cooldown_until: a.cooldown_until,
+            slo_met: a.last_slo.0,
+            slo_completed: a.last_slo.1,
+            scale_ups: a.stats.scale_ups,
+            scale_downs: a.stats.scale_downs,
+            scale_up_lag_s: a.stats.scale_up_lag_s,
+        })
+    }
+
+    /// Restore the sections [`ControlPlane::export_fault`] and
+    /// [`ControlPlane::export_autoscale`] wrote into a snapshot taken at
+    /// `taken_at_s` (each present exactly when this cluster has its
+    /// plan or policy), merging their events into the one queue by
+    /// schedule order. Rejects events, drains and membership vectors
+    /// this fleet cannot hold, two schedule counters that differ, and a
+    /// drain both sections own. A restart at +inf (an outage that never
+    /// ends) is legal.
+    fn import_state(
+        &mut self,
+        fault: Option<&FaultState>,
+        scale: Option<&AutoscaleState>,
+        taken_at_s: f64,
+    ) -> Result<(), String> {
+        let replicas = self.drains.len();
+        let mut events = Vec::new();
+        let mut drains = vec![None; replicas];
+        if let Some(s) = fault {
+            let plan = self.plan();
+            // Plan faults apply at their scripted times, restarts come
+            // a down time after a reached time, and warm-up ends a
+            // warm-up after a restart.
+            let delay_s = plan
+                .faults
+                .iter()
+                .map(|f| {
+                    let (FaultKind::Crash { down_s } | FaultKind::Drain { down_s }) = f.kind;
+                    f.at_s.max(down_s)
+                })
+                .fold(plan.warmup_s, f64::max);
+            let rows = s.events.iter();
+            events = EventQueue::import(
+                rows.map(|&(at, seq, code, arg)| (at, seq, (false, code, arg, 0))),
+                (taken_at_s, delay_s),
+                (plan.faults.len(), replicas),
+            )?;
+            for &(replica, down_bits, at_bits) in &s.draining_down {
+                let Some(owner) = drains.get_mut(replica as usize) else {
+                    return Err(format!(
+                        "snapshot drain state targets replica {replica} of {replicas}"
+                    ));
+                };
+                *owner = Some(Drain::Fault {
+                    down_s: f64::from_bits(down_bits),
+                    at_s: f64::from_bits(at_bits),
+                });
+            }
+            self.attempts = s.attempts.iter().map(|&(id, n)| (id, n as u32)).collect();
         }
-        self.queue = queue;
-        self.attempts = s.attempts.iter().map(|&(id, n)| (id, n as u32)).collect();
-        self.draining_down.fill(None);
-        for &(replica, down_bits, at_bits) in &s.draining_down {
-            self.draining_down[replica as usize] =
-                Some((f64::from_bits(down_bits), f64::from_bits(at_bits)));
+        if let Some(s) = scale {
+            if s.pool.len() != replicas || s.draining.len() != replicas {
+                return Err(format!(
+                    "snapshot autoscale state covers {} replicas, the cluster has {replicas}",
+                    s.pool.len().max(s.draining.len()),
+                ));
+            }
+            let p = self.scaler().policy;
+            let delay_s = p.interval_s.max(p.provision_s).max(p.warmup_s);
+            let rows = s.events.iter();
+            events.extend(EventQueue::import(
+                rows.map(|&(at, seq, code, arg, lag)| (at, seq, (true, code, arg, lag))),
+                (taken_at_s, delay_s),
+                (0, replicas),
+            )?);
+            for i in (0..replicas).filter(|&i| s.draining[i]) {
+                if drains[i].is_some() {
+                    return Err(format!(
+                        "replica {i}: both the fault and the autoscale state own its drain"
+                    ));
+                }
+                drains[i] = Some(Drain::ScaleDown);
+            }
+            let a = self.scaler();
+            a.pool = s.pool.clone();
+            (a.up_streak, a.down_streak) = (s.up_streak, s.down_streak);
+            (a.streak_start, a.cooldown_until) = (s.streak_start, s.cooldown_until);
+            a.last_slo = (s.slo_met, s.slo_completed);
+            a.stats = ScaleStats {
+                scale_ups: s.scale_ups,
+                scale_downs: s.scale_downs,
+                scale_up_lag_s: s.scale_up_lag_s,
+            };
         }
+        let seq = match (fault, scale) {
+            (Some(f), Some(s)) if f.seq != s.seq => {
+                return Err(format!(
+                    "the snapshot's fault and autoscale event counters differ: {} and {}",
+                    f.seq, s.seq
+                ))
+            }
+            (Some(f), _) => f.seq,
+            (_, Some(s)) => s.seq,
+            (None, None) => 0,
+        };
+        // Each section is in schedule order; a stable sort interleaves them.
+        events.sort_by_key(|e| e.1);
+        self.queue = EventQueue { events, seq };
+        self.drains = drains;
         Ok(())
     }
 }
@@ -1186,43 +1528,35 @@ fn finish_drain(
     stats: &mut RecoveryStats,
 ) -> f64 {
     replicas[i].finish_drain();
-    let to = best_handoff_target(configs, replicas, i);
+    // Pool-aware: parked KV only makes sense on a replica of the
+    // drained one's role (a no-op filter in colocated fleets).
+    let role = replicas[i].role();
+    let to = pick_by_load(configs, replicas, false, |j, r| {
+        j != i && r.is_admitting() && r.role() == role
+    });
     hand_off_parked(configs, replicas, i, to, link, stats);
     let down_at = replicas[i].clock().max(not_before_s);
     replicas[i].mark_down(down_at);
     down_at
 }
 
-/// The least weighted-load admitting replica other than `skip` (the
-/// drain-handoff target); `None` when the whole rest of the fleet is
-/// down. Pool-aware: a drained replica's parked KV only makes sense on
-/// a replica of the same role (a no-op filter in colocated fleets).
-fn best_handoff_target(
-    configs: &[ReplicaConfig],
-    replicas: &[ReplicaSim],
-    skip: usize,
-) -> Option<usize> {
-    let role = replicas[skip].role();
-    pick_by_load(configs, replicas, false, |j, r| {
-        j != skip && r.is_admitting() && r.role() == role
-    })
-}
-
-/// Fold the plan, the leftover event queue and the per-replica
-/// recovery recordings into per-fault [`FaultOutcome`]s. Runs at the
-/// end of a completed run that lasted `total_time_s`, before the
-/// replicas are consumed into reports.
+/// Fold the fault plan, the leftover event queue and the per-replica
+/// recovery recordings into per-fault [`FaultOutcome`]s (none without
+/// a plan). Runs at the end of a completed run that lasted
+/// `total_time_s`, before the replicas are consumed into reports.
 fn compute_fault_outcomes(
-    rt: &FaultRuntime<'_>,
+    plane: &ControlPlane<'_>,
     replicas: &[ReplicaSim],
     tiers: &[SloTier],
     total_time_s: f64,
 ) -> Vec<FaultOutcome> {
-    let plan = rt.plan;
+    let Some(plan) = plane.faults else {
+        return Vec::new();
+    };
     // A plan fault whose Apply event is still queued never fired.
     let mut unapplied = vec![false; plan.faults.len()];
-    for &(_, _, action) in &rt.queue.events {
-        if let Action::Apply(fi) = action {
+    for &(_, _, event) in &plane.queue.events {
+        if let Event::Apply(fi) = event {
             unapplied[fi] = true;
         }
     }
@@ -1293,353 +1627,6 @@ fn compute_fault_outcomes(
             }
         })
         .collect()
-}
-
-#[derive(Debug, Clone, Copy)]
-enum ScaleAction {
-    /// Evaluate the fleet signals (and reschedule the next tick).
-    Eval,
-    /// A provisioned pool replica joins the serving fleet; `lag_s` is
-    /// the decision-to-join lag it will be credited with.
-    ScaleUp { replica: usize, lag_s: f64 },
-    /// End a joiner's warm-up window.
-    ClearWarmup(usize),
-}
-
-impl ScaleAction {
-    /// The snapshot's `(code, arg, lag bits)` triple (see
-    /// [`AutoscaleState`]).
-    fn encode(self) -> (u64, u64, u64) {
-        match self {
-            ScaleAction::Eval => (0, 0, 0),
-            ScaleAction::ScaleUp { replica, lag_s } => (1, replica as u64, lag_s.to_bits()),
-            ScaleAction::ClearWarmup(i) => (2, i as u64, 0),
-        }
-    }
-
-    /// Inverse of [`ScaleAction::encode`] on a `replicas`-replica
-    /// fleet.
-    fn decode(code: u64, arg: u64, lag: u64, replicas: usize) -> Result<Self, String> {
-        let i = arg as usize;
-        match code {
-            0 => Ok(ScaleAction::Eval),
-            1 if i < replicas => Ok(ScaleAction::ScaleUp {
-                replica: i,
-                lag_s: f64::from_bits(lag),
-            }),
-            2 if i < replicas => Ok(ScaleAction::ClearWarmup(i)),
-            _ => Err(format!(
-                "snapshot scale event has code {code} with out-of-range argument {arg}"
-            )),
-        }
-    }
-}
-
-/// Merge-point autoscale machinery for one cluster run: evaluates the
-/// [`AutoscalePolicy`] signals on a fixed virtual-time cadence and
-/// turns its votes into provisioning / drain events, processed with
-/// the same frontier rules as the fault runtime so autoscaled runs
-/// stay deterministic and snapshot-resumable.
-struct AutoscaleRuntime<'p> {
-    policy: &'p AutoscalePolicy,
-    /// The fleet's KV link, pricing join steals and scale-down
-    /// handoffs.
-    link: KvLinkSpec,
-    queue: EventQueue<ScaleAction>,
-    /// Standby-pool membership: `pool[i]` while replica `i` is parked.
-    pool: Vec<bool>,
-    /// Scale-down drains in progress (ours, not the fault plan's).
-    draining: Vec<bool>,
-    up_streak: u32,
-    down_streak: u32,
-    /// First evaluation time of the running up-streak.
-    streak_start: Option<f64>,
-    cooldown_until: f64,
-    /// `(met, completed)` interactive totals at the last evaluation —
-    /// the baseline the next window delta is taken against.
-    last_slo: (u64, u64),
-    stats: ScaleStats,
-}
-
-impl<'p> AutoscaleRuntime<'p> {
-    fn new(policy: &'p AutoscalePolicy, replica_count: usize, link: KvLinkSpec) -> Self {
-        let mut queue = EventQueue::new();
-        queue.schedule(policy.interval_s, ScaleAction::Eval);
-        Self {
-            policy,
-            link,
-            queue,
-            pool: (0..replica_count)
-                .map(|i| i >= policy.min_replicas)
-                .collect(),
-            draining: vec![false; replica_count],
-            up_streak: 0,
-            down_streak: 0,
-            streak_start: None,
-            cooldown_until: 0.0,
-            last_slo: (0, 0),
-            stats: ScaleStats::default(),
-        }
-    }
-
-    /// Run the merge-point scale boundary to quiescence: apply every
-    /// due scale event, then complete every finished scale-down drain
-    /// (replica-index order). Returns whether anything was applied.
-    fn process_boundary(
-        &mut self,
-        stream: &mut ScenarioStream,
-        configs: &[ReplicaConfig],
-        replicas: &mut [ReplicaSim],
-        stats: &mut RecoveryStats,
-    ) -> bool {
-        let mut acted = false;
-        loop {
-            if let Some((at_s, action)) = self.queue.pop_due(replicas, stream) {
-                self.apply_event(at_s, action, stream, configs, replicas, stats);
-            } else if let Some(i) = (0..replicas.len()).find(|&i| {
-                self.draining[i] && replicas[i].is_draining() && !replicas[i].in_flight()
-            }) {
-                self.complete_scale_down(i, configs, replicas, stats);
-            } else {
-                return acted;
-            }
-            acted = true;
-        }
-    }
-
-    fn apply_event(
-        &mut self,
-        at_s: f64,
-        action: ScaleAction,
-        stream: &mut ScenarioStream,
-        configs: &[ReplicaConfig],
-        replicas: &mut [ReplicaSim],
-        stats: &mut RecoveryStats,
-    ) {
-        match action {
-            ScaleAction::Eval => {
-                self.evaluate(at_s, stream, configs, replicas);
-                // Keep ticking only while the run still has work —
-                // arrivals to come or stages to run. An eternal tick
-                // on a drained fleet would never let the run end.
-                if stream.next_arrival_time().is_some() || fleet_next_start(replicas).is_some() {
-                    self.queue
-                        .schedule(at_s + self.policy.interval_s, ScaleAction::Eval);
-                }
-            }
-            ScaleAction::ScaleUp { replica, lag_s } => {
-                self.join(at_s, replica, lag_s, configs, replicas, stats);
-            }
-            ScaleAction::ClearWarmup(i) => replicas[i].set_perf_factor(1.0),
-        }
-    }
-
-    /// One evaluation tick: fold the fleet signals, update the
-    /// hysteresis streaks, and fire at most one scale event.
-    fn evaluate(
-        &mut self,
-        t: f64,
-        stream: &mut ScenarioStream,
-        configs: &[ReplicaConfig],
-        replicas: &mut [ReplicaSim],
-    ) {
-        let mut pressure_sum = 0.0;
-        let mut active = 0usize;
-        let (mut in_flight_sum, mut slots_sum) = (0usize, 0usize);
-        for (i, r) in replicas.iter().enumerate() {
-            if !r.is_admitting() || self.draining[i] {
-                continue;
-            }
-            let (in_flight, queued, _) = r.load();
-            pressure_sum += (in_flight + queued) as f64 / r.max_batch().max(1) as f64;
-            in_flight_sum += in_flight;
-            slots_sum += r.max_batch();
-            active += 1;
-        }
-        let pressure = pressure_sum / active.max(1) as f64;
-        let occupancy = if slots_sum == 0 {
-            0.0
-        } else {
-            in_flight_sum as f64 / slots_sum as f64
-        };
-        let (met, completed) = replicas.iter().fold((0u64, 0u64), |(m, c), r| {
-            let (rm, rc) = r.interactive_slo_counts();
-            (m + rm, c + rc)
-        });
-        let window_met = met - self.last_slo.0;
-        let window_completed = completed - self.last_slo.1;
-        self.last_slo = (met, completed);
-        // An empty window is healthy: nothing completed, nothing
-        // missed.
-        let attainment_bad = self.policy.attainment_floor > 0.0
-            && window_completed > 0
-            && (window_met as f64 / window_completed as f64) < self.policy.attainment_floor;
-        let up_vote = pressure >= self.policy.up_pressure || attainment_bad;
-        let down_vote = pressure <= self.policy.down_pressure
-            && occupancy <= self.policy.down_occupancy
-            && !attainment_bad;
-        if up_vote {
-            self.up_streak += 1;
-            if self.streak_start.is_none() {
-                self.streak_start = Some(t);
-            }
-        } else {
-            self.up_streak = 0;
-            self.streak_start = None;
-        }
-        self.down_streak = if down_vote { self.down_streak + 1 } else { 0 };
-        if t < self.cooldown_until {
-            return;
-        }
-        if self.up_streak >= self.policy.up_windows {
-            // Provision the lowest-index pool replica; with the pool
-            // exhausted the streak keeps running, so a scale-down
-            // freeing a replica can still satisfy it later.
-            if let Some(i) = self.pool.iter().position(|&parked| parked) {
-                self.pool[i] = false;
-                let join_at = t + self.policy.provision_s;
-                let lag_s = join_at - self.streak_start.unwrap_or(t);
-                self.queue
-                    .schedule(join_at, ScaleAction::ScaleUp { replica: i, lag_s });
-                self.up_streak = 0;
-                self.streak_start = None;
-                self.cooldown_until = t + self.policy.cooldown_s;
-            }
-            return;
-        }
-        if self.down_streak >= self.policy.down_windows && active > self.policy.min_replicas {
-            // Drain the least-loaded serving replica.
-            let draining = &self.draining;
-            let victim = pick_by_load(configs, replicas, false, |i, r| {
-                r.is_admitting() && !draining[i]
-            });
-            if let Some(i) = victim {
-                for p in replicas[i].begin_drain() {
-                    stream.requeue(p);
-                }
-                self.draining[i] = true;
-                self.down_streak = 0;
-                self.cooldown_until = t + self.policy.cooldown_s;
-            }
-        }
-    }
-
-    /// A provisioned replica joins the serving fleet: restart it,
-    /// start its warm-up window, and steal the parked KV of the
-    /// most-loaded survivor as one priced transfer (a drain handoff
-    /// in reverse — the joiner pays the transfer time).
-    fn join(
-        &mut self,
-        at_s: f64,
-        replica: usize,
-        lag_s: f64,
-        configs: &[ReplicaConfig],
-        replicas: &mut [ReplicaSim],
-        stats: &mut RecoveryStats,
-    ) {
-        replicas[replica].restart(at_s);
-        if self.policy.warmup_s > 0.0 {
-            replicas[replica].set_perf_factor(self.policy.warmup_factor);
-            self.queue.schedule(
-                at_s + self.policy.warmup_s,
-                ScaleAction::ClearWarmup(replica),
-            );
-        }
-        let role = replicas[replica].role();
-        let draining = &self.draining;
-        let donor = pick_by_load(configs, replicas, true, |j, r| {
-            j != replica && r.is_admitting() && !draining[j] && r.role() == role
-        });
-        if let Some(j) = donor {
-            hand_off_parked(configs, replicas, j, Some(replica), self.link, stats);
-        }
-        self.stats.scale_ups += 1;
-        if lag_s > self.stats.scale_up_lag_s {
-            self.stats.scale_up_lag_s = lag_s;
-        }
-    }
-
-    /// A scale-down drain's batch just emptied: finish the drain
-    /// exactly like a fault drain (see [`finish_drain`]) and park the
-    /// replica back in the pool — no restart is scheduled.
-    fn complete_scale_down(
-        &mut self,
-        i: usize,
-        configs: &[ReplicaConfig],
-        replicas: &mut [ReplicaSim],
-        stats: &mut RecoveryStats,
-    ) {
-        finish_drain(i, 0.0, configs, replicas, self.link, stats);
-        self.pool[i] = true;
-        self.draining[i] = false;
-        self.stats.scale_downs += 1;
-    }
-
-    fn export_state(&self) -> AutoscaleState {
-        AutoscaleState {
-            events: self
-                .queue
-                .events
-                .iter()
-                .map(|&(at_s, seq, a)| {
-                    let (code, arg, lag) = a.encode();
-                    (at_s.to_bits(), seq, code, arg, lag)
-                })
-                .collect(),
-            seq: self.queue.seq,
-            pool: self.pool.clone(),
-            draining: self.draining.clone(),
-            up_streak: self.up_streak,
-            down_streak: self.down_streak,
-            streak_start: self.streak_start,
-            cooldown_until: self.cooldown_until,
-            slo_met: self.last_slo.0,
-            slo_completed: self.last_slo.1,
-            scale_ups: self.stats.scale_ups,
-            scale_downs: self.stats.scale_downs,
-            scale_up_lag_s: self.stats.scale_up_lag_s,
-        }
-    }
-
-    /// Restore state captured by [`AutoscaleRuntime::export_state`] in a
-    /// snapshot taken at `taken_at_s`, rejecting membership vectors and
-    /// events this fleet cannot hold.
-    fn import_state(&mut self, s: &AutoscaleState, taken_at_s: f64) -> Result<(), String> {
-        let replicas = self.pool.len();
-        if s.pool.len() != replicas || s.draining.len() != replicas {
-            return Err(format!(
-                "snapshot autoscale state covers {} replicas, the cluster has {replicas}",
-                s.pool.len().max(s.draining.len()),
-            ));
-        }
-        let rows = s
-            .events
-            .iter()
-            .map(|&(at, seq, code, arg, lag)| (at, seq, (code, arg, lag)));
-        let p = self.policy;
-        let delay_s = p.interval_s.max(p.provision_s).max(p.warmup_s);
-        self.queue = EventQueue::import(
-            rows,
-            s.seq,
-            "scale",
-            (taken_at_s, delay_s),
-            |_, _| false,
-            |(code, arg, lag)| ScaleAction::decode(code, arg, lag, replicas),
-        )?;
-        self.pool = s.pool.clone();
-        self.draining = s.draining.clone();
-        self.up_streak = s.up_streak;
-        self.down_streak = s.down_streak;
-        self.streak_start = s.streak_start;
-        self.cooldown_until = s.cooldown_until;
-        self.last_slo = (s.slo_met, s.slo_completed);
-        self.stats = ScaleStats {
-            scale_ups: s.scale_ups,
-            scale_downs: s.scale_downs,
-            scale_up_lag_s: s.scale_up_lag_s,
-        };
-        Ok(())
-    }
 }
 
 /// Reject a snapshot that carries `state` runtime state while the
@@ -1901,7 +1888,7 @@ impl ClusterSimulation {
     }
 
     /// Check a snapshot's shape against this cluster and restore the
-    /// control-plane runtimes from it, before anything outside them is
+    /// control plane from it, before anything outside them is
     /// touched (the replica imports that follow assume the checked
     /// shape). `policies` is the resuming run's: preemption-armed
     /// policies carry a parked pool the scenario alone would not predict.
@@ -1909,8 +1896,7 @@ impl ClusterSimulation {
         &self,
         snap: &ClusterSnapshot,
         policies: &[Box<dyn SchedulingPolicy>],
-        fault_rt: Option<&mut FaultRuntime<'_>>,
-        auto_rt: Option<&mut AutoscaleRuntime<'_>>,
+        mut plane: Option<&mut ControlPlane<'_>>,
         disagg_rt: Option<&mut DisaggRuntime<'_>>,
     ) -> Result<(), String> {
         if snap.replicas.len() != self.configs.len() {
@@ -2038,17 +2024,26 @@ impl ClusterSimulation {
             }
         }
         check_presence(&self.faults, &snap.fault, "a fault plan", "fault")?;
-        if let (Some(rt), Some(fs)) = (fault_rt, &snap.fault) {
-            rt.import_state(fs, snap.taken_at_s)?;
-        }
         check_presence(
             &self.autoscale,
             &snap.autoscale,
             "an autoscale policy",
             "autoscale",
         )?;
-        if let (Some(rt), Some(a)) = (auto_rt, &snap.autoscale) {
-            rt.import_state(a, snap.taken_at_s)?;
+        if let Some(p) = plane.as_deref_mut() {
+            p.import_state(
+                snap.fault.as_ref(),
+                snap.autoscale.as_ref(),
+                snap.taken_at_s,
+            )?;
+        }
+        // Only a drain some section owns can ever complete.
+        for (i, s) in snap.replicas.iter().enumerate() {
+            if s.draining && plane.as_deref().is_none_or(|p| p.drains[i].is_none()) {
+                return Err(format!(
+                    "replica {i}: marked draining, but neither the fault nor the autoscale state owns its drain"
+                ));
+            }
         }
         if let (Some(rt), Some(d)) = (disagg_rt, &snap.disagg) {
             rt.import_state(d, self.configs.len())?;
@@ -2100,7 +2095,7 @@ impl ClusterSimulation {
         }
         let mut disagg_rt = self.disagg.as_ref().map(DisaggRuntime::new);
         let mut stats = RecoveryStats::default();
-        let mut fault_rt = self.faults.as_ref().map(|plan| {
+        if let Some(plan) = &self.faults {
             let windows: Vec<(f64, f64)> = plan
                 .faults
                 .iter()
@@ -2109,20 +2104,15 @@ impl ClusterSimulation {
             for r in replicas.iter_mut() {
                 r.set_fault_recording(windows.clone(), plan.timeline_bucket_s);
             }
-            FaultRuntime::new(plan, configs.len(), self.kv_link)
-        });
-        let mut auto_rt = self
-            .autoscale
-            .as_ref()
-            .map(|policy| AutoscaleRuntime::new(policy, configs.len(), self.kv_link));
+        }
+        let mut plane = ControlPlane::new(
+            self.faults.as_ref(),
+            self.autoscale.as_ref(),
+            configs.len(),
+            self.kv_link,
+        );
         if let Some(snap) = start {
-            self.restore_control_plane(
-                snap,
-                policies,
-                fault_rt.as_mut(),
-                auto_rt.as_mut(),
-                disagg_rt.as_mut(),
-            )?;
+            self.restore_control_plane(snap, policies, plane.as_mut(), disagg_rt.as_mut())?;
             stream.import_state(&snap.stream);
             router.import_state(&snap.router);
             stats = snap.stats;
@@ -2136,51 +2126,25 @@ impl ClusterSimulation {
                     executor.import_batch(batch);
                 }
             }
-        } else if let Some(rt) = &auto_rt {
+        } else if let Some(a) = plane.as_ref().and_then(|p| p.scaler.as_ref()) {
             // Fresh elastic start: everything beyond the floor begins
             // parked in the standby pool.
             for (i, replica) in replicas.iter_mut().enumerate() {
-                if rt.pool[i] {
+                if a.pool[i] {
                     replica.deactivate();
                 }
             }
         }
         let mut snapshots: Vec<ReplicaSnapshot> = Vec::with_capacity(replicas.len());
 
-        let no_skip: Vec<bool> = Vec::new();
-
         loop {
-            // ---- fault + scale boundary, at the merge point ----
-            // Apply every due fault event (scripted faults, restarts,
-            // warm-up clears) and every due scale
-            // event, completing finished drains, before anything
-            // observes the fleet. Fault machinery runs first on each
-            // pass — a fixed order keeps runs deterministic — and the
-            // loop alternates until both are quiet, so a scale event
-            // that frees work for the fault runtime (or vice versa)
-            // still lands at this same boundary.
-            loop {
-                let mut acted = false;
-                if let Some(rt) = fault_rt.as_mut() {
-                    let skip = auto_rt.as_ref().map_or(&no_skip[..], |a| &a.draining[..]);
-                    acted |=
-                        rt.process_boundary(&mut stream, configs, &mut replicas, &mut stats, skip);
-                }
-                if let Some(rt) = auto_rt.as_mut() {
-                    acted |= rt.process_boundary(&mut stream, configs, &mut replicas, &mut stats);
-                }
-                if !acted {
-                    break;
-                }
+            // ---- control-plane boundary, at the merge point ----
+            // Apply every due fault and scale event and complete every
+            // finished drain before anything observes the fleet.
+            if let Some(p) = plane.as_mut() {
+                p.process_boundary(&mut stream, configs, &mut replicas, &mut stats);
             }
-            let limit = earliest(
-                [
-                    fault_rt.as_ref().and_then(|rt| rt.queue.next_at()),
-                    auto_rt.as_ref().and_then(|rt| rt.queue.next_at()),
-                ]
-                .into_iter()
-                .flatten(),
-            );
+            let limit = plane.as_ref().and_then(|p| p.queue.next_at());
             // ---- pause check, at the merge-point boundary ----
             // Peeking the arrival time here draws the same source
             // request the upcoming dispatch would peek, so the stream
@@ -2212,8 +2176,8 @@ impl ClusterSimulation {
                         stream: stream.export_state(),
                         replicas: states,
                         stats,
-                        fault: fault_rt.as_ref().map(FaultRuntime::export_state),
-                        autoscale: auto_rt.as_ref().map(AutoscaleRuntime::export_state),
+                        fault: plane.as_ref().and_then(ControlPlane::export_fault),
+                        autoscale: plane.as_ref().and_then(ControlPlane::export_autoscale),
                         disagg: disagg_rt.as_ref().map(DisaggRuntime::export_state),
                     })));
                 }
@@ -2234,12 +2198,10 @@ impl ClusterSimulation {
                 // No replica has a next stage: the fleet drained,
                 // truncated, or is fully down. A fully-down fleet holds
                 // its arrivals instead of stepping: keep looping while
-                // the fault or scale machinery can still deliver them
-                // (pending events, or a finished drain whose completion
-                // unblocks the run).
-                let can_progress = fault_rt.as_ref().is_some_and(|rt| !rt.queue.is_empty())
-                    || auto_rt.as_ref().is_some_and(|rt| !rt.queue.is_empty())
-                    || replicas.iter().any(|r| r.is_draining() && !r.in_flight());
+                // the control plane can still deliver them (pending
+                // events, or a finished drain whose completion unblocks
+                // the run).
+                let can_progress = plane.as_ref().is_some_and(|p| p.can_progress(&replicas));
                 if can_progress && stream.next_arrival_time().is_some() {
                     continue;
                 }
@@ -2249,8 +2211,8 @@ impl ClusterSimulation {
             // After dispatch the next arrival (if any) is strictly later
             // than the fleet's earliest stage start, so at least one
             // replica steps: every round makes progress. Two control-plane
-            // wrinkles: windows never run past `limit` (the next fault or
-            // scale event lands at that merge point), and a fully-down
+            // wrinkles: windows never run past `limit` (the next
+            // control-plane event lands at that merge point), and a fully-down
             // fleet ignores its *held* arrivals (they may predate the
             // pending restart that will release them).
             let arrival = stream.next_arrival_time();
@@ -2290,10 +2252,13 @@ impl ClusterSimulation {
             .iter()
             .map(|r| (total_time_s - r.down_seconds_until(total_time_s)).max(0.0))
             .sum();
-        let fault_outcomes = fault_rt.as_ref().map_or_else(Vec::new, |rt| {
-            compute_fault_outcomes(rt, &replicas, &self.scenario.tiers, total_time_s)
+        let fault_outcomes = plane.as_ref().map_or_else(Vec::new, |p| {
+            compute_fault_outcomes(p, &replicas, &self.scenario.tiers, total_time_s)
         });
-        let scaling = auto_rt.map(|rt| rt.stats).unwrap_or_default();
+        let scaling = plane
+            .and_then(|p| p.scaler)
+            .map(|a| a.stats)
+            .unwrap_or_default();
         let disagg = disagg_rt.map(|rt| rt.stats).unwrap_or_default();
         let reports: Vec<SimReport> = replicas.into_iter().map(ReplicaSim::into_report).collect();
         Ok(ClusterRun::Done(ClusterReport {
@@ -3046,5 +3011,208 @@ mod tests {
             paused_in_flight,
             "no stop bound caught a paused request mid-flight"
         );
+    }
+
+    /// An elastic fleet of 4 (floor 2) under a crash on replica 0 and,
+    /// later, a drain on replica 1: both control-plane kinds in one run.
+    fn faulted_elastic() -> ClusterSimulation {
+        let scenario = Scenario::new(
+            "faulted-elastic",
+            Workload::fixed(48, 8).with_seed(11),
+            Arrivals::Poisson { qps: 1500.0 },
+            80,
+        )
+        .with_tiers(Scenario::default_tiers(0.01));
+        let plan = FaultPlan::new(vec![
+            FaultEvent::new(0.02, 0, FaultKind::Crash { down_s: 0.03 }),
+            FaultEvent::new(0.05, 1, FaultKind::Drain { down_s: 0.02 }),
+        ])
+        .with_warmup(0.02, 1.5);
+        let policy = AutoscalePolicy::new(2)
+            .with_pressure(1.0, 0.2)
+            .with_cadence(0.02, 1, 3)
+            .with_cooldown(0.0)
+            .with_provisioning(0.02, 0.02, 2.0);
+        ClusterSimulation::new(vec![ReplicaConfig::new(config(4)); 4], scenario)
+            .with_faults(plan)
+            .with_autoscale(policy)
+    }
+
+    fn run_faulted_elastic(snap: Option<&ClusterSnapshot>, stop_s: Option<f64>) -> ClusterRun {
+        let (router, policies, executors) = (
+            &mut LeastOutstandingWork,
+            &mut policies(4, PolicyKind::Fcfs),
+            &mut [Fixed(0.01); 4],
+        );
+        let sim = faulted_elastic();
+        match (snap, stop_s) {
+            (None, None) => ClusterRun::Done(sim.run(router, policies, executors)),
+            (None, Some(stop)) => sim.run_until(router, policies, executors, stop),
+            (Some(snap), _) => sim
+                .resume(snap, router, policies, executors)
+                .map(ClusterRun::Done)
+                .unwrap_or_else(|e| panic!("resumes: {e}")),
+        }
+    }
+
+    #[test]
+    fn a_faulted_elastic_fleet_serves_every_request_and_resumes_bit_for_bit() {
+        let full = run_faulted_elastic(None, None).report().expect("runs");
+        let r = full.recovery;
+        assert_eq!(full.completed() as u64 + r.requests_dropped, 80, "{r:?}");
+        assert_eq!(r.faults_injected, 2, "{r:?}");
+        assert!(full.scaling.scale_ups >= 1, "{:?}", full.scaling);
+        // Paused between the crash and the drain, through JSON.
+        let snap = run_faulted_elastic(None, Some(0.035))
+            .snapshot()
+            .expect("the pause lands mid-run");
+        assert_eq!(snap.stats.faults_injected, 1);
+        let snap = ClusterSnapshot::from_json(&snap.to_json()).expect("round-trips");
+        let resumed = run_faulted_elastic(Some(&snap), None)
+            .report()
+            .expect("resumes");
+        assert_eq!(resumed, full);
+        assert_eq!(resumed.total_time_s.to_bits(), full.total_time_s.to_bits());
+    }
+
+    #[test]
+    fn a_fault_on_a_parked_replica_leaves_it_parked() {
+        // The load never provisions replica 3, so a crash or a drain on
+        // it must leave every replica report and the scaling record as
+        // they are: only the fault count tells the runs apart.
+        let run = |faults: Option<FaultKind>| {
+            let scenario = Scenario::new(
+                "parked",
+                Workload::fixed(32, 4).with_seed(13),
+                Arrivals::Poisson { qps: 200.0 },
+                30,
+            );
+            let policy = AutoscalePolicy::new(2)
+                .with_pressure(1.0, 0.2)
+                .with_cadence(0.02, 1, 3)
+                .with_cooldown(0.0);
+            let mut sim = ClusterSimulation::new(vec![ReplicaConfig::new(config(4)); 4], scenario)
+                .with_autoscale(policy);
+            if let Some(kind) = faults {
+                sim = sim.with_faults(
+                    FaultPlan::new(vec![FaultEvent::new(0.03, 3, kind)]).with_warmup(0.02, 1.5),
+                );
+            }
+            sim.run(
+                &mut RoundRobin::default(),
+                &mut policies(4, PolicyKind::Fcfs),
+                &mut [Fixed(0.01); 4],
+            )
+        };
+        let calm = run(None);
+        assert!(calm.scaling.scale_ups >= 1, "{:?}", calm.scaling);
+        assert!(calm.replicas[3].completed.is_empty());
+        for kind in [
+            FaultKind::Crash { down_s: 0.01 },
+            FaultKind::Drain { down_s: 0.01 },
+        ] {
+            let faulted = run(Some(kind));
+            assert_eq!(faulted.recovery.faults_injected, 1, "{}", kind.name());
+            assert_eq!(faulted.replicas, calm.replicas, "{}", kind.name());
+            assert_eq!(faulted.scaling, calm.scaling, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn equal_time_events_pop_in_schedule_order_across_kinds() {
+        let scenario = Scenario::new(
+            "late",
+            Workload::fixed(4, 4),
+            Arrivals::trace(vec![crate::trace::TraceRequest {
+                arrival_s: 10.0,
+                input_len: 4,
+                output_len: 4,
+            }]),
+            1,
+        );
+        let replicas: Vec<ReplicaSim> = (0..2)
+            .map(|_| ReplicaSim::new(config(4), &scenario))
+            .collect();
+        let mut stream = ScenarioStream::new(&scenario);
+        let plan = FaultPlan::new(vec![FaultEvent::new(
+            0.5,
+            0,
+            FaultKind::Crash { down_s: 1.0 },
+        )]);
+        let policy = AutoscalePolicy::new(1).with_cadence(0.5, 1, 1);
+        let mut plane = ControlPlane::new(Some(&plan), Some(&policy), 2, KvLinkSpec::default())
+            .expect("a plan and a policy build a plane");
+        // The plan's fault was scheduled before the first tick.
+        plane.queue.schedule(1.0, Event::ClearWarmup(1));
+        plane.queue.schedule(1.0, Event::Restart(0));
+        plane.queue.schedule(
+            1.0,
+            Event::ScaleUp {
+                replica: 1,
+                lag_s: 0.5,
+            },
+        );
+        let popped: Vec<Event> =
+            std::iter::from_fn(|| plane.queue.pop_due(&replicas, &mut stream).map(|e| e.1))
+                .collect();
+        assert_eq!(
+            popped,
+            [
+                Event::Apply(0),
+                Event::Eval,
+                Event::ClearWarmup(1),
+                Event::Restart(0),
+                Event::ScaleUp {
+                    replica: 1,
+                    lag_s: 0.5
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn resume_rejects_miscounted_unowned_and_doubly_owned_drains() {
+        let snap = run_faulted_elastic(None, Some(0.06))
+            .snapshot()
+            .expect("the pause lands mid-run");
+        let resume = |snap: &ClusterSnapshot| {
+            faulted_elastic()
+                .resume(
+                    snap,
+                    &mut LeastOutstandingWork,
+                    &mut policies(4, PolicyKind::Fcfs),
+                    &mut [Fixed(0.01); 4],
+                )
+                .expect_err("rejected")
+        };
+        let (fault, scale) = (
+            snap.fault.as_ref().unwrap(),
+            snap.autoscale.as_ref().unwrap(),
+        );
+        assert_eq!(fault.seq, scale.seq, "one counter, written twice");
+        let mut bad = snap.clone();
+        bad.autoscale.as_mut().unwrap().seq += 1;
+        let err = resume(&bad);
+        assert!(err.contains("counters differ"), "{err}");
+        // A replica marked draining that no section owns.
+        let free = (0..4)
+            .find(|&i| !scale.draining[i] && !fault.draining_down.iter().any(|d| d.0 == i as u64))
+            .expect("a replica without a drain owner");
+        let mut bad = snap.clone();
+        bad.replicas[free].draining = true;
+        let err = resume(&bad);
+        assert!(err.contains(&format!("replica {free}:")), "{err}");
+        assert!(err.contains("owns its drain"), "{err}");
+        // Both sections owning one replica's drain.
+        let mut bad = snap.clone();
+        bad.fault
+            .as_mut()
+            .unwrap()
+            .draining_down
+            .push((free as u64, 0, 0));
+        bad.autoscale.as_mut().unwrap().draining[free] = true;
+        let err = resume(&bad);
+        assert!(err.contains(&format!("replica {free}:")), "{err}");
+        assert!(err.contains("both"), "{err}");
     }
 }

@@ -271,11 +271,16 @@ impl ReplicaState {
     }
 }
 
-/// The fault runtime's dynamic state: the pending event queue
-/// (`(at_s bits, seq, code, replica-or-fault index)` with codes
+/// The fault plan's dynamic state: its pending events in schedule
+/// order (`(at_s bits, seq, code, replica-or-fault index)` with codes
 /// 0 = apply scripted fault, 1 = restart, 2 = clear warm-up), the
-/// event sequence counter, per-request retry attempts, and in-progress
-/// drains as `(replica, down_s bits, fault at_s bits)`.
+/// control plane's schedule counter, per-request retry attempts, and
+/// fault-owned drains as `(replica, down_s bits, fault at_s bits)` (a
+/// crash ends a drain but keeps its row). Fault and scale events share
+/// one queue and one counter: `seq` numbers both kinds, so a fleet with
+/// only a fault plan counts only its own events, and a fleet with an
+/// autoscaler too writes the same `seq` here and in
+/// [`AutoscaleState`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FaultState {
     pub(crate) events: Vec<(u64, u64, u64, u64)>,
@@ -284,12 +289,13 @@ pub(crate) struct FaultState {
     pub(crate) draining_down: Vec<(u64, u64, u64)>,
 }
 
-/// The autoscale runtime's dynamic state: the pending scale-event
-/// queue (`(at_s bits, seq, code, replica, lag bits)` with codes
-/// 0 = evaluate, 1 = replica joins, 2 = clear warm-up), the event
-/// sequence counter, pool/draining membership per replica, the
-/// hysteresis streaks, the SLO-window watermark, and the scale
-/// counters mirrored from [`crate::ScaleStats`].
+/// The autoscaler's dynamic state: its pending events in schedule
+/// order (`(at_s bits, seq, code, replica, lag bits)` with codes
+/// 0 = evaluate, 1 = replica joins, 2 = clear warm-up), the control
+/// plane's schedule counter (shared with [`FaultState`]; see there),
+/// pool membership and scale-down drains per replica, the hysteresis
+/// streaks, the SLO-window watermark, and the scale counters mirrored
+/// from [`crate::ScaleStats`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AutoscaleState {
     pub(crate) events: Vec<(u64, u64, u64, u64, u64)>,
