@@ -1,21 +1,20 @@
 #!/usr/bin/env bash
 # Mutation audit: does a named check catch each listed fault?
 #
-#   ci/mutants.sh [--work DIR] [--list FILE] [--limit SECONDS] [REV]
+#   ci/mutants.sh [--work DIR]
 #
-# Exports REV (default: the working tree's tracked files, via `git stash
-# create`; untracked files are not included) with `git archive` into a
-# source tree under the work directory, and builds everything there into
-# one shared target directory. Then, for each mutation in the list
-# (default: ci/mutants.txt next to this script), one at a time:
+# Exports the working tree's tracked files (via `git stash create`;
+# untracked files are not included) with `git archive` into a source
+# tree under the work directory, and builds everything there into one
+# shared target directory. Then, for each mutation in ci/mutants.txt,
+# one at a time:
 #   1. replaces the mutation's `old` text with its `new` text in its file
 #      (the text must occur exactly once, or the line reads "unapplied");
 #   2. runs each of its checks, a `cargo test --release --offline -q`
 #      argument list, first with `--no-run` (a build failure reads
 #      "unbuilt"), then for real;
 #   3. prints "caught" when any check fails, "hung" when one runs past
-#      its time limit (--limit seconds, default 300; a hang is caught
-#      too), "MISSED" when all pass;
+#      120 s (a hang is caught too), "MISSED" when all pass;
 #   4. puts the file back.
 # Before the first mutation every check named in the list runs once on
 # the unmutated tree and must pass, or the script stops: a check that
@@ -42,40 +41,28 @@ usage() {
 }
 
 work=""
-list=""
-limit=300
 while [ $# -gt 0 ]; do
     case "$1" in
         --work) work="${2:?}"; shift 2 ;;
-        --list) list="${2:?}"; shift 2 ;;
-        --limit) limit="${2:?}"; shift 2 ;;
-        -h|--help) usage ;;
-        --*) echo "unknown option $1" >&2; usage ;;
-        *) break ;;
+        *) usage ;;
     esac
 done
-[ $# -le 1 ] || usage
 
+# Seconds one check may run before it counts as hung.
+limit=120
 root="$(git rev-parse --show-toplevel)"
-cd "$root"
-list="$(cd "$(dirname "${list:-$root/ci/mutants.txt}")" && pwd)/$(basename "${list:-mutants.txt}")"
-[ -f "$list" ] || { echo "no mutation list at $list" >&2; exit 2; }
-if [ $# -eq 1 ]; then
-    rev="$1"
-else
-    rev="$(git stash create)"
-    rev="${rev:-HEAD}"
-fi
-git rev-parse --verify --quiet "$rev^{commit}" > /dev/null \
-    || { echo "not a revision: $rev" >&2; exit 2; }
 if [ -z "$work" ]; then
     work="$(mktemp -d)"
 fi
-mkdir -p "$work"
-work="$(cd "$work" && pwd)"
+work="$(realpath -m "$work")"
 case "$work/" in
     "$root"/*) echo "the work directory must lie outside the repository" >&2; exit 2 ;;
 esac
+mkdir -p "$work"
+cd "$root"
+list="$root/ci/mutants.txt"
+rev="$(git stash create)"
+rev="${rev:-HEAD}"
 
 src="$work/src"
 log="$work/mutants.log"

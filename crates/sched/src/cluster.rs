@@ -71,11 +71,16 @@
 //! the drain's owner directs (a fault drain schedules its restart, a
 //! scale-down parks the replica in the standby pool); it stops when
 //! neither is left. The earliest pending event also ends the next
-//! window. A fault restart leaves a replica the autoscaler has parked
-//! where it is. A snapshot writes the queue split by kind into its fault
-//! and autoscale sections, each with the shared counter, along with the
-//! retry, drain and pool state and the pending disaggregation
-//! assignments.
+//! window. A fault on a replica parked in the standby pool or
+//! provisioning toward a join only counts as injected. The latest drain
+//! to begin on a replica owns it: a drain fault on a replica the
+//! autoscaler is scaling down takes the drain over, so the replica
+//! restarts instead of returning to the pool and no scale-down counts.
+//! A crash ends any drain; the restarted replica serves again and
+//! counts in the autoscaler's signals. A snapshot writes the queue
+//! split by kind into its fault and autoscale sections, each with the
+//! shared counter, along with the retry, drain and pool state and the
+//! pending disaggregation assignments.
 //!
 //! # The fleet KV link
 //!
@@ -1122,8 +1127,16 @@ impl<'p> ControlPlane<'p> {
             Event::Apply(fi) => {
                 let plan = self.plan();
                 let f = plan.faults[fi];
-                let replica = &mut replicas[f.replica];
                 stats.faults_injected += 1;
+                // A replica parked in the standby pool or provisioning
+                // toward a join is out of service: the fault finds
+                // nothing to stop, and only the join brings it up.
+                let joins = |e: &(f64, u64, Event)| matches!(e.2, Event::ScaleUp { replica, .. } if replica == f.replica);
+                let pooled = self.scaler.as_ref().is_some_and(|a| a.pool[f.replica]);
+                if pooled || self.queue.events.iter().any(joins) {
+                    return;
+                }
+                let replica = &mut replicas[f.replica];
                 match f.kind {
                     FaultKind::Crash { down_s } => {
                         // The replica's last stage may have straddled
@@ -1163,14 +1176,11 @@ impl<'p> ControlPlane<'p> {
                     }
                 }
             }
-            // A fault on a replica parked in the standby pool leaves it
-            // parked: only a join brings it into service.
-            Event::Restart(i) if !self.scaler.as_ref().is_some_and(|a| a.pool[i]) => {
+            Event::Restart(i) => {
                 let plan = self.plan();
                 let warmup = (plan.warmup_s, plan.warmup_factor);
                 self.start_replica(at_s, i, replicas, warmup, Event::ClearSlow(i));
             }
-            Event::Restart(_) => {}
             Event::ClearSlow(i) | Event::ClearWarmup(i) => replicas[i].set_perf_factor(1.0),
             Event::Eval => {
                 self.evaluate(at_s, stream, configs, replicas);
@@ -1340,9 +1350,7 @@ impl<'p> ControlPlane<'p> {
         }
         let scaled = &mut self.scaler().stats;
         scaled.scale_ups += 1;
-        if lag_s > scaled.scale_up_lag_s {
-            scaled.scale_up_lag_s = lag_s;
-        }
+        scaled.scale_up_lag_s = scaled.scale_up_lag_s.max(lag_s);
     }
 
     /// One snapshot section's events as rows `(at_s bits, seq, row)`, in
@@ -3077,10 +3085,12 @@ mod tests {
 
     #[test]
     fn a_fault_on_a_parked_replica_leaves_it_parked() {
-        // The load never provisions replica 3, so a crash or a drain on
-        // it must leave every replica report and the scaling record as
-        // they are: only the fault count tells the runs apart.
-        let run = |faults: Option<FaultKind>| {
+        // The autoscaler provisions replica 2 at 0.1 s and replica 3 at
+        // 0.16 s, each joining 1 s later, after the load has drained. A
+        // fault on either while it is parked or provisioning must leave
+        // every replica report, the scaling record and the billed time
+        // as they are: only the fault count tells the runs apart.
+        let run = |fault: Option<FaultEvent>| {
             let scenario = Scenario::new(
                 "parked",
                 Workload::fixed(32, 4).with_seed(13),
@@ -3093,10 +3103,8 @@ mod tests {
                 .with_cooldown(0.0);
             let mut sim = ClusterSimulation::new(vec![ReplicaConfig::new(config(4)); 4], scenario)
                 .with_autoscale(policy);
-            if let Some(kind) = faults {
-                sim = sim.with_faults(
-                    FaultPlan::new(vec![FaultEvent::new(0.03, 3, kind)]).with_warmup(0.02, 1.5),
-                );
+            if let Some(f) = fault {
+                sim = sim.with_faults(FaultPlan::new(vec![f]).with_warmup(0.02, 1.5));
             }
             sim.run(
                 &mut RoundRobin::default(),
@@ -3105,16 +3113,33 @@ mod tests {
             )
         };
         let calm = run(None);
-        assert!(calm.scaling.scale_ups >= 1, "{:?}", calm.scaling);
-        assert!(calm.replicas[3].completed.is_empty());
-        for kind in [
-            FaultKind::Crash { down_s: 0.01 },
+        assert_eq!(calm.scaling.scale_ups, 2, "{:?}", calm.scaling);
+        assert!(calm.replicas[2..].iter().all(|r| r.completed.is_empty()));
+        let (crash, drain) = (
+            |down_s| FaultKind::Crash { down_s },
             FaultKind::Drain { down_s: 0.01 },
+        );
+        for f in [
+            // Parked.
+            FaultEvent::new(0.03, 3, crash(0.01)),
+            FaultEvent::new(0.03, 3, drain),
+            // Parked, with the outage ending inside its provisioning
+            // window.
+            FaultEvent::new(0.12, 3, crash(0.1)),
+            // Provisioning, the outage ending before and after the join.
+            FaultEvent::new(0.5, 2, crash(0.1)),
+            FaultEvent::new(0.5, 2, crash(2.0)),
+            FaultEvent::new(0.5, 2, drain),
         ] {
-            let faulted = run(Some(kind));
-            assert_eq!(faulted.recovery.faults_injected, 1, "{}", kind.name());
-            assert_eq!(faulted.replicas, calm.replicas, "{}", kind.name());
-            assert_eq!(faulted.scaling, calm.scaling, "{}", kind.name());
+            let faulted = run(Some(f));
+            assert_eq!(faulted.recovery.faults_injected, 1, "{f:?}");
+            assert_eq!(faulted.replicas, calm.replicas, "{f:?}");
+            assert_eq!(faulted.scaling, calm.scaling, "{f:?}");
+            assert_eq!(
+                faulted.replica_seconds.to_bits(),
+                calm.replica_seconds.to_bits(),
+                "{f:?}"
+            );
         }
     }
 
